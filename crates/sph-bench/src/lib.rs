@@ -9,8 +9,7 @@
 
 use sph_cluster::{MachineModel, ScalingConfig, ScalingRow, StepModelConfig};
 use sph_core::config::SphConfig;
-use sph_core::timestep::TimeStepError;
-use sph_exa::{Simulation, SimulationBuilder};
+use sph_exa::{DistributedError, Simulation, SimulationBuilder};
 use sph_parents::{CodeSetup, Scenario};
 use sph_scenarios::{evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig};
 
@@ -127,7 +126,7 @@ pub fn run_scaling_panel(
     scenario: Scenario,
     machine: MachineModel,
     scale: ExperimentScale,
-) -> Result<Vec<ScalingRow>, TimeStepError> {
+) -> Result<Vec<ScalingRow>, DistributedError> {
     let (mut sim, model) = wire_experiment(setup, scenario, machine, scale);
     let mut cfg = ScalingConfig::paper_sweep(scale.max_cores);
     cfg.steps = scale.steps;

@@ -9,8 +9,7 @@
 
 use crate::step_model::{model_step, StepModelConfig, StepTiming, StepWorkload};
 use sph_core::config::TimeStepping;
-use sph_core::timestep::TimeStepError;
-use sph_exa::Simulation;
+use sph_exa::{DistributedError, Simulation};
 use sph_math::OnlineStats;
 
 /// Sweep configuration.
@@ -59,7 +58,7 @@ pub fn scaling_experiment(
     sim: &mut Simulation,
     model: &StepModelConfig,
     config: &ScalingConfig,
-) -> Result<(Vec<ScalingRow>, Vec<Vec<StepTiming>>), TimeStepError> {
+) -> Result<(Vec<ScalingRow>, Vec<Vec<StepTiming>>), DistributedError> {
     assert!(!config.core_counts.is_empty() && config.steps > 0);
     let n = sim.sys.len();
     let mut stats: Vec<OnlineStats> = vec![OnlineStats::new(); config.core_counts.len()];
@@ -152,7 +151,7 @@ pub fn weak_scaling_experiment(
     core_counts: &[usize],
     particles_per_core: usize,
     steps: usize,
-) -> Result<Vec<WeakScalingRow>, TimeStepError> {
+) -> Result<Vec<WeakScalingRow>, DistributedError> {
     assert!(!core_counts.is_empty() && steps > 0 && particles_per_core > 0);
     let mut rows = Vec::new();
     let mut base_time = None;

@@ -51,6 +51,19 @@ pub struct ParticleSystem {
     pub step_count: u64,
 }
 
+/// Every per-particle array with its zero value, handed to the macro
+/// `$apply` — the one field list the per-field loops of `subset`,
+/// `scatter_from` and `resize_zeroed` expand over.
+macro_rules! soa_fields {
+    ($apply:ident) => {
+        $apply! {
+            x: Vec3::ZERO, v: Vec3::ZERO, m: 0.0, h: 0.0, rho: 0.0, u: 0.0, p: 0.0, cs: 0.0,
+            a: Vec3::ZERO, du_dt: 0.0, omega: 0.0, vol: 0.0, div_v: 0.0, curl_v: 0.0,
+            c_iad: Mat3::ZERO, rung: 0
+        }
+    };
+}
+
 impl ParticleSystem {
     /// Create a system from positions, velocities, masses, internal
     /// energies and an initial smoothing length guess.
@@ -132,29 +145,42 @@ impl ParticleSystem {
     /// Extract the subset of particles with the given indices — the
     /// building block of domain decomposition (each rank owns a subset).
     pub fn subset(&self, indices: &[u32]) -> ParticleSystem {
-        let pick_v3 = |src: &Vec<Vec3>| indices.iter().map(|&i| src[i as usize]).collect();
-        let pick_f = |src: &Vec<f64>| indices.iter().map(|&i| src[i as usize]).collect::<Vec<_>>();
-        ParticleSystem {
-            x: pick_v3(&self.x),
-            v: pick_v3(&self.v),
-            m: pick_f(&self.m),
-            h: pick_f(&self.h),
-            rho: pick_f(&self.rho),
-            u: pick_f(&self.u),
-            p: pick_f(&self.p),
-            cs: pick_f(&self.cs),
-            a: pick_v3(&self.a),
-            du_dt: pick_f(&self.du_dt),
-            omega: pick_f(&self.omega),
-            vol: pick_f(&self.vol),
-            div_v: pick_f(&self.div_v),
-            curl_v: pick_f(&self.curl_v),
-            c_iad: indices.iter().map(|&i| self.c_iad[i as usize]).collect(),
-            rung: indices.iter().map(|&i| self.rung[i as usize]).collect(),
-            periodicity: self.periodicity,
-            time: self.time,
-            step_count: self.step_count,
+        macro_rules! pick {
+            ($($field:ident: $zero:expr),*) => {
+                ParticleSystem {
+                    $($field: indices.iter().map(|&i| self.$field[i as usize]).collect(),)*
+                    periodicity: self.periodicity,
+                    time: self.time,
+                    step_count: self.step_count,
+                }
+            };
         }
+        soa_fields!(pick)
+    }
+
+    /// The inverse of [`ParticleSystem::subset`]: overwrite particle
+    /// `ids[k]` of `self` with particle `k` of `src`, every field.
+    pub fn scatter_from(&mut self, ids: &[u32], src: &ParticleSystem) {
+        assert_eq!(ids.len(), src.len(), "one target id per source particle");
+        macro_rules! scatter {
+            ($($field:ident: $zero:expr),*) => {
+                $(for (k, &i) in ids.iter().enumerate() {
+                    self.$field[i as usize] = src.$field[k];
+                })*
+            };
+        }
+        soa_fields!(scatter);
+    }
+
+    /// Resize every field to `n` particles, zero-filling new ones — the
+    /// blank a reassembly [`ParticleSystem::scatter_from`]s into.
+    pub fn resize_zeroed(&mut self, n: usize) {
+        macro_rules! resize {
+            ($($field:ident: $zero:expr),*) => {
+                $(self.$field.resize(n, $zero);)*
+            };
+        }
+        soa_fields!(resize);
     }
 
     /// Verify basic physical sanity; returns the first violation found.

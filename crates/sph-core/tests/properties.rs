@@ -152,4 +152,36 @@ proptest! {
             prop_assert_eq!(sub.u[k], sys.u[i as usize]);
         }
     }
+
+    #[test]
+    fn scatter_from_inverts_subset(picks in prop::collection::hash_set(0u32..20, 1..20)) {
+        // Per-rank snapshots scattered back into a zero-filled blank
+        // reassemble exactly the system they were cut from, every field
+        // — the checkpoint-restore path.
+        let n = 20usize;
+        let mut sys = ParticleSystem::new(
+            (0..n).map(|i| Vec3::splat(i as f64 * 0.01)).collect(),
+            (0..n).map(|i| Vec3::splat(-(i as f64))).collect(),
+            (1..=n).map(|i| i as f64).collect(),
+            (0..n).map(|i| i as f64 * 0.5).collect(),
+            0.1,
+            Periodicity::open(Aabb::unit()),
+        );
+        for i in 0..n {
+            sys.rho[i] = 1.0 + i as f64;
+            sys.a[i] = Vec3::splat(0.5 * i as f64);
+            sys.c_iad[i].m[1][2] = i as f64;
+            sys.rung[i] = i as u8;
+        }
+        let mut ids: Vec<u32> = picks.into_iter().collect();
+        ids.sort_unstable();
+        let rest: Vec<u32> = (0..n as u32).filter(|i| !ids.contains(i)).collect();
+
+        let mut rebuilt = sys.subset(&[]);
+        rebuilt.resize_zeroed(n);
+        rebuilt.scatter_from(&ids, &sys.subset(&ids));
+        rebuilt.scatter_from(&rest, &sys.subset(&rest));
+        // `Debug` prints every SoA array (there is no `PartialEq`).
+        prop_assert_eq!(format!("{rebuilt:?}"), format!("{sys:?}"));
+    }
 }

@@ -1,19 +1,24 @@
-//! The multi-rank distributed step driver.
+//! The step driver: Algorithm 1 per rank, for any rank count.
 //!
 //! [`DistributedSimulation`] runs Algorithm 1 *per rank* over a domain
 //! decomposition with halo exchange — the structure the paper's mini-app
 //! prescribes for distributed memory — as N in-process ranks. Each rank
 //! owns a subset of the particles; every macro-step executes the
 //! bulk-synchronous supersteps documented in `sph_domain`'s module docs:
-//! halo negotiation, collective h-iteration + density over (owned ∪
-//! ghost), ghost-field refresh between kernels, symmetric forces, a global
-//! dt reduction, kick/drift, and particle migration with periodic
-//! rebalancing.
+//! halo negotiation, then the pass table of [`crate::passes`] (collective
+//! h-iteration + density over owned ∪ ghost, ghost-field refresh between
+//! kernels, symmetric forces, gravity), a global dt reduction, kick/drift,
+//! and particle migration with periodic rebalancing.
+//!
+//! One rank is the same driver with nothing to exchange: the rank owns
+//! every particle and imports no ghost, so it computes on the global
+//! system in place — no local copy, no publish, no halo negotiation, no
+//! migration. [`crate::Simulation`] is a constructor for exactly that.
 //!
 //! # Determinism contract
 //!
-//! The driver is **bit-identical** to the single-rank [`Simulation`] for
-//! any rank count and any `SPH_THREADS`. Three properties make that hold:
+//! Trajectories are **bit-identical** for any rank count and any
+//! `SPH_THREADS`. Three properties make that hold:
 //!
 //! 1. every SPH sum iterates neighbours in ascending *global-index* order
 //!    (the density pass sorts its gather lists; each rank keeps its local
@@ -33,21 +38,23 @@
 //! Self-gravity is long-range: each rank evaluates its owned particles on
 //! a replicated global tree (the in-process analogue of the locally
 //! essential tree every distributed gravity code assembles), which keeps
-//! the traversal — and its rounding — identical to the single-rank run.
+//! the traversal — and its rounding — identical for any rank count.
+//!
+//! Block time-stepping ([`TimeStepping::Individual`]) evaluates an active
+//! subset per substep, which the halo protocol does not cover yet: it is
+//! supported on one rank and rejected with a typed error above it.
 
-use crate::simulation::StepReport;
-use sph_core::config::{GradientScheme, SphConfig, TimeStepping};
-use sph_core::density::{compute_density, h_growth_bound, NeighborLists};
+use crate::passes::{refresh_ghosts, ExchangePoint, PassEnv, RankView, PASSES};
+use sph_core::config::{SphConfig, TimeStepping};
+use sph_core::density::h_growth_bound;
 use sph_core::diagnostics::Conservation;
 use sph_core::eos::IdealGas;
-use sph_core::forces::compute_forces;
-use sph_core::gradients::{compute_iad_matrices, compute_velocity_gradients};
 use sph_core::integrator::{drift, kick};
 use sph_core::particles::ParticleSystem;
 use sph_core::timestep::{
-    finalize_adaptive_dt, finalize_global_dt, per_particle_dt, validate_dts, TimeStepError,
+    active_at_substep, assign_rungs, finalize_adaptive_dt, finalize_global_dt, per_particle_dt,
+    validate_dts, TimeStepError,
 };
-use sph_core::volume::compute_volume_elements;
 use sph_core::StepStats;
 use sph_domain::exchange::{Exchange, ExchangeError, ExchangePath, InProcessExchange};
 use sph_domain::{
@@ -61,21 +68,37 @@ use sph_math::Aabb;
 use sph_math::Vec3;
 use sph_profiler::timers::PhaseTimers;
 use sph_profiler::Phase;
-use sph_tree::{
-    CellGrid, GravityConfig, GravitySolver, NeighborQuery, Octree, OctreeConfig, TraversalStats,
-};
+use sph_tree::{GravityConfig, GravitySolver, Octree, OctreeConfig};
 
-/// Why a [`DistributedSimulation`] could not be constructed.
+/// Result of one completed macro time-step.
+#[derive(Debug, Clone, Copy)]
+pub struct StepReport {
+    /// Step index (1-based after the first step).
+    pub step: u64,
+    /// Macro time-step actually taken.
+    pub dt: f64,
+    /// Simulation time after the step.
+    pub time: f64,
+    /// Work statistics accumulated over the step (all substeps).
+    pub stats: StepStats,
+    /// Number of substeps (1 for global/adaptive stepping).
+    pub substeps: u32,
+    /// Mean fraction of particles active per derivative evaluation
+    /// (1.0 for global stepping; < 1 shows the block-time-step saving).
+    pub active_fraction: f64,
+}
+
+/// Why a driver ([`DistributedSimulation`] or the one-rank
+/// [`crate::Simulation`]) could not be constructed.
 ///
 /// Typed so callers can distinguish "this configuration is wrong" from
-/// "this configuration is valid but the distributed driver does not
-/// support it yet" — the latter is a capability gap, not a user error,
-/// and a scheduler may fall back to the single-rank [`crate::Simulation`]
-/// on it.
+/// "this configuration is valid but not supported on more than one rank
+/// yet" — the latter is a capability gap, not a user error, and a
+/// scheduler may fall back to one rank on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistributedBuildError {
-    /// The configured time-stepping policy is valid but not supported by
-    /// the distributed driver.
+    /// The configured time-stepping policy is valid but not supported on
+    /// more than one rank.
     UnsupportedTimeStepping {
         /// Human name of the requested policy.
         requested: &'static str,
@@ -89,7 +112,7 @@ pub enum DistributedBuildError {
     Invalid(String),
 }
 
-/// The time-stepping policies the distributed driver supports.
+/// The time-stepping policies supported on any rank count.
 pub const SUPPORTED_TIME_STEPPING: &[&str] = &["Global", "Adaptive"];
 
 impl std::fmt::Display for DistributedBuildError {
@@ -117,7 +140,7 @@ impl From<DistributedBuildError> for String {
     }
 }
 
-/// Why a distributed step, checkpoint, or restore failed.
+/// Why a step, checkpoint, or restore failed.
 ///
 /// Every failure mode of the running driver folds into this one enum so
 /// a recovery layer can branch on the *kind* of fault: time-step errors
@@ -203,8 +226,8 @@ pub enum RankPartitioner {
     Sfc(SfcKind),
 }
 
-/// Configuration of the distributed driver itself (the SPH physics lives
-/// in [`SphConfig`], exactly as for the single-rank driver).
+/// Configuration of the rank decomposition (the SPH physics lives in
+/// [`SphConfig`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DistributedConfig {
     /// Number of in-process ranks.
@@ -301,9 +324,10 @@ impl DistributedBuilder {
         self
     }
 
-    /// Worker threads per parallel loop (see
-    /// [`crate::SimulationBuilder::num_threads`]); the pool is process
-    /// global and results are bit-identical for any setting.
+    /// Worker threads for every parallel loop (0 = the `SPH_THREADS` /
+    /// hardware default). The pool is process-global, so this configures
+    /// *all* simulations, not just the one being built; results are
+    /// bit-identical for any setting thanks to the fixed-chunk reductions.
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = Some(n);
         self
@@ -350,8 +374,8 @@ impl DistributedBuilder {
     }
 }
 
-/// A running multi-rank simulation (see the module docs for the
-/// superstep protocol and the determinism contract).
+/// A running simulation on N in-process ranks (see the module docs for
+/// the superstep protocol and the determinism contract).
 pub struct DistributedSimulation {
     /// Global particle state: the union of every rank's owned particles,
     /// indexed by global id. In-process this doubles as the "wire": a
@@ -381,31 +405,15 @@ pub struct DistributedSimulation {
     /// Driver-level collective work: halo identification/packing
     /// (phase D), dt reduction + integration (phase J).
     driver_timers: PhaseTimers,
-    derivatives_fresh: bool,
+    /// Whether `a` and `du_dt` are current, so the next step's first
+    /// half-kick may reuse them (true after every evaluation and for a
+    /// state resumed from a between-steps checkpoint).
+    pub(crate) derivatives_fresh: bool,
     last_exchange: Option<HaloExchange>,
     log: ExchangeLog,
     /// The carrier behind the five exchange paths (see
     /// [`sph_domain::exchange`]); in-process by default.
     exchange: Box<dyn Exchange>,
-}
-
-/// Per-rank working set of one derivative evaluation.
-struct RankWorkspace {
-    /// Global ids of the rank's local particles (owned ∪ ghost),
-    /// ascending — so local index order ≡ global id order.
-    locals: Vec<u32>,
-    /// Local indices of the owned particles, ascending.
-    owned_k: Vec<u32>,
-    /// `(local index, global id)` of every ghost.
-    ghosts: Vec<(u32, u32)>,
-    /// The rank's local particle system (extracted owned+ghost state).
-    sys_l: ParticleSystem,
-    /// Cell grid over the local positions (owned ∪ ghost) — the spatial
-    /// structure every SPH pass of the attempt queries.
-    grid: Option<CellGrid>,
-    /// Gather lists of the owned particles (from the density pass),
-    /// indexed like `owned_k`.
-    lists: NeighborLists,
 }
 
 fn partition(
@@ -431,31 +439,13 @@ fn bucket_owned(decomp: &Decomposition) -> Vec<Vec<u32>> {
     owned
 }
 
-/// Merge two ascending id lists into one ascending list.
-fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 /// Bounded retry around one exchange operation: transient failures are
 /// reissued up to `retries` times (counted in the log), anything else —
 /// and the final transient miss — escalates to the caller. The
 /// in-process carrier reissues immediately; a real transport would sleep
 /// an exponential backoff between attempts, which changes wall-clock but
 /// never the delivered bits.
-fn with_retry<T>(
+pub(crate) fn with_retry<T>(
     exchange: &mut dyn Exchange,
     log: &mut ExchangeLog,
     retries: u32,
@@ -474,102 +464,6 @@ fn with_retry<T>(
     }
 }
 
-/// Which owner-computed fields a ghost refresh ships (one variant per
-/// inter-kernel exchange of the superstep protocol).
-#[derive(Debug, Clone, Copy)]
-enum GhostFields {
-    /// Adapted smoothing length, density, grad-h term (post-density).
-    HRhoOmega,
-    /// Volume elements + the generalized-VE rewritten density.
-    VolRho,
-    /// IAD correction matrices.
-    CIad,
-    /// Velocity divergence and curl.
-    DivCurl,
-}
-
-impl GhostFields {
-    fn words(self) -> usize {
-        match self {
-            GhostFields::HRhoOmega => 3,
-            GhostFields::VolRho => 2,
-            GhostFields::CIad => 9,
-            GhostFields::DivCurl => 2,
-        }
-    }
-
-    /// Append particle `g`'s fields (from the owners' published state).
-    fn pack(self, sys: &ParticleSystem, g: usize, out: &mut Vec<f64>) {
-        match self {
-            GhostFields::HRhoOmega => out.extend_from_slice(&[sys.h[g], sys.rho[g], sys.omega[g]]),
-            GhostFields::VolRho => out.extend_from_slice(&[sys.vol[g], sys.rho[g]]),
-            GhostFields::CIad => {
-                for row in sys.c_iad[g].m {
-                    out.extend_from_slice(&row);
-                }
-            }
-            GhostFields::DivCurl => out.extend_from_slice(&[sys.div_v[g], sys.curl_v[g]]),
-        }
-    }
-
-    /// Scatter one particle's delivered words into local index `k`.
-    fn unpack(self, sys_l: &mut ParticleSystem, k: usize, words: &[f64]) {
-        match self {
-            GhostFields::HRhoOmega => {
-                sys_l.h[k] = words[0];
-                sys_l.rho[k] = words[1];
-                sys_l.omega[k] = words[2];
-            }
-            GhostFields::VolRho => {
-                sys_l.vol[k] = words[0];
-                sys_l.rho[k] = words[1];
-            }
-            GhostFields::CIad => {
-                for (r, row) in sys_l.c_iad[k].m.iter_mut().enumerate() {
-                    row.copy_from_slice(&words[3 * r..3 * r + 3]);
-                }
-            }
-            GhostFields::DivCurl => {
-                sys_l.div_v[k] = words[0];
-                sys_l.curl_v[k] = words[1];
-            }
-        }
-    }
-}
-
-/// One ghost-refresh superstep: for every rank, pack the requested fields
-/// of its ghosts (ascending global-id order), move them through the
-/// exchange carrier, and scatter the *delivered* words into the rank's
-/// local system. In-process the delivery is the identity, so this is
-/// bit-identical to copying straight from the global store; a faulty or
-/// real carrier interposes here.
-fn refresh_ghosts(
-    exchange: &mut dyn Exchange,
-    log: &mut ExchangeLog,
-    retries: u32,
-    sys: &ParticleSystem,
-    wss: &mut [RankWorkspace],
-    fields: GhostFields,
-) -> Result<(), ExchangeError> {
-    let words = fields.words();
-    for (r, ws) in wss.iter_mut().enumerate() {
-        if ws.ghosts.is_empty() {
-            continue;
-        }
-        let mut payload = Vec::with_capacity(ws.ghosts.len() * words);
-        for &(_, g) in &ws.ghosts {
-            fields.pack(sys, g as usize, &mut payload);
-        }
-        with_retry(exchange, log, retries, |ex| {
-            ex.deliver_f64(ExchangePath::GhostRefresh, r as u32, &mut payload)
-        })?;
-        for (j, &(k, _)) in ws.ghosts.iter().enumerate() {
-            fields.unpack(&mut ws.sys_l, k as usize, &payload[j * words..(j + 1) * words]);
-        }
-    }
-    Ok(())
-}
-
 impl DistributedSimulation {
     fn assemble(
         sys: ParticleSystem,
@@ -581,17 +475,12 @@ impl DistributedSimulation {
         derivatives_fresh: bool,
     ) -> Result<Self, DistributedBuildError> {
         // Every construction path (builder *and* checkpoint restore) must
-        // reject what the driver cannot run — a restore with an invalid or
-        // Individual-stepping config would otherwise silently integrate
-        // with Global semantics.
+        // reject what the driver cannot run — a multi-rank restore with an
+        // Individual-stepping config would otherwise evaluate active
+        // subsets the halo protocol does not cover.
         config.validate().map_err(DistributedBuildError::Invalid)?;
         sys.sanity_check().map_err(DistributedBuildError::Invalid)?;
-        if matches!(config.time_stepping, TimeStepping::Individual { .. }) {
-            return Err(DistributedBuildError::UnsupportedTimeStepping {
-                requested: "individual (block)",
-                supported: SUPPORTED_TIME_STEPPING,
-            });
-        }
+        Self::check_time_stepping(&config, &dist)?;
         if decomp.nparts != dist.nranks {
             return Err(DistributedBuildError::Invalid(format!(
                 "decomposition has {} parts for {} ranks",
@@ -625,13 +514,25 @@ impl DistributedSimulation {
         })
     }
 
-    /// Convenience constructor with distributed defaults.
-    pub fn new(
-        sys: ParticleSystem,
-        config: SphConfig,
-        nranks: usize,
-    ) -> Result<Self, DistributedBuildError> {
-        DistributedBuilder::new(sys).config(config).nranks(nranks).build()
+    /// Block time-stepping evaluates active subsets, which only a rank
+    /// that owns every particle can do.
+    fn check_time_stepping(
+        config: &SphConfig,
+        dist: &DistributedConfig,
+    ) -> Result<(), DistributedBuildError> {
+        if dist.nranks > 1 && matches!(config.time_stepping, TimeStepping::Individual { .. }) {
+            return Err(DistributedBuildError::UnsupportedTimeStepping {
+                requested: "individual (block)",
+                supported: SUPPORTED_TIME_STEPPING,
+            });
+        }
+        Ok(())
+    }
+
+    /// Largest owned-particle count over ranks divided by the mean — the
+    /// instantaneous particle imbalance.
+    pub fn imbalance(&self) -> f64 {
+        self.decomp.imbalance()
     }
 
     /// The current ownership assignment.
@@ -678,11 +579,6 @@ impl DistributedSimulation {
         self.log
     }
 
-    /// Name of the active exchange carrier.
-    pub fn exchange_name(&self) -> &'static str {
-        self.exchange.name()
-    }
-
     /// Swap the exchange carrier, returning the previous one. Recovery
     /// layers use this to transplant a (stateful, fault-injecting or
     /// connected) carrier into a simulation restored from checkpoint.
@@ -717,469 +613,193 @@ impl DistributedSimulation {
     }
 
     // ---------------------------------------------------------------
-    // Halo exchange plumbing (the in-process analogue of MPI packing)
+    // The derivative evaluation (Algorithm 1, steps 1–4)
     // ---------------------------------------------------------------
 
-    /// Build each rank's workspace for one density attempt: local id set,
-    /// extracted local system, and the octree over local positions.
-    fn build_workspaces(&self, halos: &HaloExchange) -> Vec<RankWorkspace> {
-        (0..self.dist.nranks)
-            .map(|r| {
-                let owned = &self.owned[r];
-                // halo_sets emits imports in ascending global id already.
-                let locals = merge_sorted(owned, &halos.imports[r]);
-                let owned_k: Vec<u32> = {
-                    let mut out = Vec::with_capacity(owned.len());
-                    let mut oi = 0;
-                    for (k, &g) in locals.iter().enumerate() {
-                        if oi < owned.len() && owned[oi] == g {
-                            out.push(k as u32);
-                            oi += 1;
-                        }
-                    }
-                    out
-                };
-                let ghosts: Vec<(u32, u32)> = {
-                    let mut oi = 0;
-                    locals
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(k, &g)| {
-                            if oi < owned.len() && owned[oi] == g {
-                                oi += 1;
-                                None
-                            } else {
-                                Some((k as u32, g))
-                            }
-                        })
-                        .collect()
-                };
-                let sys_l = self.sys.subset(&locals);
-                let grid = (!locals.is_empty()).then(|| {
-                    self.timers[r].time(Phase::TreeBuild, || {
-                        CellGrid::for_radius(
-                            &sys_l.x,
-                            sys_l.periodicity,
-                            SUPPORT_RADIUS * sys_l.max_h(),
-                        )
-                    })
-                });
-                RankWorkspace {
-                    locals,
-                    owned_k,
-                    ghosts,
-                    sys_l,
-                    grid,
-                    lists: NeighborLists::default(),
-                }
-            })
-            .collect()
-    }
-
-    // ---------------------------------------------------------------
-    // The distributed derivative evaluation (Algorithm 1, steps 1–4)
-    // ---------------------------------------------------------------
-
-    /// Evaluate all derivatives for every owned particle on its owner.
-    /// Exchange failures surface as `Err` with the state as of the failed
-    /// superstep — the recovery layer rolls back; the driver itself never
-    /// retries a non-transient fault.
-    fn evaluate_derivatives(&mut self) -> Result<StepStats, ExchangeError> {
-        let nranks = self.dist.nranks;
-        let retries = self.dist.exchange_retries;
-        let mut stats = StepStats::default();
-
-        // --- Superstep 1+2: halo negotiation, collective h-iteration ---
-        //
-        // Negotiate a radius from the pre-step per-rank max h with a small
-        // iteration headroom, then *verify* it against the largest search
-        // radius any rank actually requested. On a miss, restore the
-        // pre-step smoothing lengths and re-run at the escalated radius.
-        let growth = h_growth_bound(&self.config);
+    /// Superstep 1: the halo radius to import ghosts within — the global
+    /// max h (the first collective of the protocol) widened by a small
+    /// h-iteration headroom. `radius_for` over the reduced max reproduces
+    /// `negotiate`'s sequential fold bit-for-bit (max is order-independent).
+    fn negotiate_radius(&mut self, growth: f64) -> Result<f64, ExchangeError> {
         let headroom_cap = self.config.max_h_iterations.saturating_sub(1) as u32;
-        let per_rank_max_h: Vec<f64> = (0..nranks)
-            .map(|r| self.owned[r].iter().map(|&i| self.sys.h[i as usize]).fold(0.0, f64::max))
-            .collect();
-        let initial = HaloRadiusPolicy::with_headroom(
+        let policy = HaloRadiusPolicy::with_headroom(
             SUPPORT_RADIUS,
             growth,
             self.dist.halo_growth_steps.min(headroom_cap),
         );
-        // The max-h reduction is the first collective of the protocol;
-        // `radius_for` over the reduced max reproduces `negotiate`'s
-        // sequential fold bit-for-bit (max is order-independent).
+        let per_rank_max_h: Vec<f64> = self
+            .owned
+            .iter()
+            .map(|ids| ids.iter().map(|&i| self.sys.h[i as usize]).fold(0.0, f64::max))
+            .collect();
+        let retries = self.dist.exchange_retries;
         let global_max_h = with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
             ex.reduce_max(ExchangePath::HaloNegotiation, &per_rank_max_h)
         })?;
-        let mut radius = initial.radius_for(global_max_h);
-        let mut attempts = 0u32;
-        let h_before = self.sys.h.clone();
-
-        loop {
-            let halos = self.driver_timers.time(Phase::NeighborLists, || {
-                halo_sets(&self.sys.x, &self.decomp, radius, &self.sys.periodicity)
-            });
-            self.log.ghosts_imported += halos.total_volume() as u64;
-            self.log.density_attempts += 1;
-            let mut wss = self.build_workspaces(&halos);
-            let mut attempt = StepStats::default();
-            let mut per_rank_measured = vec![0.0f64; nranks];
-            for (r, ws) in wss.iter_mut().enumerate() {
-                let Some(grid) = &ws.grid else { continue };
-                if ws.owned_k.is_empty() {
-                    continue;
-                }
-                let (lists, dstats) = self.timers[r].time(Phase::Density, || {
-                    compute_density(
-                        &mut ws.sys_l,
-                        grid,
-                        self.kernel.as_ref(),
-                        &self.config,
-                        &ws.owned_k,
-                    )
-                });
-                ws.lists = lists;
-                per_rank_measured[r] = dstats.max_search_radius;
-                attempt.merge(&dstats);
-            }
-            // Owners publish the adapted h, ρ, Ω.
-            for ws in &wss {
-                for &k in &ws.owned_k {
-                    let g = ws.locals[k as usize] as usize;
-                    self.sys.h[g] = ws.sys_l.h[k as usize];
-                    self.sys.rho[g] = ws.sys_l.rho[k as usize];
-                    self.sys.omega[g] = ws.sys_l.omega[k as usize];
-                }
-            }
-
-            // Collective max-reduce of the measured search radius: inside
-            // the negotiated radius, every local ball query saw the exact
-            // global neighbour set, so the attempt is the global answer.
-            // Acceptance is *only* by measured coverage — never by an
-            // analytic cap, whose different rounding path could sit a few
-            // ulps under the measured radius and admit a missed ghost.
-            // The reduce goes through the exchange carrier (max over
-            // per-rank maxima ≡ the merged fold, exactly).
-            let measured = with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
-                ex.reduce_max(ExchangePath::HaloNegotiation, &per_rank_measured)
-            })?;
-            if measured <= radius {
-                self.last_exchange = Some(halos);
-                stats.merge(&attempt);
-                return self.finish_evaluation(wss, stats);
-            }
-            self.log.renegotiations += 1;
-            attempts += 1;
-            // Escalation grows the radius geometrically (growth ≥ 1.5), so
-            // it passes the fully-covered trajectory's finite maximum in a
-            // handful of rounds — once covered, measured ≤ radius and the
-            // loop accepts. The counter turns any violation of that
-            // argument into a loud failure instead of a hang.
-            assert!(
-                attempts < 64,
-                "halo negotiation failed to converge: radius {radius}, measured {measured}"
-            );
-            // Escalate: at least the observed radius (which the failed
-            // attempt understates, since it was computed on short halos),
-            // at least one more growth factor.
-            radius = measured.max(radius * growth);
-            // The failed attempt mutated owned h — restore the pre-step
-            // values so the retry reproduces the global trajectory.
-            self.sys.h.copy_from_slice(&h_before);
-        }
+        Ok(policy.radius_for(global_max_h))
     }
 
-    /// Supersteps 3–5 of the evaluation: ghost refreshes between kernels,
-    /// symmetric forces, gravity. `workspaces` arrive with density done
-    /// and published.
-    fn finish_evaluation(
+    /// Each rank's view of one density attempt. With a halo `radius`
+    /// every non-empty rank extracts its owned particles plus the ghosts
+    /// within the radius of its box; without one (a single rank, which
+    /// owns everything and imports nothing) the global system is the
+    /// rank's local system and `active` may narrow what it computes.
+    fn open_views(
+        &self,
+        active: Option<&[u32]>,
+        radius: Option<f64>,
+    ) -> (Vec<RankView>, Option<HaloExchange>) {
+        let Some(radius) = radius else {
+            let active = active.unwrap_or(&self.owned[0]).to_vec();
+            let view = self.timers[0]
+                .time(Phase::TreeBuild, || RankView::of_whole_system(0, &self.sys, active));
+            return (vec![view], None);
+        };
+        let halos = self.driver_timers.time(Phase::NeighborLists, || {
+            halo_sets(&self.sys.x, &self.decomp, radius, &self.sys.periodicity)
+        });
+        let views = (0..self.dist.nranks)
+            .filter(|&r| !self.owned[r].is_empty())
+            .map(|r| {
+                // halo_sets emits imports in ascending global id already.
+                self.timers[r].time(Phase::TreeBuild, || {
+                    RankView::of_subdomain(r, &self.sys, &self.owned[r], &halos.imports[r])
+                })
+            })
+            .collect();
+        (views, Some(halos))
+    }
+
+    /// Evaluate all derivatives: run [`PASSES`] in order over every
+    /// rank's view, publishing the owners' results and performing the
+    /// pass's exchange point after each. `active = None` evaluates every
+    /// particle on its owner; `Some(ids)` (block time-stepping, one rank
+    /// only) just those.
+    ///
+    /// Exchange failures surface as `Err` with the state as of the failed
+    /// superstep — the recovery layer rolls back; the driver itself never
+    /// retries a non-transient fault.
+    pub(crate) fn evaluate_derivatives(
         &mut self,
-        mut wss: Vec<RankWorkspace>,
-        mut stats: StepStats,
+        active: Option<&[u32]>,
     ) -> Result<StepStats, ExchangeError> {
+        let nranks = self.dist.nranks;
+        debug_assert!(active.is_none() || nranks == 1, "active subsets are one-rank only");
         let retries = self.dist.exchange_retries;
-        // --- Superstep 3: volume elements / IAD / EOS / velocity grads ---
-        // Each kernel reads neighbour fields the owners computed in the
-        // previous superstep, so ghost copies are refreshed first — the
-        // exchange a real MPI code would post.
-        refresh_ghosts(
-            self.exchange.as_mut(),
-            &mut self.log,
-            retries,
-            &self.sys,
-            &mut wss,
-            GhostFields::HRhoOmega,
-        )?;
-        let iad = self.config.gradients == GradientScheme::Iad;
-        for (r, ws) in wss.iter_mut().enumerate() {
-            if ws.owned_k.is_empty() {
-                continue;
-            }
-            self.timers[r].time(Phase::Gradients, || {
-                compute_volume_elements(
-                    &mut ws.sys_l,
-                    &ws.lists,
-                    self.kernel.as_ref(),
-                    &self.config,
-                    &ws.owned_k,
-                );
-            });
-        }
-        for ws in &wss {
-            for &k in &ws.owned_k {
-                let g = ws.locals[k as usize] as usize;
-                self.sys.vol[g] = ws.sys_l.vol[k as usize];
-                self.sys.rho[g] = ws.sys_l.rho[k as usize]; // generalized VE rewrites ρ
-            }
-        }
-        refresh_ghosts(
-            self.exchange.as_mut(),
-            &mut self.log,
-            retries,
-            &self.sys,
-            &mut wss,
-            GhostFields::VolRho,
-        )?;
-        if iad {
-            for (r, ws) in wss.iter_mut().enumerate() {
-                if ws.owned_k.is_empty() {
-                    continue;
-                }
-                self.timers[r].time(Phase::Gradients, || {
-                    compute_iad_matrices(
-                        &mut ws.sys_l,
-                        &ws.lists,
-                        self.kernel.as_ref(),
-                        &ws.owned_k,
-                    );
-                });
-            }
-            for ws in &wss {
-                for &k in &ws.owned_k {
-                    let g = ws.locals[k as usize] as usize;
-                    self.sys.c_iad[g] = ws.sys_l.c_iad[k as usize];
-                }
-            }
-            refresh_ghosts(
-                self.exchange.as_mut(),
-                &mut self.log,
-                retries,
-                &self.sys,
-                &mut wss,
-                GhostFields::CIad,
-            )?;
-        }
-        // EOS is a pure per-particle function of (ρ, u): each rank applies
-        // it to its whole local set, which reproduces the owner's p and cs
-        // for every ghost bit-for-bit — an exchange with zero payload.
-        for (r, ws) in wss.iter_mut().enumerate() {
-            if ws.locals.is_empty() {
-                continue;
-            }
-            self.timers[r].time(Phase::Gradients, || {
-                let sys_l = &mut ws.sys_l;
-                self.eos.apply(&sys_l.rho, &sys_l.u, &mut sys_l.p, &mut sys_l.cs);
-            });
-        }
-        for ws in &wss {
-            for &k in &ws.owned_k {
-                let g = ws.locals[k as usize] as usize;
-                self.sys.p[g] = ws.sys_l.p[k as usize];
-                self.sys.cs[g] = ws.sys_l.cs[k as usize];
-            }
-        }
-        for (r, ws) in wss.iter_mut().enumerate() {
-            if ws.owned_k.is_empty() {
-                continue;
-            }
-            self.timers[r].time(Phase::Gradients, || {
-                compute_velocity_gradients(
-                    &mut ws.sys_l,
-                    &ws.lists,
-                    self.kernel.as_ref(),
-                    self.config.gradients,
-                    &ws.owned_k,
-                );
-            });
-        }
-        for ws in &wss {
-            for &k in &ws.owned_k {
-                let g = ws.locals[k as usize] as usize;
-                self.sys.div_v[g] = ws.sys_l.div_v[k as usize];
-                self.sys.curl_v[g] = ws.sys_l.curl_v[k as usize];
-            }
-        }
-        refresh_ghosts(
-            self.exchange.as_mut(),
-            &mut self.log,
-            retries,
-            &self.sys,
-            &mut wss,
-            GhostFields::DivCurl,
-        )?;
 
-        // --- Superstep 4: symmetric forces ---
-        // The pairwise closure must see every pair from both sides. A
-        // ghost's gather set is recovered with one frozen ball query at
-        // its exchanged h (exact, by the h-iteration's exit invariant and
-        // because the final search radius is within the verified halo
-        // radius), then the closure is built locally in ascending
-        // global-id order — identical membership and summation order to
-        // the single-rank `NeighborLists::symmetrized()`.
-        for (r, ws) in wss.iter_mut().enumerate() {
-            if ws.owned_k.is_empty() {
+        // More than one rank: ghosts are imported within a negotiated
+        // radius that the density pass then *verifies* against the largest
+        // search radius any rank actually requested. On a miss the
+        // pre-step smoothing lengths are restored and the pass re-runs at
+        // the escalated radius.
+        let growth = h_growth_bound(&self.config);
+        let (mut radius, h_before) = match nranks {
+            1 => (None, Vec::new()),
+            _ => (Some(self.negotiate_radius(growth)?), self.sys.h.clone()),
+        };
+        let mut renegotiated = 0u32;
+
+        // Self-gravity is long-range: one tree over the global positions,
+        // which every rank of a real code replicates — so its build and
+        // moments are charged to every rank.
+        let replicated = PhaseTimers::new();
+        let tree = self.gravity.map(|_| {
+            replicated.time(Phase::TreeBuild, || {
+                Octree::build(&self.sys.x, &self.sys.bounds(), OctreeConfig::default())
+            })
+        });
+        let solver = tree.as_ref().zip(self.gravity).map(|(tree, gcfg)| {
+            replicated.time(Phase::Gravity, || GravitySolver::new(tree, &self.sys.m, gcfg))
+        });
+        for timers in &self.timers {
+            timers.merge_from(&replicated);
+        }
+        let env = PassEnv {
+            kernel: self.kernel.as_ref(),
+            config: &self.config,
+            eos: &self.eos,
+            gravity: solver.as_ref(),
+        };
+
+        let (mut views, mut halos) = self.open_views(active, radius);
+        let mut stats = StepStats::default();
+        let mut next = 0;
+        while let Some(pass) = PASSES.get(next) {
+            next += 1;
+            if !(pass.enabled)(&env) {
                 continue;
             }
-            let (force_lists, pairs) = self.timers[r].time(Phase::Momentum, || {
-                let n_local = ws.locals.len();
-                let mut gather: Vec<Vec<u32>> = vec![Vec::new(); n_local];
-                for (q, &k) in ws.owned_k.iter().enumerate() {
-                    gather[k as usize] = ws.lists.neighbors(q).to_vec();
-                }
-                // sph-lint: allow(panic-path) — superstep 2 builds a grid for
-                // every rank with owned particles, and this loop skips empty
-                // ranks above; a missing grid is a driver bug, not an input.
-                let grid = ws.grid.as_ref().expect("non-empty rank has a grid");
-                let mut ts = TraversalStats::default();
-                for &(k, _) in &ws.ghosts {
-                    let k = k as usize;
-                    let mut out = Vec::new();
-                    grid.neighbors_within(
-                        ws.sys_l.x[k],
-                        SUPPORT_RADIUS * ws.sys_l.h[k],
-                        &mut out,
-                        &mut ts,
-                    );
-                    out.sort_unstable();
-                    gather[k] = out;
-                }
-                // Symmetric closure over the local set (sorted, deduped —
-                // the `symmetrized()` contract). Only the *owned* rows are
-                // ever consumed, so ghost rows are neither cloned nor given
-                // reverse edges.
-                let mut is_owned = vec![false; n_local];
-                let mut sym: Vec<Vec<u32>> = vec![Vec::new(); n_local];
-                for &k in &ws.owned_k {
-                    is_owned[k as usize] = true;
-                    sym[k as usize] = gather[k as usize].clone();
-                }
-                for (k, list) in gather.iter().enumerate() {
-                    for &j in list {
-                        if j as usize != k && is_owned[j as usize] {
-                            sym[j as usize].push(k as u32);
-                        }
-                    }
-                }
-                let rows: Vec<Vec<u32>> = ws
-                    .owned_k
-                    .iter()
-                    .map(|&k| {
-                        let s = &mut sym[k as usize];
-                        s.sort_unstable();
-                        s.dedup();
-                        std::mem::take(s)
-                    })
-                    .collect();
-                let force_lists = NeighborLists::from_lists(rows);
-                let pairs = compute_forces(
-                    &mut ws.sys_l,
-                    &force_lists,
-                    self.kernel.as_ref(),
-                    &self.config,
-                    &ws.owned_k,
-                );
-                (force_lists, pairs)
-            });
-            stats.sph_interactions += pairs;
-            for &k in &ws.owned_k {
-                let g = ws.locals[k as usize] as usize;
-                self.sys.a[g] = ws.sys_l.a[k as usize];
-                self.sys.du_dt[g] = ws.sys_l.du_dt[k as usize];
-            }
-            // Per-particle SPH work, exactly as the single-rank driver
-            // accounts it (gravity work is overwritten below when on).
-            for (q, &k) in ws.owned_k.iter().enumerate() {
-                let g = ws.locals[k as usize] as usize;
-                let sph = 2.0 * force_lists.neighbors(q).len() as f64;
-                self.per_particle_work[g] = sph.max(2.0);
-            }
-        }
-
-        // --- Superstep 5: self-gravity on the replicated global tree ---
-        if let Some(gcfg) = self.gravity {
-            let bounds = self.sys.bounds();
-            #[allow(clippy::disallowed_methods)]
-            // sph-lint: allow(wall-clock) — feeds the measured cluster model
-            // (MeasuredStep) only; timings never influence the trajectory.
-            let t0 = std::time::Instant::now();
-            let gtree = Octree::build(&self.sys.x, &bounds, OctreeConfig::default());
-            let replicated_build = t0.elapsed().as_secs_f64();
-            // The multipole moments are rank-independent; build them once
-            // and charge the (replicated-in-a-real-code) setup to every
-            // rank's Gravity timer, exactly like the tree build above.
-            #[allow(clippy::disallowed_methods)]
-            // sph-lint: allow(wall-clock) — same measured-model-only timing.
-            let t0 = std::time::Instant::now();
-            let solver = GravitySolver::new(&gtree, &self.sys.m, gcfg);
-            let replicated_moments = t0.elapsed().as_secs_f64();
-            let mut merged = TraversalStats::default();
-            for r in 0..self.dist.nranks {
-                // Every rank replicates the tree build in a real code.
-                self.timers[r].add(Phase::TreeBuild, replicated_build);
-                self.timers[r].add(Phase::Gravity, replicated_moments);
-                let owned = &self.owned[r];
-                if owned.is_empty() {
-                    continue;
-                }
-                // Chunked map over fixed REDUCE_CHUNK boundaries, mirroring
-                // the single-rank gravity phase, so the rank's threads all
-                // participate and the per-rank Gravity seconds fed to
-                // `calibrate_machine` reflect the same threaded execution
-                // the model assumes. `field_at` is a pure per-particle
-                // function, so parallelism cannot change a bit.
-                type GravityRow = (usize, sph_tree::gravity::GravitySample, u64);
-                let chunks: Vec<(Vec<GravityRow>, TraversalStats)> = {
-                    let solver = &solver;
-                    let sys = &self.sys;
-                    self.timers[r].time(Phase::Gravity, || {
-                        use rayon::prelude::*;
-                        use sph_math::REDUCE_CHUNK;
-                        owned
-                            .par_chunks(REDUCE_CHUNK)
-                            .map(|chunk| {
-                                let mut chunk_stats = TraversalStats::default();
-                                let rows = chunk
-                                    .iter()
-                                    .map(|&gi| {
-                                        let i = gi as usize;
-                                        let mut ts = TraversalStats::default();
-                                        let s = solver.field_at(sys.x[i], Some(gi), &mut ts);
-                                        let work = ts.total_interactions();
-                                        chunk_stats.merge(&ts);
-                                        (i, s, work)
-                                    })
-                                    .collect();
-                                (rows, chunk_stats)
-                            })
-                            .collect()
-                    })
+            let mut pass_stats = StepStats::default();
+            let mut searched = vec![0.0f64; nranks];
+            for view in &mut views {
+                let local = match &mut view.copy {
+                    Some(copy) => copy,
+                    None => &mut self.sys,
                 };
-                // Ordered reduce: scatter the rows back in owned order.
-                for (rows, chunk_stats) in chunks {
-                    merged.merge(&chunk_stats);
-                    for (i, s, work) in rows {
-                        self.sys.a[i] += s.accel;
-                        self.phi[i] = s.potential;
-                        // Same two addends as the single-rank accounting
-                        // (gravity + SPH); addition of two f64s commutes
-                        // exactly, so the order difference is bit-free.
-                        self.per_particle_work[i] += work as f64;
-                    }
+                let ran = self.timers[view.rank]
+                    .time(pass.phase, || (pass.run)(&env, local, &mut view.ws));
+                searched[view.rank] = ran.max_search_radius;
+                pass_stats.merge(&ran);
+                if let Some(fields) = pass.publishes {
+                    view.publish(fields, &mut self.sys);
                 }
             }
-            stats.gravity = merged;
+
+            if pass.then == ExchangePoint::VerifyHaloThenRefresh {
+                self.log.density_attempts += 1;
+            }
+            if let (ExchangePoint::VerifyHaloThenRefresh, Some(r)) = (pass.then, radius) {
+                self.log.ghosts_imported += halos.as_ref().map_or(0, |h| h.total_volume()) as u64;
+                // Collective max-reduce of the measured search radius:
+                // inside the negotiated radius, every local ball query saw
+                // the exact global neighbour set, so the attempt is the
+                // global answer. Acceptance is *only* by measured coverage
+                // — never by an analytic cap, whose different rounding
+                // path could sit a few ulps under the measured radius and
+                // admit a missed ghost. The reduce goes through the
+                // exchange carrier (max over per-rank maxima ≡ the merged
+                // fold, exactly).
+                let measured = with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
+                    ex.reduce_max(ExchangePath::HaloNegotiation, &searched)
+                })?;
+                if measured > r {
+                    self.log.renegotiations += 1;
+                    renegotiated += 1;
+                    // Escalation grows the radius geometrically (growth ≥
+                    // 1.5), so it passes the fully-covered trajectory's
+                    // finite maximum in a handful of rounds — once
+                    // covered, measured ≤ radius and the loop accepts. The
+                    // counter turns any violation of that argument into a
+                    // loud failure instead of a hang.
+                    assert!(
+                        renegotiated < 64,
+                        "halo negotiation failed to converge: radius {r}, measured {measured}"
+                    );
+                    // Escalate: at least the observed radius (which the
+                    // failed attempt understates, since it was computed on
+                    // short halos), at least one more growth factor.
+                    radius = Some(measured.max(r * growth));
+                    // The failed attempt mutated owned h — restore the
+                    // pre-step values so the retry reproduces the global
+                    // trajectory.
+                    self.sys.h.copy_from_slice(&h_before);
+                    (views, halos) = self.open_views(active, radius);
+                    next -= 1;
+                    continue;
+                }
+                self.last_exchange = halos.take();
+            }
+            stats.merge(&pass_stats);
+
+            if let (Some(fields), true) = (pass.publishes, pass.then != ExchangePoint::None) {
+                let (exchange, log) = (self.exchange.as_mut(), &mut self.log);
+                refresh_ghosts(exchange, log, retries, &self.sys, &mut views, fields)?;
+            }
         }
 
+        for view in &views {
+            view.account(&mut self.per_particle_work, &mut self.phi);
+        }
         self.derivatives_fresh = true;
         Ok(stats)
     }
@@ -1188,15 +808,23 @@ impl DistributedSimulation {
     // The macro-step driver (Algorithm 1, steps 5–6 + migration)
     // ---------------------------------------------------------------
 
-    /// Execute one macro time-step. Pathological time-step states surface
-    /// as [`TimeStepError`] (naming the offending *global* particle id)
-    /// instead of aborting every rank; the state is left as of the failed
-    /// criterion evaluation.
+    /// Execute one macro time-step (Algorithm 1, steps 5–6 around the
+    /// evaluation): dt reduce → half-kick → drift → migrate/rebalance →
+    /// evaluate → half-kick, for every rank count and stepping policy.
+    ///
+    /// Pathological time-step states (NaN-poisoned acceleration, infinite
+    /// sound speed, …) surface as a [`TimeStepError`] naming the offending
+    /// *global* particle id instead of aborting every rank; the state is
+    /// left as of the failed criterion evaluation (no kick or drift has
+    /// happened), so the caller can checkpoint-restore.
     pub fn step(&mut self) -> Result<StepReport, DistributedError> {
+        // `config` is a public field: the policy may have changed since
+        // the constructor checked it.
+        Self::check_time_stepping(&self.config, &self.dist)?;
         self.exchange.begin_step(self.sys.step_count);
         let mut stats = StepStats::default();
         if !self.derivatives_fresh {
-            stats.merge(&self.evaluate_derivatives()?);
+            stats.merge(&self.evaluate_derivatives(None)?);
         }
 
         // Step 5: per-particle bounds on the owner, reduced by an exact,
@@ -1208,52 +836,75 @@ impl DistributedSimulation {
         let dts =
             self.driver_timers.time(Phase::Update, || per_particle_dt(&self.sys, &self.config));
         validate_dts(&dts)?;
-        let nranks = self.dist.nranks;
-        let per_rank_min: Vec<f64> = (0..nranks)
-            .map(|r| self.owned[r].iter().map(|&i| dts[i as usize]).fold(f64::INFINITY, f64::min))
+        let per_rank_min: Vec<f64> = self
+            .owned
+            .iter()
+            .map(|ids| ids.iter().map(|&i| dts[i as usize]).fold(f64::INFINITY, f64::min))
             .collect();
         let retries = self.dist.exchange_retries;
         let reduced = with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
             ex.reduce_min(ExchangePath::DtReduce, &per_rank_min)
         })?;
-        let dt = match self.config.time_stepping {
+        // The macro step and how many rung levels subdivide it. Global and
+        // Adaptive are the zero-level case: every particle on rung 0, one
+        // substep.
+        let (dt, levels) = match self.config.time_stepping {
+            TimeStepping::Global => (finalize_global_dt(reduced), 0),
             TimeStepping::Adaptive { growth_limit } => {
-                finalize_adaptive_dt(reduced, self.dt_prev, growth_limit)
+                (finalize_adaptive_dt(reduced, self.dt_prev, growth_limit), 0)
             }
-            _ => finalize_global_dt(reduced),
+            // Block time-steps (ChaNGa): the largest power-of-two multiple
+            // of the global minimum that covers the slowest particle,
+            // capped by max_rungs.
+            TimeStepping::Individual { max_rungs } => {
+                let dt_min = finalize_global_dt(reduced);
+                let slowest = dts.iter().cloned().filter(|d| d.is_finite()).fold(dt_min, f64::max);
+                let levels =
+                    ((slowest / dt_min).log2().floor().max(0.0) as u32).min(max_rungs as u32) as u8;
+                (dt_min * (1u64 << levels) as f64, levels)
+            }
         };
-
-        // Step 6: KDK leapfrog — each rank kicks its owned particles,
-        // the drift is per-particle.
-        for r in 0..self.dist.nranks {
-            self.timers[r].time(Phase::Update, || {
-                kick(&mut self.sys, dt / 2.0, &self.owned[r]);
-            });
+        let rungs = assign_rungs(&dts, dt, levels);
+        if matches!(self.config.time_stepping, TimeStepping::Individual { .. }) {
+            self.sys.rung.copy_from_slice(&rungs);
         }
-        self.driver_timers.time(Phase::Update, || {
-            drift(&mut self.sys, dt);
-        });
 
-        // Positions moved: migrate strays and, on schedule, rebalance.
-        // Ownership never affects values, so this may happen at any
-        // barrier; doing it before the mid-step evaluation keeps the halo
-        // pattern aligned with the boxes that will be computed next.
-        #[allow(clippy::disallowed_methods)]
-        // sph-lint: allow(wall-clock) — PhaseTimers bookkeeping for the
-        // measured cluster model; the timing never feeds the trajectory.
-        let t0 = std::time::Instant::now();
-        self.migrate()?;
-        let step_index = self.sys.step_count + 1;
-        if self.dist.rebalance_every > 0 && step_index.is_multiple_of(self.dist.rebalance_every) {
-            self.rebalance();
-        }
-        self.driver_timers.add(Phase::Update, t0.elapsed().as_secs_f64());
+        // Step 6: a synchronised block-KDK leapfrog over 2^levels
+        // substeps. Each substep half-kicks the particles active at it by
+        // their own rung step, drifts everyone, re-evaluates the active
+        // particles and kicks their other half.
+        let n = self.sys.len() as u64;
+        let substeps = 1u64 << levels;
+        let dt_sub = dt / substeps as f64;
+        let mut evaluated = 0u64;
+        for s in 0..substeps {
+            let active = (levels > 0).then(|| active_at_substep(&rungs, s, levels));
+            let active = active.as_deref();
+            // sph-lint: allow(reduce-taint) — u64 census of evaluated
+            // particles: exact integer arithmetic, order-free.
+            evaluated += active.map_or(n, |a| a.len() as u64);
+            self.half_kick(active, &rungs, dt);
+            self.driver_timers.time(Phase::Update, || drift(&mut self.sys, dt_sub));
 
-        stats.merge(&self.evaluate_derivatives()?);
-        for r in 0..self.dist.nranks {
-            self.timers[r].time(Phase::Update, || {
-                kick(&mut self.sys, dt / 2.0, &self.owned[r]);
-            });
+            // Positions moved: migrate strays and, on schedule, rebalance.
+            // Ownership never affects values, so this may happen at any
+            // barrier; doing it before the mid-step evaluation keeps the
+            // halo pattern aligned with the boxes that will be computed
+            // next. A single rank owns everything for good.
+            if self.dist.nranks > 1 {
+                let barrier = PhaseTimers::new();
+                barrier.time(Phase::Update, || self.migrate())?;
+                let step_index = self.sys.step_count + 1;
+                if self.dist.rebalance_every > 0
+                    && step_index.is_multiple_of(self.dist.rebalance_every)
+                {
+                    barrier.time(Phase::Update, || self.rebalance());
+                }
+                self.driver_timers.merge_from(&barrier);
+            }
+
+            stats.merge(&self.evaluate_derivatives(active)?);
+            self.half_kick(active, &rungs, dt);
         }
         self.dt_prev = dt;
         self.sys.time += dt;
@@ -1263,9 +914,22 @@ impl DistributedSimulation {
             dt,
             time: self.sys.time,
             stats,
-            substeps: 1,
-            active_fraction: 1.0,
+            substeps: substeps as u32,
+            active_fraction: evaluated as f64 / (substeps * n) as f64,
         })
+    }
+
+    /// Half-kick `active` (default: every rank's owned particles), each
+    /// by half the step of its own rung.
+    fn half_kick(&mut self, active: Option<&[u32]>, rungs: &[u8], dt: f64) {
+        for (r, owned) in self.owned.iter().enumerate() {
+            self.timers[r].time(Phase::Update, || {
+                for &i in active.unwrap_or(owned) {
+                    let rung_dt = dt / (1u64 << rungs[i as usize]) as f64;
+                    kick(&mut self.sys, rung_dt / 2.0, &[i]);
+                }
+            });
+        }
     }
 
     /// Run `n_steps` macro steps; stops at the first step error.
@@ -1446,49 +1110,14 @@ impl DistributedSimulation {
                 )));
             }
             let g = global.get_or_insert_with(|| {
-                let mut g = snap.clone();
-                let resize3 = |v: &mut Vec<sph_math::Vec3>| v.resize(n, sph_math::Vec3::ZERO);
-                let resize1 = |v: &mut Vec<f64>| v.resize(n, 0.0);
-                resize3(&mut g.x);
-                resize3(&mut g.v);
-                resize3(&mut g.a);
-                resize1(&mut g.m);
-                resize1(&mut g.h);
-                resize1(&mut g.rho);
-                resize1(&mut g.u);
-                resize1(&mut g.p);
-                resize1(&mut g.cs);
-                resize1(&mut g.du_dt);
-                resize1(&mut g.omega);
-                resize1(&mut g.vol);
-                resize1(&mut g.div_v);
-                resize1(&mut g.curl_v);
-                g.c_iad.resize(n, sph_math::Mat3::ZERO);
-                g.rung.resize(n, 0);
+                let mut g = snap.subset(&[]);
+                g.resize_zeroed(n);
                 g
             });
             if snap.time != g.time || snap.step_count != g.step_count {
                 return Err(restore_err(format!("rank {r} snapshot is from a different step")));
             }
-            for (k, &gi) in owned.iter().enumerate() {
-                let gi = gi as usize;
-                g.x[gi] = snap.x[k];
-                g.v[gi] = snap.v[k];
-                g.a[gi] = snap.a[k];
-                g.m[gi] = snap.m[k];
-                g.h[gi] = snap.h[k];
-                g.rho[gi] = snap.rho[k];
-                g.u[gi] = snap.u[k];
-                g.p[gi] = snap.p[k];
-                g.cs[gi] = snap.cs[k];
-                g.du_dt[gi] = snap.du_dt[k];
-                g.omega[gi] = snap.omega[k];
-                g.vol[gi] = snap.vol[k];
-                g.div_v[gi] = snap.div_v[k];
-                g.curl_v[gi] = snap.curl_v[k];
-                g.c_iad[gi] = snap.c_iad[k];
-                g.rung[gi] = snap.rung[k];
-            }
+            g.scatter_from(&owned, &snap);
         }
         let sys = global.ok_or_else(|| restore_err("checkpoint has zero ranks".to_string()))?;
         // Derivatives are fresh in every checkpoint taken *between* steps
@@ -1609,14 +1238,6 @@ fn take_array<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], 
     out.copy_from_slice(&bytes[*pos..end]);
     *pos = end;
     Ok(out)
-}
-
-impl DistributedSimulation {
-    /// Largest owned-particle count over ranks divided by the mean — the
-    /// instantaneous particle imbalance.
-    pub fn imbalance(&self) -> f64 {
-        self.decomp.imbalance()
-    }
 }
 
 #[cfg(test)]

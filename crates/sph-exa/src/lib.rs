@@ -1,6 +1,7 @@
 //! The SPH-EXA mini-app driver.
 //!
-//! [`Simulation`] executes Algorithm 1 of the paper:
+//! One driver, [`DistributedSimulation`], executes Algorithm 1 of the
+//! paper on any number of in-process ranks:
 //!
 //! ```text
 //! Initialization
@@ -14,21 +15,36 @@
 //! end while
 //! ```
 //!
-//! over any [`sph_core::SphConfig`] (i.e. any cell of Tables 1–2), with
-//! global, adaptive or individual block time-stepping, optional
+//! Steps 1–4 are an explicit, ordered **table of passes** (the private
+//! `passes` module: density + h-iteration → volume elements → IAD → EOS →
+//! velocity gradients → force lists → forces → gravity), each entry
+//! naming its phase, the `sph-core` pass it calls on one rank's
+//! particles, the fields its owners publish and the ghost exchange that
+//! follows; one loop in `DistributedSimulation::evaluate_derivatives`
+//! runs the table over the ranks. Steps 5–6 are one `step()`: dt reduce →
+//! half-kick → drift → migrate/rebalance → evaluate → half-kick, with
+//! global, adaptive or (on one rank) individual block time-stepping as
+//! the substep count of that one loop.
+//!
+//! [`Simulation`] / [`SimulationBuilder`] are the one-rank constructors of
+//! the same driver — a rank that owns every particle computes on the
+//! global system in place — and [`ResilientSimulation`] wraps it in the
+//! detect / roll back / recompute loop. Everything runs over any
+//! [`sph_core::SphConfig`] (i.e. any cell of Tables 1–2), with optional
 //! self-gravity, per-phase wall-clock timing and per-particle work
 //! accounting (the input of the cluster performance model).
 
 pub mod distributed;
+mod passes;
 pub mod resilient;
 pub mod simulation;
 
 pub use distributed::{
     DistributedBuildError, DistributedBuilder, DistributedConfig, DistributedError,
-    DistributedSimulation, ExchangeLog, RankPartitioner, SUPPORTED_TIME_STEPPING,
+    DistributedSimulation, ExchangeLog, RankPartitioner, StepReport, SUPPORTED_TIME_STEPPING,
 };
 pub use resilient::{
     Detection, RecoveryError, RecoveryStats, ResilientConfig, ResilientSimulation, RollbackRecord,
     SchedulerMode,
 };
-pub use simulation::{Simulation, SimulationBuilder, StepReport};
+pub use simulation::{Simulation, SimulationBuilder};

@@ -1,0 +1,506 @@
+//! The pass table of one derivative evaluation (Algorithm 1, steps 1–4).
+//!
+//! [`PASSES`] is the evaluation, in order: each entry names the
+//! [`Phase`] it is charged to, the `sph-core` / `sph-tree` pass it calls on
+//! one rank's particles, the owner-computed [`Fields`] it publishes and
+//! the [`ExchangePoint`] that follows it. The driver's loop
+//! (`DistributedSimulation::evaluate_derivatives`) runs the table over the
+//! [`RankView`]s and performs the exchange after each pass; nothing else
+//! in the crate calls a kernel pass.
+//!
+//! A rank computes on its *local* particles: a copy of (owned ∪ ghost)
+//! when there is more than one rank, the global system itself when the
+//! rank owns every particle — then local index ≡ global id, nothing is
+//! copied in or published back, and no ghost exists to refresh.
+
+use crate::distributed::{with_retry, ExchangeLog};
+use rayon::prelude::*;
+use sph_core::config::{GradientScheme, SphConfig};
+use sph_core::density::{compute_density, NeighborLists};
+use sph_core::eos::IdealGas;
+use sph_core::forces::compute_forces;
+use sph_core::gradients::{compute_iad_matrices, compute_velocity_gradients};
+use sph_core::particles::ParticleSystem;
+use sph_core::volume::compute_volume_elements;
+use sph_core::StepStats;
+use sph_domain::exchange::{Exchange, ExchangeError, ExchangePath};
+use sph_kernels::{Kernel, SUPPORT_RADIUS};
+use sph_math::{Vec3, REDUCE_CHUNK};
+use sph_profiler::Phase;
+use sph_tree::gravity::GravitySample;
+use sph_tree::{CellGrid, GravitySolver, NeighborQuery, TraversalStats};
+use ExchangePoint::{Refresh, VerifyHaloThenRefresh};
+
+/// Per-particle fields that cross a rank boundary together: written from
+/// a rank's local copy into the global store by the pass that computes
+/// them (publish), and — for those a neighbour sum reads — shipped from
+/// there to every ghost copy (refresh).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Fields {
+    /// Adapted smoothing length, density, grad-h term.
+    HRhoOmega,
+    /// Volume elements + the generalized-VE rewritten density.
+    VolRho,
+    /// IAD correction matrices.
+    CIad,
+    /// Pressure and sound speed.
+    PCs,
+    /// Velocity divergence and curl.
+    DivCurl,
+    /// Acceleration and energy rate.
+    ADuDt,
+}
+
+impl Fields {
+    fn words(self) -> usize {
+        match self {
+            Fields::HRhoOmega => 3,
+            Fields::VolRho | Fields::PCs | Fields::DivCurl => 2,
+            Fields::CIad => 9,
+            Fields::ADuDt => 4,
+        }
+    }
+
+    /// Append particle `i`'s fields.
+    fn pack(self, sys: &ParticleSystem, i: usize, out: &mut Vec<f64>) {
+        match self {
+            Fields::HRhoOmega => out.extend_from_slice(&[sys.h[i], sys.rho[i], sys.omega[i]]),
+            Fields::VolRho => out.extend_from_slice(&[sys.vol[i], sys.rho[i]]),
+            Fields::CIad => {
+                for row in sys.c_iad[i].m {
+                    out.extend_from_slice(&row);
+                }
+            }
+            Fields::PCs => out.extend_from_slice(&[sys.p[i], sys.cs[i]]),
+            Fields::DivCurl => out.extend_from_slice(&[sys.div_v[i], sys.curl_v[i]]),
+            Fields::ADuDt => {
+                let a = sys.a[i];
+                out.extend_from_slice(&[a.x, a.y, a.z, sys.du_dt[i]]);
+            }
+        }
+    }
+
+    /// Scatter one particle's words into index `i`.
+    fn unpack(self, sys: &mut ParticleSystem, i: usize, words: &[f64]) {
+        match self {
+            Fields::HRhoOmega => {
+                sys.h[i] = words[0];
+                sys.rho[i] = words[1];
+                sys.omega[i] = words[2];
+            }
+            Fields::VolRho => {
+                sys.vol[i] = words[0];
+                sys.rho[i] = words[1];
+            }
+            Fields::CIad => {
+                for (r, row) in sys.c_iad[i].m.iter_mut().enumerate() {
+                    row.copy_from_slice(&words[3 * r..3 * r + 3]);
+                }
+            }
+            Fields::PCs => {
+                sys.p[i] = words[0];
+                sys.cs[i] = words[1];
+            }
+            Fields::DivCurl => {
+                sys.div_v[i] = words[0];
+                sys.curl_v[i] = words[1];
+            }
+            Fields::ADuDt => {
+                sys.a[i] = Vec3::new(words[0], words[1], words[2]);
+                sys.du_dt[i] = words[3];
+            }
+        }
+    }
+}
+
+/// What crosses ranks once every rank has run a pass and published.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ExchangePoint {
+    /// Nothing: no later neighbour sum reads the published fields from a
+    /// ghost (or every rank recomputes them locally, bit for bit).
+    None,
+    /// Every ghost copy of the published fields is refreshed from its
+    /// owner — the exchange a real MPI code would post between kernels.
+    Refresh,
+    /// The density pass only: first the measured search radius is
+    /// max-reduced against the negotiated halo radius (on a miss the halo
+    /// is renegotiated and the pass re-runs), then `Refresh`.
+    VerifyHaloThenRefresh,
+}
+
+/// What every pass sees besides its rank's particles.
+pub(crate) struct PassEnv<'a> {
+    pub kernel: &'a dyn Kernel,
+    pub config: &'a SphConfig,
+    pub eos: &'a IdealGas,
+    /// Solver over the replicated global tree when self-gravity is on —
+    /// the in-process analogue of the locally essential tree every
+    /// distributed gravity code assembles, which keeps the traversal (and
+    /// its rounding) identical for any rank count.
+    pub gravity: Option<&'a GravitySolver<'a>>,
+}
+
+/// One entry of the evaluation.
+pub(crate) struct Pass {
+    /// The phase timer the pass is charged to.
+    pub phase: Phase,
+    /// Whether the configuration asks for the pass at all.
+    pub enabled: fn(&PassEnv) -> bool,
+    /// The pass over one rank's local particles.
+    pub run: fn(&PassEnv, &mut ParticleSystem, &mut Workspace) -> StepStats,
+    /// Fields the rank's owned particles publish afterwards.
+    pub publishes: Option<Fields>,
+    /// The exchange that follows the publish.
+    pub then: ExchangePoint,
+}
+
+const fn pass(
+    phase: Phase,
+    enabled: fn(&PassEnv) -> bool,
+    run: fn(&PassEnv, &mut ParticleSystem, &mut Workspace) -> StepStats,
+    publishes: Option<Fields>,
+    then: ExchangePoint,
+) -> Pass {
+    Pass { phase, enabled, run, publishes, then }
+}
+
+fn always(_: &PassEnv) -> bool {
+    true
+}
+
+fn with_iad(env: &PassEnv) -> bool {
+    env.config.gradients == GradientScheme::Iad
+}
+
+fn with_gravity(env: &PassEnv) -> bool {
+    env.gravity.is_some()
+}
+
+/// Algorithm 1, steps 2–4 (step 1, the cell grid, is built with the
+/// view). Columns: phase, configured?, pass, owners publish, exchange.
+pub(crate) const PASSES: [Pass; 8] = [
+    // Phases B–E: neighbours, smoothing lengths, density.
+    pass(Phase::Density, always, density, Some(Fields::HRhoOmega), VerifyHaloThenRefresh),
+    // Phase F: volume elements, IAD matrices, EOS, velocity gradients.
+    pass(Phase::Gradients, always, volume_elements, Some(Fields::VolRho), Refresh),
+    pass(Phase::Gradients, with_iad, iad_matrices, Some(Fields::CIad), Refresh),
+    pass(Phase::Gradients, always, equation_of_state, Some(Fields::PCs), ExchangePoint::None),
+    pass(Phase::Gradients, always, velocity_gradients, Some(Fields::DivCurl), Refresh),
+    // Phases G–H: momentum and energy over the symmetric pair lists.
+    pass(Phase::Momentum, always, force_lists, None, ExchangePoint::None),
+    pass(Phase::Momentum, always, forces, Some(Fields::ADuDt), ExchangePoint::None),
+    // Phase I: self-gravity, added onto the hydro acceleration.
+    pass(Phase::Gravity, with_gravity, gravity, Some(Fields::ADuDt), ExchangePoint::None),
+];
+
+/// One rank's working set of an evaluation, in local indices.
+pub(crate) struct Workspace {
+    /// Global id of every local particle (owned ∪ ghost), ascending — so
+    /// local index order ≡ global id order. Empty when the local system
+    /// *is* the global one.
+    ids: Vec<u32>,
+    /// Local indices of the particles this rank computes (its owned
+    /// particles; under block time-stepping the active ones), ascending.
+    active: Vec<u32>,
+    /// `(local index, global id)` of every ghost.
+    ghosts: Vec<(u32, u32)>,
+    /// Cell grid over the local positions — the spatial structure of the
+    /// evaluation's ball queries; dropped with the last of them, before
+    /// the pair lists (the evaluation's largest allocation) are built.
+    grid: Option<CellGrid>,
+    /// Gather lists of the active particles (from the density pass),
+    /// indexed like `active`.
+    lists: NeighborLists,
+    /// Pair lists of the active particles the force pass sums over.
+    force_lists: NeighborLists,
+    /// Potential and gravity interaction count of each active particle
+    /// (empty with gravity off).
+    potentials: Vec<f64>,
+    gravity_work: Vec<u64>,
+}
+
+/// One rank's side of an evaluation.
+pub(crate) struct RankView {
+    pub rank: usize,
+    /// The rank's copy of its (owned ∪ ghost) particles; `None` when it
+    /// owns every particle and computes on the global system in place.
+    pub copy: Option<ParticleSystem>,
+    pub ws: Workspace,
+}
+
+impl RankView {
+    /// View of a rank that owns every particle: no copy, no ghosts.
+    /// `active` are global ids (≡ local indices).
+    pub fn of_whole_system(rank: usize, sys: &ParticleSystem, active: Vec<u32>) -> Self {
+        RankView { rank, copy: None, ws: Workspace::new(sys, Vec::new(), active, Vec::new()) }
+    }
+
+    /// View of a rank that owns `owned` and imports `imports` (both
+    /// ascending global ids, disjoint): extracts the local copy.
+    pub fn of_subdomain(rank: usize, sys: &ParticleSystem, owned: &[u32], imports: &[u32]) -> Self {
+        let mut ids = Vec::with_capacity(owned.len() + imports.len());
+        let mut active = Vec::with_capacity(owned.len());
+        let mut ghosts = Vec::with_capacity(imports.len());
+        let (mut o, mut g) = (0, 0);
+        while o < owned.len() || g < imports.len() {
+            let k = ids.len() as u32;
+            if g == imports.len() || (o < owned.len() && owned[o] <= imports[g]) {
+                active.push(k);
+                ids.push(owned[o]);
+                o += 1;
+            } else {
+                ghosts.push((k, imports[g]));
+                ids.push(imports[g]);
+                g += 1;
+            }
+        }
+        let copy = sys.subset(&ids);
+        let ws = Workspace::new(&copy, ids, active, ghosts);
+        RankView { rank, copy: Some(copy), ws }
+    }
+
+    /// Copy `fields` of the rank's computed particles into the global
+    /// store (nothing to do when the rank computed there in place).
+    pub fn publish(&self, fields: Fields, global: &mut ParticleSystem) {
+        let Some(copy) = &self.copy else { return };
+        let mut words = Vec::with_capacity(fields.words());
+        for &k in &self.ws.active {
+            words.clear();
+            fields.pack(copy, k as usize, &mut words);
+            fields.unpack(global, self.ws.ids[k as usize] as usize, &words);
+        }
+    }
+
+    /// Per-particle work of the evaluation — SPH pair interactions
+    /// (density + force ≈ 2× the pair-list length) plus gravity
+    /// interactions, the load measure rebalancing and the cluster model
+    /// consume — and, with gravity on, the potentials; both by global id.
+    pub fn account(&self, work: &mut [f64], phi: &mut [f64]) {
+        let ws = &self.ws;
+        for (q, &k) in ws.active.iter().enumerate() {
+            let g = ws.global_id(k) as usize;
+            let sph = 2.0 * ws.force_lists.neighbors(q).len() as f64;
+            work[g] = sph.max(2.0) + ws.gravity_work.get(q).map_or(0.0, |&w| w as f64);
+            if let Some(&p) = ws.potentials.get(q) {
+                phi[g] = p;
+            }
+        }
+    }
+}
+
+impl Workspace {
+    fn global_id(&self, k: u32) -> u32 {
+        self.ids.get(k as usize).copied().unwrap_or(k)
+    }
+
+    fn new(
+        local: &ParticleSystem,
+        ids: Vec<u32>,
+        active: Vec<u32>,
+        ghosts: Vec<(u32, u32)>,
+    ) -> Self {
+        Workspace {
+            ids,
+            active,
+            ghosts,
+            grid: Some(CellGrid::for_radius(
+                &local.x,
+                local.periodicity,
+                SUPPORT_RADIUS * local.max_h(),
+            )),
+            lists: NeighborLists::default(),
+            force_lists: NeighborLists::default(),
+            potentials: Vec::new(),
+            gravity_work: Vec::new(),
+        }
+    }
+}
+
+/// One ghost-refresh superstep: for every rank, pack `fields` of its
+/// ghosts from the owners' published state (ascending global-id order),
+/// move them through the exchange carrier, and scatter the *delivered*
+/// words into the rank's copy. In-process the delivery is the identity,
+/// so this is bit-identical to copying straight from the global store; a
+/// faulty or real carrier interposes here.
+pub(crate) fn refresh_ghosts(
+    exchange: &mut dyn Exchange,
+    log: &mut ExchangeLog,
+    retries: u32,
+    global: &ParticleSystem,
+    views: &mut [RankView],
+    fields: Fields,
+) -> Result<(), ExchangeError> {
+    let words = fields.words();
+    for view in views {
+        let Some(copy) = &mut view.copy else { continue };
+        if view.ws.ghosts.is_empty() {
+            continue;
+        }
+        let mut payload = Vec::with_capacity(view.ws.ghosts.len() * words);
+        for &(_, g) in &view.ws.ghosts {
+            fields.pack(global, g as usize, &mut payload);
+        }
+        with_retry(exchange, log, retries, |ex| {
+            ex.deliver_f64(ExchangePath::GhostRefresh, view.rank as u32, &mut payload)
+        })?;
+        for (j, &(k, _)) in view.ws.ghosts.iter().enumerate() {
+            fields.unpack(copy, k as usize, &payload[j * words..(j + 1) * words]);
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// The passes
+// ---------------------------------------------------------------------
+
+fn density(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
+    // sph-lint: allow(panic-path) — the table runs density before the
+    // force lists, which alone take the grid: a driver bug, not an input.
+    let grid = ws.grid.as_ref().expect("the grid lives until the force lists are built");
+    let (lists, stats) = compute_density(sys, grid, env.kernel, env.config, &ws.active);
+    ws.lists = lists;
+    stats
+}
+
+fn volume_elements(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
+    compute_volume_elements(sys, &ws.lists, env.kernel, env.config, &ws.active);
+    StepStats::default()
+}
+
+fn iad_matrices(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
+    compute_iad_matrices(sys, &ws.lists, env.kernel, &ws.active);
+    StepStats::default()
+}
+
+/// The EOS is a pure per-particle function of (ρ, u): applied to the
+/// whole local set it reproduces the owner's p and cs for every ghost bit
+/// for bit — an exchange with zero payload.
+fn equation_of_state(env: &PassEnv, sys: &mut ParticleSystem, _: &mut Workspace) -> StepStats {
+    env.eos.apply(&sys.rho, &sys.u, &mut sys.p, &mut sys.cs);
+    StepStats::default()
+}
+
+fn velocity_gradients(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
+    compute_velocity_gradients(sys, &ws.lists, env.kernel, env.config.gradients, &ws.active);
+    StepStats::default()
+}
+
+/// The pairwise momentum/energy equations must see every pair from both
+/// sides, so a rank computing its whole local system sums over the
+/// symmetric closure of the gather lists (exact pairwise conservation).
+/// An active subset keeps its gather lists, as block-stepping codes do.
+fn force_lists(_: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
+    // The gather lists and the grid have their last reader here, and the
+    // symmetric closure is the evaluation's largest allocation: they are
+    // freed before it is built, not after.
+    let gather = std::mem::take(&mut ws.lists);
+    ws.force_lists = match ws.grid.take() {
+        Some(grid) if !ws.ghosts.is_empty() => closure_over_ghosts(sys, ws, &gather, &grid),
+        grid => {
+            drop(grid);
+            if ws.active.len() == sys.len() {
+                gather.symmetrized()
+            } else {
+                gather
+            }
+        }
+    };
+    StepStats::default()
+}
+
+/// Symmetric closure when some neighbours are ghosts, whose gather lists
+/// this rank never computed. A ghost's gather set is recovered with one
+/// frozen ball query at its exchanged h (exact, by the h-iteration's exit
+/// invariant and because the final search radius is within the verified
+/// halo radius); the closure is then built in ascending global-id order —
+/// identical membership and summation order to
+/// `NeighborLists::symmetrized()` over the global system.
+fn closure_over_ghosts(
+    sys: &ParticleSystem,
+    ws: &Workspace,
+    gather: &NeighborLists,
+    grid: &CellGrid,
+) -> NeighborLists {
+    let n_local = ws.ids.len();
+    // Only the active (owned) rows are ever consumed, so ghost rows are
+    // given no reverse edges.
+    let mut is_active = vec![false; n_local];
+    let mut sym: Vec<Vec<u32>> = vec![Vec::new(); n_local];
+    for (q, &k) in ws.active.iter().enumerate() {
+        is_active[k as usize] = true;
+        sym[k as usize] = gather.neighbors(q).to_vec();
+    }
+    let mut reverse = |k: u32, gather: &[u32]| {
+        for &j in gather {
+            if j != k && is_active[j as usize] {
+                sym[j as usize].push(k);
+            }
+        }
+    };
+    for (q, &k) in ws.active.iter().enumerate() {
+        reverse(k, gather.neighbors(q));
+    }
+    let mut ball = Vec::new();
+    let mut ts = TraversalStats::default();
+    for &(k, _) in &ws.ghosts {
+        let radius = SUPPORT_RADIUS * sys.h[k as usize];
+        ball.clear();
+        grid.neighbors_within(sys.x[k as usize], radius, &mut ball, &mut ts);
+        reverse(k, &ball);
+    }
+    let rows = ws
+        .active
+        .iter()
+        .map(|&k| {
+            let mut row = std::mem::take(&mut sym[k as usize]);
+            row.sort_unstable();
+            row.dedup();
+            row
+        })
+        .collect();
+    NeighborLists::from_lists(rows)
+}
+
+fn forces(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
+    let pairs = compute_forces(sys, &ws.force_lists, env.kernel, env.config, &ws.active);
+    StepStats { sph_interactions: pairs, ..StepStats::default() }
+}
+
+/// Field of the replicated tree at every active particle. Chunked map
+/// over fixed `REDUCE_CHUNK` boundaries + ordered scatter; `field_at` is a
+/// pure per-particle function, so parallelism cannot change a bit. The
+/// per-particle interaction count is kept with each sample because it is
+/// the load measure the cluster model consumes.
+fn gravity(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
+    let Some(solver) = env.gravity else { return StepStats::default() };
+    /// Local index, field sample, interaction count.
+    type Row = (u32, GravitySample, u64);
+    let chunks: Vec<(Vec<Row>, TraversalStats)> = ws
+        .active
+        .par_chunks(REDUCE_CHUNK)
+        .map(|chunk| {
+            let mut chunk_stats = TraversalStats::default();
+            let rows = chunk
+                .iter()
+                .map(|&k| {
+                    let mut ts = TraversalStats::default();
+                    let sample = solver.field_at(sys.x[k as usize], Some(ws.global_id(k)), &mut ts);
+                    chunk_stats.merge(&ts);
+                    (k, sample, ts.total_interactions())
+                })
+                .collect();
+            (rows, chunk_stats)
+        })
+        .collect();
+    let mut stats = StepStats::default();
+    for (rows, chunk_stats) in chunks {
+        stats.gravity.merge(&chunk_stats);
+        for (k, sample, work) in rows {
+            sys.a[k as usize] += sample.accel;
+            ws.potentials.push(sample.potential);
+            ws.gravity_work.push(work);
+        }
+    }
+    stats
+}

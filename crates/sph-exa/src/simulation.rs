@@ -1,127 +1,66 @@
-//! The Algorithm-1 step driver.
+//! The one-rank constructors of the step driver.
+//!
+//! [`Simulation`] is a [`DistributedSimulation`] with a single rank —
+//! which owns every particle, imports no ghost and therefore computes on
+//! the global system in place. There is no step logic here: stepping,
+//! diagnostics, `sys` / `config` / `gravity` / `phi` and everything else
+//! come from the driver through `Deref`.
 
-use sph_core::config::{GradientScheme, SphConfig, TimeStepping};
-use sph_core::density::{compute_density, NeighborLists};
-use sph_core::diagnostics::Conservation;
-use sph_core::eos::IdealGas;
-use sph_core::forces::compute_forces;
-use sph_core::gradients::{compute_iad_matrices, compute_velocity_gradients};
-use sph_core::integrator::{drift, kick, kick_drift, PingPongBuffers};
+use crate::distributed::{DistributedBuildError, DistributedBuilder, DistributedSimulation};
+use sph_core::config::SphConfig;
 use sph_core::particles::ParticleSystem;
-use sph_core::timestep::{
-    active_at_substep, adaptive_dt, assign_rungs, global_dt, per_particle_dt, TimeStepError,
-};
-use sph_core::volume::compute_volume_elements;
 use sph_core::StepStats;
-use sph_kernels::{Kernel, SUPPORT_RADIUS};
 use sph_profiler::timers::PhaseTimers;
-use sph_profiler::Phase;
-use sph_tree::{CellGrid, GravityConfig, GravitySolver, Octree, OctreeConfig, TraversalStats};
+use sph_tree::GravityConfig;
+use std::ops::{Deref, DerefMut};
 
-/// Result of one completed macro time-step.
-#[derive(Debug, Clone, Copy)]
-pub struct StepReport {
-    /// Step index (1-based after the first step).
-    pub step: u64,
-    /// Macro time-step actually taken.
-    pub dt: f64,
-    /// Simulation time after the step.
-    pub time: f64,
-    /// Work statistics accumulated over the step (all substeps).
-    pub stats: StepStats,
-    /// Number of substeps (1 for global/adaptive stepping).
-    pub substeps: u32,
-    /// Mean fraction of particles active per derivative evaluation
-    /// (1.0 for global stepping; < 1 shows the block-time-step saving).
-    pub active_fraction: f64,
-}
-
-/// Builder for [`Simulation`].
-pub struct SimulationBuilder {
-    sys: ParticleSystem,
-    config: SphConfig,
-    gravity: Option<GravityConfig>,
-    num_threads: Option<usize>,
-}
+/// Builder for [`Simulation`]: a [`DistributedBuilder`] pinned to one rank.
+pub struct SimulationBuilder(DistributedBuilder);
 
 impl SimulationBuilder {
     pub fn new(sys: ParticleSystem) -> Self {
-        SimulationBuilder { sys, config: SphConfig::default(), gravity: None, num_threads: None }
+        SimulationBuilder(DistributedBuilder::new(sys).nranks(1))
     }
 
-    pub fn config(mut self, config: SphConfig) -> Self {
-        self.config = config;
-        self
+    pub fn config(self, config: SphConfig) -> Self {
+        SimulationBuilder(self.0.config(config))
     }
 
     /// Enable self-gravity (Algorithm 1, step 4).
-    pub fn gravity(mut self, gravity: GravityConfig) -> Self {
-        self.gravity = Some(gravity);
-        self
+    pub fn gravity(self, gravity: GravityConfig) -> Self {
+        SimulationBuilder(self.0.gravity(gravity))
     }
 
-    /// Worker threads for every parallel loop (0 = the `SPH_THREADS` /
-    /// hardware default). The pool is process-global, so this configures
-    /// *all* simulations, not just the one being built; results are
-    /// bit-identical for any setting thanks to the fixed-chunk reductions.
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = Some(n);
-        self
+    /// See [`DistributedBuilder::num_threads`].
+    pub fn num_threads(self, n: usize) -> Self {
+        SimulationBuilder(self.0.num_threads(n))
     }
 
-    pub fn build(self) -> Result<Simulation, String> {
-        self.config.validate()?;
-        self.sys.sanity_check()?;
-        if let Some(n) = self.num_threads {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build_global()
-                .map_err(|e| format!("thread pool: {e}"))?;
-        }
-        let kernel = self.config.kernel.build();
-        let eos = IdealGas::new(self.config.gamma);
-        let n = self.sys.len();
-        Ok(Simulation {
-            sys: self.sys,
-            config: self.config,
-            gravity: self.gravity,
-            kernel,
-            eos,
-            phi: vec![0.0; n],
-            per_particle_work: vec![1.0; n],
-            dt_prev: 0.0,
-            timers: PhaseTimers::new(),
-            buffers: PingPongBuffers::new(n),
-            derivatives_fresh: false,
-        })
+    pub fn build(self) -> Result<Simulation, DistributedBuildError> {
+        self.0.build().map(Simulation)
     }
 }
 
-/// A running SPH-EXA simulation.
-pub struct Simulation {
-    /// Particle state.
-    pub sys: ParticleSystem,
-    /// SPH configuration (a cell of Tables 1–2).
-    pub config: SphConfig,
-    /// Self-gravity configuration, if enabled.
-    pub gravity: Option<GravityConfig>,
-    kernel: Box<dyn Kernel>,
-    eos: IdealGas,
-    /// Per-particle gravitational potentials (zero with gravity off).
-    pub phi: Vec<f64>,
-    /// Per-particle work units from the most recent derivative
-    /// evaluation — the load measure the cluster model and the dynamic
-    /// load balancer consume.
-    per_particle_work: Vec<f64>,
-    dt_prev: f64,
-    timers: PhaseTimers,
-    buffers: PingPongBuffers,
-    derivatives_fresh: bool,
+/// A running one-rank simulation (see the module docs).
+pub struct Simulation(DistributedSimulation);
+
+impl Deref for Simulation {
+    type Target = DistributedSimulation;
+
+    fn deref(&self) -> &DistributedSimulation {
+        &self.0
+    }
+}
+
+impl DerefMut for Simulation {
+    fn deref_mut(&mut self) -> &mut DistributedSimulation {
+        &mut self.0
+    }
 }
 
 impl Simulation {
     /// Convenience constructor with defaults.
-    pub fn new(sys: ParticleSystem, config: SphConfig) -> Result<Self, String> {
+    pub fn new(sys: ParticleSystem, config: SphConfig) -> Result<Self, DistributedBuildError> {
         SimulationBuilder::new(sys).config(config).build()
     }
 
@@ -129,10 +68,13 @@ impl Simulation {
     /// derivatives are valid (the `sph-ft` codec persists them). The next
     /// step reuses them for its first half-kick, exactly as the original
     /// run would have — restarts are therefore bit-exact.
+    ///
+    /// The two `resume` constructors still render their
+    /// [`DistributedBuildError`] to a `String`: `benchmark/src/sim.rs`
+    /// returns them as `Result<_, String>` without a `?`, and the
+    /// benchmark is frozen.
     pub fn resume(sys: ParticleSystem, config: SphConfig) -> Result<Self, String> {
-        let mut sim = Self::new(sys, config)?;
-        sim.derivatives_fresh = true;
-        Ok(sim)
+        Self::resumed(SimulationBuilder::new(sys).config(config))
     }
 
     /// Resume with self-gravity enabled (see [`Simulation::resume`]).
@@ -141,250 +83,38 @@ impl Simulation {
         config: SphConfig,
         gravity: GravityConfig,
     ) -> Result<Self, String> {
-        let mut sim = SimulationBuilder::new(sys).config(config).gravity(gravity).build()?;
-        sim.derivatives_fresh = true;
+        Self::resumed(SimulationBuilder::new(sys).config(config).gravity(gravity))
+    }
+
+    fn resumed(builder: SimulationBuilder) -> Result<Self, String> {
+        let mut sim = builder.build()?;
+        sim.0.derivatives_fresh = true;
         Ok(sim)
     }
 
-    /// Wall-clock phase timers (real measured time of this process).
-    pub fn timers(&self) -> &PhaseTimers {
-        &self.timers
-    }
-
-    /// Per-particle work units of the last derivative evaluation.
-    pub fn per_particle_work(&self) -> &[f64] {
-        &self.per_particle_work
-    }
-
-    /// Conservation snapshot (includes gravity when enabled).
-    pub fn conservation(&self) -> Conservation {
-        let phi = self.gravity.is_some().then_some(self.phi.as_slice());
-        Conservation::measure(&self.sys, phi)
+    /// Wall-clock phase timers (real measured time of this process): the
+    /// rank's kernel work and the driver's collective work in one view.
+    pub fn timers(&self) -> PhaseTimers {
+        self.0.aggregate_timers()
     }
 
     /// Evaluate all derivatives (Algorithm 1 steps 1–4) for `active`
     /// particles. Returns the accumulated statistics.
     pub fn evaluate_derivatives(&mut self, active: &[u32]) -> StepStats {
-        let mut stats = StepStats::default();
-        let sys = &mut self.sys;
-
-        // Phase A: sort particles into the uniform cell grid — the only
-        // spatial structure the SPH passes need. The octree is built later,
-        // and only when self-gravity asks for multipoles.
-        let grid = self.timers.time(Phase::TreeBuild, || {
-            CellGrid::for_radius(&sys.x, sys.periodicity, SUPPORT_RADIUS * sys.max_h())
-        });
-
-        // Phases B–E: neighbours, smoothing lengths, density.
-        let kernel = self.kernel.as_ref();
-        let config = &self.config;
-        let (lists, dstats) = self
-            .timers
-            .time(Phase::Density, || compute_density(sys, &grid, kernel, config, active));
-        stats.merge(&dstats);
-
-        // Phase F: volume elements, IAD matrices, EOS, velocity gradients.
-        self.timers.time(Phase::Gradients, || {
-            compute_volume_elements(sys, &lists, kernel, config, active);
-            if config.gradients == GradientScheme::Iad {
-                compute_iad_matrices(sys, &lists, kernel, active);
-            }
-            self.eos.apply(&sys.rho, &sys.u, &mut sys.p, &mut sys.cs);
-            compute_velocity_gradients(sys, &lists, kernel, config.gradients, active);
-        });
-
-        // Phases G–H: momentum and energy. Use the symmetric closure when
-        // evaluating the whole system (exact pairwise conservation); an
-        // active subset keeps its gather lists, as block-stepping codes do.
-        let full_system = active.len() == sys.len();
-        let force_lists: NeighborLists = if full_system { lists.symmetrized() } else { lists };
-        let pair_count = self
-            .timers
-            .time(Phase::Momentum, || compute_forces(sys, &force_lists, kernel, config, active));
-        stats.sph_interactions += pair_count;
-
-        // Phase I: self-gravity. Chunked map over fixed REDUCE_CHUNK
-        // boundaries + ordered reduce of the chunk traversal counters; the
-        // per-particle interaction count is kept alongside each sample
-        // because it is the load measure the cluster model consumes.
-        if let Some(gcfg) = self.gravity {
-            let gstats = self.timers.time(Phase::Gravity, || {
-                let bounds = sys.bounds();
-                let tree = Octree::build(&sys.x, &bounds, OctreeConfig::default());
-                let solver = GravitySolver::new(&tree, &sys.m, gcfg);
-                type GravityRow = (usize, sph_tree::gravity::GravitySample, u64);
-                let chunks: Vec<(Vec<GravityRow>, TraversalStats)> = {
-                    use rayon::prelude::*;
-                    use sph_math::REDUCE_CHUNK;
-                    active
-                        .par_chunks(REDUCE_CHUNK)
-                        .map(|chunk| {
-                            let mut stats = TraversalStats::default();
-                            let rows = chunk
-                                .iter()
-                                .map(|&ai| {
-                                    let i = ai as usize;
-                                    let mut ts = TraversalStats::default();
-                                    let s = solver.field_at(sys.x[i], Some(ai), &mut ts);
-                                    let work = ts.total_interactions();
-                                    stats.merge(&ts);
-                                    (i, s, work)
-                                })
-                                .collect();
-                            (rows, stats)
-                        })
-                        .collect()
-                };
-                let mut merged = TraversalStats::default();
-                for (rows, stats) in chunks {
-                    merged.merge(&stats);
-                    for (i, s, work) in rows {
-                        sys.a[i] += s.accel;
-                        self.phi[i] = s.potential;
-                        // Gravity work is attributed per particle below.
-                        self.per_particle_work[i] = work as f64;
-                    }
-                }
-                merged
-            });
-            stats.gravity = gstats;
-        } else {
-            for &ai in active {
-                self.per_particle_work[ai as usize] = 0.0;
-            }
-        }
-
-        // Per-particle work: SPH pair interactions (density + force ≈ 2×
-        // the neighbour count) plus gravity interactions (already stored).
-        for (k, &ai) in active.iter().enumerate() {
-            let i = ai as usize;
-            let sph = 2.0 * force_lists.neighbors(k).len() as f64;
-            self.per_particle_work[i] += sph.max(2.0);
-        }
-
-        self.derivatives_fresh = true;
-        stats
-    }
-
-    /// Execute one macro time-step (Algorithm 1 steps 1–6).
-    ///
-    /// A pathological time-step state (NaN-poisoned acceleration, infinite
-    /// sound speed, …) is surfaced as a [`TimeStepError`] instead of
-    /// aborting the process — the caller can checkpoint-restore or shrink
-    /// the step. The simulation state is left as of the failed criterion
-    /// evaluation (no kick/drift has happened).
-    pub fn step(&mut self) -> Result<StepReport, TimeStepError> {
-        let n = self.sys.len();
-        let all: Vec<u32> = (0..n as u32).collect();
-        let mut stats = StepStats::default();
-        if !self.derivatives_fresh {
-            stats.merge(&self.evaluate_derivatives(&all));
-        }
-
-        match self.config.time_stepping {
-            TimeStepping::Global | TimeStepping::Adaptive { .. } => {
-                let dts =
-                    self.timers.time(Phase::Update, || per_particle_dt(&self.sys, &self.config));
-                let dt = match self.config.time_stepping {
-                    TimeStepping::Adaptive { growth_limit } => {
-                        adaptive_dt(&dts, self.dt_prev, growth_limit)?
-                    }
-                    _ => global_dt(&dts)?,
-                };
-                // KDK leapfrog: the first half-kick and the drift are fused
-                // into one gather → scatter pass over the ping-pong buffers
-                // (bit-identical to kick-then-drift).
-                self.timers.time(Phase::Update, || {
-                    kick_drift(&mut self.sys, &mut self.buffers, dt / 2.0, dt);
-                });
-                stats.merge(&self.evaluate_derivatives(&all));
-                self.timers.time(Phase::Update, || {
-                    kick(&mut self.sys, dt / 2.0, &all);
-                });
-                self.dt_prev = dt;
-                self.sys.time += dt;
-                self.sys.step_count += 1;
-                Ok(StepReport {
-                    step: self.sys.step_count,
-                    dt,
-                    time: self.sys.time,
-                    stats,
-                    substeps: 1,
-                    active_fraction: 1.0,
-                })
-            }
-            TimeStepping::Individual { max_rungs } => {
-                // Block time-steps (ChaNGa): assign power-of-two rungs from
-                // the per-particle criteria, advance one macro step of
-                // dt_max in 2^deepest substeps, evaluating derivatives only
-                // for the particles active at each substep.
-                let dts = per_particle_dt(&self.sys, &self.config);
-                let dt_min = global_dt(&dts)?;
-                let finite_max =
-                    dts.iter().cloned().filter(|d| d.is_finite()).fold(dt_min, f64::max);
-                // Macro step: largest power-of-two multiple of dt_min that
-                // covers the slowest particle, capped by max_rungs.
-                let levels = ((finite_max / dt_min).log2().floor().max(0.0) as u32)
-                    .min(max_rungs as u32) as u8;
-                let dt_max = dt_min * (1u64 << levels) as f64;
-                let rungs = assign_rungs(&dts, dt_max, levels);
-                for (i, &r) in rungs.iter().enumerate() {
-                    self.sys.rung[i] = r;
-                }
-                let substeps = 1u64 << levels;
-                let dt_sub = dt_max / substeps as f64;
-                let mut active_total = 0u64;
-                for s in 0..substeps {
-                    let active = active_at_substep(&rungs, s, levels);
-                    // sph-lint: allow(reduce-taint) — u64 census of active
-                    // particles: exact integer arithmetic, order-free.
-                    active_total += active.len() as u64;
-                    // Kick each active particle by half its own rung step,
-                    // drift everyone, re-evaluate, kick the other half —
-                    // a synchronised block-KDK.
-                    let rung_dt: Vec<f64> = active
-                        .iter()
-                        .map(|&i| dt_max / (1u64 << rungs[i as usize]) as f64)
-                        .collect();
-                    self.timers.time(Phase::Update, || {
-                        for (&i, &rdt) in active.iter().zip(&rung_dt) {
-                            kick(&mut self.sys, rdt / 2.0, &[i]);
-                        }
-                        drift(&mut self.sys, dt_sub);
-                    });
-                    stats.merge(&self.evaluate_derivatives(&active));
-                    self.timers.time(Phase::Update, || {
-                        for (&i, &rdt) in active.iter().zip(&rung_dt) {
-                            kick(&mut self.sys, rdt / 2.0, &[i]);
-                        }
-                    });
-                }
-                self.dt_prev = dt_max;
-                self.sys.time += dt_max;
-                self.sys.step_count += 1;
-                Ok(StepReport {
-                    step: self.sys.step_count,
-                    dt: dt_max,
-                    time: self.sys.time,
-                    stats,
-                    substeps: substeps as u32,
-                    active_fraction: active_total as f64 / (substeps * n as u64) as f64,
-                })
-            }
-        }
-    }
-
-    /// Run `n_steps` macro steps, collecting reports; stops at the first
-    /// time-step error.
-    pub fn run(&mut self, n_steps: usize) -> Result<Vec<StepReport>, TimeStepError> {
-        (0..n_steps).map(|_| self.step()).collect()
+        // sph-lint: allow(panic-path) — only an exchange can fail an
+        // evaluation, and a single rank posts none: a driver bug, not an input.
+        self.0.evaluate_derivatives(Some(active)).expect("a one-rank evaluation posts no exchange")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::DistributedError;
+    use sph_core::config::TimeStepping;
+    use sph_core::timestep::TimeStepError;
     use sph_math::{Aabb, Periodicity, SplitMix64, Vec3};
+    use sph_profiler::Phase;
     use sph_tree::MultipoleOrder;
 
     /// A small warm uniform gas ball, open boundaries.
@@ -553,7 +283,10 @@ mod tests {
         // assert! aborted the process — and must not advance the clock.
         sim.sys.a[7] = Vec3::new(f64::NAN, 0.0, 0.0);
         let err = sim.step().unwrap_err();
-        assert!(matches!(err, TimeStepError::NonFinite { particle: 7 }), "{err}");
+        assert!(
+            matches!(err, DistributedError::TimeStep(TimeStepError::NonFinite { particle: 7 })),
+            "{err}"
+        );
         assert_eq!(sim.sys.time, time_before, "failed step must not advance time");
     }
 

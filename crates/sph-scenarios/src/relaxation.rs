@@ -113,7 +113,7 @@ pub fn relax_to_glass(
         initial_density_scatter: initial_scatter,
         final_density_scatter: density_scatter(&sim.sys),
     };
-    *sys = sim.sys;
+    std::mem::swap(sys, &mut sim.sys);
     Ok(report)
 }
 
