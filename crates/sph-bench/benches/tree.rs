@@ -16,6 +16,21 @@ fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
     (0..n).map(|_| Vec3::new(rng.next_f64(), rng.next_f64(), rng.next_f64())).collect()
 }
 
+/// Centrally condensed cloud, ρ ∝ 1/r inside radius ½ (the Evrard
+/// profile): M(<r) ∝ r² ⇒ r = ½√u, isotropic direction.
+fn condensed_points(n: usize, seed: u64) -> Vec<Vec3> {
+    let mut rng = SplitMix64::new(seed);
+    (0..n)
+        .map(|_| {
+            let r = 0.5 * rng.next_f64().sqrt();
+            let cos_t = rng.uniform(-1.0, 1.0);
+            let sin_t = (1.0 - cos_t * cos_t).sqrt();
+            let phi = rng.uniform(0.0, 2.0 * std::f64::consts::PI);
+            Vec3::splat(0.5) + Vec3::new(sin_t * phi.cos(), sin_t * phi.sin(), cos_t) * r
+        })
+        .collect()
+}
+
 fn bench_tree_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_build");
     for &n in &[10_000usize, 50_000] {
@@ -84,6 +99,18 @@ fn bench_gravity(c: &mut Criterion) {
             })
         });
     }
+    // The case the repo benchmark's `sph-tree.gravity_walk_s` times: a
+    // centrally condensed cloud (ρ ∝ 1/r, the Evrard profile) of the same
+    // size, solver construction plus the walk at every particle. Deep
+    // tree at the centre, so most of the walk is leaf particle–particle
+    // work.
+    let cloud = condensed_points(20_000, 4);
+    let tree = Octree::build(&cloud, &Aabb::unit(), OctreeConfig::default());
+    let config =
+        GravityConfig { g: 1.0, theta: 0.5, softening: 1e-3, order: MultipoleOrder::Quadrupole };
+    group.bench_function("accelerations_condensed_quadrupole", |b| {
+        b.iter(|| black_box(GravitySolver::new(&tree, &masses, config).accelerations(&cloud)))
+    });
     group.finish();
 }
 

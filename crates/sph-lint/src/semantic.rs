@@ -10,8 +10,9 @@
 //! - **Kernel passes** ([`HOT_PATH_SEEDS`]): the five `compute_*` passes
 //!   (density / volume elements / IAD / velocity gradients / forces, with
 //!   the smoothing-length iteration living inside the density pass), the
-//!   [`NeighborQuery`] ball-query methods, the `CellGrid` cell scan, and
-//!   the CSR batch builder.
+//!   [`NeighborQuery`] ball-query methods, the `CellGrid` cell scan, the
+//!   CSR batch builder, and the Barnes–Hut walk `field_at` (one call per
+//!   particle per step, the largest row of a gravity step).
 //! - **Trajectory feeders**: the kernel passes plus every `step` method
 //!   on the drivers ([`TRAJECTORY_STEP_TYPES`]).
 //!
@@ -36,6 +37,7 @@ pub const HOT_PATH_SEEDS: &[&str] = &[
     "clamp_radius",
     "scan_one_image",
     "build_csr_lists",
+    "field_at",
 ];
 
 /// Driver types whose `step` methods feed trajectories (R7 seeds,

@@ -46,6 +46,28 @@ fn r6_fires_on_alloc_reachable_from_seed_across_files() {
 }
 
 #[test]
+fn r6_polices_the_gravity_walk() {
+    // `field_at` runs once per particle per step; a heap stack in a
+    // helper it calls is what sat unflagged while it was not a seed.
+    let diags = lint(&[(
+        "crates/sph-tree/src/gravity.rs",
+        "pub struct GravitySolver;\n\
+         impl GravitySolver {\n\
+         \x20   pub fn field_at(&self) -> usize { self.walk_stack().len() }\n\
+         \x20   fn walk_stack(&self) -> Vec<u32> {\n\
+         \x20       let stack: Vec<u32> = vec![0];\n\
+         \x20       stack\n\
+         \x20   }\n\
+         }\n",
+    )]);
+    assert_eq!(
+        diags,
+        vec![("crates/sph-tree/src/gravity.rs".to_string(), Rule::HotAlloc, 5)],
+        "a Vec in a fn reachable from field_at must fire"
+    );
+}
+
+#[test]
 fn r6_quiet_when_not_reachable_from_any_seed() {
     let diags = lint(&[(
         "crates/sph-exa/src/setup.rs",

@@ -2,21 +2,54 @@
 //!
 //! Table 1: SPHYNX evaluates gravity with multipoles up to quadrupole
 //! ("4-pole"), ChaNGa up to hexadecapole ("16-pole"). This module
-//! implements monopole and quadrupole expansions exactly; the cost of the
-//! higher-order terms ChaNGa carries is represented in the performance
-//! model by a per-cell-interaction cost factor (see DESIGN.md §2 —
-//! substitution table), while force *accuracy* is verified here against
-//! direct summation.
+//! implements monopole, quadrupole and octupole expansions exactly; the
+//! cost of the higher-order terms ChaNGa carries is represented in the
+//! performance model by a per-cell-interaction cost factor (see DESIGN.md
+//! §2 — substitution table), while force *accuracy* is verified here
+//! against direct summation.
 //!
-//! Conventions: `G` is configurable (the Evrard test uses `G = 1`),
-//! softening is Plummer (`φ = −Gm/√(r²+ε²)`), and the multipole acceptance
-//! criterion is the classic opening angle: a cell of size `L` at distance
-//! `d` from the target is accepted when `L/d < θ`.
+//! Conventions: `G` is configurable (the Evrard test uses `G = 1`) and
+//! softening is Plummer (`φ = −Gm/√(r²+ε²)`).
+//!
+//! **Acceptance contract.** The multipole acceptance criterion is the
+//! classic opening angle, applied to *internal* nodes only: an internal
+//! node whose tight particle box has longest edge `L`, at distance `d`
+//! from its centre of mass to the target, is accepted as one cell when
+//! `L/d < θ` and the target lies strictly outside that box. A leaf is
+//! never accepted: it is always opened and its particles are summed one by
+//! one, so the near field is exact particle–particle gravity whatever θ
+//! is. (At θ = 0.5 on the 15.5k-particle Evrard cloud that is 2 870 of a
+//! target's 3 000 interactions; leaves hold ≈ 8 particles.)
+//!
+//! **Walk layout.** [`GravitySolver::new`] lays the tree out for the walk:
+//! * *hot walk nodes* — what every visit reads: centre of mass, mass, the
+//!   cached `L²`, the tight box, the slot range and the range of the node's
+//!   children in one compact child list (slot order, so pushing it
+//!   reproduces the pop order of a walk over `Node::children`);
+//! * *cold moments* — raw second and third moments and the octupole trace
+//!   vector, in an array of their own, read only when a cell is accepted;
+//! * *SoA sources* — `x`, `y`, `z` and `G·m` of the Morton-sorted
+//!   particles, so a leaf is four contiguous slices;
+//! * *slot map* — original particle index → Morton slot, so the slot of
+//!   the particle to skip is known before the walk starts and the fold
+//!   compares a loop index, not an id per pair.
+//!
+//! `field_at` evaluates a leaf in two phases. The *lane phase* runs over
+//! the leaf's slots in blocks of [`LANES`] and writes each pair's three
+//! acceleration terms and its potential term into stack buffers; no
+//! iteration depends on another, so the compiler turns it into packed
+//! square roots and divisions at whatever vector width the target has. The
+//! *ordered fold* then subtracts the buffered terms from the running sums
+//! one slot at a time, in slot order, leaving out the target itself. Every
+//! pair goes through the same IEEE operations in the same per-target order
+//! as a one-pair-at-a-time loop, so the result does not depend on the lane
+//! width (CI runs the goldens with AVX2 enabled to hold that).
 
+use crate::morton::BITS_PER_AXIS;
 use crate::octree::Octree;
 use crate::TraversalStats;
 use rayon::prelude::*;
-use sph_math::{Mat3, SymTensor3, Vec3, REDUCE_CHUNK};
+use sph_math::{Aabb, Mat3, SymTensor3, Vec3, REDUCE_CHUNK};
 
 /// Expansion order of accepted cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,11 +93,36 @@ impl Default for GravityConfig {
     }
 }
 
-/// Multipole moments of one tree node, all about the node's `com`.
+/// What every visit of the walk reads of a node (the hot array).
+#[derive(Debug, Clone, Copy)]
+struct WalkNode {
+    /// Centre of mass (the cell centre for a massless node).
+    com: Vec3,
+    mass: f64,
+    /// `tight.max_extent()²`, the `L²` of the MAC.
+    size_sq: f64,
+    /// Tight bounding box of the particles inside.
+    tight: Aabb,
+    /// Range `[start, end)` of Morton-sorted slots.
+    start: u32,
+    end: u32,
+    /// Range `[first_child, last_child)` into `GravitySolver::children`;
+    /// empty for a leaf.
+    first_child: u32,
+    last_child: u32,
+}
+
+impl WalkNode {
+    #[inline]
+    fn is_leaf(&self) -> bool {
+        self.first_child == self.last_child
+    }
+}
+
+/// Higher moments of one tree node about its `com` (the cold array: read
+/// only when the node is accepted as a cell).
 #[derive(Debug, Clone, Copy, Default)]
 struct Moments {
-    mass: f64,
-    com: Vec3,
     /// Raw second moment `M2_ab = Σ m d_a d_b` (the traceless quadrupole
     /// is derived as `Q = 3·M2 − tr(M2)·I` at evaluation time).
     m2: Mat3,
@@ -74,11 +132,41 @@ struct Moments {
     t: Vec3,
 }
 
+/// Slots per block of the leaf lane phase: the default `max_leaf_size`, so
+/// a leaf is one block unless the Morton depth limit left it overfull.
+const LANES: usize = 32;
+
+/// Capacity of the walk stack. The stack holds at most the unvisited
+/// siblings (≤ 7) of each internal node on the path from the root, plus
+/// the 8 children of the node opened last; internal nodes sit at depths
+/// `0..BITS_PER_AXIS`.
+const STACK_CAPACITY: usize = 7 * BITS_PER_AXIS as usize + 8;
+
+/// One block's buffered pair terms: what the ordered fold subtracts from
+/// the acceleration components and the potential.
+struct LaneTerms {
+    ax: [f64; LANES],
+    ay: [f64; LANES],
+    az: [f64; LANES],
+    pot: [f64; LANES],
+}
+
 /// Gravity solver bound to a built octree.
 pub struct GravitySolver<'a> {
     tree: &'a Octree,
-    masses_sorted: Vec<f64>,
+    /// Hot walk nodes, indexed like `tree.nodes()`.
+    walk: Vec<WalkNode>,
+    /// Child node indices of every internal node, octant order.
+    children: Vec<u32>,
+    /// Cold moments, indexed like `walk`.
     moments: Vec<Moments>,
+    /// Sources in Morton-slot order: coordinates and `g·m`.
+    src_x: Vec<f64>,
+    src_y: Vec<f64>,
+    src_z: Vec<f64>,
+    src_gm: Vec<f64>,
+    /// Original particle index → Morton slot (where `skip` sits).
+    slot_of: Vec<u32>,
     config: GravityConfig,
 }
 
@@ -90,56 +178,86 @@ pub struct GravitySample {
 }
 
 impl<'a> GravitySolver<'a> {
-    /// Precompute moments for every node. `masses` is indexed by *original*
-    /// particle id (same indexing the octree was built from).
+    /// Precompute moments for every node and lay the tree out for the walk.
+    /// `masses` is indexed by *original* particle id (same indexing the
+    /// octree was built from). Panics on `θ ≤ 0`, on a negative or
+    /// non-finite softening and on a non-finite `G`: each would turn every
+    /// acceleration into NaN steps before anything notices.
     pub fn new(tree: &'a Octree, masses: &[f64], config: GravityConfig) -> Self {
         assert_eq!(masses.len(), tree.len(), "masses/positions length mismatch");
         assert!(config.theta > 0.0, "θ must be positive");
+        assert!(
+            config.softening >= 0.0 && config.softening.is_finite(),
+            "softening must be finite and non-negative, got {}",
+            config.softening
+        );
+        assert!(config.g.is_finite(), "G must be finite, got {}", config.g);
         let masses_sorted: Vec<f64> = tree.order().iter().map(|&i| masses[i as usize]).collect();
+
+        let nodes = tree.nodes();
+        let pos = tree.sorted_positions();
+        let mut children = Vec::with_capacity(nodes.len());
+        let mut walk: Vec<WalkNode> = nodes
+            .iter()
+            .map(|node| {
+                let first_child = children.len() as u32;
+                children.extend(node.children.iter().filter(|&&c| c != u32::MAX));
+                let size = node.tight.max_extent();
+                WalkNode {
+                    com: Vec3::ZERO,
+                    mass: 0.0,
+                    size_sq: size * size,
+                    tight: node.tight,
+                    start: node.start,
+                    end: node.end,
+                    first_child,
+                    last_child: children.len() as u32,
+                }
+            })
+            .collect();
 
         // Bottom-up moment computation via post-order accumulation with the
         // parallel-axis shift — O(nodes) instead of O(N log N).
-        let nodes = tree.nodes();
-        let pos = tree.sorted_positions();
         let mut moments = vec![Moments::default(); nodes.len()];
         // Nodes are stored so children always come after parents; iterate
         // in reverse to process children first.
         for ni in (0..nodes.len()).rev() {
-            let node = &nodes[ni];
+            let node = walk[ni];
+            let slots = node.start as usize..node.end as usize;
+            let kids = &children[node.first_child as usize..node.last_child as usize];
             let mut mass = 0.0;
             let mut weighted = Vec3::ZERO;
             if node.is_leaf() {
-                for k in node.start..node.end {
-                    let m = masses_sorted[k as usize];
+                for k in slots.clone() {
+                    let m = masses_sorted[k];
                     // sph-lint: allow(raw-accumulation) — FROZEN: leaf
                     // monopole sums in Morton order are part of the
                     // gravity bit-identity contract across backends.
                     mass += m;
                     // sph-lint: allow(raw-accumulation) — FROZEN: same
                     // contract as `mass` above (identical loop, order).
-                    weighted += pos[k as usize] * m;
+                    weighted += pos[k] * m;
                 }
             } else {
-                for &c in &node.children {
-                    if c != u32::MAX {
-                        // sph-lint: allow(raw-accumulation) — FROZEN merge:
-                        // 8-term child moments fold in child-slot order;
-                        // part of the gravity bit-identity contract.
-                        mass += moments[c as usize].mass;
-                        // sph-lint: allow(raw-accumulation) — FROZEN: same
-                        // contract as `mass` above (identical loop).
-                        weighted += moments[c as usize].com * moments[c as usize].mass;
-                    }
+                for &c in kids {
+                    let ch = &walk[c as usize];
+                    // sph-lint: allow(raw-accumulation) — FROZEN merge:
+                    // 8-term child moments fold in child-slot order;
+                    // part of the gravity bit-identity contract.
+                    mass += ch.mass;
+                    // sph-lint: allow(raw-accumulation) — FROZEN: same
+                    // contract as `mass` above (identical loop).
+                    weighted += ch.com * ch.mass;
                 }
             }
-            let com = if mass > 0.0 { weighted / mass } else { node.cell.center() };
+            let com = if mass > 0.0 { weighted / mass } else { nodes[ni].cell.center() };
             let mut m2 = Mat3::ZERO;
             let mut s3 = SymTensor3::ZERO;
             let mut t = Vec3::ZERO;
             if node.is_leaf() {
-                for k in node.start..node.end {
-                    let m = masses_sorted[k as usize];
-                    let d = pos[k as usize] - com;
+                for k in slots {
+                    let m = masses_sorted[k];
+                    let d = pos[k] - com;
                     m2.add_scaled_outer(d, m);
                     s3.add_scaled_cube(d, m);
                     // sph-lint: allow(raw-accumulation) — FROZEN: leaf
@@ -148,11 +266,8 @@ impl<'a> GravitySolver<'a> {
                     t += d * (m * d.norm_sq());
                 }
             } else {
-                for &c in &node.children {
-                    if c == u32::MAX {
-                        continue;
-                    }
-                    let ch = &moments[c as usize];
+                for &c in kids {
+                    let (ch, chm) = (&walk[c as usize], &moments[c as usize]);
                     // Parallel-axis shifts to the parent COM (s = child
                     // COM − parent COM; Σ m d = 0 about the child COM):
                     //   M2' = M2 + m s⊗s
@@ -162,33 +277,53 @@ impl<'a> GravitySolver<'a> {
                     // sph-lint: allow(raw-accumulation) — FROZEN: the
                     // parallel-axis moment merges below run in child-slot
                     // order; part of the gravity bit-identity contract.
-                    m2 += ch.m2;
+                    m2 += chm.m2;
                     m2.add_scaled_outer(s, ch.mass);
                     // sph-lint: allow(raw-accumulation) — FROZEN: same
                     // contract as the `m2` merge above (identical loop).
-                    s3 += ch.s3;
-                    s3.add_scaled_sym_outer(s, &ch.m2, 1.0);
+                    s3 += chm.s3;
+                    s3.add_scaled_sym_outer(s, &chm.m2, 1.0);
                     s3.add_scaled_cube(s, ch.mass);
                     // sph-lint: allow(raw-accumulation) — FROZEN: same
                     // contract as the `m2` merge above (identical loop).
-                    t += ch.t
-                        + ch.m2.mul_vec(s) * 2.0
-                        + s * ch.m2.trace()
+                    t += chm.t
+                        + chm.m2.mul_vec(s) * 2.0
+                        + s * chm.m2.trace()
                         + s * (ch.mass * s.norm_sq());
                 }
             }
-            moments[ni] = Moments { mass, com, m2, s3, t };
+            walk[ni].mass = mass;
+            walk[ni].com = com;
+            moments[ni] = Moments { m2, s3, t };
         }
-        GravitySolver { tree, masses_sorted, moments, config }
+
+        let mut slot_of = vec![0u32; tree.len()];
+        for (k, &i) in tree.order().iter().enumerate() {
+            slot_of[i as usize] = k as u32;
+        }
+        GravitySolver {
+            tree,
+            walk,
+            children,
+            moments,
+            src_x: pos.iter().map(|p| p.x).collect(),
+            src_y: pos.iter().map(|p| p.y).collect(),
+            src_z: pos.iter().map(|p| p.z).collect(),
+            src_gm: masses_sorted.iter().map(|&m| config.g * m).collect(),
+            slot_of,
+            config,
+        }
     }
 
     /// Total mass seen by the solver (root monopole) — cheap invariant.
     pub fn total_mass(&self) -> f64 {
-        self.moments[0].mass
+        self.walk[0].mass
     }
 
     /// Evaluate acceleration and potential at `point`, optionally skipping
-    /// the particle with original index `skip` (self-interaction).
+    /// the particle with original index `skip` (self-interaction; an index
+    /// no particle has skips nothing). Allocation-free: one call per
+    /// particle per step.
     pub fn field_at(
         &self,
         point: Vec3,
@@ -198,38 +333,45 @@ impl<'a> GravitySolver<'a> {
         let g = self.config.g;
         let eps2 = self.config.softening * self.config.softening;
         let theta2 = self.config.theta * self.config.theta;
-        let nodes = self.tree.nodes();
-        let pos = self.tree.sorted_positions();
-        let order = self.tree.order();
+        let degree = self.config.order.degree();
+        let skip_slot =
+            skip.and_then(|i| self.slot_of.get(i as usize)).map_or(usize::MAX, |&k| k as usize);
 
         let mut accel = Vec3::ZERO;
         let mut potential = 0.0;
-        let mut stack: Vec<u32> = vec![0];
-        while let Some(ni) = stack.pop() {
-            let node = &nodes[ni as usize];
-            stats.nodes_visited += 1;
-            let mom = &self.moments[ni as usize];
-            if mom.mass <= 0.0 {
+        let (mut visited, mut p2p, mut p2m) = (0u64, 0u64, 0u64);
+        // Declared once per target: zeroing them per leaf costs what the
+        // lane phase saves on an 8-particle leaf.
+        let mut terms =
+            LaneTerms { ax: [0.0; LANES], ay: [0.0; LANES], az: [0.0; LANES], pot: [0.0; LANES] };
+        let mut stack = [0u32; STACK_CAPACITY];
+        let mut top = 1; // the root is on the stack
+        while top > 0 {
+            top -= 1;
+            let ni = stack[top] as usize;
+            let node = &self.walk[ni];
+            visited += 1;
+            if node.mass <= 0.0 {
                 continue;
             }
-            let d = point - mom.com;
+            let d = point - node.com;
             let dist2 = d.norm_sq();
-            let size = node.tight.max_extent();
             // MAC: accept when (L/d)² < θ² and the point is safely outside
             // the cell (dist² > 0 guards the degenerate self-cell case).
             let accept = !node.is_leaf()
                 && dist2 > 0.0
-                && size * size < theta2 * dist2
+                && node.size_sq < theta2 * dist2
                 && node.tight.dist_sq_to_point(point) > 0.0;
             if accept {
-                stats.p2m_interactions += 1;
+                p2m += 1;
                 let r2 = dist2 + eps2;
                 let r = r2.sqrt();
                 let inv_r3 = 1.0 / (r2 * r);
                 // Monopole.
-                accel -= d * (g * mom.mass * inv_r3);
-                potential -= g * mom.mass / r;
-                if self.config.order.degree() >= 2 {
+                accel -= d * (g * node.mass * inv_r3);
+                potential -= g * node.mass / r;
+                if degree >= 2 {
+                    let mom = &self.moments[ni];
                     // Traceless quadrupole from the raw second moment:
                     // Q = 3·M2 − tr(M2)·I ⇒ Q·d = 3 M2·d − tr(M2) d.
                     let tr_m2 = mom.m2.trace();
@@ -244,7 +386,7 @@ impl<'a> GravitySolver<'a> {
                     // multipole traversal accumulates in stack order;
                     // part of the gravity bit-identity contract.
                     accel += qd * (g * inv_r5) - d * (2.5 * g * dqd * inv_r7);
-                    if self.config.order.degree() >= 3 {
+                    if degree >= 3 {
                         // Octupole (Cartesian Taylor term):
                         // φ₃ = −G [5 S:ddd − 3 (t·d) r²] / (2 r⁷)
                         // a₃ = G/2 [ (15 S:dd − 3 t r² − 6 (t·d) d)/r⁷
@@ -263,6 +405,131 @@ impl<'a> GravitySolver<'a> {
                     }
                 }
             } else if node.is_leaf() {
+                let mut block = node.start as usize;
+                let end = node.end as usize;
+                while block < end {
+                    let slots = block..end.min(block + LANES);
+                    block = slots.end;
+                    let n = slots.len();
+                    // Lane phase: every pair of the block, the target's own
+                    // slot included (its terms are never folded).
+                    let sources = self.src_x[slots.clone()]
+                        .iter()
+                        .zip(&self.src_y[slots.clone()])
+                        .zip(&self.src_z[slots.clone()])
+                        .zip(&self.src_gm[slots.clone()]);
+                    let out = terms.ax[..n]
+                        .iter_mut()
+                        .zip(&mut terms.ay[..n])
+                        .zip(&mut terms.az[..n])
+                        .zip(&mut terms.pot[..n]);
+                    for ((((ax, ay), az), pot), (((&x, &y), &z), &gm)) in out.zip(sources) {
+                        let (dx, dy, dz) = (point.x - x, point.y - y, point.z - z);
+                        let r2 = (dx * dx + dy * dy + dz * dz) + eps2;
+                        let r = r2.sqrt();
+                        let f = gm / (r2 * r);
+                        *ax = dx * f;
+                        *ay = dy * f;
+                        *az = dz * f;
+                        *pot = gm / r;
+                    }
+                    // Ordered fold — FROZEN: the block's pair terms leave
+                    // the sums one pair at a time in Morton-slot order, the
+                    // target's own slot left out; part of the gravity
+                    // bit-identity contract.
+                    let own = skip_slot.wrapping_sub(slots.start);
+                    let folded = if own < n { n - 1 } else { n };
+                    // sph-lint: allow(raw-accumulation) — integer pair
+                    // counter, exact in any order.
+                    p2p += folded as u64;
+                    for k in 0..n {
+                        if k == own {
+                            continue;
+                        }
+                        accel.x -= terms.ax[k];
+                        accel.y -= terms.ay[k];
+                        accel.z -= terms.az[k];
+                        potential -= terms.pot[k];
+                    }
+                }
+            } else {
+                let kids = &self.children[node.first_child as usize..node.last_child as usize];
+                for &c in kids {
+                    stack[top] = c;
+                    top += 1;
+                }
+            }
+        }
+        stats.nodes_visited += visited;
+        stats.p2p_interactions += p2p;
+        stats.p2m_interactions += p2m;
+        GravitySample { accel, potential }
+    }
+
+    /// The one-pair-at-a-time walk over `tree.nodes()` that `field_at`
+    /// replaced, kept as its oracle: heap stack, `Node::children` with the
+    /// sentinel, `Vec3` arithmetic per pair. (`g·m` is the product stored
+    /// at construction.)
+    #[cfg(test)]
+    fn field_at_reference(
+        &self,
+        point: Vec3,
+        skip: Option<u32>,
+        stats: &mut TraversalStats,
+    ) -> GravitySample {
+        let g = self.config.g;
+        let eps2 = self.config.softening * self.config.softening;
+        let theta2 = self.config.theta * self.config.theta;
+        let nodes = self.tree.nodes();
+        let pos = self.tree.sorted_positions();
+        let order = self.tree.order();
+
+        let mut accel = Vec3::ZERO;
+        let mut potential = 0.0;
+        let mut stack: Vec<u32> = vec![0];
+        while let Some(ni) = stack.pop() {
+            let node = &nodes[ni as usize];
+            stats.nodes_visited += 1;
+            let (mass, com) = (self.walk[ni as usize].mass, self.walk[ni as usize].com);
+            let mom = &self.moments[ni as usize];
+            if mass <= 0.0 {
+                continue;
+            }
+            let d = point - com;
+            let dist2 = d.norm_sq();
+            let size = node.tight.max_extent();
+            let accept = !node.is_leaf()
+                && dist2 > 0.0
+                && size * size < theta2 * dist2
+                && node.tight.dist_sq_to_point(point) > 0.0;
+            if accept {
+                stats.p2m_interactions += 1;
+                let r2 = dist2 + eps2;
+                let r = r2.sqrt();
+                let inv_r3 = 1.0 / (r2 * r);
+                accel -= d * (g * mass * inv_r3);
+                potential -= g * mass / r;
+                if self.config.order.degree() >= 2 {
+                    let tr_m2 = mom.m2.trace();
+                    let qd = mom.m2.mul_vec(d) * 3.0 - d * tr_m2;
+                    let dqd = d.dot(qd);
+                    let inv_r5 = inv_r3 / r2;
+                    let inv_r7 = inv_r5 / r2;
+                    potential -= 0.5 * g * dqd * inv_r5;
+                    accel += qd * (g * inv_r5) - d * (2.5 * g * dqd * inv_r7);
+                    if self.config.order.degree() >= 3 {
+                        let s_dd = mom.s3.contract_twice(d);
+                        let s_ddd = s_dd.dot(d);
+                        let td = mom.t.dot(d);
+                        let inv_r9 = inv_r7 / r2;
+                        let poly = 5.0 * s_ddd - 3.0 * td * r2;
+                        potential -= 0.5 * g * poly * inv_r7;
+                        accel += (s_dd * 15.0 - mom.t * (3.0 * r2) - d * (6.0 * td))
+                            * (0.5 * g * inv_r7)
+                            - d * (3.5 * g * poly * inv_r9);
+                    }
+                }
+            } else if node.is_leaf() {
                 for k in node.start..node.end {
                     let oi = order[k as usize];
                     if skip == Some(oi) {
@@ -272,9 +539,9 @@ impl<'a> GravitySolver<'a> {
                     let dj = point - pos[k as usize];
                     let r2 = dj.norm_sq() + eps2;
                     let r = r2.sqrt();
-                    let m = self.masses_sorted[k as usize];
-                    accel -= dj * (g * m / (r2 * r));
-                    potential -= g * m / r;
+                    let gm = self.src_gm[k as usize];
+                    accel -= dj * (gm / (r2 * r));
+                    potential -= gm / r;
                 }
             } else {
                 for &c in &node.children {
@@ -579,6 +846,173 @@ mod tests {
             let rel = (bh.potential - exact.potential).abs() / exact.potential.abs();
             assert!(rel < 5e-3, "potential rel err {rel}");
         }
+    }
+
+    /// Centrally condensed blob (Evrard-like): deep tree at the centre.
+    fn condensed_system(n: usize, seed: u64) -> (Vec<Vec3>, Vec<f64>) {
+        let mut rng = SplitMix64::new(seed);
+        let pos: Vec<Vec3> = (0..n)
+            .map(|_| {
+                let r = rng.next_f64().powi(3) * 0.5;
+                let theta = rng.uniform(0.0, std::f64::consts::PI);
+                let phi = rng.uniform(0.0, 2.0 * std::f64::consts::PI);
+                Vec3::splat(0.5)
+                    + Vec3::new(theta.sin() * phi.cos(), theta.sin() * phi.sin(), theta.cos()) * r
+            })
+            .collect();
+        let masses: Vec<f64> = (0..n).map(|_| rng.uniform(0.5, 1.5) / n as f64).collect();
+        (pos, masses)
+    }
+
+    /// `field_at` against the one-pair-at-a-time oracle: every bit of the
+    /// sample and every counter.
+    fn assert_matches_reference(
+        solver: &GravitySolver,
+        point: Vec3,
+        skip: Option<u32>,
+        what: &str,
+    ) {
+        let (mut stats, mut stats_ref) = (TraversalStats::default(), TraversalStats::default());
+        let got = solver.field_at(point, skip, &mut stats);
+        let want = solver.field_at_reference(point, skip, &mut stats_ref);
+        for (name, a, b) in [
+            ("accel.x", got.accel.x, want.accel.x),
+            ("accel.y", got.accel.y, want.accel.y),
+            ("accel.z", got.accel.z, want.accel.z),
+            ("potential", got.potential, want.potential),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: {name} {a:e} vs reference {b:e}");
+        }
+        assert_eq!(stats, stats_ref, "{what}: traversal counters");
+    }
+
+    #[test]
+    fn field_at_is_bit_identical_to_the_reference_walk() {
+        let clouds =
+            [("uniform", random_system(600, 71)), ("condensed", condensed_system(600, 72))];
+        for (cloud, (pos, masses)) in &clouds {
+            for max_leaf_size in [1, 8, 32] {
+                let tree = Octree::build(
+                    pos,
+                    &Aabb::unit(),
+                    OctreeConfig { max_leaf_size, parallel_sort: false },
+                );
+                for order in
+                    [MultipoleOrder::Monopole, MultipoleOrder::Quadrupole, MultipoleOrder::Octupole]
+                {
+                    for theta in [0.3, 0.5, 0.9] {
+                        let solver = build_solver(&tree, masses, theta, order);
+                        let what = format!("{cloud} leaf {max_leaf_size} {order:?} θ {theta}");
+                        for i in (0..pos.len()).step_by(7) {
+                            assert_matches_reference(&solver, pos[i], Some(i as u32), &what);
+                            assert_matches_reference(&solver, pos[i], None, &what);
+                        }
+                        // Skipping a particle that is not at the target, an
+                        // index no particle has, a target outside the root.
+                        assert_matches_reference(&solver, pos[3], Some(11), &what);
+                        assert_matches_reference(&solver, pos[3], Some(600), &what);
+                        assert_matches_reference(&solver, Vec3::new(2.5, -1.0, 0.5), None, &what);
+                        assert_matches_reference(
+                            &solver,
+                            Vec3::new(2.5, -1.0, 0.5),
+                            Some(0),
+                            &what,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_particle_tree_matches_the_reference() {
+        let pos = vec![Vec3::splat(0.5)];
+        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig::default());
+        let solver = build_solver(&tree, &[2.0], 0.5, MultipoleOrder::Quadrupole);
+        assert_matches_reference(&solver, Vec3::new(3.5, 0.5, 0.5), None, "far");
+        assert_matches_reference(&solver, pos[0], None, "on the particle");
+        assert_matches_reference(&solver, pos[0], Some(0), "on the particle, skipped");
+        let mut stats = TraversalStats::default();
+        let own = solver.field_at(pos[0], Some(0), &mut stats);
+        assert_eq!((own.accel, own.potential), (Vec3::ZERO, 0.0));
+        assert_eq!(stats.p2p_interactions, 0);
+    }
+
+    #[test]
+    fn fat_leaf_spans_several_lane_blocks() {
+        // 100 coincident points end in one leaf at the Morton depth limit:
+        // four lane blocks, the last one partial, under the deepest stack.
+        let (mut pos, _) = random_system(40, 5);
+        pos.extend(std::iter::repeat_n(Vec3::splat(0.25), 100));
+        let masses = vec![1.0 / 140.0; 140];
+        let tree = Octree::build(
+            &pos,
+            &Aabb::unit(),
+            OctreeConfig { max_leaf_size: 4, parallel_sort: false },
+        );
+        let fat = tree.nodes().iter().find(|n| n.is_leaf() && n.count() == 100).expect("fat leaf");
+        assert!(fat.count() > 3 * LANES);
+        assert_eq!(u32::from(fat.depth), BITS_PER_AXIS);
+        let solver = build_solver(&tree, &masses, 0.5, MultipoleOrder::Quadrupole);
+        for i in [0, 39, 40, 41, 72, 73, 104, 139] {
+            assert_matches_reference(&solver, pos[i], Some(i as u32), "fat leaf");
+            assert_matches_reference(&solver, pos[i], None, "fat leaf");
+        }
+        let mut stats = TraversalStats::default();
+        solver.field_at(pos[40], Some(40), &mut stats);
+        assert_eq!(stats.p2p_interactions, 139, "a leaf is always opened: exact near field");
+    }
+
+    #[test]
+    fn zero_softening_self_lane_never_reaches_the_fold() {
+        // With ε = 0 the target's own lane holds 0·∞ = NaN in the buffers.
+        let (pos, masses) = condensed_system(300, 13);
+        let tree = Octree::build(
+            &pos,
+            &Aabb::unit(),
+            OctreeConfig { max_leaf_size: 8, parallel_sort: false },
+        );
+        let config = GravityConfig { softening: 0.0, ..GravityConfig::default() };
+        let solver = GravitySolver::new(&tree, &masses, config);
+        for (i, &p) in pos.iter().enumerate() {
+            let mut stats = TraversalStats::default();
+            let sample = solver.field_at(p, Some(i as u32), &mut stats);
+            assert!(sample.accel.is_finite() && sample.potential.is_finite(), "target {i}");
+            assert_matches_reference(&solver, p, Some(i as u32), "ε = 0");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "softening")]
+    fn negative_softening_is_rejected() {
+        let tree = Octree::build(&[Vec3::splat(0.5)], &Aabb::unit(), OctreeConfig::default());
+        let _ = GravitySolver::new(
+            &tree,
+            &[1.0],
+            GravityConfig { softening: -1e-3, ..GravityConfig::default() },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "softening")]
+    fn non_finite_softening_is_rejected() {
+        let tree = Octree::build(&[Vec3::splat(0.5)], &Aabb::unit(), OctreeConfig::default());
+        let _ = GravitySolver::new(
+            &tree,
+            &[1.0],
+            GravityConfig { softening: f64::NAN, ..GravityConfig::default() },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "G must be finite")]
+    fn non_finite_g_is_rejected() {
+        let tree = Octree::build(&[Vec3::splat(0.5)], &Aabb::unit(), OctreeConfig::default());
+        let _ = GravitySolver::new(
+            &tree,
+            &[1.0],
+            GravityConfig { g: f64::INFINITY, ..GravityConfig::default() },
+        );
     }
 
     #[test]
