@@ -7,10 +7,13 @@ use sph_bench::{build_evrard_sim, build_square_sim};
 use sph_core::config::GradientScheme;
 use sph_core::density::compute_density;
 use sph_core::forces::compute_forces;
-use sph_core::gradients::compute_iad_matrices;
+use sph_core::gradients::{compute_iad_matrices, compute_velocity_gradients};
 use sph_core::volume::compute_volume_elements;
+use sph_exa::SimulationBuilder;
 use sph_kernels::SUPPORT_RADIUS;
+use sph_math::{SplitMix64, Vec3};
 use sph_parents::{changa, sphflow, sphynx};
+use sph_scenarios::{Resolution, Scenario, SedovScenario};
 use sph_tree::CellGrid;
 
 const N: usize = 8_000;
@@ -57,6 +60,60 @@ fn bench_force_pass(c: &mut Criterion) {
     group.finish();
 }
 
+/// The pass rows of the repo benchmark's `sedov_hydro` workload
+/// (`sph-core.density_s` / `gradients_s` / `forces_s`), on its state and
+/// its one thread: the 32³ Sedov blast in its fully periodic box, every
+/// lattice site displaced by at most 2 % of the spacing per axis, three
+/// steps in. The parent-code rows above run in open or z-periodic boxes,
+/// where the minimum-image displacement folds on one axis at most.
+fn bench_sedov_passes(c: &mut Criterion) {
+    rayon::ThreadPoolBuilder::new().num_threads(1).build_global().expect("shim pool");
+    let mut setup = SedovScenario.init(Resolution { scale: 1.0 });
+    let sys = &mut setup.sys;
+    let amp = 0.02 * (sys.periodicity.domain.volume() / sys.len() as f64).cbrt();
+    let mut rng = SplitMix64::new(20180911);
+    for x in sys.x.iter_mut() {
+        *x += Vec3::new(rng.uniform(-amp, amp), rng.uniform(-amp, amp), rng.uniform(-amp, amp));
+    }
+    let cfg = setup.config;
+    let mut sim =
+        SimulationBuilder::new(setup.sys).config(cfg).build().expect("valid Sedov simulation");
+    for _ in 0..3 {
+        sim.step().expect("stable step");
+    }
+    let mut sys = sim.sys.clone();
+    let kernel = cfg.kernel.build();
+    let kernel = kernel.as_ref();
+    let grid = CellGrid::for_radius(&sys.x, sys.periodicity, SUPPORT_RADIUS * sys.max_h());
+    let active: Vec<u32> = (0..sys.len() as u32).collect();
+    let eos = sph_core::IdealGas::new(cfg.gamma);
+    const ROW: &str = "sedov_periodic_32";
+
+    c.benchmark_group("density_pass").sample_size(20).bench_function(ROW, |b| {
+        b.iter(|| black_box(compute_density(&mut sys, &grid, kernel, &cfg, &active).1))
+    });
+    let (lists, _) = compute_density(&mut sys, &grid, kernel, &cfg, &active);
+    // Volume elements, (IAD matrices), EOS and velocity gradients: what
+    // the benchmark's `gradients` span covers.
+    c.benchmark_group("gradient_pass").sample_size(20).bench_function(ROW, |b| {
+        b.iter(|| {
+            compute_volume_elements(&mut sys, &lists, kernel, &cfg, &active);
+            if cfg.gradients == GradientScheme::Iad {
+                compute_iad_matrices(&mut sys, &lists, kernel, &active);
+            }
+            eos.apply(&sys.rho, &sys.u, &mut sys.p, &mut sys.cs);
+            compute_velocity_gradients(&mut sys, &lists, kernel, cfg.gradients, &active);
+            black_box(sys.div_v[0])
+        })
+    });
+    let sym = lists.symmetrized();
+    c.benchmark_group("force_pass").sample_size(20).bench_function(ROW, |b| {
+        b.iter(|| black_box(compute_forces(&mut sys, &sym, kernel, &cfg, &active)))
+    });
+    // Back to the default pool for the rows that follow.
+    rayon::ThreadPoolBuilder::new().num_threads(0).build_global().expect("shim pool");
+}
+
 fn bench_full_steps(c: &mut Criterion) {
     let mut group = c.benchmark_group("full_step");
     group.sample_size(10);
@@ -75,5 +132,11 @@ fn bench_full_steps(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_density_pass, bench_force_pass, bench_full_steps);
+criterion_group!(
+    benches,
+    bench_density_pass,
+    bench_force_pass,
+    bench_sedov_passes,
+    bench_full_steps
+);
 criterion_main!(benches);

@@ -10,11 +10,12 @@
 //! are produced in the same pass.
 
 use crate::config::SphConfig;
+use crate::lanes::{PairLanes, LANES};
 use crate::particles::ParticleSystem;
 use crate::StepStats;
 use rayon::prelude::*;
 use sph_kernels::{Kernel, SUPPORT_RADIUS};
-use sph_math::REDUCE_CHUNK;
+use sph_math::{Vec3, REDUCE_CHUNK};
 use sph_tree::{NeighborQuery, TraversalStats};
 
 // The CSR neighbour-list container lives in `sph-tree` next to the cell
@@ -79,6 +80,98 @@ pub fn compute_density<Q: NeighborQuery + ?Sized>(
     kernel: &dyn Kernel,
     cfg: &SphConfig,
     active: &[u32],
+) -> (NeighborLists, StepStats) {
+    compute_density_with(sys, query, kernel, cfg, active, density_sum)
+}
+
+/// `(ρ, ∂ρ/∂h)` of the particle at `xi` with smoothing length `h` over
+/// its final neighbour `row` (ascending ids, self included): a lane phase
+/// per block of the row — displacement, `r`, `q = r/h`, the two kernel
+/// shapes — then the ordered fold. The normalisations depend on `h` only
+/// and are taken once per particle.
+fn density_sum(
+    sys: &ParticleSystem,
+    kernel: &dyn Kernel,
+    xi: Vec3,
+    h: f64,
+    row: &[u32],
+) -> (f64, f64) {
+    let w_norm = kernel.w_norm(h);
+    let neg_dw_norm = -kernel.dw_norm(h);
+    let mut pairs = PairLanes::new();
+    let (mut q, mut ws, mut dws) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+    let mut rho = 0.0;
+    let mut drho_dh = 0.0;
+    for ids in row.chunks(LANES) {
+        let n = ids.len();
+        pairs.gather(sys, xi, ids);
+        for (q, &r) in q[..n].iter_mut().zip(&pairs.r[..n]) {
+            *q = r / h;
+        }
+        kernel.w_shape_lanes(&q[..n], &mut ws[..n]);
+        kernel.dw_shape_lanes(&q[..n], &mut dws[..n]);
+        for (((&j, &q), &ws), &dws) in ids.iter().zip(&q[..n]).zip(&ws[..n]).zip(&dws[..n]) {
+            let m = sys.m[j as usize];
+            // `Kernel::w_and_dw_dh`, normalisations hoisted.
+            let w = w_norm * ws;
+            let dw_dh = neg_dw_norm * (3.0 * ws + q * dws);
+            // sph-lint: allow(raw-accumulation) — FROZEN: the
+            // per-particle kernel sum in sorted-neighbour order is the
+            // cross-backend bit-identity contract; compensation would
+            // change every trajectory.
+            rho += m * w;
+            // sph-lint: allow(raw-accumulation) — FROZEN: same contract
+            // as `rho` above (identical loop, order).
+            drho_dh += m * dw_dh;
+        }
+    }
+    (rho, drho_dh)
+}
+
+/// The one-pair-at-a-time sum `density_sum` replaced, kept as its oracle.
+#[cfg(test)]
+fn density_sum_reference(
+    sys: &ParticleSystem,
+    kernel: &dyn Kernel,
+    xi: Vec3,
+    h: f64,
+    row: &[u32],
+) -> (f64, f64) {
+    let mut rho = 0.0;
+    let mut drho_dh = 0.0;
+    for &j in row {
+        let j = j as usize;
+        let d = sys.periodicity.displacement(xi, sys.x[j]);
+        let r = d.norm();
+        let (w, dw_dh) = kernel.w_and_dw_dh(r, h);
+        rho += sys.m[j] * w;
+        drho_dh += sys.m[j] * dw_dh;
+    }
+    (rho, drho_dh)
+}
+
+/// [`compute_density`] over the one-pair-at-a-time sum: the oracle of the
+/// lane-batched pass (same smoothing-length iteration, same assembly).
+#[cfg(test)]
+pub(crate) fn compute_density_reference<Q: NeighborQuery + ?Sized>(
+    sys: &mut ParticleSystem,
+    query: &Q,
+    kernel: &dyn Kernel,
+    cfg: &SphConfig,
+    active: &[u32],
+) -> (NeighborLists, StepStats) {
+    compute_density_with(sys, query, kernel, cfg, active, density_sum_reference)
+}
+
+/// The pass, over the per-particle density sum `sum` (the production one,
+/// or the oracle under test).
+fn compute_density_with<Q: NeighborQuery + ?Sized>(
+    sys: &mut ParticleSystem,
+    query: &Q,
+    kernel: &dyn Kernel,
+    cfg: &SphConfig,
+    active: &[u32],
+    sum: impl Fn(&ParticleSystem, &dyn Kernel, Vec3, f64, &[u32]) -> (f64, f64) + Sync,
 ) -> (NeighborLists, StepStats) {
     let target = cfg.target_neighbors as f64;
     let lo = (target * (1.0 - cfg.neighbor_tolerance)).floor() as usize;
@@ -200,23 +293,8 @@ pub fn compute_density<Q: NeighborQuery + ?Sized>(
                     // Distances go through the periodic minimum-image
                     // displacement — the exact arithmetic the pre-pipeline
                     // path used, so densities match it bit-for-bit.
-                    let mut rho = 0.0;
-                    let mut drho_dh = 0.0;
-                    for &j in &row {
-                        let j = j as usize;
-                        let d = sys.periodicity.displacement(xi, sys.x[j]);
-                        let r = d.norm();
-                        let (w, dw_dh) = kernel.w_and_dw_dh(r, h);
-                        // sph-lint: allow(raw-accumulation) — FROZEN: the
-                        // per-particle kernel sum in sorted-neighbour order
-                        // is the cross-backend bit-identity contract;
-                        // compensation would change every trajectory.
-                        rho += sys.m[j] * w;
-                        // sph-lint: allow(raw-accumulation) — FROZEN: same
-                        // contract as `rho` above (identical loop, order).
-                        drho_dh += sys.m[j] * dw_dh;
-                        interactions += 1;
-                    }
+                    let (rho, drho_dh) = sum(sys, kernel, xi, h, &row);
+                    interactions += row.len() as u64;
                     // Ω_i = 1 + (h/3ρ) ∂ρ/∂h
                     let omega = if rho > 0.0 { 1.0 + h / (3.0 * rho) * drho_dh } else { 1.0 };
                     h_iterations += iterations;

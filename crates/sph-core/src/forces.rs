@@ -18,14 +18,15 @@
 //! exactness; its conservation error is bounded by the matrix asymmetry
 //! and is verified small in the tests.
 
-use crate::config::SphConfig;
+use crate::config::{GradientScheme, SphConfig};
 use crate::density::NeighborLists;
 use crate::gradients::effective_gradient;
+use crate::lanes::{PairKernel, TargetLanes, LANES};
 use crate::particles::ParticleSystem;
 use crate::viscosity::{balsara_factor, pair_viscosity};
 use rayon::prelude::*;
 use sph_kernels::Kernel;
-use sph_math::{Vec3, REDUCE_CHUNK};
+use sph_math::{Mat3, Vec3, REDUCE_CHUNK};
 
 /// Evaluate hydrodynamic accelerations and energy derivatives for the
 /// active particles. Requires density, volume elements, Ω, EOS outputs
@@ -33,6 +34,155 @@ use sph_math::{Vec3, REDUCE_CHUNK};
 /// the `c_iad` matrices to be current. Returns the number of pair
 /// interactions evaluated.
 pub fn compute_forces(
+    sys: &mut ParticleSystem,
+    lists: &NeighborLists,
+    kernel: &dyn Kernel,
+    cfg: &SphConfig,
+    active: &[u32],
+) -> u64 {
+    assert_eq!(lists.query_count(), active.len());
+    let scheme = cfg.gradients;
+    let visc = cfg.viscosity;
+
+    // What a pair reads of its neighbour `j` that is a function of `j`
+    // alone, once per local particle instead of once per pair (a particle
+    // is a neighbour ~57 times): α_j, the Balsara factor, and the h-only
+    // factor of the kernel form the scheme's gradient uses. Ghost copies
+    // carry refreshed `p, Ω, ρ, cs, ∇·v, ∇×v, h`, so the values are the
+    // ones the pair loop would compute.
+    let form_j = match scheme {
+        GradientScheme::KernelDerivative => PairKernel::SlopeOverR,
+        GradientScheme::Iad => PairKernel::Value,
+    };
+    let local = sys.len();
+    let mut alpha: Vec<f64> = Vec::with_capacity(local);
+    alpha.extend((0..local).map(|j| sys.p[j] / (sys.omega[j] * sys.rho[j] * sys.rho[j])));
+    let mut norm: Vec<f64> = Vec::with_capacity(local);
+    norm.extend(sys.h.iter().map(|&h| form_j.norm(kernel, h)));
+    let mut balsara: Vec<f64> = Vec::with_capacity(if visc.balsara { local } else { 0 });
+    if visc.balsara {
+        balsara.extend(
+            (0..local).map(|j| balsara_factor(sys.div_v[j], sys.curl_v[j], sys.cs[j], sys.h[j])),
+        );
+    }
+    let f_bal = |j: usize| if visc.balsara { balsara[j] } else { 1.0 };
+
+    // Chunked map + ordered reduce: rows per chunk plus one chunk-folded
+    // pair counter, over fixed REDUCE_CHUNK boundaries (thread-count
+    // independent, so accelerations are bit-identical for any SPH_THREADS).
+    let chunks: Vec<(Vec<(Vec3, f64)>, u64)> = active
+        .par_chunks(REDUCE_CHUNK)
+        .enumerate()
+        .map(|(c, chunk)| {
+            let mut chunk_pairs = 0u64;
+            let rows = chunk
+                .iter()
+                .enumerate()
+                .map(|(off, &ai)| {
+                    let k = c * REDUCE_CHUNK + off;
+                    let i = ai as usize;
+                    let vi = sys.v[i];
+                    let hi = sys.h[i];
+                    let rho_i = sys.rho[i];
+                    let cs_i = sys.cs[i];
+                    let ci = sys.c_iad[i];
+                    let alpha_i = alpha[i];
+                    let f_bal_i = f_bal(i);
+                    let mut lanes = TargetLanes::new(sys, kernel, i, PairKernel::of(scheme, &ci));
+                    let (mut h_j, mut norm_j) = ([0.0; LANES], [0.0; LANES]);
+                    let (mut q, mut s_j) = ([0.0; LANES], [0.0; LANES]);
+                    let mut acc = Vec3::ZERO;
+                    let mut dudt = 0.0;
+                    for ids in lists.neighbors(k).chunks(LANES) {
+                        let n = ids.len();
+                        // Lane phase: geometry and the kernel factor of
+                        // g_ij(h_i, C_i), then that of g_ij(h_j, C_j), for
+                        // every pair of the block (the self pair included;
+                        // the fold never reads its lanes).
+                        lanes.lane_phase(ids);
+                        for ((h, norm_j), &j) in h_j.iter_mut().zip(&mut norm_j).zip(ids) {
+                            *h = sys.h[j as usize];
+                            *norm_j = norm[j as usize];
+                        }
+                        let norm_h_j = norm_j[..n].iter().copied().zip(h_j[..n].iter().copied());
+                        form_j.eval(kernel, &lanes.pairs.r[..n], norm_h_j, &mut q, &mut s_j);
+
+                        // Ordered fold, in row order.
+                        for (lane, &j) in ids.iter().enumerate() {
+                            let j = j as usize;
+                            if j == i {
+                                continue;
+                            }
+                            chunk_pairs += 1;
+                            let d = lanes.pairs.d(lane);
+                            let r = lanes.pairs.r[lane];
+                            let dv = vi - sys.v[j];
+
+                            let g_i = lanes.gradient(&ci, lane);
+                            let g_j = if form_j == PairKernel::Value && sys.c_iad[j] == Mat3::ZERO {
+                                // Singular C_j: the analytic fallback, one
+                                // pair at a time.
+                                effective_gradient(scheme, kernel, &sys.c_iad[j], d, r, h_j[lane])
+                            } else {
+                                form_j.gradient(&sys.c_iad[j], d, r, s_j[lane])
+                            };
+                            let g_bar = (g_i + g_j) * 0.5;
+
+                            let rho_j = sys.rho[j];
+                            let pi_ij = pair_viscosity(
+                                &visc,
+                                d,
+                                dv,
+                                hi,
+                                h_j[lane],
+                                cs_i,
+                                sys.cs[j],
+                                rho_i,
+                                rho_j,
+                                f_bal_i,
+                                f_bal(j),
+                            );
+
+                            let mj = sys.m[j];
+                            acc -= (g_i * alpha_i + g_j * alpha[j] + g_bar * pi_ij) * mj;
+                            // sph-lint: allow(raw-accumulation) — FROZEN: the
+                            // pairwise energy-rate sum in sorted-neighbour
+                            // order is part of the bit-identity contract;
+                            // compensation would change every trajectory.
+                            dudt += mj * (alpha_i * dv.dot(g_i) + 0.5 * pi_ij * dv.dot(g_bar));
+                        }
+                    }
+                    (acc, dudt)
+                })
+                .collect();
+            (rows, chunk_pairs)
+        })
+        .collect();
+
+    // Ordered reduce: write rows back in `active` order, fold pair counts.
+    let mut total_pairs = 0;
+    let mut ids = active.iter();
+    for (rows, chunk_pairs) in chunks {
+        // sph-lint: allow(raw-accumulation) — u64 interaction counter;
+        // integer addition is exact, no FP order to freeze.
+        total_pairs += chunk_pairs;
+        for (acc, dudt) in rows {
+            // sph-lint: allow(panic-path) — local invariant: the chunks
+            // are a partition of `active`, so the id iterator yields
+            // exactly one id per row; exhaustion here is a code bug.
+            let i = *ids.next().expect("chunk rows outnumber active ids") as usize;
+            sys.a[i] = acc;
+            sys.du_dt[i] = dudt;
+        }
+    }
+    total_pairs
+}
+
+/// The one-pair-at-a-time [`compute_forces`] the lane-batched pass
+/// replaced, kept verbatim as its oracle: every per-particle quantity
+/// recomputed per pair, both gradients through `effective_gradient`.
+#[cfg(test)]
+pub(crate) fn compute_forces_reference(
     sys: &mut ParticleSystem,
     lists: &NeighborLists,
     kernel: &dyn Kernel,
@@ -102,10 +252,6 @@ pub fn compute_forces(
 
                         let mj = sys.m[j];
                         acc -= (g_i * alpha_i + g_j * alpha_j + g_bar * pi_ij) * mj;
-                        // sph-lint: allow(raw-accumulation) — FROZEN: the
-                        // pairwise energy-rate sum in sorted-neighbour
-                        // order is part of the bit-identity contract;
-                        // compensation would change every trajectory.
                         dudt += mj * (alpha_i * dv.dot(g_i) + 0.5 * pi_ij * dv.dot(g_bar));
                     }
                     (acc, dudt)
@@ -119,13 +265,8 @@ pub fn compute_forces(
     let mut total_pairs = 0;
     let mut ids = active.iter();
     for (rows, chunk_pairs) in chunks {
-        // sph-lint: allow(raw-accumulation) — u64 interaction counter;
-        // integer addition is exact, no FP order to freeze.
         total_pairs += chunk_pairs;
         for (acc, dudt) in rows {
-            // sph-lint: allow(panic-path) — local invariant: the chunks
-            // are a partition of `active`, so the id iterator yields
-            // exactly one id per row; exhaustion here is a code bug.
             let i = *ids.next().expect("chunk rows outnumber active ids") as usize;
             sys.a[i] = acc;
             sys.du_dt[i] = dudt;

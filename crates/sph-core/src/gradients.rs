@@ -18,6 +18,7 @@
 
 use crate::config::GradientScheme;
 use crate::density::NeighborLists;
+use crate::lanes::{PairKernel, TargetLanes, LANES};
 use crate::particles::ParticleSystem;
 use rayon::prelude::*;
 use sph_kernels::Kernel;
@@ -47,15 +48,15 @@ pub fn compute_iad_matrices(
                 .map(|(off, &ai)| {
                     let k = c * REDUCE_CHUNK + off;
                     let i = ai as usize;
-                    let xi = sys.x[i];
-                    let h = sys.h[i];
+                    let mut lanes = TargetLanes::new(sys, kernel, i, PairKernel::Value);
                     let mut tau = Mat3::ZERO;
-                    for &j in lists.neighbors(k) {
-                        let j = j as usize;
-                        // r_j − r_i under the periodic metric.
-                        let dji = -sys.periodicity.displacement(xi, sys.x[j]);
-                        let w = kernel.w(dji.norm(), h);
-                        tau.add_scaled_outer(dji, sys.vol[j] * w);
+                    for ids in lists.neighbors(k).chunks(LANES) {
+                        lanes.lane_phase(ids);
+                        for (lane, &j) in ids.iter().enumerate() {
+                            // r_j − r_i under the periodic metric.
+                            let dji = -lanes.pairs.d(lane);
+                            tau.add_scaled_outer(dji, sys.vol[j as usize] * lanes.s[lane]);
+                        }
                     }
                     tau.inverse().unwrap_or(Mat3::ZERO)
                 })
@@ -118,6 +119,152 @@ pub fn scalar_gradient(
     f: &[f64],
 ) -> Vec<Vec3> {
     assert_eq!(f.len(), sys.len());
+    assert_eq!(lists.query_count(), active.len());
+    let chunks: Vec<Vec<Vec3>> = active
+        .par_chunks(REDUCE_CHUNK)
+        .enumerate()
+        .map(|(c, chunk)| {
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(off, &ai)| {
+                    let k = c * REDUCE_CHUNK + off;
+                    let i = ai as usize;
+                    let ci = &sys.c_iad[i];
+                    let mut lanes = TargetLanes::new(sys, kernel, i, PairKernel::of(scheme, ci));
+                    let mut grad = Vec3::ZERO;
+                    for ids in lists.neighbors(k).chunks(LANES) {
+                        lanes.lane_phase(ids);
+                        for (lane, &j) in ids.iter().enumerate() {
+                            let j = j as usize;
+                            if j == i {
+                                continue;
+                            }
+                            let g = lanes.gradient(ci, lane);
+                            // sph-lint: allow(raw-accumulation) — FROZEN: the
+                            // per-particle gradient sum in sorted-neighbour
+                            // order is part of the bit-identity contract.
+                            grad += g * (sys.vol[j] * (f[j] - f[i]));
+                        }
+                    }
+                    grad
+                })
+                .collect()
+        })
+        .collect();
+    chunks.into_iter().flatten().collect()
+}
+
+/// Compute `∇·v` and `|∇×v|` for the active particles, writing them into
+/// `sys.div_v` / `sys.curl_v` (consumed by the Balsara switch and by the
+/// conservation diagnostics).
+pub fn compute_velocity_gradients(
+    sys: &mut ParticleSystem,
+    lists: &NeighborLists,
+    kernel: &dyn Kernel,
+    scheme: GradientScheme,
+    active: &[u32],
+) {
+    assert_eq!(lists.query_count(), active.len());
+    let chunks: Vec<Vec<(f64, f64)>> = active
+        .par_chunks(REDUCE_CHUNK)
+        .enumerate()
+        .map(|(c, chunk)| {
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(off, &ai)| {
+                    let k = c * REDUCE_CHUNK + off;
+                    let i = ai as usize;
+                    let vi = sys.v[i];
+                    let ci = &sys.c_iad[i];
+                    let mut lanes = TargetLanes::new(sys, kernel, i, PairKernel::of(scheme, ci));
+                    let mut div = 0.0;
+                    let mut curl = Vec3::ZERO;
+                    for ids in lists.neighbors(k).chunks(LANES) {
+                        lanes.lane_phase(ids);
+                        for (lane, &j) in ids.iter().enumerate() {
+                            let j = j as usize;
+                            if j == i {
+                                continue;
+                            }
+                            let g = lanes.gradient(ci, lane);
+                            let dv = sys.v[j] - vi;
+                            let vol = sys.vol[j];
+                            // sph-lint: allow(raw-accumulation) — FROZEN: the
+                            // divergence sum in sorted-neighbour order feeds
+                            // the Balsara switch; part of the bit contract.
+                            div += vol * dv.dot(g);
+                            // sph-lint: allow(raw-accumulation) — FROZEN: same
+                            // contract as `div` above (identical loop, order).
+                            curl += (dv.cross(g)) * vol;
+                        }
+                    }
+                    (div, curl.norm())
+                })
+                .collect()
+        })
+        .collect();
+    for (&ai, (div, curl)) in active.iter().zip(chunks.into_iter().flatten()) {
+        sys.div_v[ai as usize] = div;
+        sys.curl_v[ai as usize] = curl;
+    }
+}
+
+/// The one-pair-at-a-time [`compute_iad_matrices`] the lane-batched pass replaced,
+/// kept verbatim as its oracle.
+#[cfg(test)]
+pub(crate) fn compute_iad_matrices_reference(
+    sys: &mut ParticleSystem,
+    lists: &NeighborLists,
+    kernel: &dyn Kernel,
+    active: &[u32],
+) {
+    assert_eq!(lists.query_count(), active.len());
+    // Chunked map over fixed REDUCE_CHUNK boundaries; the ordered flatten
+    // below reproduces `active` order exactly for any thread count.
+    let chunks: Vec<Vec<Mat3>> = active
+        .par_chunks(REDUCE_CHUNK)
+        .enumerate()
+        .map(|(c, chunk)| {
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(off, &ai)| {
+                    let k = c * REDUCE_CHUNK + off;
+                    let i = ai as usize;
+                    let xi = sys.x[i];
+                    let h = sys.h[i];
+                    let mut tau = Mat3::ZERO;
+                    for &j in lists.neighbors(k) {
+                        let j = j as usize;
+                        // r_j − r_i under the periodic metric.
+                        let dji = -sys.periodicity.displacement(xi, sys.x[j]);
+                        let w = kernel.w(dji.norm(), h);
+                        tau.add_scaled_outer(dji, sys.vol[j] * w);
+                    }
+                    tau.inverse().unwrap_or(Mat3::ZERO)
+                })
+                .collect()
+        })
+        .collect();
+    for (&ai, m) in active.iter().zip(chunks.into_iter().flatten()) {
+        sys.c_iad[ai as usize] = m;
+    }
+}
+
+/// The one-pair-at-a-time [`scalar_gradient`] the lane-batched pass replaced,
+/// kept verbatim as its oracle.
+#[cfg(test)]
+pub(crate) fn scalar_gradient_reference(
+    sys: &ParticleSystem,
+    lists: &NeighborLists,
+    kernel: &dyn Kernel,
+    scheme: GradientScheme,
+    active: &[u32],
+    f: &[f64],
+) -> Vec<Vec3> {
+    assert_eq!(f.len(), sys.len());
     let chunks: Vec<Vec<Vec3>> = active
         .par_chunks(REDUCE_CHUNK)
         .enumerate()
@@ -139,9 +286,6 @@ pub fn scalar_gradient(
                         }
                         let d = sys.periodicity.displacement(xi, sys.x[j]);
                         let g = effective_gradient(scheme, kernel, ci, d, d.norm(), h);
-                        // sph-lint: allow(raw-accumulation) — FROZEN: the
-                        // per-particle gradient sum in sorted-neighbour
-                        // order is part of the bit-identity contract.
                         grad += g * (sys.vol[j] * (f[j] - f[i]));
                     }
                     grad
@@ -152,10 +296,10 @@ pub fn scalar_gradient(
     chunks.into_iter().flatten().collect()
 }
 
-/// Compute `∇·v` and `|∇×v|` for the active particles, writing them into
-/// `sys.div_v` / `sys.curl_v` (consumed by the Balsara switch and by the
-/// conservation diagnostics).
-pub fn compute_velocity_gradients(
+/// The one-pair-at-a-time [`compute_velocity_gradients`] the lane-batched pass replaced,
+/// kept verbatim as its oracle.
+#[cfg(test)]
+pub(crate) fn compute_velocity_gradients_reference(
     sys: &mut ParticleSystem,
     lists: &NeighborLists,
     kernel: &dyn Kernel,
@@ -187,12 +331,7 @@ pub fn compute_velocity_gradients(
                         let g = effective_gradient(scheme, kernel, ci, d, d.norm(), h);
                         let dv = sys.v[j] - vi;
                         let vol = sys.vol[j];
-                        // sph-lint: allow(raw-accumulation) — FROZEN: the
-                        // divergence sum in sorted-neighbour order feeds
-                        // the Balsara switch; part of the bit contract.
                         div += vol * dv.dot(g);
-                        // sph-lint: allow(raw-accumulation) — FROZEN: same
-                        // contract as `div` above (identical loop, order).
                         curl += (dv.cross(g)) * vol;
                     }
                     (div, curl.norm())
@@ -389,6 +528,33 @@ mod tests {
             assert!((sys.div_v[i] - 3.0).abs() < 1e-9, "div {} at {i}", sys.div_v[i]);
             assert!(sys.curl_v[i].abs() < 1e-9, "curl {} at {i}", sys.curl_v[i]);
         }
+    }
+
+    /// Gather lists of all particles, queried with a shorter `active`:
+    /// row `k` would be read as the row of `active[k]`.
+    fn lists_longer_than_active() -> (ParticleSystem, NeighborLists, Vec<u32>) {
+        let cfg = SphConfig { target_neighbors: 40, ..Default::default() };
+        let mut sys = jittered_system(6, 0.1, 5);
+        let lists = prepare(&mut sys, &cfg);
+        (sys, lists, vec![3, 9, 27])
+    }
+
+    #[test]
+    #[should_panic(expected = "assertion `left == right` failed")]
+    fn velocity_gradients_reject_lists_that_do_not_match_active() {
+        let (mut sys, lists, active) = lists_longer_than_active();
+        let kernel = SphConfig::default().kernel.build();
+        let scheme = GradientScheme::KernelDerivative;
+        compute_velocity_gradients(&mut sys, &lists, kernel.as_ref(), scheme, &active);
+    }
+
+    #[test]
+    #[should_panic(expected = "assertion `left == right` failed")]
+    fn scalar_gradient_rejects_lists_that_do_not_match_active() {
+        let (sys, lists, active) = lists_longer_than_active();
+        let kernel = SphConfig::default().kernel.build();
+        let scheme = GradientScheme::KernelDerivative;
+        scalar_gradient(&sys, &lists, kernel.as_ref(), scheme, &active, &sys.u);
     }
 
     #[test]

@@ -25,6 +25,9 @@ pub mod eos;
 pub mod forces;
 pub mod gradients;
 pub mod integrator;
+mod lanes;
+#[cfg(test)]
+mod oracle;
 pub mod particles;
 pub mod timestep;
 pub mod viscosity;

@@ -10,6 +10,7 @@
 
 use crate::config::{SphConfig, VolumeElements};
 use crate::density::NeighborLists;
+use crate::lanes::{PairKernel, TargetLanes, LANES};
 use crate::particles::ParticleSystem;
 use rayon::prelude::*;
 use sph_kernels::Kernel;
@@ -58,16 +59,83 @@ pub fn compute_volume_elements(
                         .map(|(off, &ai)| {
                             let k = c * REDUCE_CHUNK + off;
                             let i = ai as usize;
+                            let mut lanes = TargetLanes::new(sys, kernel, i, PairKernel::Value);
+                            let mut kappa = 0.0;
+                            for ids in lists.neighbors(k).chunks(LANES) {
+                                lanes.lane_phase(ids);
+                                for (&j, &w) in ids.iter().zip(&lanes.s) {
+                                    // sph-lint: allow(raw-accumulation) — FROZEN sum:
+                                    // the volume-element normalisation in
+                                    // sorted-neighbour order is part of the
+                                    // bit-identity contract.
+                                    kappa += x_est[j as usize] * w;
+                                }
+                            }
+                            if kappa > 0.0 {
+                                x_est[i] / kappa
+                            } else {
+                                sys.m[i] / sys.rho[i].max(1e-300)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            for (&ai, v) in active.iter().zip(chunks.into_iter().flatten()) {
+                let i = ai as usize;
+                sys.vol[i] = v;
+                sys.rho[i] = sys.m[i] / v;
+            }
+        }
+    }
+}
+
+/// The one-pair-at-a-time [`compute_volume_elements`] the lane-batched pass replaced,
+/// kept verbatim as its oracle.
+#[cfg(test)]
+pub(crate) fn compute_volume_elements_reference(
+    sys: &mut ParticleSystem,
+    lists: &NeighborLists,
+    kernel: &dyn Kernel,
+    cfg: &SphConfig,
+    active: &[u32],
+) {
+    assert_eq!(lists.query_count(), active.len());
+    match cfg.volume_elements {
+        VolumeElements::Standard => {
+            for &ai in active {
+                let i = ai as usize;
+                debug_assert!(sys.rho[i] > 0.0, "volume elements need density first");
+                sys.vol[i] = sys.m[i] / sys.rho[i];
+            }
+        }
+        VolumeElements::Generalized { p } => {
+            // X from the *pre-update* density for every particle (neighbour
+            // X values are needed, so evaluate globally — cheap, O(n)).
+            // Pre-sized: one deliberate allocation, no grow cycle.
+            let mut x_est: Vec<f64> = Vec::with_capacity(sys.m.len());
+            x_est.extend(sys.m.iter().zip(&sys.rho).map(|(&m, &rho)| {
+                if rho > 0.0 {
+                    (m / rho).powf(p)
+                } else {
+                    1.0
+                }
+            }));
+            let chunks: Vec<Vec<f64>> = active
+                .par_chunks(REDUCE_CHUNK)
+                .enumerate()
+                .map(|(c, chunk)| {
+                    chunk
+                        .iter()
+                        .enumerate()
+                        .map(|(off, &ai)| {
+                            let k = c * REDUCE_CHUNK + off;
+                            let i = ai as usize;
                             let xi = sys.x[i];
                             let h = sys.h[i];
                             let mut kappa = 0.0;
                             for &j in lists.neighbors(k) {
                                 let j = j as usize;
                                 let r = sys.periodicity.distance(xi, sys.x[j]);
-                                // sph-lint: allow(raw-accumulation) — FROZEN sum:
-                                // the volume-element normalisation in
-                                // sorted-neighbour order is part of the
-                                // bit-identity contract.
                                 kappa += x_est[j] * kernel.w(r, h);
                             }
                             if kappa > 0.0 {

@@ -15,6 +15,17 @@
 //! Kernels are interchangeable modules, exactly as §4 of the paper requires
 //! ("some of them, such as the SPH interpolation kernels, can be implemented
 //! as separate interchangeable modules").
+//!
+//! **Split normalisation.** `σ/h³` and `σ/h⁴` depend on the particle, not
+//! on the pair, and a division costs more than everything else in a
+//! kernel evaluation. [`Kernel::w_norm`] / [`Kernel::dw_norm`] are those
+//! factors; `w`, `dw_dr`, `dw_dh` and `w_and_dw_dh` are defined as
+//! `norm * f(shape(r/h))` in one fixed association (stated on `w_norm`),
+//! so a pair loop that takes the factor once per particle and multiplies
+//! it onto [`Kernel::w_shape`] / [`Kernel::dw_shape`] itself gets the bit
+//! pattern of the one-call form. [`Kernel::w_shape_lanes`] /
+//! [`Kernel::dw_shape_lanes`] evaluate the shape over a block of pairs
+//! with one dynamic dispatch.
 
 pub mod cubic_spline;
 pub mod quadrature;
@@ -48,43 +59,87 @@ pub trait Kernel: Send + Sync {
     /// Normalization constant `σ` with `W = σ/h³ · w(q)`.
     fn sigma(&self) -> f64;
 
+    /// The h-only factor of [`Kernel::w`]: `σ / (h·h·h)`.
+    ///
+    /// **Association contract.** `w`, `dw_dr`, `dw_dh` and `w_and_dw_dh`
+    /// are *defined* as a normalisation times a function of `q = r/h`:
+    ///
+    /// ```text
+    /// w(r, h)     = w_norm(h) * w_shape(r / h)
+    /// dw_dr(r, h) = dw_norm(h) * dw_shape(r / h)
+    /// dw_dh(r, h) = -dw_norm(h) * (3.0 * w_shape(q) + q * dw_shape(q))
+    /// ```
+    ///
+    /// with exactly these operations in this order, so a pair loop may
+    /// compute the normalisation once per particle (it does not depend on
+    /// the pair) and multiply it onto the shape itself: the product is
+    /// the bit pattern the one-call form returns. Implementations do not
+    /// override any of the six; a test holds the identity for every
+    /// kernel in the crate.
+    #[inline]
+    fn w_norm(&self, h: f64) -> f64 {
+        debug_assert!(h > 0.0);
+        self.sigma() / (h * h * h)
+    }
+
+    /// The h-only factor of [`Kernel::dw_dr`] and [`Kernel::dw_dh`]:
+    /// `σ / (h·h·h·h)`. Same contract as [`Kernel::w_norm`].
+    #[inline]
+    fn dw_norm(&self, h: f64) -> f64 {
+        debug_assert!(h > 0.0);
+        self.sigma() / (h * h * h * h)
+    }
+
+    /// `out[k] = w_shape(q[k])` over the common length of the slices: the
+    /// shape evaluation of a pair loop's lane phase, one dispatch per
+    /// block of pairs instead of one per pair. Not overridden, so each
+    /// element is the bit pattern the scalar call returns.
+    #[inline]
+    fn w_shape_lanes(&self, q: &[f64], out: &mut [f64]) {
+        for (o, &q) in out.iter_mut().zip(q) {
+            *o = self.w_shape(q);
+        }
+    }
+
+    /// `out[k] = dw_shape(q[k])`; see [`Kernel::w_shape_lanes`].
+    #[inline]
+    fn dw_shape_lanes(&self, q: &[f64], out: &mut [f64]) {
+        for (o, &q) in out.iter_mut().zip(q) {
+            *o = self.dw_shape(q);
+        }
+    }
+
     /// Kernel value `W(r, h)`.
     #[inline]
     fn w(&self, r: f64, h: f64) -> f64 {
-        debug_assert!(h > 0.0);
-        self.sigma() / (h * h * h) * self.w_shape(r / h)
+        self.w_norm(h) * self.w_shape(r / h)
     }
 
     /// Radial derivative `∂W/∂r`.
     #[inline]
     fn dw_dr(&self, r: f64, h: f64) -> f64 {
-        debug_assert!(h > 0.0);
-        self.sigma() / (h * h * h * h) * self.dw_shape(r / h)
+        self.dw_norm(h) * self.dw_shape(r / h)
     }
 
     /// Smoothing-length derivative `∂W/∂h` at fixed `r`:
     /// `∂W/∂h = −σ/h⁴ · (3 w(q) + q w′(q))`.
     #[inline]
     fn dw_dh(&self, r: f64, h: f64) -> f64 {
-        debug_assert!(h > 0.0);
         let q = r / h;
-        -self.sigma() / (h * h * h * h) * (3.0 * self.w_shape(q) + q * self.dw_shape(q))
+        -self.dw_norm(h) * (3.0 * self.w_shape(q) + q * self.dw_shape(q))
     }
 
-    /// Fused `(W, ∂W/∂h)` evaluation for the density hot loop: one
-    /// `w_shape` call and one virtual dispatch instead of the two shape
-    /// evaluations and two dispatches separate [`Kernel::w`] +
-    /// [`Kernel::dw_dh`] calls pay per neighbour. The expressions are the
-    /// exact ones from those defaults (sharing the pure `w_shape(q)`
-    /// value), so the results are bit-identical to calling them apart.
+    /// Fused `(W, ∂W/∂h)` evaluation: one `w_shape` call and one virtual
+    /// dispatch instead of the two shape evaluations and two dispatches
+    /// separate [`Kernel::w`] + [`Kernel::dw_dh`] calls pay. The
+    /// expressions are the exact ones from those defaults (sharing the
+    /// pure `w_shape(q)` value), so the results are bit-identical to
+    /// calling them apart.
     #[inline]
     fn w_and_dw_dh(&self, r: f64, h: f64) -> (f64, f64) {
-        debug_assert!(h > 0.0);
         let q = r / h;
         let ws = self.w_shape(q);
-        let w = self.sigma() / (h * h * h) * ws;
-        let dw_dh = -self.sigma() / (h * h * h * h) * (3.0 * ws + q * self.dw_shape(q));
-        (w, dw_dh)
+        (self.w_norm(h) * ws, -self.dw_norm(h) * (3.0 * ws + q * self.dw_shape(q)))
     }
 
     /// Gradient `∇_i W(|r_ij|, h)` for the displacement `r_ij = r_i − r_j`.
@@ -253,6 +308,33 @@ mod tests {
                         "{} r={r} h={h}",
                         k.name()
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_normalisation_is_bit_identical_to_the_one_call_form() {
+        // The association contract of `w_norm` / `dw_norm`, against the
+        // expressions the one-call forms had before the split: the pair
+        // loops hoist the normalisation out of the pair, and every golden
+        // fingerprint rests on that changing nothing.
+        for k in all_kernels() {
+            let sigma = k.sigma();
+            for i in 0..=90 {
+                let r = i as f64 * 0.027;
+                for &h in &[1e-3, 0.031_25, 0.4, 1.0, 1.7, 3e4] {
+                    let r = r * h;
+                    let q = r / h;
+                    let w = sigma / (h * h * h) * k.w_shape(q);
+                    let dw_dr = sigma / (h * h * h * h) * k.dw_shape(q);
+                    let dw_dh = -sigma / (h * h * h * h) * (3.0 * k.w_shape(q) + q * k.dw_shape(q));
+                    let at = format!("{} r={r} h={h}", k.name());
+                    assert_eq!(k.w(r, h).to_bits(), w.to_bits(), "{at}");
+                    assert_eq!(k.dw_dr(r, h).to_bits(), dw_dr.to_bits(), "{at}");
+                    assert_eq!(k.dw_dh(r, h).to_bits(), dw_dh.to_bits(), "{at}");
+                    assert_eq!((k.w_norm(h) * k.w_shape(q)).to_bits(), w.to_bits(), "{at}");
+                    assert_eq!((k.dw_norm(h) * k.dw_shape(q)).to_bits(), dw_dr.to_bits(), "{at}");
                 }
             }
         }

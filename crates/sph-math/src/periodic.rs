@@ -18,6 +18,27 @@ pub struct Periodicity {
     pub periodic: [bool; 3],
 }
 
+/// Fold one displacement component into `(-span/2, span/2]`:
+/// `c − span·round(c/span)`, without the divide when it cannot matter.
+///
+/// Every pair loop calls this three times per pair on a periodic box, and
+/// nearly every pair is nowhere near the wrap. For `|c| < 0.49·span` (a
+/// finite product) the quotient rounds to a value strictly inside (−½, ½),
+/// `round` gives ±0, `span·(±0)` is ±0, and `c − (±0)` is `c` for `c ≠ 0`
+/// and `+0.0` for `c = ±0.0` — which is `c + 0.0`, bit for bit. NaN fails
+/// the comparison and an infinite span fails the finiteness test (there
+/// `span·0` is NaN), so both take the full expression like every
+/// component near or beyond the half span.
+#[inline]
+fn fold_min_image(c: f64, span: f64) -> f64 {
+    let near = 0.49 * span;
+    if c.abs() < near && near < f64::INFINITY {
+        c + 0.0
+    } else {
+        c - span * (c / span).round()
+    }
+}
+
 impl Periodicity {
     /// No periodic axes; the domain is kept only for reference.
     pub fn open(domain: Aabb) -> Self {
@@ -57,8 +78,7 @@ impl Periodicity {
                 let span = self.span(axis);
                 if span > 0.0 {
                     let c = d.component_mut(axis);
-                    // Fold into (-span/2, span/2].
-                    *c -= span * (*c / span).round();
+                    *c = fold_min_image(*c, span);
                 }
             }
         }
@@ -224,6 +244,85 @@ mod tests {
         // Corner point near (0,0,0): 2^3 = 8 images including identity.
         let offs = p.ghost_offsets(Vec3::splat(0.01), 0.05);
         assert_eq!(offs.len(), 8);
+    }
+
+    /// `displacement` as it was before the divide-free branch: the
+    /// oracle of the exactness property below.
+    fn displacement_reference(per: &Periodicity, a: Vec3, b: Vec3) -> Vec3 {
+        let mut d = a - b;
+        for axis in 0..3 {
+            if per.periodic[axis] {
+                let span = per.span(axis);
+                if span > 0.0 {
+                    let c = d.component_mut(axis);
+                    *c -= span * (*c / span).round();
+                }
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn displacement_is_bit_identical_to_the_divide_and_round_form() {
+        use crate::rng::SplitMix64;
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let masks =
+            [[true, false, false], [false, true, false], [false, false, true], [true, true, true]];
+        let mut rng = SplitMix64::new(0xD15B);
+        let mut checked = 0usize;
+        for span in [1.0, 1.0 / 3.0, 1e-300, 1e300, f64::INFINITY, 0.0] {
+            let near = 0.49 * span;
+            let mut cs = vec![
+                0.0,
+                f64::MIN_POSITIVE,
+                near,
+                0.5 * span,
+                span,
+                1.5 * span,
+                7.3 * span,
+                f64::INFINITY,
+            ];
+            if near > 0.0 && near.is_finite() {
+                cs.extend([up(near), down(near)]);
+            }
+            // Random draws over ±1.6 spans, denser around the branch point
+            // and the half span where the fold changes value.
+            let scale = if span.is_finite() && span > 0.0 { span } else { 1.0 };
+            for k in 0..2_000 {
+                cs.push(match k % 4 {
+                    0 => scale * rng.uniform(0.0, 1.6),
+                    1 => scale * rng.uniform(0.48, 0.51),
+                    2 => scale * rng.uniform(0.0, 0.49),
+                    _ => scale * rng.uniform(0.0, 1e-12),
+                });
+            }
+            cs.push(f64::NAN);
+            for &mag in &cs {
+                for c in [mag, -mag] {
+                    for periodic in masks {
+                        let per = Periodicity {
+                            domain: Aabb { lo: Vec3::ZERO, hi: Vec3::splat(span) },
+                            periodic,
+                        };
+                        let got = per.displacement(Vec3::splat(c), Vec3::ZERO);
+                        let want = displacement_reference(&per, Vec3::splat(c), Vec3::ZERO);
+                        for axis in 0..3 {
+                            let (g, w) = (got.component(axis), want.component(axis));
+                            // Which NaN an operation returns (sign, payload)
+                            // is not specified; that it is one is.
+                            assert!(
+                                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                                "c = {c:e}, span = {span:e}, periodic {periodic:?}, axis {axis}: \
+                                 {g:e} vs {w:e}"
+                            );
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 10_000, "only {checked} draws");
     }
 
     #[test]

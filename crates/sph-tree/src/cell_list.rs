@@ -154,11 +154,9 @@ impl NeighborLists {
         let n = self.query_count();
         // Reverse-edge degrees: how many k ≠ j list j as a neighbour.
         let mut rev_off = vec![0u32; n + 1];
-        for &j in &self.indices {
-            assert!((j as usize) < n, "symmetrized() requires full-system lists");
-        }
         for k in 0..n {
             for &j in self.neighbors(k) {
+                assert!((j as usize) < n, "symmetrized() requires full-system lists");
                 if j as usize != k {
                     rev_off[j as usize + 1] += 1;
                 }
@@ -417,6 +415,41 @@ impl CellGrid {
         let (x0, x1) = self.axis_range(0, center.x, radius);
         let (y0, y1) = self.axis_range(1, center.y, radius);
         let (z0, z1) = self.axis_range(2, center.z, radius);
+        let cells_per_row = (x1 - x0 + 1) as u64;
+        for iz in z0..=z1 {
+            for iy in y0..=y1 {
+                // Cells x0..=x1 of one (iy, iz) row are adjacent in the
+                // cell-major arrays: one contiguous run, visited in the
+                // order the cell-by-cell loop visits it.
+                let row = (iz * self.dims[1] + iy) * self.dims[0];
+                let s = self.cell_offsets[row + x0] as usize;
+                let e = self.cell_offsets[row + x1 + 1] as usize;
+                stats.nodes_visited += cells_per_row;
+                stats.p2p_interactions += (e - s) as u64;
+                for (k, p) in (s..e).zip(&self.sorted_pos[s..e]) {
+                    let d2 = p.dist_sq(center);
+                    if d2 <= r2 {
+                        visit(k, d2);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The cell-by-cell scan `scan_one_image` replaced, kept as its
+    /// oracle: same visit order, same counts.
+    #[cfg(test)]
+    fn scan_one_image_reference(
+        &self,
+        center: Vec3,
+        radius: f64,
+        mut visit: impl FnMut(usize, f64),
+        stats: &mut TraversalStats,
+    ) {
+        let r2 = radius * radius;
+        let (x0, x1) = self.axis_range(0, center.x, radius);
+        let (y0, y1) = self.axis_range(1, center.y, radius);
+        let (z0, z1) = self.axis_range(2, center.z, radius);
         for iz in z0..=z1 {
             for iy in y0..=y1 {
                 let row = (iz * self.dims[1] + iy) * self.dims[0];
@@ -658,6 +691,69 @@ mod tests {
     }
 
     #[test]
+    fn row_run_scan_keeps_the_cell_by_cell_sequence_and_counts() {
+        // The scan walks one contiguous run per (iy, iz) row instead of
+        // one cell at a time. The accepted `(id, d²)` sequence and all
+        // three traversal counters feed the h-iteration, the performance
+        // model and the benchmark's exact counts: none may move.
+        let pts = random_points(2000, 0x5CA9);
+        let per = Periodicity::fully_periodic(Aabb::unit());
+        let grid = CellGrid::build(&pts, per, 0.1);
+        assert_eq!(grid.dims(), [10, 10, 10]);
+        let reference = |center: Vec3, radius: f64| {
+            let mut out = Vec::new();
+            let mut stats = TraversalStats::default();
+            let clamped = grid.clamp_radius(radius);
+            if clamped < radius {
+                stats.radius_clamps += 1;
+            }
+            for_each_image_offset(&per, center, clamped, |offset| {
+                grid.scan_one_image_reference(
+                    center + offset,
+                    clamped,
+                    |k, d2| out.push((grid.entries[k], d2)),
+                    &mut stats,
+                );
+            });
+            (out, stats)
+        };
+        let mut queries = vec![
+            // x0..=x1 is the whole axis (and the images reach past it).
+            (Vec3::new(0.5, 0.5, 0.5), 0.49),
+            // Past the half span: clamped, one clamp event.
+            (Vec3::new(0.3, 0.6, 0.2), 0.7),
+            // Range cut off at the high face on every axis.
+            (Vec3::new(0.999, 0.995, 0.97), 0.15),
+            // … and at the low face.
+            (Vec3::new(0.001, 0.0, 0.03), 0.12),
+            // A single cell per row.
+            (Vec3::new(0.55, 0.55, 0.55), 0.01),
+        ];
+        let mut rng = SplitMix64::new(0xCE11);
+        for _ in 0..40 {
+            let c = Vec3::new(rng.next_f64(), rng.next_f64(), rng.next_f64());
+            queries.push((c, rng.uniform(0.02, 0.3)));
+        }
+        let mut accepted = 0;
+        for (center, radius) in queries {
+            let mut got = Vec::new();
+            let mut stats = TraversalStats::default();
+            grid.neighbors_with_dist(center, radius, &mut got, &mut stats);
+            let (want, want_stats) = reference(center, radius);
+            assert_eq!(got.len(), want.len(), "c={center:?} r={radius}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!((g.0, g.1.to_bits()), (w.0, w.1.to_bits()), "c={center:?} r={radius}");
+            }
+            assert_eq!(stats.nodes_visited, want_stats.nodes_visited, "c={center:?} r={radius}");
+            assert_eq!(stats.p2p_interactions, want_stats.p2p_interactions);
+            assert_eq!(stats.radius_clamps, want_stats.radius_clamps);
+            assert_eq!(stats.p2m_interactions, want_stats.p2m_interactions);
+            accepted += got.len();
+        }
+        assert!(accepted > 3_000, "queries too small to mean anything: {accepted}");
+    }
+
+    #[test]
     fn radius_spanning_many_cells_is_exact() {
         // Radii well past the cell edge force multi-ring scans.
         let pts = random_points(800, 5);
@@ -790,6 +886,14 @@ mod tests {
         assert_eq!(nl.neighbors(2), &[7]);
         assert_eq!(nl.total_neighbors(), 4);
         assert!((nl.mean_count() - 4.0 / 3.0).abs() < 1e-15);
+    }
+
+    #[test]
+    #[should_panic(expected = "symmetrized() requires full-system lists")]
+    fn symmetrized_rejects_an_id_beyond_the_query_count() {
+        // Row 1 names particle 3 of a 3-query list: a subset's gather
+        // lists, whose closure would need rows that do not exist.
+        NeighborLists::from_lists(vec![vec![0, 1], vec![1, 3], vec![2]]).symmetrized();
     }
 
     #[test]
