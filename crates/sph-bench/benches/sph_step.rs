@@ -1,6 +1,6 @@
 //! Benchmarks of the SPH pipeline phases (Algorithm 1, step 3) and full
 //! time-steps for each parent-code configuration — the measured (host)
-//! side of the per-interaction cost calibration in EXPERIMENTS.md.
+//! side of the per-interaction cost calibration.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sph_bench::{build_evrard_sim, build_square_sim};

@@ -1,5 +1,6 @@
-//! Benchmarks of the tree substrate: build (Algorithm 1, step 1),
-//! neighbour search (step 2) and the Barnes–Hut gravity walk (step 4).
+//! Benchmarks of the spatial substrate: octree build (Algorithm 1,
+//! step 1), cell-grid neighbour search (step 2) and the Barnes–Hut
+//! gravity walk (step 4).
 //!
 //! The tree build bench is the ablation behind the Fig. 4 finding: the
 //! parallel Morton sort is what replaces SPHYNX 1.3.1's serial build.
@@ -7,7 +8,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sph_math::{Aabb, Periodicity, SplitMix64, Vec3};
 use sph_tree::{
-    GravityConfig, GravitySolver, MultipoleOrder, NeighborSearch, Octree, OctreeConfig,
+    build_csr_lists, CellGrid, GravityConfig, GravitySolver, MultipoleOrder, Octree, OctreeConfig,
     TraversalStats,
 };
 
@@ -53,23 +54,22 @@ fn bench_tree_build(c: &mut Criterion) {
 fn bench_neighbor_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("neighbor_search");
     let pts = random_points(50_000, 2);
-    let tree = Octree::build(&pts, &Aabb::unit(), OctreeConfig::default());
-    let search = NeighborSearch::new(&tree, Periodicity::open(Aabb::unit()));
     // Radius tuned for ~100 neighbours — the paper's target count.
     let radius = (100.0_f64 / 50_000.0 * 3.0 / (4.0 * std::f64::consts::PI)).cbrt();
+    let grid = CellGrid::for_radius(&pts, Periodicity::open(Aabb::unit()), radius);
     group.bench_function("single_query_100nb", |b| {
         let mut out = Vec::with_capacity(128);
         let mut stats = TraversalStats::default();
         b.iter(|| {
             out.clear();
-            search.neighbors_within(black_box(Vec3::splat(0.5)), radius, &mut out, &mut stats);
+            grid.neighbors_within(black_box(Vec3::splat(0.5)), radius, &mut out, &mut stats);
             black_box(out.len())
         })
     });
     group.bench_function("batch_1000_queries", |b| {
         let centers: Vec<Vec3> = pts[..1000].to_vec();
         let radii = vec![radius; 1000];
-        b.iter(|| black_box(search.batch_neighbors(&centers, &radii).1))
+        b.iter(|| black_box(build_csr_lists(&grid, &centers, &radii).1))
     });
     group.finish();
 }

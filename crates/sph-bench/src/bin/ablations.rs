@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md §5 calls out.
+//! Ablation studies for the design choices on which the parent codes
+//! differ (`sph_parents::setups`).
 //!
 //! ```text
 //! cargo run --release -p sph-bench --bin ablations
@@ -8,8 +9,7 @@
 //!    on the clustered Evrard distribution;
 //! 2. Load balancing: static vs dynamic under skewed per-particle cost;
 //! 3. Time-stepping: global vs individual block steps on the Evrard core;
-//! 4. Gradients: IAD vs kernel derivatives — linear-field accuracy;
-//! 5. Checkpointing: single-level vs multilevel under failure injection.
+//! 4. Gradients: IAD vs kernel derivatives — linear-field accuracy.
 // CLI surface: wall-clock progress timing only; never feeds a trajectory.
 #![allow(clippy::disallowed_methods)]
 
@@ -22,7 +22,6 @@ use sph_core::density::compute_density;
 use sph_core::gradients::{compute_iad_matrices, scalar_gradient};
 use sph_core::volume::compute_volume_elements;
 use sph_domain::SfcKind;
-use sph_ft::{simulate_run, FailureInjector, MultilevelConfig};
 use sph_kernels::SUPPORT_RADIUS;
 use sph_math::Vec3;
 use sph_parents::sphynx;
@@ -134,33 +133,6 @@ fn gradient_ablation(sim: &sph_exa::Simulation) {
     println!();
 }
 
-fn checkpoint_ablation() {
-    println!("--- ablation 5: single-level vs multilevel checkpointing ---");
-    let steps = 2000u64;
-    let step_time = 1.0;
-    for (cfg, name) in [
-        (MultilevelConfig::single_level(step_time, 100), "single-level (PFS only)"),
-        (MultilevelConfig::three_tier(step_time), "multilevel (L1/L2/L3)"),
-    ] {
-        let mut wall = 0.0;
-        let mut failures = 0;
-        let trials = 5;
-        for seed in 0..trials {
-            let mut inj = FailureInjector::new(150.0, 0.15, 0.02, seed);
-            let out = simulate_run(&cfg, &mut inj, steps, step_time);
-            wall += out.wall_clock;
-            failures += out.failures;
-        }
-        println!(
-            "  {name:26}: mean wall-clock {:.0}s for {steps} steps ({} failures over {trials} trials, overhead {:.2}×)",
-            wall / trials as f64,
-            failures,
-            wall / trials as f64 / (steps as f64 * step_time)
-        );
-    }
-    println!();
-}
-
 fn main() {
     let scale = ExperimentScale::from_env();
     let particles = scale.particles.min(20_000);
@@ -171,5 +143,4 @@ fn main() {
     decomposition_ablation(&sim);
     timestepping_ablation(particles.min(5_000));
     gradient_ablation(&sim);
-    checkpoint_ablation();
 }

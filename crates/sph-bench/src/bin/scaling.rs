@@ -10,7 +10,7 @@
 //!
 //! Each panel prints cores vs modelled mean time per time-step for the
 //! test cases and platforms of the corresponding figure, plus the paper's
-//! reported anchor values for comparison (see EXPERIMENTS.md).
+//! reported anchor values for comparison.
 
 use sph_bench::{run_scaling_panel, ExperimentScale};
 use sph_cluster::scaling::render_scaling_table;

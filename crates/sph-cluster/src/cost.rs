@@ -17,7 +17,7 @@ pub struct CostModel {
     pub sph_flops_per_interaction: f64,
     /// FLOPs per gravity interaction (particle–particle or
     /// particle–multipole; ChaNGa's 16-pole expansions are folded into
-    /// this constant — see DESIGN.md substitution table).
+    /// this constant).
     pub gravity_flops_per_interaction: f64,
     /// FLOPs per particle per tree level for the (parallelizable) tree
     /// build and neighbour bookkeeping.

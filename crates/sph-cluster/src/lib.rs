@@ -23,8 +23,7 @@
 //! What is *not* modelled is as important: the model never invents load
 //! imbalance or halo volume — both come from the actual particle
 //! distribution of the actual simulation; only the unit costs
-//! (FLOP/interaction, latency, bandwidth) are calibrated constants
-//! (documented in EXPERIMENTS.md).
+//! (FLOP/interaction, latency, bandwidth) are calibrated constants.
 
 pub mod calibrate;
 pub mod cost;

@@ -37,7 +37,7 @@ pub enum LoadBalancing {
     Static,
     /// Re-decompose each step with measured per-particle costs as weights
     /// (ChaNGa "Dynamic"; SPH-flow "Local-Inner-Outer" is approximated by
-    /// the same mechanism — see DESIGN.md).
+    /// the same mechanism).
     Dynamic,
 }
 

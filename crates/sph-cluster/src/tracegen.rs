@@ -86,7 +86,7 @@ pub fn step_trace(timing: &StepTiming, profile: &PhaseProfile) -> Trace {
 
     // Phases B–D: neighbour work, barrier-terminated (idle tails).
     for (sub, frac) in
-        [(Phase::NeighborSearch, 0.5), (Phase::SmoothingLength, 0.3), (Phase::NeighborLists, 0.2)]
+        [(Phase::NeighborWalk, 0.5), (Phase::SmoothingLength, 0.3), (Phase::NeighborLists, 0.2)]
     {
         for (w, &t) in timing.per_rank_compute.iter().enumerate() {
             trace.append(w, sub, WorkerState::Useful, t * profile.neighbors * frac);

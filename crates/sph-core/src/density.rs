@@ -16,7 +16,7 @@ use crate::StepStats;
 use rayon::prelude::*;
 use sph_kernels::{Kernel, SUPPORT_RADIUS};
 use sph_math::{Vec3, REDUCE_CHUNK};
-use sph_tree::{NeighborQuery, TraversalStats};
+use sph_tree::{CellGrid, TraversalStats};
 
 // The CSR neighbour-list container lives in `sph-tree` next to the cell
 // grid that builds it; re-exported here because every sph-core kernel
@@ -63,20 +63,13 @@ pub fn h_growth_bound(cfg: &SphConfig) -> f64 {
 /// Compute densities, adapted smoothing lengths, Ω terms and neighbour
 /// lists for the particles listed in `active` (pass `0..n` for all).
 ///
-/// Generic over the neighbour backend: the production drivers pass a
-/// [`sph_tree::CellGrid`]; the octree walk (via
-/// [`sph_tree::NeighborSearch`]) remains supported as the reference path
-/// and for benchmarking the two against each other. Both backends answer
-/// exact ball queries with identical accept arithmetic, so the choice
-/// cannot change a bit of the result.
-///
 /// Positions are read from `sys` and must match what `query` was built
 /// from. On return `sys.h`, `sys.rho`, `sys.omega` are updated for active
 /// particles and the neighbour lists (indexed like `active`) are returned
 /// together with accumulated [`StepStats`].
-pub fn compute_density<Q: NeighborQuery + ?Sized>(
+pub fn compute_density(
     sys: &mut ParticleSystem,
-    query: &Q,
+    query: &CellGrid,
     kernel: &dyn Kernel,
     cfg: &SphConfig,
     active: &[u32],
@@ -153,9 +146,9 @@ fn density_sum_reference(
 /// [`compute_density`] over the one-pair-at-a-time sum: the oracle of the
 /// lane-batched pass (same smoothing-length iteration, same assembly).
 #[cfg(test)]
-pub(crate) fn compute_density_reference<Q: NeighborQuery + ?Sized>(
+pub(crate) fn compute_density_reference(
     sys: &mut ParticleSystem,
-    query: &Q,
+    query: &CellGrid,
     kernel: &dyn Kernel,
     cfg: &SphConfig,
     active: &[u32],
@@ -165,9 +158,9 @@ pub(crate) fn compute_density_reference<Q: NeighborQuery + ?Sized>(
 
 /// The pass, over the per-particle density sum `sum` (the production one,
 /// or the oracle under test).
-fn compute_density_with<Q: NeighborQuery + ?Sized>(
+fn compute_density_with(
     sys: &mut ParticleSystem,
-    query: &Q,
+    query: &CellGrid,
     kernel: &dyn Kernel,
     cfg: &SphConfig,
     active: &[u32],
@@ -356,7 +349,6 @@ fn compute_density_with<Q: NeighborQuery + ?Sized>(
 mod tests {
     use super::*;
     use sph_math::{Aabb, Periodicity, Vec3};
-    use sph_tree::{CellGrid, NeighborSearch, Octree, OctreeConfig};
 
     /// Uniform cubic lattice of n³ particles in the unit cube with total
     /// mass 1 ⇒ expected density 1 away from the open boundaries.
@@ -511,49 +503,34 @@ mod tests {
     }
 
     #[test]
-    fn cell_grid_path_is_bit_identical_to_the_octree_path() {
-        // The backend-exactness contract of the pipeline: the cell grid
-        // and the octree walk answer every ball query with identical FP
-        // accept arithmetic, so the *entire* density pass — adapted h,
-        // ρ, Ω, sorted lists, stats that feed the performance model —
-        // must match bit-for-bit between the two.
+    fn rows_are_the_brute_force_ball_at_the_returned_h() {
+        // The O(N²) minimum-image ball is the neighbour oracle. Exit
+        // invariant of the h iteration, against it: every returned row is
+        // the ball of radius clamp(2hᵢ) at the *returned* hᵢ, and ρ, Ω are
+        // the pair-at-a-time sums over that row, bit for bit.
         let cfg = SphConfig { target_neighbors: 50, max_h_iterations: 4, ..Default::default() };
         let kernel = cfg.kernel.build();
-        let mut via_grid = lattice_system(10);
-        via_grid.periodicity = Periodicity::periodic_z(Aabb::unit());
-        let mut via_tree = via_grid.clone();
-        let active: Vec<u32> = (0..via_grid.len() as u32).collect();
-
-        let grid =
-            CellGrid::build(&via_grid.x, via_grid.periodicity, SUPPORT_RADIUS * via_grid.max_h());
-        let (lists_g, stats_g) =
-            compute_density(&mut via_grid, &grid, kernel.as_ref(), &cfg, &active);
-
-        let tree = Octree::build(
-            &via_tree.x,
-            &via_tree.bounds(),
-            OctreeConfig { max_leaf_size: 32, parallel_sort: false },
-        );
-        let search = NeighborSearch::new(&tree, via_tree.periodicity);
-        let (lists_t, stats_t) =
-            compute_density(&mut via_tree, &search, kernel.as_ref(), &cfg, &active);
-
-        for k in 0..lists_g.query_count() {
-            assert_eq!(lists_g.neighbors(k), lists_t.neighbors(k), "lists differ at particle {k}");
-            assert_eq!(via_grid.h[k].to_bits(), via_tree.h[k].to_bits(), "h differs at {k}");
-            assert_eq!(via_grid.rho[k].to_bits(), via_tree.rho[k].to_bits(), "ρ differs at {k}");
-            assert_eq!(
-                via_grid.omega[k].to_bits(),
-                via_tree.omega[k].to_bits(),
-                "Ω differs at {k}"
-            );
+        let mut lattice = lattice_system(10);
+        lattice.periodicity = Periodicity::periodic_z(Aabb::unit());
+        let jittered = crate::oracle::cloud(8, Periodicity::fully_periodic(Aabb::unit()), 0xBA11);
+        for mut sys in [lattice, jittered] {
+            let grid = CellGrid::build(&sys.x, sys.periodicity, SUPPORT_RADIUS * sys.max_h());
+            let active: Vec<u32> = (0..sys.len() as u32).collect();
+            let (lists, stats) = compute_density(&mut sys, &grid, kernel.as_ref(), &cfg, &active);
+            assert!(stats.h_iterations > sys.len() as u64, "h never iterated");
+            for i in 0..sys.len() {
+                let (xi, h) = (sys.x[i], sys.h[i]);
+                let r = grid.clamp_radius(SUPPORT_RADIUS * h);
+                let ball: Vec<u32> = (0..sys.len() as u32)
+                    .filter(|&j| sys.periodicity.distance_sq(xi, sys.x[j as usize]) <= r * r)
+                    .collect();
+                assert_eq!(lists.neighbors(i), ball, "row {i}");
+                let (rho, drho_dh) = density_sum_reference(&sys, kernel.as_ref(), xi, h, &ball);
+                let omega = 1.0 + h / (3.0 * rho) * drho_dh;
+                assert_eq!(sys.rho[i].to_bits(), rho.to_bits(), "ρ differs at {i}");
+                assert_eq!(sys.omega[i].to_bits(), omega.to_bits(), "Ω differs at {i}");
+            }
         }
-        // Work counters that are backend-independent must agree exactly;
-        // nodes_visited legitimately differs (cells vs tree nodes).
-        assert_eq!(stats_g.h_iterations, stats_t.h_iterations);
-        assert_eq!(stats_g.sph_interactions, stats_t.sph_interactions);
-        assert_eq!(stats_g.neighbor.radius_clamps, stats_t.neighbor.radius_clamps);
-        assert_eq!(stats_g.max_search_radius.to_bits(), stats_t.max_search_radius.to_bits());
     }
 
     #[test]

@@ -77,14 +77,6 @@ pub fn kick_drift(
     std::mem::swap(&mut sys.x, &mut buf.x_back);
 }
 
-/// First-order Euler update of the given particles (tests/demos only).
-pub fn euler_step(sys: &mut ParticleSystem, dt: f64, active: &[u32]) {
-    kick(sys, dt, active);
-    drift(sys, dt);
-    sys.time += dt;
-    sys.step_count += 1;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,15 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn euler_advances_clock() {
-        let mut sys = two_body();
-        let active: Vec<u32> = vec![0, 1];
-        euler_step(&mut sys, 0.25, &active);
-        assert_eq!(sys.time, 0.25);
-        assert_eq!(sys.step_count, 1);
-    }
-
-    #[test]
     fn kick_drift_is_bit_identical_to_kick_then_drift() {
         let mut a = two_body();
         a.periodicity = Periodicity::periodic_z(Aabb::unit());
@@ -177,16 +160,5 @@ mod tests {
         let mut sys = two_body();
         kick_drift(&mut sys, &mut buf, 0.1, 0.1); // resizes 0 → 2 internally
         assert!(sys.sanity_check().is_ok());
-    }
-
-    #[test]
-    fn free_particle_moves_ballistically() {
-        let mut sys = two_body();
-        let active: Vec<u32> = vec![0, 1];
-        for _ in 0..10 {
-            euler_step(&mut sys, 0.01, &active);
-        }
-        assert!((sys.x[0].x - 0.35).abs() < 1e-12);
-        assert!((sys.time - 0.1).abs() < 1e-12);
     }
 }

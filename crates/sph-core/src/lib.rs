@@ -10,7 +10,7 @@
 //! | Volume elements     | [`volume`] — generalized and standard      |
 //! | Mass of particles   | per-particle masses in [`particles`]       |
 //! | Time-stepping       | [`timestep`] — global, individual, adaptive|
-//! | Neighbour discovery | `sph-tree` tree walk (driven from here)    |
+//! | Neighbour discovery | `sph-tree` cell list (driven from here)    |
 //! | Self-gravity        | `sph-tree::gravity` (coupled in `sph-exa`) |
 //!
 //! The computational phases match Algorithm 1 and carry the same letters

@@ -47,7 +47,7 @@ struct Passes {
 }
 
 const PRODUCTION: Passes = Passes {
-    density: compute_density::<CellGrid>,
+    density: compute_density,
     volume: compute_volume_elements,
     iad: compute_iad_matrices,
     velocity_gradients: compute_velocity_gradients,
@@ -56,7 +56,7 @@ const PRODUCTION: Passes = Passes {
 };
 
 const REFERENCE: Passes = Passes {
-    density: compute_density_reference::<CellGrid>,
+    density: compute_density_reference,
     volume: compute_volume_elements_reference,
     iad: compute_iad_matrices_reference,
     velocity_gradients: compute_velocity_gradients_reference,
@@ -107,7 +107,7 @@ fn evaluate(
 /// Jittered `side³` lattice in the unit cube with random velocities and a
 /// 4:1 spread of internal energies — strong forces, approaching and
 /// receding pairs, every Balsara regime.
-fn cloud(side: usize, periodicity: Periodicity, seed: u64) -> ParticleSystem {
+pub(crate) fn cloud(side: usize, periodicity: Periodicity, seed: u64) -> ParticleSystem {
     let mut rng = SplitMix64::new(seed);
     let spacing = 1.0 / side as f64;
     let n = side * side * side;

@@ -136,9 +136,9 @@ pub fn finalize_global_dt(reduced_min: f64) -> f64 {
     }
 }
 
-/// Turn a reduced minimum into the Adaptive-policy step: the Global step
-/// limited to `growth_limit × previous` so the step cannot explode after
-/// a transient.
+/// Turn a reduced minimum into the Adaptive-policy step (SPH-flow): the
+/// Global step limited to `growth_limit × previous` so the step cannot
+/// explode after a transient.
 pub fn finalize_adaptive_dt(reduced_min: f64, previous: f64, growth_limit: f64) -> f64 {
     let raw = finalize_global_dt(reduced_min);
     if previous > 0.0 {
@@ -146,13 +146,6 @@ pub fn finalize_adaptive_dt(reduced_min: f64, previous: f64, growth_limit: f64) 
     } else {
         raw
     }
-}
-
-/// Adaptive step (SPH-flow): new global bound, limited to
-/// `growth_limit × previous` so the step cannot explode after a transient.
-pub fn adaptive_dt(dts: &[f64], previous: f64, growth_limit: f64) -> Result<f64, TimeStepError> {
-    validate_dts(dts)?;
-    Ok(finalize_adaptive_dt(reduce_min_dt(dts), previous, growth_limit))
 }
 
 /// Block-time-step rung assignment (ChaNGa).
@@ -323,14 +316,11 @@ mod tests {
 
     #[test]
     fn adaptive_growth_is_limited() {
-        let dts = vec![10.0];
-        let dt = adaptive_dt(&dts, 1.0, 1.1).unwrap();
+        let dt = finalize_adaptive_dt(10.0, 1.0, 1.1);
         assert!((dt - 1.1).abs() < 1e-15, "growth must be capped: {dt}");
         // Shrinking is immediate.
-        let dt = adaptive_dt(&[0.1], 1.0, 1.1).unwrap();
+        let dt = finalize_adaptive_dt(0.1, 1.0, 1.1);
         assert!((dt - 0.1).abs() < 1e-15);
-        // Errors pass through the limiter.
-        assert!(adaptive_dt(&[f64::NAN], 1.0, 1.1).is_err());
     }
 
     #[test]

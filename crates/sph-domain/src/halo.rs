@@ -144,13 +144,19 @@ pub fn halo_sets(
                     let owner = decomp.assignment[base + off];
                     let mut out = Vec::new();
                     // Periodic images of the particle that could be near a box.
-                    let images = periodicity.ghost_offsets(p, radius);
+                    let mut images = [p; 8];
+                    let mut n_images = 0;
+                    periodicity.for_each_ghost_offset(p, radius, |off| {
+                        images[n_images] = p + off;
+                        n_images += 1;
+                    });
+                    let images = &images[..n_images];
                     for (r, bx) in boxes.iter().enumerate() {
                         if r as u32 == owner {
                             continue;
                         }
                         let Some(bx) = bx else { continue };
-                        let near = images.iter().any(|&off| bx.dist_sq_to_point(p + off) <= r2);
+                        let near = images.iter().any(|&q| bx.dist_sq_to_point(q) <= r2);
                         if near {
                             out.push(r as u32);
                         }
@@ -237,6 +243,39 @@ mod tests {
             }
         }
         assert!(checked > 0, "test never exercised the periodic wrap");
+    }
+
+    #[test]
+    fn periodic_halo_sets_are_pinned() {
+        // Import lists (FNV-1a over the ids, rank by rank) and the pair
+        // volumes of a fully periodic cloud, recorded before the image
+        // enumeration moved to `Periodicity::for_each_ghost_offset`.
+        let pts = random_points(2000, 7);
+        let per = Periodicity::fully_periodic(Aabb::unit());
+        let pinned: [(u64, &[u32]); 4] = [
+            (0xa0fb1cd74c963c7d, &[0, 339, 337, 0]),
+            (0xb5d7d3fe9d1fd8d9, &[0, 379, 668, 0]),
+            (
+                0x44e3d6b92a360141,
+                &[0, 207, 172, 43, 160, 0, 51, 165, 163, 61, 0, 164, 32, 170, 183, 0],
+            ),
+            (
+                0xaaa4ebecfc7f77d5,
+                &[0, 303, 155, 192, 189, 0, 184, 67, 51, 328, 0, 180, 185, 170, 417, 0],
+            ),
+        ];
+        let decompositions = [2, 4].into_iter().flat_map(|nparts| {
+            let orb = orb_partition(&pts, nparts, &[]);
+            [orb, sfc_partition(&pts, &Aabb::unit(), nparts, SfcKind::Hilbert, &[])]
+        });
+        for (d, (want_hash, want_volume)) in decompositions.zip(pinned) {
+            let halos = halo_sets(&pts, &d, 0.09, &per);
+            let hash = halos.imports.iter().flatten().fold(0xcbf29ce484222325u64, |h, &id| {
+                (h ^ u64::from(id)).wrapping_mul(0x100000001b3)
+            });
+            assert_eq!(halos.pair_volume, want_volume);
+            assert_eq!(hash, want_hash);
+        }
     }
 
     #[test]

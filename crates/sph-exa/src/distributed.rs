@@ -5,7 +5,7 @@
 //! prescribes for distributed memory — as N in-process ranks. Each rank
 //! owns a subset of the particles; every macro-step executes the
 //! bulk-synchronous supersteps documented in `sph_domain`'s module docs:
-//! halo negotiation, then the pass table of [`crate::passes`] (collective
+//! halo negotiation, then the pass table of `passes.rs` (collective
 //! h-iteration + density over owned ∪ ghost, ghost-field refresh between
 //! kernels, symmetric forces, gravity), a global dt reduction, kick/drift,
 //! and particle migration with periodic rebalancing.

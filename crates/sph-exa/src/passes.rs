@@ -28,7 +28,7 @@ use sph_kernels::{Kernel, SUPPORT_RADIUS};
 use sph_math::{Vec3, REDUCE_CHUNK};
 use sph_profiler::Phase;
 use sph_tree::gravity::GravitySample;
-use sph_tree::{CellGrid, GravitySolver, NeighborQuery, TraversalStats};
+use sph_tree::{CellGrid, GravitySolver, TraversalStats};
 use ExchangePoint::{Refresh, VerifyHaloThenRefresh};
 
 /// Per-particle fields that cross a rank boundary together: written from

@@ -4,7 +4,7 @@
 //! [`FaultEvent`] names a step and a [`FaultKind`]. Exchange-side kinds
 //! (rank kill, payload corruption, transient carrier errors) are executed
 //! by [`FaultyExchange`], a wrapper around any
-//! [`Exchange`](sph_domain::Exchange) carrier; state- and storage-side
+//! [`sph_domain::Exchange`] carrier; state- and storage-side
 //! kinds (in-memory SDC, checkpoint bit rot) are executed by the
 //! recovery driver (`sph_exa::ResilientSimulation`) at step boundaries.
 //!

@@ -1,10 +1,10 @@
 //! Checkpoint stores: where serialized snapshots live.
 //!
-//! The multilevel scheme of Table 4 needs multiple storage tiers with
-//! different speeds and failure coverage; this module provides the common
-//! store interface plus an in-memory tier (standing in for node-local
-//! RAM/NVMe — fast, lost on node failure) and a disk tier (standing in
-//! for the parallel file system — slow, survives everything).
+//! One store interface and two stores: in memory (what the recovery
+//! tests and `sph_exa::ResilientSimulation`'s default runs use — lost with
+//! the process) and on disk (what the `miniapp` CLI and `sph-serve` use to
+//! survive a kill). Table 4's multilevel scheme, which would write to
+//! several such tiers at different cadences, is not implemented.
 //!
 //! Snapshots carry the codec's own magic/version/checksum framing; raw
 //! blobs are *sealed* on save with an FNV-1a trailer that [`CheckpointStore::restore_blob`]
@@ -215,7 +215,8 @@ impl DiskStore {
             |e: std::io::Error| FtError::Io { label: label.to_string(), detail: e.to_string() };
         let tmp = path.with_extension("tmp");
         // Write-then-rename: a crash mid-write never corrupts the previous
-        // checkpoint — the property multilevel recovery depends on.
+        // checkpoint — the property rollback to an older generation
+        // depends on.
         {
             let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
             f.write_all(bytes).map_err(io_err)?;

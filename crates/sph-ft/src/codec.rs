@@ -2,11 +2,11 @@
 //!
 //! Hand-rolled little-endian codec: magic + version + field blocks + a
 //! FNV-1a checksum trailer, so restores detect truncation, corruption and
-//! format drift. Kept dependency-free on purpose (DESIGN.md §6): a
+//! format drift. Kept dependency-free on purpose: a
 //! checkpoint format for an HPC mini-app must be stable and auditable.
 
 use sph_core::particles::ParticleSystem;
-use sph_math::{Aabb, Mat3, Periodicity, Vec3};
+use sph_math::{Aabb, Periodicity, Vec3};
 
 /// File magic: "SPHEXACP".
 pub const MAGIC: u64 = 0x5350_4845_5841_4350;
@@ -303,16 +303,6 @@ pub fn state_checksum(sys: &ParticleSystem) -> u64 {
     h
 }
 
-/// Round-trip helper used in tests elsewhere: does a Mat3 survive? (The
-/// codec intentionally does not persist derived fields like `c_iad`; this
-/// asserts the decision is visible.)
-pub fn persists_derived_fields() -> bool {
-    false
-}
-
-#[allow(dead_code)]
-fn _assert_types(_: &Mat3) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,10 +417,5 @@ mod tests {
         let mut s3 = sys.clone();
         s3.u[0] = 0.5000000001;
         assert_ne!(base, state_checksum(&s3));
-    }
-
-    #[test]
-    fn derived_fields_not_persisted_by_design() {
-        assert!(!persists_derived_fields());
     }
 }

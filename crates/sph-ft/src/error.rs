@@ -10,8 +10,8 @@ use crate::codec::CodecError;
 use std::error::Error;
 use std::fmt;
 
-/// Everything that can go wrong in checkpoint storage, SDC machinery,
-/// and the redundant reductions.
+/// Everything that can go wrong in checkpoint storage and the SDC
+/// machinery.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FtError {
     /// Snapshot bytes failed to decode (bad magic, truncation, checksum…).
@@ -26,8 +26,6 @@ pub enum FtError {
     Io { label: String, detail: String },
     /// The store does not implement this operation.
     Unsupported { what: &'static str },
-    /// The ABFT duplicated reduction disagreed with itself.
-    RedundantSumMismatch { forward: f64, backward: f64 },
 }
 
 impl fmt::Display for FtError {
@@ -42,9 +40,6 @@ impl fmt::Display for FtError {
             FtError::Io { label, detail } => write!(f, "storage I/O on '{label}': {detail}"),
             FtError::Unsupported { what } => {
                 write!(f, "this checkpoint store does not support {what}")
-            }
-            FtError::RedundantSumMismatch { forward, backward } => {
-                write!(f, "redundant sums disagree: {forward} vs {backward}")
             }
         }
     }

@@ -75,12 +75,6 @@ impl CheckpointScheduler {
             interval
         }
     }
-
-    /// Expected checkpoints for a run of `total_work` seconds — planning
-    /// helper for the CLI.
-    pub fn expected_checkpoints(&self, total_work: f64) -> f64 {
-        (total_work / self.current_interval()).floor()
-    }
 }
 
 #[cfg(test)]
@@ -124,13 +118,6 @@ mod tests {
         let mut sched = CheckpointScheduler::new(1.0, 0.5);
         sched.after_step(10.0);
         assert!(sched.current_interval() >= 10.0);
-    }
-
-    #[test]
-    fn expected_checkpoint_count() {
-        let sched = CheckpointScheduler::new(10_000.0, 2.0);
-        // w* = 200 ⇒ 5 checkpoints in 1 000 s of work.
-        assert_eq!(sched.expected_checkpoints(1_000.0), 5.0);
     }
 
     // --- edge cases: invalid machine parameters must be rejected at

@@ -1,6 +1,6 @@
 //! Silent-data-corruption (SDC) injection and detection — Table 4's
 //! "Error Detection: Silent data corruption detectors", after the paper's
-//! refs [6, 44] (DRAM error field studies) and [7] (resilience patterns
+//! refs \[6, 44\] (DRAM error field studies) and \[7\] (resilience patterns
 //! for silent errors).
 //!
 //! Three complementary detectors, ordered by cost and reach:
@@ -10,16 +10,12 @@
 //! 2. **Physics bounds** — NaN/negative-mass/negative-energy screening
 //!    (free, catches gross corruption immediately);
 //! 3. **Conservation drift** — total energy/momentum moving beyond the
-//!    integrator's expected tolerance flags subtle numeric corruption;
-//! 4. **ABFT reduction** — duplicate a global sum with independently
-//!    ordered arithmetic and compare (algorithm-based fault tolerance for
-//!    the reduction step itself).
+//!    integrator's expected tolerance flags subtle numeric corruption.
 
 use crate::codec::state_checksum;
-use crate::error::FtError;
 use sph_core::diagnostics::Conservation;
 use sph_core::particles::ParticleSystem;
-use sph_math::{kahan_sum, SplitMix64};
+use sph_math::SplitMix64;
 use std::fmt;
 
 /// A detector's verdict.
@@ -139,26 +135,6 @@ impl SdcDetector for ConservationDetector {
     }
 }
 
-/// ABFT-style duplicated reduction: computes a global sum twice with
-/// different summation orders/algorithms and flags disagreement beyond
-/// round-off. Detects corruption *during the reduction itself* (e.g. a
-/// flipped register), which state checksums cannot see.
-pub fn abft_redundant_sum(values: &[f64], rel_tolerance: f64) -> Result<f64, FtError> {
-    assert!(rel_tolerance > 0.0);
-    let forward = kahan_sum(values);
-    let backward: f64 = {
-        let mut rev: Vec<f64> = values.to_vec();
-        rev.reverse();
-        sph_math::pairwise_sum(&rev)
-    };
-    let scale = values.iter().map(|v| v.abs()).sum::<f64>().max(1e-300);
-    if (forward - backward).abs() / scale > rel_tolerance {
-        Err(FtError::RedundantSumMismatch { forward, backward })
-    } else {
-        Ok(forward)
-    }
-}
-
 /// Which particle field an injected fault landed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultField {
@@ -222,7 +198,7 @@ impl fmt::Display for InjectedFault {
 }
 
 /// Deterministic SDC injector: flips a random bit in a random field of a
-/// random particle — the "unprotected computing" threat model of ref [6].
+/// random particle — the "unprotected computing" threat model of ref \[6\].
 #[derive(Debug)]
 pub struct SdcInjector {
     rng: SplitMix64,
@@ -355,20 +331,6 @@ mod tests {
         sys.v[1] = Vec3::new(1.0, 0.0, 0.0); // |v| unchanged ⇒ KE unchanged
         let verdict = det.check(&sys);
         assert!(verdict.is_corrupted(), "{verdict:?}");
-    }
-
-    #[test]
-    fn abft_sum_accepts_clean_and_rejects_corrupt() {
-        let values: Vec<f64> =
-            (0..10_000).map(|i| ((i * 37) % 1000) as f64 * 0.001 - 0.3).collect();
-        let ok = abft_redundant_sum(&values, 1e-10).expect("clean sum accepted");
-        assert!((ok - values.iter().sum::<f64>()).abs() < 1e-6);
-        // Simulate a corrupted reduction by perturbing one addend between
-        // the two passes — model it as comparing against a corrupted total.
-        let forward = kahan_sum(&values);
-        let corrupted = forward + 0.5;
-        let scale: f64 = values.iter().map(|v| v.abs()).sum();
-        assert!((forward - corrupted).abs() / scale > 1e-10);
     }
 
     #[test]

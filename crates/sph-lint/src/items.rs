@@ -384,7 +384,7 @@ mod tests {
 
     #[test]
     fn trait_impl_target_is_the_type_not_the_trait() {
-        let items = parse("impl NeighborQuery for CellGrid { fn count_within(&self) {} }");
+        let items = parse("impl Query for CellGrid { fn count_within(&self) {} }");
         let f = items.iter().find(|i| i.kind == ItemKind::Fn).unwrap();
         assert_eq!(f.impl_target.as_deref(), Some("CellGrid"));
         let im = items.iter().find(|i| i.kind == ItemKind::Impl).unwrap();

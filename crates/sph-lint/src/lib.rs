@@ -293,8 +293,7 @@ mod tests {
         assert!(example.is_binary && !example.is_shim);
         assert_eq!(example.crate_name, "sph-exa-repro");
 
-        let bench =
-            context_for(Path::new("crates/sph-bench/benches/neighbor_pipeline.rs")).unwrap();
+        let bench = context_for(Path::new("crates/sph-bench/benches/sph_step.rs")).unwrap();
         assert!(bench.is_binary && !bench.is_shim);
         assert_eq!(bench.crate_name, "sph-bench");
 

@@ -10,13 +10,11 @@
 //! - **Kernel passes** ([`HOT_PATH_SEEDS`]): the five `compute_*` passes
 //!   (density / volume elements / IAD / velocity gradients / forces, with
 //!   the smoothing-length iteration living inside the density pass), the
-//!   [`NeighborQuery`] ball-query methods, the `CellGrid` cell scan, the
+//!   `CellGrid` ball-query methods and cell scan, the
 //!   CSR batch builder, and the Barnes–Hut walk `field_at` (one call per
 //!   particle per step, the largest row of a gravity step).
 //! - **Trajectory feeders**: the kernel passes plus every `step` method
 //!   on the drivers ([`TRAJECTORY_STEP_TYPES`]).
-//!
-//! [`NeighborQuery`]: ../sph_tree/trait.NeighborQuery.html
 
 use crate::graph::{CallGraph, ParsedFile, Reach};
 use crate::lexer::TokenKind;

@@ -147,20 +147,6 @@ impl Mat3 {
         self.m[0][0] + self.m[1][1] + self.m[2][2]
     }
 
-    /// Frobenius norm, used by condition-number heuristics in the IAD path.
-    pub fn frobenius_norm(&self) -> f64 {
-        let mut s = 0.0;
-        for r in 0..3 {
-            for c in 0..3 {
-                // sph-lint: allow(raw-accumulation) — fixed 9-term sum in
-                // a frozen FP stream; compensation would perturb the IAD
-                // conditioning heuristics bit-for-bit.
-                s += self.m[r][c] * self.m[r][c];
-            }
-        }
-        s.sqrt()
-    }
-
     /// True when every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.m.iter().flatten().all(|x| x.is_finite())
@@ -321,10 +307,5 @@ mod tests {
         let lhs = a.mul_vec(u + v);
         let rhs = a.mul_vec(u) + a.mul_vec(v);
         assert!((lhs - rhs).norm() < 1e-12);
-    }
-
-    #[test]
-    fn frobenius() {
-        assert!(crate::approx_eq(Mat3::IDENTITY.frobenius_norm(), 3.0_f64.sqrt(), 1e-15));
     }
 }

@@ -121,15 +121,14 @@ impl Periodicity {
         p
     }
 
-    /// The periodic images of `p` whose copies might interact with points in
-    /// the primary domain within radius `r` — i.e. the ghost images the halo
-    /// exchange must create. Returns offsets (including `Vec3::ZERO` first).
-    pub fn ghost_offsets(&self, p: Vec3, r: f64) -> Vec<Vec3> {
-        // Doubles once per shifted axis: at most 2^3 images. Pre-sizing
-        // keeps this single allocation off the hot-path grow cycle.
-        let mut offsets = Vec::with_capacity(8);
-        offsets.push(Vec3::ZERO);
-        for axis in 0..3 {
+    /// Offsets of the periodic images of `p` that can lie within `r` of a
+    /// point of the primary domain — the images a ball query scans and the
+    /// ghost copies the halo exchange must consider. `f` sees `Vec3::ZERO`
+    /// first, then every combination of the per-axis face shifts (at most
+    /// 2³ offsets); nothing is allocated.
+    pub fn for_each_ghost_offset(&self, p: Vec3, r: f64, mut f: impl FnMut(Vec3)) {
+        let mut shift = [0.0f64; 3];
+        for (axis, shift_axis) in shift.iter_mut().enumerate() {
             if !self.periodic[axis] {
                 continue;
             }
@@ -140,24 +139,28 @@ impl Periodicity {
             let lo = self.domain.lo.component(axis);
             let hi = self.domain.hi.component(axis);
             let c = p.component(axis);
-            let mut axis_shift = 0.0;
             if c - lo < r {
-                axis_shift = span; // near low face: image appears above hi
+                *shift_axis = span; // near low face: image appears above hi
             } else if hi - c < r {
-                axis_shift = -span; // near high face: image appears below lo
-            }
-            if axis_shift != 0.0 {
-                // Combine with every offset found so far so corner/edge
-                // images are produced for multi-axis periodicity.
-                let prev = offsets.clone();
-                for off in prev {
-                    let mut o = off;
-                    *o.component_mut(axis) += axis_shift;
-                    offsets.push(o);
-                }
+                *shift_axis = -span; // near high face: image appears below lo
             }
         }
-        offsets
+        for mask in 0u32..8 {
+            let mut offset = Vec3::ZERO;
+            let mut skip = false;
+            for (axis, &s) in shift.iter().enumerate() {
+                if mask & (1 << axis) != 0 {
+                    if s == 0.0 {
+                        skip = true; // this axis has no image: mask duplicates another
+                        break;
+                    }
+                    *offset.component_mut(axis) = s;
+                }
+            }
+            if !skip {
+                f(offset);
+            }
+        }
     }
 }
 
@@ -223,27 +226,38 @@ mod tests {
         assert!(p.domain.contains(once));
     }
 
-    #[test]
-    fn ghost_offsets_near_face() {
-        let p = unit_z();
-        // Deep interior: only the identity offset.
-        assert_eq!(p.ghost_offsets(Vec3::splat(0.5), 0.1).len(), 1);
-        // Near the low z face: one image shifted by +1 in z.
-        let offs = p.ghost_offsets(Vec3::new(0.5, 0.5, 0.02), 0.1);
-        assert_eq!(offs.len(), 2);
-        assert!(approx_eq(offs[1].z, 1.0, 1e-15));
-        // Near the high z face: image shifted by -1.
-        let offs = p.ghost_offsets(Vec3::new(0.5, 0.5, 0.98), 0.1);
-        assert_eq!(offs.len(), 2);
-        assert!(approx_eq(offs[1].z, -1.0, 1e-15));
+    fn image_offsets(per: &Periodicity, p: Vec3, r: f64) -> Vec<Vec3> {
+        let mut offs = Vec::new();
+        per.for_each_ghost_offset(p, r, |o| offs.push(o));
+        offs
     }
 
     #[test]
-    fn ghost_offsets_corner_fully_periodic() {
+    fn image_offsets_near_face() {
+        let p = unit_z();
+        // Deep interior: only the identity offset.
+        assert_eq!(image_offsets(&p, Vec3::splat(0.5), 0.1), [Vec3::ZERO]);
+        // Near the low z face: one image shifted by +1 in z.
+        let offs = image_offsets(&p, Vec3::new(0.5, 0.5, 0.02), 0.1);
+        assert_eq!(offs, [Vec3::ZERO, Vec3::new(0.0, 0.0, 1.0)]);
+        // Near the high z face: image shifted by -1.
+        let offs = image_offsets(&p, Vec3::new(0.5, 0.5, 0.98), 0.1);
+        assert_eq!(offs, [Vec3::ZERO, Vec3::new(0.0, 0.0, -1.0)]);
+    }
+
+    #[test]
+    fn image_offsets_corner_fully_periodic() {
         let p = Periodicity::fully_periodic(Aabb::unit());
-        // Corner point near (0,0,0): 2^3 = 8 images including identity.
-        let offs = p.ghost_offsets(Vec3::splat(0.01), 0.05);
+        // Corner point near (0,0,0): 2^3 = 8 distinct images, identity first.
+        let offs = image_offsets(&p, Vec3::splat(0.01), 0.05);
         assert_eq!(offs.len(), 8);
+        assert_eq!(offs[0], Vec3::ZERO);
+        for (k, a) in offs.iter().enumerate() {
+            assert!(offs[..k].iter().all(|b| b != a), "offset {a:?} repeated");
+        }
+        // A zero-span periodic axis has no image to offer.
+        let flat = Periodicity::periodic_z(Aabb { lo: Vec3::ZERO, hi: Vec3::new(1.0, 1.0, 0.0) });
+        assert_eq!(image_offsets(&flat, Vec3::ZERO, 0.5), [Vec3::ZERO]);
     }
 
     /// `displacement` as it was before the divide-free branch: the

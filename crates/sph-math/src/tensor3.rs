@@ -104,12 +104,6 @@ impl SymTensor3 {
         out
     }
 
-    /// Scalar contraction `S:xxx = S_abc x_a x_b x_c`.
-    #[inline]
-    pub fn contract_thrice(&self, x: Vec3) -> f64 {
-        self.contract_twice(x).dot(x)
-    }
-
     pub fn is_finite(&self) -> bool {
         self.c.iter().all(|v| v.is_finite())
     }
@@ -166,16 +160,13 @@ mod tests {
             s.add_scaled_cube(v, w);
         }
         let x = rand_vec(&mut rng);
-        // Naive: Σ w (v·x)² v for the double contraction, Σ w (v·x)³.
+        // Naive: Σ w (v·x)² v for the double contraction.
         let mut expect_vec = Vec3::ZERO;
-        let mut expect_scalar = 0.0;
         for &(v, w) in &pts {
             let vx = v.dot(x);
             expect_vec += v * (w * vx * vx);
-            expect_scalar += w * vx * vx * vx;
         }
         assert!((s.contract_twice(x) - expect_vec).norm() < 1e-12);
-        assert!((s.contract_thrice(x) - expect_scalar).abs() < 1e-12);
     }
 
     #[test]

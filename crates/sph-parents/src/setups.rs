@@ -2,7 +2,7 @@
 //! reference configuration (Tables 2 & 4).
 //!
 //! Cost-model constants are *calibrated* against the 12-core anchor
-//! points of Figs. 1–3 (see EXPERIMENTS.md for the derivation); the
+//! points of Figs. 1–3; the
 //! scaling *shape* comes from the measured decomposition, halo and
 //! imbalance structure, not from these constants.
 
@@ -107,7 +107,8 @@ pub fn sphynx() -> CodeSetup {
 /// time-steps, space-filling-curve decomposition with Charm++ dynamic
 /// load balancing, hexadecapole (16-pole) gravity — modelled as an
 /// octupole expansion (one order below) with the remaining 16-pole *cost*
-/// folded into the gravity constant (DESIGN.md substitution table).
+/// folded into the gravity constant
+/// (`CostModel::gravity_flops_per_interaction`).
 pub fn changa() -> CodeSetup {
     CodeSetup {
         name: "ChaNGa",
@@ -160,7 +161,8 @@ pub fn changa() -> CodeSetup {
 /// SPH-flow 17.6 (Oger et al. 2016): Wendland kernels, analytic
 /// derivatives, standard volume elements, adaptive global time-steps,
 /// ORB decomposition with Local-Inner-Outer balancing (modelled as the
-/// dynamic re-decomposition policy — DESIGN.md), no self-gravity.
+/// dynamic re-decomposition policy, `LoadBalancing::Dynamic`), no
+/// self-gravity.
 pub fn sphflow() -> CodeSetup {
     CodeSetup {
         name: "SPH-flow",

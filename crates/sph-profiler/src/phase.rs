@@ -13,7 +13,7 @@ pub enum Phase {
     /// A — build the octree.
     TreeBuild,
     /// B — tree walk for candidate neighbours.
-    NeighborSearch,
+    NeighborWalk,
     /// C — smoothing-length iteration.
     SmoothingLength,
     /// D — neighbour-list finalisation / halo exchange.
@@ -37,7 +37,7 @@ impl Phase {
     pub fn letter(self) -> char {
         match self {
             Phase::TreeBuild => 'A',
-            Phase::NeighborSearch => 'B',
+            Phase::NeighborWalk => 'B',
             Phase::SmoothingLength => 'C',
             Phase::NeighborLists => 'D',
             Phase::Density => 'E',
@@ -53,7 +53,7 @@ impl Phase {
     pub fn name(self) -> &'static str {
         match self {
             Phase::TreeBuild => "tree build",
-            Phase::NeighborSearch => "neighbor search",
+            Phase::NeighborWalk => "neighbor search",
             Phase::SmoothingLength => "smoothing length",
             Phase::NeighborLists => "neighbor lists",
             Phase::Density => "density",
@@ -69,7 +69,7 @@ impl Phase {
     pub fn all() -> [Phase; 10] {
         [
             Phase::TreeBuild,
-            Phase::NeighborSearch,
+            Phase::NeighborWalk,
             Phase::SmoothingLength,
             Phase::NeighborLists,
             Phase::Density,

@@ -45,17 +45,6 @@ pub struct RelaxationReport {
     pub final_density_scatter: f64,
 }
 
-impl RelaxationReport {
-    /// Residual force fraction achieved.
-    pub fn residual(&self) -> f64 {
-        if self.initial_rms_accel > 0.0 {
-            self.final_rms_accel / self.initial_rms_accel
-        } else {
-            0.0
-        }
-    }
-}
-
 fn rms_accel(sys: &ParticleSystem) -> f64 {
     (sys.a.iter().map(|a| a.norm_sq()).sum::<f64>() / sys.len() as f64).sqrt()
 }

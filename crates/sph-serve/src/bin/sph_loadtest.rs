@@ -18,8 +18,7 @@
 //! 3. **closed-loop throughput** — `--clients` threads issue at least
 //!    `--requests` requests over ≥3 scenarios, byte-verifying every
 //!    cache hit against the first fresh result of its tuple, gating on
-//!    zero 5xx, and writing p50/p99/throughput to `--json`
-//!    (default `BENCH_serve.json`).
+//!    zero 5xx, and writing p50/p99/throughput to `--json` when given.
 //!
 //! In `--addr` mode only phase 3 runs, against an externally managed
 //! server (the restart drill needs process control).
@@ -63,7 +62,7 @@ fn main() {
     let mut state_root: Option<PathBuf> = None;
     let mut min_requests: u64 = 1000;
     let mut clients: usize = 8;
-    let mut json_path = PathBuf::from("BENCH_serve.json");
+    let mut json_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut value = |flag: &str| {
@@ -78,7 +77,7 @@ fn main() {
             "--state-root" => state_root = Some(value("--state-root").into()),
             "--requests" => min_requests = value("--requests").parse().expect("--requests"),
             "--clients" => clients = value("--clients").parse().expect("--clients"),
-            "--json" => json_path = value("--json").into(),
+            "--json" => json_path = Some(value("--json").into()),
             other => {
                 eprintln!("sph_loadtest: unknown flag {other:?}");
                 std::process::exit(2);
@@ -261,14 +260,16 @@ fn main() {
             },
         ),
     ]);
-    std::fs::write(&json_path, report.render()).expect("write bench json");
     println!(
         "phase 3 ok: {phase3_requests} requests, {throughput:.0} req/s, \
-         p50 {:.1} ms, p99 {:.1} ms -> {}",
+         p50 {:.1} ms, p99 {:.1} ms",
         pct(0.50) * 1e3,
-        pct(0.99) * 1e3,
-        json_path.display()
+        pct(0.99) * 1e3
     );
+    if let Some(path) = json_path {
+        std::fs::write(&path, report.render()).expect("write report json");
+        println!("report -> {}", path.display());
+    }
     counters.kill_children();
 }
 

@@ -1,73 +1,26 @@
-//! Uniform cell-list neighbour pipeline (the per-step hot path).
+//! Uniform cell-list neighbour pipeline (the per-step hot path, and the
+//! only neighbour back-end).
 //!
-//! The octree walk in [`crate::neighbors`] answers one ball query at a
-//! time by chasing node pointers; every kernel pass used to re-run it per
-//! particle. This module replaces that inner loop with the classic
-//! cell-list pipeline: once per step the particles are binned into a
-//! uniform grid (a counting sort keyed by the flattened cell index — the
-//! same spatial hash a Morton key encodes, without needing the bit
-//! interleave), and ball queries become scans of the ≤ 27 (or more, for
-//! radii above the cell edge) cells overlapping the query ball. The
-//! results of the smoothing-length iteration are assembled into **compact
-//! CSR neighbour lists** ([`NeighborLists`]) that every downstream kernel
-//! pass (volume, IAD, velocity gradients, forces) streams over — the
-//! octree is kept only for gravity.
+//! Once per step the particles are binned into a uniform grid (a counting
+//! sort keyed by the flattened cell index — the same spatial hash a Morton
+//! key encodes, without needing the bit interleave), and ball queries
+//! become scans of the ≤ 27 (or more, for radii above the cell edge) cells
+//! overlapping the query ball. The results of the smoothing-length
+//! iteration are assembled into **compact CSR neighbour lists**
+//! ([`NeighborLists`]) that every downstream kernel pass (volume, IAD,
+//! velocity gradients, forces) streams over — the octree is built only for
+//! gravity.
 //!
-//! Exactness contract: a [`CellGrid`] query evaluates the *identical*
-//! floating-point accept test as the octree walk — the same radius clamp,
-//! the same per-image Euclidean `dist_sq` against the same ghost-offset
-//! images — so both backends return the same neighbour *set* for every
-//! query, bit-for-bit. That is what lets the drivers switch backends
-//! without perturbing a single trajectory: identical sets → identical
-//! h-iteration → identical ascending-id summation order → identical sums.
+//! A [`CellGrid`] query is exact: it returns every particle whose distance
+//! to the centre (Euclidean `dist_sq` to the nearest periodic image) is at
+//! most the clamped radius, and nothing else. The O(N²) ball of
+//! `tests/properties.rs` is the oracle for that; the drivers rely on it for
+//! identical sets → identical h-iteration → identical ascending-id
+//! summation order → identical sums on every rank layout.
 
 use crate::TraversalStats;
 use rayon::prelude::*;
 use sph_math::{Periodicity, Vec3, REDUCE_CHUNK};
-
-/// A backend that answers fixed-radius ball queries: the octree walk
-/// ([`crate::NeighborSearch`]) or the cell grid ([`CellGrid`]). The
-/// density / smoothing-length pass in `sph-core` is generic over this, so
-/// both paths share one implementation (and the benches can race them).
-pub trait NeighborQuery: Sync {
-    /// Largest usable search radius: strictly below half of every
-    /// periodic span (where the minimum image becomes ambiguous), the
-    /// input radius otherwise.
-    fn clamp_radius(&self, radius: f64) -> f64;
-
-    /// Indices (original particle ids) of all particles within `radius`
-    /// of `center`, appended to `out` (self included when in range).
-    /// Records a [`TraversalStats::radius_clamps`] event when the
-    /// periodic half-span clamp engages.
-    fn neighbors_within(
-        &self,
-        center: Vec3,
-        radius: f64,
-        out: &mut Vec<u32>,
-        stats: &mut TraversalStats,
-    );
-
-    /// Count of neighbours within `radius` of `center`, with no
-    /// allocation.
-    fn count_within(&self, center: Vec3, radius: f64, stats: &mut TraversalStats) -> usize;
-
-    /// Like [`NeighborQuery::neighbors_within`], but each id arrives with
-    /// the squared distance the accept test compared against `r²` — the
-    /// Euclidean `dist_sq` to the accepting periodic image, identical on
-    /// both backends by the exactness contract. Because the half-span
-    /// clamp keeps the ball strictly smaller than every periodic
-    /// half-span, at most one image of any particle can lie inside it, so
-    /// the distance is unique per id. The smoothing-length iteration
-    /// caches these pairs to answer shrinking-radius rounds by filtering
-    /// instead of re-walking the structure.
-    fn neighbors_with_dist(
-        &self,
-        center: Vec3,
-        radius: f64,
-        out: &mut Vec<(u32, f64)>,
-        stats: &mut TraversalStats,
-    );
-}
 
 /// Flattened (CSR) neighbour lists for a set of query particles: one
 /// `offsets` array and one flat `indices` array, shared by every kernel
@@ -246,7 +199,7 @@ impl CellGrid {
     /// (the expected search radius, e.g. `2·h̄`). The actual edge is at
     /// least `cell_size` on every axis (never smaller, so a typical query
     /// scans ≤ 27 cells) and the total cell count is capped at
-    /// [`MAX_CELLS_PER_PARTICLE`]·n. Panics on an empty particle set or
+    /// `MAX_CELLS_PER_PARTICLE`·n. Panics on an empty particle set or
     /// non-finite positions, like [`crate::Octree::build`].
     pub fn build(positions: &[Vec3], periodicity: Periodicity, cell_size: f64) -> CellGrid {
         Self::build_impl(positions, periodicity, cell_size)
@@ -402,8 +355,8 @@ impl CellGrid {
     }
 
     /// Scan every cell overlapping the ball at one (possibly image)
-    /// centre. The accept test is the plain Euclidean `dist_sq` the
-    /// octree leaf scan uses — exactness contract of the module.
+    /// centre. The accept test is the plain Euclidean `dist_sq` to that
+    /// image — what the brute-force oracle evaluates.
     fn scan_one_image(
         &self,
         center: Vec3,
@@ -471,8 +424,12 @@ impl CellGrid {
     }
 }
 
-impl NeighborQuery for CellGrid {
-    fn clamp_radius(&self, radius: f64) -> f64 {
+/// Fixed-radius ball queries.
+impl CellGrid {
+    /// Largest usable search radius: strictly below half of every
+    /// periodic span (where the minimum image becomes ambiguous), the
+    /// input radius otherwise.
+    pub fn clamp_radius(&self, radius: f64) -> f64 {
         let mut r = radius;
         for axis in 0..3 {
             if self.periodicity.periodic[axis] {
@@ -483,7 +440,11 @@ impl NeighborQuery for CellGrid {
         r
     }
 
-    fn neighbors_within(
+    /// Indices (original particle ids) of all particles within `radius`
+    /// of `center`, appended to `out` (self included when in range).
+    /// Records a [`TraversalStats::radius_clamps`] event when the
+    /// periodic half-span clamp engages.
+    pub fn neighbors_within(
         &self,
         center: Vec3,
         radius: f64,
@@ -495,25 +456,35 @@ impl NeighborQuery for CellGrid {
         if clamped < radius {
             stats.radius_clamps += 1;
         }
-        for_each_image_offset(&self.periodicity, center, clamped, |offset| {
+        self.periodicity.for_each_ghost_offset(center, clamped, |offset| {
             self.scan_one_image(center + offset, clamped, |k, _| out.push(self.entries[k]), stats);
         });
     }
 
-    fn count_within(&self, center: Vec3, radius: f64, stats: &mut TraversalStats) -> usize {
+    /// Count of neighbours within `radius` of `center`, with no
+    /// allocation.
+    pub fn count_within(&self, center: Vec3, radius: f64, stats: &mut TraversalStats) -> usize {
         assert!(radius > 0.0 && radius.is_finite(), "bad search radius {radius}");
         let clamped = self.clamp_radius(radius);
         if clamped < radius {
             stats.radius_clamps += 1;
         }
         let mut count = 0usize;
-        for_each_image_offset(&self.periodicity, center, clamped, |offset| {
+        self.periodicity.for_each_ghost_offset(center, clamped, |offset| {
             self.scan_one_image(center + offset, clamped, |_, _| count += 1, stats);
         });
         count
     }
 
-    fn neighbors_with_dist(
+    /// Like [`CellGrid::neighbors_within`], but each id arrives with the
+    /// squared distance the accept test compared against `r²` — the
+    /// Euclidean `dist_sq` to the accepting periodic image. Because the
+    /// half-span clamp keeps the ball strictly smaller than every periodic
+    /// half-span, at most one image of any particle can lie inside it, so
+    /// the distance is unique per id. The smoothing-length iteration
+    /// caches these pairs to answer shrinking-radius rounds by filtering
+    /// instead of re-scanning the grid.
+    pub fn neighbors_with_dist(
         &self,
         center: Vec3,
         radius: f64,
@@ -525,7 +496,7 @@ impl NeighborQuery for CellGrid {
         if clamped < radius {
             stats.radius_clamps += 1;
         }
-        for_each_image_offset(&self.periodicity, center, clamped, |offset| {
+        self.periodicity.for_each_ghost_offset(center, clamped, |offset| {
             self.scan_one_image(
                 center + offset,
                 clamped,
@@ -536,54 +507,13 @@ impl NeighborQuery for CellGrid {
     }
 }
 
-/// Enumerate the same image offsets as `Periodicity::ghost_offsets`
-/// without allocating: identity plus every combination of the per-axis
-/// face shifts. Identity comes first; combination order differs from the
-/// Vec-building original, which is immaterial to counting and stats.
-pub(crate) fn for_each_image_offset(per: &Periodicity, p: Vec3, r: f64, mut f: impl FnMut(Vec3)) {
-    let mut shift = [0.0f64; 3];
-    for (axis, shift_axis) in shift.iter_mut().enumerate() {
-        if !per.periodic[axis] {
-            continue;
-        }
-        let span = per.domain.extent().component(axis);
-        if span <= 0.0 {
-            continue;
-        }
-        let lo = per.domain.lo.component(axis);
-        let hi = per.domain.hi.component(axis);
-        let c = p.component(axis);
-        if c - lo < r {
-            *shift_axis = span;
-        } else if hi - c < r {
-            *shift_axis = -span;
-        }
-    }
-    for mask in 0u32..8 {
-        let mut offset = Vec3::ZERO;
-        let mut skip = false;
-        for (axis, &s) in shift.iter().enumerate() {
-            if mask & (1 << axis) != 0 {
-                if s == 0.0 {
-                    skip = true; // this axis has no image: mask duplicates another
-                    break;
-                }
-                *offset.component_mut(axis) = s;
-            }
-        }
-        if !skip {
-            f(offset);
-        }
-    }
-}
-
 /// Batch ball queries into one CSR structure: the shape of the per-step
 /// neighbour phase (Fig. 4 phases B–D). Chunked map over fixed
 /// `REDUCE_CHUNK` boundaries + ordered reduce, so the assembled lists and
 /// merged stats are bit-identical for any thread count. Each row is
 /// sorted ascending (the canonical summation order).
-pub fn build_csr_lists<Q: NeighborQuery + ?Sized>(
-    query: &Q,
+pub fn build_csr_lists(
+    query: &CellGrid,
     centers: &[Vec3],
     radii: &[f64],
 ) -> (NeighborLists, TraversalStats) {
@@ -691,6 +621,36 @@ mod tests {
     }
 
     #[test]
+    fn fully_periodic_corner_query() {
+        let pts = random_points(1000, 55);
+        let per = Periodicity::fully_periodic(Aabb::unit());
+        let grid = CellGrid::build(&pts, per, 0.1);
+        let c = Vec3::splat(0.01); // near the corner: 8 images
+        let r = 0.12;
+        let mut found = Vec::new();
+        let mut stats = TraversalStats::default();
+        grid.neighbors_within(c, r, &mut found, &mut stats);
+        found.sort_unstable();
+        assert_eq!(found, brute_force(&pts, &per, c, r));
+    }
+
+    #[test]
+    fn clamp_only_affects_periodic_axes() {
+        let pts = random_points(200, 9);
+        // Open domain: no clamping, arbitrarily large radius finds everyone.
+        let open = CellGrid::build(&pts, Periodicity::open(Aabb::unit()), 0.2);
+        assert_eq!(open.clamp_radius(5.0), 5.0);
+        let mut out = Vec::new();
+        let mut stats = TraversalStats::default();
+        open.neighbors_within(Vec3::splat(0.5), 5.0, &mut out, &mut stats);
+        assert_eq!(out.len(), pts.len());
+        // Periodic z: only the z span caps the radius.
+        let periodic_z = CellGrid::build(&pts, Periodicity::periodic_z(Aabb::unit()), 0.2);
+        let clamped = periodic_z.clamp_radius(5.0);
+        assert!(clamped < 0.5 && clamped > 0.49);
+    }
+
+    #[test]
     fn row_run_scan_keeps_the_cell_by_cell_sequence_and_counts() {
         // The scan walks one contiguous run per (iy, iz) row instead of
         // one cell at a time. The accepted `(id, d²)` sequence and all
@@ -707,7 +667,7 @@ mod tests {
             if clamped < radius {
                 stats.radius_clamps += 1;
             }
-            for_each_image_offset(&per, center, clamped, |offset| {
+            per.for_each_ghost_offset(center, clamped, |offset| {
                 grid.scan_one_image_reference(
                     center + offset,
                     clamped,

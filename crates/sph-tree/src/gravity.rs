@@ -4,9 +4,9 @@
 //! ("4-pole"), ChaNGa up to hexadecapole ("16-pole"). This module
 //! implements monopole, quadrupole and octupole expansions exactly; the
 //! cost of the higher-order terms ChaNGa carries is represented in the
-//! performance model by a per-cell-interaction cost factor (see DESIGN.md
-//! §2 — substitution table), while force *accuracy* is verified here
-//! against direct summation.
+//! performance model by a per-cell-interaction cost factor
+//! (`sph_cluster::CostModel::gravity_flops_per_interaction`), while force
+//! *accuracy* is verified here against direct summation.
 //!
 //! Conventions: `G` is configurable (the Evrard test uses `G = 1`) and
 //! softening is Plummer (`φ = −Gm/√(r²+ε²)`).
@@ -35,7 +35,7 @@
 //!   compares a loop index, not an id per pair.
 //!
 //! `field_at` evaluates a leaf in two phases. The *lane phase* runs over
-//! the leaf's slots in blocks of [`LANES`] and writes each pair's three
+//! the leaf's slots in blocks of `LANES` and writes each pair's three
 //! acceleration terms and its potential term into stack buffers; no
 //! iteration depends on another, so the compiler turns it into packed
 //! square roots and divisions at whatever vector width the target has. The

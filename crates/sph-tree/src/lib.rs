@@ -1,4 +1,4 @@
-//! Hierarchical tree substrate: octree build, neighbour discovery, and
+//! Spatial substrate: the cell-list neighbour pipeline, the octree, and
 //! Barnes–Hut self-gravity.
 //!
 //! Algorithm 1 of the paper structures every SPH time-step around a tree:
@@ -6,17 +6,18 @@
 //! reuses it for self-gravity via multipole expansions. All three codes in
 //! Table 1 discover neighbours by a tree walk, and the astrophysics codes
 //! compute gravity with multipoles (4-pole for SPHYNX, 16-pole for ChaNGa).
+//! This mini-app departs from Table 1 on the first point: neighbours come
+//! from a uniform cell list, and the octree is built only when gravity is
+//! on.
 //!
 //! This crate provides:
 //! * [`morton`] — 63-bit Morton (Z-order) keys, also reused by the SFC
 //!   domain decomposition in `sph-domain`;
 //! * [`octree`] — a linear octree built over Morton-sorted particles, with
-//!   a rayon-parallel construction path;
-//! * [`neighbors`] — fixed-radius neighbour search by tree walk with
-//!   optional per-axis periodicity (the square patch wraps in z);
-//! * [`cell_list`] — the uniform-grid neighbour pipeline and the CSR
-//!   neighbour lists every SPH kernel pass streams over (the production
-//!   hot path; the octree walk remains as reference and gravity support);
+//!   a rayon-parallel construction path (gravity's structure);
+//! * [`cell_list`] — the uniform-grid ball queries with optional per-axis
+//!   periodicity (the square patch wraps in z) and the CSR neighbour lists
+//!   every SPH kernel pass streams over;
 //! * [`gravity`] — multipole moments (monopole + quadrupole), an
 //!   opening-angle MAC, a Barnes–Hut traversal, and a direct-summation
 //!   reference used by the validation tests.
@@ -29,20 +30,18 @@
 pub mod cell_list;
 pub mod gravity;
 pub mod morton;
-pub mod neighbors;
 pub mod octree;
 
-pub use cell_list::{build_csr_lists, CellGrid, NeighborLists, NeighborQuery};
+pub use cell_list::{build_csr_lists, CellGrid, NeighborLists};
 pub use gravity::{GravityConfig, GravitySolver, MultipoleOrder};
-pub use neighbors::NeighborSearch;
 pub use octree::{Octree, OctreeConfig};
 
-/// Counters filled in by tree traversals; the currency of the performance
-/// model (`sph-cluster` charges modelled seconds per unit of each).
+/// Counters filled in by grid scans and tree walks; the currency of the
+/// performance model (`sph-cluster` charges modelled seconds per unit of each).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraversalStats {
-    /// Tree nodes visited (pruning tests executed); for the cell-list
-    /// backend, cells scanned.
+    /// Cells scanned by a ball query; tree nodes visited (opening tests
+    /// executed) by a gravity walk.
     pub nodes_visited: u64,
     /// Particle–particle interactions evaluated.
     pub p2p_interactions: u64,

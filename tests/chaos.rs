@@ -198,3 +198,29 @@ fn empty_plan_adds_no_overhead_to_the_trajectory() {
     assert_eq!(stats.checkpoints_written, 1 + STEPS / 2);
     assert!(stats.checkpoint_bytes > 0);
 }
+
+#[test]
+fn daly_cadence_leaves_the_trajectory_untouched() {
+    // The Daly scheduler feeds wall-clock step and write times into the
+    // checkpoint *cadence* only. MTBF 60 s against ms-scale steps: the
+    // interval is far longer than the run, so it writes no more than the
+    // fixed cadence does — and the bits are the fault-free ones.
+    let want = fault_free_fingerprint(2);
+    let plan = FaultPlan::new(1);
+    let daly = ResilientConfig {
+        scheduler: SchedulerMode::Daly { mtbf: 60.0, write_cost_guess: 1e-3 },
+        ..Default::default()
+    };
+    let run = |rcfg| {
+        let mut resilient =
+            ResilientSimulation::new(build(2), Box::new(MemoryStore::new()), &plan, rcfg).unwrap();
+        let stats = resilient.run(STEPS).unwrap();
+        assert_eq!(fingerprint(resilient.sys()), want);
+        assert_eq!(stats.rollbacks, 0);
+        (resilient.daly_interval(), stats.checkpoints_written)
+    };
+    let (daly_interval, daly_written) = run(daly);
+    let (fixed_interval, fixed_written) = run(fixed_cadence(2));
+    assert!(daly_interval.is_some() && fixed_interval.is_none());
+    assert!(daly_written <= fixed_written, "Daly wrote {daly_written} > fixed {fixed_written}");
+}

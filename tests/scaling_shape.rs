@@ -1,6 +1,6 @@
 //! Integration: the strong-scaling experiments reproduce the *shape* of
 //! Figs. 1–3 — who wins, by roughly what factor, where scaling stalls.
-//! (Absolute seconds are calibrated; shapes are measured — DESIGN.md §2.)
+//! (Absolute seconds are calibrated; shapes are measured.)
 
 use sph_exa_repro::cluster::{piz_daint, scaling_experiment, ScalingConfig, StepModelConfig};
 use sph_exa_repro::parents::{changa, sphflow, sphynx, CodeSetup, Scenario};
