@@ -8,12 +8,13 @@ use sph_core::config::GradientScheme;
 use sph_core::density::compute_density;
 use sph_core::forces::compute_forces;
 use sph_core::gradients::{compute_iad_matrices, compute_velocity_gradients};
+use sph_core::particles::ParticleSystem;
 use sph_core::volume::compute_volume_elements;
-use sph_exa::SimulationBuilder;
+use sph_exa::{DistributedBuilder, SimulationBuilder};
 use sph_kernels::SUPPORT_RADIUS;
 use sph_math::{SplitMix64, Vec3};
 use sph_parents::{changa, sphflow, sphynx};
-use sph_scenarios::{Resolution, Scenario, SedovScenario};
+use sph_scenarios::{Resolution, Scenario, SedovScenario, SquarePatchScenario};
 use sph_tree::CellGrid;
 
 const N: usize = 8_000;
@@ -60,6 +61,16 @@ fn bench_force_pass(c: &mut Criterion) {
     group.finish();
 }
 
+/// Displace every lattice site by at most 2 % of the spacing per axis, as
+/// the repo benchmark does to its lattice workloads.
+fn jitter_lattice(sys: &mut ParticleSystem) {
+    let amp = 0.02 * (sys.periodicity.domain.volume() / sys.len() as f64).cbrt();
+    let mut rng = SplitMix64::new(20180911);
+    for x in sys.x.iter_mut() {
+        *x += Vec3::new(rng.uniform(-amp, amp), rng.uniform(-amp, amp), rng.uniform(-amp, amp));
+    }
+}
+
 /// The pass rows of the repo benchmark's `sedov_hydro` workload
 /// (`sph-core.density_s` / `gradients_s` / `forces_s`), on its state and
 /// its one thread: the 32³ Sedov blast in its fully periodic box, every
@@ -69,12 +80,7 @@ fn bench_force_pass(c: &mut Criterion) {
 fn bench_sedov_passes(c: &mut Criterion) {
     rayon::ThreadPoolBuilder::new().num_threads(1).build_global().expect("shim pool");
     let mut setup = SedovScenario.init(Resolution { scale: 1.0 });
-    let sys = &mut setup.sys;
-    let amp = 0.02 * (sys.periodicity.domain.volume() / sys.len() as f64).cbrt();
-    let mut rng = SplitMix64::new(20180911);
-    for x in sys.x.iter_mut() {
-        *x += Vec3::new(rng.uniform(-amp, amp), rng.uniform(-amp, amp), rng.uniform(-amp, amp));
-    }
+    jitter_lattice(&mut setup.sys);
     let cfg = setup.config;
     let mut sim =
         SimulationBuilder::new(setup.sys).config(cfg).build().expect("valid Sedov simulation");
@@ -132,11 +138,43 @@ fn bench_full_steps(c: &mut Criterion) {
     group.finish();
 }
 
+/// The rank-count overhead of one step, without the benchmark harness:
+/// the state of the repo benchmark's `patch_dist4` workload (40×40×16
+/// rotating square patch, ≤ 2 %-of-spacing jitter, one thread) stepped by
+/// the single-rank driver and by four ORB ranks. The two trajectories are
+/// bit-identical, so every sample pair times the same physical step; the
+/// ratio of the rows is what `sph-exa.dist_over_single_ratio` reports.
+fn bench_rank_count_overhead(c: &mut Criterion) {
+    rayon::ThreadPoolBuilder::new().num_threads(1).build_global().expect("shim pool");
+    let mut setup = SquarePatchScenario.init(Resolution { scale: 2.0 });
+    jitter_lattice(&mut setup.sys);
+    let mut group = c.benchmark_group("full_step");
+    group.sample_size(10);
+    let mut single = SimulationBuilder::new(setup.sys.clone())
+        .config(setup.config)
+        .build()
+        .expect("valid square-patch simulation");
+    group.bench_function("square_patch_single", |b| {
+        b.iter(|| black_box(single.step().expect("stable step")))
+    });
+    let mut dist4 = DistributedBuilder::new(setup.sys)
+        .config(setup.config)
+        .nranks(4)
+        .build()
+        .expect("valid 4-rank simulation");
+    group.bench_function("square_patch_dist4", |b| {
+        b.iter(|| black_box(dist4.step().expect("stable step")))
+    });
+    group.finish();
+    rayon::ThreadPoolBuilder::new().num_threads(0).build_global().expect("shim pool");
+}
+
 criterion_group!(
     benches,
     bench_density_pass,
     bench_force_pass,
     bench_sedov_passes,
-    bench_full_steps
+    bench_full_steps,
+    bench_rank_count_overhead
 );
 criterion_main!(benches);

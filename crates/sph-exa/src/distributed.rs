@@ -416,7 +416,7 @@ pub struct DistributedSimulation {
     exchange: Box<dyn Exchange>,
 }
 
-fn partition(
+pub(crate) fn partition(
     sys: &ParticleSystem,
     partitioner: RankPartitioner,
     nranks: usize,
@@ -431,7 +431,7 @@ fn partition(
 /// Bucket the assignment into per-rank owned-id lists (ascending, since
 /// the pass walks global ids in order) — one O(n) sweep replacing the
 /// O(n·ranks) of repeated `Decomposition::indices_of` scans.
-fn bucket_owned(decomp: &Decomposition) -> Vec<Vec<u32>> {
+pub(crate) fn bucket_owned(decomp: &Decomposition) -> Vec<Vec<u32>> {
     let mut owned: Vec<Vec<u32>> = vec![Vec::new(); decomp.nparts];
     for (i, &r) in decomp.assignment.iter().enumerate() {
         owned[r as usize].push(i as u32);
@@ -919,14 +919,18 @@ impl DistributedSimulation {
         })
     }
 
-    /// Half-kick `active` (default: every rank's owned particles), each
-    /// by half the step of its own rung.
+    /// Half-kick `active`, each by half the step of its own rung; without
+    /// an active subset every particle is on rung 0 (`dt / 2⁰` is `dt`
+    /// exactly) and each rank kicks its owned particles in one call.
     fn half_kick(&mut self, active: Option<&[u32]>, rungs: &[u8], dt: f64) {
         for (r, owned) in self.owned.iter().enumerate() {
-            self.timers[r].time(Phase::Update, || {
-                for &i in active.unwrap_or(owned) {
-                    let rung_dt = dt / (1u64 << rungs[i as usize]) as f64;
-                    kick(&mut self.sys, rung_dt / 2.0, &[i]);
+            self.timers[r].time(Phase::Update, || match active {
+                None => kick(&mut self.sys, dt / 2.0, owned),
+                Some(active) => {
+                    for &i in active {
+                        let rung_dt = dt / (1u64 << rungs[i as usize]) as f64;
+                        kick(&mut self.sys, rung_dt / 2.0, &[i]);
+                    }
                 }
             });
         }
@@ -1244,8 +1248,9 @@ fn take_array<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], 
 mod tests {
     use super::*;
     use crate::simulation::SimulationBuilder;
+    use sph_core::config::GradientScheme;
     use sph_ft::checkpoint::MemoryStore;
-    use sph_math::{Periodicity, SplitMix64, Vec3};
+    use sph_math::{Mat3, Periodicity, SplitMix64, Vec3};
 
     fn gas_ball(n_target: usize, seed: u64) -> ParticleSystem {
         let mut rng = SplitMix64::new(seed);
@@ -1376,6 +1381,48 @@ mod tests {
             SimulationBuilder::new(gas_ball(400, 7)).config(quick_config()).build().unwrap();
         reference.run(6).unwrap();
         assert_eq!(state_hash(&dist.sys), state_hash(&reference.sys));
+    }
+
+    #[test]
+    fn an_evaluation_reads_only_the_imported_state() {
+        // A rank's copy is built from `[x, v, m, h, u]` — the nine words per
+        // ghost `halo_bytes_per_step_computed` counts for the import — so
+        // whatever else the global store holds when an evaluation starts
+        // must be dead: NaN in all of it cannot reach the trajectory.
+        for gradients in [GradientScheme::KernelDerivative, GradientScheme::Iad] {
+            let config = SphConfig { gradients, ..quick_config() };
+            let run = |poison: bool| {
+                let mut dist = DistributedBuilder::new(gas_ball(400, 13))
+                    .config(config)
+                    .nranks(4)
+                    .build()
+                    .unwrap();
+                dist.run(2).unwrap();
+                if poison {
+                    let sys = &mut dist.sys;
+                    for field in [
+                        &mut sys.rho,
+                        &mut sys.p,
+                        &mut sys.cs,
+                        &mut sys.du_dt,
+                        &mut sys.omega,
+                        &mut sys.vol,
+                        &mut sys.div_v,
+                        &mut sys.curl_v,
+                    ] {
+                        field.fill(f64::NAN);
+                    }
+                    sys.a.fill(Vec3::splat(f64::NAN));
+                    sys.c_iad.fill(Mat3 { m: [[f64::NAN; 3]; 3] });
+                    sys.rung.fill(u8::MAX);
+                }
+                // Both runs re-evaluate at the state two steps in.
+                dist.derivatives_fresh = false;
+                dist.run(2).unwrap();
+                state_hash(&dist.sys)
+            };
+            assert_eq!(run(true), run(false), "{gradients:?}: a poisoned field was read");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use sph_kernels::{Kernel, SUPPORT_RADIUS};
 use sph_math::{Vec3, REDUCE_CHUNK};
 use sph_profiler::Phase;
 use sph_tree::gravity::GravitySample;
-use sph_tree::{CellGrid, GravitySolver, TraversalStats};
+use sph_tree::{build_csr_lists, CellGrid, GravitySolver, TraversalStats};
 use ExchangePoint::{Refresh, VerifyHaloThenRefresh};
 
 /// Per-particle fields that cross a rank boundary together: written from
@@ -254,7 +254,17 @@ impl RankView {
                 g += 1;
             }
         }
-        let copy = sys.subset(&ids);
+        // An import carries `[x, v, m, h, u]` — nine words per ghost, the
+        // migration payload — and every other field is recomputed by a pass
+        // or refreshed from its owner before anything reads it.
+        let mut copy = sys.subset(&[]);
+        macro_rules! import {
+            ($($field:ident),*) => {
+                $(copy.$field = ids.iter().map(|&i| sys.$field[i as usize]).collect();)*
+            };
+        }
+        import!(x, v, m, h, u);
+        copy.resize_zeroed(ids.len());
         let ws = Workspace::new(&copy, ids, active, ghosts);
         RankView { rank, copy: Some(copy), ws }
     }
@@ -291,6 +301,15 @@ impl RankView {
 impl Workspace {
     fn global_id(&self, k: u32) -> u32 {
         self.ids.get(k as usize).copied().unwrap_or(k)
+    }
+
+    /// Cell grid over the *active* positions alone, in row order — its
+    /// entries are row indices of the active particles' lists. Only those
+    /// rows are ever consumed, so it is where the closure looks up which
+    /// of them a ghost gathers.
+    fn owned_grid(&self, local: &ParticleSystem) -> CellGrid {
+        let owned_x: Vec<Vec3> = self.active.iter().map(|&k| local.x[k as usize]).collect();
+        CellGrid::for_radius(&owned_x, local.periodicity, SUPPORT_RADIUS * local.max_h())
     }
 
     fn new(
@@ -394,29 +413,54 @@ fn force_lists(_: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> Ste
     // The gather lists and the grid have their last reader here, and the
     // symmetric closure is the evaluation's largest allocation: they are
     // freed before it is built, not after.
+    ws.grid = None;
     let gather = std::mem::take(&mut ws.lists);
-    ws.force_lists = match ws.grid.take() {
-        Some(grid) if !ws.ghosts.is_empty() => closure_over_ghosts(sys, ws, &gather, &grid),
-        grid => {
-            drop(grid);
-            if ws.active.len() == sys.len() {
-                gather.symmetrized()
-            } else {
-                gather
-            }
-        }
+    ws.force_lists = if !ws.ghosts.is_empty() {
+        closure_over_ghosts(sys, ws, &gather, &ws.owned_grid(sys))
+    } else if ws.active.len() == sys.len() {
+        gather.symmetrized()
+    } else {
+        gather
     };
     StepStats::default()
 }
 
 /// Symmetric closure when some neighbours are ghosts, whose gather lists
-/// this rank never computed. A ghost's gather set is recovered with one
-/// frozen ball query at its exchanged h (exact, by the h-iteration's exit
-/// invariant and because the final search radius is within the verified
-/// halo radius); the closure is then built in ascending global-id order —
-/// identical membership and summation order to
-/// `NeighborLists::symmetrized()` over the global system.
+/// this rank never computed. A ghost's gather set — the part of it among
+/// this rank's owned particles, which is all their rows can hold — is
+/// recovered with one frozen ball query at its exchanged h on `owned`, the
+/// grid over the owned positions in row order. That is exact, by the
+/// h-iteration's exit invariant, because the final search radius is within
+/// the verified halo radius, and because a query's result depends on
+/// centre, radius and periodicity, never on the grid's geometry. The
+/// reverse edges of owned rows and ghost balls are then merged into the
+/// owned rows in ascending local index ≡ ascending global id: identical
+/// membership and summation order to `NeighborLists::symmetrized()` over
+/// the global system.
 fn closure_over_ghosts(
+    sys: &ParticleSystem,
+    ws: &Workspace,
+    gather: &NeighborLists,
+    owned: &CellGrid,
+) -> NeighborLists {
+    let n_ghosts = ws.ghosts.len();
+    let mut ghost_ids = Vec::with_capacity(n_ghosts);
+    let mut centers = Vec::with_capacity(n_ghosts);
+    let mut radii = Vec::with_capacity(n_ghosts);
+    for &(k, _) in &ws.ghosts {
+        ghost_ids.push(k);
+        centers.push(sys.x[k as usize]);
+        radii.push(SUPPORT_RADIUS * sys.h[k as usize]);
+    }
+    let (ghost_rows, _) = build_csr_lists(owned, &centers, &radii);
+    gather.symmetrized_over_ghosts(&ws.active, ws.ids.len(), &ghost_ids, &ghost_rows)
+}
+
+/// The closure [`closure_over_ghosts`] replaced, kept as its oracle: a
+/// `Vec` per local particle, one ball query per ghost on the owned ∪
+/// ghost grid, then sort + dedup of every owned row.
+#[cfg(test)]
+fn closure_over_ghosts_reference(
     sys: &ParticleSystem,
     ws: &Workspace,
     gather: &NeighborLists,
@@ -503,4 +547,94 @@ fn gravity(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepS
         }
     }
     stats
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::distributed::{bucket_owned, partition, RankPartitioner};
+    use sph_domain::{halo_sets, SfcKind};
+    use sph_math::{Aabb, Periodicity, SplitMix64};
+
+    /// A uniform cloud in the unit cube whose smoothing lengths vary by a
+    /// factor ≈ 2 from particle to particle, so `j ∈ N(k)` without
+    /// `k ∈ N(j)` is common.
+    fn variable_h_cloud(n: usize, seed: u64, periodicity: Periodicity) -> ParticleSystem {
+        let mut rng = SplitMix64::new(seed);
+        let x = (0..n).map(|_| Vec3::new(rng.next_f64(), rng.next_f64(), rng.next_f64())).collect();
+        let mut sys = ParticleSystem::new(
+            x,
+            vec![Vec3::ZERO; n],
+            vec![1.0; n],
+            vec![1.0; n],
+            0.1,
+            periodicity,
+        );
+        sys.h.fill_with(|| rng.uniform(0.05, 0.11));
+        sys
+    }
+
+    /// Gather lists of `ids` on `grid`: every particle within `2h` of each.
+    fn gather_lists(sys: &ParticleSystem, grid: &CellGrid, ids: &[u32]) -> NeighborLists {
+        let centers: Vec<Vec3> = ids.iter().map(|&k| sys.x[k as usize]).collect();
+        let radii: Vec<f64> = ids.iter().map(|&k| SUPPORT_RADIUS * sys.h[k as usize]).collect();
+        build_csr_lists(grid, &centers, &radii).0
+    }
+
+    #[test]
+    fn closure_over_ghosts_equals_its_oracle_and_the_global_closure() {
+        let n = 700;
+        let domains = [
+            Periodicity::open(Aabb::unit()),
+            Periodicity::periodic_z(Aabb::unit()),
+            Periodicity::fully_periodic(Aabb::unit()),
+        ];
+        for (d, &periodicity) in domains.iter().enumerate() {
+            let sys = variable_h_cloud(n, 0xC105 + d as u64, periodicity);
+            let radius = SUPPORT_RADIUS * sys.max_h();
+            let all: Vec<u32> = (0..n as u32).collect();
+            let global_grid = CellGrid::for_radius(&sys.x, periodicity, radius);
+            let global = gather_lists(&sys, &global_grid, &all).symmetrized();
+            for partitioner in [RankPartitioner::Orb, RankPartitioner::Sfc(SfcKind::Hilbert)] {
+                for nranks in [2usize, 3, 4] {
+                    let case = format!("{periodicity:?} {partitioner:?} nranks {nranks}");
+                    let decomp = partition(&sys, partitioner, nranks, &vec![1.0; n]);
+                    let owned = bucket_owned(&decomp);
+                    let halos = halo_sets(&sys.x, &decomp, radius, &periodicity);
+                    // Pairs only the ghost's ball finds: owned k, ghost j,
+                    // k ∈ N(j), j ∉ N(k).
+                    let mut ghost_only_pairs = 0;
+                    for (r, (owned, imports)) in owned.iter().zip(&halos.imports).enumerate() {
+                        let view = RankView::of_subdomain(r, &sys, owned, imports);
+                        let (Some(local), ws) = (&view.copy, &view.ws) else {
+                            panic!("{case}: a subdomain view computes on a copy")
+                        };
+                        assert!(!ws.ghosts.is_empty(), "{case}: rank {r} imports nothing");
+                        let grid = ws.grid.as_ref().unwrap();
+                        let gather = gather_lists(local, grid, &ws.active);
+                        let got = closure_over_ghosts(local, ws, &gather, &ws.owned_grid(local));
+                        let want = closure_over_ghosts_reference(local, ws, &gather, grid);
+                        assert_eq!(got.query_count(), ws.active.len(), "{case}");
+                        for (q, &k) in ws.active.iter().enumerate() {
+                            let row = got.neighbors(q);
+                            assert_eq!(row, want.neighbors(q), "{case}: rank {r} row {q}");
+                            let global_ids: Vec<u32> =
+                                row.iter().map(|&j| ws.global_id(j)).collect();
+                            assert_eq!(
+                                global_ids,
+                                global.neighbors(ws.global_id(k) as usize),
+                                "{case}: rank {r} row {q} against the global closure"
+                            );
+                            ghost_only_pairs += row
+                                .iter()
+                                .filter(|j| ws.active.binary_search(j).is_err())
+                                .filter(|j| gather.neighbors(q).binary_search(j).is_err())
+                                .count();
+                        }
+                    }
+                    assert!(ghost_only_pairs > 0, "{case}: no pair needed a ghost's ball");
+                }
+            }
+        }
+    }
 }

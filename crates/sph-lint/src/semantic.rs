@@ -11,7 +11,9 @@
 //!   (density / volume elements / IAD / velocity gradients / forces, with
 //!   the smoothing-length iteration living inside the density pass), the
 //!   `CellGrid` ball-query methods and cell scan, the
-//!   CSR batch builder, and the Barnes–Hut walk `field_at` (one call per
+//!   CSR batch builder, the symmetric closures of the pair lists (over the
+//!   whole system and over a rank's owned ∪ ghost subset — one row per
+//!   particle per step), and the Barnes–Hut walk `field_at` (one call per
 //!   particle per step, the largest row of a gravity step).
 //! - **Trajectory feeders**: the kernel passes plus every `step` method
 //!   on the drivers ([`TRAJECTORY_STEP_TYPES`]).
@@ -35,6 +37,9 @@ pub const HOT_PATH_SEEDS: &[&str] = &[
     "clamp_radius",
     "scan_one_image",
     "build_csr_lists",
+    "symmetrized",
+    "symmetrized_over_ghosts",
+    "closure_over_ghosts",
     "field_at",
 ];
 

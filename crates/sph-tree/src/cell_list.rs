@@ -97,7 +97,8 @@ impl NeighborLists {
     /// symmetric, but the pairwise momentum/energy equations must see
     /// every pair from both sides or conservation is silently broken.
     /// Only valid when the lists cover *all* particles (query `k` ⇔
-    /// particle `k`).
+    /// particle `k`); [`NeighborLists::symmetrized_over_ghosts`] is the
+    /// closure of a subset's lists.
     ///
     /// Rows must be (and stay) strictly ascending. The closure is built
     /// allocation-lean: a reverse-edge CSR (scattered in ascending-`k`
@@ -105,61 +106,145 @@ impl NeighborLists {
     /// with the forward lists — no per-particle sort or dedup pass.
     pub fn symmetrized(&self) -> NeighborLists {
         let n = self.query_count();
-        // Reverse-edge degrees: how many k ≠ j list j as a neighbour.
-        let mut rev_off = vec![0u32; n + 1];
-        for k in 0..n {
-            for &j in self.neighbors(k) {
-                assert!((j as usize) < n, "symmetrized() requires full-system lists");
-                if j as usize != k {
-                    rev_off[j as usize + 1] += 1;
-                }
-            }
-        }
-        for j in 0..n {
-            rev_off[j + 1] += rev_off[j];
-        }
-        let mut rev_idx = vec![0u32; rev_off[n] as usize];
-        let mut cursor: Vec<u32> = rev_off[..n].to_vec();
-        for k in 0..n {
-            for &j in self.neighbors(k) {
-                if j as usize != k {
-                    let c = &mut cursor[j as usize];
-                    rev_idx[*c as usize] = k as u32;
-                    *c += 1;
-                }
-            }
-        }
-        // Merge-union each forward row with its (sorted) reverse row.
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut indices = Vec::with_capacity(self.indices.len() + rev_idx.len());
-        for k in 0..n {
-            let a = self.neighbors(k);
-            let b = &rev_idx[rev_off[k] as usize..rev_off[k + 1] as usize];
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => {
-                        indices.push(a[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        indices.push(b[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        indices.push(a[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            indices.extend_from_slice(&a[i..]);
-            indices.extend_from_slice(&b[j..]);
-            offsets.push(indices.len() as u32);
-        }
-        NeighborLists { offsets, indices }
+        let row_of = |j: u32| {
+            assert!((j as usize) < n, "symmetrized() requires full-system lists");
+            Some(j as usize)
+        };
+        symmetric_closure(self, |q| q as u32, row_of, &[], &NeighborLists::default())
     }
+
+    /// Symmetric closure of the lists of a *subset*: row `q` belongs to
+    /// particle `row_ids[q]` (strictly ascending ids below `id_count`) and,
+    /// like every id in it, is in that id space. Particles without a row
+    /// are *ghosts*: ids the rows name get no reverse edge (no row would
+    /// hold it), and the ghosts that gather a row's particle are passed in
+    /// — `ghost_ids` (strictly ascending, disjoint from `row_ids`) with
+    /// `ghost_rows.neighbors(g)` the **row indices** ghost `g` gathers, in
+    /// any order. Row `q` of the result is `N(q) ∪ {k : row_ids[q] ∈
+    /// N(k)}` over rows and ghosts, ascending — what
+    /// [`NeighborLists::symmetrized`] over the whole system holds for that
+    /// particle, restricted to the ids this subset knows.
+    pub fn symmetrized_over_ghosts(
+        &self,
+        row_ids: &[u32],
+        id_count: usize,
+        ghost_ids: &[u32],
+        ghost_rows: &NeighborLists,
+    ) -> NeighborLists {
+        assert_eq!(row_ids.len(), self.query_count(), "one id per row");
+        assert_eq!(ghost_ids.len(), ghost_rows.query_count(), "one gather set per ghost");
+        const NO_ROW: u32 = u32::MAX;
+        let mut row_of = vec![NO_ROW; id_count];
+        for (q, &k) in row_ids.iter().enumerate() {
+            row_of[k as usize] = q as u32;
+        }
+        symmetric_closure(
+            self,
+            |q| row_ids[q],
+            |j| match row_of[j as usize] {
+                NO_ROW => None,
+                q => Some(q as usize),
+            },
+            ghost_ids,
+            ghost_rows,
+        )
+    }
+}
+
+/// Every reverse edge `(target row, source id)` of the forward rows and
+/// the ghosts' gather sets, sources in ascending id — so the edges of one
+/// target arrive ascending. `id_of(q)` is the particle of row `q`,
+/// `row_of(id)` the row of a particle (`None`: it has none).
+fn for_each_reverse_edge(
+    forward: &NeighborLists,
+    id_of: &impl Fn(usize) -> u32,
+    row_of: &impl Fn(u32) -> Option<usize>,
+    ghost_ids: &[u32],
+    ghost_rows: &NeighborLists,
+    mut emit: impl FnMut(usize, u32),
+) {
+    let n = forward.query_count();
+    let (mut q, mut g) = (0, 0);
+    while q < n || g < ghost_ids.len() {
+        if g == ghost_ids.len() || (q < n && id_of(q) < ghost_ids[g]) {
+            let k = id_of(q);
+            for &j in forward.neighbors(q) {
+                if j != k {
+                    if let Some(target) = row_of(j) {
+                        emit(target, k);
+                    }
+                }
+            }
+            q += 1;
+        } else {
+            for &target in ghost_rows.neighbors(g) {
+                emit(target as usize, ghost_ids[g]);
+            }
+            g += 1;
+        }
+    }
+}
+
+/// The one closure routine behind [`NeighborLists::symmetrized`] (identity
+/// maps, no ghosts) and [`NeighborLists::symmetrized_over_ghosts`]: count
+/// → prefix-sum → scatter the reverse edges into a CSR whose rows are born
+/// ascending, then merge-union each forward row with its reverse row
+/// straight into the result's arrays.
+fn symmetric_closure(
+    forward: &NeighborLists,
+    id_of: impl Fn(usize) -> u32,
+    row_of: impl Fn(u32) -> Option<usize>,
+    ghost_ids: &[u32],
+    ghost_rows: &NeighborLists,
+) -> NeighborLists {
+    let n = forward.query_count();
+    // Reverse-edge degrees: how many k ≠ j list j as a neighbour.
+    let mut rev_off = vec![0u32; n + 1];
+    for_each_reverse_edge(forward, &id_of, &row_of, ghost_ids, ghost_rows, |target, _| {
+        rev_off[target + 1] += 1;
+    });
+    for j in 0..n {
+        rev_off[j + 1] += rev_off[j];
+    }
+    let mut rev_idx = vec![0u32; rev_off[n] as usize];
+    let mut cursor = Vec::with_capacity(n);
+    cursor.extend_from_slice(&rev_off[..n]);
+    for_each_reverse_edge(forward, &id_of, &row_of, ghost_ids, ghost_rows, |target, k| {
+        let c = &mut cursor[target];
+        rev_idx[*c as usize] = k;
+        *c += 1;
+    });
+    // Merge-union each forward row with its (sorted) reverse row.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u32);
+    let mut indices = Vec::with_capacity(forward.indices.len() + rev_idx.len());
+    for k in 0..n {
+        let a = forward.neighbors(k);
+        let b = &rev_idx[rev_off[k] as usize..rev_off[k + 1] as usize];
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => {
+                    indices.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    indices.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    indices.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        indices.extend_from_slice(&a[i..]);
+        indices.extend_from_slice(&b[j..]);
+        offsets.push(indices.len() as u32);
+    }
+    assert!(indices.len() <= u32::MAX as usize, "neighbour count overflows u32 CSR offsets");
+    NeighborLists { offsets, indices }
 }
 
 /// Soft cap on the total cell count, as a multiple of the particle count:
@@ -854,6 +939,41 @@ mod tests {
         // Row 1 names particle 3 of a 3-query list: a subset's gather
         // lists, whose closure would need rows that do not exist.
         NeighborLists::from_lists(vec![vec![0, 1], vec![1, 3], vec![2]]).symmetrized();
+    }
+
+    #[test]
+    fn closure_of_a_subset_with_its_ghosts_is_the_full_closure_restricted() {
+        // Asymmetric gather lists over 60 particles; every third particle
+        // keeps its row, the others become ghosts known only by which rows
+        // they gather. Each kept row must come out as the whole system's
+        // closure holds it.
+        let mut rng = SplitMix64::new(24);
+        let n = 60u32;
+        let rows: Vec<Vec<u32>> =
+            (0..n).map(|k| (0..n).filter(|&j| j == k || rng.next_f64() < 0.2).collect()).collect();
+        let full = NeighborLists::from_lists(rows.clone()).symmetrized();
+        let row_ids: Vec<u32> = (0..n).filter(|k| k % 3 == 1).collect();
+        let ghost_ids: Vec<u32> = (0..n).filter(|k| k % 3 != 1).collect();
+        let forward =
+            NeighborLists::from_lists(row_ids.iter().map(|&k| rows[k as usize].clone()).collect());
+        // Row indices each ghost gathers, deliberately descending.
+        let ghost_rows = NeighborLists::from_lists(
+            ghost_ids
+                .iter()
+                .map(|&g| {
+                    let hits = row_ids.iter().enumerate().rev();
+                    hits.filter(|(_, k)| rows[g as usize].contains(k))
+                        .map(|(q, _)| q as u32)
+                        .collect()
+                })
+                .collect(),
+        );
+        let sym = forward.symmetrized_over_ghosts(&row_ids, n as usize, &ghost_ids, &ghost_rows);
+        assert_eq!(sym.query_count(), row_ids.len());
+        for (q, &k) in row_ids.iter().enumerate() {
+            assert_eq!(sym.neighbors(q), full.neighbors(k as usize), "row {q} (particle {k})");
+        }
+        assert!(sym.total_neighbors() > forward.total_neighbors(), "no reverse edge was added");
     }
 
     #[test]
