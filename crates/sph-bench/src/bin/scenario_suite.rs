@@ -21,7 +21,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use sph_core::diagnostics::state_fingerprint;
-use sph_scenarios::{run_scenario, DriverKind, Resolution, RunOptions, ScenarioRegistry};
+use sph_scenarios::{run_scenario, Resolution, RunOptions, ScenarioRegistry};
 
 fn main() {
     let mut json_path: Option<String> = None;
@@ -72,11 +72,7 @@ fn main() {
                 continue;
             }
         }
-        let opts = RunOptions {
-            resolution: Resolution { scale },
-            driver: DriverKind::Single,
-            ..Default::default()
-        };
+        let opts = RunOptions { resolution: Resolution { scale }, ..Default::default() };
         let t0 = std::time::Instant::now();
         let run = match run_scenario(sc, &opts) {
             Ok(r) => r,
@@ -115,18 +111,18 @@ fn main() {
         all_ok &= report.passed;
 
         if bitcheck {
-            // Three macro-steps through each driver must agree bit for
-            // bit (the repo-wide determinism contract, extended to every
-            // registered workload).
-            let quick = |driver| RunOptions {
+            // Three macro-steps on one and on two ranks must agree bit
+            // for bit (the repo-wide determinism contract, extended to
+            // every registered workload).
+            let quick = |nranks| RunOptions {
                 resolution: Resolution { scale: (scale * 0.5).min(0.5) },
-                driver,
+                nranks,
                 end_time: Some(f64::INFINITY),
                 max_steps: 3,
                 ..Default::default()
             };
-            let single = run_scenario(sc, &quick(DriverKind::Single));
-            let dist = run_scenario(sc, &quick(DriverKind::Distributed { nranks: 2 }));
+            let single = run_scenario(sc, &quick(1));
+            let dist = run_scenario(sc, &quick(2));
             match (single, dist) {
                 (Ok(s), Ok(d)) => {
                     let (fs, fd) = (state_fingerprint(&s.sys), state_fingerprint(&d.sys));

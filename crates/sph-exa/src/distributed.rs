@@ -29,20 +29,25 @@
 //!    superstep re-runs from the pre-step smoothing lengths — once every
 //!    search stayed inside the halo radius, each local ball query returned
 //!    exactly the global neighbour set;
-//! 3. the dt reduction is an exact `min` (order-independent) and the
-//!    integrator is per-particle.
+//! 3. the dt reductions are an exact `min` / `max` (order-independent)
+//!    and the integrator is per-particle.
 //!
 //! Ownership therefore never affects values — migration and rebalancing
 //! change *where* a particle is computed, never *what* is computed.
+//!
+//! Block time-stepping ([`TimeStepping::Individual`]) evaluates an active
+//! subset per substep, through the same protocol on every rank count: a
+//! rank computes `owned ∩ active`, and its *resting* particles (owned but
+//! inactive) are carried exactly like ghosts — refreshed from the global
+//! store, which holds the fields of their last evaluation — except that
+//! the EOS row also publishes their `p, c_s`, because one rank applies the
+//! EOS to the whole system in place. A subset sums forces over its gather
+//! lists on every rank, and each rank kicks its `owned ∩ active`.
 //!
 //! Self-gravity is long-range: each rank evaluates its owned particles on
 //! a replicated global tree (the in-process analogue of the locally
 //! essential tree every distributed gravity code assembles), which keeps
 //! the traversal — and its rounding — identical for any rank count.
-//!
-//! Block time-stepping ([`TimeStepping::Individual`]) evaluates an active
-//! subset per substep, which the halo protocol does not cover yet: it is
-//! supported on one rank and rejected with a typed error above it.
 
 use crate::passes::{refresh_ghosts, ExchangePoint, PassEnv, RankView, PASSES};
 use sph_core::config::{SphConfig, TimeStepping};
@@ -90,21 +95,8 @@ pub struct StepReport {
 
 /// Why a driver ([`DistributedSimulation`] or the one-rank
 /// [`crate::Simulation`]) could not be constructed.
-///
-/// Typed so callers can distinguish "this configuration is wrong" from
-/// "this configuration is valid but not supported on more than one rank
-/// yet" — the latter is a capability gap, not a user error, and a
-/// scheduler may fall back to one rank on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistributedBuildError {
-    /// The configured time-stepping policy is valid but not supported on
-    /// more than one rank.
-    UnsupportedTimeStepping {
-        /// Human name of the requested policy.
-        requested: &'static str,
-        /// The policies the driver does support.
-        supported: &'static [&'static str],
-    },
     /// Rank count is zero or exceeds the particle count.
     BadRankCount { nranks: usize, particles: usize },
     /// SPH configuration, particle state, or driver wiring failed
@@ -112,18 +104,9 @@ pub enum DistributedBuildError {
     Invalid(String),
 }
 
-/// The time-stepping policies supported on any rank count.
-pub const SUPPORTED_TIME_STEPPING: &[&str] = &["Global", "Adaptive"];
-
 impl std::fmt::Display for DistributedBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DistributedBuildError::UnsupportedTimeStepping { requested, supported } => write!(
-                f,
-                "{requested} time-stepping is not supported by the distributed driver; \
-                 supported modes: {}",
-                supported.join(", ")
-            ),
             DistributedBuildError::BadRankCount { nranks, particles } => {
                 write!(f, "{nranks} ranks cannot each own a particle of {particles}")
             }
@@ -474,13 +457,10 @@ impl DistributedSimulation {
         dt_prev: f64,
         derivatives_fresh: bool,
     ) -> Result<Self, DistributedBuildError> {
-        // Every construction path (builder *and* checkpoint restore) must
-        // reject what the driver cannot run — a multi-rank restore with an
-        // Individual-stepping config would otherwise evaluate active
-        // subsets the halo protocol does not cover.
+        // Every construction path (builder *and* checkpoint restore)
+        // validates the configuration and the state it is handed.
         config.validate().map_err(DistributedBuildError::Invalid)?;
         sys.sanity_check().map_err(DistributedBuildError::Invalid)?;
-        Self::check_time_stepping(&config, &dist)?;
         if decomp.nparts != dist.nranks {
             return Err(DistributedBuildError::Invalid(format!(
                 "decomposition has {} parts for {} ranks",
@@ -512,21 +492,6 @@ impl DistributedSimulation {
             exchange: Box::new(InProcessExchange::new()),
             dist,
         })
-    }
-
-    /// Block time-stepping evaluates active subsets, which only a rank
-    /// that owns every particle can do.
-    fn check_time_stepping(
-        config: &SphConfig,
-        dist: &DistributedConfig,
-    ) -> Result<(), DistributedBuildError> {
-        if dist.nranks > 1 && matches!(config.time_stepping, TimeStepping::Individual { .. }) {
-            return Err(DistributedBuildError::UnsupportedTimeStepping {
-                requested: "individual (block)",
-                supported: SUPPORTED_TIME_STEPPING,
-            });
-        }
-        Ok(())
     }
 
     /// Largest owned-particle count over ranks divided by the mean — the
@@ -639,11 +604,12 @@ impl DistributedSimulation {
         Ok(policy.radius_for(global_max_h))
     }
 
-    /// Each rank's view of one density attempt. With a halo `radius`
-    /// every non-empty rank extracts its owned particles plus the ghosts
-    /// within the radius of its box; without one (a single rank, which
-    /// owns everything and imports nothing) the global system is the
-    /// rank's local system and `active` may narrow what it computes.
+    /// Each rank's view of one density attempt, computing its owned
+    /// particles in `active` (all of them when `None`). With a halo
+    /// `radius` every non-empty rank extracts its owned particles plus the
+    /// ghosts within the radius of its box; without one (a single rank,
+    /// which owns everything and imports nothing) the global system is the
+    /// rank's local system.
     fn open_views(
         &self,
         active: Option<&[u32]>,
@@ -663,7 +629,7 @@ impl DistributedSimulation {
             .map(|r| {
                 // halo_sets emits imports in ascending global id already.
                 self.timers[r].time(Phase::TreeBuild, || {
-                    RankView::of_subdomain(r, &self.sys, &self.owned[r], &halos.imports[r])
+                    RankView::of_subdomain(r, &self.sys, &self.owned[r], &halos.imports[r], active)
                 })
             })
             .collect();
@@ -673,8 +639,8 @@ impl DistributedSimulation {
     /// Evaluate all derivatives: run [`PASSES`] in order over every
     /// rank's view, publishing the owners' results and performing the
     /// pass's exchange point after each. `active = None` evaluates every
-    /// particle on its owner; `Some(ids)` (block time-stepping, one rank
-    /// only) just those.
+    /// particle on its owner; `Some(ids)` (ascending global ids: block
+    /// time-stepping) just those.
     ///
     /// Exchange failures surface as `Err` with the state as of the failed
     /// superstep — the recovery layer rolls back; the driver itself never
@@ -684,7 +650,6 @@ impl DistributedSimulation {
         active: Option<&[u32]>,
     ) -> Result<StepStats, ExchangeError> {
         let nranks = self.dist.nranks;
-        debug_assert!(active.is_none() || nranks == 1, "active subsets are one-rank only");
         let retries = self.dist.exchange_retries;
 
         // More than one rank: ghosts are imported within a negotiated
@@ -719,6 +684,7 @@ impl DistributedSimulation {
             config: &self.config,
             eos: &self.eos,
             gravity: solver.as_ref(),
+            subset: active.is_some_and(|a| a.len() < self.sys.len()),
         };
 
         let (mut views, mut halos) = self.open_views(active, radius);
@@ -818,9 +784,6 @@ impl DistributedSimulation {
     /// left as of the failed criterion evaluation (no kick or drift has
     /// happened), so the caller can checkpoint-restore.
     pub fn step(&mut self) -> Result<StepReport, DistributedError> {
-        // `config` is a public field: the policy may have changed since
-        // the constructor checked it.
-        Self::check_time_stepping(&self.config, &self.dist)?;
         self.exchange.begin_step(self.sys.step_count);
         let mut stats = StepStats::default();
         if !self.derivatives_fresh {
@@ -855,10 +818,22 @@ impl DistributedSimulation {
             }
             // Block time-steps (ChaNGa): the largest power-of-two multiple
             // of the global minimum that covers the slowest particle,
-            // capped by max_rungs.
+            // capped by max_rungs. The slowest finite bound is reduced like
+            // the minimum: per-rank maxima folded from `dt_min`, then an
+            // exact max-reduce.
             TimeStepping::Individual { max_rungs } => {
                 let dt_min = finalize_global_dt(reduced);
-                let slowest = dts.iter().cloned().filter(|d| d.is_finite()).fold(dt_min, f64::max);
+                let per_rank_max: Vec<f64> = self
+                    .owned
+                    .iter()
+                    .map(|ids| {
+                        let finite = ids.iter().map(|&i| dts[i as usize]).filter(|d| d.is_finite());
+                        finite.fold(dt_min, f64::max)
+                    })
+                    .collect();
+                let slowest = with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
+                    ex.reduce_max(ExchangePath::DtReduce, &per_rank_max)
+                })?;
                 let levels =
                     ((slowest / dt_min).log2().floor().max(0.0) as u32).min(max_rungs as u32) as u8;
                 (dt_min * (1u64 << levels) as f64, levels)
@@ -886,16 +861,18 @@ impl DistributedSimulation {
             self.half_kick(active, &rungs, dt);
             self.driver_timers.time(Phase::Update, || drift(&mut self.sys, dt_sub));
 
-            // Positions moved: migrate strays and, on schedule, rebalance.
-            // Ownership never affects values, so this may happen at any
-            // barrier; doing it before the mid-step evaluation keeps the
-            // halo pattern aligned with the boxes that will be computed
-            // next. A single rank owns everything for good.
+            // Positions moved: migrate strays and, on schedule, rebalance
+            // (once per macro-step, at its first substep). Ownership never
+            // affects values, so this may happen at any barrier; doing it
+            // before the mid-step evaluation keeps the halo pattern aligned
+            // with the boxes that will be computed next. A single rank owns
+            // everything for good.
             if self.dist.nranks > 1 {
                 let barrier = PhaseTimers::new();
                 barrier.time(Phase::Update, || self.migrate())?;
                 let step_index = self.sys.step_count + 1;
-                if self.dist.rebalance_every > 0
+                if s == 0
+                    && self.dist.rebalance_every > 0
                     && step_index.is_multiple_of(self.dist.rebalance_every)
                 {
                     barrier.time(Phase::Update, || self.rebalance());
@@ -919,15 +896,17 @@ impl DistributedSimulation {
         })
     }
 
-    /// Half-kick `active`, each by half the step of its own rung; without
-    /// an active subset every particle is on rung 0 (`dt / 2⁰` is `dt`
-    /// exactly) and each rank kicks its owned particles in one call.
+    /// Half-kick each rank's `owned ∩ active`, each particle by half the
+    /// step of its own rung; without an active subset every particle is on
+    /// rung 0 (`dt / 2⁰` is `dt` exactly) and each rank kicks its owned
+    /// particles in one call.
     fn half_kick(&mut self, active: Option<&[u32]>, rungs: &[u8], dt: f64) {
+        let owner = &self.decomp.assignment;
         for (r, owned) in self.owned.iter().enumerate() {
             self.timers[r].time(Phase::Update, || match active {
                 None => kick(&mut self.sys, dt / 2.0, owned),
                 Some(active) => {
-                    for &i in active {
+                    for &i in active.iter().filter(|&&i| owner[i as usize] as usize == r) {
                         let rung_dt = dt / (1u64 << rungs[i as usize]) as f64;
                         kick(&mut self.sys, rung_dt / 2.0, &[i]);
                     }
@@ -951,7 +930,11 @@ impl DistributedSimulation {
     /// order is half-kick → drift → **migrate** → re-evaluate → half-kick,
     /// and the re-evaluation recomputes every other field (ρ, ω, vol,
     /// C-IAD, ∇·v, ∇×v, p, cs, a, du/dt) before anything reads it — the
-    /// same minimal payload a real MPI migration would post.
+    /// same minimal payload a real MPI migration would post. A *resting*
+    /// mover (block time-stepping, mid macro-step) is the exception: its
+    /// other fields stay those of its last evaluation, which in-process
+    /// live on in the global store; a real transport would ship them too,
+    /// or migrate only at macro-step boundaries.
     fn migrate(&mut self) -> Result<usize, ExchangeError> {
         // Pass 1: decide every move (pure function of positions + boxes).
         let mut moves: Vec<(usize, u32)> = Vec::new();
@@ -1503,10 +1486,8 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_unsupported_or_invalid_configs() {
-        // The restore path must enforce the same constraints as the
-        // builder — an Individual-stepping config would otherwise silently
-        // integrate with Global semantics.
+    fn restore_rejects_invalid_configs() {
+        // The restore path validates the configuration like the builder.
         let dcfg = DistributedConfig { nranks: 2, ..Default::default() };
         let mut run = DistributedBuilder::new(gas_ball(150, 31))
             .config(quick_config())
@@ -1515,15 +1496,6 @@ mod tests {
             .unwrap();
         let mut store = MemoryStore::new();
         run.checkpoint(&mut store, "cp").unwrap();
-
-        let individual = SphConfig {
-            time_stepping: TimeStepping::Individual { max_rungs: 4 },
-            ..quick_config()
-        };
-        let err = DistributedSimulation::restore(&store, "cp", individual, None, dcfg)
-            .err()
-            .expect("Individual stepping must be rejected on restore");
-        assert!(err.to_string().contains("time-stepping"), "{err}");
 
         let invalid = SphConfig { gamma: 0.1, ..quick_config() };
         assert!(DistributedSimulation::restore(&store, "cp", invalid, None, dcfg).is_err());
@@ -1566,28 +1538,32 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_individual_stepping_with_typed_error() {
-        let bad = SphConfig {
+    fn block_stepping_rebalances_once_per_macro_step() {
+        // A hot core spreads the rungs, so every macro-step has several
+        // substeps; the rebalance schedule counts macro-steps, not substeps.
+        let mut sys = gas_ball(400, 23);
+        for i in 0..sys.len() {
+            if sys.x[i].norm() < 0.3 {
+                sys.u[i] = 50.0;
+            }
+        }
+        let config = SphConfig {
             time_stepping: TimeStepping::Individual { max_rungs: 4 },
             ..quick_config()
         };
-        let err = DistributedBuilder::new(gas_ball(100, 23))
-            .config(bad)
-            .nranks(2)
+        let steps = 4;
+        let mut dist = DistributedBuilder::new(sys.clone())
+            .config(config)
+            .distributed(DistributedConfig { nranks: 4, rebalance_every: 1, ..Default::default() })
             .build()
-            .err()
-            .expect("individual stepping must be rejected");
-        // The rejection is a typed capability gap, not a stringly error…
-        assert!(
-            matches!(err, DistributedBuildError::UnsupportedTimeStepping { .. }),
-            "expected UnsupportedTimeStepping, got {err:?}"
-        );
-        // …and its message names every mode the driver does support, so
-        // the caller can correct the configuration without reading source.
-        let msg = err.to_string();
-        for mode in SUPPORTED_TIME_STEPPING {
-            assert!(msg.contains(mode), "error message must name {mode}: {msg}");
-        }
+            .unwrap();
+        let reports = dist.run(steps).unwrap();
+        assert!(reports.iter().any(|r| r.substeps > 1), "no rung spread");
+        assert_eq!(dist.exchange_log().rebalances, steps as u64);
+
+        let mut reference = SimulationBuilder::new(sys).config(config).build().unwrap();
+        reference.run(steps).unwrap();
+        assert_eq!(state_hash(&dist.sys), state_hash(&reference.sys));
     }
 
     #[test]

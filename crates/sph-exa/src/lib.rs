@@ -23,8 +23,8 @@
 //! follows; one loop in `DistributedSimulation::evaluate_derivatives`
 //! runs the table over the ranks. Steps 5–6 are one `step()`: dt reduce →
 //! half-kick → drift → migrate/rebalance → evaluate → half-kick, with
-//! global, adaptive or (on one rank) individual block time-stepping as
-//! the substep count of that one loop.
+//! global, adaptive or individual block time-stepping as the substep
+//! count of that one loop, on any rank count.
 //!
 //! [`Simulation`] / [`SimulationBuilder`] are the one-rank constructors of
 //! the same driver — a rank that owns every particle computes on the
@@ -41,7 +41,7 @@ pub mod simulation;
 
 pub use distributed::{
     DistributedBuildError, DistributedBuilder, DistributedConfig, DistributedError,
-    DistributedSimulation, ExchangeLog, RankPartitioner, StepReport, SUPPORTED_TIME_STEPPING,
+    DistributedSimulation, ExchangeLog, RankPartitioner, StepReport,
 };
 pub use resilient::{
     Detection, RecoveryError, RecoveryStats, ResilientConfig, ResilientSimulation, RollbackRecord,

@@ -138,6 +138,9 @@ pub(crate) struct PassEnv<'a> {
     /// distributed gravity code assembles, which keeps the traversal (and
     /// its rounding) identical for any rank count.
     pub gravity: Option<&'a GravitySolver<'a>>,
+    /// Whether the evaluation computes a strict subset of the particles
+    /// (block time-stepping) — a global flag, the same on every rank.
+    pub subset: bool,
 }
 
 /// One entry of the evaluation.
@@ -202,8 +205,13 @@ pub(crate) struct Workspace {
     /// Local indices of the particles this rank computes (its owned
     /// particles; under block time-stepping the active ones), ascending.
     active: Vec<u32>,
-    /// `(local index, global id)` of every ghost.
+    /// `(local index, global id)` of every particle the rank reads but
+    /// does not compute, refreshed from the global store after each pass
+    /// that publishes: the ghosts and, in a copy, the resting particles.
     ghosts: Vec<(u32, u32)>,
+    /// Local indices of the resting particles of a copy — owned but not
+    /// active — whose `p, c_s` the EOS row publishes, ascending.
+    resting: Vec<u32>,
     /// Cell grid over the local positions — the spatial structure of the
     /// evaluation's ball queries; dropped with the last of them, before
     /// the pair lists (the evaluation's largest allocation) are built.
@@ -236,16 +244,31 @@ impl RankView {
     }
 
     /// View of a rank that owns `owned` and imports `imports` (both
-    /// ascending global ids, disjoint): extracts the local copy.
-    pub fn of_subdomain(rank: usize, sys: &ParticleSystem, owned: &[u32], imports: &[u32]) -> Self {
+    /// ascending global ids, disjoint) and computes its owned particles in
+    /// `computed` (ascending; all of them when `None`): extracts the local
+    /// copy. The owned particles it does not compute rest, refreshed like
+    /// ghosts.
+    pub fn of_subdomain(
+        rank: usize,
+        sys: &ParticleSystem,
+        owned: &[u32],
+        imports: &[u32],
+        computed: Option<&[u32]>,
+    ) -> Self {
         let mut ids = Vec::with_capacity(owned.len() + imports.len());
         let mut active = Vec::with_capacity(owned.len());
         let mut ghosts = Vec::with_capacity(imports.len());
+        let mut resting = Vec::new();
         let (mut o, mut g) = (0, 0);
         while o < owned.len() || g < imports.len() {
             let k = ids.len() as u32;
             if g == imports.len() || (o < owned.len() && owned[o] <= imports[g]) {
-                active.push(k);
+                if computed.is_none_or(|c| c.binary_search(&owned[o]).is_ok()) {
+                    active.push(k);
+                } else {
+                    ghosts.push((k, owned[o]));
+                    resting.push(k);
+                }
                 ids.push(owned[o]);
                 o += 1;
             } else {
@@ -265,16 +288,20 @@ impl RankView {
         }
         import!(x, v, m, h, u);
         copy.resize_zeroed(ids.len());
-        let ws = Workspace::new(&copy, ids, active, ghosts);
+        let ws = Workspace { resting, ..Workspace::new(&copy, ids, active, ghosts) };
         RankView { rank, copy: Some(copy), ws }
     }
 
     /// Copy `fields` of the rank's computed particles into the global
-    /// store (nothing to do when the rank computed there in place).
+    /// store (nothing to do when the rank computed there in place). The
+    /// EOS rewrote every local particle's `p, c_s`, as it does the whole
+    /// system in place on one rank, so [`Fields::PCs`] also publishes the
+    /// resting particles' — `per_particle_dt` reads them.
     pub fn publish(&self, fields: Fields, global: &mut ParticleSystem) {
         let Some(copy) = &self.copy else { return };
+        let resting = if matches!(fields, Fields::PCs) { &self.ws.resting[..] } else { &[] };
         let mut words = Vec::with_capacity(fields.words());
-        for &k in &self.ws.active {
+        for &k in self.ws.active.iter().chain(resting) {
             words.clear();
             fields.pack(copy, k as usize, &mut words);
             fields.unpack(global, self.ws.ids[k as usize] as usize, &words);
@@ -322,6 +349,7 @@ impl Workspace {
             ids,
             active,
             ghosts,
+            resting: Vec::new(),
             grid: Some(CellGrid::for_radius(
                 &local.x,
                 local.periodicity,
@@ -406,21 +434,22 @@ fn velocity_gradients(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspac
 }
 
 /// The pairwise momentum/energy equations must see every pair from both
-/// sides, so a rank computing its whole local system sums over the
-/// symmetric closure of the gather lists (exact pairwise conservation).
-/// An active subset keeps its gather lists, as block-stepping codes do.
-fn force_lists(_: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
+/// sides, so an evaluation of every particle sums over the symmetric
+/// closure of the gather lists (exact pairwise conservation) — over ghosts
+/// when the rank has any. An active subset keeps its gather lists on every
+/// rank, as block-stepping codes do.
+fn force_lists(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
     // The gather lists and the grid have their last reader here, and the
     // symmetric closure is the evaluation's largest allocation: they are
     // freed before it is built, not after.
     ws.grid = None;
     let gather = std::mem::take(&mut ws.lists);
-    ws.force_lists = if !ws.ghosts.is_empty() {
-        closure_over_ghosts(sys, ws, &gather, &ws.owned_grid(sys))
-    } else if ws.active.len() == sys.len() {
-        gather.symmetrized()
-    } else {
+    ws.force_lists = if env.subset {
         gather
+    } else if !ws.ghosts.is_empty() {
+        closure_over_ghosts(sys, ws, &gather, &ws.owned_grid(sys))
+    } else {
+        gather.symmetrized()
     };
     StepStats::default()
 }
@@ -605,7 +634,7 @@ mod tests {
                     // k ∈ N(j), j ∉ N(k).
                     let mut ghost_only_pairs = 0;
                     for (r, (owned, imports)) in owned.iter().zip(&halos.imports).enumerate() {
-                        let view = RankView::of_subdomain(r, &sys, owned, imports);
+                        let view = RankView::of_subdomain(r, &sys, owned, imports, None);
                         let (Some(local), ws) = (&view.copy, &view.ws) else {
                             panic!("{case}: a subdomain view computes on a copy")
                         };

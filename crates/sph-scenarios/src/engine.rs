@@ -26,7 +26,7 @@
 //!
 //! Scenarios run through the one step driver
 //! ([`sph_exa::DistributedSimulation`]) via [`run_scenario`], at whatever
-//! rank count [`DriverKind`] asks for. Trajectories are bit-identical for
+//! rank count [`RunOptions::nranks`] asks for. Trajectories are bit-identical for
 //! any rank count (the repo-wide determinism contract), so a scenario
 //! validated on one rank is validated on all.
 //!
@@ -38,7 +38,7 @@
 use sph_core::config::SphConfig;
 use sph_core::diagnostics::Conservation;
 use sph_core::particles::ParticleSystem;
-use sph_exa::{DistributedBuilder, DistributedConfig};
+use sph_exa::DistributedBuilder;
 use sph_json::Value;
 use sph_math::Vec3;
 use sph_tree::GravityConfig;
@@ -233,21 +233,13 @@ impl ScenarioRegistry {
 // Generic runner
 // ---------------------------------------------------------------------
 
-/// How many ranks of the step driver execute the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriverKind {
-    /// One rank ([`sph_exa::Simulation`]).
-    Single,
-    /// `nranks` in-process ranks (bit-identical to `Single` for any rank
-    /// count).
-    Distributed { nranks: usize },
-}
-
 /// Options of one [`run_scenario`] invocation.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOptions {
     pub resolution: Resolution,
-    pub driver: DriverKind,
+    /// In-process ranks of the step driver (trajectories are bit-identical
+    /// for any rank count).
+    pub nranks: usize,
     /// Override of the scenario's registered end time (`None` = run to
     /// [`Scenario::end_time`]).
     pub end_time: Option<f64>,
@@ -262,7 +254,7 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             resolution: Resolution::default(),
-            driver: DriverKind::Single,
+            nranks: 1,
             end_time: None,
             max_steps: 100_000,
             sample_every: 10,
@@ -308,16 +300,10 @@ impl ScenarioRun {
 /// the step cap), sampling the tracked diagnostic on the way, then
 /// assemble the [`ScenarioRun`]. Every rank count executes the same
 /// macro-step count with bit-identical dt sequences, so fingerprints of
-/// the returned `sys` may be compared across [`DriverKind`]s.
+/// the returned `sys` may be compared across rank counts.
 pub fn run_scenario(sc: &dyn Scenario, opts: &RunOptions) -> Result<ScenarioRun, String> {
     let setup = sc.init(opts.resolution);
-    let nranks = match opts.driver {
-        DriverKind::Single => 1,
-        DriverKind::Distributed { nranks } => nranks,
-    };
-    let mut b = DistributedBuilder::new(setup.sys)
-        .config(setup.config)
-        .distributed(DistributedConfig { nranks, ..Default::default() });
+    let mut b = DistributedBuilder::new(setup.sys).config(setup.config).nranks(opts.nranks);
     if let Some(g) = setup.gravity {
         b = b.gravity(g);
     }

@@ -51,9 +51,9 @@ pub mod sod;
 pub mod square_patch;
 
 pub use engine::{
-    density_error_norms, run_scenario, AnalyticReference, Check, DriverKind, ErrorNorms,
-    MetricSample, PrimitiveState, Resolution, RunOptions, Scenario, ScenarioRegistry, ScenarioRun,
-    ScenarioSetup, ValidationReport,
+    density_error_norms, run_scenario, AnalyticReference, Check, ErrorNorms, MetricSample,
+    PrimitiveState, Resolution, RunOptions, Scenario, ScenarioRegistry, ScenarioRun, ScenarioSetup,
+    ValidationReport,
 };
 pub use evrard::{evrard_collapse, EvrardConfig, EvrardScenario};
 pub use gresho::{gresho_pressure, gresho_v_phi, gresho_vortex, GreshoConfig, GreshoScenario};

@@ -10,7 +10,7 @@
 //! must surface as a typed [`RecoveryError`] naming the fault — never a
 //! panic, never silent divergence.
 
-use sph_exa_repro::core::config::SphConfig;
+use sph_exa_repro::core::config::{SphConfig, TimeStepping};
 use sph_exa_repro::core::diagnostics::state_fingerprint as fingerprint;
 use sph_exa_repro::core::ParticleSystem;
 use sph_exa_repro::domain::ExchangePath;
@@ -114,6 +114,38 @@ fn survivable_schedule_is_bit_identical_to_the_fault_free_run() {
         let log = resilient.into_inner().exchange_log();
         assert!(log.transient_retries >= 2, "retries: {}", log.transient_retries);
     }
+}
+
+#[test]
+fn block_stepping_recovers_from_a_corrupted_dt_reduce() {
+    // Individual stepping at two ranks: a bit flipped in a dt reduction
+    // gates the step, and the rollback replays the rung substeps exactly.
+    // A hot spot at the patch centre spreads the rungs.
+    let hot_patch = || {
+        let mut sys = patch_ic();
+        for i in 0..sys.len() {
+            let (dx, dy) = (sys.x[i].x - 0.5, sys.x[i].y - 0.5);
+            if dx * dx + dy * dy < 0.04 {
+                sys.u[i] *= 100.0;
+            }
+        }
+        sys
+    };
+    let config =
+        SphConfig { time_stepping: TimeStepping::Individual { max_rungs: 4 }, ..patch_sph() };
+    let build = || DistributedBuilder::new(hot_patch()).config(config).nranks(2).build().unwrap();
+    let mut reference = build();
+    let reports = reference.run(STEPS as usize).expect("stable fault-free run");
+    assert!(reports.iter().any(|r| r.substeps > 1), "no rung spread to recover");
+
+    let plan = FaultPlan::new(11)
+        .at(2, FaultKind::CorruptPayload { path: ExchangePath::DtReduce, bit: 5, repeat: 1 });
+    let mut resilient =
+        ResilientSimulation::new(build(), Box::new(MemoryStore::new()), &plan, fixed_cadence(2))
+            .unwrap();
+    let stats = resilient.run(STEPS).expect("survivable schedule must complete");
+    assert_eq!(stats.rollbacks, 1, "{stats:?}");
+    assert_eq!(fingerprint(resilient.sys()), fingerprint(&reference.sys));
 }
 
 #[test]

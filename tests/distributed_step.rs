@@ -6,17 +6,18 @@
 //! **bit-identical** full-state fingerprints to the single-rank
 //! `Simulation` over ≥ 10 macro-steps of the square patch and the Evrard
 //! collapse, for SPH_THREADS ∈ {1, 4}, including after a mid-run per-rank
-//! checkpoint/restore — and migration provably moves particles between
-//! owners without moving a single bit of physics.
+//! checkpoint/restore (global and block time-stepping) — and migration
+//! provably moves particles between owners without moving a single bit of
+//! physics.
 
-use sph_exa_repro::core::config::SphConfig;
+use sph_exa_repro::core::config::{SphConfig, TimeStepping};
 use sph_exa_repro::core::diagnostics::state_fingerprint as fingerprint;
 use sph_exa_repro::core::ParticleSystem;
 use sph_exa_repro::exa::{
     DistributedBuilder, DistributedConfig, DistributedSimulation, RankPartitioner,
     SimulationBuilder,
 };
-use sph_exa_repro::ft::checkpoint::DiskStore;
+use sph_exa_repro::ft::checkpoint::{DiskStore, MemoryStore};
 use sph_exa_repro::scenarios::{evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig};
 use sph_exa_repro::tree::{GravityConfig, MultipoleOrder};
 
@@ -184,4 +185,28 @@ fn mid_run_checkpoint_restore_reproduces_the_uninterrupted_fingerprint() {
     let mut reference = SimulationBuilder::new(patch_ic()).config(patch_sph()).build().unwrap();
     reference.run(STEPS).expect("stable reference run");
     assert_eq!(uninterrupted, fingerprint(&reference.sys));
+}
+
+#[test]
+fn block_stepping_checkpoint_restore_reproduces_the_uninterrupted_fingerprint() {
+    let config =
+        SphConfig { time_stepping: TimeStepping::Individual { max_rungs: 4 }, ..evrard_sph() };
+    let dcfg = DistributedConfig { nranks: 4, ..Default::default() };
+    let mut run = DistributedBuilder::new(evrard_ic())
+        .config(config)
+        .gravity(evrard_gravity())
+        .distributed(dcfg)
+        .build()
+        .unwrap();
+    run.run(STEPS / 2).expect("stable first half");
+    let mut store = MemoryStore::new();
+    run.checkpoint(&mut store, "mid").unwrap();
+    let reports = run.run(STEPS - STEPS / 2).expect("stable second half");
+    assert!(reports.iter().any(|r| r.substeps > 1), "no rung spread after the checkpoint");
+
+    let mut replay =
+        DistributedSimulation::restore(&store, "mid", config, Some(evrard_gravity()), dcfg)
+            .unwrap();
+    replay.run(STEPS - STEPS / 2).expect("stable replay");
+    assert_eq!(fingerprint(&replay.sys), fingerprint(&run.sys));
 }

@@ -78,9 +78,7 @@ fn fingerprint_after_run(
 
 fn assert_goldens(name: &str, make: fn() -> ScenarioSetup, goldens: [(TimeStepping, u64); 3]) {
     for (policy, want) in goldens {
-        // Block time-stepping is a one-rank capability.
-        let rank_counts: &[usize] = if policy == INDIVIDUAL { &[1] } else { &[1, 2, 4] };
-        for &nranks in rank_counts {
+        for nranks in [1, 2, 4] {
             for threads in [1, 4] {
                 let got = fingerprint_after_run(make(), policy, nranks, threads);
                 assert_eq!(
