@@ -88,6 +88,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the holder must die on another thread
     fn mutex_survives_panicking_holder() {
         let m = std::sync::Arc::new(Mutex::new(0));
         let m2 = m.clone();

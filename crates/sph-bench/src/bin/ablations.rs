@@ -10,7 +10,7 @@
 //! 2. Load balancing: static vs dynamic under skewed per-particle cost;
 //! 3. Time-stepping: global vs individual block steps on the Evrard core;
 //! 4. Gradients: IAD vs kernel derivatives — linear-field accuracy.
-// CLI surface: wall-clock progress timing only; never feeds a trajectory.
+// CLI surface: wall-time progress timing only; never feeds a trajectory.
 #![allow(clippy::disallowed_methods)]
 
 use sph_bench::{build_evrard_sim, ExperimentScale};

@@ -17,7 +17,7 @@
 //!   --checkpoint-dir PATH      where to put them (default ./checkpoints)
 //!   --resume PATH              resume from a checkpoint file written earlier
 //! ```
-// CLI surface: wall-clock progress timing only; never feeds a trajectory.
+// CLI surface: wall-time progress timing only; never feeds a trajectory.
 #![allow(clippy::disallowed_methods)]
 
 use sph_bench::{build_evrard_sim, build_square_sim};
@@ -144,7 +144,7 @@ fn main() {
         }
     }
     let c1 = sim.conservation();
-    println!("\ncompleted in {:.2}s wall-clock", wall_start.elapsed().as_secs_f64());
+    println!("\ncompleted in {:.2}s wall time", wall_start.elapsed().as_secs_f64());
     println!("energy drift over the run: {:.3e}", c1.energy_drift(&c0));
     println!("{}", sim.timers().report());
 }

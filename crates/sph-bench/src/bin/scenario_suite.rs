@@ -17,7 +17,7 @@
 //!
 //! Exit code 1 if any scenario fails its registered tolerance (the CI
 //! gate) or diverges between drivers.
-// CLI surface: wall-clock progress timing only; never feeds a trajectory.
+// CLI surface: wall-time progress timing only; never feeds a trajectory.
 #![allow(clippy::disallowed_methods)]
 
 use sph_core::diagnostics::state_fingerprint;

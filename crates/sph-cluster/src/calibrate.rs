@@ -32,7 +32,7 @@ impl OnlineCalibrator {
     /// Fold one completed measured step into the estimate. Returns
     /// `false` (and changes nothing) when the measurement is unusable:
     /// mismatched rank counts, or no rank with both positive work and
-    /// positive wall-clock seconds — the preconditions
+    /// positive wall-time seconds — the preconditions
     /// [`calibrate_machine`] would otherwise assert on.
     pub fn observe(&mut self, measured: &MeasuredStep<'_>, per_rank_seconds: &[f64]) -> bool {
         let ranks = measured.decomposition.nparts;

@@ -197,7 +197,7 @@ pub fn model_measured_step(measured: &MeasuredStep<'_>, config: &StepModelConfig
 }
 
 /// Calibrate a machine's sustained per-core GFLOP/s from measured per-rank
-/// wall-clock seconds (e.g. each rank's `PhaseTimers::total()` for one
+/// wall-time seconds (e.g. each rank's `PhaseTimers::total()` for one
 /// step): the modelled per-rank FLOPs divided by the measured seconds,
 /// averaged over the ranks that did work. This replaces the hand-tuned
 /// `core_gflops` constant with one observed on the host actually running
@@ -477,7 +477,7 @@ mod tests {
         assert!(t.compute_max() > 0.0);
         assert!(t.load_balance() > 0.0 && t.load_balance() <= 1.0);
 
-        // Calibration: per-rank wall-clock seconds from the driver's
+        // Calibration: per-rank wall-time seconds from the driver's
         // timers produce a finite, positive sustained-GFLOP/s estimate.
         let per_rank_seconds: Vec<f64> = sim.timers().iter().map(|t| t.total()).collect();
         let calibrated = calibrate_machine(piz_daint(), &cfg.cost, &measured, &per_rank_seconds);

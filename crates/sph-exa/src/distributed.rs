@@ -383,7 +383,7 @@ pub struct DistributedSimulation {
     pub phi: Vec<f64>,
     per_particle_work: Vec<f64>,
     dt_prev: f64,
-    /// Per-rank wall-clock phase timers (rank-local kernel work).
+    /// Per-rank wall-time phase timers (rank-local kernel work).
     timers: Vec<PhaseTimers>,
     /// Driver-level collective work: halo identification/packing
     /// (phase D), dt reduction + integration (phase J).
@@ -426,7 +426,7 @@ pub(crate) fn bucket_owned(decomp: &Decomposition) -> Vec<Vec<u32>> {
 /// reissued up to `retries` times (counted in the log), anything else —
 /// and the final transient miss — escalates to the caller. The
 /// in-process carrier reissues immediately; a real transport would sleep
-/// an exponential backoff between attempts, which changes wall-clock but
+/// an exponential backoff between attempts, which changes wall time but
 /// never the delivered bits.
 pub(crate) fn with_retry<T>(
     exchange: &mut dyn Exchange,
@@ -511,7 +511,7 @@ impl DistributedSimulation {
         self.dist
     }
 
-    /// Per-rank wall-clock phase timers (rank-local kernel work only;
+    /// Per-rank wall-time phase timers (rank-local kernel work only;
     /// collective driver work is in [`DistributedSimulation::driver_timers`]).
     pub fn timers(&self) -> &[PhaseTimers] {
         &self.timers
@@ -855,7 +855,7 @@ impl DistributedSimulation {
         for s in 0..substeps {
             let active = (levels > 0).then(|| active_at_substep(&rungs, s, levels));
             let active = active.as_deref();
-            // sph-lint: allow(reduce-taint) — u64 census of evaluated
+            // sph-lint: allow(raw-accumulation) — u64 census of evaluated
             // particles: exact integer arithmetic, order-free.
             evaluated += active.map_or(n, |a| a.len() as u64);
             self.half_kick(active, &rungs, dt);

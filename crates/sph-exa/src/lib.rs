@@ -31,7 +31,7 @@
 //! global system in place — and [`ResilientSimulation`] wraps it in the
 //! detect / roll back / recompute loop. Everything runs over any
 //! [`sph_core::SphConfig`] (i.e. any cell of Tables 1–2), with optional
-//! self-gravity, per-phase wall-clock timing and per-particle work
+//! self-gravity, per-phase wall-time timing and per-particle work
 //! accounting (the input of the cluster performance model).
 
 pub mod distributed;

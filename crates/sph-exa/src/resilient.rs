@@ -94,7 +94,7 @@ impl std::error::Error for RecoveryError {}
 pub enum SchedulerMode {
     /// Re-derive the Young/Daly-optimal interval continuously from the
     /// measured step and write costs ([`CheckpointScheduler`]). The
-    /// cadence follows wall-clock, so *which* steps checkpoint varies
+    /// cadence follows wall time, so *which* steps checkpoint varies
     /// run to run — the trajectory values never do.
     Daly {
         /// Assumed mean time between failures, seconds.
@@ -183,7 +183,7 @@ pub struct RecoveryStats {
     pub rollback_records: Vec<RollbackRecord>,
 }
 
-/// Checkpoint cadence state (wall-clock Daly or deterministic fixed).
+/// Checkpoint cadence state (wall-time Daly or deterministic fixed).
 enum Cadence {
     Daly(CheckpointScheduler),
     Fixed { every: u64, since: u64 },
@@ -350,9 +350,9 @@ impl ResilientSimulation {
     pub fn run(&mut self, n_steps: u64) -> Result<RecoveryStats, RecoveryError> {
         let target = self.sim.sys.step_count + n_steps;
         while self.sim.sys.step_count < target {
+            // Feeds the Daly cadence only; checkpoint timing never
+            // influences trajectory values.
             #[allow(clippy::disallowed_methods)]
-            // sph-lint: allow(wall-clock) — feeds the Daly cadence only;
-            // checkpoint timing never influences trajectory values.
             let t0 = std::time::Instant::now();
             match self.sim.step() {
                 Ok(_) => {
@@ -532,9 +532,9 @@ impl ResilientSimulation {
         let gen = self.next_gen;
         self.next_gen += 1;
         let label = Self::label_of(gen);
+        // Measured write cost feeds the Daly cadence only; never the
+        // trajectory.
         #[allow(clippy::disallowed_methods)]
-        // sph-lint: allow(wall-clock) — measured write cost feeds the Daly
-        // cadence only; never the trajectory.
         let t0 = std::time::Instant::now();
         match self.sim.checkpoint(self.store.as_mut(), &label) {
             Ok(bytes) => {

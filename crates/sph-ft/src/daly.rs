@@ -2,7 +2,7 @@
 //! interval" requirement of Table 4, after the paper's refs [15, 20, 21].
 //!
 //! For checkpoint cost `C`, recovery cost `R` and machine MTBF `M`, the
-//! wall-clock waste of checkpointing every `w` seconds of useful work is
+//! wall-time waste of checkpointing every `w` seconds of useful work is
 //! minimised near `w* = √(2 C M)` (Young), with Daly's higher-order
 //! refinement `w* = √(2CM)·[1 + ⅓√(C/2M) + (C/2M)/9] − C` for `C < 2M`.
 
@@ -26,7 +26,7 @@ pub fn daly_interval(checkpoint_cost: f64, mtbf: f64) -> f64 {
     (2.0 * c * m).sqrt() * (1.0 + x / 3.0 + x * x / 9.0) - c
 }
 
-/// Expected fraction of wall-clock time wasted (checkpoint overhead +
+/// Expected fraction of wall time wasted (checkpoint overhead +
 /// expected rework + recovery) when checkpointing every `w` seconds of
 /// work, under exponential failures with MTBF `M` (first-order model).
 pub fn expected_waste(w: f64, checkpoint_cost: f64, recovery_cost: f64, mtbf: f64) -> f64 {

@@ -1,7 +1,7 @@
 //! Daly-driven checkpoint scheduling — Table 4's "Optimal interval" wired
 //! into a run loop.
 //!
-//! The scheduler observes the measured per-step wall-clock time, the
+//! The scheduler observes the measured per-step wall time, the
 //! measured checkpoint write cost, and the machine MTBF, and answers one
 //! question after every step: *checkpoint now?* It re-derives the Daly
 //! interval continuously, so the cadence adapts when steps get slower
@@ -37,7 +37,7 @@ impl CheckpointScheduler {
         }
     }
 
-    /// Record a completed step's wall-clock seconds. Returns `true` when a
+    /// Record a completed step's wall-time seconds. Returns `true` when a
     /// checkpoint should be written now.
     pub fn after_step(&mut self, step_seconds: f64) -> bool {
         assert!(step_seconds >= 0.0);

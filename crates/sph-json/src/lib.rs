@@ -1,13 +1,10 @@
 //! Minimal hand-rolled JSON: a [`Value`] tree, a deterministic writer and
 //! a recursive-descent parser.
 //!
-//! The workspace is offline (no serde), and three crates used to carry
-//! their own copy of this logic: sph-lint's report/baseline code,
-//! sph-scenarios' validation reports, and sph-serve's request/response
-//! bodies. This crate is the single shared implementation. It stays
-//! dependency-free on purpose — sph-lint must keep working even when the
-//! workspace it checks is broken, so its JSON layer cannot pull in the
-//! physics crates.
+//! The workspace is offline (no serde), and two crates used to carry
+//! their own copy of this logic: sph-scenarios' validation reports and
+//! sph-serve's request/response bodies. This crate is the single shared
+//! implementation.
 //!
 //! Determinism contract: [`Value::render`] is a pure function of the
 //! value — object keys keep insertion order (`Obj` is a `Vec`, not a

@@ -9,9 +9,10 @@
 //! keep the over-approximation from swallowing the whole workspace:
 //!
 //! - A qualified call whose type-like qualifier (uppercase initial, e.g.
-//!   `Vec::new(…)`) matches no workspace impl resolves to *nothing*: it
-//!   is a std/external constructor, and falling back name-wide would make
-//!   every local `new` reachable from everywhere. Lowercase qualifiers
+//!   `Vec::new(…)`, or a primitive, e.g. `usize::from(…)`) matches no
+//!   workspace impl resolves to *nothing*: it is a std/external
+//!   constructor, and falling back name-wide would make every local `new`
+//!   or `from` reachable from everywhere. Other lowercase qualifiers
 //!   (`math::dot(…)`) are module paths and still fall back name-wide.
 //! - Shim fns are call-graph *barriers*: edges lead into them but never
 //!   out. The rayon shim's dispatch machinery executes user closures, but
@@ -243,7 +244,8 @@ impl CallGraph {
             let name = text(i);
             let prev = if i > 0 { text(i - 1) } else { "" };
             let candidates: Vec<usize> = if prev == "::" && i >= 2 && is_ident(i - 2) {
-                let type_like = text(i - 2).starts_with(|c: char| c.is_ascii_uppercase());
+                let type_like = text(i - 2).starts_with(|c: char| c.is_ascii_uppercase())
+                    || PRIMITIVE_TYPES.contains(&text(i - 2));
                 let qualifier = if text(i - 2) == "Self" {
                     self.fns[owner].impl_target.clone()
                 } else {
@@ -260,7 +262,7 @@ impl CallGraph {
                     })
                     .unwrap_or_default();
                 if narrowed.is_empty() && type_like {
-                    // `Vec::new(…)`, `String::from(…)`: a type-like
+                    // `Vec::new(…)`, `u32::try_from(…)`: a type-like
                     // qualifier with no workspace impl is std/external —
                     // resolving name-wide would connect everything.
                     Vec::new()
@@ -283,6 +285,13 @@ impl CallGraph {
         }
     }
 }
+
+/// Primitive type names: lowercase, yet qualifiers of std impls
+/// (`usize::from`, `f64::from_bits`), never module paths.
+const PRIMITIVE_TYPES: &[&str] = &[
+    "bool", "char", "str", "f32", "f64", "usize", "u8", "u16", "u32", "u64", "u128", "isize", "i8",
+    "i16", "i32", "i64", "i128",
+];
 
 /// Given `code[open] == "<"`, return the index just past the matching
 /// `>` (None when unbalanced). `>>`/`<<` count double.

@@ -1,6 +1,6 @@
-//! Lightweight item parser: recovers `fn`/`impl`/`trait`/`mod`/`use`
-//! structure from the lexer's token stream — names, nesting, byte spans,
-//! and body token ranges — without building a full AST.
+//! Lightweight item parser: recovers `fn`/`impl`/`trait`/`mod` structure
+//! from the lexer's token stream — names, nesting, byte spans, and body
+//! token ranges — without building a full AST.
 //!
 //! The parser is a single linear scan with a scope stack. It is built to
 //! the same contract as the lexer: any byte soup goes in, items with
@@ -26,7 +26,6 @@ pub enum ItemKind {
     Impl,
     Trait,
     Mod,
-    Use,
 }
 
 /// One recovered item. Indices refer to the *code* token slice the parser
@@ -34,11 +33,8 @@ pub enum ItemKind {
 #[derive(Debug, Clone)]
 pub struct Item {
     pub kind: ItemKind,
-    /// Item name: the fn/trait/mod identifier, the impl target type, or
-    /// the trailing path segment of a `use`.
+    /// Item name: the fn/trait/mod identifier or the impl target type.
     pub name: String,
-    /// Index of the innermost enclosing item, if any.
-    pub parent: Option<usize>,
     /// Byte span from the introducing keyword to the closing `}`/`;` (or
     /// EOF when the source is truncated).
     pub span: (usize, usize),
@@ -47,8 +43,6 @@ pub struct Item {
     pub body: Option<(usize, usize)>,
     /// Code-token index of the introducing keyword.
     pub keyword_tok: usize,
-    /// 1-based line of the introducing keyword.
-    pub line: u32,
     /// For `Fn` items: the enclosing `impl`/`trait` target, when any.
     pub impl_target: Option<String>,
 }
@@ -112,10 +106,6 @@ impl<'a> Parser<'a> {
                     let name = self.text(i + 1).to_string();
                     self.start_item(ItemKind::Mod, name, i);
                 }
-                "use" if is_kw && self.pending.is_none() => {
-                    i = self.use_item(i);
-                    continue;
-                }
                 "{" => {
                     let item = self.pending.take();
                     if let Some(idx) = item {
@@ -164,18 +154,15 @@ impl<'a> Parser<'a> {
     /// header is closed first so spans stay disjoint.
     fn start_item(&mut self, kind: ItemKind, name: String, kw: usize) {
         self.finalize_pending_at(kw.saturating_sub(1));
-        let parent = self.innermost_item();
         let impl_target = if kind == ItemKind::Fn { self.enclosing_target() } else { None };
         let tok = &self.code[kw];
         let idx = self.items.len();
         self.items.push(Item {
             kind,
             name,
-            parent,
             span: (tok.start, tok.end),
             body: None,
             keyword_tok: kw,
-            line: tok.line,
             impl_target,
         });
         self.pending = Some(idx);
@@ -192,11 +179,6 @@ impl<'a> Parser<'a> {
                 .unwrap_or(self.items[idx].span.1);
             self.items[idx].span.1 = end.max(self.items[idx].span.1);
         }
-    }
-
-    /// Innermost enclosing item on the scope stack.
-    fn innermost_item(&self) -> Option<usize> {
-        self.scopes.iter().rev().find_map(|s| s.item)
     }
 
     /// The `impl`/`trait` target a new fn belongs to, from the innermost
@@ -265,51 +247,6 @@ impl<'a> Parser<'a> {
             last_after_for
         } else {
             last
-        }
-    }
-
-    /// Record a `use …;` item and return the index just past its `;`.
-    fn use_item(&mut self, kw: usize) -> usize {
-        self.finalize_pending_at(kw.saturating_sub(1));
-        let parent = self.innermost_item();
-        let tok = &self.code[kw];
-        let mut j = kw + 1;
-        let mut name = String::new();
-        let mut depth = 0isize;
-        while j < self.code.len() {
-            let tt = self.text(j);
-            match tt {
-                "{" => depth += 1,
-                "}" => {
-                    if depth == 0 {
-                        break; // stray close: the use was truncated
-                    }
-                    depth -= 1;
-                }
-                ";" if depth == 0 => break,
-                _ => {
-                    if self.is_ident(j) && depth == 0 {
-                        name = tt.to_string();
-                    }
-                }
-            }
-            j += 1;
-        }
-        let end = self.code.get(j).map(|t| t.end).unwrap_or(self.src.len());
-        self.items.push(Item {
-            kind: ItemKind::Use,
-            name,
-            parent,
-            span: (tok.start, end),
-            body: None,
-            keyword_tok: kw,
-            line: tok.line,
-            impl_target: None,
-        });
-        if j < self.code.len() && self.text(j) == ";" {
-            j + 1
-        } else {
-            j
         }
     }
 }
@@ -412,8 +349,7 @@ mod tests {
         let m = items.iter().position(|i| i.name == "m").unwrap();
         let outer = items.iter().position(|i| i.name == "outer").unwrap();
         let inner = items.iter().position(|i| i.name == "inner").unwrap();
-        assert_eq!(items[outer].parent, Some(m));
-        assert_eq!(items[inner].parent, Some(outer));
+        assert!(m < outer && outer < inner, "items are recorded parents-first");
         assert!(items[outer].span.0 > items[m].span.0 && items[outer].span.1 < items[m].span.1);
         assert!(
             items[inner].span.0 > items[outer].span.0 && items[inner].span.1 <= items[outer].span.1
@@ -435,12 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn use_records_trailing_segment() {
-        let items = parse("use sph_math::{Vec3, REDUCE_CHUNK};\nuse rayon::prelude::*;");
-        let uses: Vec<&Item> = items.iter().filter(|i| i.kind == ItemKind::Use).collect();
-        assert_eq!(uses.len(), 2);
-        assert_eq!(uses[0].name, "sph_math");
-        assert_eq!(uses[1].name, "prelude");
+    fn use_declarations_are_not_items() {
+        let items = parse("use sph_math::{Vec3, REDUCE_CHUNK};\nimpl G { fn scan(&self) {} }");
+        let kinds: Vec<ItemKind> = items.iter().map(|i| i.kind).collect();
+        assert_eq!(kinds, vec![ItemKind::Impl, ItemKind::Fn]);
+        assert_eq!(items[1].impl_target.as_deref(), Some("G"));
     }
 
     #[test]

@@ -4,23 +4,20 @@
 //! The repo's core claim is that every trajectory is bit-identical across
 //! `SPH_THREADS` × nranks × neighbor backends. That contract used to live
 //! in reviewers' heads and a determinism test suite that can tell *that* a
-//! PR broke it but not *why*. This crate enforces it at the source level,
-//! in two layers:
-//!
-//! 1. **Token rules** (R1–R5): a hand-rolled lexer ([`lexer`]) feeds a
-//!    rule engine ([`rules`]) that matches contract violations per file.
-//! 2. **Call-graph rules** (R6–R8): a lightweight item parser ([`items`])
-//!    recovers `fn`/`impl`/`mod`/`use` structure, a workspace symbol
-//!    table and conservative call graph ([`graph`]) resolves calls by
-//!    name (over-approximating on ambiguity), and the [`semantic`] pass
-//!    asks reachability questions — is this allocation in a function
-//!    reachable from the kernel passes? — instead of trusting crate-name
-//!    whitelists.
+//! PR broke it but not *why*. This crate enforces it at the source level
+//! as one pipeline: a hand-rolled lexer ([`lexer`]) and item parser
+//! ([`items`]) feed a workspace symbol table and conservative call graph
+//! ([`graph`]), then one walk per file ([`semantic`]) runs every rule's
+//! matcher. Rules scoped by reachability — is this allocation in a
+//! function reachable from the kernel passes? — ask the graph instead of
+//! trusting crate-name whitelists. Every finding then passes through the
+//! inline-suppression resolver in [`rules`].
 //!
 //! The sweep covers every `crates/*/src` file, the root facade `src/`,
 //! `examples/`, and `crates/*/benches` (binary contexts get the reduced
-//! rule set; shims answer only for the `unsafe` rule). [`report`] renders
-//! the `--json` schema and the ratchet baseline the CI gate diffs against.
+//! rule set; shims answer only for the `unsafe` rule). Contracts that
+//! clippy can state exactly — no `HashMap`/`HashSet`, no clock reads
+//! or thread spawns — live in `clippy.toml`, not here.
 //!
 //! See [`rules`] for the rule catalogue and the inline-suppression syntax,
 //! and the README "Static analysis" section for the workflow. The
@@ -31,7 +28,6 @@
 pub mod graph;
 pub mod items;
 pub mod lexer;
-pub mod report;
 pub mod rules;
 pub mod semantic;
 
@@ -91,19 +87,18 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Lint a single source string under an explicit context with the
-/// token-level rules (R1–R5 plus the suppression meta rules). The
-/// call-graph rules need a workspace view — use [`lint_sources`].
+/// Lint a single source string under an explicit context: the workspace
+/// pipeline over a one-file workspace, so every rule applies (the call
+/// graph simply has no other files to reach).
 pub fn lint_source(src: &str, ctx: &FileContext) -> Vec<Diagnostic> {
-    let tokens = lexer::lex(src);
-    rules::lint_tokens(src, &tokens, ctx)
+    let file = ParsedFile::parse("<source>".to_string(), src.to_string(), ctx.clone());
+    lint_parsed(&[file]).into_iter().map(|d| d.diagnostic).collect()
 }
 
 /// Lint a set of `(workspace-relative path, source)` pairs as one
-/// workspace: the full pipeline including the call graph and R6–R8.
-/// Paths [`context_for`] does not recognise are skipped. This is what
-/// [`lint_workspace`] runs after reading files, and what the semantic
-/// fixture tests drive directly.
+/// workspace. Paths [`context_for`] does not recognise are skipped. This
+/// is what [`lint_workspace`] runs after reading files, and what the
+/// cross-file fixture tests drive directly.
 pub fn lint_sources(sources: Vec<(String, String)>) -> Vec<FileDiagnostic> {
     let parsed: Vec<ParsedFile> = sources
         .into_iter()
@@ -115,22 +110,14 @@ pub fn lint_sources(sources: Vec<(String, String)>) -> Vec<FileDiagnostic> {
     lint_parsed(&parsed)
 }
 
-/// The workspace pipeline over parsed files: call graph → semantic rules
-/// → per-file merge through suppression matching.
+/// The workspace pipeline over parsed files: call graph → one rule walk
+/// per file → suppression matching.
 fn lint_parsed(files: &[ParsedFile]) -> Vec<FileDiagnostic> {
     let graph = CallGraph::build(files);
-    let semantic = semantic::check(files, &graph);
+    let found = semantic::check(files, &graph);
     let mut out = Vec::new();
-    for (pf, extra) in files.iter().zip(semantic) {
-        let diags = rules::lint_tokens_merged(
-            &pf.src,
-            &pf.tokens,
-            &pf.code,
-            &pf.test_ranges,
-            &pf.ctx,
-            extra,
-        );
-        for diagnostic in diags {
+    for (pf, found) in files.iter().zip(found) {
+        for diagnostic in rules::resolve_suppressions(pf, found) {
             let snippet = pf
                 .src
                 .lines()

@@ -1,26 +1,20 @@
 //! `sph_lint` — CLI for the workspace static-analysis pass.
 //!
 //! ```text
-//! cargo run -p sph-lint -- --workspace                  # lint the whole workspace
-//! cargo run -p sph-lint -- --root /path/to/repo         # explicit root
-//! cargo run -p sph-lint -- --list-rules                 # rule catalogue
-//! cargo run -p sph-lint -- --workspace --json out.json  # machine-readable report
-//! cargo run -p sph-lint -- --workspace --baseline lint_baseline.json
+//! cargo run -p sph-lint -- --workspace           # lint the whole workspace
+//! cargo run -p sph-lint -- --root /path/to/repo  # explicit root
+//! cargo run -p sph-lint -- --list-rules          # rule catalogue
 //! ```
 //!
-//! Exit codes: 0 = clean, 1 = unsuppressed diagnostics (or a ratchet
-//! regression / non-empty baseline under `--deny-baseline`), 2 = usage or
-//! I/O error.
+//! Exit codes: 0 = clean, 1 = unsuppressed diagnostics, 2 = usage or I/O
+//! error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sph_lint::report::{ratchet_diff, render_baseline, render_report, Baseline};
 use sph_lint::{lint_workspace, Rule};
 
 const USAGE: &str = "usage: sph_lint [--workspace] [--root <dir>] [--list-rules]
-                [--json <path>] [--baseline <path>] [--write-baseline <path>]
-                [--deny-baseline]
 
 Lints every crates/*/src file (plus the root facade, examples/ and
 benches/; shims for the unsafe rule) against the determinism & hot-path
@@ -28,44 +22,20 @@ contracts. Suppress a finding inline with:
 
     // sph-lint: allow(rule-slug) — <justification>
 
-  --json <path>            write the findings report as JSON
-  --baseline <path>        ratchet gate: fail only on findings NOT in the
-                           baseline; warn on stale entries
-  --write-baseline <path>  write current findings as a new baseline
-  --deny-baseline          with --baseline: also fail if the baseline file
-                           itself is non-empty (zero-grandfathering gate)
-
 Exit codes: 0 clean, 1 diagnostics found, 2 usage or I/O error.";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json_out: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut deny_baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             // --workspace is the default (and only) scan mode; accepted for
-            // self-describing CI invocations.
+            // self-describing invocations.
             "--workspace" => {}
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage_error("--root needs a directory argument"),
             },
-            "--json" => match args.next() {
-                Some(path) => json_out = Some(PathBuf::from(path)),
-                None => return usage_error("--json needs a file argument"),
-            },
-            "--baseline" => match args.next() {
-                Some(path) => baseline_path = Some(PathBuf::from(path)),
-                None => return usage_error("--baseline needs a file argument"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(path) => write_baseline = Some(PathBuf::from(path)),
-                None => return usage_error("--write-baseline needs a file argument"),
-            },
-            "--deny-baseline" => deny_baseline = true,
             "--list-rules" => {
                 for rule in Rule::ALL {
                     println!("{}  {:<22} {}", rule.id(), rule.slug(), rule.describe());
@@ -88,68 +58,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = &json_out {
-        if let Err(e) = std::fs::write(path, render_report(&diagnostics)) {
-            eprintln!("sph-lint: {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("sph-lint: wrote report to {}", path.display());
-    }
-    if let Some(path) = &write_baseline {
-        if let Err(e) = std::fs::write(path, render_baseline(&diagnostics)) {
-            eprintln!("sph-lint: {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("sph-lint: wrote baseline ({} entries) to {}", diagnostics.len(), path.display());
-    }
-
-    // Ratchet mode: only findings NOT absorbed by the baseline fail.
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("sph-lint: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("sph-lint: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let diff = ratchet_diff(&baseline, &diagnostics);
-        for &i in &diff.new {
-            println!("{}", diagnostics[i]);
-        }
-        for (path, slug, snippet) in &diff.stale {
-            println!("sph-lint: stale baseline entry {path} [{slug}] `{snippet}` — ratchet it out");
-        }
-        let mut failed = false;
-        if !diff.new.is_empty() {
-            println!("sph-lint: {} new finding(s) not covered by the baseline", diff.new.len());
-            failed = true;
-        }
-        if deny_baseline && !baseline.is_empty() {
-            println!(
-                "sph-lint: baseline {} has {} grandfathered entries; the gate requires zero",
-                path.display(),
-                baseline.len()
-            );
-            failed = true;
-        }
-        if failed {
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "sph-lint: workspace matches baseline ({} finding(s), {} grandfathered)",
-            diagnostics.len(),
-            baseline.len()
-        );
-        return ExitCode::SUCCESS;
-    }
 
     for d in &diagnostics {
         println!("{d}");

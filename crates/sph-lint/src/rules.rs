@@ -1,18 +1,20 @@
-//! The rule engine: matches the determinism & hot-path contracts against a
-//! token stream and resolves inline suppressions.
+//! The rule catalogue, the file contexts that scope it, and the
+//! inline-suppression resolver every finding passes through.
 //!
 //! # Rule catalogue
 //!
 //! | id | slug                  | contract it enforces |
 //! |----|-----------------------|----------------------|
-//! | R1 | `hash-container`      | no `HashMap`/`HashSet` in sph code — iteration order is nondeterministic; use `BTreeMap`/`BTreeSet` or a sorted `Vec` |
-//! | R2 | `raw-accumulation`    | no bare `+=`/`.sum()`/additive `.fold()` accumulation loops in the hot-path crates (sph-core, sph-math, sph-tree) — route through `KahanAccumulator` or the fixed-chunk ordered-reduce helpers |
+//! | R2 | `raw-accumulation`    | no bare `+=`/`.sum()`/additive `.fold()` accumulation in the hot-path crates (sph-core, sph-math, sph-tree) or in any fn reachable from a trajectory-feeding `step` — route through `KahanAccumulator` or the fixed-chunk ordered-reduce helpers |
 //! | R3 | `panic-path`          | no `unwrap()`/`expect()`/`panic!` in library code paths — return typed `Result`s |
 //! | R4 | `undocumented-unsafe` | every `unsafe` needs an adjacent `// SAFETY:` comment (or a `# Safety` doc section) |
-//! | R5 | `wall-clock`          | no `Instant::now`/`SystemTime::now`/`thread::spawn` outside the rayon shim, sph-profiler and sph-serve — wall-clock reads in compute passes break replay determinism |
-//! | R6 | `hot-alloc`           | no `Vec`/`Box`/`String`/`collect` allocation in any fn reachable from the kernel-pass seed set (call-graph rule; see [`crate::semantic`]) |
-//! | R7 | `reduce-taint`        | interprocedural R2: bare float `+=`/`.sum()`/`fold` in any fn reachable from a trajectory-feeding path, whatever crate it lives in |
+//! | R6 | `hot-alloc`           | no `Vec`/`Box`/`String`/`collect` allocation in any fn reachable from the kernel-pass seed set |
 //! | R8 | `env-determinism`     | no env/thread-count reads outside the rayon shim, sph-serve and binary CLI surfaces — values that shape physics state must come from explicit config |
+//!
+//! Ids are stable: R1 and R5 were retired when `clippy.toml` became the
+//! one enforcer of the `HashMap`/`HashSet` and clock-read / thread-spawn
+//! bans, and R7 was folded into R2. The matchers live in
+//! [`crate::semantic`].
 //!
 //! Two meta rules police the suppression mechanism itself and cannot be
 //! suppressed: S1 `unjustified-suppression` (an `allow` without a written
@@ -32,24 +34,19 @@
 //! # Contexts
 //!
 //! `#[cfg(test)]` modules and `#[test]` functions are exempt from all
-//! rules. Binaries (`src/bin/`, `src/main.rs`) are CLI surface, not library
-//! paths: only R1 and R4 apply. Shim crates mirror external crates'
-//! internals and only answer for R4.
+//! rules. Binaries (`src/bin/`, `src/main.rs`, examples, benches) are CLI
+//! surface, not library paths: R3, R8 and the crate-scoped half of R2 do
+//! not apply there, while the reachability rules do. Shim crates mirror
+//! external crates' internals and only answer for R4.
 
+use crate::graph::ParsedFile;
 use crate::lexer::{Token, TokenKind};
 
 /// Minimum length of the prose justification a suppression must carry.
 pub const MIN_JUSTIFICATION: usize = 10;
 
-/// Crates whose accumulation loops are hot-path (rule R2).
+/// Crates whose accumulations are hot-path wherever they sit (rule R2).
 pub const HOT_PATH_CRATES: &[&str] = &["sph-core", "sph-math", "sph-tree"];
-
-/// Crates allowed to read the wall clock (rule R5). The shims are exempt
-/// wholesale via [`FileContext::is_shim`]; this lists first-party crates:
-/// the profiler (timing IS its job) and the server (request latency and
-/// worker threads live outside any physics trajectory — trajectory values
-/// are produced by the deterministic crates it drives).
-pub const WALL_CLOCK_CRATES: &[&str] = &["sph-profiler", "sph-serve"];
 
 /// Crates allowed to read the process environment (rule R8) from library
 /// code. Binaries are exempt via [`FileContext::is_binary`]; sph-serve's
@@ -61,21 +58,15 @@ pub const ENV_READ_CRATES: &[&str] = &["sph-serve"];
 /// The enforced rules. `S1`/`S2` police the suppression mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// R1: `HashMap`/`HashSet` — nondeterministic iteration order.
-    HashContainer,
-    /// R2: bare `+=`/`.sum()` accumulation in hot-path loops.
+    /// R2: bare `+=`/`.sum()`/additive `.fold()` accumulation in a hot-path
+    /// crate or on a trajectory-feeding path.
     RawAccumulation,
     /// R3: `unwrap()`/`expect()`/`panic!` in library code paths.
     PanicPath,
     /// R4: `unsafe` without an adjacent `// SAFETY:` justification.
     UndocumentedUnsafe,
-    /// R5: wall-clock reads / thread spawns outside the sanctioned crates.
-    WallClock,
     /// R6: allocation in a fn reachable from the kernel-pass seeds.
     HotAlloc,
-    /// R7: interprocedural R2 — raw accumulation reachable from a
-    /// trajectory-feeding path, whatever crate it lives in.
-    ReduceTaint,
     /// R8: env/thread-count reads outside the shim / binary surfaces.
     EnvDeterminism,
     /// S1: suppression without a written justification (or unknown rule).
@@ -85,27 +76,21 @@ pub enum Rule {
 }
 
 impl Rule {
-    pub const ALL: [Rule; 8] = [
-        Rule::HashContainer,
+    pub const ALL: [Rule; 5] = [
         Rule::RawAccumulation,
         Rule::PanicPath,
         Rule::UndocumentedUnsafe,
-        Rule::WallClock,
         Rule::HotAlloc,
-        Rule::ReduceTaint,
         Rule::EnvDeterminism,
     ];
 
-    /// Short id (`R1`…`R8`, `S1`/`S2`).
+    /// Short id (`R2`…`R8`, `S1`/`S2`).
     pub fn id(self) -> &'static str {
         match self {
-            Rule::HashContainer => "R1",
             Rule::RawAccumulation => "R2",
             Rule::PanicPath => "R3",
             Rule::UndocumentedUnsafe => "R4",
-            Rule::WallClock => "R5",
             Rule::HotAlloc => "R6",
-            Rule::ReduceTaint => "R7",
             Rule::EnvDeterminism => "R8",
             Rule::UnjustifiedSuppression => "S1",
             Rule::UnusedSuppression => "S2",
@@ -115,13 +100,10 @@ impl Rule {
     /// The slug used in `sph-lint: allow(…)` comments.
     pub fn slug(self) -> &'static str {
         match self {
-            Rule::HashContainer => "hash-container",
             Rule::RawAccumulation => "raw-accumulation",
             Rule::PanicPath => "panic-path",
             Rule::UndocumentedUnsafe => "undocumented-unsafe",
-            Rule::WallClock => "wall-clock",
             Rule::HotAlloc => "hot-alloc",
-            Rule::ReduceTaint => "reduce-taint",
             Rule::EnvDeterminism => "env-determinism",
             Rule::UnjustifiedSuppression => "unjustified-suppression",
             Rule::UnusedSuppression => "unused-suppression",
@@ -137,13 +119,10 @@ impl Rule {
     /// One-line description for `--list-rules` and the README catalogue.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::HashContainer => {
-                "HashMap/HashSet iteration order is nondeterministic; \
-                 use BTreeMap/BTreeSet or a sorted Vec"
-            }
             Rule::RawAccumulation => {
-                "bare floating-point accumulation in a hot-path loop; route through \
-                 KahanAccumulator or the fixed-chunk ordered-reduce helpers"
+                "bare floating-point accumulation in a hot-path crate or on a \
+                 trajectory-feeding path; route through KahanAccumulator or the \
+                 fixed-chunk ordered-reduce helpers"
             }
             Rule::PanicPath => {
                 "unwrap()/expect()/panic! in a library code path; return a typed Result"
@@ -151,17 +130,9 @@ impl Rule {
             Rule::UndocumentedUnsafe => {
                 "unsafe without an adjacent // SAFETY: comment (or # Safety doc section)"
             }
-            Rule::WallClock => {
-                "wall-clock read or thread spawn outside the rayon shim / sph-profiler / \
-                 sph-serve; nondeterministic inputs break replay determinism"
-            }
             Rule::HotAlloc => {
                 "allocation (Vec/Box/String/collect) in a function reachable from the \
                  kernel-pass seed set; use per-chunk scratch or pre-sized buffers"
-            }
-            Rule::ReduceTaint => {
-                "bare floating-point accumulation reachable from a trajectory-feeding \
-                 path; route through KahanAccumulator or the ordered-reduce helpers"
             }
             Rule::EnvDeterminism => {
                 "env/thread-count read in library code outside the sph-serve operational \
@@ -186,33 +157,26 @@ pub struct FileContext {
 }
 
 impl FileContext {
-    /// Does `rule` apply to files in this context? For the call-graph
-    /// rules (R6/R7) this is a necessary precondition only: the semantic
-    /// pass additionally requires the containing fn to be reachable from
-    /// the relevant seed set.
+    /// Does `rule` apply to files in this context? For R2 and R6 this is a
+    /// necessary precondition only: the walk additionally asks where the
+    /// site sits (hot-path crate, or a fn reachable from the relevant
+    /// seed set).
     pub fn applies(&self, rule: Rule) -> bool {
         if self.is_shim {
             return rule == Rule::UndocumentedUnsafe;
         }
         match rule {
-            Rule::HashContainer | Rule::UndocumentedUnsafe => true,
-            Rule::RawAccumulation => {
-                !self.is_binary && HOT_PATH_CRATES.contains(&self.crate_name.as_str())
-            }
             Rule::PanicPath => !self.is_binary,
-            Rule::WallClock => {
-                !self.is_binary && !WALL_CLOCK_CRATES.contains(&self.crate_name.as_str())
-            }
-            // Reachability decides, not the crate: binaries included.
-            Rule::HotAlloc => true,
-            // The hot-path crates already answer to R2 for the same
-            // patterns; R7 extends the contract to everything else.
-            Rule::ReduceTaint => !HOT_PATH_CRATES.contains(&self.crate_name.as_str()),
             Rule::EnvDeterminism => {
                 !self.is_binary && !ENV_READ_CRATES.contains(&self.crate_name.as_str())
             }
-            Rule::UnjustifiedSuppression | Rule::UnusedSuppression => true,
+            _ => true,
         }
+    }
+
+    /// Library code of a hot-path crate: R2 applies to every site in it.
+    pub(crate) fn is_hot_library(&self) -> bool {
+        !self.is_shim && !self.is_binary && HOT_PATH_CRATES.contains(&self.crate_name.as_str())
     }
 }
 
@@ -239,57 +203,12 @@ struct Suppression {
     used: bool,
 }
 
-/// Lint one tokenized file with the token-level rules (R1–R5, S1/S2).
-/// The call-graph rules need a workspace view; see [`crate::lint_sources`].
-pub fn lint_tokens(src: &str, tokens: &[Token], ctx: &FileContext) -> Vec<Diagnostic> {
-    let code: Vec<Token> = tokens.iter().filter(|t| !t.is_comment()).copied().collect();
-    let test_ranges = test_item_ranges(src, &code);
-    lint_tokens_merged(src, tokens, &code, &test_ranges, ctx, Vec::new())
-}
-
-/// The per-file finalizer: token-level violations plus pre-positioned
-/// semantic diagnostics (`extra`, already test-filtered), all routed
-/// through one suppression-matching pass so R6–R8 answer to the same
-/// `sph-lint: allow(…)` grammar — and the same S1/S2 policing — as R1–R5.
-pub(crate) fn lint_tokens_merged(
-    src: &str,
-    tokens: &[Token],
-    code: &[Token],
-    test_ranges: &[std::ops::Range<usize>],
-    ctx: &FileContext,
-    extra: Vec<Diagnostic>,
-) -> Vec<Diagnostic> {
-    let in_test = |tok: &Token| test_ranges.iter().any(|r| r.contains(&tok.start));
-
-    let mut suppressions = collect_suppressions(src, tokens, &in_test);
+/// Route one file's findings (already test-filtered) through suppression
+/// matching, then append the S1/S2 findings about the suppressions.
+pub(crate) fn resolve_suppressions(pf: &ParsedFile, found: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    let mut suppressions = collect_suppressions(pf);
     let mut out = Vec::new();
-
-    for v in find_violations(src, code, ctx) {
-        let tok = &code[v.token_idx];
-        if in_test(tok) {
-            continue;
-        }
-        // R4 is satisfied by evidence, not only by suppression: a
-        // `// SAFETY:` comment adjacent to the `unsafe`, or a `# Safety`
-        // doc section on the function it belongs to.
-        if v.rule == Rule::UndocumentedUnsafe && has_safety_evidence(src, tokens, tok.line) {
-            continue;
-        }
-        let suppressed = suppressions
-            .iter_mut()
-            .find(|s| s.covers_line == tok.line && s.rules.contains(&v.rule));
-        match suppressed {
-            Some(s) => s.used = true,
-            None => out.push(Diagnostic {
-                rule: v.rule,
-                line: tok.line,
-                col: tok.col,
-                message: v.message,
-            }),
-        }
-    }
-
-    for d in extra {
+    for d in found {
         let suppressed =
             suppressions.iter_mut().find(|s| s.covers_line == d.line && s.rules.contains(&d.rule));
         match suppressed {
@@ -329,12 +248,6 @@ pub(crate) fn lint_tokens_merged(
 
     out.sort_by_key(|d| (d.line, d.col, d.rule));
     out
-}
-
-struct Violation {
-    rule: Rule,
-    token_idx: usize,
-    message: String,
 }
 
 /// Byte ranges of `#[cfg(test)]` / `#[test]` items (body plus attribute).
@@ -419,7 +332,7 @@ fn skip_attribute(src: &str, code: &[Token], i: usize) -> usize {
 /// trailing on the same line, or a doc-comment line containing `# Safety`
 /// at most 12 lines above (doc sections attach to the `unsafe fn` they
 /// document, with the prose in between).
-fn has_safety_evidence(src: &str, tokens: &[Token], line: u32) -> bool {
+pub(crate) fn has_safety_evidence(src: &str, tokens: &[Token], line: u32) -> bool {
     tokens.iter().any(|t| {
         if !t.is_comment() || t.line > line {
             return false;
@@ -431,20 +344,18 @@ fn has_safety_evidence(src: &str, tokens: &[Token], line: u32) -> bool {
     })
 }
 
-fn collect_suppressions(
-    src: &str,
-    tokens: &[Token],
-    in_test: &dyn Fn(&Token) -> bool,
-) -> Vec<Suppression> {
+fn collect_suppressions(pf: &ParsedFile) -> Vec<Suppression> {
+    let (src, tokens) = (pf.src.as_str(), pf.tokens.as_slice());
     let mut out = Vec::new();
     for (idx, tok) in tokens.iter().enumerate() {
         // Suppressions live in plain comments only: doc comments are
         // documentation (they may *describe* the syntax, as this crate's
-        // own rustdoc does) and never suppress anything.
-        if !tok.is_comment() || tok.kind == TokenKind::DocComment {
+        // own rustdoc does) and never suppress anything. Suppressions
+        // inside test items are dead weight; ignore them.
+        if !tok.is_comment() || tok.kind == TokenKind::DocComment || pf.in_test(tok.start) {
             continue;
         }
-        let Some(parsed) = parse_suppression(tok.text(src)) else { continue };
+        let Some((rules, unknown, justified)) = parse_suppression(tok.text(src)) else { continue };
         // A trailing comment covers its own line; a standalone comment
         // covers the next code line.
         let standalone = idx == 0 || tokens[idx - 1].line < tok.line;
@@ -453,16 +364,12 @@ fn collect_suppressions(
         } else {
             tok.line
         };
-        // Suppressions inside test items are dead weight; ignore them.
-        if in_test(tok) {
-            continue;
-        }
         out.push(Suppression {
-            rules: parsed.0,
-            unknown: parsed.1,
+            rules,
+            unknown,
             comment_line: tok.line,
             covers_line,
-            justified: parsed.2,
+            justified,
             used: false,
         });
     }
@@ -502,184 +409,4 @@ fn parse_suppression(comment: &str) -> Option<(Vec<Rule>, Vec<String>, bool)> {
     }
     let just = tail.trim().trim_end_matches("*/").trim();
     Some((rules, unknown, just.chars().count() >= MIN_JUSTIFICATION))
-}
-
-/// Run the R1–R5 matchers over the code tokens.
-fn find_violations(src: &str, code: &[Token], ctx: &FileContext) -> Vec<Violation> {
-    let text = |k: usize| code.get(k).map(|t| t.text(src)).unwrap_or("");
-    let is_ident = |k: usize| code.get(k).is_some_and(|t| t.kind == TokenKind::Ident);
-    let mut out = Vec::new();
-
-    // Loop-body tracking for R2: which brace scopes belong to a
-    // `for`/`while`/`loop` body.
-    let mut brace_is_loop: Vec<bool> = Vec::new();
-    let mut loop_depth = 0usize;
-    let mut pending_loop_kw = false;
-
-    for i in 0..code.len() {
-        let t = &code[i];
-        let tt = t.text(src);
-
-        match tt {
-            "for" | "while" | "loop" if t.kind == TokenKind::Ident => pending_loop_kw = true,
-            "{" => {
-                brace_is_loop.push(pending_loop_kw);
-                if pending_loop_kw {
-                    loop_depth += 1;
-                }
-                pending_loop_kw = false;
-            }
-            "}" if brace_is_loop.pop() == Some(true) => loop_depth -= 1,
-            _ => {}
-        }
-
-        // R1: HashMap / HashSet by name.
-        if ctx.applies(Rule::HashContainer)
-            && t.kind == TokenKind::Ident
-            && (tt == "HashMap" || tt == "HashSet")
-        {
-            out.push(Violation {
-                rule: Rule::HashContainer,
-                token_idx: i,
-                message: format!(
-                    "`{tt}` iterates in nondeterministic order; use BTreeMap/BTreeSet or a \
-                     sorted Vec"
-                ),
-            });
-        }
-
-        // R2a: statement-level `acc += expr;` inside a loop body, where
-        // `acc` is a bare local and the RHS is not the literal `1`
-        // (integer counters are idiomatic and order-independent).
-        if ctx.applies(Rule::RawAccumulation)
-            && loop_depth > 0
-            && t.kind == TokenKind::Ident
-            && text(i + 1) == "+="
-            && (i == 0 || matches!(text(i.wrapping_sub(1)), ";" | "{" | "}"))
-            && !(code.get(i + 2).is_some_and(|t| t.kind == TokenKind::NumLit)
-                && text(i + 2) == "1"
-                && text(i + 3) == ";")
-        {
-            out.push(Violation {
-                rule: Rule::RawAccumulation,
-                token_idx: i,
-                message: format!(
-                    "bare `{tt} += …` accumulation in a hot-path loop; use KahanAccumulator or \
-                     the fixed-chunk ordered-reduce helpers (or justify why the order is frozen)"
-                ),
-            });
-        }
-
-        // R2b: iterator `.sum()` / `.sum::<f64>()`.
-        if ctx.applies(Rule::RawAccumulation)
-            && tt == "."
-            && text(i + 1) == "sum"
-            && is_ident(i + 1)
-            && matches!(text(i + 2), "(" | "::")
-        {
-            out.push(Violation {
-                rule: Rule::RawAccumulation,
-                token_idx: i + 1,
-                message: "iterator `.sum()` has no compensation and hides the reduction \
-                          order; use KahanAccumulator or the ordered-reduce helpers"
-                    .to_string(),
-            });
-        }
-
-        // R2c: additive `.fold(…)` — the same reduction as R2b spelled
-        // out. Min/max folds carry no `+` and are order-independent.
-        if ctx.applies(Rule::RawAccumulation)
-            && tt == "."
-            && text(i + 1) == "fold"
-            && is_ident(i + 1)
-            && text(i + 2) == "("
-            && balanced_args_contain_add(src, code, i + 2)
-        {
-            out.push(Violation {
-                rule: Rule::RawAccumulation,
-                token_idx: i + 1,
-                message: "additive `.fold(…)` accumulates in iterator order with no \
-                          compensation; use KahanAccumulator or the ordered-reduce helpers"
-                    .to_string(),
-            });
-        }
-
-        // R3: `.unwrap()` / `.expect(` / `panic!`.
-        if ctx.applies(Rule::PanicPath) {
-            if tt == "." && matches!(text(i + 1), "unwrap" | "expect") && text(i + 2) == "(" {
-                out.push(Violation {
-                    rule: Rule::PanicPath,
-                    token_idx: i + 1,
-                    message: format!(
-                        "`.{}()` aborts the process on the error path; return a typed Result \
-                         (or justify why the invariant is local and checked)",
-                        text(i + 1)
-                    ),
-                });
-            }
-            if t.kind == TokenKind::Ident && tt == "panic" && text(i + 1) == "!" {
-                out.push(Violation {
-                    rule: Rule::PanicPath,
-                    token_idx: i,
-                    message: "`panic!` in a library code path; return a typed Result".to_string(),
-                });
-            }
-        }
-
-        // R4: `unsafe` without adjacent SAFETY justification.
-        if ctx.applies(Rule::UndocumentedUnsafe) && t.kind == TokenKind::Ident && tt == "unsafe" {
-            // `unsafe` inside a trait bound position (`unsafe fn` pointer
-            // types etc.) still deserves the comment; no exceptions.
-            out.push(Violation {
-                rule: Rule::UndocumentedUnsafe,
-                token_idx: i,
-                message: "`unsafe` without an adjacent `// SAFETY:` comment stating the \
-                          invariants that make it sound"
-                    .to_string(),
-            });
-        }
-
-        // R5: wall-clock reads and ad-hoc threads.
-        if ctx.applies(Rule::WallClock) && t.kind == TokenKind::Ident {
-            let pat = match (tt, text(i + 1), text(i + 2)) {
-                ("Instant", "::", "now") => Some("Instant::now"),
-                ("SystemTime", "::", "now") => Some("SystemTime::now"),
-                ("thread", "::", "spawn") => Some("thread::spawn"),
-                _ => None,
-            };
-            if let Some(p) = pat {
-                out.push(Violation {
-                    rule: Rule::WallClock,
-                    token_idx: i,
-                    message: format!(
-                        "`{p}` outside the rayon shim / sph-profiler; wall-clock inputs in \
-                         compute passes break replay determinism"
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Do the balanced arguments of the call whose `(` sits at `open` contain
-/// an additive operator? Shared by R2c and R7's fold matcher.
-pub(crate) fn balanced_args_contain_add(src: &str, code: &[Token], open: usize) -> bool {
-    let mut depth = 0isize;
-    let mut k = open;
-    while k < code.len() {
-        match code[k].text(src) {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                depth -= 1;
-                if depth <= 0 {
-                    return false;
-                }
-            }
-            "+" | "+=" => return true,
-            _ => {}
-        }
-        k += 1;
-    }
-    false
 }

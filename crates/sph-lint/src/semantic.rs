@@ -1,9 +1,10 @@
-//! The call-graph-aware rules R6–R8. Where R1–R5 match token patterns
-//! under crate-name whitelists, these rules ask *reachability* questions
-//! of the workspace [`CallGraph`]: is the function this token sits in
-//! reachable from the kernel-pass seed set (R6) or from a
-//! trajectory-feeding `step` (R7)? The crate a file happens to live in no
-//! longer decides whether the hot-path contracts apply to it.
+//! The one walk: every rule's matcher runs in a single pass over each
+//! file's code tokens (`FilePass::run`), sharing one scope tracker
+//! (loops, closures) and the workspace [`CallGraph`]. Where a rule is
+//! scoped by reachability rather than by crate, it asks the graph whether
+//! the fn a token sits in is reachable from the kernel-pass seed set (R6)
+//! or from a trajectory-feeding `step` (R2, together with its hot-path
+//! crate scope).
 //!
 //! Seed sets:
 //!
@@ -20,7 +21,7 @@
 
 use crate::graph::{CallGraph, ParsedFile, Reach};
 use crate::lexer::TokenKind;
-use crate::rules::{Diagnostic, Rule};
+use crate::rules::{has_safety_evidence, Diagnostic, Rule};
 
 /// Functions whose bodies (and transitive callees) are the per-particle /
 /// per-query hot path: one invocation per particle per step, or the scan
@@ -43,7 +44,7 @@ pub const HOT_PATH_SEEDS: &[&str] = &[
     "field_at",
 ];
 
-/// Driver types whose `step` methods feed trajectories (R7 seeds,
+/// Driver types whose `step` methods feed trajectories (R2 seeds,
 /// together with the kernel passes).
 pub const TRAJECTORY_STEP_TYPES: &[&str] =
     &["Simulation", "DistributedSimulation", "ResilientSimulation"];
@@ -59,9 +60,9 @@ const CHUNK_DISPATCH: &[&str] =
 const INT_TYPES: &[&str] =
     &["usize", "u8", "u16", "u32", "u64", "u128", "isize", "i8", "i16", "i32", "i64", "i128"];
 
-/// Run R6–R8 over every file. Returns one diagnostic list per file
-/// (parallel to `files`), pre-filtered for test items but *not* yet run
-/// through suppression matching — the per-file finalizer does that.
+/// Run every rule over every file. Returns one diagnostic list per file
+/// (parallel to `files`), test items filtered out but *not* yet run
+/// through suppression matching.
 pub(crate) fn check(files: &[ParsedFile], graph: &CallGraph) -> Vec<Vec<Diagnostic>> {
     let hot_seeds = graph.select(|f| HOT_PATH_SEEDS.contains(&f.name.as_str()));
     let traj_seeds = graph.select(|f| {
@@ -72,25 +73,22 @@ pub(crate) fn check(files: &[ParsedFile], graph: &CallGraph) -> Vec<Vec<Diagnost
     let hot_reach = graph.reachable(&hot_seeds);
     let traj_reach = graph.reachable(&traj_seeds);
 
-    let mut out: Vec<Vec<Diagnostic>> = files.iter().map(|_| Vec::new()).collect();
-    for (fi, pf) in files.iter().enumerate() {
-        if pf.ctx.is_shim {
-            continue;
-        }
-        let mut pass = FilePass {
-            pf,
-            fi,
-            graph,
-            hot_reach: &hot_reach,
-            traj_reach: &traj_reach,
-            r6: pf.ctx.applies(Rule::HotAlloc),
-            r7: pf.ctx.applies(Rule::ReduceTaint),
-            r8: pf.ctx.applies(Rule::EnvDeterminism),
-            out: &mut out[fi],
-        };
-        pass.run();
-    }
-    out
+    files
+        .iter()
+        .enumerate()
+        .map(|(fi, pf)| {
+            let mut pass = FilePass {
+                pf,
+                fi,
+                graph,
+                hot_reach: &hot_reach,
+                traj_reach: &traj_reach,
+                out: Vec::new(),
+            };
+            pass.run();
+            pass.out
+        })
+        .collect()
 }
 
 /// Scope kinds the pass tracks; plain `{}` blocks are transparent.
@@ -119,10 +117,7 @@ struct FilePass<'a> {
     graph: &'a CallGraph,
     hot_reach: &'a [Option<Reach>],
     traj_reach: &'a [Option<Reach>],
-    r6: bool,
-    r7: bool,
-    r8: bool,
-    out: &'a mut Vec<Diagnostic>,
+    out: Vec<Diagnostic>,
 }
 
 impl<'a> FilePass<'a> {
@@ -134,21 +129,9 @@ impl<'a> FilePass<'a> {
         self.pf.code.get(k).is_some_and(|t| t.kind == TokenKind::Ident)
     }
 
-    /// Owner fn of code token `k` when it is hot-reachable (and neither
-    /// the token nor the fn is test code).
-    fn hot_owner(&self, k: usize) -> Option<usize> {
-        self.reachable_owner(k, self.hot_reach)
-    }
-
-    fn traj_owner(&self, k: usize) -> Option<usize> {
-        self.reachable_owner(k, self.traj_reach)
-    }
-
+    /// Owner fn of code token `k` when it is reachable in `reach` (and
+    /// the fn is not test code).
     fn reachable_owner(&self, k: usize, reach: &[Option<Reach>]) -> Option<usize> {
-        let tok = self.pf.code.get(k)?;
-        if self.pf.in_test(tok.start) {
-            return None;
-        }
         let owner = self.graph.owner_of(self.fi, k)?;
         if self.graph.fns[owner].in_test || reach.get(owner).copied().flatten().is_none() {
             return None;
@@ -156,17 +139,41 @@ impl<'a> FilePass<'a> {
         Some(owner)
     }
 
+    /// Where R2 holds at code token `k`, phrased for its message: on a
+    /// trajectory-feeding path (with the call chain), or anywhere in a
+    /// hot-path crate's library code.
+    fn accumulation_site(&self, k: usize) -> Option<String> {
+        if let Some(owner) = self.reachable_owner(k, self.traj_reach) {
+            let chain = self.graph.chain(self.traj_reach, owner);
+            return Some(format!("on a trajectory-feeding path (reachable: {chain})"));
+        }
+        let ctx = &self.pf.ctx;
+        ctx.is_hot_library().then(|| format!("in hot-path crate `{}`", ctx.crate_name))
+    }
+
+    /// Record a finding at code token `k`; test code is exempt from all
+    /// rules.
     fn emit(&mut self, rule: Rule, k: usize, message: String) {
         if let Some(tok) = self.pf.code.get(k) {
-            self.out.push(Diagnostic { rule, line: tok.line, col: tok.col, message });
+            if !self.pf.in_test(tok.start) {
+                self.out.push(Diagnostic { rule, line: tok.line, col: tok.col, message });
+            }
         }
     }
 
     fn run(&mut self) {
-        let code = self.pf.code.clone();
+        let pf = self.pf;
+        let code = &pf.code;
+        let r2 = pf.ctx.applies(Rule::RawAccumulation);
+        let r3 = pf.ctx.applies(Rule::PanicPath);
+        let r4 = pf.ctx.applies(Rule::UndocumentedUnsafe);
+        let r6 = pf.ctx.applies(Rule::HotAlloc);
+        let r8 = pf.ctx.applies(Rule::EnvDeterminism);
+
         let mut scopes: Vec<Scope> = Vec::new();
         let mut brace_depth = 0usize;
         let mut paren_depth = 0usize;
+        let mut pending_for = false;
         let mut pending_loop = false;
         let mut pending_closure: Option<bool> = None;
 
@@ -176,7 +183,15 @@ impl<'a> FilePass<'a> {
 
             // --- scope machinery -------------------------------------
             match tt {
-                "for" | "while" | "loop" if is_id => pending_loop = true,
+                // A `for` opens a loop only once its `in` shows up: the
+                // `for` of `impl Trait for Type {` and of a `for<'a>`
+                // bound has none before the next `{`.
+                "for" if is_id => pending_for = true,
+                "in" if is_id && pending_for => {
+                    pending_for = false;
+                    pending_loop = true;
+                }
+                "while" | "loop" if is_id => pending_loop = true,
                 "|" | "||" if self.closure_starts_at(i) => {
                     let chunk = self.chain_has_chunk_dispatch(i);
                     let after = if tt == "||" { i + 1 } else { self.closing_pipe(i + 1) };
@@ -190,6 +205,7 @@ impl<'a> FilePass<'a> {
                 }
                 "{" => {
                     brace_depth += 1;
+                    pending_for = false;
                     if let Some(chunk) = pending_closure.take() {
                         scopes.push(Scope {
                             kind: Kind::Closure { chunk },
@@ -239,67 +255,46 @@ impl<'a> FilePass<'a> {
             let chunk_top =
                 matches!(scopes.last(), Some(Scope { kind: Kind::Closure { chunk: true }, .. }));
 
-            // --- R6: hot-path allocation -----------------------------
-            if self.r6 {
-                if let Some((what, at)) = self.alloc_at(i) {
-                    if !chunk_top {
-                        if let Some(owner) = self.hot_owner(at) {
-                            let chain = self.graph.chain(self.hot_reach, owner);
-                            self.emit(
-                                Rule::HotAlloc,
-                                at,
-                                format!(
-                                    "`{what}` allocates on the kernel-pass hot path \
-                                     (reachable: {chain}); hoist it into per-chunk scratch, \
-                                     pre-size it with `Vec::with_capacity`, or allocate once \
-                                     outside the pass"
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-
-            // --- R7: interprocedural reduction taint ------------------
-            if self.r7 {
-                // Bare `acc += expr;` in a loop (R2a, reachability-scoped).
+            // --- R2: raw accumulation --------------------------------
+            if r2 {
+                // Statement-level `acc += expr;` inside a loop body, where
+                // the RHS is not the literal `1` (integer counters are
+                // idiomatic and order-independent).
                 if is_id
                     && self.text(i + 1) == "+="
                     && in_loop
-                    && (i == 0 || matches!(self.text(i.wrapping_sub(1)), ";" | "{" | "}"))
+                    && (i == 0 || matches!(self.text(i - 1), ";" | "{" | "}"))
                     && !(code.get(i + 2).is_some_and(|t| t.kind == TokenKind::NumLit)
                         && self.text(i + 2) == "1"
                         && self.text(i + 3) == ";")
                 {
-                    if let Some(owner) = self.traj_owner(i) {
-                        let chain = self.graph.chain(self.traj_reach, owner);
+                    if let Some(site) = self.accumulation_site(i) {
                         self.emit(
-                            Rule::ReduceTaint,
+                            Rule::RawAccumulation,
                             i,
                             format!(
-                                "bare `{tt} += …` in a loop feeding trajectories \
-                                 (reachable: {chain}); use KahanAccumulator, the ordered-reduce \
-                                 helpers, or an explicit integer type"
+                                "bare `{tt} += …` accumulation {site}; use KahanAccumulator, \
+                                 the fixed-chunk ordered-reduce helpers or an explicit integer \
+                                 type (or justify why the order is frozen)"
                             ),
                         );
                     }
                 }
-                // `.sum()` — exact integer turbofish is exempt.
+                // `.sum()` — an exact integer turbofish is exempt.
                 if tt == "."
                     && self.text(i + 1) == "sum"
                     && self.is_ident(i + 1)
                     && matches!(self.text(i + 2), "(" | "::")
                     && !self.integer_turbofish(i + 2)
                 {
-                    if let Some(owner) = self.traj_owner(i + 1) {
-                        let chain = self.graph.chain(self.traj_reach, owner);
+                    if let Some(site) = self.accumulation_site(i + 1) {
                         self.emit(
-                            Rule::ReduceTaint,
+                            Rule::RawAccumulation,
                             i + 1,
                             format!(
-                                "`.sum()` hides the reduction order on a trajectory-feeding \
-                                 path (reachable: {chain}); use KahanAccumulator or spell the \
-                                 integer type (`.sum::<usize>()`) if it is exact"
+                                "`.sum()` hides the reduction order {site}; use \
+                                 KahanAccumulator or spell the integer type \
+                                 (`.sum::<usize>()`) if it is exact"
                             ),
                         );
                     }
@@ -310,17 +305,77 @@ impl<'a> FilePass<'a> {
                     && self.text(i + 1) == "fold"
                     && self.is_ident(i + 1)
                     && self.text(i + 2) == "("
-                    && crate::rules::balanced_args_contain_add(&self.pf.src, &self.pf.code, i + 2)
+                    && self.balanced_args_contain_add(i + 2)
                 {
-                    if let Some(owner) = self.traj_owner(i + 1) {
-                        let chain = self.graph.chain(self.traj_reach, owner);
+                    if let Some(site) = self.accumulation_site(i + 1) {
                         self.emit(
-                            Rule::ReduceTaint,
+                            Rule::RawAccumulation,
                             i + 1,
                             format!(
-                                "additive `.fold(…)` on a trajectory-feeding path \
-                                 (reachable: {chain}); use KahanAccumulator or the \
-                                 ordered-reduce helpers"
+                                "additive `.fold(…)` accumulates in iterator order {site}; use \
+                                 KahanAccumulator or the ordered-reduce helpers"
+                            ),
+                        );
+                    }
+                }
+            }
+
+            // --- R3: panic paths -------------------------------------
+            if r3 {
+                if tt == "."
+                    && matches!(self.text(i + 1), "unwrap" | "expect")
+                    && self.text(i + 2) == "("
+                {
+                    self.emit(
+                        Rule::PanicPath,
+                        i + 1,
+                        format!(
+                            "`.{}()` aborts the process on the error path; return a typed Result \
+                             (or justify why the invariant is local and checked)",
+                            self.text(i + 1)
+                        ),
+                    );
+                }
+                if is_id && tt == "panic" && self.text(i + 1) == "!" {
+                    self.emit(
+                        Rule::PanicPath,
+                        i,
+                        "`panic!` in a library code path; return a typed Result".to_string(),
+                    );
+                }
+            }
+
+            // --- R4: undocumented unsafe ------------------------------
+            // Satisfied by evidence, not only by suppression: a
+            // `// SAFETY:` comment adjacent to the `unsafe`, or a
+            // `# Safety` doc section on the function it belongs to.
+            if r4
+                && is_id
+                && tt == "unsafe"
+                && !has_safety_evidence(&pf.src, &pf.tokens, code[i].line)
+            {
+                self.emit(
+                    Rule::UndocumentedUnsafe,
+                    i,
+                    "`unsafe` without an adjacent `// SAFETY:` comment stating the \
+                     invariants that make it sound"
+                        .to_string(),
+                );
+            }
+
+            // --- R6: hot-path allocation -----------------------------
+            if r6 && !chunk_top {
+                if let Some((what, at)) = self.alloc_at(i) {
+                    if let Some(owner) = self.reachable_owner(at, self.hot_reach) {
+                        let chain = self.graph.chain(self.hot_reach, owner);
+                        self.emit(
+                            Rule::HotAlloc,
+                            at,
+                            format!(
+                                "`{what}` allocates on the kernel-pass hot path \
+                                 (reachable: {chain}); hoist it into per-chunk scratch, \
+                                 pre-size it with `Vec::with_capacity`, or allocate once \
+                                 outside the pass"
                             ),
                         );
                     }
@@ -328,7 +383,7 @@ impl<'a> FilePass<'a> {
             }
 
             // --- R8: environment determinism --------------------------
-            if self.r8 {
+            if r8 {
                 let hit = if is_id
                     && tt == "env"
                     && self.text(i + 1) == "::"
@@ -341,26 +396,23 @@ impl<'a> FilePass<'a> {
                     None
                 };
                 if let Some(what) = hit {
-                    let tok = &code[i];
-                    if !self.pf.in_test(tok.start) {
-                        let flavor = match self.traj_owner(i) {
-                            Some(owner) => format!(
-                                " — and it is trajectory-reachable \
-                                 ({}), so the value can flow into physics state",
-                                self.graph.chain(self.traj_reach, owner)
-                            ),
-                            None => String::new(),
-                        };
-                        self.emit(
-                            Rule::EnvDeterminism,
-                            i,
-                            format!(
-                                "`{what}` reads the process environment in library code{flavor}; \
-                                 thread-count and env lookups belong in the rayon shim or the \
-                                 binary's CLI surface"
-                            ),
-                        );
-                    }
+                    let flavor = match self.reachable_owner(i, self.traj_reach) {
+                        Some(owner) => format!(
+                            " — and it is trajectory-reachable \
+                             ({}), so the value can flow into physics state",
+                            self.graph.chain(self.traj_reach, owner)
+                        ),
+                        None => String::new(),
+                    };
+                    self.emit(
+                        Rule::EnvDeterminism,
+                        i,
+                        format!(
+                            "`{what}` reads the process environment in library code{flavor}; \
+                             thread-count and env lookups belong in the rayon shim or the \
+                             binary's CLI surface"
+                        ),
+                    );
                 }
             }
         }
@@ -466,6 +518,26 @@ impl<'a> FilePass<'a> {
             }
             k -= 1;
         }
+    }
+
+    /// Do the balanced arguments of the call whose `(` sits at `open`
+    /// contain an additive operator?
+    fn balanced_args_contain_add(&self, open: usize) -> bool {
+        let mut depth = 0isize;
+        for k in open..self.pf.code.len() {
+            match self.text(k) {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    depth -= 1;
+                    if depth <= 0 {
+                        return false;
+                    }
+                }
+                "+" | "+=" => return true,
+                _ => {}
+            }
+        }
+        false
     }
 
     /// Allocation candidate at token `i`: `(description, anchor token)`.

@@ -1,6 +1,6 @@
 //! Property tests of the item parser: on arbitrary token soup the parser
 //! must not panic, item spans must be in-bounds and either disjoint or
-//! properly nested (parents containing children), and every `fn` keyword
+//! properly nested, and every `fn` keyword
 //! followed by a name must be covered by exactly one `Fn` item.
 
 use proptest::prelude::*;
@@ -29,24 +29,6 @@ fn check_span_nesting(src: &str, items: &[Item]) {
                 a.span,
                 b.name,
                 b.span
-            );
-        }
-    }
-}
-
-/// Parent links point backwards and the parent's span contains the child.
-fn check_parents(src: &str, items: &[Item]) {
-    for (i, it) in items.iter().enumerate() {
-        if let Some(p) = it.parent {
-            assert!(p < i, "parent {p} not before child {i}");
-            let parent = &items[p];
-            assert!(
-                parent.span.0 <= it.span.0 && it.span.1 <= parent.span.1,
-                "child {} {:?} escapes parent {} {:?} in {src:?}",
-                it.name,
-                it.span,
-                parent.name,
-                parent.span
             );
         }
     }
@@ -112,7 +94,6 @@ fn check_all(src: &str) {
     let code = code_tokens(src);
     let items = parse_items(src, &code);
     check_span_nesting(src, &items);
-    check_parents(src, &items);
     check_fn_coverage(src, &code, &items);
     check_bodies(src, &code, &items);
 }

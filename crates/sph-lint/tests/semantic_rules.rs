@@ -1,6 +1,6 @@
-//! Fixture tests of the call-graph rules R6–R8: each rule must fire
-//! through the workspace call graph (including across files) and every
-//! documented exemption must hold. Fixtures drive [`sph_lint::lint_sources`]
+//! Fixture tests of the reachability-scoped rules (R2's trajectory half,
+//! R6, R8): each rule must fire through the workspace call graph
+//! (including across files) and every documented exemption must hold. Fixtures drive [`sph_lint::lint_sources`]
 //! — the same pipeline `--workspace` runs after reading files.
 
 use sph_lint::{lint_sources, Rule};
@@ -65,6 +65,30 @@ fn r6_polices_the_gravity_walk() {
         vec![("crates/sph-tree/src/gravity.rs".to_string(), Rule::HotAlloc, 5)],
         "a Vec in a fn reachable from field_at must fire"
     );
+}
+
+#[test]
+fn r6_primitive_qualified_calls_do_not_resolve_name_wide() {
+    // `usize::from(…)` is a std impl. Resolving it by name alone would
+    // reach the workspace's `From<…> for TreeError` and its `to_string`.
+    let diags = lint(&[
+        (
+            "crates/sph-tree/src/gravity.rs",
+            "pub fn field_at(open: bool) -> usize {\n\
+             \x20   usize::from(open)\n\
+             }\n",
+        ),
+        (
+            "crates/sph-tree/src/error.rs",
+            "pub struct TreeError(String);\n\
+             impl From<std::fmt::Error> for TreeError {\n\
+             \x20   fn from(e: std::fmt::Error) -> TreeError {\n\
+             \x20       TreeError(e.to_string())\n\
+             \x20   }\n\
+             }\n",
+        ),
+    ]);
+    assert!(diags.is_empty(), "a primitive qualifier must resolve to nothing: {diags:?}");
 }
 
 #[test]
@@ -148,11 +172,11 @@ fn r6_exempts_collect_terminating_parallel_chain() {
 }
 
 // ---------------------------------------------------------------------------
-// R7 reduce-taint
+// R2 raw-accumulation, reachability half
 // ---------------------------------------------------------------------------
 
 /// A `Simulation::step` front-end whose helpers live in a non-hot crate:
-/// R2's crate whitelist never sees them, only reachability does.
+/// R2's hot-crate scope never sees them, only reachability does.
 const STEP_FILE: (&str, &str) = (
     "crates/sph-exa/src/simulation.rs",
     "pub struct Simulation;\n\
@@ -178,7 +202,7 @@ fn r7_fires_on_bare_accumulation_reachable_from_step() {
     ]);
     assert_eq!(
         rules_in(&diags, "crates/sph-exa/src/weights.rs"),
-        vec![Rule::ReduceTaint],
+        vec![Rule::RawAccumulation],
         "bare float += on a trajectory-feeding path must fire: {diags:?}"
     );
 }
@@ -198,7 +222,7 @@ fn r7_fires_on_sum_and_additive_fold() {
     ]);
     assert_eq!(
         rules_in(&diags, "crates/sph-exa/src/weights.rs"),
-        vec![Rule::ReduceTaint, Rule::ReduceTaint],
+        vec![Rule::RawAccumulation, Rule::RawAccumulation],
         "both the bare sum() and the additive fold must fire: {diags:?}"
     );
 }
@@ -344,7 +368,7 @@ fn semantic_findings_honor_inline_suppressions() {
 fn unused_semantic_suppression_trips_s2() {
     let diags = lint(&[(
         "crates/sph-exa/src/weights.rs",
-        "// sph-lint: allow(reduce-taint) — fixture: nothing fires below\n\
+        "// sph-lint: allow(raw-accumulation) — fixture: nothing fires below\n\
          pub fn nothing_here() -> usize { 1 }\n",
     )]);
     assert_eq!(

@@ -1,16 +1,20 @@
-//! Tier-1 gate: the real workspace must lint clean. Every diagnostic is
+//! Tier-1 gates: the real workspace must lint clean, and `clippy.toml`
+//! must keep the bans sph-lint leaves to clippy. Every diagnostic is
 //! either fixed or carries a justified inline suppression, so any failure
 //! here is a newly introduced contract violation.
 
 use std::path::Path;
 
-#[test]
-fn workspace_has_no_unsuppressed_diagnostics() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
-        .expect("crate lives at <root>/crates/sph-lint");
-    let diags = sph_lint::lint_workspace(root).expect("workspace walk succeeds");
+        .expect("crate lives at <root>/crates/sph-lint")
+}
+
+#[test]
+fn workspace_has_no_unsuppressed_diagnostics() {
+    let diags = sph_lint::lint_workspace(workspace_root()).expect("workspace walk succeeds");
     assert!(
         diags.is_empty(),
         "sph-lint found {} unsuppressed diagnostic(s):\n{}",
@@ -19,20 +23,27 @@ fn workspace_has_no_unsuppressed_diagnostics() {
     );
 }
 
-/// The committed ratchet baseline must parse and stay empty: every finding
-/// is fixed or suppressed at the source, never grandfathered silently.
+/// clippy is the one enforcer of the `HashMap`/`HashSet` and clock /
+/// thread-spawn contracts: deleting one of these entries must turn tier-1
+/// red, not only the clippy job.
 #[test]
-fn committed_baseline_is_empty() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crate lives at <root>/crates/sph-lint");
-    let text = std::fs::read_to_string(root.join("lint_baseline.json"))
-        .expect("lint_baseline.json exists at the workspace root");
-    let baseline = sph_lint::report::Baseline::parse(&text).expect("baseline parses");
-    assert!(
-        baseline.is_empty(),
-        "lint_baseline.json has {} grandfathered entr(y/ies); the repo policy is zero",
-        baseline.len()
-    );
+fn clippy_toml_bans_the_contracts_sph_lint_leaves_to_clippy() {
+    let text = std::fs::read_to_string(workspace_root().join("clippy.toml"))
+        .expect("clippy.toml exists at the workspace root");
+    let section = |key: &str| -> String {
+        let start = text.find(&format!("{key} = [")).unwrap_or_else(|| panic!("no `{key}`"));
+        let body = &text[start..];
+        body[..body.find("\n]").unwrap_or(body.len())].to_string()
+    };
+    let types = section("disallowed-types");
+    let methods = section("disallowed-methods");
+    for (list, path) in [
+        (&types, "std::collections::HashMap"),
+        (&types, "std::collections::HashSet"),
+        (&methods, "std::time::Instant::now"),
+        (&methods, "std::time::SystemTime::now"),
+        (&methods, "std::thread::spawn"),
+    ] {
+        assert!(list.contains(&format!("path = \"{path}\"")), "clippy.toml must ban `{path}`");
+    }
 }

@@ -5,14 +5,15 @@
 //! each Algorithm 1 phase on the host machine. Thread-safe so rayon
 //! workers can report concurrently.
 
-// sph-profiler is the sanctioned home of wall-clock reads (sph-lint R5).
+// sph-profiler is the sanctioned home of clock reads (clippy.toml bans
+// them elsewhere).
 #![allow(clippy::disallowed_methods)]
 
 use crate::phase::Phase;
 use parking_lot::Mutex;
 use std::time::Instant;
 
-/// Accumulated wall-clock time per phase.
+/// Accumulated wall time per phase.
 #[derive(Debug, Default)]
 pub struct PhaseTimers {
     acc: Mutex<[f64; 10]>,
@@ -51,7 +52,7 @@ impl PhaseTimers {
 
     /// Total across phases.
     pub fn total(&self) -> f64 {
-        // sph-lint: allow(reduce-taint) — timing diagnostic over a fixed
+        // sph-lint: allow(raw-accumulation) — timing diagnostic over a fixed
         // 8-slot phase array, never fed back into physics state; the call
         // graph reaches it only through the `total` name aliasing
         // KahanAccumulator::total.

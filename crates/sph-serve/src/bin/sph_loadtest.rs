@@ -24,7 +24,7 @@
 //! server (the restart drill needs process control).
 //!
 //! Exit code 0 only if every check passed.
-// Bench surface: wall-clock reads time requests only; nothing feeds a
+// Bench surface: wall-time reads time requests only; nothing feeds a
 // simulation trajectory.
 #![allow(clippy::disallowed_methods)]
 

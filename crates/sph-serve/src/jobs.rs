@@ -13,7 +13,7 @@
 //! byte-identity is asserted by the loadtest's kill/restart drill.
 //!
 //! Sampling happens at checkpoint-slice boundaries (absolute multiples
-//! of the cadence), never at wall-clock-dependent points, so the sample
+//! of the cadence), never at points that depend on wall time, so the sample
 //! set is a pure function of the spec and the server's cadence config.
 
 use crate::admission::CalibrationSample;

@@ -83,9 +83,8 @@ struct Inner {
     /// Jobs actually executed (dispatched to a worker) — stays below the
     /// request count whenever dedup or the cache absorbed a submission.
     executions: AtomicU64,
-    // Uptime telemetry only; never enters a trajectory (R5 is blessed
-    // for this crate; the `Instant::now` call site carries the clippy
-    // allow).
+    // Uptime telemetry only; never enters a trajectory (the
+    // `Instant::now` call site carries the clippy allow).
     started: std::time::Instant,
 }
 

@@ -4,7 +4,7 @@
 //! with the same [`http_call`] client the loadtest uses, and shuts it
 //! down. Jobs use tiny resolutions so the suite stays debug-build fast.
 
-// Test harness, not library code: wall-clock reads only bound the
+// Test harness, not library code: wall-time reads only bound the
 // polling loops, they never influence results.
 #![allow(clippy::disallowed_methods)]
 

@@ -233,7 +233,7 @@ fn empty_plan_adds_no_overhead_to_the_trajectory() {
 
 #[test]
 fn daly_cadence_leaves_the_trajectory_untouched() {
-    // The Daly scheduler feeds wall-clock step and write times into the
+    // The Daly scheduler feeds wall-time step and write times into the
     // checkpoint *cadence* only. MTBF 60 s against ms-scale steps: the
     // interval is far longer than the run, so it writes no more than the
     // fixed cadence does — and the bits are the fault-free ones.
