@@ -66,7 +66,7 @@ use sph_domain::{
     halo_sets, orb_partition, sfc_partition, Decomposition, HaloExchange, HaloRadiusPolicy, SfcKind,
 };
 use sph_ft::checkpoint::CheckpointStore;
-use sph_ft::codec::fnv1a;
+use sph_ft::codec::{self, Manifest};
 use sph_ft::error::FtError;
 use sph_kernels::{Kernel, SUPPORT_RADIUS};
 use sph_math::Aabb;
@@ -1026,17 +1026,18 @@ impl DistributedSimulation {
     // Per-rank checkpoint / restart (sph-ft)
     // ---------------------------------------------------------------
 
-    /// Checkpoint the run as per-rank snapshots plus a manifest blob.
-    /// Each rank saves only its owned particles (`<label>.rank<r>`), as a
-    /// real distributed code writes N files; the manifest records the
-    /// rank count, the ownership assignment and the adaptive-step memory,
-    /// so a restore reassembles the exact global state.
+    /// Checkpoint the run as per-rank snapshots plus a manifest. Each
+    /// rank stores only its owned particles (`{label}-rank{r}`), as a
+    /// real distributed code writes N files; the manifest (under `label`
+    /// itself) records the rank count, the ownership assignment and the
+    /// adaptive-step memory, so a restore reassembles the exact global
+    /// state.
     ///
-    /// Every byte bound for the store first crosses the exchange carrier's
+    /// Every object is encoded once and crosses the exchange carrier's
     /// [`ExchangePath::CheckpointBlob`] path (rank → I/O aggregator in a
-    /// real code). On `Ok` the carrier contract guarantees the delivered
-    /// bytes are unchanged, so the original encoding is saved; a carrier
-    /// error gates the save entirely — no torn checkpoints.
+    /// real code) before it is stored: the bytes stored are the bytes
+    /// delivered. A carrier error gates the write of that object and every
+    /// later one — no manifest without its snapshots.
     pub fn checkpoint(
         &mut self,
         store: &mut dyn CheckpointStore,
@@ -1045,18 +1046,24 @@ impl DistributedSimulation {
         let retries = self.dist.exchange_retries;
         let mut bytes = 0;
         for (r, owned) in self.owned.iter().enumerate() {
-            let snap = self.sys.subset(owned);
-            let mut encoded = sph_ft::codec::encode(&snap);
+            let mut snapshot = codec::encode(&self.sys.subset(owned));
             with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
-                ex.deliver_bytes(ExchangePath::CheckpointBlob, r as u32, &mut encoded)
+                ex.deliver_bytes(ExchangePath::CheckpointBlob, r as u32, &mut snapshot)
             })?;
-            bytes += store.save(&format!("{label}.rank{r}"), &snap)?;
+            bytes += store.put(&rank_label(label, r), &snapshot)?;
         }
-        let mut manifest = self.encode_manifest();
+        // Potentials travel in the manifest (they are driver state, not
+        // ParticleSystem state) so conservation baselines survive restore.
+        let mut manifest = codec::encode_manifest(&Manifest {
+            nranks: self.dist.nranks,
+            dt_prev: self.dt_prev,
+            assignment: self.decomp.assignment.clone(),
+            phi: if self.gravity.is_some() { self.phi.clone() } else { Vec::new() },
+        });
         with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
             ex.deliver_bytes(ExchangePath::CheckpointBlob, 0, &mut manifest)
         })?;
-        bytes += store.save_blob(label, &manifest)?;
+        bytes += store.put(label, &manifest)?;
         Ok(bytes)
     }
 
@@ -1064,7 +1071,9 @@ impl DistributedSimulation {
     /// output. The restored run reproduces the uninterrupted run's state
     /// bit-for-bit: snapshots carry the accelerations and energy
     /// derivatives, so the first half-kick after the restore reuses them
-    /// exactly as the original run did.
+    /// exactly as the original run did. A damaged manifest or snapshot is
+    /// [`DistributedError::Storage`]; objects that decode but do not fit
+    /// together are [`DistributedError::Restore`].
     pub fn restore(
         store: &dyn CheckpointStore,
         label: &str,
@@ -1073,7 +1082,7 @@ impl DistributedSimulation {
         dist: DistributedConfig,
     ) -> Result<Self, DistributedError> {
         let restore_err = |detail: String| DistributedError::Restore { detail };
-        let manifest = Manifest::decode(&store.restore_blob(label)?).map_err(restore_err)?;
+        let manifest = codec::decode_manifest(&store.get(label)?).map_err(FtError::Codec)?;
         if manifest.nranks != dist.nranks {
             return Err(restore_err(format!(
                 "manifest has {} ranks, caller requested {}",
@@ -1086,9 +1095,9 @@ impl DistributedSimulation {
         // Reassemble the global state by scattering each rank's snapshot
         // back to its owned global ids.
         let mut global: Option<ParticleSystem> = None;
-        for r in 0..manifest.nranks as u32 {
-            let owned = decomp.indices_of(r);
-            let snap = store.restore(&format!("{label}.rank{r}"))?;
+        for r in 0..manifest.nranks {
+            let owned = decomp.indices_of(r as u32);
+            let snap = store.restore(&rank_label(label, r))?;
             if snap.len() != owned.len() {
                 return Err(restore_err(format!(
                     "rank {r} snapshot has {} particles, manifest assigns {}",
@@ -1122,109 +1131,23 @@ impl DistributedSimulation {
         Ok(sim)
     }
 
-    fn encode_manifest(&self) -> Vec<u8> {
-        let n = self.decomp.assignment.len();
-        let mut buf = Vec::with_capacity(40 + 4 * n + 8 * n);
-        buf.extend_from_slice(&Manifest::MAGIC.to_le_bytes());
-        buf.extend_from_slice(&Manifest::VERSION.to_le_bytes());
-        buf.extend_from_slice(&(self.dist.nranks as u32).to_le_bytes());
-        buf.extend_from_slice(&self.dt_prev.to_le_bytes());
-        buf.extend_from_slice(&(n as u64).to_le_bytes());
-        for &r in &self.decomp.assignment {
-            buf.extend_from_slice(&r.to_le_bytes());
-        }
-        // Potentials travel in the manifest (they are driver state, not
-        // ParticleSystem state) so conservation baselines survive restore.
-        if self.gravity.is_some() {
-            buf.extend_from_slice(&(n as u64).to_le_bytes());
-            for &p in &self.phi {
-                buf.extend_from_slice(&p.to_le_bytes());
+    /// Remove checkpoint `label` from `store`: its manifest and every
+    /// per-rank snapshot the store lists for it, whatever rank count wrote
+    /// them (the leftovers of a gated write included).
+    pub fn discard_checkpoint(store: &mut dyn CheckpointStore, label: &str) {
+        let prefix = format!("{label}-rank");
+        for stored in store.labels() {
+            if stored.strip_prefix(&prefix).is_some_and(|r| r.parse::<usize>().is_ok()) {
+                store.invalidate(&stored);
             }
-        } else {
-            buf.extend_from_slice(&0u64.to_le_bytes());
         }
-        let checksum = fnv1a(&buf);
-        buf.extend_from_slice(&checksum.to_le_bytes());
-        buf
+        store.invalidate(label);
     }
 }
 
-/// Decoded distributed-checkpoint manifest.
-struct Manifest {
-    nranks: usize,
-    dt_prev: f64,
-    assignment: Vec<u32>,
-    /// Gravitational potentials by global id (empty when gravity is off).
-    /// They live outside [`ParticleSystem`], so the per-rank snapshots do
-    /// not carry them — without this a restored run would report a zero
-    /// gravitational-energy baseline until its next evaluation.
-    phi: Vec<f64>,
-}
-
-impl Manifest {
-    /// "SPHEXADM" — distributed manifest.
-    const MAGIC: u64 = 0x5350_4845_5841_444d;
-    const VERSION: u32 = 1;
-
-    fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let mut pos = 0;
-        let magic = u64::from_le_bytes(take_array(bytes, &mut pos)?);
-        if magic != Self::MAGIC {
-            return Err("not a distributed-checkpoint manifest (bad magic)".to_string());
-        }
-        let version = u32::from_le_bytes(take_array(bytes, &mut pos)?);
-        if version != Self::VERSION {
-            return Err(format!("unsupported manifest version {version}"));
-        }
-        let nranks = u32::from_le_bytes(take_array(bytes, &mut pos)?) as usize;
-        let dt_prev = f64::from_le_bytes(take_array(bytes, &mut pos)?);
-        let n = u64::from_le_bytes(take_array::<8>(bytes, &mut pos)?) as usize;
-        // Validate the untrusted count against the bytes actually present
-        // *before* allocating — a corrupted length field must produce an
-        // Err, not an abort-on-allocation-failure.
-        if bytes.len().saturating_sub(pos) < 4 * n {
-            return Err("manifest truncated".to_string());
-        }
-        let mut assignment = Vec::with_capacity(n);
-        for _ in 0..n {
-            assignment.push(u32::from_le_bytes(take_array(bytes, &mut pos)?));
-        }
-        let phi_n = u64::from_le_bytes(take_array::<8>(bytes, &mut pos)?) as usize;
-        if phi_n != 0 && phi_n != n {
-            return Err("manifest potential block has the wrong length".to_string());
-        }
-        if bytes.len().saturating_sub(pos) < 8 * phi_n {
-            return Err("manifest truncated".to_string());
-        }
-        let mut phi = Vec::with_capacity(phi_n);
-        for _ in 0..phi_n {
-            phi.push(f64::from_le_bytes(take_array(bytes, &mut pos)?));
-        }
-        let payload_end = pos;
-        let stored = u64::from_le_bytes(take_array::<8>(bytes, &mut pos)?);
-        if fnv1a(&bytes[..payload_end]) != stored {
-            return Err("manifest checksum mismatch".to_string());
-        }
-        if nranks == 0 || assignment.iter().any(|&r| r as usize >= nranks) {
-            return Err("manifest assignment references an out-of-range rank".to_string());
-        }
-        Ok(Manifest { nranks, dt_prev, assignment, phi })
-    }
-}
-
-/// Slice exactly `N` bytes at `*pos` or report truncation. Returning a
-/// fixed-size array makes the `from_le_bytes` conversions in
-/// [`Manifest::decode`] infallible — no `unwrap` on the decode path, so a
-/// corrupted checkpoint can only ever surface as a typed `Err`.
-fn take_array<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], String> {
-    let end = pos
-        .checked_add(N)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| "manifest truncated".to_string())?;
-    let mut out = [0u8; N];
-    out.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(out)
+/// The store label of rank `r`'s snapshot in checkpoint `label`.
+fn rank_label(label: &str, r: usize) -> String {
+    format!("{label}-rank{r}")
 }
 
 #[cfg(test)]
@@ -1233,7 +1156,10 @@ mod tests {
     use crate::simulation::SimulationBuilder;
     use sph_core::config::GradientScheme;
     use sph_ft::checkpoint::MemoryStore;
+    use sph_ft::codec::CodecError;
     use sph_math::{Mat3, Periodicity, SplitMix64, Vec3};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn gas_ball(n_target: usize, seed: u64) -> ParticleSystem {
         let mut rng = SplitMix64::new(seed);
@@ -1503,20 +1429,131 @@ mod tests {
 
     #[test]
     fn manifest_roundtrip_and_corruption_detection() {
-        let dist = DistributedBuilder::new(gas_ball(120, 17))
+        let mut dist = DistributedBuilder::new(gas_ball(120, 17))
             .config(quick_config())
             .nranks(2)
             .build()
             .unwrap();
-        let bytes = dist.encode_manifest();
-        let m = Manifest::decode(&bytes).unwrap();
+        let mut store = MemoryStore::new();
+        dist.checkpoint(&mut store, "cp").unwrap();
+        let bytes = store.get("cp").unwrap();
+        let m = codec::decode_manifest(&bytes).unwrap();
         assert_eq!(m.nranks, 2);
         assert_eq!(m.assignment, dist.decomp.assignment);
+
+        // Format damage is a storage error naming the codec failure.
+        let restore = |store: &MemoryStore| {
+            DistributedSimulation::restore(
+                store,
+                "cp",
+                quick_config(),
+                None,
+                DistributedConfig { nranks: 2, ..Default::default() },
+            )
+            .err()
+        };
         let mut bad = bytes.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
-        assert!(Manifest::decode(&bad).is_err());
-        assert!(Manifest::decode(&bytes[..bytes.len() - 3]).is_err());
+        store.put("cp", &bad).unwrap();
+        assert_eq!(
+            restore(&store),
+            Some(DistributedError::Storage(FtError::Codec(CodecError::ChecksumMismatch)))
+        );
+        store.put("cp", &bytes[..bytes.len() - 3]).unwrap();
+        assert!(matches!(restore(&store), Some(DistributedError::Storage(FtError::Codec(_)))));
+        // A missing rank snapshot is a storage error too.
+        store.put("cp", &bytes).unwrap();
+        store.invalidate("cp-rank1");
+        assert!(matches!(
+            restore(&store),
+            Some(DistributedError::Storage(FtError::MissingCheckpoint { .. }))
+        ));
+    }
+
+    /// Checkpoint deliveries as `(to_rank, bytes)`, in order.
+    type Deliveries = Rc<RefCell<Vec<(u32, Vec<u8>)>>>;
+
+    /// Wraps the in-process carrier and records every checkpoint delivery.
+    struct RecordingExchange {
+        delivered: Deliveries,
+    }
+
+    impl Exchange for RecordingExchange {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+        fn reduce_max(&mut self, path: ExchangePath, v: &[f64]) -> Result<f64, ExchangeError> {
+            InProcessExchange.reduce_max(path, v)
+        }
+        fn reduce_min(&mut self, path: ExchangePath, v: &[f64]) -> Result<f64, ExchangeError> {
+            InProcessExchange.reduce_min(path, v)
+        }
+        fn deliver_f64(
+            &mut self,
+            path: ExchangePath,
+            to_rank: u32,
+            payload: &mut Vec<f64>,
+        ) -> Result<(), ExchangeError> {
+            InProcessExchange.deliver_f64(path, to_rank, payload)
+        }
+        fn deliver_bytes(
+            &mut self,
+            path: ExchangePath,
+            to_rank: u32,
+            payload: &mut Vec<u8>,
+        ) -> Result<(), ExchangeError> {
+            if path == ExchangePath::CheckpointBlob {
+                self.delivered.borrow_mut().push((to_rank, payload.clone()));
+            }
+            InProcessExchange.deliver_bytes(path, to_rank, payload)
+        }
+    }
+
+    #[test]
+    fn checkpoint_stores_exactly_the_bytes_it_delivers() {
+        let delivered = Deliveries::default();
+        let mut dist = DistributedBuilder::new(gas_ball(200, 41))
+            .config(quick_config())
+            .nranks(3)
+            .exchange(Box::new(RecordingExchange { delivered: Rc::clone(&delivered) }))
+            .build()
+            .unwrap();
+        dist.run(1).unwrap();
+        let mut store = MemoryStore::new();
+        let bytes = dist.checkpoint(&mut store, "cp").unwrap();
+
+        let delivered = delivered.borrow();
+        let mut expected: Vec<(u32, Vec<u8>)> =
+            (0..3).map(|r| (r as u32, store.get(&rank_label("cp", r)).unwrap())).collect();
+        expected.push((0, store.get("cp").unwrap()));
+        assert_eq!(*delivered, expected, "what crosses the seam must be what is stored");
+        assert_eq!(bytes, expected.iter().map(|(_, b)| b.len()).sum::<usize>());
+        let mut labels = vec!["cp".to_string()];
+        labels.extend((0..3).map(|r| rank_label("cp", r)));
+        assert_eq!(store.labels(), labels);
+    }
+
+    #[test]
+    fn discard_checkpoint_removes_one_checkpoint_and_nothing_else() {
+        let mut dist = DistributedBuilder::new(gas_ball(150, 43))
+            .config(quick_config())
+            .nranks(2)
+            .build()
+            .unwrap();
+        let mut store = MemoryStore::new();
+        for label in ["gen1", "gen10", "gen2"] {
+            dist.checkpoint(&mut store, label).unwrap();
+        }
+        // The leftover of a gated write at a higher rank count goes too.
+        store.put(&rank_label("gen1", 7), b"partial").unwrap();
+        DistributedSimulation::discard_checkpoint(&mut store, "gen1");
+        let left = store.labels();
+        assert!(left.iter().all(|l| !l.starts_with("gen1-") && l != "gen1"), "{left:?}");
+        assert_eq!(left.len(), 6, "{left:?}");
+        let dcfg = DistributedConfig { nranks: 2, ..Default::default() };
+        let gen10 = DistributedSimulation::restore(&store, "gen10", quick_config(), None, dcfg);
+        assert!(gen10.is_ok());
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!   checksum detector catches every single-bit flip before the state can
 //!   feed a checkpoint or another step;
 //! * rollback restores a checkpoint whose integrity was verified end to
-//!   end (codec framing per rank, sealed manifest, rank-count and shape
-//!   checks), and the replay recomputes the discarded steps through the
-//!   deterministic driver — every fault event is one-shot, so the replay
-//!   runs clean;
+//!   end (the codec's checksummed frame on every rank snapshot and on the
+//!   manifest, rank-count and shape checks), and the replay recomputes the
+//!   discarded steps through the deterministic driver — every fault event
+//!   is one-shot, so the replay runs clean;
 //! * checkpoints are only written from states the detectors passed.
 //!
 //! Unsurvivable schedules (a non-respawnable rank kill, every generation
@@ -41,7 +41,8 @@ use sph_core::config::SphConfig;
 use sph_core::particles::ParticleSystem;
 use sph_domain::exchange::{ExchangeErrorKind, InProcessExchange};
 use sph_ft::chaos::{CorruptionMode, FaultEvent, FaultKind, FaultPlan, FaultyExchange};
-use sph_ft::checkpoint::{CheckpointStore, StoredKind};
+use sph_ft::checkpoint::CheckpointStore;
+use sph_ft::error::FtError;
 use sph_ft::scheduler::CheckpointScheduler;
 use sph_ft::sdc::{
     ChecksumDetector, ConservationDetector, PhysicsBoundsDetector, SdcDetector, SdcInjector,
@@ -59,8 +60,9 @@ pub enum RecoveryError {
     /// carrier cannot bring it back.
     RankLost { rank: u32 },
     /// Every retained checkpoint generation failed verification on
-    /// restore (`tried` of them); `last_error` is the newest failure.
-    NoValidCheckpoint { tried: usize, last_error: String },
+    /// restore (`tried` of them); `last_error` is the oldest generation's
+    /// failure, the last one tried.
+    NoValidCheckpoint { tried: usize, last_error: DistributedError },
     /// The rollback budget was exhausted before the run reached its
     /// target step — the schedule keeps knocking the run down faster
     /// than replay can make progress.
@@ -77,7 +79,7 @@ impl std::fmt::Display for RecoveryError {
                 write!(f, "rank {rank} failed and is not respawnable")
             }
             RecoveryError::NoValidCheckpoint { tried, last_error } => {
-                write!(f, "all {tried} retained checkpoint generations failed verification; newest failure: {last_error}")
+                write!(f, "all {tried} retained checkpoint generations failed verification; last failure: {last_error}")
             }
             RecoveryError::NoProgress { at_step, rollbacks } => {
                 write!(f, "rollback budget exhausted after {rollbacks} rollbacks at step {at_step}")
@@ -171,7 +173,7 @@ pub struct RecoveryStats {
     pub checkpoints_written: u64,
     pub checkpoint_bytes: u64,
     /// Checkpoint writes gated by a carrier fault (no generation
-    /// recorded; the partial labels are scrubbed).
+    /// recorded; the partial labels are discarded).
     pub checkpoint_write_failures: u64,
     /// In-memory SDC events injected by the plan.
     pub sdc_injected: u64,
@@ -182,6 +184,10 @@ pub struct RecoveryStats {
     pub detections: Vec<Detection>,
     pub rollback_records: Vec<RollbackRecord>,
 }
+
+/// Label prefix of the checkpoint generations a [`ResilientSimulation`]
+/// writes; generation `N` is stored under `resilient-gen{N}`.
+const GENERATION_PREFIX: &str = "resilient-gen";
 
 /// Checkpoint cadence state (wall-time Daly or deterministic fixed).
 enum Cadence {
@@ -240,7 +246,6 @@ struct ArmedDriverEvent {
 struct Generation {
     label: String,
     step: u64,
-    nranks: usize,
 }
 
 /// The self-healing wrapper (module docs for the protocol and contract).
@@ -290,11 +295,7 @@ impl ResilientSimulation {
             driver_side.into_iter().map(|event| ArmedDriverEvent { event, spent: false }).collect();
         let high_watermark = sim.sys.step_count;
         let mut generations = VecDeque::with_capacity(rcfg.retention + 1);
-        generations.push_back(Generation {
-            label: gen0_label,
-            step: sim.sys.step_count,
-            nranks: dist.nranks,
-        });
+        generations.push_back(Generation { label: gen0_label, step: sim.sys.step_count });
         let mut stats = RecoveryStats { checkpoints_written: 1, ..Default::default() };
         stats.checkpoint_bytes += bytes as u64;
         Ok(ResilientSimulation {
@@ -314,8 +315,31 @@ impl ResilientSimulation {
         })
     }
 
+    /// The store label of generation `gen`'s checkpoint (its manifest;
+    /// the rank snapshots are labelled by [`DistributedSimulation`]).
     fn label_of(gen: u64) -> String {
-        format!("resilient-gen{gen}")
+        format!("{GENERATION_PREFIX}{gen}")
+    }
+
+    /// Restore the newest checkpoint generation in `store` that passes
+    /// verification — how a restarted process resumes a run this type
+    /// checkpointed. Generations are found by their manifest labels;
+    /// `None` when none restores.
+    pub fn restore_newest(
+        store: &dyn CheckpointStore,
+        config: SphConfig,
+        gravity: Option<GravityConfig>,
+        dist: DistributedConfig,
+    ) -> Option<DistributedSimulation> {
+        let mut gens: Vec<u64> = store
+            .labels()
+            .iter()
+            .filter_map(|label| label.strip_prefix(GENERATION_PREFIX)?.parse().ok())
+            .collect();
+        gens.sort_unstable();
+        gens.iter().rev().find_map(|&gen| {
+            DistributedSimulation::restore(store, &Self::label_of(gen), config, gravity, dist).ok()
+        })
     }
 
     /// The wrapped simulation's global state.
@@ -401,10 +425,14 @@ impl ResilientSimulation {
                     self.stats.sdc_injected += 1;
                 }
                 FaultKind::CorruptNewestCheckpoint { mode } => {
-                    // Damage the newest generation's sealed manifest —
+                    // Damage the newest generation's stored manifest —
                     // rollback must detect it and fall back a generation.
                     let Some(newest) = self.generations.back() else { continue };
-                    let mut mutate = |bytes: &mut Vec<u8>| match mode {
+                    let unrecoverable = |e: FtError| RecoveryError::Unrecoverable {
+                        fault: format!("fault plan could not corrupt stored checkpoint: {e}"),
+                    };
+                    let mut bytes = self.store.get(&newest.label).map_err(unrecoverable)?;
+                    match mode {
                         CorruptionMode::BitFlip { byte, bit } => {
                             if !bytes.is_empty() {
                                 let at = byte % bytes.len();
@@ -412,12 +440,8 @@ impl ResilientSimulation {
                             }
                         }
                         CorruptionMode::Truncate { keep } => bytes.truncate(keep),
-                    };
-                    self.store
-                        .corrupt_stored(&newest.label, StoredKind::Blob, &mut mutate)
-                        .map_err(|e| RecoveryError::Unrecoverable {
-                            fault: format!("fault plan could not corrupt stored checkpoint: {e}"),
-                        })?;
+                    }
+                    self.store.put(&newest.label, &bytes).map_err(unrecoverable)?;
                     self.stats.checkpoints_corrupted += 1;
                 }
                 // Exchange-side kinds live in the FaultyExchange.
@@ -496,7 +520,8 @@ impl ResilientSimulation {
                 rollbacks: self.stats.rollbacks,
             });
         }
-        let mut last_error = String::new();
+        let mut last_error =
+            DistributedError::Restore { detail: "no checkpoint generation retained".to_string() };
         let mut tried = 0usize;
         for (skipped, gen) in self.generations.iter().rev().enumerate() {
             tried += 1;
@@ -520,13 +545,13 @@ impl ResilientSimulation {
                     });
                     return Ok(());
                 }
-                Err(e) => last_error = e.to_string(),
+                Err(e) => last_error = e,
             }
         }
         Err(RecoveryError::NoValidCheckpoint { tried, last_error })
     }
 
-    /// Write the next generation; carrier-gated writes scrub their
+    /// Write the next generation; carrier-gated writes discard their
     /// partial labels and count as a failure, storage errors escalate.
     fn write_checkpoint(&mut self) -> Result<(), RecoveryError> {
         let gen = self.next_gen;
@@ -541,14 +566,10 @@ impl ResilientSimulation {
                 self.cadence.after_checkpoint(t0.elapsed().as_secs_f64());
                 self.stats.checkpoints_written += 1;
                 self.stats.checkpoint_bytes += bytes as u64;
-                self.generations.push_back(Generation {
-                    label,
-                    step: self.sim.sys.step_count,
-                    nranks: self.dist.nranks,
-                });
+                self.generations.push_back(Generation { label, step: self.sim.sys.step_count });
                 while self.generations.len() > self.rcfg.retention {
                     if let Some(old) = self.generations.pop_front() {
-                        self.scrub(&old.label, old.nranks);
+                        DistributedSimulation::discard_checkpoint(self.store.as_mut(), &old.label);
                     }
                 }
                 Ok(())
@@ -556,20 +577,12 @@ impl ResilientSimulation {
             Err(DistributedError::Exchange(_)) => {
                 // The carrier refused/damaged the blob in flight: the
                 // write is gated (fault is one-shot), the state itself is
-                // healthy — scrub the partial generation and move on.
+                // healthy — discard the partial generation and move on.
                 self.stats.checkpoint_write_failures += 1;
-                self.scrub(&label, self.dist.nranks);
+                DistributedSimulation::discard_checkpoint(self.store.as_mut(), &label);
                 Ok(())
             }
             Err(e) => Err(RecoveryError::Unrecoverable { fault: e.to_string() }),
         }
-    }
-
-    /// Remove every stored artifact of one generation label.
-    fn scrub(&mut self, label: &str, nranks: usize) {
-        for r in 0..nranks {
-            self.store.invalidate(&format!("{label}.rank{r}"));
-        }
-        self.store.invalidate(label);
     }
 }

@@ -46,8 +46,8 @@ pub enum FaultKind {
     /// Flip one seeded-random bit in one in-memory particle field
     /// (executed by the recovery driver via [`SdcInjector`]).
     CorruptField,
-    /// Damage the *newest stored* checkpoint's manifest blob (executed
-    /// by the recovery driver via `CheckpointStore::corrupt_stored`).
+    /// Damage the *newest stored* checkpoint's manifest (executed by
+    /// the recovery driver as `CheckpointStore` get → mutate → put).
     CorruptNewestCheckpoint { mode: CorruptionMode },
 }
 

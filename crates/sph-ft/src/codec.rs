@@ -1,17 +1,33 @@
-//! Versioned binary serialisation of [`ParticleSystem`].
+//! The one owner of stored formats: the frame every stored object wears
+//! and the two bodies `sph-ft` defines.
 //!
-//! Hand-rolled little-endian codec: magic + version + field blocks + a
-//! FNV-1a checksum trailer, so restores detect truncation, corruption and
-//! format drift. Kept dependency-free on purpose: a
-//! checkpoint format for an HPC mini-app must be stable and auditable.
+//! A frame is magic u64 LE + version u32 LE + body + an FNV-1a u64 over
+//! everything before it, so a reader detects truncation, corruption and
+//! format drift before it parses one body byte ([`frame`] / [`unframe`]).
+//! The bodies are the [`ParticleSystem`] snapshot ([`encode`] /
+//! [`decode`]) and the distributed-checkpoint [`Manifest`]; other crates
+//! frame their own bodies with their own magic (sph-serve's progress
+//! journal). Every array read is length-checked against the bytes left
+//! before anything is allocated, so hostile input is a typed
+//! [`CodecError`], never a panic or an allocation abort. Hand-rolled and
+//! dependency-free on purpose: a checkpoint format for an HPC mini-app
+//! must be stable and auditable.
 
 use sph_core::particles::ParticleSystem;
 use sph_math::{Aabb, Periodicity, Vec3};
 
-/// File magic: "SPHEXACP".
+/// Snapshot magic: "SPHEXACP".
 pub const MAGIC: u64 = 0x5350_4845_5841_4350;
-/// Current format version.
+/// Current snapshot format version.
 pub const VERSION: u32 = 1;
+/// Manifest magic: "SPHEXADM".
+const MANIFEST_MAGIC: u64 = 0x5350_4845_5841_444d;
+/// Current manifest format version.
+const MANIFEST_VERSION: u32 = 1;
+
+/// Frame bytes before the body (magic, version) and after it (checksum).
+const HEADER: usize = 8 + 4;
+const TRAILER: usize = 8;
 
 /// Serialisation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,13 +63,51 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Frame `body` under `magic` and `version`.
+pub fn frame(magic: u64, version: u32, body: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new(magic, version, body.len());
+    w.buf.extend_from_slice(body);
+    w.finish()
+}
+
+/// Verify a frame written by [`frame`] — length, checksum, magic and
+/// version, in that order — and return its body.
+pub fn unframe(bytes: &[u8], magic: u64, version: u32) -> Result<&[u8], CodecError> {
+    if bytes.len() < HEADER + TRAILER {
+        return Err(CodecError::Truncated);
+    }
+    let (framed, trailer) = bytes.split_at(bytes.len() - TRAILER);
+    if Reader::new(trailer).u64()? != fnv1a(framed) {
+        return Err(CodecError::ChecksumMismatch);
+    }
+    let mut r = Reader::new(framed);
+    if r.u64()? != magic {
+        return Err(CodecError::BadMagic);
+    }
+    let found = r.u32()?;
+    if found != version {
+        return Err(CodecError::UnsupportedVersion(found));
+    }
+    Ok(&framed[HEADER..])
+}
+
+/// Builds one frame in place: the header on construction, the checksum
+/// on [`Writer::finish`].
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::with_capacity(4096) }
+    fn new(magic: u64, version: u32, body_len: usize) -> Self {
+        let mut w = Writer { buf: Vec::with_capacity(HEADER + body_len + TRAILER) };
+        w.u64(magic);
+        w.u32(version);
+        w
+    }
+    fn finish(mut self) -> Vec<u8> {
+        let csum = fnv1a(&self.buf);
+        self.u64(csum);
+        self.buf
     }
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -68,6 +122,12 @@ impl Writer {
         self.f64(v.x);
         self.f64(v.y);
         self.f64(v.z);
+    }
+    fn u32s(&mut self, vs: &[u32]) {
+        self.u64(vs.len() as u64);
+        for &v in vs {
+            self.u32(v);
+        }
     }
     fn f64s(&mut self, vs: &[f64]) {
         self.u64(vs.len() as u64);
@@ -93,7 +153,7 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(CodecError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -101,7 +161,7 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
     /// Fixed-width read; the array return type makes the `from_le_bytes`
-    /// conversions below infallible, so a corrupted snapshot can only ever
+    /// conversions below infallible, so a corrupted frame can only ever
     /// surface as a typed `Err`, never an abort.
     fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         let mut out = [0u8; N];
@@ -120,18 +180,27 @@ impl<'a> Reader<'a> {
     fn vec3(&mut self) -> Result<Vec3, CodecError> {
         Ok(Vec3::new(self.f64()?, self.f64()?, self.f64()?))
     }
+    /// The one guard of every array read: a stored length of `n` items of
+    /// `width` bytes must fit in the bytes left, checked before anything
+    /// is allocated — a corrupted length is a typed `Err`.
+    fn len(&mut self, width: usize) -> Result<usize, CodecError> {
+        let n = self.u64()?;
+        let left = self.buf.len() - self.pos;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n.checked_mul(width).is_some_and(|bytes| bytes <= left))
+            .ok_or(CodecError::Truncated)
+    }
+    fn u32s(&mut self) -> Result<Vec<u32>, CodecError> {
+        let n = self.len(4)?;
+        (0..n).map(|_| self.u32()).collect()
+    }
     fn f64s(&mut self) -> Result<Vec<f64>, CodecError> {
-        let n = self.u64()? as usize;
-        if n > 1 << 33 {
-            return Err(CodecError::Malformed("implausible array length"));
-        }
+        let n = self.len(8)?;
         (0..n).map(|_| self.f64()).collect()
     }
     fn vec3s(&mut self) -> Result<Vec<Vec3>, CodecError> {
-        let n = self.u64()? as usize;
-        if n > 1 << 33 {
-            return Err(CodecError::Malformed("implausible array length"));
-        }
+        let n = self.len(24)?;
         (0..n).map(|_| self.vec3()).collect()
     }
 }
@@ -139,10 +208,10 @@ impl<'a> Reader<'a> {
 /// Serialise a particle system (positions, velocities, masses, h, ρ, u,
 /// rungs, metric, clock) — everything needed to resume Algorithm 1.
 pub fn encode(sys: &ParticleSystem) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(MAGIC);
-    w.u32(VERSION);
-    w.u64(sys.len() as u64);
+    let n = sys.len();
+    // 180 fixed body bytes; per particle 3 Vec3 + 9 f64 fields + a rung.
+    let mut w = Writer::new(MAGIC, VERSION, 180 + n * (3 * 24 + 9 * 8 + 1));
+    w.u64(n as u64);
     w.f64(sys.time);
     w.u64(sys.step_count);
     // Boundary metric.
@@ -173,32 +242,12 @@ pub fn encode(sys: &ParticleSystem) -> Vec<u8> {
     w.f64s(&sys.curl_v);
     w.u64(sys.rung.len() as u64);
     w.buf.extend_from_slice(&sys.rung);
-    // Trailer checksum over everything so far.
-    let csum = fnv1a(&w.buf);
-    w.u64(csum);
-    w.buf
+    w.finish()
 }
 
-/// Deserialise; verifies magic, version and checksum.
+/// Deserialise; verifies the frame, then the field shapes and physics.
 pub fn decode(bytes: &[u8]) -> Result<ParticleSystem, CodecError> {
-    if bytes.len() < 8 + 4 + 8 {
-        return Err(CodecError::Truncated);
-    }
-    // Verify trailer first.
-    let body = &bytes[..bytes.len() - 8];
-    let mut trailer = Reader::new(&bytes[bytes.len() - 8..]);
-    let stored = trailer.u64()?;
-    if fnv1a(body) != stored {
-        return Err(CodecError::ChecksumMismatch);
-    }
-    let mut r = Reader::new(body);
-    if r.u64()? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
+    let mut r = Reader::new(unframe(bytes, MAGIC, VERSION)?);
     let n = r.u64()? as usize;
     let time = r.f64()?;
     let step_count = r.u64()?;
@@ -224,7 +273,7 @@ pub fn decode(bytes: &[u8]) -> Result<ParticleSystem, CodecError> {
     let cs = r.f64s()?;
     let div_v = r.f64s()?;
     let curl_v = r.f64s()?;
-    let rung_len = r.u64()? as usize;
+    let rung_len = r.len(1)?;
     let rung = r.take(rung_len)?.to_vec();
     if [
         x.len(),
@@ -266,6 +315,53 @@ pub fn decode(bytes: &[u8]) -> Result<ParticleSystem, CodecError> {
     // A checkpoint that decodes but violates physics is still corrupt.
     sys.sanity_check().map_err(|_| CodecError::Malformed("physics sanity check failed"))?;
     Ok(sys)
+}
+
+/// What a distributed checkpoint stores besides its per-rank snapshots:
+/// the driver state a restore needs to reassemble the exact global run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Manifest {
+    pub nranks: usize,
+    /// The adaptive time-step memory.
+    pub dt_prev: f64,
+    /// Owning rank of every particle, by global id.
+    pub assignment: Vec<u32>,
+    /// Gravitational potentials by global id (empty when gravity is off).
+    /// They live outside [`ParticleSystem`], so the per-rank snapshots do
+    /// not carry them — without this a restored run would report a zero
+    /// gravitational-energy baseline until its next evaluation.
+    pub phi: Vec<f64>,
+}
+
+/// Serialise a manifest.
+pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
+    let mut w = Writer::new(
+        MANIFEST_MAGIC,
+        MANIFEST_VERSION,
+        28 + 4 * m.assignment.len() + 8 * m.phi.len(),
+    );
+    w.u32(m.nranks as u32);
+    w.f64(m.dt_prev);
+    w.u32s(&m.assignment);
+    w.f64s(&m.phi);
+    w.finish()
+}
+
+/// Deserialise; verifies the frame, the potential block's length and
+/// that every particle is assigned to an existing rank.
+pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, CodecError> {
+    let mut r = Reader::new(unframe(bytes, MANIFEST_MAGIC, MANIFEST_VERSION)?);
+    let nranks = r.u32()? as usize;
+    let dt_prev = r.f64()?;
+    let assignment = r.u32s()?;
+    let phi = r.f64s()?;
+    if !phi.is_empty() && phi.len() != assignment.len() {
+        return Err(CodecError::Malformed("manifest potential block has the wrong length"));
+    }
+    if nranks == 0 || assignment.iter().any(|&rank| rank as usize >= nranks) {
+        return Err(CodecError::Malformed("manifest assigns a particle to a rank out of range"));
+    }
+    Ok(Manifest { nranks, dt_prev, assignment, phi })
 }
 
 /// Helper: per-field checksums of live state, used by the SDC checksum
@@ -417,5 +513,88 @@ mod tests {
         let mut s3 = sys.clone();
         s3.u[0] = 0.5000000001;
         assert_ne!(base, state_checksum(&s3));
+    }
+
+    fn manifest() -> Manifest {
+        Manifest {
+            nranks: 2,
+            dt_prev: 0.03125,
+            assignment: vec![0, 1, 1, 0],
+            phi: vec![-1.0, -0.5, -0.25, -0.125],
+        }
+    }
+
+    /// Every truncation and every single-bit flip of `bytes` must be a
+    /// typed `Err`. FNV-1a catches any change confined to one byte, since
+    /// each of its fold steps is a bijection of the running state.
+    fn assert_every_damage_is_rejected<T: std::fmt::Debug>(
+        bytes: &[u8],
+        decode: impl Fn(&[u8]) -> Result<T, CodecError>,
+    ) {
+        assert!(decode(bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "truncation to {cut} bytes decoded");
+        }
+        let mut flipped = bytes.to_vec();
+        for bit in 0..8 * bytes.len() {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(decode(&flipped).is_err(), "flip of bit {bit} decoded");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_is_rejected() {
+        assert_every_damage_is_rejected(&encode(&sample()), decode);
+        assert_every_damage_is_rejected(&encode_manifest(&manifest()), decode_manifest);
+        assert_every_damage_is_rejected(&frame(0x5eed, 7, b"body"), |b| {
+            unframe(b, 0x5eed, 7).map(<[u8]>::to_vec)
+        });
+    }
+
+    #[test]
+    fn frames_carry_their_body_and_check_magic_and_version() {
+        let bytes = frame(0x5eed, 7, b"any body");
+        assert_eq!(bytes.len(), HEADER + 8 + TRAILER);
+        assert_eq!(unframe(&bytes, 0x5eed, 7).unwrap(), b"any body");
+        assert_eq!(unframe(&bytes, 0x5eee, 7), Err(CodecError::BadMagic));
+        assert_eq!(unframe(&bytes, 0x5eed, 8), Err(CodecError::UnsupportedVersion(7)));
+        assert_eq!(unframe(&frame(1, 1, b""), 1, 1).unwrap(), b"");
+        // The snapshot codec is a framed body like any other.
+        assert_eq!(unframe(&encode(&sample()), MAGIC, VERSION).unwrap().len(), 490 - 20);
+    }
+
+    #[test]
+    fn manifest_round_trips_and_checks_its_ranks() {
+        let m = manifest();
+        assert_eq!(decode_manifest(&encode_manifest(&m)).unwrap(), m);
+        let no_gravity = Manifest { phi: Vec::new(), ..manifest() };
+        assert_eq!(decode_manifest(&encode_manifest(&no_gravity)).unwrap(), no_gravity);
+
+        let out_of_range = Manifest { assignment: vec![0, 2, 1, 0], ..manifest() };
+        assert!(matches!(
+            decode_manifest(&encode_manifest(&out_of_range)),
+            Err(CodecError::Malformed(_))
+        ));
+        let short_phi = Manifest { phi: vec![-1.0], ..manifest() };
+        assert!(matches!(
+            decode_manifest(&encode_manifest(&short_phi)),
+            Err(CodecError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn hostile_lengths_are_rejected_before_allocation() {
+        // A well-framed body whose array length claims far more items than
+        // bytes remain: rejected by the length guard, nothing allocated.
+        for claimed in [5u64, 1 << 40, u64::MAX / 4, u64::MAX] {
+            let mut body = Vec::new();
+            body.extend_from_slice(&2u32.to_le_bytes());
+            body.extend_from_slice(&0.5f64.to_le_bytes());
+            body.extend_from_slice(&claimed.to_le_bytes());
+            body.extend_from_slice(&[0u8; 16]);
+            let bytes = frame(MANIFEST_MAGIC, MANIFEST_VERSION, &body);
+            assert_eq!(decode_manifest(&bytes), Err(CodecError::Truncated), "length {claimed}");
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! Mirrors the `TimeStepError` pattern from `sph-core`: every fallible
 //! `sph-ft` operation names *what* failed in a matchable enum instead of
 //! a formatted `String`, so recovery code can branch on the failure kind
-//! (missing vs corrupt vs unsupported) and the chaos suite can assert
+//! (missing vs corrupt vs unstorable) and the chaos suite can assert
 //! the exact fault that was detected.
 
 use crate::codec::CodecError;
@@ -14,18 +14,15 @@ use std::fmt;
 /// machinery.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FtError {
-    /// Snapshot bytes failed to decode (bad magic, truncation, checksum…).
+    /// Stored bytes failed to decode (bad magic, truncation, checksum…).
     Codec(CodecError),
-    /// No snapshot stored under this label.
+    /// Nothing stored under this label.
     MissingCheckpoint { label: String },
-    /// No blob stored under this label.
-    MissingBlob { label: String },
-    /// A blob's integrity trailer failed verification *before* decoding.
-    BlobCorrupted { label: String, detail: String },
     /// Underlying storage I/O failed (disk tier only).
     Io { label: String, detail: String },
-    /// The store does not implement this operation.
-    Unsupported { what: &'static str },
+    /// The store cannot keep this label so that `labels()` returns it
+    /// unchanged (disk tier: outside `[A-Za-z0-9_-]`, or empty).
+    BadLabel { label: String },
 }
 
 impl fmt::Display for FtError {
@@ -33,13 +30,9 @@ impl fmt::Display for FtError {
         match self {
             FtError::Codec(e) => write!(f, "{e}"),
             FtError::MissingCheckpoint { label } => write!(f, "no checkpoint '{label}'"),
-            FtError::MissingBlob { label } => write!(f, "no blob '{label}'"),
-            FtError::BlobCorrupted { label, detail } => {
-                write!(f, "blob '{label}' corrupted: {detail}")
-            }
             FtError::Io { label, detail } => write!(f, "storage I/O on '{label}': {detail}"),
-            FtError::Unsupported { what } => {
-                write!(f, "this checkpoint store does not support {what}")
+            FtError::BadLabel { label } => {
+                write!(f, "checkpoint label '{label}' is not one of [A-Za-z0-9_-]+")
             }
         }
     }
@@ -72,11 +65,11 @@ mod tests {
 
     #[test]
     fn displays_are_specific() {
-        let e = FtError::BlobCorrupted { label: "ck3".into(), detail: "trailer mismatch".into() };
-        assert_eq!(e.to_string(), "blob 'ck3' corrupted: trailer mismatch");
+        let e = FtError::Io { label: "ck3".into(), detail: "disk full".into() };
+        assert_eq!(e.to_string(), "storage I/O on 'ck3': disk full");
         let e: FtError = CodecError::ChecksumMismatch.into();
         assert!(matches!(e, FtError::Codec(CodecError::ChecksumMismatch)));
-        let s: String = FtError::Unsupported { what: "raw blobs" }.into();
-        assert!(s.contains("raw blobs"));
+        let s: String = FtError::BadLabel { label: "a.b".into() }.into();
+        assert!(s.contains("'a.b'"), "{s}");
     }
 }

@@ -9,10 +9,12 @@
 //! generations on one store with rollback to the newest intact one, in
 //! `sph_exa::ResilientSimulation`.
 //!
-//! * [`codec`] — versioned, checksummed binary serialisation of the
-//!   particle state (no external dependencies);
-//! * [`checkpoint`] — in-memory and on-disk checkpoint stores with
-//!   integrity verification on restore;
+//! * [`codec`] — the one owner of stored formats: the checksummed
+//!   frame every stored object wears, the particle snapshot and the
+//!   distributed-checkpoint manifest (no external dependencies);
+//! * [`checkpoint`] — in-memory and on-disk checkpoint stores: atomic
+//!   byte maps with one namespace that keep exactly the bytes they are
+//!   given (integrity is the codec's frame, checked on decode);
 //! * [`daly`] — the Young/Daly optimal checkpoint interval and the
 //!   expected-waste model it minimises;
 //! * [`scheduler`] — the checkpoint cadence (fixed steps or Daly);
@@ -31,7 +33,7 @@ pub mod scheduler;
 pub mod sdc;
 
 pub use chaos::{CorruptionMode, FaultEvent, FaultKind, FaultPlan, FaultyExchange};
-pub use checkpoint::{CheckpointStore, DiskStore, MemoryStore, NamespacedStore, StoredKind};
+pub use checkpoint::{CheckpointStore, DiskStore, MemoryStore, NamespacedStore};
 pub use daly::{daly_interval, expected_waste};
 pub use error::FtError;
 pub use scheduler::CheckpointScheduler;

@@ -4,13 +4,17 @@
 //! A job runs the requested scenario through [`ResilientSimulation`]
 //! (single in-process rank, empty fault plan) with a fixed checkpoint
 //! cadence, inside a per-job [`NamespacedStore`] namespace keyed by the
-//! job id. Alongside the physics checkpoints the runner journals a small
-//! "progress" blob — the post-first-step conservation baseline and the
-//! tracked-metric samples so far, both encoded with shortest-roundtrip
-//! decimals, which parse back bit-exactly — so a restarted server can
-//! resume from the newest restorable generation and still assemble a
-//! result document *byte-identical* to an uninterrupted run's. That
-//! byte-identity is asserted by the loadtest's kill/restart drill.
+//! job id. The checkpoint labels are `ResilientSimulation`'s business: a
+//! restarted server resumes through
+//! [`ResilientSimulation::restore_newest`] and wipes a namespace with
+//! `invalidate_all`. Alongside the physics checkpoints the runner
+//! journals its "progress" — the post-first-step conservation baseline
+//! and the tracked-metric samples so far, as JSON with shortest-roundtrip
+//! decimals, which parse back bit-exactly, framed by
+//! [`sph_ft::codec::frame`] so damage is detected — and can therefore
+//! still assemble a result document *byte-identical* to an uninterrupted
+//! run's. That byte-identity is asserted by the loadtest's kill/restart
+//! drill.
 //!
 //! Sampling happens at checkpoint-slice boundaries (absolute multiples
 //! of the cadence), never at points that depend on wall time, so the sample
@@ -25,7 +29,7 @@ use sph_exa::{
     DistributedBuilder, DistributedConfig, DistributedSimulation, ResilientConfig,
     ResilientSimulation, SchedulerMode,
 };
-use sph_ft::{CheckpointStore, DiskStore, FaultPlan, MemoryStore, NamespacedStore};
+use sph_ft::{codec, CheckpointStore, DiskStore, FaultPlan, MemoryStore, NamespacedStore};
 use sph_json::Value;
 use sph_math::Vec3;
 use sph_scenarios::{MetricSample, Resolution, Scenario, ScenarioRegistry, ScenarioRun};
@@ -102,6 +106,9 @@ struct Journal {
 }
 
 const JOURNAL_LABEL: &str = "progress";
+/// Journal frame magic: "SPHEXAJL".
+const JOURNAL_MAGIC: u64 = 0x5350_4845_5841_4a4c;
+const JOURNAL_VERSION: u32 = 1;
 
 fn vec3_value(v: Vec3) -> Value {
     Value::Arr(vec![Value::Num(v.x), Value::Num(v.y), Value::Num(v.z)])
@@ -172,53 +179,15 @@ impl Journal {
         // Journal persistence is best-effort: a lost journal only costs a
         // restart-from-scratch, never a wrong answer (resume refuses to
         // continue without it).
-        let _ = store.save_blob(JOURNAL_LABEL, self.render().as_bytes());
+        let framed = codec::frame(JOURNAL_MAGIC, JOURNAL_VERSION, self.render().as_bytes());
+        let _ = store.put(JOURNAL_LABEL, &framed);
     }
 
     fn load(store: &dyn CheckpointStore) -> Option<Journal> {
-        let bytes = store.restore_blob(JOURNAL_LABEL).ok()?;
-        Journal::parse(std::str::from_utf8(&bytes).ok()?)
+        let bytes = store.get(JOURNAL_LABEL).ok()?;
+        let body = codec::unframe(&bytes, JOURNAL_MAGIC, JOURNAL_VERSION).ok()?;
+        Journal::parse(std::str::from_utf8(body).ok()?)
     }
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint namespace helpers
-// ---------------------------------------------------------------------
-
-fn gen_label(generation: u64) -> String {
-    // Must match ResilientSimulation's internal label scheme.
-    format!("resilient-gen{generation}")
-}
-
-/// Generations restorable in this namespace, inferred from the stored
-/// per-rank snapshot labels. `DiskStore` reports labels *sanitised*
-/// (`.rank0` → `_rank0`), so parse both spellings.
-fn stored_generations(store: &dyn CheckpointStore) -> Vec<u64> {
-    let mut gens: Vec<u64> = store
-        .labels()
-        .iter()
-        .filter_map(|l| {
-            let rest = l.strip_prefix("resilient-gen")?;
-            let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-            digits.parse::<u64>().ok()
-        })
-        .collect();
-    gens.sort_unstable();
-    gens.dedup();
-    gens
-}
-
-/// Remove every checkpoint artifact of this namespace: snapshots, the
-/// manifest blobs that accompany them, and the progress journal.
-fn wipe_namespace(store: &mut dyn CheckpointStore) {
-    let gens = stored_generations(store);
-    store.invalidate_all();
-    for g in gens {
-        // The manifest blob lives under the bare generation label, which
-        // has no same-named snapshot, so invalidate_all missed it.
-        store.invalidate(&gen_label(g));
-    }
-    store.invalidate(JOURNAL_LABEL);
 }
 
 // ---------------------------------------------------------------------
@@ -246,18 +215,13 @@ fn try_resume(
     spec: &JobSpec,
     store: &NamespacedStore<DiskStore>,
 ) -> Option<(DistributedSimulation, Journal)> {
-    let gens = stored_generations(store);
     let setup = sc.init(Resolution { scale: spec.scale });
-    let restored = gens.iter().rev().find_map(|&g| {
-        DistributedSimulation::restore(
-            store,
-            &gen_label(g),
-            setup.config,
-            setup.gravity,
-            single_rank_config(),
-        )
-        .ok()
-    })?;
+    let restored = ResilientSimulation::restore_newest(
+        store,
+        setup.config,
+        setup.gravity,
+        single_rank_config(),
+    )?;
     if restored.sys.step_count == 0 {
         // Nothing beyond the construction-time checkpoint happened; a
         // fresh build is bit-identical and needs no journal.
@@ -309,7 +273,7 @@ pub fn run_job(
             if start.is_none() {
                 // Stale or unusable leftovers would shadow the new run's
                 // generation labels — clear the namespace first.
-                wipe_namespace(&mut ns);
+                ns.invalidate_all();
             }
             (Box::new(ns), Some(open()?), start)
         }
@@ -330,7 +294,7 @@ pub fn run_job(
     // Construction writes a fresh generation-0 checkpoint at the current
     // step — on a resume that replaces the generation we restored from.
     if resumed {
-        wipe_namespace(sim_store.as_mut());
+        sim_store.invalidate_all();
         if let Some(js) = journal_store.as_mut() {
             journal.save(js);
         }
@@ -441,7 +405,7 @@ pub fn run_job(
 
     // The job is complete; its checkpoints have served their purpose.
     if let Some(js) = journal_store.as_mut() {
-        wipe_namespace(js);
+        js.invalidate_all();
     }
 
     Ok(CompletedJob { result_doc, telemetry, calibration, resumed })
@@ -484,6 +448,29 @@ mod tests {
         for (x, y) in journal.samples.iter().zip(&back.samples) {
             assert_eq!(x.time.to_bits(), y.time.to_bits());
             assert_eq!(x.value.to_bits(), y.value.to_bits());
+        }
+    }
+
+    #[test]
+    fn journal_frame_rejects_every_truncation_and_bit_flip() {
+        let journal =
+            Journal { initial: None, samples: vec![MetricSample { time: 0.5, value: 1.0 }] };
+        let mut store = MemoryStore::new();
+        journal.save(&mut store);
+        assert_eq!(Journal::load(&store).unwrap().samples.len(), 1);
+
+        // FNV-1a catches any change confined to one byte (each fold step
+        // is a bijection), so every such damage is an `Err`, not a parse.
+        let bytes = store.get(JOURNAL_LABEL).unwrap();
+        let unframe = |b: &[u8]| codec::unframe(b, JOURNAL_MAGIC, JOURNAL_VERSION).is_err();
+        for cut in 0..bytes.len() {
+            assert!(unframe(&bytes[..cut]), "truncation to {cut} bytes unframed");
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..8 * bytes.len() {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(unframe(&flipped), "flip of bit {bit} unframed");
+            flipped[bit / 8] ^= 1 << (bit % 8);
         }
     }
 

@@ -15,11 +15,12 @@ use sph_exa_repro::core::diagnostics::state_fingerprint as fingerprint;
 use sph_exa_repro::core::ParticleSystem;
 use sph_exa_repro::domain::ExchangePath;
 use sph_exa_repro::exa::{
-    DistributedBuilder, DistributedSimulation, RecoveryError, ResilientConfig, ResilientSimulation,
-    SchedulerMode,
+    DistributedBuilder, DistributedError, DistributedSimulation, RecoveryError, ResilientConfig,
+    ResilientSimulation, SchedulerMode,
 };
 use sph_exa_repro::ft::chaos::{CorruptionMode, FaultKind, FaultPlan};
-use sph_exa_repro::ft::MemoryStore;
+use sph_exa_repro::ft::codec::CodecError;
+use sph_exa_repro::ft::{FtError, MemoryStore};
 use sph_exa_repro::scenarios::{square_patch, SquarePatchConfig};
 
 const STEPS: u64 = 6;
@@ -194,7 +195,12 @@ fn all_generations_corrupted_is_a_typed_no_valid_checkpoint_error() {
     match err {
         RecoveryError::NoValidCheckpoint { tried, ref last_error } => {
             assert_eq!(tried, 1);
-            assert!(last_error.contains("checksum"), "{last_error}");
+            // Six bytes cannot hold the manifest's frame.
+            assert_eq!(
+                *last_error,
+                DistributedError::Storage(FtError::Codec(CodecError::Truncated)),
+                "{last_error}"
+            );
         }
         other => panic!("expected NoValidCheckpoint, got {other:?}"),
     }

@@ -112,3 +112,66 @@ fn corrupted_checkpoint_cannot_be_restored_silently() {
         );
     }
 }
+
+#[test]
+fn snapshot_and_manifest_bytes_match_the_recorded_format() {
+    use sph_exa_repro::core::ParticleSystem;
+    use sph_exa_repro::exa::DistributedBuilder;
+    use sph_exa_repro::ft::codec::{encode, fnv1a};
+    use sph_exa_repro::math::{Aabb, Periodicity, Vec3};
+    use sph_exa_repro::tree::{GravityConfig, MultipoleOrder};
+
+    // FNV-1a of each format's bytes for a fixed input, recorded when the
+    // formats were first pinned: any change to a stored byte — layout,
+    // framing, or an extra seal — breaks `miniapp --resume` of existing
+    // checkpoint files and must show up here.
+    const SNAPSHOT_FNV: u64 = 0xba9c_dfd1_5c95_2ad8;
+    const MANIFEST_FNV: u64 = 0xd80b_80cc_c930_0c31;
+
+    let mut sys = ParticleSystem::new(
+        vec![Vec3::new(0.1, 0.2, 0.3), Vec3::new(0.4, 0.5, 0.6)],
+        vec![Vec3::X, -Vec3::Y],
+        vec![1.0, 2.0],
+        vec![0.5, 0.25],
+        0.1,
+        Periodicity::periodic_z(Aabb::unit()),
+    );
+    sys.rho = vec![1.5, 2.5];
+    sys.h = vec![0.1, 0.2];
+    sys.a = vec![Vec3::new(0.5, 0.0, -0.5), Vec3::ZERO];
+    sys.du_dt = vec![-0.125, 0.25];
+    sys.p = vec![0.75, 1.5];
+    sys.cs = vec![1.0, 1.25];
+    sys.div_v = vec![0.1, -0.2];
+    sys.curl_v = vec![0.0, 0.3];
+    sys.rung = vec![0, 3];
+    sys.time = 1.25;
+    sys.step_count = 17;
+    let snapshot = encode(&sys);
+    assert_eq!(snapshot.len(), 490);
+    assert_eq!(fnv1a(&snapshot), SNAPSHOT_FNV, "snapshot format drifted");
+
+    // A 2-rank build of a 2×2×2 lattice with gravity, so the manifest
+    // carries its potential block.
+    let mut x = Vec::new();
+    for i in 0..8 {
+        let at = |bit: usize| 0.25 + 0.5 * ((i >> bit) & 1) as f64;
+        x.push(Vec3::new(at(2), at(1), at(0)));
+    }
+    let lattice = ParticleSystem::new(
+        x,
+        vec![Vec3::ZERO; 8],
+        vec![0.125; 8],
+        vec![1.0; 8],
+        0.5,
+        Periodicity::open(Aabb::unit()),
+    );
+    let gravity =
+        GravityConfig { g: 1.0, theta: 0.6, softening: 0.05, order: MultipoleOrder::Monopole };
+    let mut sim = DistributedBuilder::new(lattice).gravity(gravity).nranks(2).build().unwrap();
+    let mut store = MemoryStore::new();
+    sim.checkpoint(&mut store, "pin").unwrap();
+    let manifest = store.get("pin").unwrap();
+    assert_eq!(manifest.len(), 144);
+    assert_eq!(fnv1a(&manifest), MANIFEST_FNV, "manifest format drifted");
+}
