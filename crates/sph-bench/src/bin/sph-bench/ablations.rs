@@ -1,21 +1,9 @@
-//! Ablation studies for the design choices on which the parent codes
-//! differ (`sph_parents::setups`).
-//!
-//! ```text
-//! cargo run --release -p sph-bench --bin ablations
-//! ```
-//!
-//! 1. Domain decomposition: static slabs vs SFC (Morton/Hilbert) vs ORB
-//!    on the clustered Evrard distribution;
-//! 2. Load balancing: static vs dynamic under skewed per-particle cost;
-//! 3. Time-stepping: global vs individual block steps on the Evrard core;
-//! 4. Gradients: IAD vs kernel derivatives — linear-field accuracy.
-// CLI surface: wall-time progress timing only; never feeds a trajectory.
-#![allow(clippy::disallowed_methods)]
+//! `ablations`: the design choices on which the parent codes differ.
 
-use sph_bench::{build_evrard_sim, ExperimentScale};
+use crate::args::{Args, Flags, Kind};
+use sph_bench::{build_evrard_sim, measure_after};
 use sph_cluster::{
-    model_step, piz_daint, CostModel, LoadBalancing, Partitioner, StepModelConfig, StepWorkload,
+    model_step, piz_daint, CostModel, LoadBalancing, Partitioner, StepModelConfig, StepWork,
 };
 use sph_core::config::{GradientScheme, TimeStepping};
 use sph_core::density::compute_density;
@@ -27,18 +15,12 @@ use sph_math::Vec3;
 use sph_parents::sphynx;
 use sph_tree::CellGrid;
 
-fn decomposition_ablation(sim: &sph_exa::Simulation) {
+pub const FLAGS: Flags = &[("--particles", Kind::Count)];
+
+fn decomposition_ablation(sim: &sph_exa::Simulation, work: &StepWork) {
     println!("--- ablation 1+2: decomposition × balancing (Evrard distribution) ---");
-    let work = sim.per_particle_work().to_vec();
-    let zeros = vec![0.0; sim.sys.len()];
-    let workload = StepWorkload {
-        positions: &sim.sys.x,
-        sph_work: &work,
-        gravity_work: &zeros,
-        interaction_radius: 2.0 * sim.sys.max_h(),
-        periodicity: sim.sys.periodicity,
-        bounds: sim.sys.bounds(),
-    };
+    let workload = work.workload(sim);
+    let (machine, cost) = (piz_daint(), CostModel::default());
     println!("  partitioner        balancing  LB      halo    step(s)");
     for (partitioner, pname) in [
         (Partitioner::Slab { axis: 0 }, "slab (SPHYNX)"),
@@ -49,13 +31,8 @@ fn decomposition_ablation(sim: &sph_exa::Simulation) {
         for (balancing, bname) in
             [(LoadBalancing::Static, "static"), (LoadBalancing::Dynamic, "dynamic")]
         {
-            let cfg = StepModelConfig {
-                partitioner,
-                balancing,
-                machine: piz_daint(),
-                cost: CostModel::default(),
-            };
-            let t = model_step(&workload, 96, &cfg, Some(&work));
+            let cfg = StepModelConfig { partitioner, balancing, machine, cost };
+            let t = model_step(&workload, 96, &cfg, Some(&work.total));
             println!(
                 "  {pname:18} {bname:9}  {:5.1}%  {:6}  {:.4}",
                 t.load_balance() * 100.0,
@@ -69,6 +46,7 @@ fn decomposition_ablation(sim: &sph_exa::Simulation) {
 
 fn timestepping_ablation(particles: usize) {
     println!("--- ablation 3: global vs individual time-stepping (Evrard) ---");
+    let steps = 3;
     for (ts, name) in [
         (TimeStepping::Global, "global (SPHYNX)"),
         (TimeStepping::Individual { max_rungs: 6 }, "individual (ChaNGa)"),
@@ -79,7 +57,6 @@ fn timestepping_ablation(particles: usize) {
         let mut interactions = 0u64;
         let mut active = 0.0;
         let mut simulated = 0.0;
-        let steps = 3;
         for _ in 0..steps {
             let r = sim.step().expect("stable step");
             interactions += r.stats.sph_interactions + r.stats.gravity.total_interactions();
@@ -133,14 +110,12 @@ fn gradient_ablation(sim: &sph_exa::Simulation) {
     println!();
 }
 
-fn main() {
-    let scale = ExperimentScale::from_env();
-    let particles = scale.particles.min(20_000);
+pub fn run(args: &Args) {
+    let particles = args.num("--particles").unwrap_or(20_000).min(20_000);
     println!("ablation studies at {particles} particles\n");
-    let setup = sphynx();
-    let mut sim = build_evrard_sim(&setup, particles, 42);
-    sim.step().expect("stable step");
-    decomposition_ablation(&sim);
+    let mut sim = build_evrard_sim(&sphynx(), particles, 42);
+    let work = measure_after(&mut sim, 1).expect("stable step");
+    decomposition_ablation(&sim, &work);
     timestepping_ablation(particles.min(5_000));
     gradient_ablation(&sim);
 }

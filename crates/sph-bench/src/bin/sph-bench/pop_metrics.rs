@@ -1,20 +1,18 @@
-//! Regenerate the §5.2 POP efficiency analysis:
-//!
-//! "While the communication efficiency and computation scalability are
-//! close to ideal, the measured global efficiency steadily decreases from
-//! 48 cores to 192 cores. Most of the efficiency loss comes from an
-//! increased load imbalance."
-//!
-//! ```text
-//! cargo run --release -p sph-bench --bin pop_metrics
-//! cargo run --release -p sph-bench --bin pop_metrics -- --code sphynx --test evrard
-//! ```
+//! `pop_metrics`: the §5.2 POP efficiency analysis.
 
-use sph_bench::{wire_experiment, ExperimentScale};
+use crate::args::{Args, Flags, Kind};
+use sph_bench::{measure_after, setups_for, wire_experiment, ExperimentScale, CODE_NAMES};
 use sph_cluster::tracegen::{step_trace, PhaseProfile};
-use sph_cluster::{model_step, piz_daint, StepWorkload};
-use sph_parents::{changa, sphflow, sphynx, CodeSetup, Scenario};
+use sph_cluster::{model_step, piz_daint};
+use sph_parents::{CodeSetup, Scenario};
 use sph_profiler::pop_metrics;
+
+pub const FLAGS: Flags = &[
+    ("--code", Kind::OneOf(CODE_NAMES)),
+    ("--test", Kind::OneOf(&["square", "evrard"])),
+    ("--particles", Kind::Count),
+    ("--steps", Kind::Count),
+];
 
 fn analyse(setup: &CodeSetup, scenario: Scenario, scale: ExperimentScale) {
     let name = match scenario {
@@ -23,19 +21,8 @@ fn analyse(setup: &CodeSetup, scenario: Scenario, scale: ExperimentScale) {
     };
     println!("=== POP efficiency: {} / {name}, Piz Daint model ===", setup.name);
     let (mut sim, model) = wire_experiment(setup, scenario, piz_daint(), scale);
-    for _ in 0..scale.steps.min(2) {
-        sim.step().expect("stable step");
-    }
-    let work = sim.per_particle_work().to_vec();
-    let zeros = vec![0.0; sim.sys.len()];
-    let workload = StepWorkload {
-        positions: &sim.sys.x,
-        sph_work: &work,
-        gravity_work: &zeros,
-        interaction_radius: 2.0 * sim.sys.max_h(),
-        periodicity: sim.sys.periodicity,
-        bounds: sim.sys.bounds(),
-    };
+    let work = measure_after(&mut sim, scale.steps.min(2)).expect("stable step");
+    let workload = work.workload(&sim);
     let profile = match scenario {
         Scenario::Evrard => {
             PhaseProfile { serial_tree: setup.serial_tree, ..PhaseProfile::sphynx_evrard() }
@@ -46,7 +33,7 @@ fn analyse(setup: &CodeSetup, scenario: Scenario, scale: ExperimentScale) {
     let mut reference_useful: Option<f64> = None;
     println!("  cores  LB      CommE   ParE    CompScal  GlobalE");
     for cores in [12usize, 24, 48, 96, 192, 384] {
-        let timing = model_step(&workload, cores, &model, Some(&work));
+        let timing = model_step(&workload, cores, &model, Some(&work.total));
         let trace = step_trace(&timing, &profile);
         let m = pop_metrics(&trace, reference_useful);
         if reference_useful.is_none() {
@@ -64,27 +51,19 @@ fn analyse(setup: &CodeSetup, scenario: Scenario, scale: ExperimentScale) {
     println!();
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pick = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(|s| s.to_lowercase())
-    };
-    let code = pick("--code");
-    let test = pick("--test");
-    let scale = ExperimentScale::from_env();
+pub fn run(args: &Args) {
+    let test = args.text("--test");
+    let scale = args.scale();
     println!(
         "POP metrics sweep ({} particles; paper quote: global efficiency decreases 48→192 \
          cores, dominated by load imbalance)\n",
         scale.particles
     );
-    for (setup, key) in [(sphynx(), "sphynx"), (changa(), "changa"), (sphflow(), "sphflow")] {
-        if code.as_deref().is_some_and(|c| c != key) {
-            continue;
-        }
-        if test.as_deref() != Some("evrard") {
+    for setup in setups_for(args.text("--code")) {
+        if test != Some("evrard") {
             analyse(&setup, Scenario::SquarePatch, scale);
         }
-        if test.as_deref() != Some("square") && setup.supports_evrard() {
+        if test != Some("square") && setup.supports_evrard() {
             analyse(&setup, Scenario::Evrard, scale);
         }
     }

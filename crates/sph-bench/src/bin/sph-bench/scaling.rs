@@ -1,21 +1,14 @@
-//! Regenerate the strong-scaling figures (Figs. 1, 2 and 3).
-//!
-//! ```text
-//! cargo run --release -p sph-bench --bin scaling                   # all panels
-//! cargo run --release -p sph-bench --bin scaling -- --code sphynx  # Fig. 1
-//! cargo run --release -p sph-bench --bin scaling -- --code changa  # Fig. 2
-//! cargo run --release -p sph-bench --bin scaling -- --code sphflow # Fig. 3
-//! SPH_EXA_FULL=1 ... runs the paper scale (10⁶ particles, 20 steps).
-//! ```
-//!
-//! Each panel prints cores vs modelled mean time per time-step for the
-//! test cases and platforms of the corresponding figure, plus the paper's
-//! reported anchor values for comparison.
+//! `scaling`: Figs. 1–3, one panel per code and test case, with the
+//! paper's anchor values for comparison.
 
-use sph_bench::{run_scaling_panel, ExperimentScale};
+use crate::args::{Args, Flags, Kind};
+use sph_bench::{run_scaling_panel, setups_for, ExperimentScale, CODE_NAMES};
 use sph_cluster::scaling::render_scaling_table;
 use sph_cluster::{marenostrum4, piz_daint};
-use sph_parents::{changa, sphflow, sphynx, CodeSetup, Scenario};
+use sph_parents::{CodeSetup, Scenario};
+
+pub const FLAGS: Flags =
+    &[("--code", Kind::OneOf(CODE_NAMES)), ("--particles", Kind::Count), ("--steps", Kind::Count)];
 
 /// Paper anchor values (y-axis tick labels of Figs. 1–3) for the console
 /// comparison: (figure, anchor description).
@@ -58,26 +51,13 @@ fn run_panel(setup: &CodeSetup, scenario: Scenario, scale: ExperimentScale) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let code_filter = args
-        .iter()
-        .position(|a| a == "--code")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.to_lowercase());
-    let scale = ExperimentScale::from_env();
+pub fn run(args: &Args) {
+    let scale = args.scale();
     println!(
-        "strong scaling, {} particles, {} steps, cores 12..{} (SPH_EXA_FULL=1 for paper scale)\n",
+        "strong scaling, {} particles, {} steps, cores 12..{}\n",
         scale.particles, scale.steps, scale.max_cores
     );
-
-    let setups = [(sphynx(), "sphynx"), (changa(), "changa"), (sphflow(), "sphflow")];
-    for (setup, key) in setups {
-        if let Some(f) = &code_filter {
-            if f != key {
-                continue;
-            }
-        }
+    for setup in setups_for(args.text("--code")) {
         run_panel(&setup, Scenario::SquarePatch, scale);
         if setup.supports_evrard() {
             run_panel(&setup, Scenario::Evrard, scale);

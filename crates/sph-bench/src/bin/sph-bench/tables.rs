@@ -1,17 +1,12 @@
-//! Regenerate Tables 1–5 of the paper.
-//!
-//! ```text
-//! cargo run -p sph-bench --bin tables            # all five
-//! cargo run -p sph-bench --bin tables -- --table 3
-//! ```
-//!
-//! Tables 1–4 come from the feature registry in `sph-parents` (tested to
-//! agree with the executable configurations); Table 5 from the scenario
-//! registry in `sph-scenarios`.
+//! `tables`: Tables 1–4 from the `sph-parents` feature registry, Table 5
+//! from the `sph-scenarios` scenario registry.
 
+use crate::args::{Args, Flags, Kind};
 use sph_parents::features::{table1, table2, table3, table4};
 use sph_parents::render_table;
 use sph_scenarios::scenario_table;
+
+pub const FLAGS: Flags = &[("--table", Kind::OneOf(&["1", "2", "3", "4", "5"]))];
 
 fn render_table5() -> String {
     let mut out = String::from("Table 5: Test simulations and their characteristics\n");
@@ -35,16 +30,9 @@ fn render_table5() -> String {
     out
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let which: Option<u32> = args
-        .iter()
-        .position(|a| a == "--table")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
-
-    let all = which.is_none();
-    let want = |t: u32| all || which == Some(t);
+pub fn run(args: &Args) {
+    let which: Option<u32> = args.num("--table");
+    let want = |t: u32| which.is_none_or(|w| w == t);
 
     if want(1) {
         println!("{}", render_table(&table1()));

@@ -1,19 +1,23 @@
-//! Shared harness code for the experiment binaries.
+//! Shared harness code for `sph-bench`, the one command that regenerates
+//! every table and figure of the paper. This library holds what the
+//! subcommands share: the `--code` lookup, scenario builders at a given
+//! scale, and the code-setup → simulation → step-model wiring.
 //!
-//! Every table and figure of the paper has a regenerator binary in
-//! `src/bin/`; this library holds what they share: scenario builders at a
-//! configurable scale, the code-setup → simulation wiring, and the
-//! experiment-scale switch (`SPH_EXA_FULL=1` runs paper scale — 10⁶
-//! particles, 20 steps, 1 536 cores — the default is CI-sized with the
-//! same shape).
+//! Run `cargo run --release -p sph-bench -- SUBCOMMAND [FLAGS]`:
+#![doc = concat!("```text\n", include_str!("usage.txt"), "```")]
 
-use sph_cluster::{MachineModel, ScalingConfig, ScalingRow, StepModelConfig};
+use sph_cluster::{
+    model_step, piz_daint, LoadBalancing, MachineModel, Partitioner, ScalingConfig, ScalingRow,
+    StepModelConfig, StepTiming, StepWork,
+};
 use sph_core::config::SphConfig;
+use sph_domain::SfcKind;
 use sph_exa::{DistributedError, Simulation, SimulationBuilder};
-use sph_parents::{CodeSetup, Scenario};
+use sph_parents::{changa, miniapp, sphflow, sphynx, CodeSetup, Scenario};
 use sph_scenarios::{evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig};
 
-/// Experiment scale: paper size or CI size.
+/// Experiment size. The default is CI-sized with the paper's shape; the
+/// paper ran 10⁶ particles for 20 steps on up to 1 536 cores.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentScale {
     /// Target particle count per test.
@@ -24,41 +28,33 @@ pub struct ExperimentScale {
     pub max_cores: usize,
 }
 
-impl ExperimentScale {
-    /// Paper scale: 10⁶ particles, 20 steps, up to 1 536 cores.
-    pub fn paper() -> Self {
-        ExperimentScale { particles: 1_000_000, steps: 20, max_cores: 1536 }
-    }
-
-    /// CI scale: small enough for seconds-level runs, same shape.
-    pub fn ci() -> Self {
+impl Default for ExperimentScale {
+    fn default() -> Self {
         ExperimentScale { particles: 20_000, steps: 4, max_cores: 1536 }
     }
+}
 
-    /// `SPH_EXA_FULL=1` selects paper scale; `SPH_EXA_PARTICLES`,
-    /// `SPH_EXA_STEPS` override individual knobs.
-    pub fn from_env() -> Self {
-        // sph-lint: allow(env-determinism) — experiment-scale knob, read
-        // once by the bench harness before any physics; the chosen scale
-        // is stamped into the result header, never into a trajectory.
-        let mut scale = if std::env::var("SPH_EXA_FULL").as_deref() == Ok("1") {
-            Self::paper()
-        } else {
-            Self::ci()
-        };
-        // sph-lint: allow(env-determinism) — same scale knob as above.
-        if let Ok(n) = std::env::var("SPH_EXA_PARTICLES") {
-            if let Ok(n) = n.parse() {
-                scale.particles = n;
-            }
-        }
-        // sph-lint: allow(env-determinism) — same scale knob as above.
-        if let Ok(s) = std::env::var("SPH_EXA_STEPS") {
-            if let Ok(s) = s.parse() {
-                scale.steps = s;
-            }
-        }
-        scale
+/// The names `--code` accepts: the three parent codes and the mini-app,
+/// with the aliases `sph-flow` and `sph-exa`.
+pub const CODE_NAMES: &[&str] = &["sphynx", "changa", "sphflow", "sph-flow", "miniapp", "sph-exa"];
+
+/// The configuration a `--code` name (one of [`CODE_NAMES`]) selects.
+pub fn setup_named(name: &str) -> Option<CodeSetup> {
+    match name {
+        "sphynx" => Some(sphynx()),
+        "changa" => Some(changa()),
+        "sphflow" | "sph-flow" => Some(sphflow()),
+        "miniapp" | "sph-exa" => Some(miniapp()),
+        _ => None,
+    }
+}
+
+/// The setups a comparison runs: the one `code` names, or else the three
+/// parent codes of Figs. 1–3.
+pub fn setups_for(code: Option<&str>) -> Vec<CodeSetup> {
+    match code {
+        Some(name) => setup_named(name).into_iter().collect(),
+        None => vec![sphynx(), changa(), sphflow()],
     }
 }
 
@@ -98,6 +94,16 @@ pub fn build_evrard_sim(setup: &CodeSetup, particles: usize, seed: u64) -> Simul
         .expect("valid Evrard simulation")
 }
 
+/// The step-model configuration of a code setup on `machine`.
+pub fn step_model(setup: &CodeSetup, scenario: Scenario, machine: MachineModel) -> StepModelConfig {
+    StepModelConfig {
+        partitioner: setup.partitioner,
+        balancing: setup.balancing,
+        machine,
+        cost: setup.cost_for(scenario),
+    }
+}
+
 /// Build the simulation for (code, scenario) and the matching step-model
 /// configuration for `machine`.
 pub fn wire_experiment(
@@ -110,13 +116,16 @@ pub fn wire_experiment(
         Scenario::SquarePatch => build_square_sim(setup, scale.particles),
         Scenario::Evrard => build_evrard_sim(setup, scale.particles, 42),
     };
-    let model = StepModelConfig {
-        partitioner: setup.partitioner,
-        balancing: setup.balancing,
-        machine,
-        cost: setup.cost_for(scenario),
-    };
-    (sim, model)
+    (sim, step_model(setup, scenario, machine))
+}
+
+/// Take `steps` steps (at least one) and measure the last.
+pub fn measure_after(sim: &mut Simulation, steps: usize) -> Result<StepWork, DistributedError> {
+    let mut report = sim.step()?;
+    for _ in 1..steps {
+        report = sim.step()?;
+    }
+    Ok(StepWork::measure(sim, &report))
 }
 
 /// Run one strong-scaling panel (one line of Figs. 1–3).
@@ -134,18 +143,46 @@ pub fn run_scaling_panel(
     Ok(rows)
 }
 
+/// The step of Fig. 4: SPHYNX on the Evrard collapse, evolved
+/// `scale.steps` steps (at most two, so the trace shows a developed
+/// state) and the last one modelled at `ranks` cores of Piz Daint.
+/// `fixed` models the SPHYNX the paper's analysis led to: weight-aware
+/// decomposition with dynamic balancing. Returns the particle count and
+/// the modelled step.
+pub fn fig4_step(
+    scale: ExperimentScale,
+    ranks: usize,
+    fixed: bool,
+) -> Result<(usize, StepTiming), DistributedError> {
+    let (mut sim, mut model) = wire_experiment(&sphynx(), Scenario::Evrard, piz_daint(), scale);
+    if fixed {
+        model.balancing = LoadBalancing::Dynamic;
+        model.partitioner = Partitioner::Sfc(SfcKind::Hilbert);
+    }
+    let work = measure_after(&mut sim, scale.steps.min(2))?;
+    Ok((sim.sys.len(), model_step(&work.workload(&sim), ranks, &model, Some(&work.total))))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sph_cluster::piz_daint;
-    use sph_parents::{sphflow, sphynx};
 
     #[test]
-    fn scale_from_env_defaults_to_ci() {
-        // (Environment may carry overrides in dev shells; just check sanity.)
-        let s = ExperimentScale::from_env();
-        assert!(s.particles >= 1000);
-        assert!(s.steps >= 1);
+    fn default_scale_is_ci_sized() {
+        let s = ExperimentScale::default();
+        assert_eq!((s.particles, s.steps, s.max_cores), (20_000, 4, 1536));
+    }
+
+    #[test]
+    fn every_code_name_selects_a_setup() {
+        for name in CODE_NAMES {
+            assert!(setup_named(name).is_some(), "{name}");
+        }
+        assert!(setup_named("sphyx").is_none());
+        assert_eq!(setup_named("sph-flow").unwrap().name, "SPH-flow");
+        let names: Vec<_> = setups_for(None).iter().map(|s| s.name).collect();
+        assert_eq!(names, ["SPHYNX", "ChaNGa", "SPH-flow"]);
+        assert_eq!(setups_for(Some("changa")).len(), 1);
     }
 
     #[test]
@@ -168,6 +205,17 @@ mod tests {
     #[should_panic]
     fn evrard_rejects_sphflow() {
         let _ = build_evrard_sim(&sphflow(), 2000, 1);
+    }
+
+    #[test]
+    fn step_work_charges_gravity_as_gravity() {
+        let mut sim = build_evrard_sim(&sphynx(), 2000, 42);
+        let work = measure_after(&mut sim, 1).unwrap();
+        assert!(work.gravity.iter().sum::<f64>() > 0.0);
+        for (i, &w) in sim.per_particle_work().iter().enumerate() {
+            let split = work.hydro[i] + work.gravity[i];
+            assert!((split - w).abs() <= 1e-12 * w, "particle {i}: {split} vs {w}");
+        }
     }
 
     #[test]

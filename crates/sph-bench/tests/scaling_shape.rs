@@ -2,52 +2,18 @@
 //! Figs. 1–3 — who wins, by roughly what factor, where scaling stalls.
 //! (Absolute seconds are calibrated; shapes are measured.)
 
-use sph_exa_repro::cluster::{piz_daint, scaling_experiment, ScalingConfig, StepModelConfig};
-use sph_exa_repro::parents::{changa, sphflow, sphynx, CodeSetup, Scenario};
+use sph_bench::{wire_experiment, ExperimentScale};
+use sph_cluster::{piz_daint, scaling_experiment, ScalingConfig, ScalingRow};
+use sph_parents::{changa, sphflow, sphynx, CodeSetup, Scenario};
 
 const N: usize = 4_000;
 
-fn rows_for(setup: &CodeSetup, scenario: Scenario) -> Vec<sph_exa_repro::cluster::ScalingRow> {
-    let mut sim = match scenario {
-        Scenario::SquarePatch => sph_bench_helpers::square(setup, N),
-        Scenario::Evrard => sph_bench_helpers::evrard(setup, N),
-    };
-    let model = StepModelConfig {
-        partitioner: setup.partitioner,
-        balancing: setup.balancing,
-        machine: piz_daint(),
-        cost: setup.cost_for(scenario),
-    };
+fn rows_for(setup: &CodeSetup, scenario: Scenario) -> Vec<ScalingRow> {
+    let scale = ExperimentScale { particles: N, ..Default::default() };
+    let (mut sim, model) = wire_experiment(setup, scenario, piz_daint(), scale);
     let cfg = ScalingConfig { core_counts: vec![12, 48, 192, 768], steps: 2 };
     let (rows, _) = scaling_experiment(&mut sim, &model, &cfg).unwrap();
     rows
-}
-
-/// Local builders (mirror sph-bench's, kept here so the integration test
-/// exercises the public APIs directly).
-mod sph_bench_helpers {
-    use super::*;
-    use sph_exa_repro::core::config::SphConfig;
-    use sph_exa_repro::exa::{Simulation, SimulationBuilder};
-    use sph_exa_repro::scenarios::{
-        evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig,
-    };
-
-    pub fn square(setup: &CodeSetup, n: usize) -> Simulation {
-        let nx = (n as f64).cbrt().round() as usize;
-        let cfg = SquarePatchConfig { nx, nz: nx, gamma: setup.sph.gamma, ..Default::default() };
-        let sph = SphConfig { gamma: cfg.gamma, ..setup.sph };
-        SimulationBuilder::new(square_patch(&cfg)).config(sph).build().unwrap()
-    }
-
-    pub fn evrard(setup: &CodeSetup, n: usize) -> Simulation {
-        let cfg = EvrardConfig { n_target: n, ..Default::default() };
-        SimulationBuilder::new(evrard_collapse(&cfg))
-            .config(setup.sph)
-            .gravity(setup.gravity.expect("gravity"))
-            .build()
-            .unwrap()
-    }
 }
 
 #[test]

@@ -1,48 +1,18 @@
 //! Integration: the Fig. 4 trace generator and the Tables 1–5 renderers
 //! produce the structures the paper describes.
 
-use sph_exa_repro::cluster::tracegen::{step_trace, PhaseProfile};
-use sph_exa_repro::cluster::{
-    model_step, piz_daint, CostModel, LoadBalancing, Partitioner, StepModelConfig, StepWorkload,
-};
-use sph_exa_repro::core::config::SphConfig;
-use sph_exa_repro::exa::SimulationBuilder;
-use sph_exa_repro::parents::features::{table1, table2, table3, table4};
-use sph_exa_repro::parents::{render_table, sphynx};
-use sph_exa_repro::profiler::{pop_metrics, render_gantt, WorkerState};
-use sph_exa_repro::scenarios::{evrard_collapse, EvrardConfig};
+use sph_bench::{fig4_step, ExperimentScale};
+use sph_cluster::tracegen::{step_trace, PhaseProfile};
+use sph_cluster::{LoadBalancing, StepTiming};
+use sph_parents::features::{table1, table2, table3, table4};
+use sph_parents::render_table;
+use sph_profiler::{pop_metrics, render_gantt, Phase, WorkerState};
 
-fn modelled_timing(ranks: usize, balancing: LoadBalancing) -> sph_exa_repro::cluster::StepTiming {
-    let setup = sphynx();
-    let cfg = EvrardConfig { n_target: 2500, ..Default::default() };
-    let sph = SphConfig { target_neighbors: 50, ..setup.sph };
-    let mut sim = SimulationBuilder::new(evrard_collapse(&cfg))
-        .config(sph)
-        .gravity(setup.gravity.unwrap())
-        .build()
-        .unwrap();
-    sim.step().expect("stable step");
-    let work = sim.per_particle_work().to_vec();
-    let zeros = vec![0.0; sim.sys.len()];
-    let workload = StepWorkload {
-        positions: &sim.sys.x,
-        sph_work: &work,
-        gravity_work: &zeros,
-        interaction_radius: 2.0 * sim.sys.max_h(),
-        periodicity: sim.sys.periodicity,
-        bounds: sim.sys.bounds(),
-    };
-    let model = StepModelConfig {
-        partitioner: if balancing == LoadBalancing::Dynamic {
-            Partitioner::Sfc(sph_exa_repro::domain::SfcKind::Hilbert)
-        } else {
-            setup.partitioner
-        },
-        balancing,
-        machine: piz_daint(),
-        cost: CostModel::default(),
-    };
-    model_step(&workload, ranks, &model, Some(&work))
+/// The Fig. 4 step of a 2 500-particle Evrard run at `ranks`; dynamic
+/// balancing is the post-analysis ("fixed") SPHYNX.
+fn modelled_timing(ranks: usize, balancing: LoadBalancing) -> StepTiming {
+    let scale = ExperimentScale { particles: 2500, steps: 1, ..Default::default() };
+    fig4_step(scale, ranks, balancing == LoadBalancing::Dynamic).expect("stable step").1
 }
 
 #[test]
@@ -56,10 +26,7 @@ fn figure4_trace_shows_the_serial_tree_pathology() {
             trace
                 .spans(w)
                 .iter()
-                .filter(|s| {
-                    s.phase == sph_exa_repro::profiler::Phase::TreeBuild
-                        && s.state == WorkerState::Useful
-                })
+                .filter(|s| s.phase == Phase::TreeBuild && s.state == WorkerState::Useful)
                 .map(|s| s.duration())
                 .sum()
         })

@@ -16,7 +16,7 @@
 //!   decomposition (`sph-domain`) and real halo volumes;
 //! * [`scaling`] — the strong-scaling experiment driver (one simulation
 //!   evolution, modelled at every core count — exactly the fixed-problem
-//!   sweep of §5.2);
+//!   sweep of §5.2) and [`StepWork`], the model's reading of a real step;
 //! * [`tracegen`] — renders a modelled step into a `sph-profiler` trace
 //!   (the Fig. 4 analogue) including serial-tree idling and barrier waits.
 //!
@@ -35,7 +35,7 @@ pub mod tracegen;
 pub use calibrate::OnlineCalibrator;
 pub use cost::CostModel;
 pub use machine::{marenostrum4, piz_daint, MachineModel, NetworkModel};
-pub use scaling::{scaling_experiment, ScalingConfig, ScalingRow};
+pub use scaling::{scaling_experiment, ScalingConfig, ScalingRow, StepWork};
 pub use step_model::{
     calibrate_machine, model_measured_step, model_step, LoadBalancing, MeasuredStep, Partitioner,
     StepModelConfig, StepTiming, StepWorkload,

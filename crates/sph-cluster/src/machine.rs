@@ -82,11 +82,6 @@ impl MachineModel {
         );
         self
     }
-
-    /// Nodes needed for `cores`.
-    pub fn nodes_for(&self, cores: usize) -> usize {
-        cores.div_ceil(self.cores_per_node)
-    }
 }
 
 /// Piz Daint hybrid partition: Cray XC50, Intel E5-2690 v3 (Haswell),
@@ -142,17 +137,6 @@ mod tests {
         let m = piz_daint();
         let t = m.compute_time(4e9);
         assert!((t - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nodes_round_up() {
-        let m = piz_daint();
-        assert_eq!(m.nodes_for(12), 1);
-        assert_eq!(m.nodes_for(13), 2);
-        assert_eq!(m.nodes_for(384), 32);
-        let mn = marenostrum4();
-        assert_eq!(mn.nodes_for(48), 1);
-        assert_eq!(mn.nodes_for(1536), 32);
     }
 
     #[test]

@@ -9,8 +9,51 @@
 
 use crate::step_model::{model_step, StepModelConfig, StepTiming, StepWorkload};
 use sph_core::config::TimeStepping;
-use sph_exa::{DistributedError, Simulation};
+use sph_exa::{DistributedError, Simulation, StepReport};
 use sph_math::OnlineStats;
+
+/// The per-particle work of the step a simulation just took, split into
+/// the `hydro` and `gravity` shares [`model_step`] charges differently.
+pub struct StepWork {
+    /// Macro-step work per particle (one on rung r was evaluated 2^r
+    /// times): what a dynamic balancer measures for the next step.
+    pub total: Vec<f64>,
+    pub hydro: Vec<f64>,
+    pub gravity: Vec<f64>,
+}
+
+impl StepWork {
+    /// Measure the step `report` describes, which `sim` just took. Gravity
+    /// is split out of `per_particle_work` by this step's global ratio.
+    pub fn measure(sim: &Simulation, report: &StepReport) -> Self {
+        let work = sim.per_particle_work();
+        let total: Vec<f64> = match sim.config.time_stepping {
+            TimeStepping::Individual { .. } => {
+                work.iter().zip(&sim.sys.rung).map(|(&w, &r)| w * (1u64 << r) as f64).collect()
+            }
+            _ => work.to_vec(),
+        };
+        let total_gravity = report.stats.gravity.total_interactions() as f64;
+        let total_all: f64 = total.iter().sum();
+        let gravity_ratio =
+            if total_all > 0.0 { (total_gravity / total_all).min(1.0) } else { 0.0 };
+        let gravity: Vec<f64> = total.iter().map(|w| w * gravity_ratio).collect();
+        let hydro = total.iter().zip(&gravity).map(|(&w, &g)| (w - g).max(0.0)).collect();
+        StepWork { total, hydro, gravity }
+    }
+
+    /// The step-model input for this work at `sim`'s current state.
+    pub fn workload<'a>(&'a self, sim: &'a Simulation) -> StepWorkload<'a> {
+        StepWorkload {
+            positions: &sim.sys.x,
+            sph_work: &self.hydro,
+            gravity_work: &self.gravity,
+            interaction_radius: 2.0 * sim.sys.max_h(),
+            periodicity: sim.sys.periodicity,
+            bounds: sim.sys.bounds(),
+        }
+    }
+}
 
 /// Sweep configuration.
 #[derive(Debug, Clone)]
@@ -70,34 +113,8 @@ pub fn scaling_experiment(
 
     for _ in 0..config.steps {
         let report = sim.step()?;
-        // Per-particle work for this step. Under individual time-stepping a
-        // particle on rung r was evaluated 2^r times per macro step.
-        let rung_factor: Vec<f64> = match sim.config.time_stepping {
-            TimeStepping::Individual { .. } => {
-                sim.sys.rung.iter().map(|&r| (1u64 << r) as f64).collect()
-            }
-            _ => vec![1.0; n],
-        };
-        let work = sim.per_particle_work();
-        let sph_work: Vec<f64> = (0..n).map(|i| work[i] * rung_factor[i]).collect();
-        // Gravity share: per-particle gravity counts are folded into
-        // `per_particle_work`; split by the global ratio measured this step.
-        let total_gravity = report.stats.gravity.total_interactions() as f64;
-        let total_all: f64 = sph_work.iter().sum();
-        let gravity_ratio =
-            if total_all > 0.0 { (total_gravity / total_all).min(1.0) } else { 0.0 };
-        let gravity_work: Vec<f64> = sph_work.iter().map(|w| w * gravity_ratio).collect();
-        let hydro_work: Vec<f64> =
-            sph_work.iter().zip(&gravity_work).map(|(&w, &g)| (w - g).max(0.0)).collect();
-
-        let workload = StepWorkload {
-            positions: &sim.sys.x,
-            sph_work: &hydro_work,
-            gravity_work: &gravity_work,
-            interaction_radius: 2.0 * sim.sys.max_h(),
-            periodicity: sim.sys.periodicity,
-            bounds: sim.sys.bounds(),
-        };
+        let work = StepWork::measure(sim, &report);
+        let workload = work.workload(sim);
         for (k, &cores) in config.core_counts.iter().enumerate() {
             let timing = model_step(&workload, cores, model, prev_work.as_deref());
             stats[k].push(timing.total());
@@ -105,7 +122,7 @@ pub fn scaling_experiment(
             commfrac[k].push((timing.comm + timing.collective) / timing.total().max(1e-300));
             per_step[k].push(timing);
         }
-        prev_work = Some(sph_work);
+        prev_work = Some(work.total);
     }
 
     let rows = config
@@ -158,34 +175,24 @@ pub fn weak_scaling_experiment(
     for &cores in core_counts {
         let target = cores * particles_per_core;
         let mut sim = build(target);
-        let n = sim.sys.len();
         let mut time_stats = OnlineStats::new();
         let mut lb_stats = OnlineStats::new();
         let mut comm_stats = OnlineStats::new();
         let mut prev_work: Option<Vec<f64>> = None;
         for _ in 0..steps {
-            sim.step()?;
-            let work = sim.per_particle_work().to_vec();
-            let zeros = vec![0.0; n];
-            let workload = StepWorkload {
-                positions: &sim.sys.x,
-                sph_work: &work,
-                gravity_work: &zeros,
-                interaction_radius: 2.0 * sim.sys.max_h(),
-                periodicity: sim.sys.periodicity,
-                bounds: sim.sys.bounds(),
-            };
-            let t = model_step(&workload, cores, model, prev_work.as_deref());
+            let report = sim.step()?;
+            let work = StepWork::measure(&sim, &report);
+            let t = model_step(&work.workload(&sim), cores, model, prev_work.as_deref());
             time_stats.push(t.total());
             lb_stats.push(t.load_balance());
             comm_stats.push((t.comm + t.collective) / t.total().max(1e-300));
-            prev_work = Some(work);
+            prev_work = Some(work.total);
         }
         let mean = time_stats.mean();
         let base = *base_time.get_or_insert(mean);
         rows.push(WeakScalingRow {
             cores,
-            particles: n,
+            particles: sim.sys.len(),
             mean_step_time: mean,
             efficiency: base / mean,
             mean_load_balance: lb_stats.mean(),

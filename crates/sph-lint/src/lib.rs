@@ -263,7 +263,7 @@ mod tests {
         assert_eq!(lib.crate_name, "sph-core");
         assert!(!lib.is_binary && !lib.is_shim);
 
-        let bin = context_for(Path::new("crates/sph-bench/src/bin/miniapp.rs")).unwrap();
+        let bin = context_for(Path::new("crates/sph-bench/src/bin/sph-bench/miniapp.rs")).unwrap();
         assert!(bin.is_binary);
 
         let main = context_for(Path::new("crates/sph-lint/src/main.rs")).unwrap();

@@ -1,5 +1,5 @@
 //! The feature matrices of the paper — Tables 1–4 — as data plus text
-//! renderers. `sph-bench --bin tables` regenerates each table from here,
+//! renderers. `sph-bench tables` regenerates each table from here,
 //! and the tests cross-check the rows against the actual [`crate::CodeSetup`]
 //! configurations so the printed tables can never drift from the code.
 

@@ -15,14 +15,12 @@
 //!   analogue);
 //! * [`timers`] — wall-time phase timers for the Criterion benches.
 
-pub mod csv;
 pub mod gantt;
 pub mod phase;
 pub mod pop;
 pub mod timers;
 pub mod trace;
 
-pub use csv::{pop_csv_header, pop_to_csv_row, trace_to_csv};
 pub use gantt::render_gantt;
 pub use phase::{Phase, WorkerState};
 pub use pop::{pop_metrics, PopMetrics};

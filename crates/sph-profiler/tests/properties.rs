@@ -69,12 +69,4 @@ proptest! {
         prop_assert!((m.computation_scalability - scale).abs() < 1e-9);
         prop_assert!((m.global_efficiency - m.parallel_efficiency * scale).abs() < 1e-9);
     }
-
-    #[test]
-    fn csv_row_count_matches_spans(times in useful_times()) {
-        let t = trace_of(&times);
-        let csv = sph_profiler::trace_to_csv(&t);
-        let expected: usize = (0..t.n_workers()).map(|w| t.spans(w).len()).sum();
-        prop_assert_eq!(csv.lines().count(), expected + 1);
-    }
 }
