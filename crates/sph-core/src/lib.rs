@@ -46,7 +46,11 @@ pub struct StepStats {
     pub neighbor: sph_tree::TraversalStats,
     /// Smoothing-length iterations executed (phase B–D work multiplier).
     pub h_iterations: u64,
-    /// SPH pair interactions evaluated in density + force loops.
+    /// SPH pair interactions of the density + force loops: one per
+    /// non-self entry of their rows. The force pass evaluates a pair of a
+    /// symmetric closure once but counts it for both rows, so this count —
+    /// and the load measure and cluster model built on it — is the same
+    /// however the pass is evaluated.
     pub sph_interactions: u64,
     /// Gravity traversal statistics (zero when gravity is off).
     pub gravity: sph_tree::TraversalStats,

@@ -4,11 +4,16 @@
 //! bit over the whole configuration space. A re-association inside a lane
 //! loop — `norm * (shape / r)` for `norm * shape / r`, a reordered dot
 //! product — changes a last bit somewhere in this matrix.
+//!
+//! The force pass is also run at several sweep-chunk lengths (1, 2, 7, 256
+//! and the whole system): the production length is larger than any system
+//! here, so this matrix is where pairs straddle chunk boundaries and a
+//! chunk folds the entries below it before it sweeps.
 
 use crate::config::{GradientScheme, SphConfig, ViscosityConfig, VolumeElements};
 use crate::density::{compute_density, compute_density_reference, NeighborLists};
 use crate::eos::IdealGas;
-use crate::forces::{compute_forces, compute_forces_reference};
+use crate::forces::{compute_forces, compute_forces_chunked, compute_forces_reference};
 use crate::gradients::{
     compute_iad_matrices, compute_iad_matrices_reference, compute_velocity_gradients,
     compute_velocity_gradients_reference, scalar_gradient, scalar_gradient_reference,
@@ -108,6 +113,13 @@ fn evaluate(
 /// 4:1 spread of internal energies — strong forces, approaching and
 /// receding pairs, every Balsara regime.
 pub(crate) fn cloud(side: usize, periodicity: Periodicity, seed: u64) -> ParticleSystem {
+    cloud_on(side, periodicity, seed, true)
+}
+
+/// [`cloud`], or with `jitter = false` the bare lattice (cell centres):
+/// particles in one lattice row share a coordinate, so those components of
+/// their displacements are exactly zero.
+fn cloud_on(side: usize, periodicity: Periodicity, seed: u64, jitter: bool) -> ParticleSystem {
     let mut rng = SplitMix64::new(seed);
     let spacing = 1.0 / side as f64;
     let n = side * side * side;
@@ -116,9 +128,12 @@ pub(crate) fn cloud(side: usize, periodicity: Periodicity, seed: u64) -> Particl
         for iy in 0..side {
             for ix in 0..side {
                 let cell = Vec3::new(ix as f64, iy as f64, iz as f64);
-                let jitter =
-                    Vec3::new(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8));
-                x.push((cell + jitter) * spacing);
+                let offset = if jitter {
+                    Vec3::new(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8))
+                } else {
+                    Vec3::splat(0.5)
+                };
+                x.push((cell + offset) * spacing);
             }
         }
     }
@@ -176,15 +191,47 @@ fn assert_identical(at: &str, got: (&ParticleSystem, &Outcome), want: (&Particle
     assert_eq!(sa.neighbor.radius_clamps, sb.neighbor.radius_clamps, "{at}");
 }
 
+/// The force pass over `lists` at every sweep-chunk length, from the
+/// state `sys` the other passes left, against the reference's
+/// accelerations, energy rates and pair count `want`.
+fn check_chunk_lengths(
+    at: &str,
+    sys: &ParticleSystem,
+    cfg: &SphConfig,
+    lists: &NeighborLists,
+    active: &[u32],
+    want: (&ParticleSystem, u64),
+) {
+    let kernel = cfg.kernel.build();
+    for chunk_len in [1, 2, 7, 256, sys.len()] {
+        let mut got = sys.clone();
+        // Poison what the pass must write, so a row it skips shows.
+        for &i in active {
+            got.a[i as usize] = Vec3::splat(f64::NAN);
+            got.du_dt[i as usize] = f64::NAN;
+        }
+        let pairs =
+            compute_forces_chunked(&mut got, lists, kernel.as_ref(), cfg, active, chunk_len);
+        let at = format!("{at}, chunk length {chunk_len}");
+        assert_vectors("a", &at, &got.a, &want.0.a);
+        assert_scalars("du_dt", &at, &got.du_dt, &want.0.du_dt);
+        assert_eq!(pairs, want.1, "{at}: force pairs");
+    }
+}
+
 /// Evaluate `sys` with both implementations — all particles, then (from
 /// that state, so the inactive neighbours carry real fields) a strided
-/// active subset — and compare.
+/// active subset, whose gather lists are unmarked and run per row — and
+/// compare, the force pass at every sweep-chunk length.
 fn check(at: &str, sys: &ParticleSystem, cfg: &SphConfig, singular_every: Option<usize>) {
     let all: Vec<u32> = (0..sys.len() as u32).collect();
     let (mut lanes, mut scalar) = (sys.clone(), sys.clone());
     let got = evaluate(&PRODUCTION, &mut lanes, cfg, &all, singular_every);
     let want = evaluate(&REFERENCE, &mut scalar, cfg, &all, singular_every);
-    assert_identical(&format!("{at}, all"), (&lanes, &got), (&scalar, &want));
+    let at_all = format!("{at}, all");
+    assert_identical(&at_all, (&lanes, &got), (&scalar, &want));
+    assert!(got.force_lists.is_symmetric_closure(), "{at}: the sweep was not taken");
+    check_chunk_lengths(&at_all, &lanes, cfg, &got.force_lists, &all, (&scalar, want.pairs));
     // Rows that fill a lane block, rows that end in a partial one.
     let lens = || (0..got.force_lists.query_count()).map(|k| got.force_lists.neighbors(k).len());
     assert!(lens().any(|l| l > LANES && l % LANES != 0), "{at}: no row past one block");
@@ -192,7 +239,10 @@ fn check(at: &str, sys: &ParticleSystem, cfg: &SphConfig, singular_every: Option
     let subset: Vec<u32> = all.iter().copied().skip(1).step_by(3).collect();
     let got = evaluate(&PRODUCTION, &mut lanes, cfg, &subset, singular_every);
     let want = evaluate(&REFERENCE, &mut scalar, cfg, &subset, singular_every);
-    assert_identical(&format!("{at}, subset"), (&lanes, &got), (&scalar, &want));
+    let at_subset = format!("{at}, subset");
+    assert_identical(&at_subset, (&lanes, &got), (&scalar, &want));
+    assert!(!got.force_lists.is_symmetric_closure(), "{at}: gather lists are not a closure");
+    check_chunk_lengths(&at_subset, &lanes, cfg, &got.force_lists, &subset, (&scalar, want.pairs));
 }
 
 #[test]
@@ -290,4 +340,80 @@ fn singular_iad_matrices_take_the_analytic_fallback_on_both_sides_of_a_pair() {
     let want = evaluate(&REFERENCE, &mut scalar, &cfg, &all, None);
     assert_identical("sheet", (&lanes, &got), (&scalar, &want));
     assert!(lanes.c_iad.iter().all(|c| *c == Mat3::ZERO), "the sheet's τ should be singular");
+}
+
+#[test]
+fn an_unjittered_periodic_lattice_sweeps_through_exact_zero_displacements() {
+    // Particles of one lattice row share two coordinates: those
+    // displacement components are ±0 from either side, the one place the
+    // two sides of a pair can differ (in the sign of a zero).
+    let sys = cloud_on(6, Periodicity::fully_periodic(Aabb::unit()), 0x2E80, false);
+    for gradients in [GradientScheme::KernelDerivative, GradientScheme::Iad] {
+        let cfg = SphConfig {
+            gradients,
+            target_neighbors: 50,
+            viscosity: ViscosityConfig { balsara: true, ..Default::default() },
+            ..Default::default()
+        };
+        check(&format!("lattice {gradients:?}"), &sys, &cfg, None);
+    }
+    let zeros = (0..sys.len()).filter(|&j| sys.x[j].x == sys.x[0].x && j != 0).count();
+    assert!(zeros > 0, "no displacement with an exact zero component");
+}
+
+#[test]
+fn particles_without_a_row_are_sweep_sources_at_every_chunk_length() {
+    // A rank view's shape on one system: every fourth particle has no row
+    // (a ghost), the others hold the closure over those ghosts. The sweep
+    // must hand each ghost's pairs to the rows that hold it.
+    for gradients in [GradientScheme::KernelDerivative, GradientScheme::Iad] {
+        let cfg = SphConfig {
+            gradients,
+            target_neighbors: 50,
+            viscosity: ViscosityConfig { balsara: true, ..Default::default() },
+            ..Default::default()
+        };
+        let mut sys = cloud(6, Periodicity::periodic_z(Aabb::unit()), 0x6057);
+        let all: Vec<u32> = (0..sys.len() as u32).collect();
+        let gather = evaluate(&PRODUCTION, &mut sys, &cfg, &all, Some(5)).lists;
+        let (rows, ghosts): (Vec<u32>, Vec<u32>) = all.iter().partition(|&&k| k % 4 != 0);
+        let forward = NeighborLists::from_lists(
+            rows.iter().map(|&k| gather.neighbors(k as usize).to_vec()).collect(),
+        );
+        let row_of = |j: &u32| rows.binary_search(j).ok().map(|q| q as u32);
+        let ghost_rows = NeighborLists::from_lists(
+            ghosts
+                .iter()
+                .map(|&g| gather.neighbors(g as usize).iter().filter_map(row_of).collect())
+                .collect(),
+        );
+        let closure = forward.symmetrized_over_ghosts(&rows, sys.len(), &ghosts, &ghost_rows);
+        assert!(closure.is_symmetric_closure());
+        let mut want = sys.clone();
+        let kernel = cfg.kernel.build();
+        let pairs = compute_forces_reference(&mut want, &closure, kernel.as_ref(), &cfg, &rows);
+        let at = format!("ghost sources {gradients:?}");
+        check_chunk_lengths(&at, &sys, &cfg, &closure, &rows, (&want, pairs));
+    }
+}
+
+#[test]
+fn an_unmarked_copy_of_a_closure_gives_the_closure_s_result() {
+    // The mark only chooses the sweep: the same rows as plain lists run
+    // per row and must give the same accelerations, rates and count.
+    let cfg = SphConfig { target_neighbors: 50, ..Default::default() };
+    let mut sys = cloud(6, Periodicity::open(Aabb::unit()), 0x3A4C);
+    let all: Vec<u32> = (0..sys.len() as u32).collect();
+    let closure = evaluate(&PRODUCTION, &mut sys, &cfg, &all, None).force_lists;
+    let copy = NeighborLists::from_lists(
+        (0..closure.query_count()).map(|k| closure.neighbors(k).to_vec()).collect(),
+    );
+    assert!(closure.is_symmetric_closure() && !copy.is_symmetric_closure());
+    let kernel = cfg.kernel.build();
+    let mut swept = sys.clone();
+    let swept_pairs = compute_forces(&mut swept, &closure, kernel.as_ref(), &cfg, &all);
+    let per_row_pairs = compute_forces(&mut sys, &copy, kernel.as_ref(), &cfg, &all);
+    assert_vectors("a", "unmarked copy", &sys.a, &swept.a);
+    assert_scalars("du_dt", "unmarked copy", &sys.du_dt, &swept.du_dt);
+    assert_eq!(per_row_pairs, swept_pairs);
 }

@@ -48,17 +48,20 @@ pub fn pair_viscosity(
     f_j: f64,
 ) -> f64 {
     let vr = dv.dot(d);
-    if vr >= 0.0 {
-        // Receding pair: no viscosity.
-        return 0.0;
-    }
     let h_bar = 0.5 * (h_i + h_j);
     let r2 = d.norm_sq();
     let mu = h_bar * vr / (r2 + cfg.eta2 * h_bar * h_bar);
     let c_bar = 0.5 * (cs_i + cs_j);
     let rho_bar = 0.5 * (rho_i + rho_j);
     let f_bar = if cfg.balsara { 0.5 * (f_i + f_j) } else { 1.0 };
-    f_bar * (-cfg.alpha * c_bar * mu + cfg.beta * mu * mu) / rho_bar
+    let pi = f_bar * (-cfg.alpha * c_bar * mu + cfg.beta * mu * mu) / rho_bar;
+    // Receding pair: no viscosity. A select rather than an early return,
+    // so the force pass's lane loop over a block of pairs has no branch.
+    if vr >= 0.0 {
+        0.0
+    } else {
+        pi
+    }
 }
 
 #[cfg(test)]

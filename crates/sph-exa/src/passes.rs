@@ -345,6 +345,10 @@ impl Workspace {
         active: Vec<u32>,
         ghosts: Vec<(u32, u32)>,
     ) -> Self {
+        // The force pass's sweep folds in local index order, and the pair
+        // lists are ascending in it: that is the global closure's order
+        // only if local index order ≡ global id order.
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "local ids must ascend with index");
         Workspace {
             ids,
             active,
@@ -583,7 +587,7 @@ mod tests {
     use super::*;
     use crate::distributed::{bucket_owned, partition, RankPartitioner};
     use sph_domain::{halo_sets, SfcKind};
-    use sph_math::{Aabb, Periodicity, SplitMix64};
+    use sph_math::{Aabb, Mat3, Periodicity, SplitMix64};
 
     /// A uniform cloud in the unit cube whose smoothing lengths vary by a
     /// factor ≈ 2 from particle to particle, so `j ∈ N(k)` without
@@ -662,6 +666,93 @@ mod tests {
                         }
                     }
                     assert!(ghost_only_pairs > 0, "{case}: no pair needed a ghost's ball");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn force_pass_over_rank_views_equals_the_global_force_pass() {
+        // The ghosts of a view have no row: their pairs with owned rows
+        // reach those rows only through the sweep's ghost sources. Every
+        // field the pass reads is drawn at random (the pass does not care
+        // whether it is physical), every seventh IAD matrix singular.
+        let n = 700;
+        let domains = [
+            Periodicity::open(Aabb::unit()),
+            Periodicity::periodic_z(Aabb::unit()),
+            Periodicity::fully_periodic(Aabb::unit()),
+        ];
+        for (d, &periodicity) in domains.iter().enumerate() {
+            let mut sys = variable_h_cloud(n, 0xF0CE + d as u64, periodicity);
+            let mut rng = SplitMix64::new(0x5EED + d as u64);
+            for i in 0..n {
+                let mut draw = |lo, hi| rng.uniform(lo, hi);
+                sys.v[i] = Vec3::new(draw(-1.0, 1.0), draw(-1.0, 1.0), draw(-1.0, 1.0));
+                (sys.rho[i], sys.omega[i], sys.p[i]) =
+                    (draw(0.8, 1.2), draw(0.9, 1.1), draw(0.5, 2.0));
+                (sys.cs[i], sys.div_v[i], sys.curl_v[i]) =
+                    (draw(0.5, 1.5), draw(-1.0, 1.0), draw(0.0, 1.0));
+                sys.c_iad[i] = if i % 7 == 0 {
+                    Mat3::ZERO
+                } else {
+                    Mat3 { m: [[0.0; 3]; 3].map(|row: [f64; 3]| row.map(|_| draw(-1.0, 1.0))) }
+                };
+            }
+            let radius = SUPPORT_RADIUS * sys.max_h();
+            let all: Vec<u32> = (0..n as u32).collect();
+            let global_grid = CellGrid::for_radius(&sys.x, periodicity, radius);
+            let global_lists = gather_lists(&sys, &global_grid, &all).symmetrized();
+            for gradients in [GradientScheme::KernelDerivative, GradientScheme::Iad] {
+                let config = SphConfig { gradients, ..SphConfig::default() };
+                let kernel = config.kernel.build();
+                let mut global = sys.clone();
+                let global_pairs =
+                    compute_forces(&mut global, &global_lists, kernel.as_ref(), &config, &all);
+                for partitioner in [RankPartitioner::Orb, RankPartitioner::Sfc(SfcKind::Hilbert)] {
+                    for nranks in [2usize, 3, 4] {
+                        let case =
+                            format!("{periodicity:?} {gradients:?} {partitioner:?} {nranks}");
+                        let decomp = partition(&sys, partitioner, nranks, &vec![1.0; n]);
+                        let halos = halo_sets(&sys.x, &decomp, radius, &periodicity);
+                        let mut pairs = 0;
+                        for (r, (owned, imports)) in
+                            bucket_owned(&decomp).iter().zip(&halos.imports).enumerate()
+                        {
+                            let view = RankView::of_subdomain(r, &sys, owned, imports, None);
+                            let (Some(mut local), ws) = (view.copy, &view.ws) else {
+                                panic!("{case}: a subdomain view computes on a copy")
+                            };
+                            macro_rules! import {
+                                ($($field:ident),*) => {
+                                    $(for (k, &g) in ws.ids.iter().enumerate() {
+                                        local.$field[k] = sys.$field[g as usize];
+                                    })*
+                                };
+                            }
+                            import!(rho, omega, p, cs, div_v, curl_v, c_iad);
+                            let grid = ws.grid.as_ref().unwrap();
+                            let gather = gather_lists(&local, grid, &ws.active);
+                            let lists =
+                                closure_over_ghosts(&local, ws, &gather, &ws.owned_grid(&local));
+                            pairs += compute_forces(
+                                &mut local,
+                                &lists,
+                                kernel.as_ref(),
+                                &config,
+                                &ws.active,
+                            );
+                            for &k in &ws.active {
+                                let g = ws.global_id(k) as usize;
+                                let (a, want) = (local.a[k as usize], global.a[g]);
+                                let bits = |v: Vec3| v.to_array().map(f64::to_bits);
+                                assert_eq!(bits(a), bits(want), "{case}: a of {g} on rank {r}");
+                                let (du, want) = (local.du_dt[k as usize], global.du_dt[g]);
+                                assert_eq!(du.to_bits(), want.to_bits(), "{case}: du_dt of {g}");
+                            }
+                        }
+                        assert_eq!(pairs, global_pairs, "{case}: pair count");
+                    }
                 }
             }
         }

@@ -31,6 +31,10 @@ pub struct NeighborLists {
     offsets: Vec<u32>,
     /// Neighbour particle ids (original indexing), self included.
     indices: Vec<u32>,
+    /// Set only by [`symmetric_closure`]: the rows are strictly ascending
+    /// and `j ∈ N(k) ⇔ k ∈ N(j)` between rows — what lets the force pass
+    /// evaluate each pair once (see [`NeighborLists::is_symmetric_closure`]).
+    closure: bool,
 }
 
 impl NeighborLists {
@@ -48,7 +52,7 @@ impl NeighborLists {
             indices.extend_from_slice(&l);
             offsets.push(indices.len() as u32);
         }
-        NeighborLists { offsets, indices }
+        NeighborLists { offsets, indices, closure: false }
     }
 
     /// Assemble from raw CSR arrays. `offsets` must be monotone with
@@ -61,7 +65,7 @@ impl NeighborLists {
             "CSR offsets/indices mismatch"
         );
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "CSR offsets must be monotone");
-        NeighborLists { offsets, indices }
+        NeighborLists { offsets, indices, closure: false }
     }
 
     /// Neighbour slice of the k-th query particle.
@@ -80,6 +84,17 @@ impl NeighborLists {
     /// Total number of stored neighbour entries.
     pub fn total_neighbors(&self) -> usize {
         self.indices.len()
+    }
+
+    /// Were these lists built by [`NeighborLists::symmetrized`] or
+    /// [`NeighborLists::symmetrized_over_ghosts`]? Only then are the rows
+    /// proven strictly ascending and symmetric — between two rows, `j` is
+    /// in `k`'s exactly when `k` is in `j`'s — so that a pair may be
+    /// evaluated once and its terms handed to both sides. Lists assembled
+    /// any other way (gather lists, [`NeighborLists::from_csr`],
+    /// [`NeighborLists::from_lists`]) are unmarked, whatever they hold.
+    pub fn is_symmetric_closure(&self) -> bool {
+        self.closure
     }
 
     /// Mean neighbours per query.
@@ -244,7 +259,7 @@ fn symmetric_closure(
         offsets.push(indices.len() as u32);
     }
     assert!(indices.len() <= u32::MAX as usize, "neighbour count overflows u32 CSR offsets");
-    NeighborLists { offsets, indices }
+    NeighborLists { offsets, indices, closure: true }
 }
 
 /// Soft cap on the total cell count, as a multiple of the particle count:
