@@ -22,6 +22,11 @@ impl ProptestConfig {
     }
 
     /// Case count after applying the `PROPTEST_CASES` env override.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "test-suite knob mirroring real proptest: it sets how many cases run, never a \
+                  trajectory"
+    )]
     pub fn effective_cases(&self) -> u32 {
         match std::env::var("PROPTEST_CASES") {
             Ok(v) => v.parse().unwrap_or(self.cases),

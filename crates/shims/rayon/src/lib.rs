@@ -55,6 +55,11 @@ pub const SORT_CHUNK: usize = 4096;
 /// `build_global` override; 0 = unset (fall back to env / hardware).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the pool size is the one host input allowed: fixed chunk boundaries keep every \
+              result bit-identical for any count"
+)]
 fn default_threads() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
     *CACHE.get_or_init(|| {

@@ -5,6 +5,7 @@
 //!
 //! Run `cargo run --release -p sph-bench -- SUBCOMMAND [FLAGS]`:
 #![doc = concat!("```text\n", include_str!("usage.txt"), "```")]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use sph_cluster::{
     model_step, piz_daint, LoadBalancing, MachineModel, Partitioner, ScalingConfig, ScalingRow,
@@ -61,25 +62,34 @@ pub fn setups_for(code: Option<&str>) -> Vec<CodeSetup> {
 /// Build the rotating-square-patch simulation for a code setup at the
 /// requested particle count (nx = nz = ∛n, as the paper's 100³).
 /// Gravity is off — the square patch is a pure hydrodynamics test.
+#[expect(
+    clippy::expect_used,
+    reason = "bench harness: the scenario builder emits a valid system by construction, and the \
+              regenerator wants a loud crash, not a threaded error, if that ever breaks"
+)]
 pub fn build_square_sim(setup: &CodeSetup, particles: usize) -> Simulation {
     let nx = (particles as f64).cbrt().round().max(8.0) as usize;
     let cfg = SquarePatchConfig { nx, nz: nx, gamma: setup.sph.gamma, ..Default::default() };
     let sys = square_patch(&cfg);
     let sph = SphConfig { gamma: cfg.gamma, ..setup.sph };
-    // sph-lint: allow(panic-path) — bench harness: the scenario builder
-    // emits a valid system by construction, and the regenerator binaries
-    // want a loud crash, not a threaded error, if that ever breaks.
     SimulationBuilder::new(sys).config(sph).build().expect("valid square-patch simulation")
 }
 
 /// Build the Evrard-collapse simulation for a code setup.
 /// Panics if the setup has no self-gravity (SPH-flow — Table 5 excludes
 /// it from this test).
+#[expect(
+    clippy::expect_used,
+    reason = "bench harness: scenario builders emit valid systems by construction; a crash here is \
+              a bug, not a state the regenerator should have to handle"
+)]
 pub fn build_evrard_sim(setup: &CodeSetup, particles: usize, seed: u64) -> Simulation {
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: asking SPH-flow for self-gravity is a programming error in \
+                  the wiring, mirroring Table 5's exclusion of the code"
+    )]
     let gravity = setup.gravity.unwrap_or_else(|| {
-        // sph-lint: allow(panic-path) — documented contract (see doc
-        // comment): asking SPH-flow for self-gravity is a programming
-        // error in the wiring, mirroring Table 5's exclusion of the code.
         panic!("{} cannot run the Evrard collapse (no self-gravity)", setup.name)
     });
     let cfg = EvrardConfig { n_target: particles, seed, ..Default::default() };
@@ -88,9 +98,6 @@ pub fn build_evrard_sim(setup: &CodeSetup, particles: usize, seed: u64) -> Simul
         .config(setup.sph)
         .gravity(gravity)
         .build()
-        // sph-lint: allow(panic-path) — bench harness: scenario builders
-        // emit valid systems by construction; a crash here is a bug, not
-        // a state the regenerator binaries should have to handle.
         .expect("valid Evrard simulation")
 }
 

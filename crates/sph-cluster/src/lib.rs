@@ -24,6 +24,7 @@
 //! imbalance or halo volume — both come from the actual particle
 //! distribution of the actual simulation; only the unit costs
 //! (FLOP/interaction, latency, bandwidth) are calibrated constants.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod calibrate;
 pub mod cost;

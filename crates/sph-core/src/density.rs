@@ -108,13 +108,12 @@ fn density_sum(
             // `Kernel::w_and_dw_dh`, normalisations hoisted.
             let w = w_norm * ws;
             let dw_dh = neg_dw_norm * (3.0 * ws + q * dws);
-            // sph-lint: allow(raw-accumulation) — FROZEN: the
-            // per-particle kernel sum in sorted-neighbour order is the
-            // cross-backend bit-identity contract; compensation would
-            // change every trajectory.
+            // FROZEN: the per-particle kernel sum in sorted-neighbour
+            // order is the cross-backend bit-identity contract;
+            // compensation would change every trajectory.
             rho += m * w;
-            // sph-lint: allow(raw-accumulation) — FROZEN: same contract
-            // as `rho` above (identical loop, order).
+            // FROZEN: same contract as `rho` above (identical loop,
+            // order).
             drho_dh += m * dw_dh;
         }
     }
@@ -311,8 +310,6 @@ fn compute_density_with(
     // Ordered reduce: merge chunk counters, write rows back in `active`
     // order (chunk order × row order reproduces it exactly), and splice
     // the chunk CSR fragments into the shared lists.
-    // sph-lint: allow(raw-accumulation) — integer size bookkeeping; usize
-    // addition is exact (and overflow-checked), no FP order to freeze.
     let total: usize = chunks.iter().map(|c| c.flat.len()).sum();
     assert!(total <= u32::MAX as usize, "neighbour count overflows u32 CSR offsets");
     let mut offsets = Vec::with_capacity(active.len() + 1);
@@ -327,15 +324,15 @@ fn compute_density_with(
         step.sph_interactions += chunk.interactions;
         step.max_search_radius = step.max_search_radius.max(chunk.max_search_radius);
         for (row, count) in chunk.rows.into_iter().zip(chunk.counts) {
-            // sph-lint: allow(panic-path) — local invariant: the chunks
-            // are a partition of `active`, so the id iterator yields
-            // exactly one id per row; exhaustion here is a code bug.
+            #[expect(
+                clippy::expect_used,
+                reason = "local invariant: the chunks are a partition of `active`, so the id \
+                          iterator yields exactly one id per row; exhaustion here is a code bug"
+            )]
             let i = *ids.next().expect("chunk rows outnumber active ids") as usize;
             sys.h[i] = row.h;
             sys.rho[i] = row.rho;
             sys.omega[i] = if cfg.grad_h { row.omega } else { 1.0 };
-            // sph-lint: allow(raw-accumulation) — u32 CSR prefix sum;
-            // integer addition is exact, no FP order to freeze.
             running += count;
             offsets.push(running);
         }

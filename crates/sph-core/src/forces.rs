@@ -149,13 +149,13 @@ pub(crate) fn compute_forces_chunked(
     let mut total_pairs = 0;
     let mut ids = active.iter();
     for (rows, chunk_pairs) in results {
-        // sph-lint: allow(raw-accumulation) — u64 interaction counter;
-        // integer addition is exact, no FP order to freeze.
         total_pairs += chunk_pairs;
         for (acc, dudt) in rows {
-            // sph-lint: allow(panic-path) — local invariant: the chunks
-            // are a partition of `active`, so the id iterator yields
-            // exactly one id per row; exhaustion here is a code bug.
+            #[expect(
+                clippy::expect_used,
+                reason = "local invariant: the chunks are a partition of `active`, so the id \
+                          iterator yields exactly one id per row; exhaustion here is a code bug"
+            )]
             let i = *ids.next().expect("chunk rows outnumber active ids") as usize;
             sys.a[i] = acc;
             sys.du_dt[i] = dudt;
@@ -411,10 +411,9 @@ impl<'a> PairTerms<'a> {
                 let visc = 0.5 * pi_ij * dv.dot(g_bar);
                 let mj = sys.m[j];
                 acc -= p * mj;
-                // sph-lint: allow(raw-accumulation) — FROZEN: the
-                // pairwise energy-rate sum in sorted-neighbour order is
-                // part of the bit-identity contract; compensation would
-                // change every trajectory.
+                // FROZEN: the pairwise energy-rate sum in
+                // sorted-neighbour order is part of the bit-identity
+                // contract; compensation would change every trajectory.
                 dudt += mj * (alpha_i * dv.dot(g_i) + visc);
                 if let Some((sums, start)) = &mut deliver {
                     if let Some(to) = j.checked_sub(*start).and_then(|o| sums.get_mut(o)) {

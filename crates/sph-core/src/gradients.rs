@@ -141,9 +141,9 @@ pub fn scalar_gradient(
                                 continue;
                             }
                             let g = lanes.gradient(ci, lane);
-                            // sph-lint: allow(raw-accumulation) — FROZEN: the
-                            // per-particle gradient sum in sorted-neighbour
-                            // order is part of the bit-identity contract.
+                            // FROZEN: the per-particle gradient sum in
+                            // sorted-neighbour order is part of the
+                            // bit-identity contract.
                             grad += g * (sys.vol[j] * (f[j] - f[i]));
                         }
                     }
@@ -191,12 +191,12 @@ pub fn compute_velocity_gradients(
                             let g = lanes.gradient(ci, lane);
                             let dv = sys.v[j] - vi;
                             let vol = sys.vol[j];
-                            // sph-lint: allow(raw-accumulation) — FROZEN: the
-                            // divergence sum in sorted-neighbour order feeds
-                            // the Balsara switch; part of the bit contract.
+                            // FROZEN: the divergence sum in sorted-neighbour
+                            // order feeds the Balsara switch; part of the bit
+                            // contract.
                             div += vol * dv.dot(g);
-                            // sph-lint: allow(raw-accumulation) — FROZEN: same
-                            // contract as `div` above (identical loop, order).
+                            // FROZEN: same contract as `div` above (identical
+                            // loop, order).
                             curl += (dv.cross(g)) * vol;
                         }
                     }

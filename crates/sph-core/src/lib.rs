@@ -17,6 +17,7 @@
 //! the Extrae trace of Fig. 4 uses (A: tree build, B–D: neighbours and h,
 //! E–H: SPH kernels, I: gravity, J: update), so the profiler can label the
 //! timeline identically.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod config;
 pub mod density;

@@ -119,10 +119,12 @@ impl ParticleSystem {
     /// # Panics
     ///
     /// Panics on an empty system — there is no meaningful box to return.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: every driver rejects empty systems at build time, and a \
+                  Result here would thread an unreachable error arm through all the kernel passes"
+    )]
     pub fn bounds(&self) -> Aabb {
-        // sph-lint: allow(panic-path) — documented contract: every driver
-        // rejects empty systems at build time, and a Result here would
-        // thread an unreachable error arm through all the kernel passes.
         Aabb::from_points(self.x.iter()).expect("non-empty system")
     }
 

@@ -64,8 +64,7 @@ pub fn compute_volume_elements(
                             for ids in lists.neighbors(k).chunks(LANES) {
                                 lanes.lane_phase(ids);
                                 for (&j, &w) in ids.iter().zip(&lanes.s) {
-                                    // sph-lint: allow(raw-accumulation) — FROZEN sum:
-                                    // the volume-element normalisation in
+                                    // FROZEN sum: the volume-element normalisation in
                                     // sorted-neighbour order is part of the
                                     // bit-identity contract.
                                     kappa += x_est[j as usize] * w;

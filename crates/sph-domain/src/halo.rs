@@ -129,52 +129,48 @@ pub fn halo_sets(
     let r2 = radius * radius;
 
     // For each particle, the ranks whose box it is close to (excluding its
-    // owner). Chunked map over fixed REDUCE_CHUNK boundaries, then an
-    // ordered reduce inverting the chunks into per-rank import lists — so
-    // the import ordering is identical for any thread count.
-    let chunks: Vec<Vec<Vec<u32>>> = positions
+    // owner), as flat (particle, rank) pairs in particle order. Chunked map
+    // over fixed REDUCE_CHUNK boundaries, then an ordered reduce inverting
+    // the chunks into per-rank import lists — so the import ordering is
+    // identical for any thread count.
+    let chunks: Vec<Vec<(u32, u32)>> = positions
         .par_chunks(REDUCE_CHUNK)
         .enumerate()
         .map(|(c, chunk)| {
             let base = c * REDUCE_CHUNK;
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(off, &p)| {
-                    let owner = decomp.assignment[base + off];
-                    let mut out = Vec::new();
-                    // Periodic images of the particle that could be near a box.
-                    let mut images = [p; 8];
-                    let mut n_images = 0;
-                    periodicity.for_each_ghost_offset(p, radius, |off| {
-                        images[n_images] = p + off;
-                        n_images += 1;
-                    });
-                    let images = &images[..n_images];
-                    for (r, bx) in boxes.iter().enumerate() {
-                        if r as u32 == owner {
-                            continue;
-                        }
-                        let Some(bx) = bx else { continue };
-                        let near = images.iter().any(|&q| bx.dist_sq_to_point(q) <= r2);
-                        if near {
-                            out.push(r as u32);
-                        }
+            let mut out = Vec::new();
+            for (off, &p) in chunk.iter().enumerate() {
+                let i = base + off;
+                let owner = decomp.assignment[i];
+                // Periodic images of the particle that could be near a box.
+                let mut images = [p; 8];
+                let mut n_images = 0;
+                periodicity.for_each_ghost_offset(p, radius, |off| {
+                    images[n_images] = p + off;
+                    n_images += 1;
+                });
+                let images = &images[..n_images];
+                for (r, bx) in boxes.iter().enumerate() {
+                    if r as u32 == owner {
+                        continue;
                     }
-                    out
-                })
-                .collect()
+                    let Some(bx) = bx else { continue };
+                    let near = images.iter().any(|&q| bx.dist_sq_to_point(q) <= r2);
+                    if near {
+                        out.push((i as u32, r as u32));
+                    }
+                }
+            }
+            out
         })
         .collect();
 
     let mut imports: Vec<Vec<u32>> = vec![Vec::new(); nparts];
     let mut pair_volume = vec![0u32; nparts * nparts];
-    for (i, ranks) in chunks.iter().flatten().enumerate() {
-        let owner = decomp.assignment[i] as usize;
-        for &r in ranks {
-            imports[r as usize].push(i as u32);
-            pair_volume[owner * nparts + r as usize] += 1;
-        }
+    for &(i, r) in chunks.iter().flatten() {
+        let owner = decomp.assignment[i as usize] as usize;
+        imports[r as usize].push(i);
+        pair_volume[owner * nparts + r as usize] += 1;
     }
     HaloExchange { imports, pair_volume, nparts }
 }

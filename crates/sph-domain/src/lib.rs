@@ -56,6 +56,7 @@
 //! uses — full-state fingerprints are bit-identical across rank counts
 //! *and* `SPH_THREADS`, which is what lets one `sph-ft` conservation
 //! checksum govern a whole distributed run.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod exchange;
 pub mod halo;

@@ -59,14 +59,16 @@ fn split(
         2
     };
     // Sort along the axis, then cut at the weighted split fraction.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "positions are validated finite upstream (cell_of_point / Octree::build reject \
+                  NaN loudly), so partial_cmp cannot return None here; switching to total_cmp \
+                  would reorder ±0.0 and change the decomposition"
+    )]
     ids.sort_unstable_by(|&a, &b| {
         positions[a as usize]
             .component(axis)
             .partial_cmp(&positions[b as usize].component(axis))
-            // sph-lint: allow(panic-path) — positions are validated finite
-            // upstream (cell_of_point / Octree::build reject NaN loudly),
-            // so partial_cmp cannot return None here; switching to
-            // total_cmp would reorder ±0.0 and change the decomposition.
             .unwrap()
             .then(a.cmp(&b)) // total order for determinism with ties
     });

@@ -30,14 +30,16 @@ pub fn slab_partition(
     assert!(axis < 3);
     assert!(!positions.is_empty());
     let mut order: Vec<u32> = (0..positions.len() as u32).collect();
+    #[expect(
+        clippy::unwrap_used,
+        reason = "positions are validated finite upstream (cell_of_point / Octree::build reject \
+                  NaN loudly), so partial_cmp cannot return None here; switching to total_cmp \
+                  would reorder ±0.0 and change the decomposition"
+    )]
     order.sort_unstable_by(|&a, &b| {
         positions[a as usize]
             .component(axis)
             .partial_cmp(&positions[b as usize].component(axis))
-            // sph-lint: allow(panic-path) — positions are validated finite
-            // upstream (cell_of_point / Octree::build reject NaN loudly),
-            // so partial_cmp cannot return None here; switching to
-            // total_cmp would reorder ±0.0 and change the decomposition.
             .unwrap()
             .then(a.cmp(&b)) // deterministic tie-break
     });

@@ -855,8 +855,6 @@ impl DistributedSimulation {
         for s in 0..substeps {
             let active = (levels > 0).then(|| active_at_substep(&rungs, s, levels));
             let active = active.as_deref();
-            // sph-lint: allow(raw-accumulation) — u64 census of evaluated
-            // particles: exact integer arithmetic, order-free.
             evaluated += active.map_or(n, |a| a.len() as u64);
             self.half_kick(active, &rungs, dt);
             self.driver_timers.time(Phase::Update, || drift(&mut self.sys, dt_sub));

@@ -33,6 +33,7 @@
 //! [`sph_core::SphConfig`] (i.e. any cell of Tables 1–2), with optional
 //! self-gravity, per-phase wall-time timing and per-particle work
 //! accounting (the input of the cluster performance model).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod distributed;
 mod passes;

@@ -406,8 +406,11 @@ pub(crate) fn refresh_ghosts(
 // ---------------------------------------------------------------------
 
 fn density(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
-    // sph-lint: allow(panic-path) — the table runs density before the
-    // force lists, which alone take the grid: a driver bug, not an input.
+    #[expect(
+        clippy::expect_used,
+        reason = "the table runs density before the force lists, which alone take the grid: a \
+                  driver bug, not an input"
+    )]
     let grid = ws.grid.as_ref().expect("the grid lives until the force lists are built");
     let (lists, stats) = compute_density(sys, grid, env.kernel, env.config, &ws.active);
     ws.lists = lists;

@@ -100,9 +100,12 @@ impl Simulation {
 
     /// Evaluate all derivatives (Algorithm 1 steps 1–4) for `active`
     /// particles. Returns the accumulated statistics.
+    #[expect(
+        clippy::expect_used,
+        reason = "only an exchange can fail an evaluation, and a single rank posts none: a driver \
+                  bug, not an input"
+    )]
     pub fn evaluate_derivatives(&mut self, active: &[u32]) -> StepStats {
-        // sph-lint: allow(panic-path) — only an exchange can fail an
-        // evaluation, and a single rank posts none: a driver bug, not an input.
         self.0.evaluate_derivatives(Some(active)).expect("a one-rank evaluation posts no exchange")
     }
 }

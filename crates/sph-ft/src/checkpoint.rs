@@ -50,11 +50,7 @@ pub trait CheckpointStore {
     }
 }
 
-// Why this file suppresses the linter's hot-alloc rule: a kernel pass
-// calls `slice::get`, which the name-wide call graph aliases to
-// `CheckpointStore::get`; no pass ever reads a checkpoint store.
 fn missing(label: &str) -> FtError {
-    // sph-lint: allow(hot-alloc) — store error path, see above
     FtError::MissingCheckpoint { label: label.to_string() }
 }
 
@@ -110,10 +106,8 @@ impl DiskStore {
     fn path_of(&self, label: &str) -> Result<PathBuf, FtError> {
         let safe = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
         if label.is_empty() || !label.chars().all(safe) {
-            // sph-lint: allow(hot-alloc) — store error path, see `missing`
             return Err(FtError::BadLabel { label: label.to_string() });
         }
-        // sph-lint: allow(hot-alloc) — store I/O path, see `missing`
         Ok(self.dir.join(format!("{label}.sphcp")))
     }
 }
@@ -140,7 +134,6 @@ impl CheckpointStore for DiskStore {
     fn get(&self, label: &str) -> Result<Vec<u8>, FtError> {
         std::fs::read(self.path_of(label)?).map_err(|e| match e.kind() {
             std::io::ErrorKind::NotFound => missing(label),
-            // sph-lint: allow(hot-alloc) — store error path, see `missing`
             _ => FtError::Io { label: label.to_string(), detail: e.to_string() },
         })
     }
@@ -186,7 +179,6 @@ impl<S> NamespacedStore<S> {
     }
 
     fn full(&self, label: &str) -> String {
-        // sph-lint: allow(hot-alloc) — store label path, see `missing`
         format!("{}{label}", self.prefix)
     }
 

@@ -23,6 +23,7 @@
 //! * [`chaos`] — deterministic seeded fault plans and the fault-injecting
 //!   [`Exchange`](sph_domain::Exchange) wrapper the chaos suite drives;
 //! * [`error`] — the typed [`FtError`] all of the above report with.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod chaos;
 pub mod checkpoint;

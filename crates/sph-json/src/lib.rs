@@ -12,6 +12,7 @@
 //! non-finite floats map to `null`. Byte-identical values render to
 //! byte-identical text, which is what lets sph-serve compare cached and
 //! fresh result documents with `==`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::fmt::Write as _;
 

@@ -26,6 +26,7 @@
 //! pattern of the one-call form. [`Kernel::w_shape_lanes`] /
 //! [`Kernel::dw_shape_lanes`] evaluate the shape over a block of pairs
 //! with one dynamic dispatch.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod cubic_spline;
 pub mod quadrature;
@@ -191,9 +192,6 @@ impl KernelKind {
 
     /// All kinds the feature tables enumerate.
     pub fn all() -> Vec<KernelKind> {
-        // sph-lint: allow(hot-alloc) — kernel catalogue built once for
-        // feature tables; `Iterator::all(…)` on the hot path aliases this
-        // name in the conservative call graph, it is never called there.
         vec![
             KernelKind::CubicSplineM4,
             KernelKind::WendlandC2,

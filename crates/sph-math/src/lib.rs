@@ -7,6 +7,7 @@
 //! round-off), basic statistics, and a deterministic `splitmix64` generator
 //! used to derive every seed in the repository so that all experiments are
 //! reproducible bit-for-bit.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod aabb;
 pub mod mat3;

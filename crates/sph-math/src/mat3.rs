@@ -217,9 +217,9 @@ impl Mul<Mat3> for Mat3 {
             for c in 0..3 {
                 let mut s = 0.0;
                 for k in 0..3 {
-                    // sph-lint: allow(raw-accumulation) — fixed 3-term dot
-                    // product; part of the frozen FP stream of the IAD
-                    // matrix algebra (bit-identity contract).
+                    // Fixed 3-term dot product; part of the frozen FP
+                    // stream of the IAD matrix algebra (bit-identity
+                    // contract).
                     s += self.m[r][k] * o.m[k][c];
                 }
                 out.m[r][c] = s;

@@ -109,9 +109,7 @@ impl Periodicity {
                     let c = p.component_mut(axis);
                     let mut t = (*c - lo) % span;
                     if t < 0.0 {
-                        // sph-lint: allow(raw-accumulation) — one-shot fixup,
-                        // not a reduction: a single add canonicalises
-                        // the remainder into [0, span).
+                        // A single add canonicalises the remainder into [0, span).
                         t += span;
                     }
                     *c = lo + t;

@@ -75,9 +75,9 @@ pub fn kahan_sum(values: &[f64]) -> f64 {
 pub fn pairwise_sum(values: &[f64]) -> f64 {
     const BASE: usize = 64;
     if values.len() <= BASE {
-        // sph-lint: allow(raw-accumulation) — this base case IS the leaf
-        // of the ordered-reduce: the ≤64-term sequential sum whose fixed
-        // order defines the pairwise reduction the rule points at.
+        // This base case is the leaf of the ordered reduce: the ≤64-term
+        // sequential sum whose fixed order defines the pairwise
+        // reduction.
         return values.iter().sum();
     }
     let mid = values.len() / 2;

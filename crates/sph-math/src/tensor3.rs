@@ -93,9 +93,8 @@ impl SymTensor3 {
             let mut s = 0.0;
             for b in 0..3 {
                 for c in 0..3 {
-                    // sph-lint: allow(raw-accumulation) — fixed 9-term
-                    // contraction in the octupole stream; frozen by the
-                    // gravity bit-identity contract.
+                    // Fixed 9-term contraction in the octupole stream;
+                    // frozen by the gravity bit-identity contract.
                     s += self.get(a, b, c) * x.component(b) * x.component(c);
                 }
             }

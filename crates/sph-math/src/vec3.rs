@@ -124,13 +124,16 @@ impl Vec3 {
     ///
     /// Panics for `axis > 2`, mirroring the slice-indexing contract.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "out-of-range bound, same contract as std slice indexing; axes come from \
+                  0..3 loops"
+    )]
     pub fn component(self, axis: usize) -> f64 {
         match axis {
             0 => self.x,
             1 => self.y,
             2 => self.z,
-            // sph-lint: allow(panic-path) — out-of-range bound, same
-            // contract as std slice indexing; axes come from 0..3 loops.
             _ => panic!("Vec3 axis out of range: {axis}"),
         }
     }
@@ -141,13 +144,16 @@ impl Vec3 {
     ///
     /// Panics for `axis > 2`, mirroring the slice-indexing contract.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "out-of-range bound, same contract as std slice indexing; axes come from \
+                  0..3 loops"
+    )]
     pub fn component_mut(&mut self, axis: usize) -> &mut f64 {
         match axis {
             0 => &mut self.x,
             1 => &mut self.y,
             2 => &mut self.z,
-            // sph-lint: allow(panic-path) — out-of-range bound, same
-            // contract as std slice indexing; axes come from 0..3 loops.
             _ => panic!("Vec3 axis out of range: {axis}"),
         }
     }
@@ -243,13 +249,15 @@ impl Neg for Vec3 {
 impl Index<usize> for Vec3 {
     type Output = f64;
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "the std Index contract IS panic-on-out-of-range; a Result here is not expressible"
+    )]
     fn index(&self, i: usize) -> &f64 {
         match i {
             0 => &self.x,
             1 => &self.y,
             2 => &self.z,
-            // sph-lint: allow(panic-path) — the std Index contract IS
-            // panic-on-out-of-range; a Result here is not expressible.
             _ => panic!("Vec3 index out of range: {i}"),
         }
     }
@@ -264,10 +272,10 @@ impl IndexMut<usize> for Vec3 {
 
 impl Sum for Vec3 {
     fn sum<I: Iterator<Item = Vec3>>(iter: I) -> Vec3 {
-        // sph-lint: allow(raw-accumulation) — FROZEN: sequential fold in
-        // the caller's iteration order; component-wise Kahan would change
-        // every existing Vec3 sum bit-for-bit. Hot reductions use the
-        // chunked ordered-reduce helpers instead of this impl.
+        // FROZEN: sequential fold in the caller's iteration order;
+        // component-wise Kahan would change every existing Vec3 sum
+        // bit-for-bit. Hot reductions use the chunked ordered-reduce
+        // helpers instead of this impl.
         iter.fold(Vec3::ZERO, |a, b| a + b)
     }
 }

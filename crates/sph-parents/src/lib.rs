@@ -8,6 +8,7 @@
 //! gravity), its computer-science configuration (domain decomposition,
 //! load balancing), and its calibrated cost model for the cluster
 //! simulator. [`features`] holds the Tables 1–4 data and renderers.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod features;
 pub mod setups;

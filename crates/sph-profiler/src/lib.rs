@@ -14,6 +14,7 @@
 //! * [`gantt`] — an ASCII Paraver-style timeline renderer (Fig. 4
 //!   analogue);
 //! * [`timers`] — wall-time phase timers for the Criterion benches.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod gantt;
 pub mod phase;

@@ -52,10 +52,6 @@ impl PhaseTimers {
 
     /// Total across phases.
     pub fn total(&self) -> f64 {
-        // sph-lint: allow(raw-accumulation) — timing diagnostic over a fixed
-        // 8-slot phase array, never fed back into physics state; the call
-        // graph reaches it only through the `total` name aliasing
-        // KahanAccumulator::total.
         self.acc.lock().iter().sum()
     }
 

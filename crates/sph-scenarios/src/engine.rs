@@ -171,8 +171,11 @@ impl ScenarioRegistry {
     pub fn builtin() -> Self {
         let mut r = ScenarioRegistry::new();
         for s in crate::builtin_scenarios() {
-            // sph-lint: allow(panic-path) — the name set is static and the
-            // registry contract test covers it; duplication is a code bug.
+            #[expect(
+                clippy::expect_used,
+                reason = "the name set is static and the registry contract test covers it; \
+                          duplication is a code bug"
+            )]
             r.register(s).expect("built-in names are unique");
         }
         r

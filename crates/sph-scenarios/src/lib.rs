@@ -39,6 +39,7 @@
 //! The paper's Table 5 ([`registry::scenario_table`]) is *derived* from
 //! the registry entries that carry paper metadata — the table cannot
 //! drift from the runnable workloads.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod engine;
 pub mod evrard;

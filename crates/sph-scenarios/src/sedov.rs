@@ -62,15 +62,17 @@ impl Default for SedovConfig {
 /// The Sedov similarity constant `ξ₀(γ)` (Sedov 1959, ch. IV): the
 /// dimensionless shock position of the energy-conserving self-similar
 /// solution. Tabulated for the two standard adiabatic indices.
+#[expect(
+    clippy::panic,
+    reason = "programmer-error bound: the only callers are registered scenarios pinned to the \
+              tabulated gammas; an untabulated gamma must fail loudly at registration time"
+)]
 pub fn sedov_xi0(gamma: f64) -> f64 {
     if (gamma - 5.0 / 3.0).abs() < 1e-9 {
         1.15167
     } else if (gamma - 1.4).abs() < 1e-9 {
         1.03279
     } else {
-        // sph-lint: allow(panic-path) — programmer-error bound: the only
-        // callers are registered scenarios pinned to the tabulated gammas;
-        // an untabulated gamma must fail loudly at registration time.
         panic!("sedov_xi0: no tabulated similarity constant for gamma = {gamma}")
     }
 }

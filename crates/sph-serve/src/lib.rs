@@ -19,6 +19,7 @@
 //!
 //! Everything is hand-rolled on `std` (no crates.io), matching the rest
 //! of the workspace.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod admission;
 pub mod api;

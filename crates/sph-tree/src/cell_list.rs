@@ -41,8 +41,6 @@ impl NeighborLists {
     /// Assemble from per-query rows (test/interop convenience; the hot
     /// path builds the CSR arrays directly).
     pub fn from_lists(lists: Vec<Vec<u32>>) -> Self {
-        // sph-lint: allow(raw-accumulation) — integer size bookkeeping;
-        // usize addition is exact, no FP order to freeze.
         let total: usize = lists.iter().map(|l| l.len()).sum();
         assert!(total <= u32::MAX as usize, "neighbour count overflows u32 CSR offsets");
         let mut offsets = Vec::with_capacity(lists.len() + 1);
@@ -641,8 +639,6 @@ pub fn build_csr_lists(
         })
         .collect();
     // Ordered reduce straight into the CSR arrays.
-    // sph-lint: allow(raw-accumulation) — integer size bookkeeping;
-    // usize addition is exact, no FP order to freeze.
     let total: usize = chunks.iter().map(|c| c.flat.len()).sum();
     assert!(total <= u32::MAX as usize, "neighbour count overflows u32 CSR offsets");
     let mut offsets = Vec::with_capacity(centers.len() + 1);
@@ -653,8 +649,6 @@ pub fn build_csr_lists(
     for chunk in chunks {
         merged.merge(&chunk.stats);
         for c in chunk.counts {
-            // sph-lint: allow(raw-accumulation) — u32 CSR prefix sum;
-            // integer addition is exact, no FP order to freeze.
             running += c;
             offsets.push(running);
         }

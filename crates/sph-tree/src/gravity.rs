@@ -230,23 +230,23 @@ impl<'a> GravitySolver<'a> {
             if node.is_leaf() {
                 for k in slots.clone() {
                     let m = masses_sorted[k];
-                    // sph-lint: allow(raw-accumulation) — FROZEN: leaf
-                    // monopole sums in Morton order are part of the
-                    // gravity bit-identity contract across backends.
+                    // FROZEN: leaf monopole sums in Morton order are
+                    // part of the gravity bit-identity contract across
+                    // backends.
                     mass += m;
-                    // sph-lint: allow(raw-accumulation) — FROZEN: same
-                    // contract as `mass` above (identical loop, order).
+                    // FROZEN: same contract as `mass` above (identical
+                    // loop, order).
                     weighted += pos[k] * m;
                 }
             } else {
                 for &c in kids {
                     let ch = &walk[c as usize];
-                    // sph-lint: allow(raw-accumulation) — FROZEN merge:
-                    // 8-term child moments fold in child-slot order;
-                    // part of the gravity bit-identity contract.
+                    // FROZEN merge: 8-term child moments fold in
+                    // child-slot order; part of the gravity
+                    // bit-identity contract.
                     mass += ch.mass;
-                    // sph-lint: allow(raw-accumulation) — FROZEN: same
-                    // contract as `mass` above (identical loop).
+                    // FROZEN: same contract as `mass` above (identical
+                    // loop).
                     weighted += ch.com * ch.mass;
                 }
             }
@@ -260,9 +260,8 @@ impl<'a> GravitySolver<'a> {
                     let d = pos[k] - com;
                     m2.add_scaled_outer(d, m);
                     s3.add_scaled_cube(d, m);
-                    // sph-lint: allow(raw-accumulation) — FROZEN: leaf
-                    // octupole trace vector in Morton order; part of the
-                    // gravity bit-identity contract.
+                    // FROZEN: leaf octupole trace vector in Morton
+                    // order; part of the gravity bit-identity contract.
                     t += d * (m * d.norm_sq());
                 }
             } else {
@@ -274,18 +273,18 @@ impl<'a> GravitySolver<'a> {
                     //   S3' = S3 + sym(s ⊗ M2) + m s⊗s⊗s
                     //   t'  = t + 2 M2·s + tr(M2)·s + m s² s
                     let s = ch.com - com;
-                    // sph-lint: allow(raw-accumulation) — FROZEN: the
-                    // parallel-axis moment merges below run in child-slot
-                    // order; part of the gravity bit-identity contract.
+                    // FROZEN: the parallel-axis moment merges below run
+                    // in child-slot order; part of the gravity
+                    // bit-identity contract.
                     m2 += chm.m2;
                     m2.add_scaled_outer(s, ch.mass);
-                    // sph-lint: allow(raw-accumulation) — FROZEN: same
-                    // contract as the `m2` merge above (identical loop).
+                    // FROZEN: same contract as the `m2` merge above
+                    // (identical loop).
                     s3 += chm.s3;
                     s3.add_scaled_sym_outer(s, &chm.m2, 1.0);
                     s3.add_scaled_cube(s, ch.mass);
-                    // sph-lint: allow(raw-accumulation) — FROZEN: same
-                    // contract as the `m2` merge above (identical loop).
+                    // FROZEN: same contract as the `m2` merge above
+                    // (identical loop).
                     t += chm.t
                         + chm.m2.mul_vec(s) * 2.0
                         + s * chm.m2.trace()
@@ -382,9 +381,9 @@ impl<'a> GravitySolver<'a> {
                     // φ₂ = −G (d·Q·d) / (2 r⁵)
                     // a₂ = G Q d / r⁵ − (5G/2)(d·Q·d) d / r⁷
                     potential -= 0.5 * g * dqd * inv_r5;
-                    // sph-lint: allow(raw-accumulation) — FROZEN: the
-                    // multipole traversal accumulates in stack order;
-                    // part of the gravity bit-identity contract.
+                    // FROZEN: the multipole traversal accumulates in
+                    // stack order; part of the gravity bit-identity
+                    // contract.
                     accel += qd * (g * inv_r5) - d * (2.5 * g * dqd * inv_r7);
                     if degree >= 3 {
                         // Octupole (Cartesian Taylor term):
@@ -397,8 +396,8 @@ impl<'a> GravitySolver<'a> {
                         let inv_r9 = inv_r7 / r2;
                         let poly = 5.0 * s_ddd - 3.0 * td * r2;
                         potential -= 0.5 * g * poly * inv_r7;
-                        // sph-lint: allow(raw-accumulation) — FROZEN: same
-                        // traversal-order contract as the quadrupole term.
+                        // FROZEN: same traversal-order contract as the
+                        // quadrupole term.
                         accel += (s_dd * 15.0 - mom.t * (3.0 * r2) - d * (6.0 * td))
                             * (0.5 * g * inv_r7)
                             - d * (3.5 * g * poly * inv_r9);
@@ -439,8 +438,6 @@ impl<'a> GravitySolver<'a> {
                     // bit-identity contract.
                     let own = skip_slot.wrapping_sub(slots.start);
                     let folded = if own < n { n - 1 } else { n };
-                    // sph-lint: allow(raw-accumulation) — integer pair
-                    // counter, exact in any order.
                     p2p += folded as u64;
                     for k in 0..n {
                         if k == own {

@@ -26,6 +26,7 @@
 //! cluster simulator in `sph-cluster` converts those counts into modelled
 //! compute time, which is how the strong-scaling figures are produced
 //! without the authors' hardware.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod cell_list;
 pub mod gravity;

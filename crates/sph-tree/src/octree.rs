@@ -181,9 +181,11 @@ impl Octree {
                 });
             }
         }
-        // sph-lint: allow(panic-path) — `build` only creates internal nodes
-        // by splitting an overfull leaf, so at least one child exists; an
-        // all-NO_CHILD internal node is a construction bug, not an input.
+        #[expect(
+            clippy::expect_used,
+            reason = "`build` only creates internal nodes by splitting an overfull leaf, so at \
+                      least one child exists; an all-NO_CHILD internal node is a construction bug"
+        )]
         let tight = tight.expect("internal node without children");
         self.nodes[node].tight = tight;
         tight
