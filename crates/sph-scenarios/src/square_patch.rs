@@ -67,6 +67,13 @@ impl Default for SquarePatchConfig {
 ///
 /// `P(x,y) = ρ Σ_{m,n odd} −32ω² / (mnπ²[(mπ/L)² + (nπ/L)²])
 ///            · sin(mπx/L) sin(nπy/L)`
+///
+/// The series is separable, so one evaluation costs `2T` sines (one per
+/// odd `m` and one per odd `n`) plus `T²` terms with
+/// `T = series_terms`, not `2T²` sines. Each term is the same expression
+/// folded in the same `(m, n)` order as the literal double loop, so the
+/// value is bit-identical to it. [`square_patch`] evaluates it once per
+/// lattice column and copies the result to the column's `nz` layers.
 pub fn square_patch_pressure(
     x: f64,
     y: f64,
@@ -75,14 +82,17 @@ pub fn square_patch_pressure(
     omega: f64,
     series_terms: usize,
 ) -> f64 {
+    let sin_y: Vec<f64> =
+        (0..series_terms).map(|kn| ((2 * kn + 1) as f64 * PI * y / side).sin()).collect();
     let mut p = 0.0;
     for km in 0..series_terms {
         let m = (2 * km + 1) as f64;
-        for kn in 0..series_terms {
+        let sin_mx = (m * PI * x / side).sin();
+        for (kn, &sin_ny) in sin_y.iter().enumerate() {
             let n = (2 * kn + 1) as f64;
             let k2 = (m * PI / side).powi(2) + (n * PI / side).powi(2);
             let coeff = -32.0 * omega * omega / (m * n * PI * PI * k2);
-            p += coeff * (m * PI * x / side).sin() * (n * PI * y / side).sin();
+            p += coeff * sin_mx * sin_ny;
         }
     }
     rho * p
@@ -132,11 +142,19 @@ pub fn square_patch(cfg: &SquarePatchConfig) -> ParticleSystem {
                 // Rigid rotation about the square axis (centre of the XY
                 // plane): vx = ω(y−c), vy = −ω(x−c) — §5.1 eq. (1).
                 v.push(Vec3::new(cfg.omega * (py - half), -cfg.omega * (px - half), 0.0));
-                let p0 =
-                    square_patch_pressure(px, py, cfg.side, cfg.rho0, cfg.omega, cfg.series_terms);
-                u.push(eos.energy_from_pressure(cfg.rho0, p0 + p_back));
             }
         }
+    }
+    // u depends on (x, y) only (§5.1: "the initial conditions are the
+    // same for all layers"): evaluate the series once per lattice column
+    // for the first layer, then copy that layer into the others.
+    let layer = cfg.nx * cfg.nx;
+    for p in &x[..layer] {
+        let p0 = square_patch_pressure(p.x, p.y, cfg.side, cfg.rho0, cfg.omega, cfg.series_terms);
+        u.push(eos.energy_from_pressure(cfg.rho0, p0 + p_back));
+    }
+    for _ in 1..cfg.nz {
+        u.extend_from_within(..layer);
     }
     let mass = cfg.rho0 * cfg.side * cfg.side * lz / n as f64;
     let domain = Aabb::new(Vec3::ZERO, Vec3::new(cfg.side, cfg.side, lz));
@@ -276,9 +294,124 @@ impl Scenario for SquarePatchScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sph_math::SplitMix64;
 
     fn small() -> SquarePatchConfig {
         SquarePatchConfig { nx: 20, nz: 4, ..Default::default() }
+    }
+
+    /// The literal double series, two `sin` calls per term: the oracle
+    /// for the separable [`square_patch_pressure`].
+    fn square_patch_pressure_reference(
+        x: f64,
+        y: f64,
+        side: f64,
+        rho: f64,
+        omega: f64,
+        series_terms: usize,
+    ) -> f64 {
+        let mut p = 0.0;
+        for km in 0..series_terms {
+            let m = (2 * km + 1) as f64;
+            for kn in 0..series_terms {
+                let n = (2 * kn + 1) as f64;
+                let k2 = (m * PI / side).powi(2) + (n * PI / side).powi(2);
+                let coeff = -32.0 * omega * omega / (m * n * PI * PI * k2);
+                p += coeff * (m * PI * x / side).sin() * (n * PI * y / side).sin();
+            }
+        }
+        rho * p
+    }
+
+    /// The per-particle IC loop [`square_patch`] replaced: every particle
+    /// evaluates the literal series at its own (x, y).
+    fn square_patch_reference(cfg: &SquarePatchConfig) -> ParticleSystem {
+        let spacing = cfg.side / cfg.nx as f64;
+        let lz = spacing * cfg.nz as f64;
+        let n = cfg.nx * cfg.nx * cfg.nz;
+        let eos = IdealGas::new(cfg.gamma);
+        let p_back =
+            cfg.background_pressure * cfg.rho0 * cfg.omega * cfg.omega * cfg.side * cfg.side;
+        let mut x = Vec::with_capacity(n);
+        let mut v = Vec::with_capacity(n);
+        let mut u = Vec::with_capacity(n);
+        let half = cfg.side / 2.0;
+        for iz in 0..cfg.nz {
+            for iy in 0..cfg.nx {
+                for ix in 0..cfg.nx {
+                    let px = (ix as f64 + 0.5) * spacing;
+                    let py = (iy as f64 + 0.5) * spacing;
+                    let pz = (iz as f64 + 0.5) * spacing;
+                    x.push(Vec3::new(px, py, pz));
+                    v.push(Vec3::new(cfg.omega * (py - half), -cfg.omega * (px - half), 0.0));
+                    let p0 = square_patch_pressure_reference(
+                        px,
+                        py,
+                        cfg.side,
+                        cfg.rho0,
+                        cfg.omega,
+                        cfg.series_terms,
+                    );
+                    u.push(eos.energy_from_pressure(cfg.rho0, p0 + p_back));
+                }
+            }
+        }
+        let mass = cfg.rho0 * cfg.side * cfg.side * lz / n as f64;
+        let domain = Aabb::new(Vec3::ZERO, Vec3::new(cfg.side, cfg.side, lz));
+        let per = Periodicity::periodic_z(domain);
+        ParticleSystem::new(x, v, vec![mass; n], u, 1.6 * spacing, per)
+    }
+
+    fn bits(v: &[Vec3]) -> Vec<[u64; 3]> {
+        v.iter().map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect()
+    }
+
+    fn scalar_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|s| s.to_bits()).collect()
+    }
+
+    #[test]
+    fn ic_is_bit_identical_to_the_per_particle_oracle() {
+        for (nx, nz, series_terms) in [(4, 1, 1), (7, 3, 5), (20, 8, 20)] {
+            let cfg = SquarePatchConfig { nx, nz, series_terms, ..Default::default() };
+            let (got, want) = (square_patch(&cfg), square_patch_reference(&cfg));
+            let case = format!("nx {nx}, nz {nz}, series_terms {series_terms}");
+            assert_eq!(bits(&got.x), bits(&want.x), "x differs at {case}");
+            assert_eq!(bits(&got.v), bits(&want.v), "v differs at {case}");
+            assert_eq!(scalar_bits(&got.u), scalar_bits(&want.u), "u differs at {case}");
+            assert_eq!(scalar_bits(&got.m), scalar_bits(&want.m), "m differs at {case}");
+            assert_eq!(scalar_bits(&got.h), scalar_bits(&want.h), "h differs at {case}");
+        }
+    }
+
+    #[test]
+    fn pressure_is_bit_identical_to_the_literal_series() {
+        let same = |x: f64, y: f64, side: f64, omega: f64, terms: usize| {
+            let got = square_patch_pressure(x, y, side, 1.3, omega, terms);
+            let want = square_patch_pressure_reference(x, y, side, 1.3, omega, terms);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "P({x}, {y}) with side {side}, ω {omega}, {terms} terms: {got} vs {want}"
+            );
+        };
+        // Every lattice coordinate the IC cases above evaluate.
+        for (nx, terms) in [(4, 1), (7, 5), (20, 20), (20, 30)] {
+            let spacing = 1.0 / nx as f64;
+            for iy in 0..nx {
+                for ix in 0..nx {
+                    same((ix as f64 + 0.5) * spacing, (iy as f64 + 0.5) * spacing, 1.0, 5.0, terms);
+                }
+            }
+        }
+        // Seeded random points, sides and term counts, up to 30 terms.
+        let mut rng = SplitMix64::new(20180911);
+        for _ in 0..1000 {
+            let side = rng.uniform(0.5, 3.0);
+            let (x, y) = (rng.uniform(0.0, side), rng.uniform(0.0, side));
+            let terms = 1 + rng.next_below(30) as usize;
+            same(x, y, side, rng.uniform(0.0, 8.0), terms);
+        }
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! Limits are hard: 16 KiB of headers, 1 MiB of body — anything larger is
 //! a [`ServeError::MalformedRequest`], never an allocation hazard.
 //!
-//! The parser is generic over [`Read`]/[`Write`] so unit tests exercise it
-//! on in-memory buffers without sockets.
+//! The parser is generic over [`BufRead`]/[`Write`] so unit tests exercise
+//! it on in-memory buffers without sockets.
 
 use crate::error::ServeError;
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Maximum bytes of request line + headers we will buffer.
@@ -25,20 +25,25 @@ pub struct Request {
     pub body: String,
 }
 
-/// Read one HTTP request from a blocking stream.
+/// Read one HTTP request from a buffered blocking stream.
 ///
 /// Accepts the subset we serve: a request line, optional headers (only
 /// `Content-Length` is honoured), CRLF or bare-LF line endings, and an
 /// optional body of exactly `Content-Length` bytes.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, ServeError> {
-    // Read byte-by-byte until the blank line so we never consume body
-    // bytes into the header buffer. Requests are small; this is not the
-    // hot path of the service (the simulations are).
+///
+/// Head and body come from the same reader, so body bytes the buffer
+/// fetched together with the head are not lost; wrap a socket in one
+/// [`std::io::BufReader`] for the whole request.
+pub fn read_request(stream: &mut impl BufRead) -> Result<Request, ServeError> {
+    // Line by line until the blank line; `take` caps each line at what
+    // is left of the head budget, so an endless line cannot grow `head`.
     let mut head = Vec::new();
-    let mut byte = [0u8; 1];
     loop {
+        let budget = (MAX_HEAD + 1 - head.len()) as u64;
         let n = stream
-            .read(&mut byte)
+            .by_ref()
+            .take(budget)
+            .read_until(b'\n', &mut head)
             .map_err(|e| ServeError::MalformedRequest(format!("read: {e}")))?;
         if n == 0 {
             if head.is_empty() {
@@ -46,7 +51,6 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, ServeError> {
             }
             break;
         }
-        head.push(byte[0]);
         if head.len() > MAX_HEAD {
             return Err(ServeError::MalformedRequest(format!("headers exceed {MAX_HEAD} bytes")));
         }
@@ -231,6 +235,29 @@ mod tests {
     fn rejects_truncated_body() {
         let raw = b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
         assert!(read_request(&mut &raw[..]).is_err());
+    }
+
+    /// Counts the calls that reach the underlying stream.
+    struct CountingReader<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn one_kib_post_costs_at_most_two_underlying_reads() {
+        let body = "x".repeat(1024);
+        let raw = format!("POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 1024\r\n\r\n{body}");
+        let mut counting = CountingReader { bytes: raw.as_bytes(), reads: 0 };
+        let req = read_request(&mut std::io::BufReader::new(&mut counting)).unwrap();
+        assert_eq!(req.body, body);
+        assert!(counting.reads <= 2, "{} underlying reads for a 1 KiB POST", counting.reads);
     }
 
     #[test]

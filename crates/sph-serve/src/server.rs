@@ -23,6 +23,7 @@ use crate::jobs::{run_job, JobRecord, JobStatus, RunnerConfig};
 use sph_json::Value;
 use sph_scenarios::ScenarioRegistry;
 use std::collections::{BTreeMap, VecDeque};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -372,7 +373,7 @@ fn accept_loop(inner: &Inner, listener: &TcpListener) {
 
 fn handle_connection(inner: &Inner, mut stream: TcpStream) {
     inner.requests.fetch_add(1, Ordering::SeqCst);
-    let response = match read_request(&mut stream) {
+    let response = match read_request(&mut BufReader::new(&stream)) {
         Ok(req) => route_request(inner, &req),
         Err(err) => Response::from_error(&err),
     };

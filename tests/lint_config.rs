@@ -1,6 +1,7 @@
 //! Tier-1 guard on the static enforcers: clippy owns the panic-path,
 //! undocumented-unsafe and determinism bans, and the clippy CI job is
-//! their gate. Deleting one of these lines must also turn tier-1 red.
+//! their gate; the test profile keeps the runtime checks on. Deleting one
+//! of these lines must also turn tier-1 red.
 
 use std::path::Path;
 
@@ -37,19 +38,34 @@ fn clippy_toml_bans_every_contract_it_owns() {
     }
 }
 
-#[test]
-fn workspace_denies_undocumented_unsafe_blocks() {
-    let manifest = read("Cargo.toml");
-    let table: Vec<&str> = manifest
+/// The lines of the `[header]` table in the root `Cargo.toml`.
+fn manifest_table(manifest: &str, header: &str) -> Vec<String> {
+    manifest
         .lines()
-        .skip_while(|l| l.trim() != "[workspace.lints.clippy]")
+        .skip_while(|l| l.trim() != header)
         .skip(1)
         .take_while(|l| !l.starts_with('['))
-        .collect();
+        .map(|l| l.trim().to_string())
+        .collect()
+}
+
+#[test]
+fn workspace_denies_undocumented_unsafe_blocks() {
+    let table = manifest_table(&read("Cargo.toml"), "[workspace.lints.clippy]");
     assert!(
-        table.iter().any(|l| l.trim() == "undocumented_unsafe_blocks = \"deny\""),
+        table.iter().any(|l| l == "undocumented_unsafe_blocks = \"deny\""),
         "[workspace.lints.clippy] in Cargo.toml must deny undocumented_unsafe_blocks"
     );
+}
+
+/// The optimised test profile keeps the runtime checks tier-1 relies on:
+/// the `debug_assert!` contracts and integer-overflow traps.
+#[test]
+fn test_profile_keeps_debug_assertions_and_overflow_checks() {
+    let table = manifest_table(&read("Cargo.toml"), "[profile.test]");
+    for line in ["debug-assertions = true", "overflow-checks = true"] {
+        assert!(table.iter().any(|l| l == line), "[profile.test] in Cargo.toml must set `{line}`");
+    }
 }
 
 #[test]
