@@ -16,7 +16,7 @@
 //! - **No shrinking**: a failing case reports the case number and
 //!   message. Failing inputs tend to be readable because the generators
 //!   here draw uniformly rather than biasing toward extremes.
-//! - **Case count**: 64 by default (real proptest: 256), overridable per
+//! - **Case count**: 256 by default, as in real proptest, overridable per
 //!   suite via `ProptestConfig::with_cases` or globally with the
 //!   `PROPTEST_CASES` environment variable.
 

@@ -10,9 +10,9 @@ pub struct ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        // Real proptest defaults to 256; the shim trades a little coverage
-        // for suite latency. Override with PROPTEST_CASES or with_cases().
-        Self { cases: 64 }
+        // Real proptest's default. Override with PROPTEST_CASES or
+        // with_cases().
+        Self { cases: 256 }
     }
 }
 
@@ -151,6 +151,6 @@ mod tests {
     #[test]
     fn config_with_cases() {
         assert_eq!(ProptestConfig::with_cases(48).cases, 48);
-        assert_eq!(ProptestConfig::default().cases, 64);
+        assert_eq!(ProptestConfig::default().cases, 256);
     }
 }

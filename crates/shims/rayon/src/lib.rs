@@ -1,11 +1,11 @@
 //! Offline stand-in for the `rayon` crate with a **real** thread pool.
 //!
 //! The workspace's build environment cannot reach crates.io, so this shim
-//! provides the rayon API subset the sources use — `par_iter()` /
-//! `par_iter_mut()` on slices, `par_chunks()`, `par_sort_unstable{,_by,_by_key}()`,
-//! `join`, `current_num_threads`, and `ThreadPoolBuilder` — executed on
-//! worker threads (`std::thread::scope`) that self-schedule chunks of work
-//! from a shared atomic cursor, a simple form of work stealing.
+//! provides the rayon API subset the sources use — `par_iter()` and
+//! `par_chunks()` on slices, optionally `enumerate`d, then `map`ped and
+//! `collect`ed into a `Vec`, plus `ThreadPoolBuilder` — executed on worker
+//! threads (`std::thread::scope`) that self-schedule tasks from a shared
+//! atomic cursor, a simple form of work stealing.
 //!
 //! # Thread count
 //!
@@ -23,22 +23,19 @@
 //! # Determinism contract
 //!
 //! Work is split at **fixed chunk boundaries that depend only on the input
-//! length**, never on the thread count ([`FIXED_CHUNK`] elements for the
-//! iterator drivers, [`SORT_CHUNK`] for the parallel sort, whose merge takes
-//! the left run on ties). Combined with the ordered reduction the call
-//! sites perform over chunk results, every result is bit-identical for any
-//! `SPH_THREADS` — which is what keeps conservation-drift SDC detection
-//! meaningful when the drift is measured on one thread count and checked on
-//! another.
+//! length**, never on the thread count: the `par_chunks(size)` each call
+//! site chooses. `collect` reassembles per-item outputs in input order, and
+//! the call sites reduce chunk results in order, so every result is
+//! bit-identical for any `SPH_THREADS` — which is what keeps
+//! conservation-drift SDC detection meaningful when the drift is measured
+//! on one thread count and checked on another.
 //!
 //! Swapping the real rayon back in remains a one-line change in the root
 //! `Cargo.toml`; every call site is written against real rayon semantics
 //! (`Fn + Sync` closures, no shared mutation).
 
-use std::cmp::Ordering as CmpOrdering;
-use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Upper bound on elements per task for the element-wise iterator drivers.
 /// Driver task granularity adapts to the input size (it cannot affect
@@ -46,11 +43,6 @@ use std::sync::{Mutex, OnceLock};
 /// chunk boundaries of the determinism contract are the ones the call
 /// sites choose via `par_chunks(size)` when they fold inside a chunk.
 pub const FIXED_CHUNK: usize = 256;
-
-/// Elements per leaf run of the parallel merge sort. Fixed — the merge
-/// order (and thus the permutation of equal keys) depends only on the input
-/// length, never on the thread count.
-pub const SORT_CHUNK: usize = 4096;
 
 /// `build_global` override; 0 = unset (fall back to env / hardware).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -172,57 +164,6 @@ where
     slots.into_iter().map(|s| s.expect("task not executed")).collect()
 }
 
-/// Hand disjoint `(base_index, chunk)` pieces of `v` to the pool.
-fn run_chunks_mut<T, F>(v: &mut [T], chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let workers = current_num_threads();
-    if workers == 1 || v.len() <= chunk {
-        for (c, piece) in v.chunks_mut(chunk).enumerate() {
-            f(c * chunk, piece);
-        }
-        return;
-    }
-    let queue: Mutex<Vec<(usize, &mut [T])>> = Mutex::new(
-        v.chunks_mut(chunk).enumerate().map(|(c, piece)| (c * chunk, piece)).rev().collect(),
-    );
-    let nworkers = {
-        let q = queue.lock().unwrap();
-        workers.min(q.len()).max(1)
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..nworkers {
-            scope.spawn(|| loop {
-                let item = queue.lock().unwrap().pop();
-                let Some((base, piece)) = item else { break };
-                f(base, piece);
-            });
-        }
-    });
-}
-
-/// `rayon::join`: run both closures, potentially in parallel, and return
-/// both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        let rb = hb.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-        (ra, rb)
-    })
-}
-
 // --------------------------------------------------------------------------
 // Parallel iterators
 // --------------------------------------------------------------------------
@@ -249,25 +190,6 @@ pub trait ParallelIterator: Sized + Sync {
 
     fn enumerate(self) -> Enumerate<Self> {
         Enumerate { base: self }
-    }
-
-    fn zip<B: ParallelIterator>(self, other: B) -> Zip<Self, B> {
-        Zip { a: self, b: other }
-    }
-
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync,
-    {
-        let n = self.pi_len();
-        let per_task = task_granularity(n);
-        run_tasks(n.div_ceil(per_task), |c| {
-            let start = c * per_task;
-            let end = n.min(start + per_task);
-            for i in start..end {
-                f(self.pi_get(i));
-            }
-        });
     }
 
     fn collect<C: FromParallelIterator<Self::Item>>(self) -> C {
@@ -374,240 +296,12 @@ impl<B: ParallelIterator> ParallelIterator for Enumerate<B> {
     }
 }
 
-/// `zip` stage (length = shorter side, like `std`/rayon).
-pub struct Zip<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: ParallelIterator, B: ParallelIterator> ParallelIterator for Zip<A, B> {
-    type Item = (A::Item, B::Item);
-
-    fn pi_len(&self) -> usize {
-        self.a.pi_len().min(self.b.pi_len())
-    }
-
-    fn pi_get(&self, index: usize) -> Self::Item {
-        (self.a.pi_get(index), self.b.pi_get(index))
-    }
-}
-
-/// Exclusive-slice source (`par_iter_mut()`). Reduced API: `for_each`,
-/// optionally after `enumerate` — the mutable counterpart of a gather
-/// loop. Chunks of [`FIXED_CHUNK`] elements run on the pool.
-pub struct IterMut<'data, T> {
-    slice: &'data mut [T],
-}
-
-impl<'data, T: Send> IterMut<'data, T> {
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut T) + Sync,
-    {
-        run_chunks_mut(self.slice, FIXED_CHUNK, |_base, chunk| {
-            for item in chunk {
-                f(item);
-            }
-        });
-    }
-
-    pub fn enumerate(self) -> EnumerateMut<'data, T> {
-        EnumerateMut { slice: self.slice }
-    }
-}
-
-/// `par_iter_mut().enumerate()`.
-pub struct EnumerateMut<'data, T> {
-    slice: &'data mut [T],
-}
-
-impl<T: Send> EnumerateMut<'_, T> {
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &mut T)) + Sync,
-    {
-        run_chunks_mut(self.slice, FIXED_CHUNK, |base, chunk| {
-            for (off, item) in chunk.iter_mut().enumerate() {
-                f((base + off, item));
-            }
-        });
-    }
-}
-
-// --------------------------------------------------------------------------
-// Parallel sort
-// --------------------------------------------------------------------------
-
-/// Raw destination pointer that may cross thread boundaries; every task
-/// writes a disjoint index range, which is what makes the sharing sound.
-struct SendPtr<T>(*mut T);
-
-// SAFETY: the pointer is only ever dereferenced inside `par_sort_impl`,
-// where each spawned task writes the disjoint half-open index range it was
-// handed — no two tasks alias, and the allocation outlives the scope that
-// joins them. Sending the address itself between threads is then sound.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: sharing `&SendPtr<T>` only exposes the raw address (`get`);
-// all writes through it target per-task disjoint ranges (see above), so
-// concurrent access cannot produce a data race.
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than field access) so closures capture the `Sync`
-    /// wrapper, not the raw pointer itself.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-/// Debug-build sanitizer backing the `SendPtr` SAFETY contract: before
-/// writing through the shared pointer, every task registers the half-open
-/// index range it is about to touch, and any overlap with a previously
-/// claimed range panics immediately instead of silently racing. Release
-/// builds compile this to a zero-sized no-op.
-struct DisjointClaims {
-    #[cfg(debug_assertions)]
-    claimed: Mutex<Vec<(usize, usize)>>,
-}
-
-impl DisjointClaims {
-    fn new() -> Self {
-        DisjointClaims {
-            #[cfg(debug_assertions)]
-            claimed: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Claim `[start, end)` for exclusive writes. Panics (debug builds
-    /// only) when the range intersects one already claimed this level.
-    #[allow(unused_variables)]
-    fn claim(&self, start: usize, end: usize) {
-        #[cfg(debug_assertions)]
-        {
-            let mut claimed = self.claimed.lock().unwrap_or_else(|e| e.into_inner());
-            for &(s, e) in claimed.iter() {
-                assert!(
-                    end <= s || e <= start,
-                    "SendPtr range overlap: task claims [{start}, {end}) but [{s}, {e}) is \
-                     already claimed — the chunk split is not disjoint"
-                );
-            }
-            claimed.push((start, end));
-        }
-    }
-
-    /// Forget all claims — the next merge level reuses the same buffers.
-    fn reset(&self) {
-        #[cfg(debug_assertions)]
-        self.claimed.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-}
-
-/// Merge the sorted runs `src[..mid]` and `src[mid..]` into `dst`, taking
-/// the left run on ties (stable ⇒ deterministic permutation).
-///
-/// # Safety
-///
-/// `dst` must be valid for `src.len()` writes and disjoint from `src`.
-/// Elements are moved bitwise; the caller must treat `src` as moved-from
-/// (only sound for `!needs_drop` types, which the caller checks).
-unsafe fn merge_runs<T, F>(src: &[T], mid: usize, dst: *mut T, cmp: &F)
-where
-    F: Fn(&T, &T) -> CmpOrdering,
-{
-    let (mut i, mut j, mut k) = (0usize, mid, 0usize);
-    while i < mid && j < src.len() {
-        let take_left = cmp(&src[i], &src[j]) != CmpOrdering::Greater;
-        let from = if take_left { &src[i] } else { &src[j] };
-        std::ptr::write(dst.add(k), std::ptr::read(from));
-        i += usize::from(take_left);
-        j += usize::from(!take_left);
-        k += 1;
-    }
-    while i < mid {
-        std::ptr::write(dst.add(k), std::ptr::read(&src[i]));
-        i += 1;
-        k += 1;
-    }
-    while j < src.len() {
-        std::ptr::write(dst.add(k), std::ptr::read(&src[j]));
-        j += 1;
-        k += 1;
-    }
-}
-
-/// Parallel merge sort: sort [`SORT_CHUNK`]-sized runs on the pool, then
-/// merge pairs of runs level by level, ping-ponging between `v` and one
-/// scratch buffer. Falls back to `slice::sort_unstable_by` for small
-/// inputs, one thread, or element types with drop glue (the bitwise-move
-/// merge would double-drop them).
-fn par_merge_sort_by<T, F>(v: &mut [T], cmp: F)
-where
-    T: Send,
-    F: Fn(&T, &T) -> CmpOrdering + Sync,
-{
-    let n = v.len();
-    // The algorithm choice must NOT depend on the thread count: the chunked
-    // merge and a monolithic sort_unstable permute equal keys differently,
-    // and the determinism contract promises one permutation for any
-    // `SPH_THREADS`. (With one worker the chunked path simply runs its
-    // tasks sequentially.)
-    if std::mem::needs_drop::<T>() || n <= SORT_CHUNK {
-        v.sort_unstable_by(|a, b| cmp(a, b));
-        return;
-    }
-
-    run_chunks_mut(v, SORT_CHUNK, |_base, run| run.sort_unstable_by(|a, b| cmp(a, b)));
-
-    let mut scratch: Vec<MaybeUninit<T>> = Vec::with_capacity(n);
-    // SAFETY: MaybeUninit<T> needs no initialisation; length ≤ capacity.
-    unsafe { scratch.set_len(n) };
-    let scratch_ptr = scratch.as_mut_ptr() as *mut T;
-    let v_ptr = v.as_mut_ptr();
-
-    let mut width = SORT_CHUNK;
-    let mut data_in_v = true;
-    let claims = DisjointClaims::new();
-    while width < n {
-        let (src_root, dst_root) =
-            if data_in_v { (v_ptr, scratch_ptr) } else { (scratch_ptr, v_ptr) };
-        let src_token = SendPtr(src_root);
-        let dst_token = SendPtr(dst_root);
-        let npairs = n.div_ceil(2 * width);
-        run_tasks(npairs, |p| {
-            let start = p * 2 * width;
-            let end = n.min(start + 2 * width);
-            let mid = width.min(end - start);
-            // Debug builds verify the SAFETY contract the comment below
-            // asserts: no two tasks may write overlapping dst ranges.
-            claims.claim(start, end);
-            // SAFETY: each task owns the disjoint range [start, end) of both
-            // buffers; src holds initialised (sorted-run) elements from the
-            // previous level; dst is valid for writes; T has no drop glue.
-            unsafe {
-                let src =
-                    std::slice::from_raw_parts(src_token.get().add(start) as *const T, end - start);
-                merge_runs(src, mid, dst_token.get().add(start), &cmp);
-            }
-        });
-        claims.reset();
-        data_in_v = !data_in_v;
-        width *= 2;
-    }
-    if !data_in_v {
-        // SAFETY: scratch holds all n initialised elements; buffers disjoint.
-        unsafe { std::ptr::copy_nonoverlapping(scratch_ptr as *const T, v_ptr, n) };
-    }
-    // `MaybeUninit` never drops its payload, so scratch cannot double-free
-    // the elements that were moved back into `v`.
-}
-
 // --------------------------------------------------------------------------
 // Prelude traits
 // --------------------------------------------------------------------------
 
 pub mod prelude {
-    use super::{Chunks, Iter, IterMut};
+    use super::{Chunks, Iter};
     pub use super::{FromParallelIterator, ParallelIterator};
 
     /// `par_iter()` for shared slices.
@@ -622,19 +316,6 @@ pub mod prelude {
         type Item = &'data T;
         fn par_iter(&'data self) -> Self::Iter {
             Iter { slice: self }
-        }
-    }
-
-    /// `par_iter_mut()` for exclusive slices.
-    pub trait IntoParallelRefMutIterator<'data> {
-        type Iter;
-        fn par_iter_mut(&'data mut self) -> Self::Iter;
-    }
-
-    impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for [T] {
-        type Iter = IterMut<'data, T>;
-        fn par_iter_mut(&'data mut self) -> Self::Iter {
-            IterMut { slice: self }
         }
     }
 
@@ -657,39 +338,6 @@ pub mod prelude {
             self
         }
     }
-
-    /// Sorting entry points from `rayon::slice::ParallelSliceMut`.
-    pub trait ParallelSliceMut<T: Send> {
-        fn as_parallel_slice_mut(&mut self) -> &mut [T];
-
-        fn par_sort_unstable(&mut self)
-        where
-            T: Ord,
-        {
-            super::par_merge_sort_by(self.as_parallel_slice_mut(), T::cmp);
-        }
-
-        fn par_sort_unstable_by<F>(&mut self, cmp: F)
-        where
-            F: Fn(&T, &T) -> core::cmp::Ordering + Sync,
-        {
-            super::par_merge_sort_by(self.as_parallel_slice_mut(), cmp);
-        }
-
-        fn par_sort_unstable_by_key<K, F>(&mut self, key: F)
-        where
-            K: Ord,
-            F: Fn(&T) -> K + Sync,
-        {
-            super::par_merge_sort_by(self.as_parallel_slice_mut(), |a, b| key(a).cmp(&key(b)));
-        }
-    }
-
-    impl<T: Send> ParallelSliceMut<T> for [T] {
-        fn as_parallel_slice_mut(&mut self) -> &mut [T] {
-            self
-        }
-    }
 }
 
 #[cfg(test)]
@@ -709,15 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_zip_enumerate() {
-        let a = [1, 2, 3];
-        let b = [10, 20, 30];
-        let s: Vec<(usize, i32)> =
-            a.par_iter().zip(b.par_iter()).enumerate().map(|(i, (x, y))| (i, x + y)).collect();
-        assert_eq!(s, vec![(0, 11), (1, 22), (2, 33)]);
-    }
-
-    #[test]
     fn par_chunks_cover_slice_in_order() {
         let v: Vec<u32> = (0..1000).collect();
         let sums: Vec<u32> = v.par_chunks(64).map(|c| c.iter().sum::<u32>()).collect();
@@ -728,98 +367,14 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_mut_for_each_touches_everything() {
-        let mut v = vec![1i32; 5000];
-        v.par_iter_mut().for_each(|x| *x += 1);
-        assert!(v.iter().all(|&x| x == 2));
-        v.par_iter_mut().enumerate().for_each(|(i, x)| *x = i as i32);
-        assert_eq!(v[4999], 4999);
-    }
-
-    #[test]
-    fn for_each_runs_once_per_item() {
-        let count = AtomicUsize::new(0);
-        let v = vec![0u8; 3000];
-        v.par_iter().for_each(|_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 3000);
-    }
-
-    #[test]
-    fn par_sort_unstable_sorts_large_input() {
-        // Big enough to exercise the parallel merge path (> SORT_CHUNK).
-        let mut v: Vec<(u64, u32)> =
-            (0..20_000u64).map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15) >> 20, i as u32)).collect();
-        let mut reference = v.clone();
-        reference.sort_unstable();
-        v.par_sort_unstable();
-        assert_eq!(v, reference);
-    }
-
-    #[test]
-    fn par_sort_is_thread_count_invariant() {
-        // Duplicate keys on purpose: the fixed chunking + left-on-ties merge
-        // must give one permutation regardless of worker count.
-        let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let base: Vec<(u64, u32)> = (0..30_000u64).map(|i| (i % 97, i as u32)).collect();
-        let mut results = Vec::new();
-        for threads in [1usize, 2, 5] {
-            super::ThreadPoolBuilder::new().num_threads(threads).build_global().unwrap();
-            let mut v = base.clone();
-            v.par_sort_unstable_by_key(|&(k, _)| k);
-            results.push(v);
-        }
-        super::ThreadPoolBuilder::new().num_threads(0).build_global().unwrap();
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
-    }
-
-    #[test]
-    fn par_sort_by_custom_comparator() {
-        let mut v: Vec<u64> = (0..10_000).map(|i| (i * 7919) % 10_007).collect();
-        let mut reference = v.clone();
-        reference.sort_unstable_by(|a, b| b.cmp(a));
-        v.par_sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(v, reference);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "SendPtr range overlap")]
-    fn overlapping_chunk_split_panics() {
-        // Simulate a buggy merge-level split: stride `width` but task size
-        // `2 * width`, so consecutive tasks overlap by half. The sanitizer
-        // must catch the first overlapping claim.
-        let claims = super::DisjointClaims::new();
-        let (n, width) = (4 * super::SORT_CHUNK, super::SORT_CHUNK);
-        for p in 0..3 {
-            let start = p * width; // BUG: should stride by 2 * width
-            let end = n.min(start + 2 * width);
-            claims.claim(start, end);
-        }
-    }
-
-    #[test]
-    fn disjoint_claims_pass_and_reset_reopens_ranges() {
-        // The correct level split — disjoint pair ranges — must not trip
-        // the sanitizer, and reset() must allow the next level to claim
-        // the same indices again.
-        let claims = super::DisjointClaims::new();
-        let (n, width) = (5 * super::SORT_CHUNK, super::SORT_CHUNK);
-        for p in 0..n.div_ceil(2 * width) {
-            let start = p * 2 * width;
-            claims.claim(start, n.min(start + 2 * width));
-        }
-        claims.reset();
-        claims.claim(0, n); // whole buffer, legal again after reset
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = super::join(|| 1 + 1, || "x".to_string() + "y");
-        assert_eq!(a, 2);
-        assert_eq!(b, "xy");
+    fn par_chunks_enumerate_yields_chunk_indices() {
+        let v: Vec<u32> = (0..100).collect();
+        let firsts: Vec<(usize, u32)> =
+            v.par_chunks(7).enumerate().map(|(i, c)| (i, c[0])).collect();
+        assert_eq!(
+            firsts,
+            (0..100usize.div_ceil(7)).map(|i| (i, 7 * i as u32)).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -839,22 +394,24 @@ mod tests {
         super::ThreadPoolBuilder::new().num_threads(2).build_global().unwrap();
         let arrivals = AtomicUsize::new(0);
         let v = vec![0u8; 2 * super::FIXED_CHUNK]; // exactly two chunks
-        let overlapped = AtomicUsize::new(0);
-        v.par_chunks(super::FIXED_CHUNK).for_each(|_| {
-            arrivals.fetch_add(1, Ordering::SeqCst);
-            // Wait (bounded) for the other chunk's worker.
-            for spin in 0..10_000_000u64 {
-                if arrivals.load(Ordering::SeqCst) == 2 {
-                    overlapped.fetch_add(1, Ordering::SeqCst);
-                    break;
+        let overlapped: Vec<bool> = v
+            .par_chunks(super::FIXED_CHUNK)
+            .map(|_| {
+                arrivals.fetch_add(1, Ordering::SeqCst);
+                // Wait (bounded) for the other chunk's worker.
+                for spin in 0..10_000_000u64 {
+                    if arrivals.load(Ordering::SeqCst) == 2 {
+                        return true;
+                    }
+                    if spin % 1000 == 0 {
+                        std::thread::yield_now();
+                    }
+                    std::hint::spin_loop();
                 }
-                if spin % 1000 == 0 {
-                    std::thread::yield_now();
-                }
-                std::hint::spin_loop();
-            }
-        });
+                false
+            })
+            .collect();
         super::ThreadPoolBuilder::new().num_threads(0).build_global().unwrap();
-        assert_eq!(overlapped.load(Ordering::SeqCst), 2, "chunks never ran concurrently");
+        assert_eq!(overlapped, [true, true], "chunks never ran concurrently");
     }
 }

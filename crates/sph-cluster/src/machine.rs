@@ -141,9 +141,9 @@ mod tests {
 
     #[test]
     fn hybrid_threads_speed_up_compute_only() {
-        // The measured 4-thread speedup of the rayon shim (bench
-        // sph_step_threads) feeds in as efficiency; compute shrinks by the
-        // modelled speedup while the network model is untouched.
+        // A measured 4-thread parallel efficiency feeds in; compute
+        // shrinks by the modelled speedup while the network model is
+        // untouched.
         let flat = piz_daint();
         let hybrid = piz_daint().with_threads(4, 0.8);
         assert!((hybrid.thread_speedup() - 3.4).abs() < 1e-12);

@@ -13,7 +13,7 @@
 //! * [`pop`] — the POP metric calculator;
 //! * [`gantt`] — an ASCII Paraver-style timeline renderer (Fig. 4
 //!   analogue);
-//! * [`timers`] — wall-time phase timers for the Criterion benches.
+//! * [`timers`] — wall-time phase timers for measured runs.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod gantt;

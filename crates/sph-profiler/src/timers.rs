@@ -1,16 +1,17 @@
 //! Wall-clock phase timers.
 //!
 //! For the *measured* (as opposed to modelled) side of the reproduction:
-//! the Criterion benches and the examples time the real Rust execution of
-//! each Algorithm 1 phase on the host machine. Thread-safe so rayon
-//! workers can report concurrently.
+//! the simulations and the examples time the real Rust execution of each
+//! Algorithm 1 phase on the host machine. Thread-safe so rayon workers can
+//! report concurrently; a worker that panics while holding the lock does
+//! not poison the timers for everyone else.
 
 // sph-profiler is the sanctioned home of clock reads (clippy.toml bans
 // them elsewhere).
 #![allow(clippy::disallowed_methods)]
 
 use crate::phase::Phase;
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Accumulated wall time per phase.
@@ -24,6 +25,12 @@ impl PhaseTimers {
         Self::default()
     }
 
+    /// The accumulators, recovered from poisoning: a holder can only
+    /// panic between whole `+=` updates, so the array is never torn.
+    fn acc(&self) -> MutexGuard<'_, [f64; 10]> {
+        self.acc.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn index(phase: Phase) -> usize {
         // `Phase::all()` lists variants in declaration order, so the
         // discriminant IS the slot (asserted by `index_matches_all_order`).
@@ -35,37 +42,37 @@ impl PhaseTimers {
         let start = Instant::now();
         let out = f();
         let dt = start.elapsed().as_secs_f64();
-        self.acc.lock()[Self::index(phase)] += dt;
+        self.acc()[Self::index(phase)] += dt;
         out
     }
 
     /// Add an externally measured duration.
     pub fn add(&self, phase: Phase, seconds: f64) {
         assert!(seconds >= 0.0);
-        self.acc.lock()[Self::index(phase)] += seconds;
+        self.acc()[Self::index(phase)] += seconds;
     }
 
     /// Accumulated seconds for a phase.
     pub fn get(&self, phase: Phase) -> f64 {
-        self.acc.lock()[Self::index(phase)]
+        self.acc()[Self::index(phase)]
     }
 
     /// Total across phases.
     pub fn total(&self) -> f64 {
-        self.acc.lock().iter().sum()
+        self.acc().iter().sum()
     }
 
     /// (phase, seconds) pairs in execution order.
     pub fn snapshot(&self) -> Vec<(Phase, f64)> {
-        let acc = self.acc.lock();
+        let acc = self.acc();
         Phase::all().iter().map(|&p| (p, acc[Self::index(p)])).collect()
     }
 
     /// Fold another timer's accumulators into this one — e.g. aggregating
     /// the per-rank timers of a distributed run into one global view.
     pub fn merge_from(&self, other: &PhaseTimers) {
-        let theirs = *other.acc.lock();
-        let mut acc = self.acc.lock();
+        let theirs = *other.acc();
+        let mut acc = self.acc();
         for (a, t) in acc.iter_mut().zip(theirs) {
             *a += t;
         }
@@ -73,7 +80,7 @@ impl PhaseTimers {
 
     /// Reset all accumulators.
     pub fn reset(&self) {
-        *self.acc.lock() = [0.0; 10];
+        *self.acc() = [0.0; 10];
     }
 
     /// Render a one-step timing report.
@@ -173,5 +180,20 @@ mod tests {
             h.join().unwrap();
         }
         assert!((timers.get(Phase::Energy) - 0.8).abs() < 1e-9);
+    }
+
+    #[test]
+    fn timers_survive_a_panicking_lock_holder() {
+        let timers = std::sync::Arc::new(PhaseTimers::new());
+        timers.add(Phase::Density, 1.0);
+        let t = timers.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = t.acc();
+            panic!("poison attempt");
+        })
+        .join();
+        assert!(timers.acc.is_poisoned());
+        timers.add(Phase::Density, 0.5);
+        assert_eq!(timers.get(Phase::Density), 1.5);
     }
 }

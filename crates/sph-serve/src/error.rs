@@ -15,6 +15,9 @@ pub enum ServeError {
     /// The HTTP request itself could not be parsed (bad request line,
     /// oversized headers/body, non-UTF-8 payload).
     MalformedRequest(String),
+    /// The client sent no complete request before the connection's read
+    /// timeout.
+    RequestTimeout,
     /// The request body was not valid JSON.
     MalformedJson(String),
     /// The JSON parsed but a parameter is missing, mistyped, or out of
@@ -44,6 +47,7 @@ impl ServeError {
             ServeError::MalformedRequest(_)
             | ServeError::MalformedJson(_)
             | ServeError::InvalidParam(_) => 400,
+            ServeError::RequestTimeout => 408,
             ServeError::UnknownScenario(_)
             | ServeError::JobNotFound(_)
             | ServeError::RouteNotFound(_) => 404,
@@ -57,6 +61,7 @@ impl ServeError {
     pub fn code(&self) -> &'static str {
         match self {
             ServeError::MalformedRequest(_) => "malformed_request",
+            ServeError::RequestTimeout => "request_timeout",
             ServeError::MalformedJson(_) => "malformed_json",
             ServeError::InvalidParam(_) => "invalid_param",
             ServeError::UnknownScenario(_) => "unknown_scenario",
@@ -93,6 +98,9 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::MalformedRequest(m) => write!(f, "malformed HTTP request: {m}"),
+            ServeError::RequestTimeout => {
+                write!(f, "no complete request arrived within the connection timeout")
+            }
             ServeError::MalformedJson(m) => write!(f, "request body is not valid JSON: {m}"),
             ServeError::InvalidParam(m) => write!(f, "invalid parameter: {m}"),
             ServeError::UnknownScenario(name) => {
@@ -126,6 +134,7 @@ mod tests {
     #[test]
     fn statuses_partition_by_fault_owner() {
         assert_eq!(ServeError::MalformedJson("x".into()).status(), 400);
+        assert_eq!(ServeError::RequestTimeout.status(), 408);
         assert_eq!(ServeError::UnknownScenario("x".into()).status(), 404);
         assert_eq!(
             ServeError::MethodNotAllowed { method: "PUT".into(), path: "/jobs".into() }.status(),

@@ -10,7 +10,7 @@
 //! it on in-memory buffers without sockets.
 
 use crate::error::ServeError;
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Maximum bytes of request line + headers we will buffer.
@@ -44,7 +44,7 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<Request, ServeError> {
             .by_ref()
             .take(budget)
             .read_until(b'\n', &mut head)
-            .map_err(|e| ServeError::MalformedRequest(format!("read: {e}")))?;
+            .map_err(|e| read_error("read", &e))?;
         if n == 0 {
             if head.is_empty() {
                 return Err(ServeError::MalformedRequest("empty request".into()));
@@ -98,13 +98,20 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<Request, ServeError> {
     }
 
     let mut body = vec![0u8; content_length];
-    stream
-        .read_exact(&mut body)
-        .map_err(|e| ServeError::MalformedRequest(format!("short body: {e}")))?;
+    stream.read_exact(&mut body).map_err(|e| read_error("short body", &e))?;
     let body = String::from_utf8(body)
         .map_err(|_| ServeError::MalformedRequest("body is not UTF-8".into()))?;
 
     Ok(Request { method, path, body })
+}
+
+/// A read cut off by the socket's read timeout is the client's silence
+/// (408); any other failure is a malformed request (400).
+fn read_error(what: &str, e: &std::io::Error) -> ServeError {
+    match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => ServeError::RequestTimeout,
+        _ => ServeError::MalformedRequest(format!("{what}: {e}")),
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,6 +136,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             429 => "Too Many Requests",
             500 => "Internal Server Error",
             _ => "Unknown",
@@ -258,6 +266,32 @@ mod tests {
         let req = read_request(&mut std::io::BufReader::new(&mut counting)).unwrap();
         assert_eq!(req.body, body);
         assert!(counting.reads <= 2, "{} underlying reads for a 1 KiB POST", counting.reads);
+    }
+
+    /// Yields `bytes`, then fails the way a socket read timeout does.
+    struct StallingReader<'a> {
+        bytes: &'a [u8],
+    }
+
+    impl Read for StallingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.bytes.is_empty() {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_read_timeout_is_408_in_the_head_and_in_the_body() {
+        let post = b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
+        for bytes in [&b""[..], &b"GET /healthz HTTP/1.1\r\n"[..], &post[..]] {
+            let mut stalling = std::io::BufReader::new(StallingReader { bytes });
+            let err = read_request(&mut stalling).unwrap_err();
+            assert_eq!(err.status(), 408, "{err}");
+            let response = Response::from_error(&err);
+            assert_eq!(response.reason(), "Request Timeout");
+        }
     }
 
     #[test]

@@ -371,9 +371,19 @@ fn accept_loop(inner: &Inner, listener: &TcpListener) {
     }
 }
 
+/// Read and write timeout of every accepted connection. Requests are
+/// answered on the acceptor thread, so this bounds how long one silent
+/// or stalled client can hold it.
+const CONNECTION_TIMEOUT: Duration = Duration::from_secs(5);
+
 fn handle_connection(inner: &Inner, mut stream: TcpStream) {
     inner.requests.fetch_add(1, Ordering::SeqCst);
-    let response = match read_request(&mut BufReader::new(&stream)) {
+    let request = stream
+        .set_read_timeout(Some(CONNECTION_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(CONNECTION_TIMEOUT)))
+        .map_err(|e| ServeError::Io(format!("set socket timeouts: {e}")))
+        .and_then(|()| read_request(&mut BufReader::new(&stream)));
+    let response = match request {
         Ok(req) => route_request(inner, &req),
         Err(err) => Response::from_error(&err),
     };

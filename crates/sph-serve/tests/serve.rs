@@ -10,6 +10,9 @@
 
 use sph_json::Value;
 use sph_serve::{http_call, AdmissionConfig, Server, ServerConfig};
+use std::io::Read;
+use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn test_config() -> ServerConfig {
@@ -236,4 +239,25 @@ fn durable_results_survive_a_server_restart() {
     assert_eq!(hit.get("cached").and_then(Value::as_bool), Some(true));
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_silent_client_cannot_stall_the_only_acceptor() {
+    let server = Server::start(test_config()).expect("start");
+    let addr = server.addr().to_string();
+    // Connected but silent, and first in the accept queue of the one
+    // acceptor thread: its read timeout must free that thread.
+    let mut idle = TcpStream::connect(&addr).expect("connect");
+    let (tx, rx) = mpsc::channel();
+    let healthz_addr = addr.clone();
+    std::thread::spawn(move || tx.send(http_call(&healthz_addr, "GET", "/healthz", "")));
+    // The server's connection timeout is 5 s; the rest is margin.
+    let reply =
+        rx.recv_timeout(Duration::from_secs(20)).expect("healthz stalled behind the idle client");
+    assert_eq!(reply.expect("healthz call").0, 200);
+    // The silent client is told why it was dropped.
+    let mut raw = String::new();
+    idle.read_to_string(&mut raw).expect("read the 408");
+    assert!(raw.starts_with("HTTP/1.1 408 Request Timeout"), "{raw}");
+    server.shutdown();
 }

@@ -669,11 +669,7 @@ mod tests {
     #[test]
     fn barnes_hut_matches_direct_sum() {
         let (pos, masses) = random_system(800, 9);
-        let tree = Octree::build(
-            &pos,
-            &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 16, parallel_sort: false },
-        );
+        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size: 16 });
         for (theta, order, tol) in [
             (0.5, MultipoleOrder::Monopole, 3e-2),
             (0.5, MultipoleOrder::Quadrupole, 6e-3),
@@ -698,11 +694,7 @@ mod tests {
         // a fixed opening angle (the point of carrying them: ChaNGa's
         // 16-pole expansion buys accuracy per accepted cell).
         let (pos, masses) = random_system(700, 21);
-        let tree = Octree::build(
-            &pos,
-            &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 16, parallel_sort: false },
-        );
+        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size: 16 });
         let theta = 0.5;
         let mut errs = Vec::new();
         for order in
@@ -725,11 +717,7 @@ mod tests {
     #[test]
     fn octupole_potential_matches_direct_sum_tightly() {
         let (pos, masses) = random_system(400, 29);
-        let tree = Octree::build(
-            &pos,
-            &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 16, parallel_sort: false },
-        );
+        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size: 16 });
         let solver = build_solver(&tree, &masses, 0.5, MultipoleOrder::Octupole);
         let mut st = TraversalStats::default();
         for i in [5usize, 111, 333] {
@@ -750,11 +738,7 @@ mod tests {
     #[test]
     fn quadrupole_beats_monopole() {
         let (pos, masses) = random_system(600, 12);
-        let tree = Octree::build(
-            &pos,
-            &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 16, parallel_sort: false },
-        );
+        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size: 16 });
         let mono = build_solver(&tree, &masses, 0.7, MultipoleOrder::Monopole);
         let quad = build_solver(&tree, &masses, 0.7, MultipoleOrder::Quadrupole);
         let mut err_mono = 0.0;
@@ -776,11 +760,7 @@ mod tests {
     #[test]
     fn smaller_theta_costs_more_interactions() {
         let (pos, masses) = random_system(2000, 15);
-        let tree = Octree::build(
-            &pos,
-            &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 16, parallel_sort: false },
-        );
+        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size: 16 });
         let loose = build_solver(&tree, &masses, 0.9, MultipoleOrder::Monopole);
         let tight = build_solver(&tree, &masses, 0.3, MultipoleOrder::Monopole);
         let (_, st_loose) = loose.accelerations(&pos);
@@ -798,11 +778,7 @@ mod tests {
         // Direct sum: Σ m a = 0 exactly (Newton's third law); Barnes–Hut
         // violates it only at the multipole truncation level.
         let (pos, masses) = random_system(300, 33);
-        let tree = Octree::build(
-            &pos,
-            &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 8, parallel_sort: false },
-        );
+        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size: 8 });
         let solver = build_solver(&tree, &masses, 0.4, MultipoleOrder::Quadrupole);
         let (samples, _) = solver.accelerations(&pos);
         let net: Vec3 =
@@ -830,11 +806,7 @@ mod tests {
     #[test]
     fn potential_matches_direct_sum() {
         let (pos, masses) = random_system(400, 50);
-        let tree = Octree::build(
-            &pos,
-            &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 16, parallel_sort: false },
-        );
+        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size: 16 });
         let solver = build_solver(&tree, &masses, 0.4, MultipoleOrder::Quadrupole);
         let mut st = TraversalStats::default();
         for i in [0usize, 111, 333] {
@@ -889,11 +861,7 @@ mod tests {
             [("uniform", random_system(600, 71)), ("condensed", condensed_system(600, 72))];
         for (cloud, (pos, masses)) in &clouds {
             for max_leaf_size in [1, 8, 32] {
-                let tree = Octree::build(
-                    pos,
-                    &Aabb::unit(),
-                    OctreeConfig { max_leaf_size, parallel_sort: false },
-                );
+                let tree = Octree::build(pos, &Aabb::unit(), OctreeConfig { max_leaf_size });
                 for order in
                     [MultipoleOrder::Monopole, MultipoleOrder::Quadrupole, MultipoleOrder::Octupole]
                 {
@@ -942,11 +910,7 @@ mod tests {
         let (mut pos, _) = random_system(40, 5);
         pos.extend(std::iter::repeat_n(Vec3::splat(0.25), 100));
         let masses = vec![1.0 / 140.0; 140];
-        let tree = Octree::build(
-            &pos,
-            &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 4, parallel_sort: false },
-        );
+        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size: 4 });
         let fat = tree.nodes().iter().find(|n| n.is_leaf() && n.count() == 100).expect("fat leaf");
         assert!(fat.count() > 3 * LANES);
         assert_eq!(u32::from(fat.depth), BITS_PER_AXIS);
@@ -964,11 +928,7 @@ mod tests {
     fn zero_softening_self_lane_never_reaches_the_fold() {
         // With ε = 0 the target's own lane holds 0·∞ = NaN in the buffers.
         let (pos, masses) = condensed_system(300, 13);
-        let tree = Octree::build(
-            &pos,
-            &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 8, parallel_sort: false },
-        );
+        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size: 8 });
         let config = GravityConfig { softening: 0.0, ..GravityConfig::default() };
         let solver = GravitySolver::new(&tree, &masses, config);
         for (i, &p) in pos.iter().enumerate() {

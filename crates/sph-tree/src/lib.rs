@@ -13,8 +13,8 @@
 //! This crate provides:
 //! * [`morton`] — 63-bit Morton (Z-order) keys, also reused by the SFC
 //!   domain decomposition in `sph-domain`;
-//! * [`octree`] — a linear octree built over Morton-sorted particles, with
-//!   a rayon-parallel construction path (gravity's structure);
+//! * [`octree`] — a linear octree built over Morton-sorted particles
+//!   (gravity's structure);
 //! * [`cell_list`] — the uniform-grid ball queries with optional per-axis
 //!   periodicity (the square patch wraps in z) and the CSR neighbour lists
 //!   every SPH kernel pass streams over;

@@ -1,19 +1,18 @@
 //! Linear octree over Morton-sorted particles.
 //!
 //! Step 1 of Algorithm 1 ("Build tree"). The tree is rebuilt every time-step
-//! because SPH neighbourhoods change continuously (§3); construction cost
-//! therefore matters and is dominated by the key sort, which is done with
-//! rayon's parallel sort. The topology pass is a linear-time recursion over
-//! the sorted key ranges — each node owns a *contiguous* slice of the
-//! reordered particle array, which keeps leaf scans cache-friendly and makes
-//! the tree trivially cheap to walk.
+//! because SPH neighbourhoods change continuously (§3); construction is one
+//! sort of the Morton keys plus a linear-time recursion over the sorted key
+//! ranges — each node owns a *contiguous* slice of the reordered particle
+//! array, which keeps leaf scans cache-friendly and makes the tree trivially
+//! cheap to walk.
 //!
 //! The Extrae analysis in the paper (Fig. 4, phase A) showed SPHYNX's tree
-//! build was serial and a scalability bottleneck; the parallel sort +
-//! linear topology here is the mini-app answer to that finding.
+//! build was serial and a scalability bottleneck. This build is serial too,
+//! but sort + linear topology keeps it a small share of a gravity step (the
+//! benchmark's `sph-tree.octree_build_s` row).
 
 use crate::morton::{self, BITS_PER_AXIS};
-use rayon::prelude::*;
 use sph_math::{Aabb, Vec3};
 
 /// Sentinel for "no child".
@@ -24,14 +23,11 @@ const NO_CHILD: u32 = u32::MAX;
 pub struct OctreeConfig {
     /// Maximum number of particles in a leaf before it is split.
     pub max_leaf_size: usize,
-    /// Use rayon for the key sort (the topology pass is always sequential
-    /// and linear). Disabled in the deterministic single-thread tests.
-    pub parallel_sort: bool,
 }
 
 impl Default for OctreeConfig {
     fn default() -> Self {
-        OctreeConfig { max_leaf_size: 32, parallel_sort: true }
+        OctreeConfig { max_leaf_size: 32 }
     }
 }
 
@@ -87,7 +83,9 @@ impl Octree {
         assert!(!positions.is_empty(), "octree: empty particle set");
         let root_cell = bounds.bounding_cube();
 
-        // Phase 1: keys + parallel sort (the expensive part; Fig. 4 phase A).
+        // Phase 1: keys + sort (the expensive part; Fig. 4 phase A). The
+        // keys are unique (`i` breaks Morton ties), so the permutation is the
+        // one sorted order whatever the sort algorithm.
         // The finite check is a real assert (not debug): a NaN coordinate
         // would otherwise quantise to cell 0 and scramble the tree silently,
         // and only this loop knows which particle to blame.
@@ -99,11 +97,7 @@ impl Octree {
                 (morton::encode_point(*p, &root_cell), i as u32)
             })
             .collect();
-        if config.parallel_sort {
-            keyed.par_sort_unstable();
-        } else {
-            keyed.sort_unstable();
-        }
+        keyed.sort_unstable();
         let order: Vec<u32> = keyed.iter().map(|&(_, i)| i).collect();
         let keys: Vec<u64> = keyed.iter().map(|&(k, _)| k).collect();
         let sorted_pos: Vec<Vec3> = order.iter().map(|&i| positions[i as usize]).collect();
@@ -244,11 +238,7 @@ mod tests {
     fn build(n: usize, leaf: usize) -> (Vec<Vec3>, Octree) {
         let pts = random_points(n, 99);
         let bounds = Aabb::unit();
-        let tree = Octree::build(
-            &pts,
-            &bounds,
-            OctreeConfig { max_leaf_size: leaf, parallel_sort: false },
-        );
+        let tree = Octree::build(&pts, &bounds, OctreeConfig { max_leaf_size: leaf });
         (pts, tree)
     }
 
@@ -345,21 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_sort_agree() {
-        let pts = random_points(4000, 7);
-        let b = Aabb::unit();
-        let t1 = Octree::build(&pts, &b, OctreeConfig { max_leaf_size: 32, parallel_sort: false });
-        let t2 = Octree::build(&pts, &b, OctreeConfig { max_leaf_size: 32, parallel_sort: true });
-        // Same node count and same sorted positions (keys are unique with
-        // overwhelming probability at 21-bit resolution).
-        assert_eq!(t1.nodes().len(), t2.nodes().len());
-        assert_eq!(t1.sorted_positions().len(), t2.sorted_positions().len());
-        for (a, b) in t1.sorted_positions().iter().zip(t2.sorted_positions()) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn single_particle_tree() {
         let pts = vec![Vec3::splat(0.5)];
         let tree = Octree::build(&pts, &Aabb::unit(), OctreeConfig::default());
@@ -373,11 +348,7 @@ mod tests {
         // Pathological but legal: all particles at one point. The depth
         // guard must terminate the recursion.
         let pts = vec![Vec3::splat(0.25); 100];
-        let tree = Octree::build(
-            &pts,
-            &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 4, parallel_sort: false },
-        );
+        let tree = Octree::build(&pts, &Aabb::unit(), OctreeConfig { max_leaf_size: 4 });
         assert_eq!(tree.len(), 100);
         // One deep chain ending in a fat leaf.
         let leaf = tree.nodes().iter().find(|n| n.is_leaf()).unwrap();
@@ -416,7 +387,7 @@ mod tests {
             })
             .collect();
         let uniform = random_points(4000, 6);
-        let cfg = OctreeConfig { max_leaf_size: 16, parallel_sort: false };
+        let cfg = OctreeConfig { max_leaf_size: 16 };
         let tc = Octree::build(&clustered, &Aabb::unit(), cfg);
         let tu = Octree::build(&uniform, &Aabb::unit(), cfg);
         assert!(

@@ -41,7 +41,7 @@ proptest! {
         let tree = Octree::build(
             &pts,
             &Aabb::unit(),
-            OctreeConfig { max_leaf_size: leaf, parallel_sort: false },
+            OctreeConfig { max_leaf_size: leaf },
         );
         let mut seen = vec![false; pts.len()];
         for &i in tree.order() {
@@ -71,7 +71,7 @@ proptest! {
         let tree = Octree::build(
             &pts,
             &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 16, parallel_sort: false },
+            OctreeConfig { max_leaf_size: 16 },
         );
         let solver = GravitySolver::new(
             &tree,
@@ -171,7 +171,7 @@ proptest! {
         let tree = Octree::build(
             &pts,
             &Aabb::unit(),
-            OctreeConfig { max_leaf_size: 8, parallel_sort: false },
+            OctreeConfig { max_leaf_size: 8 },
         );
         let solver = GravitySolver::new(&tree, &masses, GravityConfig::default());
         let mut stats = TraversalStats::default();

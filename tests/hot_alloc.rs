@@ -28,6 +28,11 @@ struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+#[expect(
+    unsafe_code,
+    reason = "a global allocator is an `unsafe impl` by definition; this one only counts calls \
+              and forwards each to `System`"
+)]
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // implements `GlobalAlloc` soundly; the only addition is a relaxed atomic
 // increment, which neither allocates nor touches the returned memory.

@@ -1,7 +1,7 @@
-//! Tier-1 guard on the static enforcers: clippy owns the panic-path,
-//! undocumented-unsafe and determinism bans, and the clippy CI job is
-//! their gate; the test profile keeps the runtime checks on. Deleting one
-//! of these lines must also turn tier-1 red.
+//! Tier-1 guard on the static enforcers: rustc denies `unsafe` code,
+//! clippy owns the panic-path, undocumented-unsafe and determinism bans,
+//! and the clippy CI job is their gate; the test profile keeps the runtime
+//! checks on. Deleting one of these lines must also turn tier-1 red.
 
 use std::path::Path;
 
@@ -55,6 +55,15 @@ fn workspace_denies_undocumented_unsafe_blocks() {
     assert!(
         table.iter().any(|l| l == "undocumented_unsafe_blocks = \"deny\""),
         "[workspace.lints.clippy] in Cargo.toml must deny undocumented_unsafe_blocks"
+    );
+}
+
+#[test]
+fn workspace_denies_unsafe_code() {
+    let table = manifest_table(&read("Cargo.toml"), "[workspace.lints.rust]");
+    assert!(
+        table.iter().any(|l| l == "unsafe_code = \"deny\""),
+        "[workspace.lints.rust] in Cargo.toml must deny unsafe_code"
     );
 }
 
