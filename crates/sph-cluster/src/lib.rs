@@ -26,14 +26,12 @@
 //! (FLOP/interaction, latency, bandwidth) are calibrated constants.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-pub mod calibrate;
 pub mod cost;
 pub mod machine;
 pub mod scaling;
 pub mod step_model;
 pub mod tracegen;
 
-pub use calibrate::OnlineCalibrator;
 pub use cost::CostModel;
 pub use machine::{marenostrum4, piz_daint, MachineModel, NetworkModel};
 pub use scaling::{scaling_experiment, ScalingConfig, ScalingRow, StepWork};

@@ -42,45 +42,14 @@ pub struct MachineModel {
     pub cores_per_node: usize,
     /// Sustained per-core GFLOP/s on SPH-like kernels (calibrated).
     pub core_gflops: f64,
-    /// Worker threads each rank runs (hybrid MPI+threads). 1 = the paper's
-    /// flat one-rank-per-core configuration.
-    pub threads_per_rank: usize,
-    /// Parallel efficiency of the in-rank thread pool at `threads_per_rank`
-    /// (0, 1]: calibrated from the measured `sph_step_threads` bench in
-    /// sph-bench, so the modelled speedup matches the shim's real one.
-    pub thread_efficiency: f64,
     pub network: NetworkModel,
 }
 
 impl MachineModel {
-    /// Effective speedup of one rank's compute from in-rank threading:
-    /// `1 + e·(t − 1)` — exactly 1 for a single thread regardless of `e`.
-    pub fn thread_speedup(&self) -> f64 {
-        1.0 + self.thread_efficiency * (self.threads_per_rank as f64 - 1.0)
-    }
-
-    /// Seconds to execute `flops` on one rank (its threads included).
+    /// Seconds to execute `flops` on one rank.
     pub fn compute_time(&self, flops: f64) -> f64 {
         assert!(flops >= 0.0);
-        flops / (self.core_gflops * 1e9 * self.thread_speedup())
-    }
-
-    /// Hybrid variant of this machine: `threads` workers per rank at the
-    /// measured `efficiency`. Feed it the speedup from the sph-bench
-    /// `sph_step_threads` bench (`efficiency = (S − 1)/(t − 1)`). Measured
-    /// values may legitimately exceed 1 (cache-footprint superlinearity) or
-    /// dip below 0 (threading overhead on starved hardware); only a
-    /// non-positive resulting speedup is rejected.
-    pub fn with_threads(mut self, threads: usize, efficiency: f64) -> Self {
-        assert!(threads >= 1, "ranks need at least one thread");
-        assert!(efficiency.is_finite(), "efficiency must be finite");
-        self.threads_per_rank = threads;
-        self.thread_efficiency = efficiency;
-        assert!(
-            self.thread_speedup() > 0.0,
-            "efficiency {efficiency} at {threads} threads models a non-positive speedup"
-        );
-        self
+        flops / (self.core_gflops * 1e9)
     }
 }
 
@@ -91,8 +60,6 @@ pub fn piz_daint() -> MachineModel {
         name: "Piz Daint (XC50, Aries dragonfly)",
         cores_per_node: 12,
         core_gflops: 4.0,
-        threads_per_rank: 1,
-        thread_efficiency: 1.0,
         network: NetworkModel { name: "Aries dragonfly", latency: 1.3e-6, bandwidth: 10.0e9 },
     }
 }
@@ -104,8 +71,6 @@ pub fn marenostrum4() -> MachineModel {
         name: "MareNostrum 4 (Skylake, Omni-Path fat tree)",
         cores_per_node: 48,
         core_gflops: 4.8,
-        threads_per_rank: 1,
-        thread_efficiency: 1.0,
         network: NetworkModel { name: "Omni-Path fat tree", latency: 1.5e-6, bandwidth: 12.5e9 },
     }
 }
@@ -137,21 +102,6 @@ mod tests {
         let m = piz_daint();
         let t = m.compute_time(4e9);
         assert!((t - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hybrid_threads_speed_up_compute_only() {
-        // A measured 4-thread parallel efficiency feeds in; compute
-        // shrinks by the modelled speedup while the network model is
-        // untouched.
-        let flat = piz_daint();
-        let hybrid = piz_daint().with_threads(4, 0.8);
-        assert!((hybrid.thread_speedup() - 3.4).abs() < 1e-12);
-        let flops = 4e9;
-        assert!((flat.compute_time(flops) / hybrid.compute_time(flops) - 3.4).abs() < 1e-9);
-        assert_eq!(flat.network.message_time(1e6), hybrid.network.message_time(1e6));
-        // One thread is a no-op regardless of efficiency.
-        assert_eq!(piz_daint().with_threads(1, 0.5).thread_speedup(), 1.0);
     }
 
     #[test]

@@ -218,7 +218,7 @@ pub fn calibrate_machine(
             continue;
         }
         let flops = cost.rank_flops(work_per_rank[r], 0.0, count_per_rank[r]);
-        sum += flops / per_rank_seconds[r] / 1e9 / machine.thread_speedup();
+        sum += flops / per_rank_seconds[r] / 1e9;
         samples += 1;
     }
     assert!(samples > 0, "calibration needs at least one rank with measured time and work");
@@ -505,7 +505,7 @@ mod tests {
         let calibrated = calibrate_machine(machine, &cost, &measured, &[1.0, 2.0]);
         let f0 = cost.rank_flops(100.0, 0.0, 1.0);
         let f1 = cost.rank_flops(400.0, 0.0, 2.0);
-        let expected = (f0 / 1.0 + f1 / 2.0) / 2.0 / 1e9 / machine.thread_speedup();
+        let expected = (f0 / 1.0 + f1 / 2.0) / 2.0 / 1e9;
         assert!(
             (calibrated.core_gflops - expected).abs() < 1e-12 * expected,
             "calibrated {} vs expected {expected}",

@@ -46,7 +46,6 @@ pub mod evrard;
 pub mod gresho;
 pub mod kelvin_helmholtz;
 pub mod registry;
-pub mod relaxation;
 pub mod sedov;
 pub mod sod;
 pub mod square_patch;
@@ -62,7 +61,6 @@ pub use kelvin_helmholtz::{
     kelvin_helmholtz, kh_mode_amplitude, KelvinHelmholtzConfig, KelvinHelmholtzScenario,
 };
 pub use registry::{scenario_table, ScenarioInfo};
-pub use relaxation::{relax_to_glass, RelaxationConfig, RelaxationReport};
 pub use sedov::{
     sedov_blast, sedov_shock_radius, shock_radius_estimate, SedovConfig, SedovScenario,
 };

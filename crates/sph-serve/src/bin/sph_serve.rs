@@ -17,8 +17,8 @@
 //! * `--cache-capacity`   LRU result-cache entries (default 256)
 //! * `--checkpoint-every` job checkpoint/sample cadence in macro-steps
 //!   (default 4)
-//! * `--budget-seconds`   concurrent modelled-seconds budget (default 600)
-//! * `--max-job-seconds`  per-job modelled-seconds ceiling (default 120)
+//! * `--budget-seconds`   concurrent predicted-seconds budget (default 600)
+//! * `--max-job-seconds`  per-job predicted-seconds ceiling (default 120)
 //! * `--max-queue-depth`  queued-job cap (default 1024)
 //!
 //! Prints exactly one line `sph-serve listening on HOST:PORT` once the

@@ -113,7 +113,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::OverBudget { price_seconds, max_job_seconds } => write!(
                 f,
-                "job priced at {price_seconds:.3e} modelled seconds exceeds the \
+                "job priced at {price_seconds:.3e} predicted seconds exceeds the \
                  per-job ceiling of {max_job_seconds:.3e}; reduce steps or resolution"
             ),
             ServeError::QueueFull { depth } => {

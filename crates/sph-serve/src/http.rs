@@ -12,6 +12,7 @@
 use crate::error::ServeError;
 use std::io::{BufRead, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// Maximum bytes of request line + headers we will buffer.
 const MAX_HEAD: usize = 16 * 1024;
@@ -158,10 +159,15 @@ impl Response {
     }
 }
 
+/// Read and write timeout of [`http_call`]'s socket: twice the server's
+/// per-connection timeout, so a wedged server fails the call, not hangs it.
+const CALL_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Blocking one-shot HTTP client: connect, send, read the full reply.
 ///
 /// Shared by the integration tests and `sph_loadtest` so both speak the
-/// exact wire format the server emits. Returns `(status, body)`.
+/// exact wire format the server emits. Returns `(status, body)`, or an
+/// error when the server sends or accepts nothing for 10 s.
 pub fn http_call(
     addr: &str,
     method: &str,
@@ -175,6 +181,10 @@ pub fn http_call(
         .ok_or_else(|| ServeError::Io(format!("no address for {addr}")))?;
     let mut stream = TcpStream::connect(sock_addr)
         .map_err(|e| ServeError::Io(format!("connect {addr}: {e}")))?;
+    stream
+        .set_read_timeout(Some(CALL_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(CALL_TIMEOUT)))
+        .map_err(|e| ServeError::Io(format!("set socket timeouts: {e}")))?;
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()

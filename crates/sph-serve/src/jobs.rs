@@ -20,11 +20,9 @@
 //! of the cadence), never at points that depend on wall time, so the sample
 //! set is a pure function of the spec and the server's cadence config.
 
-use crate::admission::CalibrationSample;
 use crate::api::JobSpec;
 use crate::error::ServeError;
 use sph_core::diagnostics::{state_fingerprint, Conservation};
-use sph_domain::HaloExchange;
 use sph_exa::{
     DistributedBuilder, DistributedConfig, DistributedSimulation, ResilientConfig,
     ResilientSimulation, SchedulerMode,
@@ -90,7 +88,10 @@ impl Default for RunnerConfig {
 pub struct CompletedJob {
     pub result_doc: String,
     pub telemetry: Value,
-    pub calibration: Option<CalibrationSample>,
+    /// Particles, and steps executed in this process (a resumed job counts
+    /// only its own): what admission divides the measured seconds by.
+    pub n_particles: usize,
+    pub steps_executed: u64,
     pub resumed: bool,
 }
 
@@ -349,24 +350,7 @@ pub fn run_job(
     // Assemble the deterministic result document.
     let stats = rs.stats().clone();
     let sim = rs.into_inner();
-    let steps_here = stats.steps_executed.max(1);
-    let per_rank_seconds: Vec<f64> =
-        sim.timers().iter().map(|t| t.total() / steps_here as f64).collect();
     let phase_seconds = sim.aggregate_timers().snapshot();
-    let calibration = Some(CalibrationSample {
-        assignment: sim.decomposition().assignment.clone(),
-        nranks: sim.decomposition().nparts,
-        halos: sim.last_exchange().cloned().unwrap_or(HaloExchange {
-            imports: vec![vec![]],
-            pair_volume: vec![0],
-            nparts: 1,
-        }),
-        work: sim.per_particle_work().to_vec(),
-        per_rank_seconds,
-        n_particles: sim.sys.len(),
-        scale: spec.scale,
-        scenario: spec.scenario.clone(),
-    });
     let final_conservation = sim.conservation();
     let initial = journal.initial.unwrap_or(final_conservation);
     let run = ScenarioRun {
@@ -379,9 +363,10 @@ pub fn run_job(
     };
     let report = sc.validate(&run);
     let fingerprint = state_fingerprint(&run.sys);
+    let n_particles = run.sys.len();
     let result_doc = Value::obj(vec![
         ("spec", spec.to_value()),
-        ("n_particles", Value::Num(run.sys.len() as f64)),
+        ("n_particles", Value::Num(n_particles as f64)),
         ("steps", Value::Num(run.steps as f64)),
         ("end_time", Value::Num(run.sys.time)),
         ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
@@ -408,7 +393,8 @@ pub fn run_job(
         js.invalidate_all();
     }
 
-    Ok(CompletedJob { result_doc, telemetry, calibration, resumed })
+    let steps_executed = stats.steps_executed;
+    Ok(CompletedJob { result_doc, telemetry, n_particles, steps_executed, resumed })
 }
 
 #[cfg(test)]

@@ -4,16 +4,16 @@
 //! job API: `POST /jobs` submits `(scenario, resolution, steps, seed)`,
 //! `GET /jobs/:id` reports status and the finished
 //! [`ValidationReport`](sph_scenarios::ValidationReport), and
-//! `GET /metrics` exposes queue, cache, and calibration telemetry. Three
+//! `GET /metrics` exposes queue, cache, and admission telemetry. Three
 //! properties of the underlying stack make the server more than a thin
 //! wrapper:
 //!
 //! * **bit-determinism** — equal specs produce byte-identical results,
 //!   so the LRU result cache and in-flight dedup are provably sound
 //!   ([`cache`]);
-//! * **the cluster cost model** — jobs are priced in modelled seconds
-//!   and admitted against a budget, with the machine model calibrated
-//!   online from completed jobs ([`admission`]);
+//! * **measured prices** — jobs are priced in predicted seconds from the
+//!   seconds per particle-step that completed jobs of the same scenario
+//!   measured on this host, and admitted against a budget ([`admission`]);
 //! * **checkpoint/rollback fault tolerance** — running jobs checkpoint
 //!   on a cadence and resume across server restarts ([`jobs`]).
 //!

@@ -14,7 +14,7 @@
 //! table and cache, and re-queues accepted-but-unfinished ones — those
 //! resume from their own checkpoints inside [`run_job`].
 
-use crate::admission::{Admission, AdmissionConfig};
+use crate::admission::{Admission, AdmissionConfig, CalibrationSample};
 use crate::api::JobSpec;
 use crate::cache::ResultCache;
 use crate::error::ServeError;
@@ -309,12 +309,22 @@ fn worker_loop(inner: &Inner) {
                 rec.status = JobStatus::Running { completed_steps: completed };
             }
         };
+        #[allow(clippy::disallowed_methods)] // prices later jobs; never enters a result
+        let clock = std::time::Instant::now();
         let outcome = run_job(&inner.registry, &spec, &inner.runner, &progress);
+        let seconds = clock.elapsed().as_secs_f64();
 
         let mut st = lock_state(inner);
         match outcome {
             Ok(done) => {
-                st.admission.on_finish(price, done.calibration.as_ref());
+                let sample = CalibrationSample {
+                    scenario: spec.scenario,
+                    scale: spec.scale,
+                    n_particles: done.n_particles,
+                    steps: done.steps_executed,
+                    seconds,
+                };
+                st.admission.on_finish(price, Some(&sample));
                 if let Some(obj) = done.telemetry.get("phase_seconds").and_then(Value::as_obj) {
                     for (name, secs) in obj {
                         if let Some(s) = secs.as_f64() {
@@ -530,7 +540,6 @@ fn metrics_body(inner: &Inner) -> String {
     let hit_rate = if lookups == 0 { 0.0 } else { cache.hits as f64 / lookups as f64 };
     let running =
         st.jobs.values().filter(|r| matches!(r.status, JobStatus::Running { .. })).count();
-    let (over_budget, queue_full) = st.admission.rejections();
     let phases =
         st.phase_seconds.iter().map(|(k, v)| (k.clone(), Value::Num(*v))).collect::<Vec<_>>();
     Value::obj(vec![
@@ -551,16 +560,7 @@ fn metrics_body(inner: &Inner) -> String {
                 ("hit_rate", Value::Num(hit_rate)),
             ]),
         ),
-        (
-            "admission",
-            Value::obj(vec![
-                ("outstanding_seconds", Value::Num(st.admission.outstanding_seconds())),
-                ("calibration_observations", Value::Num(st.admission.observations() as f64)),
-                ("core_gflops", Value::Num(st.admission.core_gflops())),
-                ("rejected_over_budget", Value::Num(over_budget as f64)),
-                ("rejected_queue_full", Value::Num(queue_full as f64)),
-            ]),
-        ),
+        ("admission", st.admission.to_value()),
         ("phase_seconds", Value::Obj(phases)),
     ])
     .render()

@@ -59,6 +59,27 @@ fn executions(addr: &str) -> f64 {
 }
 
 #[test]
+fn a_server_that_never_answers_fails_the_call_within_its_timeout() {
+    // `http_call`'s socket timeout, twice the server's 5 s one.
+    let call_timeout = Duration::from_secs(10);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let (release, held) = mpsc::channel::<()>();
+    let silent = std::thread::spawn(move || {
+        let (_stream, _) = listener.accept().expect("accept");
+        let _ = held.recv(); // hold the connection open, silently
+    });
+    let t0 = Instant::now();
+    let outcome = http_call(&addr, "GET", "/healthz", "");
+    let waited = t0.elapsed();
+    drop(release);
+    silent.join().expect("silent peer");
+    assert!(outcome.is_err(), "{outcome:?}");
+    assert!(waited >= call_timeout, "gave up after {waited:?}");
+    assert!(waited < call_timeout + Duration::from_secs(5), "hung for {waited:?}");
+}
+
+#[test]
 fn healthz_and_scenarios() {
     let server = Server::start(test_config()).expect("start");
     let addr = server.addr().to_string();
@@ -110,6 +131,14 @@ fn cache_hit_is_byte_identical_and_skips_execution() {
     let cache = metrics.get("cache").expect("cache stats");
     assert!(cache.get("hits").and_then(Value::as_f64).unwrap() >= 1.0);
     assert!(cache.get("misses").and_then(Value::as_f64).unwrap() >= 2.0);
+    // The completed jobs priced their scenario from what they measured.
+    let rate = metrics
+        .get("admission")
+        .and_then(|a| a.get("seconds_per_particle_step"))
+        .and_then(|r| r.get("sod"))
+        .and_then(Value::as_f64)
+        .expect("a learned sod rate");
+    assert!(rate > 0.0 && rate.is_finite(), "{rate}");
     server.shutdown();
 }
 
