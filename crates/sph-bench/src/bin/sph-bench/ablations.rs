@@ -2,14 +2,12 @@
 
 use crate::args::{Args, Flags, Kind};
 use sph_bench::{build_evrard_sim, measure_after};
-use sph_cluster::{
-    model_step, piz_daint, CostModel, LoadBalancing, Partitioner, StepModelConfig, StepWork,
-};
+use sph_cluster::{model_step, piz_daint, CostModel, LoadBalancing, StepModelConfig, StepWork};
 use sph_core::config::{GradientScheme, TimeStepping};
 use sph_core::density::compute_density;
 use sph_core::gradients::{compute_iad_matrices, scalar_gradient};
 use sph_core::volume::compute_volume_elements;
-use sph_domain::SfcKind;
+use sph_domain::{Partitioner, SfcKind};
 use sph_kernels::SUPPORT_RADIUS;
 use sph_math::Vec3;
 use sph_parents::sphynx;

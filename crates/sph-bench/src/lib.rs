@@ -8,11 +8,11 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use sph_cluster::{
-    model_step, piz_daint, LoadBalancing, MachineModel, Partitioner, ScalingConfig, ScalingRow,
-    StepModelConfig, StepTiming, StepWork,
+    model_step, piz_daint, LoadBalancing, MachineModel, ScalingConfig, ScalingRow, StepModelConfig,
+    StepTiming, StepWork,
 };
 use sph_core::config::SphConfig;
-use sph_domain::SfcKind;
+use sph_domain::{Partitioner, SfcKind};
 use sph_exa::{DistributedError, Simulation, SimulationBuilder};
 use sph_parents::{changa, miniapp, sphflow, sphynx, CodeSetup, Scenario};
 use sph_scenarios::{evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig};
@@ -146,8 +146,7 @@ pub fn run_scaling_panel(
     let (mut sim, model) = wire_experiment(setup, scenario, machine, scale);
     let mut cfg = ScalingConfig::paper_sweep(scale.max_cores);
     cfg.steps = scale.steps;
-    let (rows, _) = sph_cluster::scaling_experiment(&mut sim, &model, &cfg)?;
-    Ok(rows)
+    sph_cluster::scaling_experiment(&mut sim, &model, &cfg)
 }
 
 /// The step of Fig. 4: SPHYNX on the Evrard collapse, evolved

@@ -12,8 +12,7 @@ fn rows_for(setup: &CodeSetup, scenario: Scenario) -> Vec<ScalingRow> {
     let scale = ExperimentScale { particles: N, ..Default::default() };
     let (mut sim, model) = wire_experiment(setup, scenario, piz_daint(), scale);
     let cfg = ScalingConfig { core_counts: vec![12, 48, 192, 768], steps: 2 };
-    let (rows, _) = scaling_experiment(&mut sim, &model, &cfg).unwrap();
-    rows
+    scaling_experiment(&mut sim, &model, &cfg).unwrap()
 }
 
 #[test]

@@ -11,9 +11,11 @@
 //! * [`cost`] — per-code cost models translating *counted* work units
 //!   (SPH pair interactions, gravity cell/particle interactions, tree
 //!   build, serial per-step sections) into modelled seconds;
-//! * [`step_model`] — models one time-step at a given rank count from the
-//!   real per-particle work measured by `sph-exa`, using a real domain
-//!   decomposition (`sph-domain`) and real halo volumes;
+//! * [`step_model`] — [`model_step`], the one step model every figure
+//!   uses: one time-step at a given rank count from the real per-particle
+//!   work measured by `sph-exa`, split by the code's
+//!   `sph_domain::Partitioner` and charged for the real halo volumes of
+//!   that split;
 //! * [`scaling`] — the strong-scaling experiment driver (one simulation
 //!   evolution, modelled at every core count — exactly the fixed-problem
 //!   sweep of §5.2) and [`StepWork`], the model's reading of a real step;
@@ -35,7 +37,4 @@ pub mod tracegen;
 pub use cost::CostModel;
 pub use machine::{marenostrum4, piz_daint, MachineModel, NetworkModel};
 pub use scaling::{scaling_experiment, ScalingConfig, ScalingRow, StepWork};
-pub use step_model::{
-    calibrate_machine, model_measured_step, model_step, LoadBalancing, MeasuredStep, Partitioner,
-    StepModelConfig, StepTiming, StepWorkload,
-};
+pub use step_model::{model_step, LoadBalancing, StepModelConfig, StepTiming, StepWorkload};

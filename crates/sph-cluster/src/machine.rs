@@ -9,7 +9,6 @@
 /// α–β interconnect model.
 #[derive(Debug, Clone, Copy)]
 pub struct NetworkModel {
-    pub name: &'static str,
     /// Per-message latency α (seconds).
     pub latency: f64,
     /// Per-rank effective bandwidth β (bytes/second).
@@ -60,7 +59,7 @@ pub fn piz_daint() -> MachineModel {
         name: "Piz Daint (XC50, Aries dragonfly)",
         cores_per_node: 12,
         core_gflops: 4.0,
-        network: NetworkModel { name: "Aries dragonfly", latency: 1.3e-6, bandwidth: 10.0e9 },
+        network: NetworkModel { latency: 1.3e-6, bandwidth: 10.0e9 },
     }
 }
 
@@ -71,7 +70,7 @@ pub fn marenostrum4() -> MachineModel {
         name: "MareNostrum 4 (Skylake, Omni-Path fat tree)",
         cores_per_node: 48,
         core_gflops: 4.8,
-        network: NetworkModel { name: "Omni-Path fat tree", latency: 1.5e-6, bandwidth: 12.5e9 },
+        network: NetworkModel { latency: 1.5e-6, bandwidth: 12.5e9 },
     }
 }
 

@@ -7,7 +7,7 @@
 //! simulation is evolved once and each step is modelled at every core
 //! count of the sweep — exactly a fixed-problem (strong-scaling) study.
 
-use crate::step_model::{model_step, StepModelConfig, StepTiming, StepWorkload};
+use crate::step_model::{model_step, StepModelConfig, StepWorkload};
 use sph_core::config::TimeStepping;
 use sph_exa::{DistributedError, Simulation, StepReport};
 use sph_math::OnlineStats;
@@ -50,7 +50,6 @@ impl StepWork {
             gravity_work: &self.gravity,
             interaction_radius: 2.0 * sim.sys.max_h(),
             periodicity: sim.sys.periodicity,
-            bounds: sim.sys.bounds(),
         }
     }
 }
@@ -83,8 +82,6 @@ pub struct ScalingRow {
     pub cores: usize,
     /// Mean modelled time per time-step (the y-axis of Figs. 1–3).
     pub mean_step_time: f64,
-    pub min_step_time: f64,
-    pub max_step_time: f64,
     /// Mean POP load balance of the compute phase.
     pub mean_load_balance: f64,
     /// Mean fraction of the step spent communicating.
@@ -93,53 +90,71 @@ pub struct ScalingRow {
     pub particles_per_core: f64,
 }
 
+/// Mean modelled step time, compute load balance and communication
+/// fraction at one core count over a run.
+struct RunMeans {
+    step_time: f64,
+    load_balance: f64,
+    comm_fraction: f64,
+}
+
+/// Evolve `sim` for `steps` macro steps and model every step at every
+/// core count, the dynamic balancer seeing the previous step's measured
+/// work. Returns one [`RunMeans`] per core count.
+fn model_run(
+    sim: &mut Simulation,
+    model: &StepModelConfig,
+    core_counts: &[usize],
+    steps: usize,
+) -> Result<Vec<RunMeans>, DistributedError> {
+    // Time, load balance and communication fraction per core count.
+    let mut stats = vec![[OnlineStats::new(); 3]; core_counts.len()];
+    let mut prev_work: Option<Vec<f64>> = None;
+    for _ in 0..steps {
+        let report = sim.step()?;
+        let work = StepWork::measure(sim, &report);
+        let workload = work.workload(sim);
+        for (s, &cores) in stats.iter_mut().zip(core_counts) {
+            let t = model_step(&workload, cores, model, prev_work.as_deref());
+            s[0].push(t.total());
+            s[1].push(t.load_balance());
+            s[2].push((t.comm + t.collective) / t.total().max(1e-300));
+        }
+        prev_work = Some(work.total);
+    }
+    Ok(stats
+        .iter()
+        .map(|[time, lb, comm]| RunMeans {
+            step_time: time.mean(),
+            load_balance: lb.mean(),
+            comm_fraction: comm.mean(),
+        })
+        .collect())
+}
+
 /// Evolve `sim` for `config.steps` macro steps and model every step at
-/// every core count. Returns one [`ScalingRow`] per core count plus the
-/// per-step timings (outer index = core count) for deeper analysis.
+/// every core count. Returns one [`ScalingRow`] per core count.
 /// Fails if the underlying physics step fails (e.g. time step collapse).
 pub fn scaling_experiment(
     sim: &mut Simulation,
     model: &StepModelConfig,
     config: &ScalingConfig,
-) -> Result<(Vec<ScalingRow>, Vec<Vec<StepTiming>>), DistributedError> {
+) -> Result<Vec<ScalingRow>, DistributedError> {
     assert!(!config.core_counts.is_empty() && config.steps > 0);
+    let means = model_run(sim, model, &config.core_counts, config.steps)?;
     let n = sim.sys.len();
-    let mut stats: Vec<OnlineStats> = vec![OnlineStats::new(); config.core_counts.len()];
-    let mut lb: Vec<OnlineStats> = vec![OnlineStats::new(); config.core_counts.len()];
-    let mut commfrac: Vec<OnlineStats> = vec![OnlineStats::new(); config.core_counts.len()];
-    let mut per_step: Vec<Vec<StepTiming>> = vec![Vec::new(); config.core_counts.len()];
-    // Work measured on the previous step — what a dynamic balancer has.
-    let mut prev_work: Option<Vec<f64>> = None;
-
-    for _ in 0..config.steps {
-        let report = sim.step()?;
-        let work = StepWork::measure(sim, &report);
-        let workload = work.workload(sim);
-        for (k, &cores) in config.core_counts.iter().enumerate() {
-            let timing = model_step(&workload, cores, model, prev_work.as_deref());
-            stats[k].push(timing.total());
-            lb[k].push(timing.load_balance());
-            commfrac[k].push((timing.comm + timing.collective) / timing.total().max(1e-300));
-            per_step[k].push(timing);
-        }
-        prev_work = Some(work.total);
-    }
-
-    let rows = config
+    Ok(config
         .core_counts
         .iter()
-        .enumerate()
-        .map(|(k, &cores)| ScalingRow {
+        .zip(means)
+        .map(|(&cores, m)| ScalingRow {
             cores,
-            mean_step_time: stats[k].mean(),
-            min_step_time: stats[k].min(),
-            max_step_time: stats[k].max(),
-            mean_load_balance: lb[k].mean(),
-            mean_comm_fraction: commfrac[k].mean(),
+            mean_step_time: m.step_time,
+            mean_load_balance: m.load_balance,
+            mean_comm_fraction: m.comm_fraction,
             particles_per_core: n as f64 / cores as f64,
         })
-        .collect();
-    Ok((rows, per_step))
+        .collect())
 }
 
 /// One row of a weak-scaling experiment: cores grow with the problem so
@@ -173,30 +188,17 @@ pub fn weak_scaling_experiment(
     let mut rows = Vec::new();
     let mut base_time = None;
     for &cores in core_counts {
-        let target = cores * particles_per_core;
-        let mut sim = build(target);
-        let mut time_stats = OnlineStats::new();
-        let mut lb_stats = OnlineStats::new();
-        let mut comm_stats = OnlineStats::new();
-        let mut prev_work: Option<Vec<f64>> = None;
-        for _ in 0..steps {
-            let report = sim.step()?;
-            let work = StepWork::measure(&sim, &report);
-            let t = model_step(&work.workload(&sim), cores, model, prev_work.as_deref());
-            time_stats.push(t.total());
-            lb_stats.push(t.load_balance());
-            comm_stats.push((t.comm + t.collective) / t.total().max(1e-300));
-            prev_work = Some(work.total);
-        }
-        let mean = time_stats.mean();
-        let base = *base_time.get_or_insert(mean);
+        let mut sim = build(cores * particles_per_core);
+        let means = model_run(&mut sim, model, &[cores], steps)?;
+        let m = &means[0];
+        let base = *base_time.get_or_insert(m.step_time);
         rows.push(WeakScalingRow {
             cores,
             particles: sim.sys.len(),
-            mean_step_time: mean,
-            efficiency: base / mean,
-            mean_load_balance: lb_stats.mean(),
-            mean_comm_fraction: comm_stats.mean(),
+            mean_step_time: m.step_time,
+            efficiency: base / m.step_time,
+            mean_load_balance: m.load_balance,
+            mean_comm_fraction: m.comm_fraction,
         });
     }
     Ok(rows)
@@ -249,9 +251,10 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::machine::piz_daint;
-    use crate::step_model::{LoadBalancing, Partitioner};
+    use crate::step_model::LoadBalancing;
     use sph_core::config::SphConfig;
     use sph_core::particles::ParticleSystem;
+    use sph_domain::Partitioner;
     use sph_math::{Aabb, Periodicity, SplitMix64, Vec3};
 
     fn small_sim() -> Simulation {
@@ -294,9 +297,8 @@ mod tests {
     fn scaling_rows_show_speedup_then_saturation() {
         let mut sim = small_sim();
         let cfg = ScalingConfig { core_counts: vec![1, 4, 16, 256], steps: 2 };
-        let (rows, per_step) = scaling_experiment(&mut sim, &model(), &cfg).unwrap();
+        let rows = scaling_experiment(&mut sim, &model(), &cfg).unwrap();
         assert_eq!(rows.len(), 4);
-        assert_eq!(per_step[0].len(), 2);
         // Monotone decrease in time per step at small counts...
         assert!(rows[1].mean_step_time < rows[0].mean_step_time);
         assert!(rows[2].mean_step_time < rows[1].mean_step_time);
@@ -356,7 +358,7 @@ mod tests {
     fn render_table_contains_rows() {
         let mut sim = small_sim();
         let cfg = ScalingConfig { core_counts: vec![2, 8], steps: 1 };
-        let (rows, _) = scaling_experiment(&mut sim, &model(), &cfg).unwrap();
+        let rows = scaling_experiment(&mut sim, &model(), &cfg).unwrap();
         let s = render_scaling_table("Square test", &rows);
         assert!(s.contains("Square test"));
         assert!(s.contains("speedup"));

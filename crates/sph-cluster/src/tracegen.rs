@@ -141,7 +141,6 @@ pub fn step_trace(timing: &StepTiming, profile: &PhaseProfile) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sph_domain::Decomposition;
     use sph_profiler::pop_metrics;
 
     fn timing(per_rank: Vec<f64>) -> StepTiming {
@@ -153,7 +152,6 @@ mod tests {
             comm: 0.1,
             collective: 0.05,
             halo_volume: 100,
-            decomposition: Decomposition::new(vec![0; 4], n),
         }
     }
 

@@ -2,9 +2,8 @@
 //! obey the structural laws the scaling analysis relies on.
 
 use proptest::prelude::*;
-use sph_cluster::{
-    model_step, piz_daint, CostModel, LoadBalancing, Partitioner, StepModelConfig, StepWorkload,
-};
+use sph_cluster::{model_step, piz_daint, CostModel, LoadBalancing, StepModelConfig, StepWorkload};
+use sph_domain::Partitioner;
 use sph_math::{Aabb, Periodicity, SplitMix64, Vec3};
 
 fn workload_inputs(n: std::ops::Range<usize>) -> impl Strategy<Value = (Vec<Vec3>, Vec<f64>)> {
@@ -38,7 +37,6 @@ proptest! {
             gravity_work: &zeros,
             interaction_radius: 0.1,
             periodicity: Periodicity::open(Aabb::unit()),
-            bounds: Aabb::unit(),
         };
         let t = model_step(&w, ranks, &config(Partitioner::Orb), None);
         prop_assert!(t.total().is_finite() && t.total() > 0.0);
@@ -60,7 +58,6 @@ proptest! {
             gravity_work: &zeros,
             interaction_radius: 0.1,
             periodicity: Periodicity::open(Aabb::unit()),
-            bounds: Aabb::unit(),
         };
         let cfg = config(Partitioner::Sfc(sph_domain::SfcKind::Hilbert));
         let t2 = model_step(&w, 2, &cfg, None);
@@ -86,7 +83,6 @@ proptest! {
             gravity_work: &zeros,
             interaction_radius: 0.1,
             periodicity: Periodicity::open(Aabb::unit()),
-            bounds: Aabb::unit(),
         };
         let mut cfg = config(Partitioner::Sfc(sph_domain::SfcKind::Hilbert));
         let t_static = model_step(&w, 8, &cfg, Some(&work));
@@ -109,7 +105,6 @@ proptest! {
             gravity_work: &zeros,
             interaction_radius: 0.1,
             periodicity: Periodicity::open(Aabb::unit()),
-            bounds: Aabb::unit(),
         };
         let cfg = config(Partitioner::Orb);
         let a = model_step(&w, r1, &cfg, None);

@@ -5,10 +5,10 @@
 //! "space filling curve", SPH-flow "orthogonal recursive bisection" — and
 //! Table 4 prescribes that the mini-app support **ORB and SFCs**. This
 //! crate implements all of them over the shared [`Decomposition`]
-//! abstraction, plus the halo (ghost-particle) identification the cluster
-//! simulator uses to account communication volume, and the quality metrics
-//! (imbalance, surface/volume, halo fraction) that explain the
-//! load-balance differences measured in §5.2.
+//! abstraction, with [`Partitioner`] as the one place that picks between
+//! them (for the step driver and the cluster model alike), plus the halo
+//! (ghost-particle) identification both use to account communication
+//! volume.
 //!
 //! # The rank / halo / migration protocol
 //!
@@ -61,17 +61,44 @@
 pub mod exchange;
 pub mod halo;
 pub mod hilbert;
-pub mod metrics;
 pub mod orb;
 pub mod sfc;
 pub mod slab;
 
 pub use exchange::{Exchange, ExchangeError, ExchangeErrorKind, ExchangePath, InProcessExchange};
 pub use halo::{halo_sets, HaloExchange, HaloRadiusPolicy};
-pub use metrics::DecompositionMetrics;
 pub use orb::orb_partition;
 pub use sfc::{sfc_partition, SfcKind};
 pub use slab::slab_partition;
+
+use sph_math::{Aabb, Vec3};
+
+/// Which decomposition algorithm splits the particles (Table 3 rows).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Partitioner {
+    /// Equal-count slabs along an axis (SPHYNX "straightforward").
+    Slab { axis: usize },
+    /// Space-filling curve over the particles' bounding box (ChaNGa).
+    Sfc(SfcKind),
+    /// Orthogonal recursive bisection (SPH-flow).
+    Orb,
+}
+
+impl Partitioner {
+    /// Split `positions` over `nparts` ranks. `weights` (empty ⇒ unit)
+    /// balance the SFC and ORB cuts; slabs balance counts only.
+    pub fn partition(self, positions: &[Vec3], nparts: usize, weights: &[f64]) -> Decomposition {
+        match self {
+            Partitioner::Slab { axis } => slab_partition(positions, nparts, axis),
+            Partitioner::Sfc(kind) => {
+                // Empty input has no box; `sfc_partition` rejects it.
+                let bounds = Aabb::from_points(positions).unwrap_or(Aabb::unit());
+                sfc_partition(positions, &bounds, nparts, kind, weights)
+            }
+            Partitioner::Orb => orb_partition(positions, nparts, weights),
+        }
+    }
+}
 
 /// An assignment of every particle to one of `nparts` ranks.
 #[derive(Debug, Clone)]
@@ -140,6 +167,7 @@ impl Decomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sph_math::SplitMix64;
 
     #[test]
     fn counts_and_indices() {
@@ -155,6 +183,39 @@ mod tests {
         assert!((d.imbalance() - 1.0).abs() < 1e-15);
         let d = Decomposition::new(vec![0, 0, 0, 1], 2);
         assert!((d.imbalance() - 1.5).abs() < 1e-15);
+    }
+
+    #[test]
+    fn weighted_schemes_beat_cost_blind_slabs_under_skewed_load() {
+        // Quantile slabs balance particle *counts* on any distribution,
+        // but they cannot see per-particle cost. With a hot core (the
+        // Evrard gravity pattern), the weight-aware decompositions keep
+        // the load balanced while slabs cannot — the Table 3 contrast
+        // between SPHYNX ("None (static)") and the balancing codes.
+        let mut rng = SplitMix64::new(1);
+        let pts: Vec<Vec3> = (0..6000)
+            .map(|_| {
+                let r = rng.next_f64().powi(3) * 0.5;
+                let d = Vec3::new(
+                    rng.uniform(-1.0, 1.0),
+                    rng.uniform(-1.0, 1.0),
+                    rng.uniform(-1.0, 1.0),
+                );
+                Vec3::splat(0.5) + d.normalized().unwrap_or(Vec3::X) * r
+            })
+            .collect();
+        let weights: Vec<f64> = pts
+            .iter()
+            .map(|p| if (*p - Vec3::splat(0.5)).norm() < 0.1 { 40.0 } else { 1.0 })
+            .collect();
+        let slab = Partitioner::Slab { axis: 0 }.partition(&pts, 8, &weights);
+        assert!(slab.imbalance() < 1.05, "quantile slabs balance counts");
+        let load = slab.weighted_imbalance(&weights);
+        assert!(load > 1.5, "cost-blind slabs should be load-imbalanced: {load}");
+        for partitioner in [Partitioner::Orb, Partitioner::Sfc(SfcKind::Hilbert)] {
+            let load = partitioner.partition(&pts, 8, &weights).weighted_imbalance(&weights);
+            assert!(load < 1.3, "{partitioner:?} load imbalance {load}");
+        }
     }
 
     #[test]

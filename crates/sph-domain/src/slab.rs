@@ -13,19 +13,11 @@
 //! ORB/SFC subdomains.
 
 use crate::Decomposition;
-use sph_math::{Aabb, Vec3};
+use sph_math::Vec3;
 
-/// Equal-count slab partition along `axis` (0 = x, 1 = y, 2 = z).
-///
-/// `_bounds` is accepted for interface symmetry with the other
-/// partitioners but not needed: the cuts are quantiles of the particle
-/// coordinates themselves.
-pub fn slab_partition(
-    positions: &[Vec3],
-    _bounds: &Aabb,
-    nparts: usize,
-    axis: usize,
-) -> Decomposition {
+/// Equal-count slab partition along `axis` (0 = x, 1 = y, 2 = z): the
+/// cuts are quantiles of the particle coordinates themselves.
+pub fn slab_partition(positions: &[Vec3], nparts: usize, axis: usize) -> Decomposition {
     assert!(nparts > 0);
     assert!(axis < 3);
     assert!(!positions.is_empty());
@@ -80,7 +72,7 @@ mod tests {
     #[test]
     fn counts_balanced_on_uniform_points() {
         let pts = uniform(8000, 1);
-        let d = slab_partition(&pts, &Aabb::unit(), 8, 0);
+        let d = slab_partition(&pts, 8, 0);
         assert!(d.imbalance() < 1.01, "imbalance {}", d.imbalance());
     }
 
@@ -88,7 +80,7 @@ mod tests {
     fn counts_balanced_even_on_clustered_points() {
         // Quantile cuts balance counts regardless of the distribution.
         let pts = clustered(8000, 2);
-        let d = slab_partition(&pts, &Aabb::unit(), 8, 0);
+        let d = slab_partition(&pts, 8, 0);
         assert!(d.imbalance() < 1.01, "imbalance {}", d.imbalance());
     }
 
@@ -98,7 +90,7 @@ mod tests {
         // count-balanced slabs are badly *load* imbalanced — and the
         // scheme has no weights input to fix it.
         let pts = uniform(8000, 3);
-        let d = slab_partition(&pts, &Aabb::unit(), 8, 0);
+        let d = slab_partition(&pts, 8, 0);
         let weights: Vec<f64> = pts
             .iter()
             .map(|p| if (*p - Vec3::splat(0.5)).norm() < 0.25 { 20.0 } else { 1.0 })
@@ -113,7 +105,7 @@ mod tests {
     #[test]
     fn slabs_are_ordered_along_the_axis() {
         let pts = uniform(2000, 4);
-        let d = slab_partition(&pts, &Aabb::unit(), 4, 2);
+        let d = slab_partition(&pts, 4, 2);
         // Any particle in a lower rank has z ≤ any particle in a higher
         // rank (up to quantile ties).
         let mut max_per_rank = [f64::NEG_INFINITY; 4];
@@ -135,8 +127,8 @@ mod tests {
             Vec3::new(0.2, 0.8, 0.5),
             Vec3::new(0.8, 0.2, 0.5),
         ];
-        let dx = slab_partition(&pts, &Aabb::unit(), 2, 0);
-        let dy = slab_partition(&pts, &Aabb::unit(), 2, 1);
+        let dx = slab_partition(&pts, 2, 0);
+        let dy = slab_partition(&pts, 2, 1);
         assert_eq!(dx.assignment, vec![0, 1, 0, 1]);
         assert_eq!(dy.assignment, vec![1, 0, 1, 0]);
     }
@@ -147,8 +139,8 @@ mod tests {
         for p in pts.iter_mut().take(100) {
             p.x = 0.5;
         }
-        let a = slab_partition(&pts, &Aabb::unit(), 4, 0);
-        let b = slab_partition(&pts, &Aabb::unit(), 4, 0);
+        let a = slab_partition(&pts, 4, 0);
+        let b = slab_partition(&pts, 4, 0);
         assert_eq!(a.assignment, b.assignment);
     }
 }

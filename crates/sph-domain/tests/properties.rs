@@ -36,7 +36,7 @@ proptest! {
             sfc_partition(&pts, &Aabb::unit(), nparts, SfcKind::Morton, &[]),
             sfc_partition(&pts, &Aabb::unit(), nparts, SfcKind::Hilbert, &[]),
             orb_partition(&pts, nparts, &[]),
-            slab_partition(&pts, &Aabb::unit(), nparts, 0),
+            slab_partition(&pts, nparts, 0),
         ] {
             prop_assert_eq!(d.assignment.len(), pts.len());
             prop_assert!(d.assignment.iter().all(|&r| (r as usize) < nparts));

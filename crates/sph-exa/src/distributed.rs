@@ -62,9 +62,7 @@ use sph_core::timestep::{
 };
 use sph_core::StepStats;
 use sph_domain::exchange::{Exchange, ExchangeError, ExchangePath, InProcessExchange};
-use sph_domain::{
-    halo_sets, orb_partition, sfc_partition, Decomposition, HaloExchange, HaloRadiusPolicy, SfcKind,
-};
+use sph_domain::{halo_sets, Decomposition, HaloExchange, HaloRadiusPolicy, Partitioner};
 use sph_ft::checkpoint::CheckpointStore;
 use sph_ft::codec::{self, Manifest};
 use sph_ft::error::FtError;
@@ -198,17 +196,6 @@ impl From<DistributedError> for String {
     }
 }
 
-/// Which decomposition algorithm the driver uses (Table 3 rows; slab is
-/// deliberately absent — it is the strawman the paper's parents moved
-/// away from).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankPartitioner {
-    /// Orthogonal recursive bisection (SPH-flow).
-    Orb,
-    /// Space-filling curve (ChaNGa).
-    Sfc(SfcKind),
-}
-
 /// Configuration of the rank decomposition (the SPH physics lives in
 /// [`SphConfig`]).
 #[derive(Debug, Clone, Copy)]
@@ -216,7 +203,7 @@ pub struct DistributedConfig {
     /// Number of in-process ranks.
     pub nranks: usize,
     /// Decomposition algorithm for the initial split and for rebalances.
-    pub partitioner: RankPartitioner,
+    pub partitioner: Partitioner,
     /// Rebuild the decomposition from scratch every this many macro-steps,
     /// using the measured per-particle work as weights (0 = never; the
     /// migration protocol alone then tracks drifting particles).
@@ -226,28 +213,21 @@ pub struct DistributedConfig {
     /// values keep halos tight; the coverage verification renegotiates on
     /// a miss, so correctness never depends on this guess.
     pub halo_growth_steps: u32,
-    /// How many times a *transient* exchange failure is retried before it
-    /// escalates as [`DistributedError::Exchange`]. The in-process
-    /// carrier reissues immediately (a real transport would back off
-    /// exponentially between attempts); non-transient failures never
-    /// retry.
-    pub exchange_retries: u32,
 }
 
 impl Default for DistributedConfig {
     fn default() -> Self {
         DistributedConfig {
             nranks: 1,
-            partitioner: RankPartitioner::Orb,
+            partitioner: Partitioner::Orb,
             rebalance_every: 10,
             halo_growth_steps: 1,
-            exchange_retries: 3,
         }
     }
 }
 
-/// Exchange/migration counters accumulated over a run — the measured
-/// communication record the cluster model consumes instead of estimates.
+/// Exchange/migration counters accumulated over a run — the run's
+/// measured communication record.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExchangeLog {
     /// Ghost particles imported across all ranks and density attempts.
@@ -340,7 +320,7 @@ impl DistributedBuilder {
                 .build_global()
                 .map_err(|e| DistributedBuildError::Invalid(format!("thread pool: {e}")))?;
         }
-        let decomp = partition(&self.sys, self.dist.partitioner, self.dist.nranks, &[]);
+        let decomp = self.dist.partitioner.partition(&self.sys.x, self.dist.nranks, &[]);
         let mut sim = DistributedSimulation::assemble(
             self.sys,
             self.config,
@@ -399,18 +379,6 @@ pub struct DistributedSimulation {
     exchange: Box<dyn Exchange>,
 }
 
-pub(crate) fn partition(
-    sys: &ParticleSystem,
-    partitioner: RankPartitioner,
-    nranks: usize,
-    weights: &[f64],
-) -> Decomposition {
-    match partitioner {
-        RankPartitioner::Orb => orb_partition(&sys.x, nranks, weights),
-        RankPartitioner::Sfc(kind) => sfc_partition(&sys.x, &sys.bounds(), nranks, kind, weights),
-    }
-}
-
 /// Bucket the assignment into per-rank owned-id lists (ascending, since
 /// the pass walks global ids in order) — one O(n) sweep replacing the
 /// O(n·ranks) of repeated `Decomposition::indices_of` scans.
@@ -422,23 +390,26 @@ pub(crate) fn bucket_owned(decomp: &Decomposition) -> Vec<Vec<u32>> {
     owned
 }
 
+/// How many times a *transient* exchange failure is reissued before it
+/// escalates as [`DistributedError::Exchange`].
+const EXCHANGE_RETRIES: u32 = 3;
+
 /// Bounded retry around one exchange operation: transient failures are
-/// reissued up to `retries` times (counted in the log), anything else —
-/// and the final transient miss — escalates to the caller. The
-/// in-process carrier reissues immediately; a real transport would sleep
-/// an exponential backoff between attempts, which changes wall time but
-/// never the delivered bits.
+/// reissued up to [`EXCHANGE_RETRIES`] times (counted in the log),
+/// anything else — and the final transient miss — escalates to the
+/// caller. The in-process carrier reissues immediately; a real transport
+/// would sleep an exponential backoff between attempts, which changes
+/// wall time but never the delivered bits.
 pub(crate) fn with_retry<T>(
     exchange: &mut dyn Exchange,
     log: &mut ExchangeLog,
-    retries: u32,
     mut op: impl FnMut(&mut dyn Exchange) -> Result<T, ExchangeError>,
 ) -> Result<T, ExchangeError> {
     let mut attempt = 0u32;
     loop {
         match op(exchange) {
             Ok(v) => return Ok(v),
-            Err(e) if e.is_retryable() && attempt < retries => {
+            Err(e) if e.is_retryable() && attempt < EXCHANGE_RETRIES => {
                 attempt += 1;
                 log.transient_retries += 1;
             }
@@ -597,8 +568,7 @@ impl DistributedSimulation {
             .iter()
             .map(|ids| ids.iter().map(|&i| self.sys.h[i as usize]).fold(0.0, f64::max))
             .collect();
-        let retries = self.dist.exchange_retries;
-        let global_max_h = with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
+        let global_max_h = with_retry(self.exchange.as_mut(), &mut self.log, |ex| {
             ex.reduce_max(ExchangePath::HaloNegotiation, &per_rank_max_h)
         })?;
         Ok(policy.radius_for(global_max_h))
@@ -650,7 +620,6 @@ impl DistributedSimulation {
         active: Option<&[u32]>,
     ) -> Result<StepStats, ExchangeError> {
         let nranks = self.dist.nranks;
-        let retries = self.dist.exchange_retries;
 
         // More than one rank: ghosts are imported within a negotiated
         // radius that the density pass then *verifies* against the largest
@@ -725,7 +694,7 @@ impl DistributedSimulation {
                 // admit a missed ghost. The reduce goes through the
                 // exchange carrier (max over per-rank maxima ≡ the merged
                 // fold, exactly).
-                let measured = with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
+                let measured = with_retry(self.exchange.as_mut(), &mut self.log, |ex| {
                     ex.reduce_max(ExchangePath::HaloNegotiation, &searched)
                 })?;
                 if measured > r {
@@ -759,7 +728,7 @@ impl DistributedSimulation {
 
             if let (Some(fields), true) = (pass.publishes, pass.then != ExchangePoint::None) {
                 let (exchange, log) = (self.exchange.as_mut(), &mut self.log);
-                refresh_ghosts(exchange, log, retries, &self.sys, &mut views, fields)?;
+                refresh_ghosts(exchange, log, &self.sys, &mut views, fields)?;
             }
         }
 
@@ -804,8 +773,7 @@ impl DistributedSimulation {
             .iter()
             .map(|ids| ids.iter().map(|&i| dts[i as usize]).fold(f64::INFINITY, f64::min))
             .collect();
-        let retries = self.dist.exchange_retries;
-        let reduced = with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
+        let reduced = with_retry(self.exchange.as_mut(), &mut self.log, |ex| {
             ex.reduce_min(ExchangePath::DtReduce, &per_rank_min)
         })?;
         // The macro step and how many rung levels subdivide it. Global and
@@ -831,7 +799,7 @@ impl DistributedSimulation {
                         finite.fold(dt_min, f64::max)
                     })
                     .collect();
-                let slowest = with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
+                let slowest = with_retry(self.exchange.as_mut(), &mut self.log, |ex| {
                     ex.reduce_max(ExchangePath::DtReduce, &per_rank_max)
                 })?;
                 let levels =
@@ -965,7 +933,6 @@ impl DistributedSimulation {
         // so per-destination order is already ascending). In-process the
         // delivery is the identity; a faulty carrier interposes here.
         const WORDS: usize = 9;
-        let retries = self.dist.exchange_retries;
         for dest in 0..self.dist.nranks as u32 {
             let incoming: Vec<usize> =
                 moves.iter().filter(|&&(_, to)| to == dest).map(|&(i, _)| i).collect();
@@ -987,7 +954,7 @@ impl DistributedSimulation {
                     self.sys.u[i],
                 ]);
             }
-            with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
+            with_retry(self.exchange.as_mut(), &mut self.log, |ex| {
                 ex.deliver_f64(ExchangePath::Migration, dest, &mut payload)
             })?;
             for (j, &i) in incoming.iter().enumerate() {
@@ -1014,7 +981,7 @@ impl DistributedSimulation {
     /// per-particle work as weights, and refresh the migration boxes.
     fn rebalance(&mut self) {
         self.decomp =
-            partition(&self.sys, self.dist.partitioner, self.dist.nranks, &self.per_particle_work);
+            self.dist.partitioner.partition(&self.sys.x, self.dist.nranks, &self.per_particle_work);
         self.owned = bucket_owned(&self.decomp);
         self.boxes = sph_domain::orb::rank_boxes(&self.sys.x, &self.decomp);
         self.log.rebalances += 1;
@@ -1041,11 +1008,10 @@ impl DistributedSimulation {
         store: &mut dyn CheckpointStore,
         label: &str,
     ) -> Result<usize, DistributedError> {
-        let retries = self.dist.exchange_retries;
         let mut bytes = 0;
         for (r, owned) in self.owned.iter().enumerate() {
             let mut snapshot = codec::encode(&self.sys.subset(owned));
-            with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
+            with_retry(self.exchange.as_mut(), &mut self.log, |ex| {
                 ex.deliver_bytes(ExchangePath::CheckpointBlob, r as u32, &mut snapshot)
             })?;
             bytes += store.put(&rank_label(label, r), &snapshot)?;
@@ -1058,7 +1024,7 @@ impl DistributedSimulation {
             assignment: self.decomp.assignment.clone(),
             phi: if self.gravity.is_some() { self.phi.clone() } else { Vec::new() },
         });
-        with_retry(self.exchange.as_mut(), &mut self.log, retries, |ex| {
+        with_retry(self.exchange.as_mut(), &mut self.log, |ex| {
             ex.deliver_bytes(ExchangePath::CheckpointBlob, 0, &mut manifest)
         })?;
         bytes += store.put(label, &manifest)?;
@@ -1153,6 +1119,7 @@ mod tests {
     use super::*;
     use crate::simulation::SimulationBuilder;
     use sph_core::config::GradientScheme;
+    use sph_domain::SfcKind;
     use sph_ft::checkpoint::MemoryStore;
     use sph_ft::codec::CodecError;
     use sph_math::{Mat3, Periodicity, SplitMix64, Vec3};
@@ -1216,25 +1183,31 @@ mod tests {
     }
 
     #[test]
-    fn sfc_partitioner_also_matches() {
+    fn every_partitioner_matches_single_rank() {
         let steps = 3;
         let mut reference =
             SimulationBuilder::new(gas_ball(300, 9)).config(quick_config()).build().unwrap();
         reference.run(steps).unwrap();
-        let mut dist = DistributedBuilder::new(gas_ball(300, 9))
-            .config(quick_config())
-            .distributed(DistributedConfig {
-                nranks: 3,
-                partitioner: RankPartitioner::Sfc(SfcKind::Hilbert),
-                rebalance_every: 2,
-                halo_growth_steps: 1,
-                ..Default::default()
-            })
-            .build()
-            .unwrap();
-        dist.run(steps).unwrap();
-        assert_eq!(state_hash(&dist.sys), state_hash(&reference.sys));
-        assert!(dist.exchange_log().rebalances >= 1);
+        let want = state_hash(&reference.sys);
+        for partitioner in
+            [Partitioner::Slab { axis: 0 }, Partitioner::Sfc(SfcKind::Hilbert), Partitioner::Orb]
+        {
+            for nranks in [2usize, 3, 4] {
+                let mut dist = DistributedBuilder::new(gas_ball(300, 9))
+                    .config(quick_config())
+                    .distributed(DistributedConfig {
+                        nranks,
+                        partitioner,
+                        rebalance_every: 2,
+                        halo_growth_steps: 1,
+                    })
+                    .build()
+                    .unwrap();
+                dist.run(steps).unwrap();
+                assert_eq!(state_hash(&dist.sys), want, "{partitioner:?} at {nranks} ranks");
+                assert!(dist.exchange_log().rebalances >= 1);
+            }
+        }
     }
 
     #[test]

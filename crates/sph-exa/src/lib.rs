@@ -42,7 +42,7 @@ pub mod simulation;
 
 pub use distributed::{
     DistributedBuildError, DistributedBuilder, DistributedConfig, DistributedError,
-    DistributedSimulation, ExchangeLog, RankPartitioner, StepReport,
+    DistributedSimulation, ExchangeLog, StepReport,
 };
 pub use resilient::{
     Detection, RecoveryError, RecoveryStats, ResilientConfig, ResilientSimulation, RollbackRecord,

@@ -376,7 +376,6 @@ impl Workspace {
 pub(crate) fn refresh_ghosts(
     exchange: &mut dyn Exchange,
     log: &mut ExchangeLog,
-    retries: u32,
     global: &ParticleSystem,
     views: &mut [RankView],
     fields: Fields,
@@ -391,7 +390,7 @@ pub(crate) fn refresh_ghosts(
         for &(_, g) in &view.ws.ghosts {
             fields.pack(global, g as usize, &mut payload);
         }
-        with_retry(exchange, log, retries, |ex| {
+        with_retry(exchange, log, |ex| {
             ex.deliver_f64(ExchangePath::GhostRefresh, view.rank as u32, &mut payload)
         })?;
         for (j, &(k, _)) in view.ws.ghosts.iter().enumerate() {
@@ -588,9 +587,12 @@ fn gravity(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::{bucket_owned, partition, RankPartitioner};
-    use sph_domain::{halo_sets, SfcKind};
+    use crate::distributed::bucket_owned;
+    use sph_domain::{halo_sets, Partitioner, SfcKind};
     use sph_math::{Aabb, Mat3, Periodicity, SplitMix64};
+
+    const PARTITIONERS: [Partitioner; 3] =
+        [Partitioner::Orb, Partitioner::Sfc(SfcKind::Hilbert), Partitioner::Slab { axis: 0 }];
 
     /// A uniform cloud in the unit cube whose smoothing lengths vary by a
     /// factor ≈ 2 from particle to particle, so `j ∈ N(k)` without
@@ -631,10 +633,10 @@ mod tests {
             let all: Vec<u32> = (0..n as u32).collect();
             let global_grid = CellGrid::for_radius(&sys.x, periodicity, radius);
             let global = gather_lists(&sys, &global_grid, &all).symmetrized();
-            for partitioner in [RankPartitioner::Orb, RankPartitioner::Sfc(SfcKind::Hilbert)] {
+            for partitioner in PARTITIONERS {
                 for nranks in [2usize, 3, 4] {
                     let case = format!("{periodicity:?} {partitioner:?} nranks {nranks}");
-                    let decomp = partition(&sys, partitioner, nranks, &vec![1.0; n]);
+                    let decomp = partitioner.partition(&sys.x, nranks, &vec![1.0; n]);
                     let owned = bucket_owned(&decomp);
                     let halos = halo_sets(&sys.x, &decomp, radius, &periodicity);
                     // Pairs only the ghost's ball finds: owned k, ghost j,
@@ -712,11 +714,11 @@ mod tests {
                 let mut global = sys.clone();
                 let global_pairs =
                     compute_forces(&mut global, &global_lists, kernel.as_ref(), &config, &all);
-                for partitioner in [RankPartitioner::Orb, RankPartitioner::Sfc(SfcKind::Hilbert)] {
+                for partitioner in PARTITIONERS {
                     for nranks in [2usize, 3, 4] {
                         let case =
                             format!("{periodicity:?} {gradients:?} {partitioner:?} {nranks}");
-                        let decomp = partition(&sys, partitioner, nranks, &vec![1.0; n]);
+                        let decomp = partitioner.partition(&sys.x, nranks, &vec![1.0; n]);
                         let halos = halo_sets(&sys.x, &decomp, radius, &periodicity);
                         let mut pairs = 0;
                         for (r, (owned, imports)) in

@@ -120,21 +120,17 @@ pub struct ResilientConfig {
     /// Total rollbacks allowed before the run gives up with
     /// [`RecoveryError::NoProgress`].
     pub max_rollbacks: u32,
-    /// Relative tolerance of the conservation-drift detector (armed on
-    /// the post-step state, checked after fault injection — legitimate
-    /// physics drift never crosses it because nothing legitimate happens
-    /// between arm and check).
-    pub conservation_tolerance: f64,
 }
+
+/// Relative tolerance of the conservation-drift detector (armed on the
+/// post-step state, checked after fault injection — legitimate physics
+/// drift never crosses it because nothing legitimate happens between arm
+/// and check).
+const CONSERVATION_TOLERANCE: f64 = 1e-9;
 
 impl Default for ResilientConfig {
     fn default() -> Self {
-        ResilientConfig {
-            scheduler: SchedulerMode::FixedSteps(2),
-            retention: 2,
-            max_rollbacks: 8,
-            conservation_tolerance: 1e-9,
-        }
+        ResilientConfig { scheduler: SchedulerMode::FixedSteps(2), retention: 2, max_rollbacks: 8 }
     }
 }
 
@@ -391,8 +387,7 @@ impl ResilientSimulation {
                     // Arm on the known-good post-step state, *then* let
                     // the plan corrupt; the check below sees every flip.
                     let mut checksum = ChecksumDetector::new();
-                    let mut conservation =
-                        ConservationDetector::new(self.rcfg.conservation_tolerance);
+                    let mut conservation = ConservationDetector::new(CONSERVATION_TOLERANCE);
                     checksum.arm(&self.sim.sys);
                     conservation.arm(&self.sim.sys);
                     self.fire_driver_events()?;

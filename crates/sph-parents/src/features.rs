@@ -202,8 +202,9 @@ pub fn render_table(t: &FeatureTable) -> String {
 mod tests {
     use super::*;
     use crate::setups::{changa, sphflow, sphynx};
-    use sph_cluster::{LoadBalancing, Partitioner};
+    use sph_cluster::LoadBalancing;
     use sph_core::config::{GradientScheme, TimeStepping};
+    use sph_domain::Partitioner;
 
     #[test]
     fn tables_have_expected_shapes() {

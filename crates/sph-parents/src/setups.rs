@@ -6,9 +6,9 @@
 //! scaling *shape* comes from the measured decomposition, halo and
 //! imbalance structure, not from these constants.
 
-use sph_cluster::{CostModel, LoadBalancing, Partitioner};
+use sph_cluster::{CostModel, LoadBalancing};
 use sph_core::config::{GradientScheme, SphConfig, TimeStepping, ViscosityConfig, VolumeElements};
-use sph_domain::SfcKind;
+use sph_domain::{Partitioner, SfcKind};
 use sph_kernels::KernelKind;
 use sph_tree::{GravityConfig, MultipoleOrder};
 

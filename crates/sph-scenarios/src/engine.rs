@@ -152,42 +152,17 @@ pub trait Scenario: Send + Sync {
 // Registry
 // ---------------------------------------------------------------------
 
-/// Dynamic scenario registry: the successor of the hard-coded two-row
-/// `scenario_table()`. Holds trait objects, so downstream crates can
-/// register their own workloads next to the built-ins.
-#[derive(Default)]
+/// Scenario registry: the successor of the hard-coded two-row
+/// `scenario_table()`, holding every built-in workload as a trait object.
 pub struct ScenarioRegistry {
     entries: Vec<Box<dyn Scenario>>,
 }
 
 impl ScenarioRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        ScenarioRegistry { entries: Vec::new() }
-    }
-
     /// Every built-in workload, paper scenarios first (their registry
     /// order is the Table 5 row order).
     pub fn builtin() -> Self {
-        let mut r = ScenarioRegistry::new();
-        for s in crate::builtin_scenarios() {
-            #[expect(
-                clippy::expect_used,
-                reason = "the name set is static and the registry contract test covers it; \
-                          duplication is a code bug"
-            )]
-            r.register(s).expect("built-in names are unique");
-        }
-        r
-    }
-
-    /// Register a scenario; names must be unique.
-    pub fn register(&mut self, s: Box<dyn Scenario>) -> Result<(), String> {
-        if self.get(s.name()).is_some() {
-            return Err(format!("scenario {:?} is already registered", s.name()));
-        }
-        self.entries.push(s);
-        Ok(())
+        ScenarioRegistry { entries: crate::builtin_scenarios() }
     }
 
     /// Look a scenario up by name.
@@ -203,14 +178,6 @@ impl ScenarioRegistry {
     /// Registered names, in order.
     pub fn names(&self) -> Vec<&'static str> {
         self.entries.iter().map(|s| s.name()).collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The markdown scenario catalogue (the README section is generated

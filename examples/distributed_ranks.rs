@@ -1,22 +1,15 @@
 //! Multi-rank distributed stepping, end to end: run the same square patch
 //! on 1, 2 and 4 in-process ranks, verify the full-state fingerprints are
-//! bit-identical, then feed the *measured* decomposition, halo volumes
-//! and per-rank timings into the cluster step model — the Figs. 1–3
-//! machinery calibrated by a real multi-rank execution instead of
-//! estimates.
+//! bit-identical, and print each run's exchange log and per-rank phase
+//! timers.
 //!
 //! ```text
-//! cargo run --release --example distributed_strong_scaling
+//! cargo run --release --example distributed_ranks
 //! ```
 
-use sph_exa_repro::cluster::{
-    calibrate_machine, model_measured_step, piz_daint, LoadBalancing, MeasuredStep, Partitioner,
-    StepModelConfig,
-};
 use sph_exa_repro::core::config::SphConfig;
 use sph_exa_repro::core::diagnostics::state_fingerprint as fingerprint;
 use sph_exa_repro::exa::{DistributedBuilder, DistributedConfig};
-use sph_exa_repro::parents::sphflow;
 use sph_exa_repro::profiler::Phase;
 use sph_exa_repro::scenarios::{square_patch, SquarePatchConfig};
 
@@ -40,7 +33,7 @@ fn main() {
             .build()
             .expect("valid distributed setup");
         // Warm up, then reset the per-rank timers so they cover exactly
-        // one macro-step — the contract `calibrate_machine` expects.
+        // the final macro-step.
         sim.run(steps - 1).expect("stable run");
         for t in sim.timers() {
             t.reset();
@@ -72,39 +65,6 @@ fn main() {
             );
         }
 
-        // Feed the measured exchange into the cluster model: same step, as
-        // it would cost on Piz Daint with the SPH-flow cost model, with the
-        // core rate calibrated from this host's measured per-rank seconds.
-        if nranks > 1 {
-            let setup = sphflow();
-            let halos = sim.last_exchange().expect("multi-rank exchange").clone();
-            let measured = MeasuredStep {
-                decomposition: sim.decomposition(),
-                halos: &halos,
-                work: sim.per_particle_work(),
-            };
-            let per_rank_seconds: Vec<f64> = sim.timers().iter().map(|t| t.total()).collect();
-            let cost = setup.cost_for(sph_exa_repro::parents::Scenario::SquarePatch);
-            let machine = calibrate_machine(piz_daint(), &cost, &measured, &per_rank_seconds);
-            let model = StepModelConfig {
-                partitioner: Partitioner::Orb,
-                balancing: LoadBalancing::Dynamic,
-                machine,
-                cost,
-            };
-            let t = model_measured_step(&measured, &model);
-            println!(
-                "  modelled on {} (calibrated {:.2} GF/s/core): compute {:.3e}s  comm {:.3e}s  \
-                 collective {:.3e}s  halo {} particles  LB {:.3}",
-                machine.name,
-                machine.core_gflops,
-                t.compute_max(),
-                t.comm,
-                t.collective,
-                t.halo_volume,
-                t.load_balance(),
-            );
-        }
         println!();
     }
     println!(

@@ -13,9 +13,9 @@
 use sph_exa_repro::core::config::{SphConfig, TimeStepping};
 use sph_exa_repro::core::diagnostics::state_fingerprint as fingerprint;
 use sph_exa_repro::core::ParticleSystem;
+use sph_exa_repro::domain::Partitioner;
 use sph_exa_repro::exa::{
-    DistributedBuilder, DistributedConfig, DistributedSimulation, RankPartitioner,
-    SimulationBuilder,
+    DistributedBuilder, DistributedConfig, DistributedSimulation, SimulationBuilder,
 };
 use sph_exa_repro::ft::checkpoint::{DiskStore, MemoryStore};
 use sph_exa_repro::scenarios::{evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig};
@@ -134,10 +134,9 @@ fn rebalancing_with_measured_work_keeps_bits_and_balance() {
         .gravity(evrard_gravity())
         .distributed(DistributedConfig {
             nranks: 4,
-            partitioner: RankPartitioner::Orb,
+            partitioner: Partitioner::Orb,
             rebalance_every: 3,
             halo_growth_steps: 1,
-            ..Default::default()
         })
         .build()
         .unwrap();

@@ -44,15 +44,6 @@ fn registry_has_all_six_builtin_scenarios() {
 }
 
 #[test]
-fn registry_rejects_duplicate_names() {
-    let mut reg = ScenarioRegistry::builtin();
-    let err = reg
-        .register(Box::new(sph_exa_repro::scenarios::SedovScenario))
-        .expect_err("duplicate registration must fail");
-    assert!(err.contains("sedov"), "{err}");
-}
-
-#[test]
 fn every_scenario_inits_deterministically_and_validates_its_config() {
     let reg = ScenarioRegistry::builtin();
     for sc in reg.iter() {
