@@ -3,18 +3,25 @@
 
 use std::process::{Command, Output};
 
-fn sph_bench(line: &str) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_sph-bench"))
-        .args(line.split_whitespace())
-        .output()
-        .expect("sph-bench runs")
+fn command(line: &str) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_sph-bench"));
+    cmd.args(line.split_whitespace());
+    cmd
 }
 
-fn assert_runs(line: &str) -> String {
-    let out = sph_bench(line);
+fn sph_bench(line: &str) -> Output {
+    command(line).output().expect("sph-bench runs")
+}
+
+/// Stdout of a run that must succeed.
+fn succeeded(line: &str, out: Output) -> String {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{line}: {stderr}");
     String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+fn assert_runs(line: &str) -> String {
+    succeeded(line, sph_bench(line))
 }
 
 fn assert_rejected(line: &str, flag: &str) {
@@ -73,8 +80,14 @@ fn trace_runs_and_rejects_a_bad_rank_count() {
 
 #[test]
 fn ablations_run_and_reject_an_unknown_flag() {
-    let out = assert_runs("ablations --particles 1500");
-    assert!(out.contains("ablation 4"), "{out}");
+    // FNV-1a of the report; ablation 4's wall-clock seconds go to stderr.
+    let line = "ablations --particles 1500";
+    for threads in ["1", "4"] {
+        let out = command(line).env("SPH_THREADS", threads).output().expect("sph-bench runs");
+        let out = succeeded(line, out);
+        assert!(out.contains("ablation 4"), "{out}");
+        assert_eq!(fnv1a(out.as_bytes()), 0xd709_834e_3d3a_6404, "SPH_THREADS={threads}:\n{out}");
+    }
     assert_rejected("ablations --fixed", "--fixed");
 }
 

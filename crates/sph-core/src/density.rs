@@ -35,7 +35,8 @@ struct DensityRow {
 /// folded once per chunk (not per particle) and merged in chunk order by
 /// the caller — the chunked-map + ordered-reduce shape every parallel hot
 /// path in the workspace follows. Neighbour rows are stored as one flat
-/// id buffer + per-row lengths (CSR fragments): no per-particle `Vec`
+/// id buffer + per-row lengths (a CSR fragment, which becomes one segment
+/// of the returned [`NeighborLists`] as it is): no per-particle `Vec`
 /// allocation anywhere on the hot path.
 struct DensityChunk {
     rows: Vec<DensityRow>,
@@ -193,10 +194,11 @@ fn compute_density_with(
             // One candidate cache and one scratch row reused for every
             // particle of the chunk plus one flat CSR fragment the
             // finished rows append to — the per-particle `Vec` churn this
-            // pass used to pay is gone.
+            // pass used to pay is gone. A converged row holds at most `hi`
+            // entries, so the fragment rarely grows.
             let mut cand: Vec<(u32, f64)> = Vec::with_capacity(cfg.target_neighbors * 4);
             let mut row: Vec<u32> = Vec::with_capacity(cfg.target_neighbors * 2);
-            let mut flat: Vec<u32> = Vec::with_capacity(chunk.len() * cfg.target_neighbors);
+            let mut flat: Vec<u32> = Vec::with_capacity(chunk.len() * hi);
             let mut counts: Vec<u32> = Vec::with_capacity(chunk.len());
             let rows = chunk
                 .iter()
@@ -295,6 +297,9 @@ fn compute_density_with(
                     DensityRow { h, rho, omega }
                 })
                 .collect();
+            // The fragment outlives the pass as a segment of the lists:
+            // no spare room.
+            flat.shrink_to_fit();
             DensityChunk {
                 rows,
                 flat,
@@ -308,13 +313,13 @@ fn compute_density_with(
         .collect();
 
     // Ordered reduce: merge chunk counters, write rows back in `active`
-    // order (chunk order × row order reproduces it exactly), and splice
-    // the chunk CSR fragments into the shared lists.
+    // order (chunk order × row order reproduces it exactly), and hand the
+    // chunk CSR fragments over as the lists' segments.
     let total: usize = chunks.iter().map(|c| c.flat.len()).sum();
     assert!(total <= u32::MAX as usize, "neighbour count overflows u32 CSR offsets");
     let mut offsets = Vec::with_capacity(active.len() + 1);
     offsets.push(0u32);
-    let mut indices = Vec::with_capacity(total);
+    let mut segments = Vec::with_capacity(chunks.len());
     let mut running = 0u32;
     let mut step = StepStats::default();
     let mut ids = active.iter();
@@ -336,10 +341,10 @@ fn compute_density_with(
             running += count;
             offsets.push(running);
         }
-        indices.extend_from_slice(&chunk.flat);
+        segments.push(chunk.flat);
     }
     step.active_particles += active.len() as u64;
-    (NeighborLists::from_csr(offsets, indices), step)
+    (NeighborLists::from_segments(offsets, segments), step)
 }
 
 #[cfg(test)]

@@ -174,7 +174,8 @@ struct Chunk {
 /// For every particle without a row, the rows of its own chunk that hold
 /// it as an entry below their particle, ascending: its partners as a sweep
 /// source. Query `k` is local particle `k` (empty for particles with a
-/// row and for ghosts no row of their chunk needs).
+/// row and for ghosts no row of their chunk needs). Counted first, then
+/// scattered straight into segments of their exact length.
 fn lower_rowless_entries(
     lists: &NeighborLists,
     active: &[u32],
@@ -203,16 +204,22 @@ fn lower_rowless_entries(
     for j in 0..local {
         offsets[j + 1] += offsets[j];
     }
-    let mut cursor = Vec::with_capacity(local);
-    cursor.extend_from_slice(&offsets[..local]);
-    let mut indices = vec![0u32; offsets[local] as usize];
+    let segment_start = |j: usize| offsets[j - j % REDUCE_CHUNK];
+    let mut segments: Vec<Vec<u32>> = (0..local.div_ceil(REDUCE_CHUNK))
+        .map(|s| {
+            let end = ((s + 1) * REDUCE_CHUNK).min(local);
+            vec![0u32; (offsets[end] - segment_start(s * REDUCE_CHUNK)) as usize]
+        })
+        .collect();
+    // Each row's write cursor, from its segment's start.
+    let mut cursor: Vec<u32> = (0..local).map(|j| offsets[j] - segment_start(j)).collect();
     for (q, &t) in active.iter().enumerate() {
         for j in lower(q) {
-            indices[cursor[j] as usize] = t;
+            segments[j / REDUCE_CHUNK][cursor[j] as usize] = t;
             cursor[j] += 1;
         }
     }
-    NeighborLists::from_csr(offsets, indices)
+    NeighborLists::from_segments(offsets, segments)
 }
 
 /// What a pair reads of a particle that is a function of that particle

@@ -387,7 +387,7 @@ fn particles_without_a_row_are_sweep_sources_at_every_chunk_length() {
                 .map(|&g| gather.neighbors(g as usize).iter().filter_map(row_of).collect())
                 .collect(),
         );
-        let closure = forward.symmetrized_over_ghosts(&rows, sys.len(), &ghosts, &ghost_rows);
+        let closure = forward.into_symmetrized_over_ghosts(&rows, sys.len(), &ghosts, &ghost_rows);
         assert!(closure.is_symmetric_closure());
         let mut want = sys.clone();
         let kernel = cfg.kernel.build();

@@ -214,12 +214,14 @@ pub(crate) struct Workspace {
     resting: Vec<u32>,
     /// Cell grid over the local positions — the spatial structure of the
     /// evaluation's ball queries; dropped with the last of them, before
-    /// the pair lists (the evaluation's largest allocation) are built.
+    /// the gather lists grow into the pair lists.
     grid: Option<CellGrid>,
     /// Gather lists of the active particles (from the density pass),
-    /// indexed like `active`.
+    /// indexed like `active`; taken by the force lists.
     lists: NeighborLists,
-    /// Pair lists of the active particles the force pass sums over.
+    /// Pair lists of the active particles the force pass sums over: the
+    /// gather lists themselves, closed in place unless only a subset is
+    /// active — one copy of the pairs per evaluation.
     force_lists: NeighborLists,
     /// Potential and gravity interaction count of each active particle
     /// (empty with gravity off).
@@ -445,17 +447,16 @@ fn velocity_gradients(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspac
 /// when the rank has any. An active subset keeps its gather lists on every
 /// rank, as block-stepping codes do.
 fn force_lists(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
-    // The gather lists and the grid have their last reader here, and the
-    // symmetric closure is the evaluation's largest allocation: they are
-    // freed before it is built, not after.
+    // The grid has its last reader before here: it is freed before the
+    // closure grows the gather lists, which it consumes in place.
     ws.grid = None;
     let gather = std::mem::take(&mut ws.lists);
     ws.force_lists = if env.subset {
         gather
     } else if !ws.ghosts.is_empty() {
-        closure_over_ghosts(sys, ws, &gather, &ws.owned_grid(sys))
+        closure_over_ghosts(sys, ws, gather)
     } else {
-        gather.symmetrized()
+        gather.into_symmetrized()
     };
     StepStats::default()
 }
@@ -463,32 +464,29 @@ fn force_lists(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> S
 /// Symmetric closure when some neighbours are ghosts, whose gather lists
 /// this rank never computed. A ghost's gather set — the part of it among
 /// this rank's owned particles, which is all their rows can hold — is
-/// recovered with one frozen ball query at its exchanged h on `owned`, the
-/// grid over the owned positions in row order. That is exact, by the
-/// h-iteration's exit invariant, because the final search radius is within
-/// the verified halo radius, and because a query's result depends on
-/// centre, radius and periodicity, never on the grid's geometry. The
-/// reverse edges of owned rows and ghost balls are then merged into the
-/// owned rows in ascending local index ≡ ascending global id: identical
-/// membership and summation order to `NeighborLists::symmetrized()` over
-/// the global system.
+/// recovered with one frozen ball query at its exchanged h on the grid
+/// over the owned positions in row order ([`Workspace::owned_grid`]).
+/// That is exact, by the h-iteration's exit invariant, because the final
+/// search radius is within the verified halo radius, and because a
+/// query's result depends on centre, radius and periodicity, never on the
+/// grid's geometry. The reverse edges of owned rows and ghost balls are
+/// then merged into the owned rows in place, in ascending local index ≡
+/// ascending global id: identical membership and summation order to
+/// `NeighborLists::symmetrized()` over the global system.
 fn closure_over_ghosts(
     sys: &ParticleSystem,
     ws: &Workspace,
-    gather: &NeighborLists,
-    owned: &CellGrid,
+    gather: NeighborLists,
 ) -> NeighborLists {
-    let n_ghosts = ws.ghosts.len();
-    let mut ghost_ids = Vec::with_capacity(n_ghosts);
-    let mut centers = Vec::with_capacity(n_ghosts);
-    let mut radii = Vec::with_capacity(n_ghosts);
-    for &(k, _) in &ws.ghosts {
-        ghost_ids.push(k);
-        centers.push(sys.x[k as usize]);
-        radii.push(SUPPORT_RADIUS * sys.h[k as usize]);
-    }
-    let (ghost_rows, _) = build_csr_lists(owned, &centers, &radii);
-    gather.symmetrized_over_ghosts(&ws.active, ws.ids.len(), &ghost_ids, &ghost_rows)
+    let ghost_ids: Vec<u32> = ws.ghosts.iter().map(|&(k, _)| k).collect();
+    // The queries and the owned grid are gone before the rows grow.
+    let ghost_rows = {
+        let centers: Vec<Vec3> = ghost_ids.iter().map(|&k| sys.x[k as usize]).collect();
+        let radii: Vec<f64> =
+            ghost_ids.iter().map(|&k| SUPPORT_RADIUS * sys.h[k as usize]).collect();
+        build_csr_lists(&ws.owned_grid(sys), &centers, &radii).0
+    };
+    gather.into_symmetrized_over_ghosts(&ws.active, ws.ids.len(), &ghost_ids, &ghost_rows)
 }
 
 /// The closure [`closure_over_ghosts`] replaced, kept as its oracle: a
@@ -650,7 +648,7 @@ mod tests {
                         assert!(!ws.ghosts.is_empty(), "{case}: rank {r} imports nothing");
                         let grid = ws.grid.as_ref().unwrap();
                         let gather = gather_lists(local, grid, &ws.active);
-                        let got = closure_over_ghosts(local, ws, &gather, &ws.owned_grid(local));
+                        let got = closure_over_ghosts(local, ws, gather.clone());
                         let want = closure_over_ghosts_reference(local, ws, &gather, grid);
                         assert_eq!(got.query_count(), ws.active.len(), "{case}");
                         for (q, &k) in ws.active.iter().enumerate() {
@@ -738,8 +736,7 @@ mod tests {
                             import!(rho, omega, p, cs, div_v, curl_v, c_iad);
                             let grid = ws.grid.as_ref().unwrap();
                             let gather = gather_lists(&local, grid, &ws.active);
-                            let lists =
-                                closure_over_ghosts(&local, ws, &gather, &ws.owned_grid(&local));
+                            let lists = closure_over_ghosts(&local, ws, gather);
                             pairs += compute_forces(
                                 &mut local,
                                 &lists,

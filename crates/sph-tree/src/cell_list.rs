@@ -22,56 +22,71 @@ use crate::TraversalStats;
 use rayon::prelude::*;
 use sph_math::{Periodicity, Vec3, REDUCE_CHUNK};
 
-/// Flattened (CSR) neighbour lists for a set of query particles: one
-/// `offsets` array and one flat `indices` array, shared by every kernel
-/// pass of the step.
-#[derive(Debug, Clone, Default)]
+/// Compressed-row (CSR) neighbour lists for a set of query particles,
+/// shared by every kernel pass of the step. The `u32` offsets run over
+/// all rows; the entries are kept in **segments**, one `Vec<u32>` per
+/// `REDUCE_CHUNK` consecutive rows — exactly the fragment each chunk of a
+/// chunked pass builds, so a pass hands its fragments over instead of
+/// splicing them into a second array, and the symmetric closure grows
+/// each segment in place.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NeighborLists {
-    /// `offsets[k]..offsets[k+1]` indexes `indices` for query `k`.
+    /// `offsets[k]..offsets[k+1]` are row `k`'s entries, counted over all
+    /// rows.
     offsets: Vec<u32>,
-    /// Neighbour particle ids (original indexing), self included.
-    indices: Vec<u32>,
-    /// Set only by [`symmetric_closure`]: the rows are strictly ascending
-    /// and `j ∈ N(k) ⇔ k ∈ N(j)` between rows — what lets the force pass
+    /// Segment `s` holds the entries of rows `s·REDUCE_CHUNK ..
+    /// (s+1)·REDUCE_CHUNK`, from entry `offsets[s·REDUCE_CHUNK]` on:
+    /// neighbour particle ids (original indexing), self included.
+    segments: Vec<Vec<u32>>,
+    /// Set only by the closure: the rows are strictly ascending and
+    /// `j ∈ N(k) ⇔ k ∈ N(j)` between rows — what lets the force pass
     /// evaluate each pair once (see [`NeighborLists::is_symmetric_closure`]).
     closure: bool,
 }
 
 impl NeighborLists {
     /// Assemble from per-query rows (test/interop convenience; the hot
-    /// path builds the CSR arrays directly).
+    /// path builds the segments directly).
     pub fn from_lists(lists: Vec<Vec<u32>>) -> Self {
         let total: usize = lists.iter().map(|l| l.len()).sum();
         assert!(total <= u32::MAX as usize, "neighbour count overflows u32 CSR offsets");
         let mut offsets = Vec::with_capacity(lists.len() + 1);
         offsets.push(0u32);
-        let mut indices = Vec::with_capacity(total);
-        for l in lists {
-            indices.extend_from_slice(&l);
-            offsets.push(indices.len() as u32);
+        let mut segments = Vec::with_capacity(lists.len().div_ceil(REDUCE_CHUNK));
+        for rows in lists.chunks(REDUCE_CHUNK) {
+            let mut segment = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+            for row in rows {
+                segment.extend_from_slice(row);
+                offsets.push(offsets[offsets.len() - 1] + row.len() as u32);
+            }
+            segments.push(segment);
         }
-        NeighborLists { offsets, indices, closure: false }
+        NeighborLists { offsets, segments, closure: false }
     }
 
-    /// Assemble from raw CSR arrays. `offsets` must be monotone with
-    /// `offsets[0] == 0` and `offsets.last() == indices.len()`.
-    pub fn from_csr(offsets: Vec<u32>, indices: Vec<u32>) -> Self {
+    /// Assemble from the offsets over all rows (`offsets[0] == 0`,
+    /// monotone) and one segment per `REDUCE_CHUNK` rows holding exactly
+    /// those rows' entries.
+    pub fn from_segments(offsets: Vec<u32>, segments: Vec<Vec<u32>>) -> Self {
         assert!(!offsets.is_empty() && offsets[0] == 0, "CSR offsets must start at 0");
-        assert_eq!(
-            offsets.last().copied().unwrap_or(0) as usize,
-            indices.len(),
-            "CSR offsets/indices mismatch"
-        );
+        let n = offsets.len() - 1;
+        assert_eq!(segments.len(), n.div_ceil(REDUCE_CHUNK), "one segment per REDUCE_CHUNK rows");
+        for (s, segment) in segments.iter().enumerate() {
+            let rows = segment_rows(s, n);
+            let held = offsets[rows.end] - offsets[rows.start];
+            assert_eq!(segment.len(), held as usize, "segment {s} must hold its rows' entries");
+        }
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "CSR offsets must be monotone");
-        NeighborLists { offsets, indices, closure: false }
+        NeighborLists { offsets, segments, closure: false }
     }
 
     /// Neighbour slice of the k-th query particle.
     #[inline]
     pub fn neighbors(&self, k: usize) -> &[u32] {
-        let s = self.offsets[k] as usize;
-        let e = self.offsets[k + 1] as usize;
-        &self.indices[s..e]
+        let base = self.offsets[k - k % REDUCE_CHUNK];
+        let s = (self.offsets[k] - base) as usize;
+        let e = (self.offsets[k + 1] - base) as usize;
+        &self.segments[k / REDUCE_CHUNK][s..e]
     }
 
     /// Number of query particles covered.
@@ -81,15 +96,16 @@ impl NeighborLists {
 
     /// Total number of stored neighbour entries.
     pub fn total_neighbors(&self) -> usize {
-        self.indices.len()
+        self.offsets.last().map_or(0, |&t| t as usize)
     }
 
-    /// Were these lists built by [`NeighborLists::symmetrized`] or
-    /// [`NeighborLists::symmetrized_over_ghosts`]? Only then are the rows
-    /// proven strictly ascending and symmetric — between two rows, `j` is
-    /// in `k`'s exactly when `k` is in `j`'s — so that a pair may be
+    /// Were these lists built by [`NeighborLists::symmetrized`],
+    /// [`NeighborLists::into_symmetrized`] or
+    /// [`NeighborLists::into_symmetrized_over_ghosts`]? Only then are the
+    /// rows proven strictly ascending and symmetric — between two rows,
+    /// `j` is in `k`'s exactly when `k` is in `j`'s — so that a pair may be
     /// evaluated once and its terms handed to both sides. Lists assembled
-    /// any other way (gather lists, [`NeighborLists::from_csr`],
+    /// any other way (gather lists, [`NeighborLists::from_segments`],
     /// [`NeighborLists::from_lists`]) are unmarked, whatever they hold.
     pub fn is_symmetric_closure(&self) -> bool {
         self.closure
@@ -103,6 +119,12 @@ impl NeighborLists {
         self.total_neighbors() as f64 / self.query_count() as f64
     }
 
+    /// Symmetric closure of the lists, leaving them as they are: a copy
+    /// closed by [`NeighborLists::into_symmetrized`].
+    pub fn symmetrized(&self) -> NeighborLists {
+        self.clone().into_symmetrized()
+    }
+
     /// Symmetric closure of the lists: if `j ∈ N(i)` then also `i ∈ N(j)`.
     ///
     /// The density pass gathers within each particle's *own* support
@@ -110,35 +132,35 @@ impl NeighborLists {
     /// symmetric, but the pairwise momentum/energy equations must see
     /// every pair from both sides or conservation is silently broken.
     /// Only valid when the lists cover *all* particles (query `k` ⇔
-    /// particle `k`); [`NeighborLists::symmetrized_over_ghosts`] is the
-    /// closure of a subset's lists.
+    /// particle `k`); [`NeighborLists::into_symmetrized_over_ghosts`] is
+    /// the closure of a subset's lists.
     ///
-    /// Rows must be (and stay) strictly ascending. The closure is built
-    /// allocation-lean: a reverse-edge CSR (scattered in ascending-`k`
-    /// order, so every reverse row is already sorted) merged row-by-row
-    /// with the forward lists — no per-particle sort or dedup pass.
-    pub fn symmetrized(&self) -> NeighborLists {
+    /// Rows must be (and stay) strictly ascending. The rows are closed in
+    /// place: only the reverse entries a row lacks are found, and each
+    /// segment grows by its own (see `close_in_place`).
+    pub fn into_symmetrized(mut self) -> NeighborLists {
         let n = self.query_count();
         let row_of = |j: u32| {
             assert!((j as usize) < n, "symmetrized() requires full-system lists");
             Some(j as usize)
         };
-        symmetric_closure(self, |q| q as u32, row_of, &[], &NeighborLists::default())
+        self.close_in_place(|q| q as u32, row_of, &[], &NeighborLists::default());
+        self
     }
 
-    /// Symmetric closure of the lists of a *subset*: row `q` belongs to
-    /// particle `row_ids[q]` (strictly ascending ids below `id_count`) and,
-    /// like every id in it, is in that id space. Particles without a row
-    /// are *ghosts*: ids the rows name get no reverse edge (no row would
-    /// hold it), and the ghosts that gather a row's particle are passed in
-    /// — `ghost_ids` (strictly ascending, disjoint from `row_ids`) with
-    /// `ghost_rows.neighbors(g)` the **row indices** ghost `g` gathers, in
-    /// any order. Row `q` of the result is `N(q) ∪ {k : row_ids[q] ∈
-    /// N(k)}` over rows and ghosts, ascending — what
-    /// [`NeighborLists::symmetrized`] over the whole system holds for that
-    /// particle, restricted to the ids this subset knows.
-    pub fn symmetrized_over_ghosts(
-        &self,
+    /// Symmetric closure of the lists of a *subset*, in place: row `q`
+    /// belongs to particle `row_ids[q]` (strictly ascending ids below
+    /// `id_count`) and, like every id in it, is in that id space.
+    /// Particles without a row are *ghosts*: ids the rows name get no
+    /// reverse edge (no row would hold it), and the ghosts that gather a
+    /// row's particle are passed in — `ghost_ids` (strictly ascending,
+    /// disjoint from `row_ids`) with `ghost_rows.neighbors(g)` the **row
+    /// indices** ghost `g` gathers, in any order. Row `q` of the result is
+    /// `N(q) ∪ {k : row_ids[q] ∈ N(k)}` over rows and ghosts, ascending —
+    /// what [`NeighborLists::into_symmetrized`] over the whole system holds
+    /// for that particle, restricted to the ids this subset knows.
+    pub fn into_symmetrized_over_ghosts(
+        mut self,
         row_ids: &[u32],
         id_count: usize,
         ghost_ids: &[u32],
@@ -151,8 +173,7 @@ impl NeighborLists {
         for (q, &k) in row_ids.iter().enumerate() {
             row_of[k as usize] = q as u32;
         }
-        symmetric_closure(
-            self,
+        self.close_in_place(
             |q| row_ids[q],
             |j| match row_of[j as usize] {
                 NO_ROW => None,
@@ -160,14 +181,132 @@ impl NeighborLists {
             },
             ghost_ids,
             ghost_rows,
-        )
+        );
+        self
     }
+
+    /// The closure behind both `into_symmetrized*` (identity maps and no
+    /// ghosts, or a subset's). `id_of(q)` is the particle of row `q`,
+    /// `row_of(id)` the row of a particle (`None`: it has none).
+    ///
+    /// 1. One pass over the reverse edges — `(row of j, k)` for every
+    ///    `j ∈ N(k)`, `j ≠ k`, and `(q, g)` for every row `q` a ghost `g`
+    ///    gathers — keeps only the **missing** ones, those whose source is
+    ///    not yet in the target row. Sources are visited in ascending id,
+    ///    so the edges into one row arrive ascending, and a per-row cursor
+    ///    finds each by a merge with the (ascending) row.
+    /// 2. Each segment grows by its own missing entries and merges them
+    ///    in back to front, so no entry is moved twice and no second copy
+    ///    of the lists exists.
+    fn close_in_place(
+        &mut self,
+        id_of: impl Fn(usize) -> u32,
+        row_of: impl Fn(u32) -> Option<usize>,
+        ghost_ids: &[u32],
+        ghost_rows: &NeighborLists,
+    ) {
+        let n = self.query_count();
+        // Missing `(row, source)` entries.
+        let mut missing: Vec<(u32, u32)> = Vec::new();
+        let mut cursor = vec![0u32; n];
+        let mut reverse_edge = |target: usize, source: u32| {
+            let row = self.neighbors(target);
+            let c = &mut cursor[target];
+            while row.get(*c as usize).is_some_and(|&j| j < source) {
+                *c += 1;
+            }
+            if row.get(*c as usize) != Some(&source) {
+                missing.push((target as u32, source));
+            }
+        };
+        let (mut q, mut g) = (0, 0);
+        while q < n || g < ghost_ids.len() {
+            if g == ghost_ids.len() || (q < n && id_of(q) < ghost_ids[g]) {
+                let k = id_of(q);
+                for &j in self.neighbors(q) {
+                    if let Some(target) = row_of(j).filter(|_| j != k) {
+                        reverse_edge(target, k);
+                    }
+                }
+                q += 1;
+            } else {
+                for &target in ghost_rows.neighbors(g) {
+                    reverse_edge(target as usize, ghost_ids[g]);
+                }
+                g += 1;
+            }
+        }
+        drop(cursor);
+
+        assert!(
+            self.total_neighbors() + missing.len() <= u32::MAX as usize,
+            "neighbour count overflows u32 CSR offsets"
+        );
+        // Row by row, sources ascending; each segment pops its own from
+        // the back.
+        missing.sort_unstable();
+        let mut later = &missing[..];
+        for (s, segment) in self.segments.iter_mut().enumerate() {
+            let rows = segment_rows(s, n);
+            let extra;
+            (extra, later) =
+                later.split_at(later.partition_point(|&(t, _)| (t as usize) < rows.end));
+            if extra.is_empty() {
+                continue;
+            }
+            let old = &self.offsets[rows.clone()];
+            let base = old[0];
+            let mut read = segment.len();
+            segment.reserve_exact(extra.len());
+            segment.resize(read + extra.len(), 0);
+            let mut write = segment.len();
+            let mut pending = extra;
+            for r in rows.rev() {
+                if pending.is_empty() {
+                    break; // every row below is already in place
+                }
+                let start = (old[r - s * REDUCE_CHUNK] - base) as usize;
+                while let Some((&(_, source), rest)) =
+                    pending.split_last().filter(|&(&(t, _), _)| t as usize == r)
+                {
+                    while read > start && segment[read - 1] > source {
+                        read -= 1;
+                        write -= 1;
+                        segment[write] = segment[read];
+                    }
+                    write -= 1;
+                    segment[write] = source;
+                    pending = rest;
+                }
+                segment.copy_within(start..read, write - (read - start));
+                write -= read - start;
+                read = start;
+            }
+        }
+        // Shift every row end by the entries added up to it.
+        let mut rows_grown = missing.iter().map(|&(t, _)| t as usize).peekable();
+        let mut grown = 0u32;
+        for k in 0..n {
+            while rows_grown.next_if_eq(&k).is_some() {
+                grown += 1;
+            }
+            self.offsets[k + 1] += grown;
+        }
+        self.closure = true;
+    }
+}
+
+/// The rows segment `s` of `n` rows holds: its entries are
+/// `offsets[start]..offsets[end]`.
+fn segment_rows(s: usize, n: usize) -> std::ops::Range<usize> {
+    s * REDUCE_CHUNK..((s + 1) * REDUCE_CHUNK).min(n)
 }
 
 /// Every reverse edge `(target row, source id)` of the forward rows and
 /// the ghosts' gather sets, sources in ascending id — so the edges of one
 /// target arrive ascending. `id_of(q)` is the particle of row `q`,
 /// `row_of(id)` the row of a particle (`None`: it has none).
+#[cfg(test)]
 fn for_each_reverse_edge(
     forward: &NeighborLists,
     id_of: &impl Fn(usize) -> u32,
@@ -198,11 +337,10 @@ fn for_each_reverse_edge(
     }
 }
 
-/// The one closure routine behind [`NeighborLists::symmetrized`] (identity
-/// maps, no ghosts) and [`NeighborLists::symmetrized_over_ghosts`]: count
-/// → prefix-sum → scatter the reverse edges into a CSR whose rows are born
-/// ascending, then merge-union each forward row with its reverse row
-/// straight into the result's arrays.
+/// The closure `close_in_place` replaced, kept as its oracle: count →
+/// prefix-sum → scatter the reverse edges into a CSR whose rows are born
+/// ascending, then merge-union each forward row with its reverse row.
+#[cfg(test)]
 fn symmetric_closure(
     forward: &NeighborLists,
     id_of: impl Fn(usize) -> u32,
@@ -220,44 +358,42 @@ fn symmetric_closure(
         rev_off[j + 1] += rev_off[j];
     }
     let mut rev_idx = vec![0u32; rev_off[n] as usize];
-    let mut cursor = Vec::with_capacity(n);
-    cursor.extend_from_slice(&rev_off[..n]);
+    let mut cursor = rev_off[..n].to_vec();
     for_each_reverse_edge(forward, &id_of, &row_of, ghost_ids, ghost_rows, |target, k| {
         let c = &mut cursor[target];
         rev_idx[*c as usize] = k;
         *c += 1;
     });
     // Merge-union each forward row with its (sorted) reverse row.
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0u32);
-    let mut indices = Vec::with_capacity(forward.indices.len() + rev_idx.len());
-    for k in 0..n {
-        let a = forward.neighbors(k);
-        let b = &rev_idx[rev_off[k] as usize..rev_off[k + 1] as usize];
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    indices.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    indices.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    indices.push(a[i]);
-                    i += 1;
-                    j += 1;
+    let rows = (0..n)
+        .map(|k| {
+            let a = forward.neighbors(k);
+            let b = &rev_idx[rev_off[k] as usize..rev_off[k + 1] as usize];
+            let mut row = Vec::with_capacity(a.len() + b.len());
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                match a[i].cmp(&b[j]) {
+                    std::cmp::Ordering::Less => {
+                        row.push(a[i]);
+                        i += 1;
+                    }
+                    std::cmp::Ordering::Greater => {
+                        row.push(b[j]);
+                        j += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        row.push(a[i]);
+                        i += 1;
+                        j += 1;
+                    }
                 }
             }
-        }
-        indices.extend_from_slice(&a[i..]);
-        indices.extend_from_slice(&b[j..]);
-        offsets.push(indices.len() as u32);
-    }
-    assert!(indices.len() <= u32::MAX as usize, "neighbour count overflows u32 CSR offsets");
-    NeighborLists { offsets, indices, closure: true }
+            row.extend_from_slice(&a[i..]);
+            row.extend_from_slice(&b[j..]);
+            row
+        })
+        .collect();
+    NeighborLists { closure: true, ..NeighborLists::from_lists(rows) }
 }
 
 /// Soft cap on the total cell count, as a multiple of the particle count:
@@ -608,8 +744,9 @@ impl CellGrid {
 /// Batch ball queries into one CSR structure: the shape of the per-step
 /// neighbour phase (Fig. 4 phases B–D). Chunked map over fixed
 /// `REDUCE_CHUNK` boundaries + ordered reduce, so the assembled lists and
-/// merged stats are bit-identical for any thread count. Each row is
-/// sorted ascending (the canonical summation order).
+/// merged stats are bit-identical for any thread count; each chunk's
+/// fragment, trimmed to its length, becomes one segment of the lists.
+/// Each row is sorted ascending (the canonical summation order).
 pub fn build_csr_lists(
     query: &CellGrid,
     centers: &[Vec3],
@@ -635,15 +772,17 @@ pub fn build_csr_lists(
                 flat[before..].sort_unstable();
                 counts.push((flat.len() - before) as u32);
             }
+            flat.shrink_to_fit();
             CsrChunk { flat, counts, stats }
         })
         .collect();
-    // Ordered reduce straight into the CSR arrays.
+    // Ordered reduce: the offsets over all rows; the fragments are the
+    // segments.
     let total: usize = chunks.iter().map(|c| c.flat.len()).sum();
     assert!(total <= u32::MAX as usize, "neighbour count overflows u32 CSR offsets");
     let mut offsets = Vec::with_capacity(centers.len() + 1);
     offsets.push(0u32);
-    let mut indices = Vec::with_capacity(total);
+    let mut segments = Vec::with_capacity(chunks.len());
     let mut merged = TraversalStats::default();
     let mut running = 0u32;
     for chunk in chunks {
@@ -652,9 +791,9 @@ pub fn build_csr_lists(
             running += c;
             offsets.push(running);
         }
-        indices.extend_from_slice(&chunk.flat);
+        segments.push(chunk.flat);
     }
-    (NeighborLists::from_csr(offsets, indices), merged)
+    (NeighborLists::from_segments(offsets, segments), merged)
 }
 
 #[cfg(test)]
@@ -922,6 +1061,7 @@ mod tests {
         let radii: Vec<f64> = (0..150).map(|i| 0.05 + 0.001 * i as f64).collect();
         let (lists, stats) = build_csr_lists(&grid, &centers, &radii);
         assert_eq!(lists.query_count(), 150);
+        assert!(lists.segments.iter().all(|s| s.capacity() == s.len()), "untrimmed segment");
         assert!(stats.p2p_interactions > 0);
         for (i, (&c, &r)) in centers.iter().zip(&radii).enumerate() {
             let mut expect = brute_force(&pts, &per, c, r);
@@ -977,12 +1117,14 @@ mod tests {
                 })
                 .collect(),
         );
-        let sym = forward.symmetrized_over_ghosts(&row_ids, n as usize, &ghost_ids, &ghost_rows);
+        let gathered = forward.total_neighbors();
+        let sym =
+            forward.into_symmetrized_over_ghosts(&row_ids, n as usize, &ghost_ids, &ghost_rows);
         assert_eq!(sym.query_count(), row_ids.len());
         for (q, &k) in row_ids.iter().enumerate() {
             assert_eq!(sym.neighbors(q), full.neighbors(k as usize), "row {q} (particle {k})");
         }
-        assert!(sym.total_neighbors() > forward.total_neighbors(), "no reverse edge was added");
+        assert!(sym.total_neighbors() > gathered, "no reverse edge was added");
     }
 
     #[test]
@@ -1014,6 +1156,56 @@ mod tests {
             s.sort_unstable();
             s.dedup();
             assert_eq!(sym.neighbors(k), s.as_slice(), "row {k}");
+        }
+    }
+
+    #[test]
+    fn in_place_closure_equals_the_count_scatter_merge_oracle() {
+        // Row counts on both sides of the segment length, and from no
+        // asymmetry to dense asymmetry. Each case closes the whole system
+        // and, with every third particle keeping its row, a subset whose
+        // other particles are ghosts.
+        let mut rng = SplitMix64::new(0x1A7E);
+        for n in [0u32, 1, 255, 256, 257, 3 * 256 + 17] {
+            for p in [0.0, 4.0 / n.max(1) as f64, 0.05] {
+                let case = format!("n {n} p {p}");
+                let rows: Vec<Vec<u32>> = (0..n)
+                    .map(|k| (0..n).filter(|&j| j == k || rng.next_f64() < p).collect())
+                    .collect();
+                let forward = NeighborLists::from_lists(rows.clone());
+                let none = NeighborLists::default();
+                let want =
+                    symmetric_closure(&forward, |q| q as u32, |j| Some(j as usize), &[], &none);
+                let gathered = forward.total_neighbors();
+                let got = forward.into_symmetrized();
+                assert_eq!(got, want, "{case}");
+                assert!(got.segments.iter().all(|s| s.capacity() == s.len()), "{case}: spare room");
+                if p > 0.0 && n > 1 {
+                    assert!(got.total_neighbors() > gathered, "{case}: nothing was missing");
+                }
+
+                let (row_ids, ghost_ids): (Vec<u32>, Vec<u32>) = (0..n).partition(|k| k % 3 == 1);
+                let forward = NeighborLists::from_lists(
+                    row_ids.iter().map(|&k| rows[k as usize].clone()).collect(),
+                );
+                let row_of = |j: u32| row_ids.binary_search(&j).ok();
+                let ghost_rows = NeighborLists::from_lists(
+                    ghost_ids
+                        .iter()
+                        .map(|&g| rows[g as usize].iter().filter_map(|&j| row_of(j)))
+                        .map(|hits| hits.map(|q| q as u32).collect())
+                        .collect(),
+                );
+                let id_of = |q: usize| row_ids[q];
+                let want = symmetric_closure(&forward, id_of, row_of, &ghost_ids, &ghost_rows);
+                let got = forward.into_symmetrized_over_ghosts(
+                    &row_ids,
+                    n as usize,
+                    &ghost_ids,
+                    &ghost_rows,
+                );
+                assert_eq!(got, want, "{case}: subset");
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Tier-1 guard on the static enforcers: rustc denies `unsafe` code,
 //! clippy owns the panic-path, undocumented-unsafe and determinism bans,
 //! and the clippy CI job is their gate; the test profile keeps the runtime
-//! checks on. Deleting one of these lines must also turn tier-1 red.
+//! checks on; the allocation contract stays one test. Deleting one of
+//! these lines must also turn tier-1 red.
 
 use std::path::Path;
 
@@ -97,4 +98,14 @@ fn every_library_crate_root_denies_panic_paths() {
             root.display()
         );
     }
+}
+
+/// `tests/hot_alloc.rs` measures with process-wide counters, which cannot
+/// tell two concurrently running tests apart: a second `#[test]` there
+/// would silently corrupt both its bounds.
+#[test]
+fn the_allocation_contract_is_one_test() {
+    let text = read("tests/hot_alloc.rs");
+    let tests = text.lines().filter(|l| l.trim_start().starts_with("#[test]")).count();
+    assert_eq!(tests, 1, "tests/hot_alloc.rs must hold exactly one #[test], found {tests}");
 }
