@@ -17,10 +17,13 @@
 //! sequence of bulk-synchronous supersteps:
 //!
 //! 1. **Halo negotiation** — each rank reports the maximum smoothing
-//!    length of its *owned* particles; [`HaloRadiusPolicy::negotiate`]
-//!    reduces them to one conservative import radius (support radius ×
-//!    global max h × iteration headroom). [`halo_sets`] then yields, per
-//!    rank, the remote particles within that radius of its bounding box.
+//!    length of its *owned* particles; the driver reduces them to the
+//!    global max h and sets one import radius: a small margin times
+//!    [`HaloRadiusPolicy::radius_for`] that max (support radius × max h
+//!    × optional iteration headroom). The radius is a guess that step 2
+//!    verifies, so it is as tight as a settled h-iteration allows rather
+//!    than conservative. [`halo_sets`] then yields, per rank, the remote
+//!    particles within that radius of its bounding box.
 //! 2. **Collective h-iteration + density** — every rank adapts h and sums
 //!    density for its owned particles over (owned ∪ ghost) only. The
 //!    largest search radius actually requested is reduced globally

@@ -5,10 +5,12 @@
 //! prescribes for distributed memory — as N in-process ranks. Each rank
 //! owns a subset of the particles; every macro-step executes the
 //! bulk-synchronous supersteps documented in `sph_domain`'s module docs:
-//! halo negotiation, then the pass table of `passes.rs` (collective
-//! h-iteration + density over owned ∪ ghost, ghost-field refresh between
-//! kernels, symmetric forces, gravity), a global dt reduction, kick/drift,
-//! and particle migration with periodic rebalancing.
+//! halo negotiation (ghosts within `2 · h_max` plus a 5 % margin, which
+//! the density pass verifies), then the pass table of `passes.rs`
+//! (collective h-iteration + density over owned ∪ ghost, ghost-field
+//! refresh between kernels, symmetric forces, gravity), a global dt
+//! reduction, kick/drift, and particle migration with periodic
+//! rebalancing.
 //!
 //! One rank is the same driver with nothing to exchange: the rank owns
 //! every particle and imports no ghost, so it computes on the global
@@ -208,10 +210,13 @@ pub struct DistributedConfig {
     /// using the measured per-particle work as weights (0 = never; the
     /// migration protocol alone then tracks drifting particles).
     pub rebalance_every: u64,
-    /// Smoothing-length-iteration headroom budgeted into the *initial*
-    /// halo radius, in iterations of the analytic growth bound. Small
-    /// values keep halos tight; the coverage verification renegotiates on
-    /// a miss, so correctness never depends on this guess.
+    /// Extra analytic headroom on the negotiated halo radius, in
+    /// iterations of the smoothing-length growth bound (each multiplies
+    /// the radius by ≈ 2 at 60 neighbours). The default 0 imports ghosts
+    /// within `2 · h_max` plus the driver's 5 % margin, which a settled
+    /// density pass never outgrows; the coverage verification
+    /// renegotiates on a miss, so correctness never depends on this
+    /// guess. The field stays only because the benchmark reads it.
     pub halo_growth_steps: u32,
 }
 
@@ -221,7 +226,7 @@ impl Default for DistributedConfig {
             nranks: 1,
             partitioner: Partitioner::Orb,
             rebalance_every: 10,
-            halo_growth_steps: 1,
+            halo_growth_steps: 0,
         }
     }
 }
@@ -373,6 +378,10 @@ pub struct DistributedSimulation {
     /// state resumed from a between-steps checkpoint).
     pub(crate) derivatives_fresh: bool,
     last_exchange: Option<HaloExchange>,
+    /// The smoothing lengths an evaluation starts from, kept for the
+    /// rollback a halo renegotiation needs (refilled in place; empty at
+    /// one rank, which never renegotiates).
+    h_rollback: Vec<f64>,
     log: ExchangeLog,
     /// The carrier behind the five exchange paths (see
     /// [`sph_domain::exchange`]); in-process by default.
@@ -389,6 +398,13 @@ pub(crate) fn bucket_owned(decomp: &Decomposition) -> Vec<Vec<u32>> {
     }
     owned
 }
+
+/// Factor on the analytic halo radius `2 · h_max · g^steps`. A settled
+/// density pass searches within ≈ 1.03 × `2 · h_max` and a first
+/// evaluation from set-up smoothing lengths within ≈ 1.08 ×, so 5 %
+/// covers every step after the first without a renegotiation; a miss is
+/// still caught by the verification and renegotiated.
+const HALO_MARGIN: f64 = 1.05;
 
 /// How many times a *transient* exchange failure is reissued before it
 /// escalates as [`DistributedError::Exchange`].
@@ -459,6 +475,7 @@ impl DistributedSimulation {
             driver_timers: PhaseTimers::new(),
             derivatives_fresh,
             last_exchange: None,
+            h_rollback: if dist.nranks > 1 { vec![0.0; n] } else { Vec::new() },
             log: ExchangeLog::default(),
             exchange: Box::new(InProcessExchange::new()),
             dist,
@@ -552,10 +569,14 @@ impl DistributedSimulation {
     // The derivative evaluation (Algorithm 1, steps 1–4)
     // ---------------------------------------------------------------
 
-    /// Superstep 1: the halo radius to import ghosts within — the global
-    /// max h (the first collective of the protocol) widened by a small
-    /// h-iteration headroom. `radius_for` over the reduced max reproduces
-    /// `negotiate`'s sequential fold bit-for-bit (max is order-independent).
+    /// Superstep 1: the halo radius to import ghosts within — the support
+    /// of the global max h (the first collective of the protocol), times
+    /// [`HALO_MARGIN`] and any extra analytic headroom
+    /// (`halo_growth_steps`, 0 by default). The radius is a guess the
+    /// density pass verifies, so a tight one costs at most a
+    /// renegotiation, never a result bit. `radius_for` over the reduced
+    /// max reproduces `negotiate`'s sequential fold bit-for-bit (max is
+    /// order-independent).
     fn negotiate_radius(&mut self, growth: f64) -> Result<f64, ExchangeError> {
         let headroom_cap = self.config.max_h_iterations.saturating_sub(1) as u32;
         let policy = HaloRadiusPolicy::with_headroom(
@@ -571,7 +592,7 @@ impl DistributedSimulation {
         let global_max_h = with_retry(self.exchange.as_mut(), &mut self.log, |ex| {
             ex.reduce_max(ExchangePath::HaloNegotiation, &per_rank_max_h)
         })?;
-        Ok(policy.radius_for(global_max_h))
+        Ok(policy.radius_for(global_max_h) * HALO_MARGIN)
     }
 
     /// Each rank's view of one density attempt, computing its owned
@@ -627,9 +648,13 @@ impl DistributedSimulation {
         // pre-step smoothing lengths are restored and the pass re-runs at
         // the escalated radius.
         let growth = h_growth_bound(&self.config);
-        let (mut radius, h_before) = match nranks {
-            1 => (None, Vec::new()),
-            _ => (Some(self.negotiate_radius(growth)?), self.sys.h.clone()),
+        let mut radius = match nranks {
+            1 => None,
+            _ => {
+                let r = self.negotiate_radius(growth)?;
+                self.h_rollback.copy_from_slice(&self.sys.h);
+                Some(r)
+            }
         };
         let mut renegotiated = 0u32;
 
@@ -717,7 +742,10 @@ impl DistributedSimulation {
                     // The failed attempt mutated owned h — restore the
                     // pre-step values so the retry reproduces the global
                     // trajectory.
-                    self.sys.h.copy_from_slice(&h_before);
+                    self.sys.h.copy_from_slice(&self.h_rollback);
+                    // Free the failed attempt's rank copies before the
+                    // next set opens, so the two never coexist.
+                    drop((std::mem::take(&mut views), halos.take()));
                     (views, halos) = self.open_views(active, radius);
                     next -= 1;
                     continue;
@@ -1211,9 +1239,10 @@ mod tests {
     }
 
     #[test]
-    fn halo_renegotiation_still_matches_when_budget_is_zero() {
+    fn halo_renegotiation_from_unconverged_h_still_matches() {
         // Start far from the converged smoothing length so the h iteration
-        // must grow past the frozen halo radius and force a renegotiation.
+        // must grow past the default halo radius (2 · h_max plus the 5 %
+        // margin) and force a renegotiation.
         let make = || {
             let mut sys = gas_ball(300, 5);
             for h in sys.h.iter_mut() {
@@ -1225,18 +1254,14 @@ mod tests {
         reference.step().unwrap();
         let mut dist = DistributedBuilder::new(make())
             .config(quick_config())
-            .distributed(DistributedConfig {
-                nranks: 4,
-                halo_growth_steps: 0,
-                ..Default::default()
-            })
+            .distributed(DistributedConfig { nranks: 4, ..Default::default() })
             .build()
             .unwrap();
         dist.step().unwrap();
         assert_eq!(state_hash(&dist.sys), state_hash(&reference.sys));
         assert!(
             dist.exchange_log().renegotiations > 0,
-            "zero headroom on a far-from-converged state should force a renegotiation"
+            "the default radius on a far-from-converged state should force a renegotiation"
         );
     }
 

@@ -1,7 +1,10 @@
 //! Multi-rank distributed stepping, end to end: run the same square patch
 //! on 1, 2 and 4 in-process ranks, verify the full-state fingerprints are
-//! bit-identical, and print each run's exchange log and per-rank phase
-//! timers.
+//! bit-identical, and print each run's exchange log (with the ghosts
+//! imported per owned particle per density attempt) and per-rank phase
+//! timers. Fails (exits non-zero) if a halo renegotiation happens after
+//! the first step: the negotiated radius (2 · h_max plus a 5 % margin)
+//! must cover every settled density pass.
 //!
 //! ```text
 //! cargo run --release --example distributed_ranks
@@ -26,6 +29,7 @@ fn main() {
     println!("distributed square patch, {} particles, {steps} macro-steps\n", nx * nx * nx);
 
     let mut reference_fp = None;
+    let mut late_renegotiations = 0;
     for nranks in [1usize, 2, 4] {
         let mut sim = DistributedBuilder::new(square_patch(&scenario))
             .config(sph)
@@ -33,8 +37,11 @@ fn main() {
             .build()
             .expect("valid distributed setup");
         // Warm up, then reset the per-rank timers so they cover exactly
-        // the final macro-step.
-        sim.run(steps - 1).expect("stable run");
+        // the final macro-step. The first step may renegotiate the halo
+        // from the set-up smoothing lengths; no later one may.
+        sim.step().expect("stable first step");
+        let first_renegotiations = sim.exchange_log().renegotiations;
+        sim.run(steps - 2).expect("stable run");
         for t in sim.timers() {
             t.reset();
         }
@@ -46,11 +53,13 @@ fn main() {
         }
 
         let log = sim.exchange_log();
+        late_renegotiations += log.renegotiations - first_renegotiations;
         println!(
-            "nranks={nranks}: fingerprint {fp:#018x}  imbalance {:.3}  ghosts/step {:.0}  \
+            "nranks={nranks}: fingerprint {fp:#018x}  imbalance {:.3}  ghosts/owned {:.3}  \
              migrations {}  renegotiations {}  rebalances {}",
             sim.imbalance(),
-            log.ghosts_imported as f64 / log.density_attempts.max(1) as f64,
+            log.ghosts_imported as f64
+                / (log.density_attempts.max(1) * sim.sys.len() as u64) as f64,
             log.migrations,
             log.renegotiations,
             log.rebalances,
@@ -70,5 +79,10 @@ fn main() {
     println!(
         "all rank counts produced the same fingerprint: decomposition, migration and \
          rebalancing changed where particles were computed, never what was computed."
+    );
+    assert_eq!(
+        late_renegotiations, 0,
+        "halo renegotiations after the first step: the negotiated radius no longer covers a \
+         settled density pass"
     );
 }

@@ -8,7 +8,8 @@
 //! collapse, for SPH_THREADS ∈ {1, 4}, including after a mid-run per-rank
 //! checkpoint/restore (global and block time-stepping) — and migration
 //! provably moves particles between owners without moving a single bit of
-//! physics.
+//! physics — and the halo margin covers every registered scenario once
+//! its first step has settled the smoothing lengths.
 
 use sph_exa_repro::core::config::{SphConfig, TimeStepping};
 use sph_exa_repro::core::diagnostics::state_fingerprint as fingerprint;
@@ -18,7 +19,9 @@ use sph_exa_repro::exa::{
     DistributedBuilder, DistributedConfig, DistributedSimulation, SimulationBuilder,
 };
 use sph_exa_repro::ft::checkpoint::{DiskStore, MemoryStore};
-use sph_exa_repro::scenarios::{evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig};
+use sph_exa_repro::scenarios::{
+    evrard_collapse, square_patch, EvrardConfig, Resolution, ScenarioRegistry, SquarePatchConfig,
+};
 use sph_exa_repro::tree::{GravityConfig, MultipoleOrder};
 
 const STEPS: usize = 10;
@@ -98,6 +101,38 @@ fn evrard_with_gravity_matches_single_rank_across_ranks_and_threads() {
                 "Evrard diverged at nranks={nranks}, SPH_THREADS={threads}"
             );
         }
+    }
+}
+
+#[test]
+fn halo_margin_needs_no_renegotiation_after_the_first_step() {
+    // The driver imports ghosts within 2 · h_max plus a 5 % margin. A
+    // first step from set-up smoothing lengths may outgrow that and
+    // renegotiate; every later step must not, on every scenario.
+    const LATER_STEPS: usize = 3;
+    for sc in ScenarioRegistry::builtin().iter() {
+        let build = |nranks: usize| {
+            let setup = sc.init(Resolution { scale: 0.5 });
+            let mut b = DistributedBuilder::new(setup.sys).config(setup.config).nranks(nranks);
+            if let Some(g) = setup.gravity {
+                b = b.gravity(g);
+            }
+            b.build().unwrap()
+        };
+        let mut dist = build(4);
+        dist.step().expect("stable first step");
+        let first = dist.exchange_log().renegotiations;
+        dist.run(LATER_STEPS).expect("stable distributed run");
+        assert_eq!(
+            dist.exchange_log().renegotiations,
+            first,
+            "{}: a step after the first renegotiated its halo",
+            sc.name()
+        );
+
+        let mut reference = build(1);
+        reference.run(1 + LATER_STEPS).expect("stable reference run");
+        assert_eq!(fingerprint(&dist.sys), fingerprint(&reference.sys), "{}", sc.name());
     }
 }
 

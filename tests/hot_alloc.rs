@@ -94,9 +94,12 @@ static GLOBAL: Counting = Counting;
 const MAX_SLOPE: f64 = 0.5;
 /// Bytes of step heap peak above the live heap each added particle may
 /// cost, by case, at nranks 1 and 4. Four ranks pay for the rank copies
-/// of owned ∪ ghost particles and the ghosts' gather sets on top.
+/// of owned ∪ ghost particles and the ghosts' gather sets on top; the
+/// 4-rank bounds hold the halo to the radius the density pass searches
+/// (an import at `2 · h_max · 2.05`, one analytic h-growth step, reads
+/// 1 017 and 1 257).
 const MAX_PEAK_BYTES: [(&str, [f64; 2]); 2] =
-    [("square patch", [550.0, 1190.0]), ("evrard", [550.0, 1460.0])];
+    [("square patch", [550.0, 900.0]), ("evrard", [550.0, 1150.0])];
 const WARM_STEPS: usize = 2;
 
 fn patch(nz: usize) -> ParticleSystem {
