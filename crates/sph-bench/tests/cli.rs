@@ -36,6 +36,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
+/// Stdout of `line`, which must hash (FNV-1a) to `pin` at `SPH_THREADS` 1
+/// and 4: the modelled figures are bit-identical for any pool size.
+fn assert_pinned(line: &str, pin: u64) -> String {
+    let mut stdout = String::new();
+    for threads in ["1", "4"] {
+        let out = command(line).env("SPH_THREADS", threads).output().expect("sph-bench runs");
+        stdout = succeeded(line, out);
+        assert_eq!(fnv1a(stdout.as_bytes()), pin, "{line}, SPH_THREADS={threads}:\n{stdout}");
+    }
+    stdout
+}
+
 #[test]
 fn miniapp_checkpoints_and_resumes() {
     let dir = format!("{}/cli-checkpoints", env!("CARGO_TARGET_TMPDIR"));
@@ -52,49 +64,48 @@ fn miniapp_checkpoints_and_resumes() {
 
 #[test]
 fn scaling_runs_and_rejects_an_unknown_code() {
-    let out = assert_runs("scaling --code sphflow --particles 1500 --steps 1");
+    let out =
+        assert_pinned("scaling --code sphflow --particles 1500 --steps 1", 0xd321_9ff2_613a_10a8);
     assert!(out.contains("=== SPH-flow (Square test case) ===") && !out.contains("SPHYNX"));
     assert_rejected("scaling --code sphyx", "--code");
 }
 
 #[test]
 fn weak_scaling_runs_and_rejects_a_bad_count() {
-    let out = assert_runs("weak_scaling --per-core 20 --steps 1");
+    let out = assert_pinned("weak_scaling --per-core 20 --steps 1", 0xa4f0_e544_e784_0418);
     assert_eq!(out.matches("(square patch, Piz Daint model)").count(), 3);
     assert_rejected("weak_scaling --per-core x", "--per-core");
 }
 
 #[test]
 fn pop_metrics_runs_and_rejects_an_unknown_test() {
-    let out = assert_runs("pop_metrics --code sphynx --test evrard --particles 1500 --steps 1");
+    let out = assert_pinned(
+        "pop_metrics --code sphynx --test evrard --particles 1500 --steps 1",
+        0x2711_664c_9f58_b35c,
+    );
     assert!(out.contains("SPHYNX / Evrard") && !out.contains("/ Square"), "{out}");
     assert_rejected("pop_metrics --test evrad", "--test");
 }
 
 #[test]
 fn trace_runs_and_rejects_a_bad_rank_count() {
-    let out = assert_runs("trace --particles 1500 --steps 1");
+    let out = assert_pinned("trace --particles 1500 --steps 1", 0x76b3_8ce2_24e8_6a2a);
     assert!(out.contains("Fig. 4 analogue") && out.contains("POP:"), "{out}");
     assert_rejected("trace --ranks x", "--ranks");
 }
 
 #[test]
 fn ablations_run_and_reject_an_unknown_flag() {
-    // FNV-1a of the report; ablation 4's wall-clock seconds go to stderr.
-    let line = "ablations --particles 1500";
-    for threads in ["1", "4"] {
-        let out = command(line).env("SPH_THREADS", threads).output().expect("sph-bench runs");
-        let out = succeeded(line, out);
-        assert!(out.contains("ablation 4"), "{out}");
-        assert_eq!(fnv1a(out.as_bytes()), 0xd709_834e_3d3a_6404, "SPH_THREADS={threads}:\n{out}");
-    }
+    // Ablation 4's wall-clock seconds go to stderr, so stdout is pinnable.
+    let out = assert_pinned("ablations --particles 1500", 0xd709_834e_3d3a_6404);
+    assert!(out.contains("ablation 4"), "{out}");
     assert_rejected("ablations --fixed", "--fixed");
 }
 
 #[test]
 fn tables_print_the_pinned_bytes_and_reject_table_7() {
     // FNV-1a of the five tables as the separate `tables` binary printed them.
-    assert_eq!(fnv1a(assert_runs("tables").as_bytes()), 0xc2dc_e780_5f99_83a5);
+    assert_pinned("tables", 0xc2dc_e780_5f99_83a5);
     assert_rejected("tables --table 7", "--table");
 }
 
