@@ -1,8 +1,10 @@
 //! `ablations`: the design choices on which the parent codes differ.
 
 use crate::args::{Args, Flags, Kind};
-use sph_bench::{build_evrard_sim, measure_after};
-use sph_cluster::{model_step, piz_daint, CostModel, LoadBalancing, StepModelConfig, StepWork};
+use sph_bench::{
+    build_evrard_sim, measure_after, piz_daint, sphynx, CostModel, LoadBalancing, StepModelConfig,
+    StepWork,
+};
 use sph_core::config::{GradientScheme, TimeStepping};
 use sph_core::density::compute_density;
 use sph_core::gradients::{compute_iad_matrices, scalar_gradient};
@@ -10,14 +12,12 @@ use sph_core::volume::compute_volume_elements;
 use sph_domain::{Partitioner, SfcKind};
 use sph_kernels::SUPPORT_RADIUS;
 use sph_math::Vec3;
-use sph_parents::sphynx;
 use sph_tree::CellGrid;
 
 pub const FLAGS: Flags = &[("--particles", Kind::Count)];
 
 fn decomposition_ablation(sim: &sph_exa::Simulation, work: &StepWork) {
     println!("--- ablation 1+2: decomposition × balancing (Evrard distribution) ---");
-    let workload = work.workload(sim);
     let (machine, cost) = (piz_daint(), CostModel::default());
     println!("  partitioner        balancing  LB      halo    step(s)");
     for (partitioner, pname) in [
@@ -30,7 +30,7 @@ fn decomposition_ablation(sim: &sph_exa::Simulation, work: &StepWork) {
             [(LoadBalancing::Static, "static"), (LoadBalancing::Dynamic, "dynamic")]
         {
             let cfg = StepModelConfig { partitioner, balancing, machine, cost };
-            let t = model_step(&workload, 96, &cfg, Some(&work.total));
+            let t = work.model(sim, 96, &cfg);
             println!(
                 "  {pname:18} {bname:9}  {:5.1}%  {:6}  {:.4}",
                 t.load_balance() * 100.0,
@@ -50,7 +50,7 @@ fn timestepping_ablation(particles: usize) {
         (TimeStepping::Individual { max_rungs: 6 }, "individual (ChaNGa)"),
     ] {
         let mut setup = sphynx();
-        setup.sph.time_stepping = ts;
+        setup.code.sph.time_stepping = ts;
         let mut sim = build_evrard_sim(&setup, particles, 42);
         let mut interactions = 0u64;
         let mut active = 0.0;

@@ -2,7 +2,7 @@
 //! preparation of the run to a handful of command line arguments".
 
 use crate::args::{Args, Flags, Kind};
-use sph_bench::{build_evrard_sim, build_square_sim, setup_named, CODE_NAMES};
+use sph_bench::{build_evrard_sim, build_square_sim, miniapp, setup_named, CODE_NAMES};
 use sph_exa::Simulation;
 use sph_ft::checkpoint::{CheckpointStore, DiskStore};
 
@@ -18,7 +18,7 @@ pub const FLAGS: Flags = &[
 
 pub fn run(args: &Args) {
     let test = args.text("--test").unwrap_or("square");
-    let setup = args.text("--code").and_then(setup_named).unwrap_or_else(sph_parents::miniapp);
+    let setup = args.text("--code").and_then(setup_named).unwrap_or_else(miniapp);
     let particles = args.num("--particles").unwrap_or(20_000);
     let steps = args.num("--steps").unwrap_or(20);
     let checkpoint_every = args.num("--checkpoint-every").unwrap_or(0);
@@ -39,16 +39,19 @@ pub fn run(args: &Args) {
         );
         // Gravity follows the test case (the square patch is hydro-only;
         // pass --test evrard when resuming an Evrard checkpoint).
-        match (setup.gravity, test) {
+        match (setup.code.gravity, test) {
             (Some(g), "evrard") => {
-                Simulation::resume_with_gravity(sys, setup.sph, g).expect("valid resume")
+                Simulation::resume_with_gravity(sys, setup.code.sph, g).expect("valid resume")
             }
-            _ => Simulation::resume(sys, setup.sph).expect("valid resume"),
+            _ => Simulation::resume(sys, setup.code.sph).expect("valid resume"),
         }
     } else {
         match test {
-            "evrard" if !setup.supports_evrard() => {
-                eprintln!("{} has no self-gravity; the Evrard test needs it (Table 5)", setup.name);
+            "evrard" if !setup.code.supports_evrard() => {
+                eprintln!(
+                    "{} has no self-gravity; the Evrard test needs it (Table 5)",
+                    setup.code.name
+                );
                 std::process::exit(2);
             }
             "evrard" => build_evrard_sim(&setup, particles, 42),
@@ -58,7 +61,7 @@ pub fn run(args: &Args) {
 
     println!(
         "SPH-EXA mini-app: {} / {} test, {} particles, {} steps",
-        setup.name,
+        setup.code.name,
         test,
         sim.sys.len(),
         steps

@@ -1,10 +1,10 @@
 //! `pop_metrics`: the §5.2 POP efficiency analysis.
 
 use crate::args::{Args, Flags, Kind};
-use sph_bench::{measure_after, setups_for, wire_experiment, ExperimentScale, CODE_NAMES};
-use sph_cluster::tracegen::{step_trace, PhaseProfile};
-use sph_cluster::{model_step, piz_daint};
-use sph_parents::{CodeSetup, Scenario};
+use sph_bench::{
+    measure_after, piz_daint, setups_for, step_trace, wire_experiment, CodeSetup, ExperimentScale,
+    PhaseProfile, TestCase, CODE_NAMES,
+};
 use sph_profiler::pop_metrics;
 
 pub const FLAGS: Flags = &[
@@ -14,26 +14,25 @@ pub const FLAGS: Flags = &[
     ("--steps", Kind::Count),
 ];
 
-fn analyse(setup: &CodeSetup, scenario: Scenario, scale: ExperimentScale) {
-    let name = match scenario {
-        Scenario::SquarePatch => "Square",
-        Scenario::Evrard => "Evrard",
+fn analyse(setup: &CodeSetup, test: TestCase, scale: ExperimentScale) {
+    let name = match test {
+        TestCase::SquarePatch => "Square",
+        TestCase::Evrard => "Evrard",
     };
-    println!("=== POP efficiency: {} / {name}, Piz Daint model ===", setup.name);
-    let (mut sim, model) = wire_experiment(setup, scenario, piz_daint(), scale);
+    println!("=== POP efficiency: {} / {name}, Piz Daint model ===", setup.code.name);
+    let (mut sim, model) = wire_experiment(setup, test, piz_daint(), scale);
     let work = measure_after(&mut sim, scale.steps.min(2)).expect("stable step");
-    let workload = work.workload(&sim);
-    let profile = match scenario {
-        Scenario::Evrard => {
+    let profile = match test {
+        TestCase::Evrard => {
             PhaseProfile { serial_tree: setup.serial_tree, ..PhaseProfile::sphynx_evrard() }
         }
-        Scenario::SquarePatch => PhaseProfile::hydro_only(setup.serial_tree),
+        TestCase::SquarePatch => PhaseProfile::hydro_only(setup.serial_tree),
     };
     // Reference (lowest core count) total useful time for CompScal.
     let mut reference_useful: Option<f64> = None;
     println!("  cores  LB      CommE   ParE    CompScal  GlobalE");
     for cores in [12usize, 24, 48, 96, 192, 384] {
-        let timing = model_step(&workload, cores, &model, Some(&work.total));
+        let timing = work.model(&sim, cores, &model);
         let trace = step_trace(&timing, &profile);
         let m = pop_metrics(&trace, reference_useful);
         if reference_useful.is_none() {
@@ -61,10 +60,10 @@ pub fn run(args: &Args) {
     );
     for setup in setups_for(args.text("--code")) {
         if test != Some("evrard") {
-            analyse(&setup, Scenario::SquarePatch, scale);
+            analyse(&setup, TestCase::SquarePatch, scale);
         }
-        if test != Some("square") && setup.supports_evrard() {
-            analyse(&setup, Scenario::Evrard, scale);
+        if test != Some("square") && setup.code.supports_evrard() {
+            analyse(&setup, TestCase::Evrard, scale);
         }
     }
 }

@@ -1,9 +1,8 @@
-//! `tables`: Tables 1–4 from the `sph-parents` feature registry, Table 5
+//! `tables`: Tables 1–4 from the feature matrices in this crate, Table 5
 //! from the `sph-scenarios` scenario registry.
 
 use crate::args::{Args, Flags, Kind};
-use sph_parents::features::{table1, table2, table3, table4};
-use sph_parents::render_table;
+use sph_bench::{render_table, table1, table2, table3, table4};
 use sph_scenarios::scenario_table;
 
 pub const FLAGS: Flags = &[("--table", Kind::OneOf(&["1", "2", "3", "4", "5"]))];

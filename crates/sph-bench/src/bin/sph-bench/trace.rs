@@ -4,8 +4,7 @@
 //! re-written to be eliminated" (§5.2).
 
 use crate::args::{Args, Flags, Kind};
-use sph_bench::fig4_step;
-use sph_cluster::tracegen::{step_trace, PhaseProfile};
+use sph_bench::{fig4_step, step_trace, PhaseProfile};
 use sph_profiler::gantt::phase_summary;
 use sph_profiler::{pop_metrics, render_gantt};
 

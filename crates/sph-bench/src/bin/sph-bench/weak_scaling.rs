@@ -3,10 +3,7 @@
 //! production runs". A flat time-per-step line is ideal.
 
 use crate::args::{Args, Flags, Kind};
-use sph_bench::{build_square_sim, setups_for, step_model};
-use sph_cluster::piz_daint;
-use sph_cluster::scaling::{render_weak_scaling_table, weak_scaling_experiment};
-use sph_parents::Scenario;
+use sph_bench::{run_weak_scaling_panel, setups_for};
 
 pub const FLAGS: Flags = &[("--per-core", Kind::Count), ("--steps", Kind::Count)];
 
@@ -19,21 +16,8 @@ pub fn run(args: &Args) {
          (the §5.2 'production regime' experiment)\n"
     );
     for setup in setups_for(None) {
-        let model = step_model(&setup, Scenario::SquarePatch, piz_daint());
-        let rows = weak_scaling_experiment(
-            |n| build_square_sim(&setup, n),
-            &model,
-            &core_counts,
-            per_core,
-            steps,
-        )
-        .expect("physics evolution stayed stable");
-        println!(
-            "{}",
-            render_weak_scaling_table(
-                &format!("{} (square patch, Piz Daint model)", setup.name),
-                &rows
-            )
-        );
+        let table = run_weak_scaling_panel(&setup, &core_counts, per_core, steps)
+            .expect("physics evolution stayed stable");
+        println!("{table}");
     }
 }

@@ -7,38 +7,38 @@
 //! *serial* per-step section — the term that caps its strong scaling
 //! (SPHYNX 1.3.1's serial tree build was the headline finding of the
 //! paper's Fig. 4 analysis). The concrete constants live in
-//! `sph-parents`; this module defines the model and the arithmetic.
+//! [`crate::setups`]; this module defines the model and the arithmetic.
 
 /// Cost model of one code on one machine-independent basis (FLOPs and
 /// bytes; the machine model converts to seconds).
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// FLOPs per SPH pair interaction (density + force loops combined).
-    pub sph_flops_per_interaction: f64,
+    pub(crate) sph_flops_per_interaction: f64,
     /// FLOPs per gravity interaction (particle–particle or
     /// particle–multipole; ChaNGa's 16-pole expansions are folded into
     /// this constant).
-    pub gravity_flops_per_interaction: f64,
+    pub(crate) gravity_flops_per_interaction: f64,
     /// FLOPs per particle per tree level for the (parallelizable) tree
     /// build and neighbour bookkeeping.
-    pub tree_flops_per_particle: f64,
+    pub(crate) tree_flops_per_particle: f64,
     /// FLOPs per particle of *serial* (unparallelizable) per-step work —
     /// replicated sequential sections, domain bookkeeping, I/O stubs.
     /// This is the Amdahl term that flattens the scaling curves.
-    pub serial_flops_per_particle: f64,
+    pub(crate) serial_flops_per_particle: f64,
     /// Payload bytes exchanged per halo particle (positions, velocities,
     /// thermodynamics — SPH needs more than gravity-only codes).
-    pub bytes_per_halo_particle: f64,
+    pub(crate) bytes_per_halo_particle: f64,
     /// Fixed per-step runtime overhead in FLOP-equivalents per rank
     /// (scheduler turns, message dispatch) — multiplied by the rank count
     /// in the collective term.
-    pub runtime_flops_per_rank: f64,
+    pub(crate) runtime_flops_per_rank: f64,
 }
 
 impl CostModel {
     /// Modelled FLOPs for a rank owning `n_local` particles with the given
     /// counted work.
-    pub fn rank_flops(
+    pub(crate) fn rank_flops(
         &self,
         sph_interactions: f64,
         gravity_interactions: f64,
@@ -52,19 +52,19 @@ impl CostModel {
     }
 
     /// Serial per-step FLOPs for a problem of `n_total` particles.
-    pub fn serial_flops(&self, n_total: f64) -> f64 {
+    pub(crate) fn serial_flops(&self, n_total: f64) -> f64 {
         self.serial_flops_per_particle * n_total
     }
 
     /// Halo exchange payload for `particles` ghosts.
-    pub fn halo_bytes(&self, particles: f64) -> f64 {
+    pub(crate) fn halo_bytes(&self, particles: f64) -> f64 {
         self.bytes_per_halo_particle * particles
     }
 }
 
 impl Default for CostModel {
-    /// A generic lean SPH code (used by tests; the calibrated per-parent
-    /// models live in `sph-parents`).
+    /// A generic lean SPH code (used by the ablations and tests; the
+    /// calibrated per-parent models live in `setups`).
     fn default() -> Self {
         CostModel {
             sph_flops_per_interaction: 400.0,

@@ -6,9 +6,9 @@
 /// A rendered feature table: header row + body rows.
 #[derive(Debug, Clone)]
 pub struct FeatureTable {
-    pub title: &'static str,
-    pub columns: Vec<&'static str>,
-    pub rows: Vec<Vec<&'static str>>,
+    pub(crate) title: &'static str,
+    pub(crate) columns: Vec<&'static str>,
+    pub(crate) rows: Vec<Vec<&'static str>>,
 }
 
 /// Table 1: "Differences and similarities between SPH-flow, SPHYNX, and
@@ -202,7 +202,7 @@ pub fn render_table(t: &FeatureTable) -> String {
 mod tests {
     use super::*;
     use crate::setups::{changa, sphflow, sphynx};
-    use sph_cluster::LoadBalancing;
+    use crate::step_model::LoadBalancing;
     use sph_core::config::{GradientScheme, TimeStepping};
     use sph_domain::Partitioner;
 
@@ -225,13 +225,13 @@ mod tests {
         let t = table1();
         let sphynx_row = &t.rows[0];
         assert_eq!(sphynx_row[3], "IAD");
-        assert_eq!(sphynx().sph.gradients, GradientScheme::Iad);
+        assert_eq!(sphynx().code.sph.gradients, GradientScheme::Iad);
         let changa_row = &t.rows[1];
         assert_eq!(changa_row[6], "Individual");
-        assert!(matches!(changa().sph.time_stepping, TimeStepping::Individual { .. }));
+        assert!(matches!(changa().code.sph.time_stepping, TimeStepping::Individual { .. }));
         let sphflow_row = &t.rows[2];
         assert_eq!(sphflow_row[8], "No");
-        assert!(sphflow().gravity.is_none());
+        assert!(sphflow().code.gravity.is_none());
     }
 
     #[test]

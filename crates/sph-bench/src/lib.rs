@@ -1,20 +1,53 @@
-//! Shared harness code for `sph-bench`, the one command that regenerates
-//! every table and figure of the paper. This library holds what the
-//! subcommands share: the `--code` lookup, scenario builders at a given
-//! scale, and the code-setup → simulation → step-model wiring.
+//! `sph-bench`, the one command that regenerates every table and figure
+//! of the paper, and the performance model behind Figs. 1–4.
 //!
-//! Run `cargo run --release -p sph-bench -- SUBCOMMAND [FLAGS]`:
+//! The paper measured Piz Daint and MareNostrum 4 at up to 1 536 cores;
+//! this crate models those runs instead:
+//!
+//! * `setups` completes each `sph_scenarios::parents` physics
+//!   configuration with its Table 3 decomposition and load balancing and
+//!   its calibrated cost models; `features` holds Tables 1–4;
+//! * `machine` and `cost` turn *counted* work (SPH pairs, gravity
+//!   interactions, tree build, serial sections) into modelled seconds;
+//! * `step_model` models one time-step at a given rank count from the real
+//!   per-particle work measured by `sph-exa`, split by the code's
+//!   `sph_domain::Partitioner` and charged for the real halo volumes;
+//! * `scaling` sweeps one evolution over every core count (§5.2) and
+//!   `tracegen` renders a modelled step as a Fig. 4 trace.
+//!
+//! The model never invents load imbalance or halo volume — both come from
+//! the actual particle distribution; only the unit costs (FLOP per
+//! interaction, latency, bandwidth) are calibrated constants.
+//!
+//! This file holds what the subcommands share: the `--code` lookup,
+//! scenario builders at a given scale, and the code-setup → simulation →
+//! step-model wiring. Run `cargo run --release -p sph-bench -- SUBCOMMAND
+//! [FLAGS]`:
 #![doc = concat!("```text\n", include_str!("usage.txt"), "```")]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use sph_cluster::{
-    model_step, piz_daint, LoadBalancing, MachineModel, ScalingConfig, ScalingRow, StepModelConfig,
-    StepTiming, StepWork,
-};
+mod cost;
+mod features;
+mod machine;
+mod scaling;
+mod setups;
+mod step_model;
+mod tracegen;
+
+pub use cost::CostModel;
+pub use features::{render_table, table1, table2, table3, table4};
+pub use machine::{marenostrum4, piz_daint};
+pub use scaling::{render_scaling_table, StepWork};
+pub use setups::{miniapp, sphynx, CodeSetup, TestCase};
+pub use step_model::{LoadBalancing, StepModelConfig, StepTiming};
+pub use tracegen::{step_trace, PhaseProfile};
+
+use machine::MachineModel;
+use scaling::{render_weak_scaling_table, weak_scaling_experiment, ScalingConfig, ScalingRow};
+use setups::{changa, sphflow};
 use sph_core::config::SphConfig;
 use sph_domain::{Partitioner, SfcKind};
 use sph_exa::{DistributedError, Simulation, SimulationBuilder};
-use sph_parents::{changa, miniapp, sphflow, sphynx, CodeSetup, Scenario};
 use sph_scenarios::{evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig};
 
 /// Experiment size. The default is CI-sized with the paper's shape; the
@@ -69,9 +102,9 @@ pub fn setups_for(code: Option<&str>) -> Vec<CodeSetup> {
 )]
 pub fn build_square_sim(setup: &CodeSetup, particles: usize) -> Simulation {
     let nx = (particles as f64).cbrt().round().max(8.0) as usize;
-    let cfg = SquarePatchConfig { nx, nz: nx, gamma: setup.sph.gamma, ..Default::default() };
+    let cfg = SquarePatchConfig { nx, nz: nx, gamma: setup.code.sph.gamma, ..Default::default() };
     let sys = square_patch(&cfg);
-    let sph = SphConfig { gamma: cfg.gamma, ..setup.sph };
+    let sph = SphConfig { gamma: cfg.gamma, ..setup.code.sph };
     SimulationBuilder::new(sys).config(sph).build().expect("valid square-patch simulation")
 }
 
@@ -89,41 +122,41 @@ pub fn build_evrard_sim(setup: &CodeSetup, particles: usize, seed: u64) -> Simul
         reason = "documented contract: asking SPH-flow for self-gravity is a programming error in \
                   the wiring, mirroring Table 5's exclusion of the code"
     )]
-    let gravity = setup.gravity.unwrap_or_else(|| {
-        panic!("{} cannot run the Evrard collapse (no self-gravity)", setup.name)
+    let gravity = setup.code.gravity.unwrap_or_else(|| {
+        panic!("{} cannot run the Evrard collapse (no self-gravity)", setup.code.name)
     });
     let cfg = EvrardConfig { n_target: particles, seed, ..Default::default() };
     let sys = evrard_collapse(&cfg);
     SimulationBuilder::new(sys)
-        .config(setup.sph)
+        .config(setup.code.sph)
         .gravity(gravity)
         .build()
         .expect("valid Evrard simulation")
 }
 
 /// The step-model configuration of a code setup on `machine`.
-pub fn step_model(setup: &CodeSetup, scenario: Scenario, machine: MachineModel) -> StepModelConfig {
+fn step_model(setup: &CodeSetup, test: TestCase, machine: MachineModel) -> StepModelConfig {
     StepModelConfig {
         partitioner: setup.partitioner,
         balancing: setup.balancing,
         machine,
-        cost: setup.cost_for(scenario),
+        cost: setup.cost_for(test),
     }
 }
 
-/// Build the simulation for (code, scenario) and the matching step-model
+/// Build the simulation for (code, test case) and the matching step-model
 /// configuration for `machine`.
 pub fn wire_experiment(
     setup: &CodeSetup,
-    scenario: Scenario,
+    test: TestCase,
     machine: MachineModel,
     scale: ExperimentScale,
 ) -> (Simulation, StepModelConfig) {
-    let sim = match scenario {
-        Scenario::SquarePatch => build_square_sim(setup, scale.particles),
-        Scenario::Evrard => build_evrard_sim(setup, scale.particles, 42),
+    let sim = match test {
+        TestCase::SquarePatch => build_square_sim(setup, scale.particles),
+        TestCase::Evrard => build_evrard_sim(setup, scale.particles, 42),
     };
-    (sim, step_model(setup, scenario, machine))
+    (sim, step_model(setup, test, machine))
 }
 
 /// Take `steps` steps (at least one) and measure the last.
@@ -139,14 +172,35 @@ pub fn measure_after(sim: &mut Simulation, steps: usize) -> Result<StepWork, Dis
 /// Fails if the underlying physics evolution fails.
 pub fn run_scaling_panel(
     setup: &CodeSetup,
-    scenario: Scenario,
+    test: TestCase,
     machine: MachineModel,
     scale: ExperimentScale,
 ) -> Result<Vec<ScalingRow>, DistributedError> {
-    let (mut sim, model) = wire_experiment(setup, scenario, machine, scale);
+    let (mut sim, model) = wire_experiment(setup, test, machine, scale);
     let mut cfg = ScalingConfig::paper_sweep(scale.max_cores);
     cfg.steps = scale.steps;
-    sph_cluster::scaling_experiment(&mut sim, &model, &cfg)
+    scaling::scaling_experiment(&mut sim, &model, &cfg)
+}
+
+/// Run one weak-scaling panel (square patch, Piz Daint model) at
+/// `per_core` particles per core and render it as text.
+/// Fails if the underlying physics evolution fails.
+pub fn run_weak_scaling_panel(
+    setup: &CodeSetup,
+    core_counts: &[usize],
+    per_core: usize,
+    steps: usize,
+) -> Result<String, DistributedError> {
+    let model = step_model(setup, TestCase::SquarePatch, piz_daint());
+    let rows = weak_scaling_experiment(
+        |n| build_square_sim(setup, n),
+        &model,
+        core_counts,
+        per_core,
+        steps,
+    )?;
+    let title = format!("{} (square patch, Piz Daint model)", setup.code.name);
+    Ok(render_weak_scaling_table(&title, &rows))
 }
 
 /// The step of Fig. 4: SPHYNX on the Evrard collapse, evolved
@@ -160,13 +214,13 @@ pub fn fig4_step(
     ranks: usize,
     fixed: bool,
 ) -> Result<(usize, StepTiming), DistributedError> {
-    let (mut sim, mut model) = wire_experiment(&sphynx(), Scenario::Evrard, piz_daint(), scale);
+    let (mut sim, mut model) = wire_experiment(&sphynx(), TestCase::Evrard, piz_daint(), scale);
     if fixed {
         model.balancing = LoadBalancing::Dynamic;
         model.partitioner = Partitioner::Sfc(SfcKind::Hilbert);
     }
     let work = measure_after(&mut sim, scale.steps.min(2))?;
-    Ok((sim.sys.len(), model_step(&work.workload(&sim), ranks, &model, Some(&work.total))))
+    Ok((sim.sys.len(), work.model(&sim, ranks, &model)))
 }
 
 #[cfg(test)]
@@ -185,18 +239,18 @@ mod tests {
             assert!(setup_named(name).is_some(), "{name}");
         }
         assert!(setup_named("sphyx").is_none());
-        assert_eq!(setup_named("sph-flow").unwrap().name, "SPH-flow");
-        let names: Vec<_> = setups_for(None).iter().map(|s| s.name).collect();
+        assert_eq!(setup_named("sph-flow").unwrap().code.name, "SPH-flow");
+        let names: Vec<_> = setups_for(None).iter().map(|s| s.code.name).collect();
         assert_eq!(names, ["SPHYNX", "ChaNGa", "SPH-flow"]);
         assert_eq!(setups_for(Some("changa")).len(), 1);
     }
 
     #[test]
     fn square_sim_builds_for_every_code() {
-        for setup in [sphynx(), sph_parents::changa(), sphflow()] {
+        for setup in [sphynx(), changa(), sphflow()] {
             let sim = build_square_sim(&setup, 1728);
             assert_eq!(sim.sys.len(), 12 * 12 * 12);
-            assert!(sim.gravity.is_none(), "{}: square patch must be hydro-only", setup.name);
+            assert!(sim.gravity.is_none(), "{}: square patch must be hydro-only", setup.code.name);
         }
     }
 
@@ -228,7 +282,7 @@ mod tests {
     fn scaling_panel_smoke() {
         let scale = ExperimentScale { particles: 1500, steps: 1, max_cores: 48 };
         let rows =
-            run_scaling_panel(&sphflow(), Scenario::SquarePatch, piz_daint(), scale).unwrap();
+            run_scaling_panel(&sphflow(), TestCase::SquarePatch, piz_daint(), scale).unwrap();
         assert_eq!(rows.len(), 3); // 12, 24, 48
         assert!(rows[0].mean_step_time > 0.0);
     }

@@ -8,22 +8,22 @@
 
 /// α–β interconnect model.
 #[derive(Debug, Clone, Copy)]
-pub struct NetworkModel {
+pub(crate) struct NetworkModel {
     /// Per-message latency α (seconds).
-    pub latency: f64,
+    pub(crate) latency: f64,
     /// Per-rank effective bandwidth β (bytes/second).
-    pub bandwidth: f64,
+    pub(crate) bandwidth: f64,
 }
 
 impl NetworkModel {
     /// Time to move one message of `bytes`.
-    pub fn message_time(&self, bytes: f64) -> f64 {
+    pub(crate) fn message_time(&self, bytes: f64) -> f64 {
         assert!(bytes >= 0.0);
         self.latency + bytes / self.bandwidth
     }
 
     /// Allreduce of `bytes` across `p` ranks (recursive doubling).
-    pub fn allreduce_time(&self, bytes: f64, p: usize) -> f64 {
+    pub(crate) fn allreduce_time(&self, bytes: f64, p: usize) -> f64 {
         if p <= 1 {
             return 0.0;
         }
@@ -40,13 +40,13 @@ pub struct MachineModel {
     /// "Piz Daint=12c/cn, MareNostrum=48c/cn").
     pub cores_per_node: usize,
     /// Sustained per-core GFLOP/s on SPH-like kernels (calibrated).
-    pub core_gflops: f64,
-    pub network: NetworkModel,
+    pub(crate) core_gflops: f64,
+    pub(crate) network: NetworkModel,
 }
 
 impl MachineModel {
     /// Seconds to execute `flops` on one rank.
-    pub fn compute_time(&self, flops: f64) -> f64 {
+    pub(crate) fn compute_time(&self, flops: f64) -> f64 {
         assert!(flops >= 0.0);
         flops / (self.core_gflops * 1e9)
     }
@@ -77,6 +77,7 @@ pub fn marenostrum4() -> MachineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn message_time_is_affine() {
@@ -108,5 +109,16 @@ mod tests {
         // The x-axes of Figs. 1–3 run 12…1536 in powers of two ×12.
         assert_eq!(piz_daint().cores_per_node, 12);
         assert_eq!(marenostrum4().cores_per_node, 48);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn network_times_monotone_in_bytes(bytes in 0.0..1e9_f64, extra in 1.0..1e6_f64) {
+            let net = piz_daint().network;
+            prop_assert!(net.message_time(bytes + extra) > net.message_time(bytes));
+            prop_assert!(net.allreduce_time(8.0, 64) > net.allreduce_time(8.0, 2));
+        }
     }
 }

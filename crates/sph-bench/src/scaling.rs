@@ -7,25 +7,25 @@
 //! simulation is evolved once and each step is modelled at every core
 //! count of the sweep — exactly a fixed-problem (strong-scaling) study.
 
-use crate::step_model::{model_step, StepModelConfig, StepWorkload};
+use crate::step_model::{model_step, StepModelConfig, StepTiming, StepWorkload};
 use sph_core::config::TimeStepping;
 use sph_exa::{DistributedError, Simulation, StepReport};
 use sph_math::OnlineStats;
 
 /// The per-particle work of the step a simulation just took, split into
-/// the `hydro` and `gravity` shares [`model_step`] charges differently.
+/// the `hydro` and `gravity` shares `model_step` charges differently.
 pub struct StepWork {
     /// Macro-step work per particle (one on rung r was evaluated 2^r
     /// times): what a dynamic balancer measures for the next step.
-    pub total: Vec<f64>,
-    pub hydro: Vec<f64>,
-    pub gravity: Vec<f64>,
+    pub(crate) total: Vec<f64>,
+    pub(crate) hydro: Vec<f64>,
+    pub(crate) gravity: Vec<f64>,
 }
 
 impl StepWork {
     /// Measure the step `report` describes, which `sim` just took. Gravity
     /// is split out of `per_particle_work` by this step's global ratio.
-    pub fn measure(sim: &Simulation, report: &StepReport) -> Self {
+    pub(crate) fn measure(sim: &Simulation, report: &StepReport) -> Self {
         let work = sim.per_particle_work();
         let total: Vec<f64> = match sim.config.time_stepping {
             TimeStepping::Individual { .. } => {
@@ -43,7 +43,7 @@ impl StepWork {
     }
 
     /// The step-model input for this work at `sim`'s current state.
-    pub fn workload<'a>(&'a self, sim: &'a Simulation) -> StepWorkload<'a> {
+    pub(crate) fn workload<'a>(&'a self, sim: &'a Simulation) -> StepWorkload<'a> {
         StepWorkload {
             positions: &sim.sys.x,
             sph_work: &self.hydro,
@@ -52,20 +52,26 @@ impl StepWork {
             periodicity: sim.sys.periodicity,
         }
     }
+
+    /// Model this step of `sim` on `ranks` cores, a dynamic balancer
+    /// seeing this step's own measured work.
+    pub fn model(&self, sim: &Simulation, ranks: usize, config: &StepModelConfig) -> StepTiming {
+        model_step(&self.workload(sim), ranks, config, Some(&self.total))
+    }
 }
 
 /// Sweep configuration.
 #[derive(Debug, Clone)]
-pub struct ScalingConfig {
+pub(crate) struct ScalingConfig {
     /// Core counts to model (paper: 12, 24, 48, …, 1536).
-    pub core_counts: Vec<usize>,
+    pub(crate) core_counts: Vec<usize>,
     /// Time-steps to run and average over (paper: 20).
-    pub steps: usize,
+    pub(crate) steps: usize,
 }
 
 impl ScalingConfig {
     /// The paper's Piz Daint sweep: 12 × 2^k up to `max`.
-    pub fn paper_sweep(max: usize) -> Self {
+    pub(crate) fn paper_sweep(max: usize) -> Self {
         let mut core_counts = Vec::new();
         let mut c = 12;
         while c <= max {
@@ -79,15 +85,15 @@ impl ScalingConfig {
 /// One row of a strong-scaling figure: core count → time per step.
 #[derive(Debug, Clone)]
 pub struct ScalingRow {
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// Mean modelled time per time-step (the y-axis of Figs. 1–3).
-    pub mean_step_time: f64,
+    pub(crate) mean_step_time: f64,
     /// Mean POP load balance of the compute phase.
-    pub mean_load_balance: f64,
+    pub(crate) mean_load_balance: f64,
     /// Mean fraction of the step spent communicating.
-    pub mean_comm_fraction: f64,
+    pub(crate) mean_comm_fraction: f64,
     /// Particles per core (the paper's stall indicator: ~10⁴).
-    pub particles_per_core: f64,
+    pub(crate) particles_per_core: f64,
 }
 
 /// Mean modelled step time, compute load balance and communication
@@ -135,7 +141,7 @@ fn model_run(
 /// Evolve `sim` for `config.steps` macro steps and model every step at
 /// every core count. Returns one [`ScalingRow`] per core count.
 /// Fails if the underlying physics step fails (e.g. time step collapse).
-pub fn scaling_experiment(
+pub(crate) fn scaling_experiment(
     sim: &mut Simulation,
     model: &StepModelConfig,
     config: &ScalingConfig,
@@ -161,15 +167,15 @@ pub fn scaling_experiment(
 /// particles/core stays fixed — "usually the regime in which they operate
 /// in production runs" (§5.2), named there as unexplored future work.
 #[derive(Debug, Clone)]
-pub struct WeakScalingRow {
-    pub cores: usize,
-    pub particles: usize,
+pub(crate) struct WeakScalingRow {
+    pub(crate) cores: usize,
+    pub(crate) particles: usize,
     /// Mean modelled time per step; flat = ideal weak scaling.
-    pub mean_step_time: f64,
+    pub(crate) mean_step_time: f64,
     /// Weak-scaling efficiency t(1 node)/t(p).
-    pub efficiency: f64,
-    pub mean_load_balance: f64,
-    pub mean_comm_fraction: f64,
+    pub(crate) efficiency: f64,
+    pub(crate) mean_load_balance: f64,
+    pub(crate) mean_comm_fraction: f64,
 }
 
 /// Run a weak-scaling experiment: `build` constructs a simulation of the
@@ -177,7 +183,7 @@ pub struct WeakScalingRow {
 /// `particles_per_core` fixed. Each point evolves its own simulation for
 /// `steps` steps (the problem itself changes size, unlike strong scaling).
 /// Fails if any physics step fails (e.g. time step collapse).
-pub fn weak_scaling_experiment(
+pub(crate) fn weak_scaling_experiment(
     mut build: impl FnMut(usize) -> Simulation,
     model: &StepModelConfig,
     core_counts: &[usize],
@@ -205,7 +211,7 @@ pub fn weak_scaling_experiment(
 }
 
 /// Render weak-scaling rows as text.
-pub fn render_weak_scaling_table(title: &str, rows: &[WeakScalingRow]) -> String {
+pub(crate) fn render_weak_scaling_table(title: &str, rows: &[WeakScalingRow]) -> String {
     let mut out = format!("{title}\n");
     out.push_str("  cores  particles  time/step(s)  weak-eff  LB     comm%\n");
     for r in rows {
@@ -363,5 +369,104 @@ mod tests {
         assert!(s.contains("Square test"));
         assert!(s.contains("speedup"));
         assert_eq!(s.lines().count(), 4);
+    }
+}
+
+// The strong-scaling experiments reproduce the *shape* of Figs. 1–3 —
+// who wins, by roughly what factor, where scaling stalls. (Absolute
+// seconds are calibrated; shapes are measured.)
+#[cfg(test)]
+mod figure_shapes {
+    use super::*;
+    use crate::machine::piz_daint;
+    use crate::setups::{changa, sphflow, sphynx, CodeSetup, TestCase};
+    use crate::{wire_experiment, ExperimentScale};
+
+    const N: usize = 4_000;
+
+    fn rows_for(setup: &CodeSetup, scenario: TestCase) -> Vec<ScalingRow> {
+        let scale = ExperimentScale { particles: N, ..Default::default() };
+        let (mut sim, model) = wire_experiment(setup, scenario, piz_daint(), scale);
+        let cfg = ScalingConfig { core_counts: vec![12, 48, 192, 768], steps: 2 };
+        scaling_experiment(&mut sim, &model, &cfg).unwrap()
+    }
+
+    #[test]
+    fn every_code_speeds_up_then_stalls() {
+        // Fig. 1–3 common shape: good strong scaling while particles/core is
+        // high, collapsing efficiency once it is not ("scaling stalls when
+        // there are not enough particles/core").
+        for (setup, scenario) in [
+            (sphynx(), TestCase::SquarePatch),
+            (sphflow(), TestCase::SquarePatch),
+            (sphynx(), TestCase::Evrard),
+        ] {
+            let rows = rows_for(&setup, scenario);
+            let t12 = rows[0].mean_step_time;
+            let t48 = rows[1].mean_step_time;
+            let t768 = rows[3].mean_step_time;
+            assert!(
+                t48 < t12 / 2.0,
+                "{} {scenario:?}: no early speedup ({t12} → {t48})",
+                setup.code.name
+            );
+            let eff_48 = t12 / t48 / 4.0;
+            let eff_768 = t12 / t768 / 64.0;
+            assert!(
+                eff_768 < 0.7 * eff_48,
+                "{} {scenario:?}: no stall (eff {eff_48} → {eff_768})",
+                setup.code.name
+            );
+        }
+    }
+
+    #[test]
+    fn changa_square_is_much_slower_than_sphynx_square() {
+        // Fig. 2a vs Fig. 1a at matched cores: ~19× at the 12-core anchor.
+        let changa_rows = rows_for(&changa(), TestCase::SquarePatch);
+        let sphynx_rows = rows_for(&sphynx(), TestCase::SquarePatch);
+        let ratio = changa_rows[0].mean_step_time / sphynx_rows[0].mean_step_time;
+        assert!(
+            ratio > 5.0,
+            "ChaNGa must be far slower than SPHYNX on the square test, got {ratio:.1}×"
+        );
+    }
+
+    #[test]
+    fn changa_evrard_is_much_faster_than_changa_square() {
+        // Fig. 2b vs Fig. 2a: 30 s vs 738 s at the same core count — gravity
+        // is ChaNGa's home turf, CFD is not.
+        let square = rows_for(&changa(), TestCase::SquarePatch);
+        let evrard = rows_for(&changa(), TestCase::Evrard);
+        assert!(
+            evrard[0].mean_step_time < square[0].mean_step_time / 3.0,
+            "Evrard {} should be ≪ square {}",
+            evrard[0].mean_step_time,
+            square[0].mean_step_time
+        );
+    }
+
+    #[test]
+    fn sphynx_static_slabs_imbalance_on_evrard() {
+        // SPHYNX's static slab decomposition is fine on the uniform square
+        // patch but imbalances on the centrally-condensed Evrard cloud — the
+        // §5.2 load-imbalance finding.
+        let square = rows_for(&sphynx(), TestCase::SquarePatch);
+        let evrard = rows_for(&sphynx(), TestCase::Evrard);
+        let lb_square = square[2].mean_load_balance; // 192 cores
+        let lb_evrard = evrard[2].mean_load_balance;
+        assert!(
+            lb_evrard < lb_square,
+            "Evrard LB {lb_evrard} should be worse than square LB {lb_square}"
+        );
+    }
+
+    #[test]
+    fn particles_per_core_column_matches_problem_size() {
+        let rows = rows_for(&sphflow(), TestCase::SquarePatch);
+        for r in &rows {
+            let n = (N as f64).cbrt().round().powi(3);
+            assert!((r.particles_per_core - n / r.cores as f64).abs() < 1.0);
+        }
     }
 }

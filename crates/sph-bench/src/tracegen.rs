@@ -76,13 +76,12 @@ pub fn step_trace(timing: &StepTiming, profile: &PhaseProfile) -> Trace {
             let node_tree: f64 = chunk.iter().map(|t| t * profile.tree).sum();
             trace.append(g * width, Phase::TreeBuild, WorkerState::Useful, node_tree);
         }
-        trace.close_step(Phase::TreeBuild);
     } else {
         for (w, &t) in timing.per_rank_compute.iter().enumerate() {
             trace.append(w, Phase::TreeBuild, WorkerState::Useful, t * profile.tree);
         }
-        trace.close_step(Phase::TreeBuild);
     }
+    trace.close_step(Phase::TreeBuild);
 
     // Phases B–D: neighbour work, barrier-terminated (idle tails).
     for (sub, frac) in
@@ -144,9 +143,7 @@ mod tests {
     use sph_profiler::pop_metrics;
 
     fn timing(per_rank: Vec<f64>) -> StepTiming {
-        let n = per_rank.len();
         StepTiming {
-            ranks: n,
             per_rank_compute: per_rank,
             serial: 0.2,
             comm: 0.1,

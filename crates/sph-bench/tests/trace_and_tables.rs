@@ -1,11 +1,10 @@
 //! Integration: the Fig. 4 trace generator and the Tables 1–5 renderers
 //! produce the structures the paper describes.
 
-use sph_bench::{fig4_step, ExperimentScale};
-use sph_cluster::tracegen::{step_trace, PhaseProfile};
-use sph_cluster::{LoadBalancing, StepTiming};
-use sph_parents::features::{table1, table2, table3, table4};
-use sph_parents::render_table;
+use sph_bench::{
+    fig4_step, render_table, step_trace, table1, table2, table3, table4, ExperimentScale,
+    LoadBalancing, PhaseProfile, StepTiming,
+};
 use sph_profiler::{pop_metrics, render_gantt, Phase, WorkerState};
 
 /// The Fig. 4 step of a 2 500-particle Evrard run at `ranks`; dynamic

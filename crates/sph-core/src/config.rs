@@ -1,7 +1,7 @@
 //! Mini-app configuration: the knobs of Tables 1 and 2.
 //!
 //! Each parent code in Table 1 is one point in this configuration space;
-//! `sph-parents` instantiates those three points. The mini-app exposes the
+//! `sph_scenarios::parents` instantiates them. The mini-app exposes the
 //! whole space, which is precisely what Table 2 ("Outlook on the scientific
 //! characteristics of the future SPH-EXA mini-app") prescribes.
 

@@ -3,7 +3,7 @@
 //! SPH is bandwidth-bound; SoA keeps each per-particle field contiguous so
 //! the density/force loops stream through memory and auto-vectorise (see
 //! the domain guides on data layout). The layout also makes checkpointing
-//! (`sph-ft`) and halo packing (`sph-cluster`) simple slice copies.
+//! (`sph-ft`) and halo packing (`sph-exa`'s rank views) simple slice copies.
 
 use sph_math::{Aabb, Mat3, Periodicity, Vec3};
 
@@ -133,7 +133,7 @@ impl ParticleSystem {
         sph_math::kahan_sum(&self.m)
     }
 
-    /// Largest smoothing length (sets the halo width in `sph-cluster`).
+    /// Largest smoothing length (the distributed driver's halo is 2·h_max·HALO_MARGIN).
     pub fn max_h(&self) -> f64 {
         self.h.iter().cloned().fold(0.0, f64::max)
     }

@@ -3,9 +3,9 @@
 //!
 //! Particles are sorted along the curve and the sorted order is cut into
 //! `nparts` contiguous chunks of (approximately) equal total *weight*.
-//! Weights default to 1 (equal particle counts) but the dynamic load
-//! balancer in `sph-cluster` re-partitions with measured per-particle
-//! costs, which is exactly how SFC-based codes rebalance.
+//! Weights default to 1 (equal particle counts) but `sph-exa`'s rebalance
+//! and `sph-bench`'s modelled dynamic balancer re-partition with measured
+//! per-particle costs, which is exactly how SFC-based codes rebalance.
 
 use crate::hilbert;
 use crate::Decomposition;

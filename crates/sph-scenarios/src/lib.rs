@@ -38,13 +38,15 @@
 //!
 //! The paper's Table 5 ([`registry::scenario_table`]) is *derived* from
 //! the registry entries that carry paper metadata — the table cannot
-//! drift from the runnable workloads.
+//! drift from the runnable workloads. [`parents`] holds the parent codes
+//! (SPHYNX, ChaNGa, SPH-flow) and the mini-app as physics configurations.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod engine;
 pub mod evrard;
 pub mod gresho;
 pub mod kelvin_helmholtz;
+pub mod parents;
 pub mod registry;
 pub mod sedov;
 pub mod sod;

@@ -5,7 +5,7 @@
 //! implements monopole, quadrupole and octupole expansions exactly; the
 //! cost of the higher-order terms ChaNGa carries is represented in the
 //! performance model by a per-cell-interaction cost factor
-//! (`sph_cluster::CostModel::gravity_flops_per_interaction`), while force
+//! (`sph-bench`'s `CostModel::gravity_flops_per_interaction`), while force
 //! *accuracy* is verified here against direct summation.
 //!
 //! Conventions: `G` is configurable (the Evrard test uses `G = 1`) and

@@ -23,7 +23,7 @@
 //!   reference used by the validation tests.
 //!
 //! Every traversal records interaction counts in [`TraversalStats`]; the
-//! cluster simulator in `sph-cluster` converts those counts into modelled
+//! performance model in `sph-bench` converts those counts into modelled
 //! compute time, which is how the strong-scaling figures are produced
 //! without the authors' hardware.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -38,7 +38,7 @@ pub use gravity::{GravityConfig, GravitySolver, MultipoleOrder};
 pub use octree::{Octree, OctreeConfig};
 
 /// Counters filled in by grid scans and tree walks; the currency of the
-/// performance model (`sph-cluster` charges modelled seconds per unit of each).
+/// performance model (`sph-bench` charges modelled seconds per unit of each).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraversalStats {
     /// Cells scanned by a ball query; tree nodes visited (opening tests

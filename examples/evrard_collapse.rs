@@ -12,8 +12,8 @@
 //! total stays (approximately) conserved.
 
 use sph_exa_repro::exa::SimulationBuilder;
-use sph_exa_repro::parents::sphynx;
 use sph_exa_repro::scenarios::evrard::evrard_gravitational_energy;
+use sph_exa_repro::scenarios::parents::sphynx;
 use sph_exa_repro::scenarios::{evrard_collapse, EvrardConfig};
 
 fn main() {

@@ -13,7 +13,7 @@
 
 use sph_exa_repro::exa::SimulationBuilder;
 use sph_exa_repro::math::Vec3;
-use sph_exa_repro::parents::sphflow;
+use sph_exa_repro::scenarios::parents::sphflow;
 use sph_exa_repro::scenarios::{square_patch, SquarePatchConfig};
 
 fn main() {

@@ -10,14 +10,12 @@
 //! assert_eq!(v.norm_sq(), 14.0);
 //! ```
 
-pub use sph_cluster as cluster;
 pub use sph_core as core;
 pub use sph_domain as domain;
 pub use sph_exa as exa;
 pub use sph_ft as ft;
 pub use sph_kernels as kernels;
 pub use sph_math as math;
-pub use sph_parents as parents;
 pub use sph_profiler as profiler;
 pub use sph_scenarios as scenarios;
 pub use sph_tree as tree;

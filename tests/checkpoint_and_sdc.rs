@@ -36,7 +36,7 @@ fn restart_is_bit_exact_for_the_square_patch() {
 
 #[test]
 fn restart_is_bit_exact_with_gravity() {
-    let setup = sph_exa_repro::parents::sphynx();
+    let setup = sph_exa_repro::scenarios::parents::sphynx();
     let cfg = EvrardConfig { n_target: 1500, ..Default::default() };
     let mut original = sph_exa_repro::exa::SimulationBuilder::new(evrard_collapse(&cfg))
         .config(setup.sph)

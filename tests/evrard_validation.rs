@@ -3,8 +3,8 @@
 
 use sph_exa_repro::core::diagnostics::state_fingerprint;
 use sph_exa_repro::exa::{DistributedBuilder, SimulationBuilder};
-use sph_exa_repro::parents::{changa, sphynx};
 use sph_exa_repro::scenarios::evrard::evrard_gravitational_energy;
+use sph_exa_repro::scenarios::parents::{changa, sphynx};
 use sph_exa_repro::scenarios::{evrard_collapse, EvrardConfig};
 
 fn build(n: usize) -> sph_exa_repro::core::ParticleSystem {

@@ -89,7 +89,7 @@ fn every_library_crate_root_denies_panic_paths() {
         .map(|dir| dir.join("src/lib.rs"))
         .collect();
     roots.sort();
-    assert_eq!(roots.len(), 14, "expected 14 sph-* library crates, found {roots:?}");
+    assert_eq!(roots.len(), 12, "expected 12 sph-* library crates, found {roots:?}");
     for root in roots {
         let text = std::fs::read_to_string(&root).expect("crate root is readable");
         assert!(

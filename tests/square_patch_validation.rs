@@ -4,7 +4,7 @@
 use sph_exa_repro::core::diagnostics::Conservation;
 use sph_exa_repro::exa::SimulationBuilder;
 use sph_exa_repro::math::Vec3;
-use sph_exa_repro::parents::{changa, sphflow, sphynx};
+use sph_exa_repro::scenarios::parents::{changa, sphflow, sphynx};
 use sph_exa_repro::scenarios::{square_patch, SquarePatchConfig};
 
 fn patch(nx: usize, gamma: f64) -> sph_exa_repro::core::ParticleSystem {
