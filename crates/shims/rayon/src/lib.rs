@@ -3,22 +3,26 @@
 //! The workspace's build environment cannot reach crates.io, so this shim
 //! provides the rayon API subset the sources use — `par_iter()` and
 //! `par_chunks()` on slices, optionally `enumerate`d, then `map`ped and
-//! `collect`ed into a `Vec`, plus `ThreadPoolBuilder` — executed on worker
-//! threads (`std::thread::scope`) that self-schedule tasks from a shared
-//! atomic cursor, a simple form of work stealing.
+//! `collect`ed into a `Vec`, plus `ThreadPoolBuilder` and `ThreadPool` —
+//! executed on worker threads (`std::thread::scope`) that self-schedule
+//! tasks from a shared atomic cursor, a simple form of work stealing.
 //!
 //! # Thread count
 //!
 //! The worker count is, in order of precedence:
 //!
-//! 1. the last [`ThreadPoolBuilder::build_global`] override (0 resets it),
-//! 2. the `SPH_THREADS` environment variable,
-//! 3. `std::thread::available_parallelism()`.
+//! 1. the innermost [`ThreadPool::install`] on the calling thread — a
+//!    count scoped to `op`, which the call's workers inherit,
+//! 2. the last [`ThreadPoolBuilder::build_global`] override (0 resets it),
+//! 3. the `SPH_THREADS` environment variable,
+//! 4. `std::thread::available_parallelism()`.
 //!
 //! Unlike real rayon there is no persistent pool — workers are scoped to
 //! each parallel call — so `build_global` may be called repeatedly to
-//! reconfigure the count mid-process. The determinism test suite relies on
-//! this to compare runs at several thread counts inside one binary.
+//! reconfigure the count mid-process. That override is process-global:
+//! code that runs concurrently with other code (such as tests, which
+//! libtest runs in parallel) names its count with `install` instead, which
+//! no other thread can re-point.
 //!
 //! # Determinism contract
 //!
@@ -34,6 +38,7 @@
 //! `Cargo.toml`; every call site is written against real rayon semantics
 //! (`Fn + Sync` closures, no shared mutation).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -46,6 +51,11 @@ pub const FIXED_CHUNK: usize = 256;
 
 /// `build_global` override; 0 = unset (fall back to env / hardware).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's [`ThreadPool::install`] count; 0 = outside any pool.
+    static SCOPED_THREADS: Cell<usize> = const { Cell::new(0) };
+}
 
 #[allow(
     clippy::disallowed_methods,
@@ -63,10 +73,14 @@ fn default_threads() -> usize {
     })
 }
 
-/// Number of worker threads parallel calls will use, truthfully.
+/// Number of worker threads parallel calls on this thread will use,
+/// truthfully.
 pub fn current_num_threads() -> usize {
-    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => default_threads(),
+    match SCOPED_THREADS.get() {
+        0 => match THREAD_OVERRIDE.load(Ordering::Relaxed) {
+            0 => default_threads(),
+            n => n,
+        },
         n => n,
     }
 }
@@ -84,10 +98,10 @@ impl std::fmt::Display for ThreadPoolBuildError {
 
 impl std::error::Error for ThreadPoolBuildError {}
 
-/// Mirror of `rayon::ThreadPoolBuilder` for the global pool. The shim keeps
-/// no persistent threads, so — unlike real rayon — `build_global` may be
-/// called again to change the count; `num_threads(0)` resets to the
-/// `SPH_THREADS` / hardware default.
+/// Mirror of `rayon::ThreadPoolBuilder`. The shim keeps no persistent
+/// threads, so — unlike real rayon — `build_global` may be called again to
+/// change the count; `num_threads(0)` resets to the `SPH_THREADS` /
+/// hardware default.
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
@@ -107,6 +121,46 @@ impl ThreadPoolBuilder {
     pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
         THREAD_OVERRIDE.store(self.num_threads, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// A pool of its own, which the global override does not reach; 0
+    /// threads means the `SPH_THREADS` / hardware default.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let num_threads = match self.num_threads {
+            0 => default_threads(),
+            n => n,
+        };
+        Ok(ThreadPool { num_threads })
+    }
+}
+
+/// Mirror of `rayon::ThreadPool`: a thread count that [`install`] applies
+/// to every parallel call `op` makes, on this thread and on the workers
+/// those calls start.
+///
+/// [`install`]: ThreadPool::install
+#[derive(Debug)]
+pub struct ThreadPool {
+    num_threads: usize,
+}
+
+impl ThreadPool {
+    /// Run `op` with this pool's thread count; the count in force before
+    /// is back when `op` returns or unwinds.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        /// Puts the outer count back, also when `op` unwinds.
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                SCOPED_THREADS.set(self.0);
+            }
+        }
+        let _restore = Restore(SCOPED_THREADS.replace(self.num_threads));
+        op()
     }
 }
 
@@ -128,12 +182,15 @@ where
     if workers == 1 {
         return (0..ntasks).map(task).collect();
     }
+    let scoped = SCOPED_THREADS.get();
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = (0..ntasks).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers - 1)
             .map(|_| {
                 scope.spawn(|| {
+                    // Parallel calls a task makes run in the caller's pool.
+                    SCOPED_THREADS.set(scoped);
                     let mut done = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -343,8 +400,9 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use super::{current_num_threads, ThreadPoolBuilder};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Barrier, Mutex};
 
     /// Tests that set the global thread override must not interleave.
     static POOL_LOCK: Mutex<()> = Mutex::new(());
@@ -384,6 +442,63 @@ mod tests {
         assert_eq!(super::current_num_threads(), 3);
         super::ThreadPoolBuilder::new().num_threads(0).build_global().unwrap();
         assert!(super::current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn install_scopes_the_count_to_op_and_its_workers() {
+        let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let outer = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let inner = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let global_set = Barrier::new(2);
+        let (seen, after) = std::thread::scope(|s| {
+            // Another thread sets the global override while `outer` is
+            // installed here.
+            s.spawn(|| {
+                ThreadPoolBuilder::new().num_threads(5).build_global().unwrap();
+                global_set.wait();
+            });
+            outer.install(|| {
+                global_set.wait();
+                // Three chunks that each wait (bounded) for the other two,
+                // so three threads, two of them workers, report their count.
+                let arrivals = AtomicUsize::new(0);
+                let seen: Vec<(std::thread::ThreadId, usize)> = inner.install(|| {
+                    [0u8; 3]
+                        .par_chunks(1)
+                        .map(|_| {
+                            arrivals.fetch_add(1, Ordering::SeqCst);
+                            for _ in 0..10_000_000u64 {
+                                if arrivals.load(Ordering::SeqCst) == 3 {
+                                    break;
+                                }
+                                std::thread::yield_now();
+                            }
+                            (std::thread::current().id(), current_num_threads())
+                        })
+                        .collect()
+                });
+                (seen, current_num_threads())
+            })
+        });
+        assert_eq!(current_num_threads(), 5, "the global override was not set");
+        ThreadPoolBuilder::new().num_threads(0).build_global().unwrap();
+        let mut threads = Vec::new();
+        for &(id, _) in &seen {
+            if !threads.contains(&id) {
+                threads.push(id);
+            }
+        }
+        assert_eq!(threads.len(), 3, "the three chunks did not run on three threads");
+        assert!(seen.iter().all(|&(_, n)| n == 3), "a worker left the scoped count: {seen:?}");
+        assert_eq!(after, 2, "the outer count was not restored");
+
+        // An unwinding `op` restores the outer count too.
+        let after_panic = outer.install(|| {
+            let unwound = std::panic::catch_unwind(|| inner.install(|| panic!("op unwinds")));
+            assert!(unwound.is_err());
+            current_num_threads()
+        });
+        assert_eq!(after_panic, 2, "an unwinding op left its count behind");
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use step_model::{LoadBalancing, StepModelConfig, StepTiming};
 pub use tracegen::{step_trace, PhaseProfile};
 
 use machine::MachineModel;
-use scaling::{render_weak_scaling_table, weak_scaling_experiment, ScalingConfig, ScalingRow};
+use scaling::{paper_sweep, render_weak_scaling_table, weak_scaling_experiment, ScalingRow};
 use setups::{changa, sphflow};
 use sph_core::config::SphConfig;
 use sph_domain::{Partitioner, SfcKind};
@@ -177,9 +177,7 @@ pub fn run_scaling_panel(
     scale: ExperimentScale,
 ) -> Result<Vec<ScalingRow>, DistributedError> {
     let (mut sim, model) = wire_experiment(setup, test, machine, scale);
-    let mut cfg = ScalingConfig::paper_sweep(scale.max_cores);
-    cfg.steps = scale.steps;
-    scaling::scaling_experiment(&mut sim, &model, &cfg)
+    scaling::scaling_experiment(&mut sim, &model, &paper_sweep(scale.max_cores), scale.steps)
 }
 
 /// Run one weak-scaling panel (square patch, Piz Daint model) at

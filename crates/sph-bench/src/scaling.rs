@@ -60,26 +60,15 @@ impl StepWork {
     }
 }
 
-/// Sweep configuration.
-#[derive(Debug, Clone)]
-pub(crate) struct ScalingConfig {
-    /// Core counts to model (paper: 12, 24, 48, …, 1536).
-    pub(crate) core_counts: Vec<usize>,
-    /// Time-steps to run and average over (paper: 20).
-    pub(crate) steps: usize,
-}
-
-impl ScalingConfig {
-    /// The paper's Piz Daint sweep: 12 × 2^k up to `max`.
-    pub(crate) fn paper_sweep(max: usize) -> Self {
-        let mut core_counts = Vec::new();
-        let mut c = 12;
-        while c <= max {
-            core_counts.push(c);
-            c *= 2;
-        }
-        ScalingConfig { core_counts, steps: 20 }
+/// The core counts of the paper's Piz Daint sweep: 12 × 2^k up to `max`.
+pub(crate) fn paper_sweep(max: usize) -> Vec<usize> {
+    let mut core_counts = Vec::new();
+    let mut c = 12;
+    while c <= max {
+        core_counts.push(c);
+        c *= 2;
     }
+    core_counts
 }
 
 /// One row of a strong-scaling figure: core count → time per step.
@@ -138,19 +127,19 @@ fn model_run(
         .collect())
 }
 
-/// Evolve `sim` for `config.steps` macro steps and model every step at
-/// every core count. Returns one [`ScalingRow`] per core count.
+/// Evolve `sim` for `steps` macro steps (paper: 20) and model every step
+/// at every core count. Returns one [`ScalingRow`] per core count.
 /// Fails if the underlying physics step fails (e.g. time step collapse).
 pub(crate) fn scaling_experiment(
     sim: &mut Simulation,
     model: &StepModelConfig,
-    config: &ScalingConfig,
+    core_counts: &[usize],
+    steps: usize,
 ) -> Result<Vec<ScalingRow>, DistributedError> {
-    assert!(!config.core_counts.is_empty() && config.steps > 0);
-    let means = model_run(sim, model, &config.core_counts, config.steps)?;
+    assert!(!core_counts.is_empty() && steps > 0);
+    let means = model_run(sim, model, core_counts, steps)?;
     let n = sim.sys.len();
-    Ok(config
-        .core_counts
+    Ok(core_counts
         .iter()
         .zip(means)
         .map(|(&cores, m)| ScalingRow {
@@ -294,16 +283,15 @@ mod tests {
 
     #[test]
     fn paper_sweep_layout() {
-        let s = ScalingConfig::paper_sweep(1536);
-        assert_eq!(s.core_counts, vec![12, 24, 48, 96, 192, 384, 768, 1536]);
-        assert_eq!(s.steps, 20);
+        assert_eq!(paper_sweep(1536), vec![12, 24, 48, 96, 192, 384, 768, 1536]);
+        assert_eq!(paper_sweep(1535), vec![12, 24, 48, 96, 192, 384, 768]);
+        assert_eq!(paper_sweep(11), Vec::<usize>::new());
     }
 
     #[test]
     fn scaling_rows_show_speedup_then_saturation() {
         let mut sim = small_sim();
-        let cfg = ScalingConfig { core_counts: vec![1, 4, 16, 256], steps: 2 };
-        let rows = scaling_experiment(&mut sim, &model(), &cfg).unwrap();
+        let rows = scaling_experiment(&mut sim, &model(), &[1, 4, 16, 256], 2).unwrap();
         assert_eq!(rows.len(), 4);
         // Monotone decrease in time per step at small counts...
         assert!(rows[1].mean_step_time < rows[0].mean_step_time);
@@ -363,8 +351,7 @@ mod tests {
     #[test]
     fn render_table_contains_rows() {
         let mut sim = small_sim();
-        let cfg = ScalingConfig { core_counts: vec![2, 8], steps: 1 };
-        let rows = scaling_experiment(&mut sim, &model(), &cfg).unwrap();
+        let rows = scaling_experiment(&mut sim, &model(), &[2, 8], 1).unwrap();
         let s = render_scaling_table("Square test", &rows);
         assert!(s.contains("Square test"));
         assert!(s.contains("speedup"));
@@ -387,8 +374,7 @@ mod figure_shapes {
     fn rows_for(setup: &CodeSetup, scenario: TestCase) -> Vec<ScalingRow> {
         let scale = ExperimentScale { particles: N, ..Default::default() };
         let (mut sim, model) = wire_experiment(setup, scenario, piz_daint(), scale);
-        let cfg = ScalingConfig { core_counts: vec![12, 48, 192, 768], steps: 2 };
-        scaling_experiment(&mut sim, &model, &cfg).unwrap()
+        scaling_experiment(&mut sim, &model, &[12, 48, 192, 768], 2).unwrap()
     }
 
     #[test]

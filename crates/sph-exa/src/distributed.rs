@@ -255,7 +255,6 @@ pub struct DistributedBuilder {
     config: SphConfig,
     gravity: Option<GravityConfig>,
     dist: DistributedConfig,
-    num_threads: Option<usize>,
     exchange: Option<Box<dyn Exchange>>,
 }
 
@@ -266,7 +265,6 @@ impl DistributedBuilder {
             config: SphConfig::default(),
             gravity: None,
             dist: DistributedConfig::default(),
-            num_threads: None,
             exchange: None,
         }
     }
@@ -292,15 +290,6 @@ impl DistributedBuilder {
         self
     }
 
-    /// Worker threads for every parallel loop (0 = the `SPH_THREADS` /
-    /// hardware default). The pool is process-global, so this configures
-    /// *all* simulations, not just the one being built; results are
-    /// bit-identical for any setting thanks to the fixed-chunk reductions.
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = Some(n);
-        self
-    }
-
     /// The exchange carrier behind the driver's five communication paths
     /// (defaults to [`InProcessExchange`], the determinism reference).
     pub fn exchange(mut self, exchange: Box<dyn Exchange>) -> Self {
@@ -319,12 +308,6 @@ impl DistributedBuilder {
         // checkpoint-restore path; positions must be sane *before* the
         // partitioners sort them.
         self.sys.sanity_check().map_err(DistributedBuildError::Invalid)?;
-        if let Some(n) = self.num_threads {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build_global()
-                .map_err(|e| DistributedBuildError::Invalid(format!("thread pool: {e}")))?;
-        }
         let decomp = self.dist.partitioner.partition(&self.sys.x, self.dist.nranks, &[]);
         let mut sim = DistributedSimulation::assemble(
             self.sys,

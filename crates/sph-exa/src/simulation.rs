@@ -31,11 +31,6 @@ impl SimulationBuilder {
         SimulationBuilder(self.0.gravity(gravity))
     }
 
-    /// See [`DistributedBuilder::num_threads`].
-    pub fn num_threads(self, n: usize) -> Self {
-        SimulationBuilder(self.0.num_threads(n))
-    }
-
     pub fn build(self) -> Result<Simulation, DistributedBuildError> {
         self.0.build().map(Simulation)
     }

@@ -22,7 +22,7 @@ pub use aabb::Aabb;
 pub use mat3::Mat3;
 pub use periodic::Periodicity;
 pub use rng::SplitMix64;
-pub use stats::{OnlineStats, Summary};
+pub use stats::OnlineStats;
 pub use summation::{kahan_sum, pairwise_sum, KahanAccumulator, REDUCE_CHUNK};
 pub use tensor3::SymTensor3;
 pub use vec3::Vec3;

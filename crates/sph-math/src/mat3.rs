@@ -76,16 +76,6 @@ impl Mat3 {
     }
 
     #[inline]
-    pub fn transpose(&self) -> Mat3 {
-        let m = &self.m;
-        Mat3::new([
-            [m[0][0], m[1][0], m[2][0]],
-            [m[0][1], m[1][1], m[2][1]],
-            [m[0][2], m[1][2], m[2][2]],
-        ])
-    }
-
-    #[inline]
     pub fn determinant(&self) -> f64 {
         let m = &self.m;
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -291,12 +281,6 @@ mod tests {
         let inv = d.inverse().unwrap();
         assert!(crate::approx_eq(inv.m[0][0], 0.5, 1e-15));
         assert!(crate::approx_eq(inv.m[1][1], 1.0 / 3.0, 1e-15));
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = sample();
-        assert_eq!(a.transpose().transpose(), a);
     }
 
     #[test]

@@ -69,19 +69,6 @@ impl SplitMix64 {
         let mut child = SplitMix64::new(self.state ^ h);
         child.next_u64()
     }
-
-    /// Exponentially distributed sample with the given mean — used by the
-    /// failure injector (inter-arrival times of fail-stop faults).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0);
-        let u = loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -mean * u.ln()
-    }
 }
 
 #[cfg(test)]
@@ -148,20 +135,5 @@ mod tests {
         let s3 = master.derive("ic-jitter");
         assert_ne!(s1, s2);
         assert_eq!(s1, s3, "derivation must be a pure function of (seed, label)");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut r = SplitMix64::new(3);
-        let n = 200_000;
-        let mean_target = 5.0;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let x = r.exponential(mean_target);
-            assert!(x >= 0.0);
-            sum += x;
-        }
-        let mean = sum / n as f64;
-        assert!((mean - mean_target).abs() < 0.1, "mean = {mean}");
     }
 }

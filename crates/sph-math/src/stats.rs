@@ -50,26 +50,12 @@ impl OnlineStats {
         }
     }
 
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     pub fn min(&self) -> f64 {
         self.min
     }
 
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// `mean / max` — identical in form to the POP load-balance efficiency
-    /// when fed with per-rank useful-computation times.
-    pub fn balance_ratio(&self) -> f64 {
-        if self.n == 0 || self.max <= 0.0 {
-            f64::NAN
-        } else {
-            self.mean() / self.max
-        }
     }
 
     /// Merge two accumulators (parallel reduction; Chan et al.).
@@ -86,26 +72,6 @@ impl OnlineStats {
         let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
         OnlineStats { n, mean, m2, min: self.min.min(other.min), max: self.max.max(other.max) }
     }
-
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.n,
-            mean: self.mean(),
-            std_dev: self.std_dev(),
-            min: self.min,
-            max: self.max,
-        }
-    }
-}
-
-/// Immutable snapshot of an [`OnlineStats`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    pub count: u64,
-    pub mean: f64,
-    pub std_dev: f64,
-    pub min: f64,
-    pub max: f64,
 }
 
 /// Relative L2 error between two equal-length slices:
@@ -169,23 +135,6 @@ mod tests {
         assert!(approx_eq(merged.mean(), whole.mean(), 1e-12));
         assert!(approx_eq(merged.variance(), whole.variance(), 1e-10));
         assert_eq!(merged.count(), whole.count());
-    }
-
-    #[test]
-    fn balance_ratio_perfectly_balanced() {
-        let mut s = OnlineStats::new();
-        for _ in 0..8 {
-            s.push(3.0);
-        }
-        assert!(approx_eq(s.balance_ratio(), 1.0, 1e-15));
-    }
-
-    #[test]
-    fn balance_ratio_imbalanced() {
-        let mut s = OnlineStats::new();
-        s.push(1.0);
-        s.push(3.0); // mean 2, max 3 → 2/3
-        assert!(approx_eq(s.balance_ratio(), 2.0 / 3.0, 1e-15));
     }
 
     #[test]

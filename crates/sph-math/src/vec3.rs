@@ -163,11 +163,6 @@ impl Vec3 {
     pub fn to_array(self) -> [f64; 3] {
         [self.x, self.y, self.z]
     }
-
-    #[inline]
-    pub fn from_array(a: [f64; 3]) -> Vec3 {
-        Vec3::new(a[0], a[1], a[2])
-    }
 }
 
 impl Add for Vec3 {
@@ -350,11 +345,5 @@ mod tests {
     fn sum_iterator() {
         let total: Vec3 = (0..4).map(|i| Vec3::splat(i as f64)).sum();
         assert_eq!(total, Vec3::splat(6.0));
-    }
-
-    #[test]
-    fn array_roundtrip() {
-        let v = Vec3::new(1.5, -2.5, 3.5);
-        assert_eq!(Vec3::from_array(v.to_array()), v);
     }
 }

@@ -18,11 +18,11 @@
 //! Both drivers' shapes are covered: one rank, and four ranks with halo
 //! negotiation, ghost refresh and migration.
 //!
-//! Everything runs in this one test on one thread (`num_threads(1)` runs
-//! every parallel call on the caller), so no other work allocates while a
-//! step is counted. The counters are global: a second `#[test]` in this
-//! file would run concurrently and corrupt both measurements
-//! (`tests/lint_config.rs` keeps it to one).
+//! Everything runs in this one test on one thread (the rayon shim's pool
+//! set to one thread runs every parallel call on the caller), so no other
+//! work allocates while a step is counted. The counters are global: a
+//! second `#[test]` in this file would run concurrently and corrupt both
+//! measurements (`tests/lint_config.rs` keeps it to one).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,7 +125,7 @@ fn step_cost(
     nranks: usize,
 ) -> StepCost {
     let particles = ic.len();
-    let mut builder = DistributedBuilder::new(ic).config(sph).nranks(nranks).num_threads(1);
+    let mut builder = DistributedBuilder::new(ic).config(sph).nranks(nranks);
     if let Some(g) = gravity {
         builder = builder.gravity(g);
     }
@@ -144,6 +144,7 @@ fn step_cost(
 
 #[test]
 fn step_allocations_do_not_grow_with_the_particle_count() {
+    rayon::ThreadPoolBuilder::new().num_threads(1).build_global().expect("one thread");
     let patch_sph = SphConfig {
         gamma: SquarePatchConfig::default().gamma,
         target_neighbors: 40,

@@ -1,8 +1,9 @@
 //! Tier-1 guard on the static enforcers: rustc denies `unsafe` code,
 //! clippy owns the panic-path, undocumented-unsafe and determinism bans,
 //! and the clippy CI job is their gate; the test profile keeps the runtime
-//! checks on; the allocation contract stays one test. Deleting one of
-//! these lines must also turn tier-1 red.
+//! checks on; the allocation contract stays one test; the contract table
+//! never sets a process-global thread count. Deleting one of these lines
+//! must also turn tier-1 red.
 
 use std::path::Path;
 
@@ -108,4 +109,25 @@ fn the_allocation_contract_is_one_test() {
     let text = read("tests/hot_alloc.rs");
     let tests = text.lines().filter(|l| l.trim_start().starts_with("#[test]")).count();
     assert_eq!(tests, 1, "tests/hot_alloc.rs must hold exactly one #[test], found {tests}");
+}
+
+/// libtest runs the tests of each suite that runs the contract table's
+/// cells concurrently, and the rayon shim's `build_global` override is
+/// process-global: one cell setting it would re-point the thread count of
+/// cells running beside it. Each cell names its count with a scoped
+/// `ThreadPool::install` instead.
+#[test]
+fn the_contract_table_never_sets_the_global_pool() {
+    for path in [
+        "tests/contract/mod.rs",
+        "tests/golden_fingerprints.rs",
+        "tests/determinism.rs",
+        "tests/distributed_step.rs",
+    ] {
+        assert!(
+            !read(path).contains("build_global"),
+            "{path} must scope each thread count with `ThreadPool::install`, not set it with \
+             `build_global`"
+        );
+    }
 }
