@@ -354,7 +354,7 @@ mod tests {
 
     /// Uniform cubic lattice of n³ particles in the unit cube with total
     /// mass 1 ⇒ expected density 1 away from the open boundaries.
-    pub fn lattice_system(n: usize) -> ParticleSystem {
+    pub(crate) fn lattice_system(n: usize) -> ParticleSystem {
         let mut x = Vec::with_capacity(n * n * n);
         let spacing = 1.0 / n as f64;
         for iz in 0..n {
@@ -524,7 +524,9 @@ mod tests {
                 let (xi, h) = (sys.x[i], sys.h[i]);
                 let r = grid.clamp_radius(SUPPORT_RADIUS * h);
                 let ball: Vec<u32> = (0..sys.len() as u32)
-                    .filter(|&j| sys.periodicity.distance_sq(xi, sys.x[j as usize]) <= r * r)
+                    .filter(|&j| {
+                        sys.periodicity.displacement(xi, sys.x[j as usize]).norm_sq() <= r * r
+                    })
                     .collect();
                 assert_eq!(lists.neighbors(i), ball, "row {i}");
                 let (rho, drho_dh) = density_sum_reference(&sys, kernel.as_ref(), xi, h, &ball);

@@ -28,7 +28,7 @@ use sph_math::{Mat3, Vec3, REDUCE_CHUNK};
 ///
 /// Requires densities and volume elements (`sys.vol`) to be current.
 /// Particles whose shape matrix is singular get `C = 0`, which makes
-/// [`effective_gradient`] fall back to the analytic kernel derivative.
+/// `effective_gradient` fall back to the analytic kernel derivative.
 pub fn compute_iad_matrices(
     sys: &mut ParticleSystem,
     lists: &NeighborLists,
@@ -77,7 +77,7 @@ pub fn compute_iad_matrices(
 ///
 /// `d = r_i − r_j` (minimum image), `r = |d|`.
 #[inline]
-pub fn effective_gradient(
+pub(crate) fn effective_gradient(
     scheme: GradientScheme,
     kernel: &dyn Kernel,
     c_i: &Mat3,

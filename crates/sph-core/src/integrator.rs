@@ -47,7 +47,7 @@ impl PingPongBuffers {
     }
 
     /// Match the buffer length to the system (cheap when unchanged).
-    pub fn resize(&mut self, n: usize) {
+    pub(crate) fn resize(&mut self, n: usize) {
         self.x_back.resize(n, Vec3::ZERO);
         self.v_back.resize(n, Vec3::ZERO);
     }

@@ -31,7 +31,7 @@ pub(crate) struct PairLanes {
 }
 
 impl PairLanes {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PairLanes { dx: [0.0; LANES], dy: [0.0; LANES], dz: [0.0; LANES], r: [0.0; LANES] }
     }
 
@@ -39,7 +39,7 @@ impl PairLanes {
     /// the periodic metric, then `r = √(dx·dx + dy·dy + dz·dz)` — the
     /// operation order of `Vec3::norm`.
     #[inline]
-    pub fn gather(&mut self, sys: &ParticleSystem, xi: Vec3, ids: &[u32]) {
+    pub(crate) fn gather(&mut self, sys: &ParticleSystem, xi: Vec3, ids: &[u32]) {
         let n = ids.len();
         let (dx, dy, dz) = (&mut self.dx[..n], &mut self.dy[..n], &mut self.dz[..n]);
         for (((dx, dy), dz), &j) in dx.iter_mut().zip(dy.iter_mut()).zip(dz.iter_mut()).zip(ids) {
@@ -54,7 +54,7 @@ impl PairLanes {
 
     /// Displacement of lane `k`.
     #[inline]
-    pub fn d(&self, k: usize) -> Vec3 {
+    pub(crate) fn d(&self, k: usize) -> Vec3 {
         Vec3::new(self.dx[k], self.dy[k], self.dz[k])
     }
 }
@@ -75,7 +75,7 @@ impl PairKernel {
     /// derivative, also as IAD's fallback where the matrix is the zero
     /// (singular) marker.
     #[inline]
-    pub fn of(scheme: GradientScheme, c: &Mat3) -> Self {
+    pub(crate) fn of(scheme: GradientScheme, c: &Mat3) -> Self {
         match scheme {
             GradientScheme::Iad if *c != Mat3::ZERO => PairKernel::Value,
             _ => PairKernel::SlopeOverR,
@@ -85,7 +85,7 @@ impl PairKernel {
     /// The h-only factor of the form (see the association contract of
     /// `Kernel::w_norm`).
     #[inline]
-    pub fn norm(self, kernel: &dyn Kernel, h: f64) -> f64 {
+    pub(crate) fn norm(self, kernel: &dyn Kernel, h: f64) -> f64 {
         match self {
             PairKernel::Value => kernel.w_norm(h),
             PairKernel::SlopeOverR => kernel.dw_norm(h),
@@ -97,7 +97,7 @@ impl PairKernel {
     /// the operations of `Kernel::w` and of `Kernel::dw_dr(r, h) / r`.
     /// `q` is scratch of the same length.
     #[inline]
-    pub fn eval(
+    pub(crate) fn eval(
         self,
         kernel: &dyn Kernel,
         r: &[f64],
@@ -131,7 +131,7 @@ impl PairKernel {
     /// Fold side: the effective gradient of a pair from its lane value
     /// `s` — `effective_gradient` with the kernel call taken out.
     #[inline]
-    pub fn gradient(self, c: &Mat3, d: Vec3, r: f64, s: f64) -> Vec3 {
+    pub(crate) fn gradient(self, c: &Mat3, d: Vec3, r: f64, s: f64) -> Vec3 {
         match self {
             PairKernel::Value => c.mul_vec(-d) * s,
             PairKernel::SlopeOverR => {
@@ -166,7 +166,7 @@ pub(crate) struct TargetLanes<'a> {
 }
 
 impl<'a> TargetLanes<'a> {
-    pub fn new(
+    pub(crate) fn new(
         sys: &'a ParticleSystem,
         kernel: &'a dyn Kernel,
         i: usize,
@@ -188,7 +188,7 @@ impl<'a> TargetLanes<'a> {
 
     /// Lane phase of the block `ids` (≤ [`LANES`] ids of the row).
     #[inline]
-    pub fn lane_phase(&mut self, ids: &[u32]) {
+    pub(crate) fn lane_phase(&mut self, ids: &[u32]) {
         self.pairs.gather(self.sys, self.xi, ids);
         let norm_h = std::iter::repeat((self.norm, self.h));
         self.form.eval(self.kernel, &self.pairs.r[..ids.len()], norm_h, &mut self.q, &mut self.s);
@@ -197,7 +197,7 @@ impl<'a> TargetLanes<'a> {
     /// Effective gradient `g_ij(h_i, C_i)` of lane `k` of the loaded
     /// block (`c` is the particle's IAD matrix).
     #[inline]
-    pub fn gradient(&self, c: &Mat3, k: usize) -> Vec3 {
+    pub(crate) fn gradient(&self, c: &Mat3, k: usize) -> Vec3 {
         self.form.gradient(c, self.pairs.d(k), self.pairs.r[k], self.s[k])
     }
 }

@@ -138,12 +138,6 @@ impl ParticleSystem {
         self.h.iter().cloned().fold(0.0, f64::max)
     }
 
-    /// Minimum-image displacement `x_i − x_j` under the system metric.
-    #[inline]
-    pub fn displacement(&self, i: usize, j: usize) -> Vec3 {
-        self.periodicity.displacement(self.x[i], self.x[j])
-    }
-
     /// Extract the subset of particles with the given indices — the
     /// building block of domain decomposition (each rank owns a subset).
     pub fn subset(&self, indices: &[u32]) -> ParticleSystem {
@@ -300,15 +294,5 @@ mod tests {
         let mut s = tiny_system();
         s.h[2] = 0.0;
         assert!(s.sanity_check().is_err());
-    }
-
-    #[test]
-    fn displacement_uses_metric() {
-        let mut s = tiny_system();
-        s.periodicity = Periodicity::fully_periodic(Aabb::unit());
-        s.x[0] = Vec3::new(0.05, 0.0, 0.0);
-        s.x[1] = Vec3::new(0.95, 0.0, 0.0);
-        let d = s.displacement(0, 1);
-        assert!((d.x - 0.1).abs() < 1e-12);
     }
 }

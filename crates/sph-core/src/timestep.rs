@@ -122,7 +122,7 @@ pub fn validate_dts(dts: &[f64]) -> Result<(), TimeStepError> {
 
 /// Exact order-independent `min` over validated bounds (`INFINITY` when
 /// empty — the reduction identity a distributed min-reduce also uses).
-pub fn reduce_min_dt(dts: &[f64]) -> f64 {
+pub(crate) fn reduce_min_dt(dts: &[f64]) -> f64 {
     dts.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
@@ -203,23 +203,6 @@ pub fn active_at_substep(rungs: &[u8], substep: u64, deepest: u8) -> Vec<u32> {
         .filter(|&(_, &r)| rung_is_active(r.min(deepest), substep, deepest))
         .map(|(i, _)| i as u32)
         .collect()
-}
-
-/// Total force evaluations of one macro-step with block rungs, relative to
-/// the `n · 2^deepest` a global scheme would need. The paper's §1 names
-/// multi-time-stepping a major performance factor; this ratio quantifies
-/// it for the cost model.
-pub fn block_step_work_ratio(rungs: &[u8], deepest: u8) -> f64 {
-    let substeps = 1u64 << deepest;
-    let mut work = 0u64;
-    for s in 0..substeps {
-        for &r in rungs {
-            if rung_is_active(r.min(deepest), s, deepest) {
-                work += 1;
-            }
-        }
-    }
-    work as f64 / (rungs.len() as u64 * substeps) as f64
 }
 
 #[cfg(test)]
@@ -419,18 +402,5 @@ mod tests {
         assert_eq!(active_at_substep(&rungs, 1, 2), vec![2, 3]);
         assert_eq!(active_at_substep(&rungs, 2, 2), vec![1, 2, 3]);
         assert_eq!(active_at_substep(&rungs, 3, 2), vec![2, 3]);
-    }
-
-    #[test]
-    fn block_stepping_saves_work_on_condensed_systems() {
-        // 90% of particles on rung 0, 10% on rung 4 (an Evrard-like core):
-        // work ratio must be far below 1 (the global-stepping cost).
-        let mut rungs = vec![0u8; 900];
-        rungs.extend(vec![4u8; 100]);
-        let ratio = block_step_work_ratio(&rungs, 4);
-        assert!(ratio < 0.2, "work ratio {ratio}");
-        // All particles on the deepest rung = no savings.
-        let ratio = block_step_work_ratio(&[3u8; 100], 3);
-        assert!((ratio - 1.0).abs() < 1e-12);
     }
 }

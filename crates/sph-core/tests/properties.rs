@@ -4,9 +4,7 @@ use proptest::prelude::*;
 use sph_core::config::{SphConfig, ViscosityConfig};
 use sph_core::eos::IdealGas;
 use sph_core::particles::ParticleSystem;
-use sph_core::timestep::{
-    assign_rungs, block_step_work_ratio, global_dt, per_particle_dt, rung_is_active,
-};
+use sph_core::timestep::{assign_rungs, global_dt, per_particle_dt, rung_is_active};
 use sph_core::viscosity::{balsara_factor, pair_viscosity};
 use sph_math::{Aabb, Periodicity, Vec3};
 
@@ -105,16 +103,6 @@ proptest! {
         let substeps = 1u64 << deepest;
         let active = (0..substeps).filter(|&s| rung_is_active(rung, s, deepest)).count() as u64;
         prop_assert_eq!(active, 1u64 << rung);
-    }
-
-    #[test]
-    fn block_work_ratio_bounded(rungs in prop::collection::vec(0u8..5, 1..200)) {
-        let deepest = *rungs.iter().max().unwrap();
-        let ratio = block_step_work_ratio(&rungs, deepest);
-        // Between the all-coarse lower bound and the global-stepping 1.0.
-        let lower = 1.0 / (1u64 << deepest) as f64;
-        prop_assert!(ratio >= lower - 1e-12);
-        prop_assert!(ratio <= 1.0 + 1e-12);
     }
 
     #[test]

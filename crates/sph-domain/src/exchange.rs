@@ -46,16 +46,7 @@ pub enum ExchangePath {
 }
 
 impl ExchangePath {
-    /// Every path, in protocol order.
-    pub const ALL: [ExchangePath; 5] = [
-        ExchangePath::HaloNegotiation,
-        ExchangePath::GhostRefresh,
-        ExchangePath::Migration,
-        ExchangePath::DtReduce,
-        ExchangePath::CheckpointBlob,
-    ];
-
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ExchangePath::HaloNegotiation => "halo_negotiation",
             ExchangePath::GhostRefresh => "ghost_refresh",
@@ -269,8 +260,5 @@ mod tests {
     fn display_names_the_path() {
         let e = ExchangeError::rank_failed(ExchangePath::HaloNegotiation, 1);
         assert_eq!(e.to_string(), "rank 1 failed during halo_negotiation");
-        for p in ExchangePath::ALL {
-            assert!(!p.name().is_empty());
-        }
     }
 }

@@ -55,7 +55,7 @@ impl HaloRadiusPolicy {
     }
 
     /// The multiplicative iteration headroom `g^steps`.
-    pub fn headroom(&self) -> f64 {
+    pub(crate) fn headroom(&self) -> f64 {
         self.growth_per_iteration.powi(self.growth_steps as i32)
     }
 
@@ -193,7 +193,7 @@ mod tests {
         let halos = halo_sets(&pts, &d, radius, &per);
         for i in 0..pts.len() {
             for j in (i + 1)..pts.len() {
-                if per.distance_sq(pts[i], pts[j]) <= radius * radius {
+                if per.displacement(pts[i], pts[j]).norm_sq() <= radius * radius {
                     let (ri, rj) = (d.assignment[i], d.assignment[j]);
                     if ri != rj {
                         assert!(
@@ -221,7 +221,7 @@ mod tests {
         let mut checked = 0;
         for i in 0..pts.len() {
             for j in (i + 1)..pts.len() {
-                if per.distance_sq(pts[i], pts[j]) <= radius * radius {
+                if per.displacement(pts[i], pts[j]).norm_sq() <= radius * radius {
                     let (ri, rj) = (d.assignment[i], d.assignment[j]);
                     if ri != rj {
                         assert!(halos.imports[ri as usize].contains(&(j as u32)));

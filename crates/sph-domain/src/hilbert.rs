@@ -10,7 +10,7 @@ use sph_math::{Aabb, Vec3};
 use sph_tree::morton;
 
 /// Bits per axis used for Hilbert keys (matches the Morton resolution).
-pub const BITS_PER_AXIS: u32 = morton::BITS_PER_AXIS;
+pub(crate) const BITS_PER_AXIS: u32 = morton::BITS_PER_AXIS;
 
 /// Convert axis coordinates to the Hilbert "transpose" form, in place
 /// (Skilling, AIP Conf. Proc. 707, 2004 — `AxestoTranspose`).
@@ -115,7 +115,7 @@ pub fn decode_cell(key: u64, bits: u32) -> (u64, u64, u64) {
 }
 
 /// Hilbert key of a point in `bounds` at full 21-bit resolution.
-pub fn encode_point(p: Vec3, bounds: &Aabb) -> u64 {
+pub(crate) fn encode_point(p: Vec3, bounds: &Aabb) -> u64 {
     let (ix, iy, iz) = morton::cell_of_point(p, bounds);
     encode_cell(ix, iy, iz, BITS_PER_AXIS)
 }

@@ -149,9 +149,13 @@ impl Decomposition {
             f64::NAN
         }
     }
+}
 
+#[cfg(test)]
+/// The weighted partitioners' test reference.
+impl Decomposition {
     /// Weighted imbalance: `max(W_r)/mean(W_r)` for per-particle weights.
-    pub fn weighted_imbalance(&self, weights: &[f64]) -> f64 {
+    pub(crate) fn weighted_imbalance(&self, weights: &[f64]) -> f64 {
         assert_eq!(weights.len(), self.assignment.len());
         let mut loads = vec![0.0; self.nparts];
         for (i, &r) in self.assignment.iter().enumerate() {

@@ -166,16 +166,14 @@ mod tests {
         for i in 0..8 {
             for j in (i + 1)..8 {
                 let (a, b) = (&boxes[i], &boxes[j]);
-                if a.intersects(b) {
-                    // Allow surface contact; flag only interior overlap of
-                    // meaningful volume.
-                    let lo = a.lo.max(b.lo);
-                    let hi = a.hi.min(b.hi);
-                    if hi.x > lo.x && hi.y > lo.y && hi.z > lo.z {
-                        let inter = Aabb::new(lo, hi).volume();
-                        if inter > 0.02 * a.volume().min(b.volume()) {
-                            overlapping_pairs += 1;
-                        }
+                // Allow surface contact; flag only interior overlap of
+                // meaningful volume.
+                let lo = a.lo.max(b.lo);
+                let hi = a.hi.min(b.hi);
+                if hi.x > lo.x && hi.y > lo.y && hi.z > lo.z {
+                    let inter = Aabb::new(lo, hi).volume();
+                    if inter > 0.02 * a.volume().min(b.volume()) {
+                        overlapping_pairs += 1;
                     }
                 }
             }

@@ -145,7 +145,8 @@ mod tests {
                 let ids = d.indices_of(r);
                 let sub: Vec<Vec3> = ids.iter().map(|&i| pts[i as usize]).collect();
                 let bb = Aabb::from_points(sub.iter()).unwrap();
-                total += bb.surface_area();
+                let e = bb.extent();
+                total += 2.0 * (e.x * e.y + e.y * e.z + e.z * e.x);
             }
             areas.push(total / nparts as f64);
         }

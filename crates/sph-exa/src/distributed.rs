@@ -255,7 +255,6 @@ pub struct DistributedBuilder {
     config: SphConfig,
     gravity: Option<GravityConfig>,
     dist: DistributedConfig,
-    exchange: Option<Box<dyn Exchange>>,
 }
 
 impl DistributedBuilder {
@@ -265,7 +264,6 @@ impl DistributedBuilder {
             config: SphConfig::default(),
             gravity: None,
             dist: DistributedConfig::default(),
-            exchange: None,
         }
     }
 
@@ -290,13 +288,6 @@ impl DistributedBuilder {
         self
     }
 
-    /// The exchange carrier behind the driver's five communication paths
-    /// (defaults to [`InProcessExchange`], the determinism reference).
-    pub fn exchange(mut self, exchange: Box<dyn Exchange>) -> Self {
-        self.exchange = Some(exchange);
-        self
-    }
-
     pub fn build(self) -> Result<DistributedSimulation, DistributedBuildError> {
         if self.dist.nranks == 0 || self.sys.is_empty() || self.dist.nranks > self.sys.len() {
             return Err(DistributedBuildError::BadRankCount {
@@ -309,7 +300,7 @@ impl DistributedBuilder {
         // partitioners sort them.
         self.sys.sanity_check().map_err(DistributedBuildError::Invalid)?;
         let decomp = self.dist.partitioner.partition(&self.sys.x, self.dist.nranks, &[]);
-        let mut sim = DistributedSimulation::assemble(
+        DistributedSimulation::assemble(
             self.sys,
             self.config,
             self.gravity,
@@ -317,11 +308,7 @@ impl DistributedBuilder {
             decomp,
             0.0,
             false,
-        )?;
-        if let Some(exchange) = self.exchange {
-            sim.exchange = exchange;
-        }
-        Ok(sim)
+        )
     }
 }
 
@@ -478,7 +465,7 @@ impl DistributedSimulation {
 
     /// The distributed-driver configuration this run was built with
     /// (recovery layers need it to re-`restore` with identical wiring).
-    pub fn distributed_config(&self) -> DistributedConfig {
+    pub(crate) fn distributed_config(&self) -> DistributedConfig {
         self.dist
     }
 
@@ -518,7 +505,7 @@ impl DistributedSimulation {
     /// Swap the exchange carrier, returning the previous one. Recovery
     /// layers use this to transplant a (stateful, fault-injecting or
     /// connected) carrier into a simulation restored from checkpoint.
-    pub fn replace_exchange(&mut self, exchange: Box<dyn Exchange>) -> Box<dyn Exchange> {
+    pub(crate) fn replace_exchange(&mut self, exchange: Box<dyn Exchange>) -> Box<dyn Exchange> {
         std::mem::replace(&mut self.exchange, exchange)
     }
 
@@ -526,12 +513,12 @@ impl DistributedSimulation {
     /// starts at zero; recovery layers carry the live log over so the
     /// telemetry records everything that actually happened, replays
     /// included.
-    pub fn carry_exchange_log(&mut self, log: ExchangeLog) {
+    pub(crate) fn carry_exchange_log(&mut self, log: ExchangeLog) {
         self.log = log;
     }
 
     /// Ask the carrier to bring a failed rank back (respawn/reconnect).
-    pub fn recover_rank(&mut self, rank: u32) -> Result<(), ExchangeError> {
+    pub(crate) fn recover_rank(&mut self, rank: u32) -> Result<(), ExchangeError> {
         self.exchange.recover_rank(rank)
     }
 
@@ -1109,7 +1096,7 @@ impl DistributedSimulation {
     /// Remove checkpoint `label` from `store`: its manifest and every
     /// per-rank snapshot the store lists for it, whatever rank count wrote
     /// them (the leftovers of a gated write included).
-    pub fn discard_checkpoint(store: &mut dyn CheckpointStore, label: &str) {
+    pub(crate) fn discard_checkpoint(store: &mut dyn CheckpointStore, label: &str) {
         let prefix = format!("{label}-rank");
         for stored in store.labels() {
             if stored.strip_prefix(&prefix).is_some_and(|r| r.parse::<usize>().is_ok()) {
@@ -1495,9 +1482,9 @@ mod tests {
         let mut dist = DistributedBuilder::new(gas_ball(200, 41))
             .config(quick_config())
             .nranks(3)
-            .exchange(Box::new(RecordingExchange { delivered: Rc::clone(&delivered) }))
             .build()
             .unwrap();
+        dist.replace_exchange(Box::new(RecordingExchange { delivered: Rc::clone(&delivered) }));
         dist.run(1).unwrap();
         let mut store = MemoryStore::new();
         let bytes = dist.checkpoint(&mut store, "cp").unwrap();

@@ -241,7 +241,7 @@ pub(crate) struct RankView {
 impl RankView {
     /// View of a rank that owns every particle: no copy, no ghosts.
     /// `active` are global ids (≡ local indices).
-    pub fn of_whole_system(rank: usize, sys: &ParticleSystem, active: Vec<u32>) -> Self {
+    pub(crate) fn of_whole_system(rank: usize, sys: &ParticleSystem, active: Vec<u32>) -> Self {
         RankView { rank, copy: None, ws: Workspace::new(sys, Vec::new(), active, Vec::new()) }
     }
 
@@ -250,7 +250,7 @@ impl RankView {
     /// `computed` (ascending; all of them when `None`): extracts the local
     /// copy. The owned particles it does not compute rest, refreshed like
     /// ghosts.
-    pub fn of_subdomain(
+    pub(crate) fn of_subdomain(
         rank: usize,
         sys: &ParticleSystem,
         owned: &[u32],
@@ -299,7 +299,7 @@ impl RankView {
     /// EOS rewrote every local particle's `p, c_s`, as it does the whole
     /// system in place on one rank, so [`Fields::PCs`] also publishes the
     /// resting particles' — `per_particle_dt` reads them.
-    pub fn publish(&self, fields: Fields, global: &mut ParticleSystem) {
+    pub(crate) fn publish(&self, fields: Fields, global: &mut ParticleSystem) {
         let Some(copy) = &self.copy else { return };
         let resting = if matches!(fields, Fields::PCs) { &self.ws.resting[..] } else { &[] };
         let mut words = Vec::with_capacity(fields.words());
@@ -314,7 +314,7 @@ impl RankView {
     /// (density + force ≈ 2× the pair-list length) plus gravity
     /// interactions, the load measure rebalancing and the cluster model
     /// consume — and, with gravity on, the potentials; both by global id.
-    pub fn account(&self, work: &mut [f64], phi: &mut [f64]) {
+    pub(crate) fn account(&self, work: &mut [f64], phi: &mut [f64]) {
         let ws = &self.ws;
         for (q, &k) in ws.active.iter().enumerate() {
             let g = ws.global_id(k) as usize;

@@ -54,7 +54,7 @@ pub enum FaultKind {
 impl FaultKind {
     /// Whether [`FaultyExchange`] executes this kind (vs the recovery
     /// driver at step boundaries).
-    pub fn is_exchange_side(&self) -> bool {
+    pub(crate) fn is_exchange_side(&self) -> bool {
         matches!(
             self,
             FaultKind::KillRank { .. }
@@ -88,14 +88,6 @@ impl FaultPlan {
     pub fn at(mut self, step: u64, kind: FaultKind) -> Self {
         self.events.push(FaultEvent { step, kind });
         self
-    }
-
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
     }
 
     /// The seeded injector used for [`FaultKind::CorruptField`] events.
@@ -153,11 +145,6 @@ impl FaultyExchange {
             })
             .collect();
         FaultyExchange { inner, events, dead: Vec::new(), step: 0 }
-    }
-
-    /// Ranks currently dead (test observability).
-    pub fn dead_ranks(&self) -> Vec<u32> {
-        self.dead.iter().map(|&(r, _)| r).collect()
     }
 
     /// A dead rank fails *every* path: the protocol is bulk-synchronous,
@@ -345,14 +332,14 @@ mod tests {
         let plan = FaultPlan::new(1).at(4, FaultKind::KillRank { rank: 2, respawnable: true });
         let mut ex = faulty(plan);
         ex.begin_step(4);
-        assert_eq!(ex.dead_ranks(), vec![2]);
+        assert_eq!(ex.dead, vec![(2, true)]);
         let err = ex.reduce_max(ExchangePath::HaloNegotiation, &[1.0]).unwrap_err();
         assert!(matches!(err.kind, ExchangeErrorKind::RankFailed { rank: 2 }));
         let mut b = vec![0u8; 4];
         assert!(ex.deliver_bytes(ExchangePath::CheckpointBlob, 0, &mut b).is_err());
         // Respawn, then everything works — and the kill never re-fires.
         ex.recover_rank(2).unwrap();
-        assert!(ex.dead_ranks().is_empty());
+        assert!(ex.dead.is_empty());
         ex.begin_step(4);
         ex.reduce_max(ExchangePath::HaloNegotiation, &[1.0]).unwrap();
     }
@@ -364,7 +351,7 @@ mod tests {
         ex.begin_step(0);
         let err = ex.recover_rank(1).unwrap_err();
         assert!(matches!(err.kind, ExchangeErrorKind::RankFailed { rank: 1 }));
-        assert_eq!(ex.dead_ranks(), vec![1]);
+        assert_eq!(ex.dead, vec![(1, false)]);
     }
 
     #[test]

@@ -181,11 +181,6 @@ impl<S> NamespacedStore<S> {
     fn full(&self, label: &str) -> String {
         format!("{}{label}", self.prefix)
     }
-
-    /// The wrapped store.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
 }
 
 impl<S: CheckpointStore> CheckpointStore for NamespacedStore<S> {
@@ -313,7 +308,7 @@ mod tests {
         let mut a = NamespacedStore::new("job-a", backing);
         a.save("gen0", &sample(1.0)).unwrap();
 
-        let mut b = NamespacedStore::new("job-b", a.into_inner());
+        let mut b = NamespacedStore::new("job-b", a.inner);
         // Namespace b sees none of a's labels.
         assert!(b.labels().is_empty());
         assert!(matches!(b.restore("gen0"), Err(FtError::MissingCheckpoint { .. })));
@@ -321,7 +316,7 @@ mod tests {
         assert_eq!(b.labels(), vec!["gen0".to_string()]);
         // Wiping b leaves a's data intact in the backing store.
         b.invalidate_all();
-        let a_again = NamespacedStore::new("job-a", b.into_inner());
+        let a_again = NamespacedStore::new("job-a", b.inner);
         assert_eq!(a_again.restore("gen0").unwrap().time, 1.0);
     }
 
@@ -340,12 +335,12 @@ mod tests {
         assert_eq!(labels, vec!["resilient-gen0".to_string(), "resilient-gen1".to_string()]);
         assert_eq!(a.restore("resilient-gen1").unwrap().time, 2.0);
 
-        let mut other = NamespacedStore::new("deadbeef", a.into_inner());
+        let mut other = NamespacedStore::new("deadbeef", a.inner);
         assert!(other.labels().is_empty());
         other.save("resilient-gen0", &sample(3.0)).unwrap();
         other.invalidate_all();
         assert!(other.labels().is_empty());
-        let a_back = NamespacedStore::new("1f2e3d4c", other.into_inner());
+        let a_back = NamespacedStore::new("1f2e3d4c", other.inner);
         assert_eq!(a_back.labels().len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -17,9 +17,9 @@ use sph_core::particles::ParticleSystem;
 use sph_math::{Aabb, Periodicity, Vec3};
 
 /// Snapshot magic: "SPHEXACP".
-pub const MAGIC: u64 = 0x5350_4845_5841_4350;
+pub(crate) const MAGIC: u64 = 0x5350_4845_5841_4350;
 /// Current snapshot format version.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 /// Manifest magic: "SPHEXADM".
 const MANIFEST_MAGIC: u64 = 0x5350_4845_5841_444d;
 /// Current manifest format version.

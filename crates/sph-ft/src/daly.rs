@@ -23,7 +23,7 @@ pub fn daly_interval(checkpoint_cost: f64, mtbf: f64) -> f64 {
         return m;
     }
     let x = (c / (2.0 * m)).sqrt();
-    (2.0 * c * m).sqrt() * (1.0 + x / 3.0 + x * x / 9.0) - c
+    young_interval(c, m) * (1.0 + x / 3.0 + x * x / 9.0) - c
 }
 
 /// Expected fraction of wall time wasted (checkpoint overhead +

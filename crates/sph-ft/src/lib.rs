@@ -35,10 +35,4 @@ pub mod sdc;
 
 pub use chaos::{CorruptionMode, FaultEvent, FaultKind, FaultPlan, FaultyExchange};
 pub use checkpoint::{CheckpointStore, DiskStore, MemoryStore, NamespacedStore};
-pub use daly::{daly_interval, expected_waste};
 pub use error::FtError;
-pub use scheduler::CheckpointScheduler;
-pub use sdc::{
-    ChecksumDetector, ConservationDetector, FaultField, InjectedFault, PhysicsBoundsDetector,
-    SdcDetector, SdcInjector, Verdict,
-};

@@ -57,7 +57,7 @@ impl CheckpointScheduler {
     }
 
     /// Current checkpoint write-cost estimate (measured mean or the seed).
-    pub fn write_cost(&self) -> f64 {
+    pub(crate) fn write_cost(&self) -> f64 {
         if self.write_times.count() > 0 {
             self.write_times.mean()
         } else {

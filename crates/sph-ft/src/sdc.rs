@@ -148,7 +148,7 @@ pub enum FaultField {
 impl FaultField {
     /// The field's short name as it appears in `ParticleSystem` (`x`,
     /// `v`, `m`, `u`, `h`).
-    pub fn symbol(&self) -> &'static str {
+    pub(crate) fn symbol(&self) -> &'static str {
         match self {
             FaultField::Position => "x",
             FaultField::Velocity => "v",

@@ -14,10 +14,10 @@ use crate::Kernel;
 
 /// M4 (cubic) B-spline kernel.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CubicSpline;
+pub(crate) struct CubicSpline;
 
 impl CubicSpline {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CubicSpline
     }
 }

@@ -33,9 +33,9 @@ pub mod quadrature;
 pub mod sinc;
 pub mod wendland;
 
-pub use cubic_spline::CubicSpline;
-pub use sinc::SincKernel;
-pub use wendland::{WendlandC2, WendlandC4, WendlandC6};
+pub(crate) use cubic_spline::CubicSpline;
+pub(crate) use sinc::SincKernel;
+pub(crate) use wendland::{WendlandC2, WendlandC4, WendlandC6};
 
 use sph_math::Vec3;
 
@@ -189,17 +189,6 @@ impl KernelKind {
             KernelKind::Sinc(n) => Box::new(SincKernel::new(n)),
         }
     }
-
-    /// All kinds the feature tables enumerate.
-    pub fn all() -> Vec<KernelKind> {
-        vec![
-            KernelKind::CubicSplineM4,
-            KernelKind::WendlandC2,
-            KernelKind::WendlandC4,
-            KernelKind::WendlandC6,
-            KernelKind::Sinc(5),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -208,8 +197,16 @@ mod tests {
     use quadrature::integrate_radial_3d;
 
     fn all_kernels() -> Vec<Box<dyn Kernel>> {
-        let mut v: Vec<Box<dyn Kernel>> =
-            KernelKind::all().into_iter().map(|k| k.build()).collect();
+        let mut v: Vec<Box<dyn Kernel>> = [
+            KernelKind::CubicSplineM4,
+            KernelKind::WendlandC2,
+            KernelKind::WendlandC4,
+            KernelKind::WendlandC6,
+            KernelKind::Sinc(5),
+        ]
+        .into_iter()
+        .map(|k| k.build())
+        .collect();
         v.push(Box::new(SincKernel::new(3)));
         v.push(Box::new(SincKernel::new(7)));
         v

@@ -6,7 +6,7 @@
 //! integrands.
 
 /// Composite Simpson's rule for `∫₀^b f(x) dx` with `n` (even) intervals.
-pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
+pub(crate) fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
     assert!(n >= 2 && n.is_multiple_of(2), "Simpson needs an even interval count");
     let h = (b - a) / n as f64;
     let mut s = f(a) + f(b);
@@ -17,8 +17,10 @@ pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
     s * h / 3.0
 }
 
-/// Radial 3-D volume integral `4π ∫₀^R f(r) r² dr`.
-pub fn integrate_radial_3d<F: Fn(f64) -> f64>(f: F, r_max: f64, n: usize) -> f64 {
+#[cfg(test)]
+/// Radial 3-D volume integral `4π ∫₀^R f(r) r² dr`, the reference of
+/// the kernels' normalisation tests.
+pub(crate) fn integrate_radial_3d<F: Fn(f64) -> f64>(f: F, r_max: f64, n: usize) -> f64 {
     4.0 * std::f64::consts::PI * simpson(|r| f(r) * r * r, 0.0, r_max, n)
 }
 

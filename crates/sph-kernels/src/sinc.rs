@@ -16,7 +16,7 @@ use std::f64::consts::{FRAC_PI_2, PI};
 
 /// `sinc(x) = sin(x)/x`, with a Taylor branch for tiny `x` to avoid 0/0.
 #[inline]
-pub fn sinc(x: f64) -> f64 {
+pub(crate) fn sinc(x: f64) -> f64 {
     if x.abs() < 1e-4 {
         let x2 = x * x;
         1.0 - x2 / 6.0 + x2 * x2 / 120.0
@@ -27,7 +27,7 @@ pub fn sinc(x: f64) -> f64 {
 
 /// `d sinc(x) / dx = cos(x)/x − sin(x)/x²`, Taylor branch near zero.
 #[inline]
-pub fn dsinc(x: f64) -> f64 {
+pub(crate) fn dsinc(x: f64) -> f64 {
     if x.abs() < 1e-4 {
         let x2 = x * x;
         -x / 3.0 + x * x2 / 30.0
@@ -38,7 +38,7 @@ pub fn dsinc(x: f64) -> f64 {
 
 /// Sinc kernel of integer exponent `n` (3 ≤ n ≤ 12).
 #[derive(Debug, Clone, Copy)]
-pub struct SincKernel {
+pub(crate) struct SincKernel {
     n: u8,
     sigma: f64,
 }
@@ -49,16 +49,11 @@ impl SincKernel {
     /// Panics if `n` is outside `[3, 12]` — below 3 the kernel is not
     /// smooth enough at the support edge for stable SPH, above 12 it is
     /// needlessly peaked (SPHYNX uses 3–10 adaptively).
-    pub fn new(n: u8) -> Self {
+    pub(crate) fn new(n: u8) -> Self {
         assert!((3..=12).contains(&n), "sinc exponent must be in [3,12], got {n}");
         // σ = 1 / (4π ∫₀² sinc(πq/2)ⁿ q² dq)
         let integral = simpson(|q| sinc(FRAC_PI_2 * q).powi(n as i32) * q * q, 0.0, 2.0, 4096);
         SincKernel { n, sigma: 1.0 / (4.0 * PI * integral) }
-    }
-
-    /// The family exponent.
-    pub fn exponent(&self) -> u8 {
-        self.n
     }
 }
 
@@ -152,10 +147,5 @@ mod tests {
     #[should_panic]
     fn rejects_tiny_exponent() {
         let _ = SincKernel::new(2);
-    }
-
-    #[test]
-    fn exponent_accessor() {
-        assert_eq!(SincKernel::new(6).exponent(), 6);
     }
 }

@@ -17,10 +17,10 @@ use std::f64::consts::PI;
 
 /// Wendland C2 kernel.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WendlandC2;
+pub(crate) struct WendlandC2;
 
 impl WendlandC2 {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WendlandC2
     }
 }
@@ -62,10 +62,10 @@ impl Kernel for WendlandC2 {
 
 /// Wendland C4 kernel.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WendlandC4;
+pub(crate) struct WendlandC4;
 
 impl WendlandC4 {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WendlandC4
     }
 }
@@ -112,10 +112,10 @@ impl Kernel for WendlandC4 {
 
 /// Wendland C6 kernel.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WendlandC6;
+pub(crate) struct WendlandC6;
 
 impl WendlandC6 {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WendlandC6
     }
 }

@@ -62,13 +62,6 @@ impl Aabb {
         e.x * e.y * e.z
     }
 
-    /// Surface area — used by decomposition-quality metrics (halo volume is
-    /// proportional to subdomain surface).
-    pub fn surface_area(&self) -> f64 {
-        let e = self.extent();
-        2.0 * (e.x * e.y + e.y * e.z + e.z * e.x)
-    }
-
     #[inline]
     pub fn contains(&self, p: Vec3) -> bool {
         p.x >= self.lo.x
@@ -84,11 +77,6 @@ impl Aabb {
         Aabb { lo: self.lo.min(o.lo), hi: self.hi.max(o.hi) }
     }
 
-    /// Grow symmetrically by `pad` on every side.
-    pub fn padded(&self, pad: f64) -> Aabb {
-        Aabb::new(self.lo - Vec3::splat(pad), self.hi + Vec3::splat(pad))
-    }
-
     /// Squared distance from `p` to the box (0 inside) — the pruning test of
     /// the fixed-radius neighbour search.
     #[inline]
@@ -97,16 +85,6 @@ impl Aabb {
         let dy = (self.lo.y - p.y).max(0.0).max(p.y - self.hi.y);
         let dz = (self.lo.z - p.z).max(0.0).max(p.z - self.hi.z);
         dx * dx + dy * dy + dz * dz
-    }
-
-    /// True when the boxes overlap (closed-interval semantics).
-    pub fn intersects(&self, o: &Aabb) -> bool {
-        self.lo.x <= o.hi.x
-            && o.lo.x <= self.hi.x
-            && self.lo.y <= o.hi.y
-            && o.lo.y <= self.hi.y
-            && self.lo.z <= o.hi.z
-            && o.lo.z <= self.hi.z
     }
 
     /// The cubic box with the same centre whose edge is the longest edge of
@@ -154,7 +132,6 @@ mod tests {
         assert_eq!(b.center(), Vec3::splat(1.0));
         assert_eq!(b.extent(), Vec3::splat(2.0));
         assert_eq!(b.volume(), 8.0);
-        assert_eq!(b.surface_area(), 24.0);
         assert!(b.contains(Vec3::splat(1.0)));
         assert!(b.contains(Vec3::ZERO)); // closed boundary
         assert!(!b.contains(Vec3::splat(2.1)));
@@ -202,12 +179,9 @@ mod tests {
     fn union_and_intersect() {
         let a = Aabb::unit();
         let b = Aabb::new(Vec3::splat(0.5), Vec3::splat(2.0));
-        assert!(a.intersects(&b));
         let u = a.union(&b);
         assert_eq!(u.lo, Vec3::ZERO);
         assert_eq!(u.hi, Vec3::splat(2.0));
-        let far = Aabb::new(Vec3::splat(5.0), Vec3::splat(6.0));
-        assert!(!a.intersects(&far));
     }
 
     #[test]

@@ -23,16 +23,15 @@ pub use mat3::Mat3;
 pub use periodic::Periodicity;
 pub use rng::SplitMix64;
 pub use stats::OnlineStats;
-pub use summation::{kahan_sum, pairwise_sum, KahanAccumulator, REDUCE_CHUNK};
+pub use summation::{kahan_sum, KahanAccumulator, REDUCE_CHUNK};
 pub use tensor3::SymTensor3;
 pub use vec3::Vec3;
 
-/// Relative comparison of two floats with an absolute floor.
-///
-/// Used throughout the test suites: `approx_eq(a, b, 1e-12)` is true when
+#[cfg(test)]
+/// Relative comparison of two floats with an absolute floor, the unit
+/// tests' reference: `approx_eq(a, b, 1e-12)` is true when
 /// `|a-b| <= tol * max(1, |a|, |b|)`.
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
+pub(crate) fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * 1.0_f64.max(a.abs()).max(b.abs())
 }
 

@@ -25,34 +25,6 @@ impl Default for Mat3 {
 
 impl Mat3 {
     pub const ZERO: Mat3 = Mat3 { m: [[0.0; 3]; 3] };
-    pub const IDENTITY: Mat3 = Mat3 { m: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]] };
-
-    #[inline]
-    pub const fn new(m: [[f64; 3]; 3]) -> Self {
-        Mat3 { m }
-    }
-
-    /// Diagonal matrix with entries `d`.
-    #[inline]
-    pub fn from_diagonal(d: Vec3) -> Self {
-        let mut m = Mat3::ZERO;
-        m.m[0][0] = d.x;
-        m.m[1][1] = d.y;
-        m.m[2][2] = d.z;
-        m
-    }
-
-    /// Outer product `a ⊗ b`.
-    #[inline]
-    pub fn outer(a: Vec3, b: Vec3) -> Self {
-        Mat3 {
-            m: [
-                [a.x * b.x, a.x * b.y, a.x * b.z],
-                [a.y * b.x, a.y * b.y, a.y * b.z],
-                [a.z * b.x, a.z * b.y, a.z * b.z],
-            ],
-        }
-    }
 
     /// Symmetric rank-one update `self += w · (v ⊗ v)`.
     ///
@@ -136,22 +108,6 @@ impl Mat3 {
     pub fn trace(&self) -> f64 {
         self.m[0][0] + self.m[1][1] + self.m[2][2]
     }
-
-    /// True when every entry is finite.
-    pub fn is_finite(&self) -> bool {
-        self.m.iter().flatten().all(|x| x.is_finite())
-    }
-
-    /// Maximum absolute difference from `o` — handy in tests.
-    pub fn max_abs_diff(&self, o: &Mat3) -> f64 {
-        let mut d = 0.0_f64;
-        for r in 0..3 {
-            for c in 0..3 {
-                d = d.max((self.m[r][c] - o.m[r][c]).abs());
-            }
-        }
-        d
-    }
 }
 
 impl Add for Mat3 {
@@ -223,19 +179,36 @@ impl Mul<Mat3> for Mat3 {
 mod tests {
     use super::*;
 
+    const IDENTITY: Mat3 = Mat3 { m: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]] };
+
+    /// Outer product `a ⊗ b`, the reference for the rank-one update.
+    fn outer(a: Vec3, b: Vec3) -> Mat3 {
+        Mat3 {
+            m: [
+                [a.x * b.x, a.x * b.y, a.x * b.z],
+                [a.y * b.x, a.y * b.y, a.y * b.z],
+                [a.z * b.x, a.z * b.y, a.z * b.z],
+            ],
+        }
+    }
+
+    fn max_abs_diff(a: &Mat3, b: &Mat3) -> f64 {
+        a.m.iter().flatten().zip(b.m.iter().flatten()).fold(0.0, |d, (x, y)| d.max((x - y).abs()))
+    }
+
     fn sample() -> Mat3 {
-        Mat3::new([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
+        Mat3 { m: [[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]] }
     }
 
     #[test]
     fn identity_behaviour() {
         let a = sample();
-        assert_eq!(a * Mat3::IDENTITY, a);
-        assert_eq!(Mat3::IDENTITY * a, a);
+        assert_eq!(a * IDENTITY, a);
+        assert_eq!(IDENTITY * a, a);
         let v = Vec3::new(1.0, -2.0, 3.0);
-        assert_eq!(Mat3::IDENTITY.mul_vec(v), v);
-        assert_eq!(Mat3::IDENTITY.determinant(), 1.0);
-        assert_eq!(Mat3::IDENTITY.trace(), 3.0);
+        assert_eq!(IDENTITY.mul_vec(v), v);
+        assert_eq!(IDENTITY.determinant(), 1.0);
+        assert_eq!(IDENTITY.trace(), 3.0);
     }
 
     #[test]
@@ -243,13 +216,13 @@ mod tests {
         let a = sample();
         let inv = a.inverse().expect("invertible");
         let prod = a * inv;
-        assert!(prod.max_abs_diff(&Mat3::IDENTITY) < 1e-12, "prod = {prod:?}");
+        assert!(max_abs_diff(&prod, &IDENTITY) < 1e-12, "prod = {prod:?}");
     }
 
     #[test]
     fn singular_matrix_has_no_inverse() {
         // Rank-1 matrix.
-        let s = Mat3::outer(Vec3::new(1.0, 2.0, 3.0), Vec3::new(1.0, 2.0, 3.0));
+        let s = outer(Vec3::new(1.0, 2.0, 3.0), Vec3::new(1.0, 2.0, 3.0));
         assert!(s.inverse().is_none());
         assert!(Mat3::ZERO.inverse().is_none());
     }
@@ -258,7 +231,7 @@ mod tests {
     fn outer_product() {
         let a = Vec3::new(1.0, 2.0, 3.0);
         let b = Vec3::new(4.0, 5.0, 6.0);
-        let o = Mat3::outer(a, b);
+        let o = outer(a, b);
         assert_eq!(o.m[0][1], 5.0);
         assert_eq!(o.m[2][0], 12.0);
         // trace(a ⊗ b) = a · b
@@ -270,13 +243,13 @@ mod tests {
         let v = Vec3::new(1.0, -2.0, 0.5);
         let mut acc = Mat3::ZERO;
         acc.add_scaled_outer(v, 2.5);
-        let reference = Mat3::outer(v, v) * 2.5;
-        assert!(acc.max_abs_diff(&reference) < 1e-15);
+        let reference = outer(v, v) * 2.5;
+        assert!(max_abs_diff(&acc, &reference) < 1e-15);
     }
 
     #[test]
     fn determinant_of_diagonal() {
-        let d = Mat3::from_diagonal(Vec3::new(2.0, 3.0, 4.0));
+        let d = Mat3 { m: [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]] };
         assert_eq!(d.determinant(), 24.0);
         let inv = d.inverse().unwrap();
         assert!(crate::approx_eq(inv.m[0][0], 0.5, 1e-15));

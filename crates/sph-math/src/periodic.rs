@@ -55,11 +55,6 @@ impl Periodicity {
         Periodicity { domain, periodic: [false, false, true] }
     }
 
-    /// True if any axis is periodic.
-    pub fn any(&self) -> bool {
-        self.periodic.iter().any(|&p| p)
-    }
-
     /// Length of the domain along `axis`.
     #[inline]
     fn span(&self, axis: usize) -> f64 {
@@ -89,12 +84,6 @@ impl Periodicity {
     #[inline]
     pub fn distance(&self, a: Vec3, b: Vec3) -> f64 {
         self.displacement(a, b).norm()
-    }
-
-    /// Minimum-image squared distance.
-    #[inline]
-    pub fn distance_sq(&self, a: Vec3, b: Vec3) -> f64 {
-        self.displacement(a, b).norm_sq()
     }
 
     /// Wrap a position back into the primary domain on periodic axes.

@@ -71,19 +71,6 @@ pub fn kahan_sum(values: &[f64]) -> f64 {
     acc.total()
 }
 
-/// Recursive pairwise sum; O(log n) error growth, cache friendly.
-pub fn pairwise_sum(values: &[f64]) -> f64 {
-    const BASE: usize = 64;
-    if values.len() <= BASE {
-        // This base case is the leaf of the ordered reduce: the ≤64-term
-        // sequential sum whose fixed order defines the pairwise
-        // reduction.
-        return values.iter().sum();
-    }
-    let mid = values.len() / 2;
-    pairwise_sum(&values[..mid]) + pairwise_sum(&values[mid..])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,9 +78,7 @@ mod tests {
     #[test]
     fn empty_and_single() {
         assert_eq!(kahan_sum(&[]), 0.0);
-        assert_eq!(pairwise_sum(&[]), 0.0);
         assert_eq!(kahan_sum(&[42.0]), 42.0);
-        assert_eq!(pairwise_sum(&[42.0]), 42.0);
     }
 
     #[test]
@@ -109,10 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_matches_exact_on_integers() {
+    fn kahan_matches_exact_on_integers() {
         let values: Vec<f64> = (1..=10_000).map(|i| i as f64).collect();
         let exact = 10_000.0 * 10_001.0 / 2.0;
-        assert_eq!(pairwise_sum(&values), exact);
         assert_eq!(kahan_sum(&values), exact);
     }
 

@@ -39,7 +39,7 @@ impl SymTensor3 {
 
     /// Component `S_abc` for any index order.
     #[inline]
-    pub fn get(&self, mut a: usize, mut b: usize, mut c: usize) -> f64 {
+    pub(crate) fn get(&self, mut a: usize, mut b: usize, mut c: usize) -> f64 {
         // Sort the three indices (network for 3 elements).
         if a > b {
             std::mem::swap(&mut a, &mut b);
@@ -101,10 +101,6 @@ impl SymTensor3 {
             *out.component_mut(a) = s;
         }
         out
-    }
-
-    pub fn is_finite(&self) -> bool {
-        self.c.iter().all(|v| v.is_finite())
     }
 }
 

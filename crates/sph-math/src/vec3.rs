@@ -71,12 +71,6 @@ impl Vec3 {
         }
     }
 
-    /// Euclidean distance to `o`.
-    #[inline]
-    pub fn dist(self, o: Vec3) -> f64 {
-        (self - o).norm()
-    }
-
     #[inline]
     pub fn dist_sq(self, o: Vec3) -> f64 {
         (self - o).norm_sq()

@@ -34,7 +34,7 @@ pub enum Phase {
 
 impl Phase {
     /// The Fig. 4 letter.
-    pub fn letter(self) -> char {
+    pub(crate) fn letter(self) -> char {
         match self {
             Phase::TreeBuild => 'A',
             Phase::NeighborWalk => 'B',
@@ -66,7 +66,7 @@ impl Phase {
     }
 
     /// All phases in execution order.
-    pub fn all() -> [Phase; 10] {
+    pub(crate) fn all() -> [Phase; 10] {
         [
             Phase::TreeBuild,
             Phase::NeighborWalk,
@@ -101,7 +101,7 @@ pub enum WorkerState {
 impl WorkerState {
     /// Single-character code used by the ASCII Gantt for non-useful time
     /// (useful time renders as the phase letter instead).
-    pub fn glyph(self) -> char {
+    pub(crate) fn glyph(self) -> char {
         match self {
             WorkerState::Useful => '*',
             WorkerState::Communication => '~',

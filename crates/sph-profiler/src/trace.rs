@@ -107,7 +107,7 @@ impl Trace {
 
     /// Aggregate useful time per phase across all workers — the "where does
     /// the time go" summary Fig. 4 is read for.
-    pub fn phase_breakdown(&self) -> Vec<(Phase, f64)> {
+    pub(crate) fn phase_breakdown(&self) -> Vec<(Phase, f64)> {
         Phase::all()
             .into_iter()
             .map(|p| {

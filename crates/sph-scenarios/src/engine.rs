@@ -10,13 +10,12 @@
 //!    viscosity, boundary metric, optional self-gravity) at a requested
 //!    [`Resolution`]. The same `(scenario, resolution)` pair must always
 //!    produce the bit-identical [`ParticleSystem`].
-//! 2. **Reference** — [`Scenario::analytic_reference`] exposes the exact
-//!    or well-known solution at time `t` where one exists: a pointwise
-//!    primitive-variable profile ([`AnalyticReference::Profile`]) or a
-//!    self-similar shock-front radius
-//!    ([`AnalyticReference::ShockRadius`]). Scenarios without a closed
-//!    form (e.g. Kelvin–Helmholtz) return `None` and validate through a
-//!    tracked diagnostic instead.
+//! 2. **Reference** — the exact or well-known solution, where one exists,
+//!    is a plain function of the scenario's module that its `validate`
+//!    calls: a pointwise primitive-variable profile (`sod_profile`, the
+//!    Gresho vortex) or a self-similar shock-front radius
+//!    (`sedov_shock_radius`). Scenarios without a closed form (e.g.
+//!    Kelvin–Helmholtz) validate through a tracked diagnostic instead.
 //! 3. **Validate** — [`Scenario::validate`] consumes a completed
 //!    [`ScenarioRun`] and produces a [`ValidationReport`]: L1/L∞ error
 //!    norms against the reference when one exists, conservation drift,
@@ -52,10 +51,9 @@ use crate::registry::ScenarioInfo;
 ///
 /// **Contract:** resolution scales *discretisation only* (lattice /
 /// particle counts). A scenario's physics parameters are
-/// resolution-independent — that is what lets `validate` and
-/// `analytic_reference` derive the reference from
-/// `self.cfg(Resolution::default())` and have it match a run at any
-/// scale.
+/// resolution-independent — that is what lets `validate` derive the
+/// reference from `self.cfg(Resolution::default())` and have it match a
+/// run at any scale.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resolution {
     pub scale: f64,
@@ -70,7 +68,7 @@ impl Default for Resolution {
 impl Resolution {
     /// Scale a reference lateral particle count, clamped below by
     /// `floor` (so pathological scales still build a runnable system).
-    pub fn scaled(&self, reference: usize, floor: usize) -> usize {
+    pub(crate) fn scaled(&self, reference: usize, floor: usize) -> usize {
         ((reference as f64 * self.scale).round() as usize).max(floor)
     }
 }
@@ -84,18 +82,10 @@ pub struct ScenarioSetup {
 
 /// Pointwise primitive-variable state of an analytic solution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrimitiveState {
+pub(crate) struct PrimitiveState {
     pub rho: f64,
     pub p: f64,
     pub v: Vec3,
-}
-
-/// An analytic (or well-known) reference solution at a fixed time.
-pub enum AnalyticReference {
-    /// Exact primitive variables as a function of position.
-    Profile(Box<dyn Fn(Vec3) -> PrimitiveState + Send + Sync>),
-    /// A self-similar shock-front radius (measured from the origin).
-    ShockRadius(f64),
 }
 
 /// One physics workload: deterministic initial conditions, solver
@@ -107,9 +97,6 @@ pub trait Scenario: Send + Sync {
 
     /// Literature reference of the test.
     fn reference(&self) -> &'static str;
-
-    /// One-line description of the physics.
-    fn description(&self) -> &'static str;
 
     /// Human description of the analytic / well-known check `validate`
     /// enforces (shown in the scenario catalogue).
@@ -133,9 +120,6 @@ pub trait Scenario: Send + Sync {
     /// exceed this. Scenarios without an error norm gate on their named
     /// checks instead and register the conservation-drift bound here.
     fn l1_tolerance(&self) -> f64;
-
-    /// The analytic reference at time `t`, where one exists.
-    fn analytic_reference(&self, t: f64) -> Option<AnalyticReference>;
 
     /// A scalar diagnostic sampled over the run (mode amplitude, peak
     /// azimuthal velocity, shock radius, …). `None` = nothing tracked.
@@ -261,7 +245,7 @@ pub struct ScenarioRun {
 
 impl ScenarioRun {
     /// Relative total-energy drift over the run.
-    pub fn energy_drift(&self) -> f64 {
+    pub(crate) fn energy_drift(&self) -> f64 {
         self.final_conservation.energy_drift(&self.initial)
     }
 }
@@ -332,12 +316,12 @@ pub struct Check {
 
 impl Check {
     /// `measured ≤ threshold` passes.
-    pub fn upper(name: &'static str, measured: f64, threshold: f64) -> Check {
+    pub(crate) fn upper(name: &'static str, measured: f64, threshold: f64) -> Check {
         Check { name, measured, threshold, passed: measured <= threshold }
     }
 
     /// `measured ≥ threshold` passes.
-    pub fn lower(name: &'static str, measured: f64, threshold: f64) -> Check {
+    pub(crate) fn lower(name: &'static str, measured: f64, threshold: f64) -> Check {
         Check { name, measured, threshold, passed: measured >= threshold }
     }
 }
@@ -375,7 +359,7 @@ pub struct ValidationReport {
 impl ValidationReport {
     /// Assemble a report, deriving `passed` from the checks + norms.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         scenario: &str,
         run: &ScenarioRun,
         end_time: f64,
@@ -456,7 +440,7 @@ impl ValidationReport {
 
 /// Scale for momentum-conservation checks: `Σ|mᵢvᵢ|` of a state (the
 /// denominator of [`ValidationReport::momentum_drift`]-style ratios).
-pub fn momentum_scale(sys: &ParticleSystem) -> f64 {
+pub(crate) fn momentum_scale(sys: &ParticleSystem) -> f64 {
     (0..sys.len()).map(|i| sys.m[i] * sys.v[i].norm()).sum()
 }
 
@@ -464,7 +448,7 @@ pub fn momentum_scale(sys: &ParticleSystem) -> f64 {
 /// over the particles selected by `mask`. Normalisation is the mean
 /// reference density over the selection (so `l1 = 0.05` means "5 % of
 /// the mean density").
-pub fn density_error_norms(
+pub(crate) fn density_error_norms(
     sys: &ParticleSystem,
     profile: &dyn Fn(Vec3) -> PrimitiveState,
     mask: impl Fn(usize) -> bool,

@@ -11,10 +11,7 @@
 //! `μ ∝ r²` exactly. An optional deterministic jitter breaks the lattice
 //! alignment.
 
-use crate::engine::{
-    AnalyticReference, Check, PrimitiveState, Resolution, Scenario, ScenarioRun, ScenarioSetup,
-    ValidationReport,
-};
+use crate::engine::{Check, Resolution, Scenario, ScenarioRun, ScenarioSetup, ValidationReport};
 use crate::registry::ScenarioInfo;
 use sph_core::config::{SphConfig, ViscosityConfig};
 use sph_core::ParticleSystem;
@@ -42,16 +39,6 @@ pub struct EvrardConfig {
 impl Default for EvrardConfig {
     fn default() -> Self {
         EvrardConfig { n_target: 10_000, radius: 1.0, mass: 1.0, u0: 0.05, jitter: 0.05, seed: 42 }
-    }
-}
-
-/// Analytic initial density `ρ(r) = M/(2πR²r)` (r ≤ R).
-pub fn evrard_density(r: f64, mass: f64, radius: f64) -> f64 {
-    assert!(r > 0.0);
-    if r <= radius {
-        mass / (2.0 * std::f64::consts::PI * radius * radius * r)
-    } else {
-        0.0
     }
 }
 
@@ -112,7 +99,7 @@ pub fn evrard_collapse(cfg: &EvrardConfig) -> ParticleSystem {
 }
 
 /// Mass-weighted rms radius — the collapse-progress diagnostic.
-pub fn rms_radius(sys: &ParticleSystem) -> f64 {
+pub(crate) fn rms_radius(sys: &ParticleSystem) -> f64 {
     let mut mr2 = 0.0;
     let mut mt = 0.0;
     for i in 0..sys.len() {
@@ -139,10 +126,6 @@ impl Scenario for EvrardScenario {
 
     fn reference(&self) -> &'static str {
         "Evrard 1988"
-    }
-
-    fn description(&self) -> &'static str {
-        "Adiabatic collapse of a cold static gas sphere under self-gravity"
     }
 
     fn analytic_check(&self) -> &'static str {
@@ -178,19 +161,6 @@ impl Scenario for EvrardScenario {
     /// total-energy drift.
     fn l1_tolerance(&self) -> f64 {
         0.02
-    }
-
-    fn analytic_reference(&self, t: f64) -> Option<AnalyticReference> {
-        if t != 0.0 {
-            return None;
-        }
-        // Same config source as `init` (Resolution scales n_target only).
-        let cfg = self.cfg(Resolution::default());
-        Some(AnalyticReference::Profile(Box::new(move |x: Vec3| {
-            let r = x.norm().max(1e-6);
-            let rho = evrard_density(r, cfg.mass, cfg.radius);
-            PrimitiveState { rho, p: (5.0 / 3.0 - 1.0) * rho * cfg.u0, v: Vec3::ZERO }
-        })))
     }
 
     fn track(&self, sys: &ParticleSystem) -> Option<f64> {
@@ -316,19 +286,6 @@ mod tests {
         assert!((w + 2.0 / 3.0).abs() < 1e-15);
         let u_total = 0.05; // u₀ · M
         assert!(w.abs() > 10.0 * u_total);
-    }
-
-    #[test]
-    fn analytic_density_integrates_to_total_mass() {
-        // 4π ∫₀ᴿ ρ r² dr = M.
-        let steps = 100_000;
-        let dr = 1.0 / steps as f64;
-        let mut total = 0.0;
-        for k in 0..steps {
-            let r = (k as f64 + 0.5) * dr;
-            total += evrard_density(r, 1.0, 1.0) * 4.0 * std::f64::consts::PI * r * r * dr;
-        }
-        assert!((total - 1.0).abs() < 1e-4, "∫ρ dV = {total}");
     }
 
     #[test]

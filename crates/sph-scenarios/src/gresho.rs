@@ -22,8 +22,7 @@
 
 use crate::engine::momentum_scale;
 use crate::engine::{
-    AnalyticReference, Check, PrimitiveState, Resolution, Scenario, ScenarioRun, ScenarioSetup,
-    ValidationReport,
+    Check, PrimitiveState, Resolution, Scenario, ScenarioRun, ScenarioSetup, ValidationReport,
 };
 use sph_core::config::{SphConfig, ViscosityConfig};
 use sph_core::eos::IdealGas;
@@ -32,7 +31,7 @@ use sph_kernels::KernelKind;
 use sph_math::{Aabb, Periodicity, Vec3};
 
 /// Azimuthal velocity of the Gresho vortex.
-pub fn gresho_v_phi(r: f64) -> f64 {
+pub(crate) fn gresho_v_phi(r: f64) -> f64 {
     if r < 0.2 {
         5.0 * r
     } else if r < 0.4 {
@@ -45,7 +44,7 @@ pub fn gresho_v_phi(r: f64) -> f64 {
 /// Equilibrium pressure of the *unit-density* Gresho vortex; a vortex
 /// of density ρ₀ is in equilibrium with `ρ₀ · gresho_pressure(r)`
 /// (the balance `dp/dr = ρ v_φ²/r` is linear in ρ).
-pub fn gresho_pressure(r: f64) -> f64 {
+pub(crate) fn gresho_pressure(r: f64) -> f64 {
     if r < 0.2 {
         5.0 + 12.5 * r * r
     } else if r < 0.4 {
@@ -55,9 +54,21 @@ pub fn gresho_pressure(r: f64) -> f64 {
     }
 }
 
+/// The exact solution of a vortex of density `rho0` at any time: the
+/// state is steady, so it is the initial condition.
+fn gresho_profile(rho0: f64) -> impl Fn(Vec3) -> PrimitiveState {
+    move |p: Vec3| {
+        let (rx, ry) = (p.x - 0.5, p.y - 0.5);
+        let r = (rx * rx + ry * ry).sqrt();
+        let vphi = gresho_v_phi(r);
+        let v = if r > 0.0 { Vec3::new(-ry / r * vphi, rx / r * vphi, 0.0) } else { Vec3::ZERO };
+        PrimitiveState { rho: rho0, p: rho0 * gresho_pressure(r), v }
+    }
+}
+
 /// Gresho-vortex configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct GreshoConfig {
+pub(crate) struct GreshoConfig {
     /// Lattice cells per unit length in the vortex plane.
     pub nx: usize,
     /// Slab thickness in cells.
@@ -74,7 +85,7 @@ impl Default for GreshoConfig {
 
 /// Build the Gresho-vortex initial conditions on `[0,1]² × [0, nz/nx]`,
 /// fully periodic, vortex centred at (½, ½).
-pub fn gresho_vortex(cfg: &GreshoConfig) -> ParticleSystem {
+pub(crate) fn gresho_vortex(cfg: &GreshoConfig) -> ParticleSystem {
     assert!(cfg.nx >= 8 && cfg.nz >= 4);
     assert!(cfg.rho0 > 0.0 && cfg.gamma > 1.0);
     let dx = 1.0 / cfg.nx as f64;
@@ -115,7 +126,7 @@ pub fn gresho_vortex(cfg: &GreshoConfig) -> ParticleSystem {
 
 /// Mean azimuthal velocity over the peak band `r ∈ [0.15, 0.25]` — the
 /// retention diagnostic (the analytic area-weighted band mean is 0.875).
-pub fn peak_band_v_phi(sys: &ParticleSystem) -> f64 {
+pub(crate) fn peak_band_v_phi(sys: &ParticleSystem) -> f64 {
     let mut sum = 0.0;
     let mut n = 0usize;
     for i in 0..sys.len() {
@@ -136,7 +147,7 @@ pub fn peak_band_v_phi(sys: &ParticleSystem) -> f64 {
 
 /// The registered Gresho–Chan workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct GreshoScenario;
+pub(crate) struct GreshoScenario;
 
 impl GreshoScenario {
     fn cfg(&self, res: Resolution) -> GreshoConfig {
@@ -151,10 +162,6 @@ impl Scenario for GreshoScenario {
 
     fn reference(&self) -> &'static str {
         "Gresho & Chan 1990"
-    }
-
-    fn description(&self) -> &'static str {
-        "Stationary pressure-equilibrium vortex: angular-momentum and AV-noise meter"
     }
 
     fn analytic_check(&self) -> &'static str {
@@ -185,29 +192,13 @@ impl Scenario for GreshoScenario {
         0.05
     }
 
-    fn analytic_reference(&self, _t: f64) -> Option<AnalyticReference> {
-        // Steady state: the IC is the solution at every t. Same config
-        // source as `init` (Resolution scales the lattice only).
-        let rho0 = self.cfg(Resolution::default()).rho0;
-        Some(AnalyticReference::Profile(Box::new(move |p: Vec3| {
-            let (rx, ry) = (p.x - 0.5, p.y - 0.5);
-            let r = (rx * rx + ry * ry).sqrt();
-            let vphi = gresho_v_phi(r);
-            let v =
-                if r > 0.0 { Vec3::new(-ry / r * vphi, rx / r * vphi, 0.0) } else { Vec3::ZERO };
-            PrimitiveState { rho: rho0, p: rho0 * gresho_pressure(r), v }
-        })))
-    }
-
     fn track(&self, sys: &ParticleSystem) -> Option<f64> {
         Some(peak_band_v_phi(sys))
     }
 
     fn validate(&self, run: &ScenarioRun) -> ValidationReport {
-        let reference = match self.analytic_reference(run.sys.time) {
-            Some(AnalyticReference::Profile(f)) => f,
-            _ => unreachable!("gresho always has a profile"),
-        };
+        // Same config source as `init` (Resolution scales the lattice only).
+        let reference = gresho_profile(self.cfg(Resolution::default()).rho0);
         let norms = crate::engine::density_error_norms(&run.sys, &reference, |_| true);
         let initial_band = run.samples.first().map(|s| s.value).unwrap_or(0.0);
         let final_band = run.samples.last().map(|s| s.value).unwrap_or(0.0);

@@ -22,9 +22,7 @@
 //! iteration — uniform across the contact.
 
 use crate::engine::momentum_scale;
-use crate::engine::{
-    AnalyticReference, Check, Resolution, Scenario, ScenarioRun, ScenarioSetup, ValidationReport,
-};
+use crate::engine::{Check, Resolution, Scenario, ScenarioRun, ScenarioSetup, ValidationReport};
 use sph_core::config::{SphConfig, ViscosityConfig};
 use sph_core::eos::IdealGas;
 use sph_core::particles::ParticleSystem;
@@ -33,7 +31,7 @@ use std::f64::consts::PI;
 
 /// Kelvin–Helmholtz configuration (McNally et al. 2012 values).
 #[derive(Debug, Clone, Copy)]
-pub struct KelvinHelmholtzConfig {
+pub(crate) struct KelvinHelmholtzConfig {
     /// Lattice cells per unit length.
     pub nx: usize,
     /// Slab thickness in cells.
@@ -86,7 +84,7 @@ fn ramp(y: f64, a: f64, b: f64, sigma: f64) -> f64 {
 
 /// Build the KH initial conditions on `[0,1]² × [0, nz/nx]`, fully
 /// periodic, with the density contrast in per-particle masses.
-pub fn kelvin_helmholtz(cfg: &KelvinHelmholtzConfig) -> ParticleSystem {
+pub(crate) fn kelvin_helmholtz(cfg: &KelvinHelmholtzConfig) -> ParticleSystem {
     assert!(cfg.nx >= 8 && cfg.nz >= 4);
     assert!(cfg.rho1 > 0.0 && cfg.rho2 > 0.0 && cfg.pressure > 0.0 && cfg.sigma > 0.0);
     let dx = 1.0 / cfg.nx as f64;
@@ -135,7 +133,7 @@ pub fn kelvin_helmholtz(cfg: &KelvinHelmholtzConfig) -> ParticleSystem {
 /// McNally et al. (2012) KH mode amplitude: the λ = 1/2 Fourier
 /// component of the transverse velocity, exponentially weighted towards
 /// the two interfaces.
-pub fn kh_mode_amplitude(sys: &ParticleSystem) -> f64 {
+pub(crate) fn kh_mode_amplitude(sys: &ParticleSystem) -> f64 {
     let k = 4.0 * PI;
     let (mut s, mut c, mut d) = (0.0f64, 0.0f64, 0.0f64);
     for i in 0..sys.len() {
@@ -151,7 +149,7 @@ pub fn kh_mode_amplitude(sys: &ParticleSystem) -> f64 {
 
 /// The registered Kelvin–Helmholtz workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct KelvinHelmholtzScenario;
+pub(crate) struct KelvinHelmholtzScenario;
 
 impl KelvinHelmholtzScenario {
     fn cfg(&self, res: Resolution) -> KelvinHelmholtzConfig {
@@ -170,10 +168,6 @@ impl Scenario for KelvinHelmholtzScenario {
 
     fn reference(&self) -> &'static str {
         "McNally, Lyra & Passy 2012"
-    }
-
-    fn description(&self) -> &'static str {
-        "Shear layer with seeded λ = ½ mode: instability growth diagnostic"
     }
 
     fn analytic_check(&self) -> &'static str {
@@ -202,10 +196,6 @@ impl Scenario for KelvinHelmholtzScenario {
     /// drift instead.
     fn l1_tolerance(&self) -> f64 {
         0.02
-    }
-
-    fn analytic_reference(&self, _t: f64) -> Option<AnalyticReference> {
-        None
     }
 
     fn track(&self, sys: &ParticleSystem) -> Option<f64> {

@@ -21,8 +21,8 @@
 //! the deposition is smooth and exactly lattice-symmetric.
 
 use crate::engine::{
-    momentum_scale, AnalyticReference, Check, ErrorNorms, Resolution, Scenario, ScenarioRun,
-    ScenarioSetup, ValidationReport,
+    momentum_scale, Check, ErrorNorms, Resolution, Scenario, ScenarioRun, ScenarioSetup,
+    ValidationReport,
 };
 use sph_core::config::{SphConfig, ViscosityConfig};
 use sph_core::particles::ParticleSystem;
@@ -30,7 +30,7 @@ use sph_math::{Aabb, Periodicity, Vec3};
 
 /// Sedov-blast configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct SedovConfig {
+pub(crate) struct SedovConfig {
     /// Lattice cells per side (total particles = nx³).
     pub nx: usize,
     /// Ambient density ρ₀.
@@ -67,7 +67,7 @@ impl Default for SedovConfig {
     reason = "programmer-error bound: the only callers are registered scenarios pinned to the \
               tabulated gammas; an untabulated gamma must fail loudly at registration time"
 )]
-pub fn sedov_xi0(gamma: f64) -> f64 {
+pub(crate) fn sedov_xi0(gamma: f64) -> f64 {
     if (gamma - 5.0 / 3.0).abs() < 1e-9 {
         1.15167
     } else if (gamma - 1.4).abs() < 1e-9 {
@@ -78,7 +78,7 @@ pub fn sedov_xi0(gamma: f64) -> f64 {
 }
 
 /// Analytic shock radius `R(t) = ξ₀ (E t²/ρ₀)^{1/5}`.
-pub fn sedov_shock_radius(e: f64, rho0: f64, t: f64, gamma: f64) -> f64 {
+pub(crate) fn sedov_shock_radius(e: f64, rho0: f64, t: f64, gamma: f64) -> f64 {
     sedov_xi0(gamma) * (e * t * t / rho0).powf(0.2)
 }
 
@@ -86,7 +86,7 @@ pub fn sedov_shock_radius(e: f64, rho0: f64, t: f64, gamma: f64) -> f64 {
 /// density-weighted centroid of the peak of the radial density
 /// histogram (the blast sits at the origin). Returns `None` while no
 /// density excess is resolvable (e.g. before the first step).
-pub fn shock_radius_estimate(sys: &ParticleSystem) -> Option<f64> {
+pub(crate) fn shock_radius_estimate(sys: &ParticleSystem) -> Option<f64> {
     let r_max = sys.periodicity.domain.extent().min_component() * 0.5;
     const NBINS: usize = 64;
     let mut sum = [0.0f64; NBINS];
@@ -165,7 +165,7 @@ pub fn shock_radius_estimate(sys: &ParticleSystem) -> Option<f64> {
 }
 
 /// Build the Sedov initial conditions.
-pub fn sedov_blast(cfg: &SedovConfig) -> ParticleSystem {
+pub(crate) fn sedov_blast(cfg: &SedovConfig) -> ParticleSystem {
     assert!(cfg.nx >= 8, "Sedov needs a resolvable lattice");
     assert!(cfg.rho0 > 0.0 && cfg.blast_energy > 0.0 && cfg.u_background > 0.0);
     let n = cfg.nx * cfg.nx * cfg.nx;
@@ -229,10 +229,6 @@ impl Scenario for SedovScenario {
         "Sedov 1959 / Taylor 1950"
     }
 
-    fn description(&self) -> &'static str {
-        "Point blast in a cold uniform gas: self-similar spherical strong shock"
-    }
-
     fn analytic_check(&self) -> &'static str {
         "shock radius vs R(t) = ξ₀(Et²/ρ₀)^{1/5} within 5 %"
     }
@@ -262,20 +258,6 @@ impl Scenario for SedovScenario {
 
     fn l1_tolerance(&self) -> f64 {
         0.05
-    }
-
-    fn analytic_reference(&self, t: f64) -> Option<AnalyticReference> {
-        // Same config source as `init` (Resolution scales the lattice
-        // only, so the physics parameters match any resolution's run).
-        let cfg = self.cfg(Resolution::default());
-        (t > 0.0).then(|| {
-            AnalyticReference::ShockRadius(sedov_shock_radius(
-                cfg.blast_energy,
-                cfg.rho0,
-                t,
-                cfg.gamma,
-            ))
-        })
     }
 
     fn track(&self, sys: &ParticleSystem) -> Option<f64> {

@@ -21,8 +21,7 @@
 
 use crate::engine::momentum_scale;
 use crate::engine::{
-    AnalyticReference, Check, PrimitiveState, Resolution, Scenario, ScenarioRun, ScenarioSetup,
-    ValidationReport,
+    Check, PrimitiveState, Resolution, Scenario, ScenarioRun, ScenarioSetup, ValidationReport,
 };
 use sph_core::config::{SphConfig, ViscosityConfig};
 use sph_core::particles::ParticleSystem;
@@ -34,7 +33,7 @@ use sph_math::{Aabb, Periodicity, Vec3};
 
 /// One side of a Riemann problem (velocity is the x-component).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RiemannState {
+pub(crate) struct RiemannState {
     pub rho: f64,
     pub p: f64,
     pub v: f64,
@@ -42,7 +41,7 @@ pub struct RiemannState {
 
 /// A 1-D two-state Riemann problem for an ideal gas.
 #[derive(Debug, Clone, Copy)]
-pub struct RiemannProblem {
+pub(crate) struct RiemannProblem {
     pub left: RiemannState,
     pub right: RiemannState,
     pub gamma: f64,
@@ -50,7 +49,7 @@ pub struct RiemannProblem {
 
 /// Solved star-region state; sampling gives the full self-similar fan.
 #[derive(Debug, Clone, Copy)]
-pub struct RiemannSolution {
+pub(crate) struct RiemannSolution {
     problem: RiemannProblem,
     /// Star-region pressure.
     pub p_star: f64,
@@ -82,7 +81,7 @@ impl RiemannProblem {
     /// Solve for the star-region pressure and velocity (Newton–Raphson
     /// on the pressure function; converges quadratically from the
     /// two-rarefaction guess for any physical states).
-    pub fn solve(&self) -> RiemannSolution {
+    pub(crate) fn solve(&self) -> RiemannSolution {
         let (l, r, g) = (self.left, self.right, self.gamma);
         assert!(l.rho > 0.0 && r.rho > 0.0 && l.p > 0.0 && r.p > 0.0 && g > 1.0);
         let dv = r.v - l.v;
@@ -116,7 +115,7 @@ impl RiemannProblem {
 
 impl RiemannSolution {
     /// Sample the self-similar solution at `xi = (x − x₀)/t`.
-    pub fn sample(&self, xi: f64) -> RiemannState {
+    pub(crate) fn sample(&self, xi: f64) -> RiemannState {
         let (l, r, g) = (self.problem.left, self.problem.right, self.problem.gamma);
         let (p_star, v_star) = (self.p_star, self.v_star);
         let gm = g - 1.0;
@@ -191,7 +190,7 @@ impl RiemannSolution {
 
 /// Sod-tube configuration. The classic states are the defaults.
 #[derive(Debug, Clone, Copy)]
-pub struct SodConfig {
+pub(crate) struct SodConfig {
     /// Lattice cells per unit length on the dense (left) side; must be
     /// even so the 2:1-spaced right side tiles exactly.
     pub nx: usize,
@@ -216,7 +215,7 @@ impl Default for SodConfig {
 
 /// Build the mirrored-double-tube initial conditions: left state over
 /// `x ∈ [0, 1)`, right state over `x ∈ [1, 2)`, fully periodic.
-pub fn sod_tube(cfg: &SodConfig) -> ParticleSystem {
+pub(crate) fn sod_tube(cfg: &SodConfig) -> ParticleSystem {
     assert!(cfg.nx >= 8 && cfg.nx.is_multiple_of(2), "nx must be even and ≥ 8");
     assert!(cfg.slab_cells >= 4 && cfg.slab_cells.is_multiple_of(2));
     assert!(
@@ -274,7 +273,7 @@ pub fn sod_tube(cfg: &SodConfig) -> ParticleSystem {
 /// Full-domain analytic profile of the double tube at time `t`: each
 /// position is sampled from its nearest interface's fan (exact until
 /// the fans meet, far beyond the validation time).
-pub fn sod_profile(cfg: SodConfig, t: f64) -> impl Fn(Vec3) -> PrimitiveState {
+pub(crate) fn sod_profile(cfg: SodConfig, t: f64) -> impl Fn(Vec3) -> PrimitiveState {
     let main = RiemannProblem { left: cfg.left, right: cfg.right, gamma: cfg.gamma }.solve();
     // The mirror interface at x = 0 ≡ 2 sees the right state on its left
     // and the left state on its right.
@@ -307,7 +306,7 @@ pub fn sod_profile(cfg: SodConfig, t: f64) -> impl Fn(Vec3) -> PrimitiveState {
 
 /// The registered Sod workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SodScenario;
+pub(crate) struct SodScenario;
 
 impl SodScenario {
     fn cfg(&self, res: Resolution) -> SodConfig {
@@ -334,10 +333,6 @@ impl Scenario for SodScenario {
         "Sod 1978"
     }
 
-    fn description(&self) -> &'static str {
-        "Shock tube in a 3-D periodic slab: shock, contact and rarefaction from one jump"
-    }
-
     fn analytic_check(&self) -> &'static str {
         "L1 density error vs the exact Riemann solution < 0.05"
     }
@@ -359,13 +354,6 @@ impl Scenario for SodScenario {
 
     fn l1_tolerance(&self) -> f64 {
         0.05
-    }
-
-    fn analytic_reference(&self, t: f64) -> Option<AnalyticReference> {
-        // Same config source as `init` (Resolution scales the lattice
-        // only, so the Riemann states match any resolution's run).
-        let cfg = self.cfg(Resolution::default());
-        Some(AnalyticReference::Profile(Box::new(sod_profile(cfg, t))))
     }
 
     fn validate(&self, run: &ScenarioRun) -> ValidationReport {

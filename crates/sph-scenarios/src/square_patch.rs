@@ -16,8 +16,7 @@
 //! configurable.
 
 use crate::engine::{
-    AnalyticReference, Check, PrimitiveState, Resolution, Scenario, ScenarioRun, ScenarioSetup,
-    ValidationReport,
+    Check, PrimitiveState, Resolution, Scenario, ScenarioRun, ScenarioSetup, ValidationReport,
 };
 use crate::registry::ScenarioInfo;
 use sph_core::config::{SphConfig, ViscosityConfig};
@@ -74,7 +73,7 @@ impl Default for SquarePatchConfig {
 /// folded in the same `(m, n)` order as the literal double loop, so the
 /// value is bit-identical to it. [`square_patch`] evaluates it once per
 /// lattice column and copies the result to the column's `nz` layers.
-pub fn square_patch_pressure(
+pub(crate) fn square_patch_pressure(
     x: f64,
     y: f64,
     side: f64,
@@ -164,7 +163,7 @@ pub fn square_patch(cfg: &SquarePatchConfig) -> ParticleSystem {
 
 /// Angular momentum about the patch axis (the conserved quantity the
 /// Colagrossi test is scored on).
-pub fn patch_angular_momentum(sys: &ParticleSystem, side: f64) -> f64 {
+pub(crate) fn patch_angular_momentum(sys: &ParticleSystem, side: f64) -> f64 {
     let c = side / 2.0;
     (0..sys.len())
         .map(|i| {
@@ -193,10 +192,6 @@ impl Scenario for SquarePatchScenario {
         "Colagrossi 2005"
     }
 
-    fn description(&self) -> &'static str {
-        "Rotation of a free-surface square fluid patch (pure shear, tensile instability)"
-    }
-
     fn analytic_check(&self) -> &'static str {
         "Poisson-series pressure at t = 0; L_z and density retention over the run"
     }
@@ -222,27 +217,6 @@ impl Scenario for SquarePatchScenario {
 
     fn l1_tolerance(&self) -> f64 {
         0.05
-    }
-
-    fn analytic_reference(&self, t: f64) -> Option<AnalyticReference> {
-        // The Poisson-series pressure is the *initial* solution of the
-        // incompressible problem; the patch deforms afterwards.
-        if t != 0.0 {
-            return None;
-        }
-        // Same config source as `init` (Resolution scales nx/nz only).
-        let cfg = self.cfg(Resolution::default());
-        let p_back =
-            cfg.background_pressure * cfg.rho0 * cfg.omega * cfg.omega * cfg.side * cfg.side;
-        Some(AnalyticReference::Profile(Box::new(move |p: Vec3| {
-            let half = cfg.side / 2.0;
-            PrimitiveState {
-                rho: cfg.rho0,
-                p: square_patch_pressure(p.x, p.y, cfg.side, cfg.rho0, cfg.omega, cfg.series_terms)
-                    + p_back,
-                v: Vec3::new(cfg.omega * (p.y - half), -cfg.omega * (p.x - half), 0.0),
-            }
-        })))
     }
 
     fn track(&self, sys: &ParticleSystem) -> Option<f64> {

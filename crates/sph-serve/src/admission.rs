@@ -50,7 +50,7 @@ impl Default for AdmissionConfig {
 
 /// What one completed job cost, as its worker measured it.
 #[derive(Debug)]
-pub struct CalibrationSample {
+pub(crate) struct CalibrationSample {
     pub scenario: String,
     pub scale: f64,
     pub n_particles: usize,
@@ -69,7 +69,7 @@ struct Learned {
     samples: u64,
 }
 
-pub struct Admission {
+pub(crate) struct Admission {
     cfg: AdmissionConfig,
     /// Predicted seconds of currently running jobs.
     outstanding_seconds: f64,
@@ -79,7 +79,7 @@ pub struct Admission {
 }
 
 impl Admission {
-    pub fn new(cfg: AdmissionConfig) -> Admission {
+    pub(crate) fn new(cfg: AdmissionConfig) -> Admission {
         Admission {
             cfg,
             outstanding_seconds: 0.0,
@@ -91,7 +91,7 @@ impl Admission {
 
     /// Price a spec in predicted seconds: estimated particles × steps ×
     /// the scenario's measured seconds per particle-step.
-    pub fn price(&self, spec: &JobSpec) -> f64 {
+    pub(crate) fn price(&self, spec: &JobSpec) -> f64 {
         let (particles, rate) = match self.learned.get(&spec.scenario) {
             Some(l) => (l.particle_density * spec.scale.powi(3), l.seconds_per_particle_step),
             None => ((REF_LATERAL * spec.scale).powi(3), PRIOR_SECONDS_PER_PARTICLE_STEP),
@@ -103,7 +103,11 @@ impl Admission {
     /// error. Queue-depth and per-job-ceiling checks happen here; the
     /// *budget* gate is applied at dispatch time (see [`Self::can_start`])
     /// so queued jobs wait rather than bounce.
-    pub fn try_admit(&mut self, spec: &JobSpec, queue_depth: usize) -> Result<f64, ServeError> {
+    pub(crate) fn try_admit(
+        &mut self,
+        spec: &JobSpec,
+        queue_depth: usize,
+    ) -> Result<f64, ServeError> {
         let price = self.price(spec);
         if price > self.cfg.max_job_seconds {
             self.rejected_over_budget += 1;
@@ -121,18 +125,18 @@ impl Admission {
 
     /// May a job of this price start now? Always true when nothing is
     /// running (a single job over budget would otherwise deadlock).
-    pub fn can_start(&self, price: f64) -> bool {
+    pub(crate) fn can_start(&self, price: f64) -> bool {
         self.outstanding_seconds == 0.0
             || self.outstanding_seconds + price <= self.cfg.budget_seconds
     }
 
-    pub fn on_start(&mut self, price: f64) {
+    pub(crate) fn on_start(&mut self, price: f64) {
         self.outstanding_seconds += price;
     }
 
     /// Release a finished job's budget share and learn its measured cost; a
     /// sample with no particle-steps or no positive, finite seconds is refused.
-    pub fn on_finish(&mut self, price: f64, sample: Option<&CalibrationSample>) {
+    pub(crate) fn on_finish(&mut self, price: f64, sample: Option<&CalibrationSample>) {
         self.outstanding_seconds = (self.outstanding_seconds - price).max(0.0);
         let Some(s) = sample else { return };
         let particle_steps = s.n_particles as f64 * s.steps as f64;
@@ -153,7 +157,7 @@ impl Admission {
     }
 
     /// The `admission` object of `GET /metrics`.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         let rates = self
             .learned
             .iter()

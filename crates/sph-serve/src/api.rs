@@ -2,9 +2,11 @@
 //!
 //! A job is fully determined by `(scenario, resolution, steps, seed)`.
 //! Because the simulation pipeline is bit-deterministic (fixed-chunk map,
-//! ordered reduce — see DETERMINISM.md), two jobs with equal specs produce
-//! byte-identical result documents, which is what makes result caching and
-//! in-flight deduplication *correct* rather than merely convenient.
+//! ordered reduce — the README's "Determinism contract", held by the
+//! contract table in `tests/contract/mod.rs`), two jobs with equal specs
+//! produce byte-identical result documents, which is what makes result
+//! caching and in-flight deduplication *correct* rather than merely
+//! convenient.
 //!
 //! The job id is the FNV-1a hash of the canonical rendering, so ids are
 //! stable across server restarts and across servers.
@@ -16,6 +18,10 @@ use sph_json::Value;
 /// cost-model-driven limits on top of these syntactic ones.
 const MAX_SCALE: f64 = 16.0;
 const MAX_STEPS: u64 = 100_000;
+/// JSON numbers are parsed as `f64`, which holds every integer up to 2⁵³
+/// exactly; a larger seed could alias a neighbour's job id and cached
+/// result, so it is refused.
+const MAX_SEED: u64 = (1 << 53) - 1;
 
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -32,7 +38,7 @@ pub struct JobSpec {
 impl JobSpec {
     /// Parse a `POST /jobs` body. `scenario` and `steps` are required;
     /// `resolution` defaults to 1.0 and `seed` to 0.
-    pub fn from_json(body: &str) -> Result<JobSpec, ServeError> {
+    pub(crate) fn from_json(body: &str) -> Result<JobSpec, ServeError> {
         let doc = sph_json::parse(body).map_err(ServeError::MalformedJson)?;
         if doc.as_obj().is_none() {
             return Err(ServeError::InvalidParam("body must be a JSON object".into()));
@@ -67,6 +73,11 @@ impl JobSpec {
                 ServeError::InvalidParam("\"seed\" must be a non-negative integer".into())
             })?,
         };
+        if seed > MAX_SEED {
+            return Err(ServeError::InvalidParam(format!(
+                "\"seed\" must be in [0, {MAX_SEED}], got {seed}"
+            )));
+        }
         Ok(JobSpec { scenario, scale, steps, seed })
     }
 
@@ -123,6 +134,9 @@ mod tests {
             r#"{"scenario":"sod","steps":5,"resolution":-1}"#,
             r#"{"scenario":"sod","steps":5,"resolution":1e9}"#,
             r#"{"scenario":"sod","steps":5,"seed":-3}"#,
+            r#"{"scenario":"sod","steps":5,"seed":9007199254740993}"#,
+            r#"{"scenario":"sod","steps":5,"seed":9007199254740992}"#,
+            r#"{"scenario":"sod","steps":5,"seed":18446744073709551616}"#,
             r#"{"scenario":"sod","steps":2.5}"#,
         ] {
             let err = JobSpec::from_json(body).unwrap_err();

@@ -19,14 +19,14 @@ struct Entry {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
     pub entries: usize,
 }
 
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     entries: BTreeMap<String, Entry>,
     capacity: usize,
     tick: u64,
@@ -36,7 +36,7 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    pub fn new(capacity: usize) -> ResultCache {
+    pub(crate) fn new(capacity: usize) -> ResultCache {
         ResultCache {
             entries: BTreeMap::new(),
             capacity: capacity.max(1),
@@ -48,7 +48,7 @@ impl ResultCache {
     }
 
     /// Look up a result document, bumping its recency on a hit.
-    pub fn get(&mut self, id: &str) -> Option<Arc<String>> {
+    pub(crate) fn get(&mut self, id: &str) -> Option<Arc<String>> {
         self.tick += 1;
         match self.entries.get_mut(id) {
             Some(entry) => {
@@ -65,7 +65,7 @@ impl ResultCache {
 
     /// Insert a completed result, evicting the least-recently-used entry
     /// when over capacity.
-    pub fn insert(&mut self, id: &str, doc: Arc<String>) {
+    pub(crate) fn insert(&mut self, id: &str, doc: Arc<String>) {
         self.tick += 1;
         self.entries.insert(id.to_string(), Entry { last_used: self.tick, doc });
         while self.entries.len() > self.capacity {
@@ -81,7 +81,7 @@ impl ResultCache {
         }
     }
 
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,

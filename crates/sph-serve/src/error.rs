@@ -42,7 +42,7 @@ pub enum ServeError {
 }
 
 impl ServeError {
-    pub fn status(&self) -> u16 {
+    pub(crate) fn status(&self) -> u16 {
         match self {
             ServeError::MalformedRequest(_)
             | ServeError::MalformedJson(_)
@@ -58,7 +58,7 @@ impl ServeError {
     }
 
     /// Stable machine-readable slug for clients to branch on.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             ServeError::MalformedRequest(_) => "malformed_request",
             ServeError::RequestTimeout => "request_timeout",
@@ -77,7 +77,7 @@ impl ServeError {
 
     /// Structured JSON error body: `{"error":{"code":...,"message":...}}`
     /// plus variant-specific detail fields.
-    pub fn to_body(&self) -> String {
+    pub(crate) fn to_body(&self) -> String {
         let mut fields =
             vec![("code", Value::str(self.code())), ("message", Value::Str(self.to_string()))];
         match self {

@@ -20,7 +20,7 @@ const MAX_HEAD: usize = 16 * 1024;
 const MAX_BODY: usize = 1024 * 1024;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     pub method: String,
     pub path: String,
     pub body: String,
@@ -35,7 +35,7 @@ pub struct Request {
 /// Head and body come from the same reader, so body bytes the buffer
 /// fetched together with the head are not lost; wrap a socket in one
 /// [`std::io::BufReader`] for the whole request.
-pub fn read_request(stream: &mut impl BufRead) -> Result<Request, ServeError> {
+pub(crate) fn read_request(stream: &mut impl BufRead) -> Result<Request, ServeError> {
     // Line by line until the blank line; `take` caps each line at what
     // is left of the head budget, so an endless line cannot grow `head`.
     let mut head = Vec::new();
@@ -116,17 +116,17 @@ fn read_error(what: &str, e: &std::io::Error) -> ServeError {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
+pub(crate) struct Response {
     pub status: u16,
     pub body: String,
 }
 
 impl Response {
-    pub fn json(status: u16, body: String) -> Response {
+    pub(crate) fn json(status: u16, body: String) -> Response {
         Response { status, body }
     }
 
-    pub fn from_error(err: &ServeError) -> Response {
+    pub(crate) fn from_error(err: &ServeError) -> Response {
         Response { status: err.status(), body: err.to_body() }
     }
 
@@ -146,7 +146,7 @@ impl Response {
 
     /// Serialise the response; every reply is JSON and closes the
     /// connection (the closed-loop clients reconnect per request).
-    pub fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
+    pub(crate) fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
         let head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             self.status,

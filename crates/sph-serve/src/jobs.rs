@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 /// How a job's life is reported over the API.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JobStatus {
+pub(crate) enum JobStatus {
     Queued,
     Running { completed_steps: u64 },
     Done,
@@ -44,7 +44,7 @@ pub enum JobStatus {
 }
 
 impl JobStatus {
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             JobStatus::Queued => "queued",
             JobStatus::Running { .. } => "running",
@@ -56,7 +56,7 @@ impl JobStatus {
 
 /// Server-side record of one job.
 #[derive(Clone)]
-pub struct JobRecord {
+pub(crate) struct JobRecord {
     pub spec: JobSpec,
     pub status: JobStatus,
     pub price_seconds: f64,

@@ -29,9 +29,7 @@ pub mod http;
 pub mod jobs;
 pub mod server;
 
-pub use admission::{Admission, AdmissionConfig};
+pub use admission::AdmissionConfig;
 pub use api::JobSpec;
-pub use cache::ResultCache;
-pub use error::ServeError;
-pub use http::{http_call, Request, Response};
+pub use http::http_call;
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -541,21 +541,6 @@ impl CellGrid {
         CellGrid { cell_offsets: counts, entries, sorted_pos, ..grid }
     }
 
-    /// Cells per axis (diagnostics/tests).
-    pub fn dims(&self) -> [usize; 3] {
-        self.dims
-    }
-
-    /// Number of particles indexed.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no particles are indexed (unreachable via `build`).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Grid coordinates of a position, clamped into the grid (positions
     /// exactly on the high face — FP wrap can land there — fold into the
     /// last cell).
@@ -695,21 +680,6 @@ impl CellGrid {
         });
     }
 
-    /// Count of neighbours within `radius` of `center`, with no
-    /// allocation.
-    pub fn count_within(&self, center: Vec3, radius: f64, stats: &mut TraversalStats) -> usize {
-        assert!(radius > 0.0 && radius.is_finite(), "bad search radius {radius}");
-        let clamped = self.clamp_radius(radius);
-        if clamped < radius {
-            stats.radius_clamps += 1;
-        }
-        let mut count = 0usize;
-        self.periodicity.for_each_ghost_offset(center, clamped, |offset| {
-            self.scan_one_image(center + offset, clamped, |_, _| count += 1, stats);
-        });
-        count
-    }
-
     /// Like [`CellGrid::neighbors_within`], but each id arrives with the
     /// squared distance the accept test compared against `r²` — the
     /// Euclidean `dist_sq` to the accepting periodic image. Because the
@@ -807,7 +777,9 @@ mod tests {
     }
 
     fn brute_force(pts: &[Vec3], per: &Periodicity, c: Vec3, r: f64) -> Vec<u32> {
-        (0..pts.len() as u32).filter(|&i| per.distance_sq(pts[i as usize], c) <= r * r).collect()
+        (0..pts.len() as u32)
+            .filter(|&i| per.displacement(pts[i as usize], c).norm_sq() <= r * r)
+            .collect()
     }
 
     #[test]
@@ -892,7 +864,7 @@ mod tests {
         let pts = random_points(2000, 0x5CA9);
         let per = Periodicity::fully_periodic(Aabb::unit());
         let grid = CellGrid::build(&pts, per, 0.1);
-        assert_eq!(grid.dims(), [10, 10, 10]);
+        assert_eq!(grid.dims, [10, 10, 10]);
         let reference = |center: Vec3, radius: f64| {
             let mut out = Vec::new();
             let mut stats = TraversalStats::default();
@@ -952,7 +924,7 @@ mod tests {
         let pts = random_points(800, 5);
         let per = Periodicity::open(Aabb::unit());
         let grid = CellGrid::build(&pts, per, 0.05);
-        assert!(grid.dims().iter().all(|&d| d >= 4), "grid too coarse for the test");
+        assert!(grid.dims.iter().all(|&d| d >= 4), "grid too coarse for the test");
         for r in [0.04, 0.11, 0.26, 0.7] {
             let c = Vec3::splat(0.4);
             let mut found = Vec::new();
@@ -960,25 +932,6 @@ mod tests {
             grid.neighbors_within(c, r, &mut found, &mut stats);
             found.sort_unstable();
             assert_eq!(found, brute_force(&pts, &per, c, r), "r={r}");
-        }
-    }
-
-    #[test]
-    fn count_matches_list_and_is_clamp_aware() {
-        let pts = random_points(600, 9);
-        let per = Periodicity::periodic_z(Aabb::unit());
-        let grid = CellGrid::build(&pts, per, 0.1);
-        let mut rng = SplitMix64::new(3);
-        for _ in 0..30 {
-            let c = Vec3::new(rng.next_f64(), rng.next_f64(), rng.next_f64());
-            let r = rng.uniform(0.02, 0.7);
-            let mut list_stats = TraversalStats::default();
-            let mut out = Vec::new();
-            grid.neighbors_within(c, r, &mut out, &mut list_stats);
-            let mut count_stats = TraversalStats::default();
-            let n = grid.count_within(c, r, &mut count_stats);
-            assert_eq!(n, out.len(), "c={c:?} r={r}");
-            assert_eq!(count_stats.radius_clamps, list_stats.radius_clamps);
         }
     }
 
@@ -995,8 +948,6 @@ mod tests {
         out.clear();
         grid.neighbors_within(Vec3::splat(0.5), 0.6, &mut out, &mut stats);
         assert_eq!(stats.radius_clamps, 1);
-        grid.count_within(Vec3::splat(0.5), 0.6, &mut stats);
-        assert_eq!(stats.radius_clamps, 2);
         // Open domain: never clamps.
         let open = CellGrid::build(&pts, Periodicity::open(Aabb::unit()), 0.2);
         let mut ostats = TraversalStats::default();
@@ -1049,7 +1000,6 @@ mod tests {
         let mut stats = TraversalStats::default();
         grid.neighbors_within(Vec3::splat(0.5), 0.01, &mut out, &mut stats);
         assert_eq!(out, vec![0]);
-        assert_eq!(grid.count_within(Vec3::splat(0.5), 0.01, &mut stats), 1);
     }
 
     #[test]

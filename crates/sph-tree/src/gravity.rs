@@ -581,8 +581,9 @@ impl<'a> GravitySolver<'a> {
     }
 }
 
-/// O(N²) direct-summation reference (validation only).
-pub fn direct_field(
+#[cfg(test)]
+/// O(N²) direct-summation reference of the walk's tests.
+pub(crate) fn direct_field(
     positions: &[Vec3],
     masses: &[f64],
     target: Vec3,
@@ -604,18 +605,6 @@ pub fn direct_field(
         potential -= g * mj / r;
     }
     GravitySample { accel, potential }
-}
-
-/// Total gravitational energy `½ Σ mᵢ φᵢ` from per-particle potentials.
-/// Diagnostic-only reduction (never feeds a trajectory), so it uses the
-/// compensated accumulator.
-pub fn gravitational_energy(masses: &[f64], potentials: &[f64]) -> f64 {
-    assert_eq!(masses.len(), potentials.len());
-    let mut acc = sph_math::KahanAccumulator::new();
-    for (&m, &p) in masses.iter().zip(potentials) {
-        acc.add(m * p);
-    }
-    0.5 * acc.total()
 }
 
 #[cfg(test)]
@@ -798,8 +787,8 @@ mod tests {
         let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig::default());
         let solver = build_solver(&tree, &masses, 0.4, MultipoleOrder::Quadrupole);
         let (samples, _) = solver.accelerations(&pos);
-        let pots: Vec<f64> = samples.iter().map(|s| s.potential).collect();
-        let e = gravitational_energy(&masses, &pots);
+        // W = ½ Σ mᵢ φᵢ
+        let e: f64 = 0.5 * masses.iter().zip(&samples).map(|(m, s)| m * s.potential).sum::<f64>();
         assert!(e < 0.0, "bound system must have negative energy, got {e}");
     }
 
@@ -911,8 +900,9 @@ mod tests {
         pos.extend(std::iter::repeat_n(Vec3::splat(0.25), 100));
         let masses = vec![1.0 / 140.0; 140];
         let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size: 4 });
-        let fat = tree.nodes().iter().find(|n| n.is_leaf() && n.count() == 100).expect("fat leaf");
-        assert!(fat.count() > 3 * LANES);
+        let fat =
+            tree.nodes().iter().find(|n| n.is_leaf() && n.end - n.start == 100).expect("fat leaf");
+        assert!((fat.end - fat.start) as usize > 3 * LANES);
         assert_eq!(u32::from(fat.depth), BITS_PER_AXIS);
         let solver = build_solver(&tree, &masses, 0.5, MultipoleOrder::Quadrupole);
         for i in [0, 39, 40, 41, 72, 73, 104, 139] {

@@ -11,30 +11,18 @@ use sph_math::{Aabb, Vec3};
 /// Bits of resolution per axis.
 pub const BITS_PER_AXIS: u32 = 21;
 /// Number of cells per axis at maximum refinement.
-pub const CELLS_PER_AXIS: u64 = 1 << BITS_PER_AXIS;
+pub(crate) const CELLS_PER_AXIS: u64 = 1 << BITS_PER_AXIS;
 
 /// Spread the low 21 bits of `v` so consecutive bits land 3 apart
 /// (the classic "dilate by 3" bit trick).
 #[inline]
-pub fn spread_bits(v: u64) -> u64 {
+pub(crate) fn spread_bits(v: u64) -> u64 {
     let mut x = v & 0x1F_FFFF; // 21 bits
     x = (x | (x << 32)) & 0x1F00000000FFFF;
     x = (x | (x << 16)) & 0x1F0000FF0000FF;
     x = (x | (x << 8)) & 0x100F00F00F00F00F;
     x = (x | (x << 4)) & 0x10C30C30C30C30C3;
     x = (x | (x << 2)) & 0x1249249249249249;
-    x
-}
-
-/// Inverse of [`spread_bits`].
-#[inline]
-pub fn compact_bits(v: u64) -> u64 {
-    let mut x = v & 0x1249249249249249;
-    x = (x | (x >> 2)) & 0x10C30C30C30C30C3;
-    x = (x | (x >> 4)) & 0x100F00F00F00F00F;
-    x = (x | (x >> 8)) & 0x1F0000FF0000FF;
-    x = (x | (x >> 16)) & 0x1F00000000FFFF;
-    x = (x | (x >> 32)) & 0x1F_FFFF;
     x
 }
 
@@ -45,12 +33,6 @@ pub fn compact_bits(v: u64) -> u64 {
 pub fn encode_cell(ix: u64, iy: u64, iz: u64) -> u64 {
     debug_assert!(ix < CELLS_PER_AXIS && iy < CELLS_PER_AXIS && iz < CELLS_PER_AXIS);
     spread_bits(ix) | (spread_bits(iy) << 1) | (spread_bits(iz) << 2)
-}
-
-/// Recover the integer cell coordinates from a key.
-#[inline]
-pub fn decode_cell(key: u64) -> (u64, u64, u64) {
-    (compact_bits(key), compact_bits(key >> 1), compact_bits(key >> 2))
 }
 
 /// Quantise a point inside `bounds` to integer cell coordinates.
@@ -79,18 +61,37 @@ pub fn encode_point(p: Vec3, bounds: &Aabb) -> u64 {
     encode_cell(ix, iy, iz)
 }
 
-/// Centre of the cell a key addresses, mapped back into `bounds`.
-pub fn decode_point(key: u64, bounds: &Aabb) -> Vec3 {
-    let (ix, iy, iz) = decode_cell(key);
-    let e = bounds.extent();
-    let f = |i: u64, lo: f64, span: f64| lo + (i as f64 + 0.5) / CELLS_PER_AXIS as f64 * span;
-    Vec3::new(f(ix, bounds.lo.x, e.x), f(iy, bounds.lo.y, e.y), f(iz, bounds.lo.z, e.z))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sph_math::SplitMix64;
+
+    // The decoders invert the encoders; the round trips below test the
+    // encoders against them.
+
+    /// Inverse of [`spread_bits`].
+    fn compact_bits(v: u64) -> u64 {
+        let mut x = v & 0x1249249249249249;
+        x = (x | (x >> 2)) & 0x10C30C30C30C30C3;
+        x = (x | (x >> 4)) & 0x100F00F00F00F00F;
+        x = (x | (x >> 8)) & 0x1F0000FF0000FF;
+        x = (x | (x >> 16)) & 0x1F00000000FFFF;
+        x = (x | (x >> 32)) & 0x1F_FFFF;
+        x
+    }
+
+    /// Recover the integer cell coordinates from a key.
+    fn decode_cell(key: u64) -> (u64, u64, u64) {
+        (compact_bits(key), compact_bits(key >> 1), compact_bits(key >> 2))
+    }
+
+    /// Centre of the cell a key addresses, mapped back into `bounds`.
+    fn decode_point(key: u64, bounds: &Aabb) -> Vec3 {
+        let (ix, iy, iz) = decode_cell(key);
+        let e = bounds.extent();
+        let f = |i: u64, lo: f64, span: f64| lo + (i as f64 + 0.5) / CELLS_PER_AXIS as f64 * span;
+        Vec3::new(f(ix, bounds.lo.x, e.x), f(iy, bounds.lo.y, e.y), f(iz, bounds.lo.z, e.z))
+    }
 
     #[test]
     fn spread_compact_roundtrip() {

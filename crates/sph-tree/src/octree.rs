@@ -52,11 +52,6 @@ impl Node {
     pub fn is_leaf(&self) -> bool {
         self.children.iter().all(|&c| c == NO_CHILD)
     }
-
-    #[inline]
-    pub fn count(&self) -> usize {
-        (self.end - self.start) as usize
-    }
 }
 
 /// Morton-ordered linear octree.
@@ -64,7 +59,6 @@ impl Node {
 /// The tree stores its own copy of the particle positions in Morton order;
 /// `order[k]` maps the k-th sorted slot back to the caller's particle index.
 pub struct Octree {
-    root_cell: Aabb,
     nodes: Vec<Node>,
     /// Sorted → original index map.
     order: Vec<u32>,
@@ -103,7 +97,7 @@ impl Octree {
         let sorted_pos: Vec<Vec3> = order.iter().map(|&i| positions[i as usize]).collect();
 
         // Phase 2: linear-time topology over key ranges.
-        let mut tree = Octree { root_cell, nodes: Vec::new(), order, sorted_pos, config };
+        let mut tree = Octree { nodes: Vec::new(), order, sorted_pos, config };
         tree.nodes.push(Node {
             cell: root_cell,
             tight: root_cell, // fixed up below
@@ -185,23 +179,14 @@ impl Octree {
         tight
     }
 
-    /// The cubic root cell.
-    pub fn root_cell(&self) -> &Aabb {
-        &self.root_cell
-    }
-
     /// All nodes (index 0 is the root).
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 
     /// Number of particles indexed.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.order.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
     }
 
     /// Map from sorted slot to original particle index.
@@ -210,18 +195,8 @@ impl Octree {
     }
 
     /// Positions in Morton order.
-    pub fn sorted_positions(&self) -> &[Vec3] {
+    pub(crate) fn sorted_positions(&self) -> &[Vec3] {
         &self.sorted_pos
-    }
-
-    /// Leaf count — a cheap structural invariant for tests and stats.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
-    }
-
-    /// Maximum depth of any node.
-    pub fn max_depth(&self) -> u8 {
-        self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
     }
 }
 
@@ -229,6 +204,11 @@ impl Octree {
 mod tests {
     use super::*;
     use sph_math::SplitMix64;
+
+    /// `b` grown by `pad` on every side.
+    fn padded(b: &Aabb, pad: f64) -> Aabb {
+        Aabb::new(b.lo - Vec3::splat(pad), b.hi + Vec3::splat(pad))
+    }
 
     fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
         let mut rng = SplitMix64::new(seed);
@@ -273,7 +253,7 @@ mod tests {
     fn leaf_size_respected() {
         let (_, tree) = build(5000, 24);
         for n in tree.nodes().iter().filter(|n| n.is_leaf()) {
-            assert!(n.count() <= 24 || n.depth as u32 >= BITS_PER_AXIS);
+            assert!(n.end - n.start <= 24 || n.depth as u32 >= BITS_PER_AXIS);
         }
     }
 
@@ -291,11 +271,11 @@ mod tests {
                     let ch = &tree.nodes()[c as usize];
                     assert_eq!(ch.start, cursor, "children not contiguous");
                     assert_eq!(ch.depth, n.depth + 1);
-                    total += ch.count();
+                    total += ch.end - ch.start;
                     cursor = ch.end;
                 }
             }
-            assert_eq!(total, n.count());
+            assert_eq!(total, n.end - n.start);
             assert_eq!(cursor, n.end);
         }
     }
@@ -307,7 +287,7 @@ mod tests {
             // The geometric cell is half-open in Morton space; allow the
             // closed tight box instead, plus a tiny tolerance for the hi
             // face clamping.
-            let cell = n.cell.padded(1e-12 * n.cell.max_extent().max(1.0));
+            let cell = padded(&n.cell, 1e-12 * n.cell.max_extent().max(1.0));
             for k in n.start..n.end {
                 let p = tree.sorted_positions()[k as usize];
                 assert!(cell.contains(p), "particle {p:?} outside cell {:?}", n.cell);
@@ -320,14 +300,14 @@ mod tests {
         let (_, tree) = build(3000, 16);
         for n in tree.nodes() {
             for k in n.start..n.end {
-                assert!(n.tight.padded(1e-12).contains(tree.sorted_positions()[k as usize]));
+                assert!(padded(&n.tight, 1e-12).contains(tree.sorted_positions()[k as usize]));
             }
             if !n.is_leaf() {
                 for &c in &n.children {
                     if c != NO_CHILD {
                         let ch = &tree.nodes()[c as usize];
-                        assert!(n.tight.padded(1e-12).contains(ch.tight.lo));
-                        assert!(n.tight.padded(1e-12).contains(ch.tight.hi));
+                        assert!(padded(&n.tight, 1e-12).contains(ch.tight.lo));
+                        assert!(padded(&n.tight, 1e-12).contains(ch.tight.hi));
                     }
                 }
             }
@@ -339,7 +319,7 @@ mod tests {
         let pts = vec![Vec3::splat(0.5)];
         let tree = Octree::build(&pts, &Aabb::unit(), OctreeConfig::default());
         assert_eq!(tree.len(), 1);
-        assert_eq!(tree.leaf_count(), 1);
+        assert_eq!(tree.nodes().len(), 1);
         assert!(tree.nodes()[0].is_leaf());
     }
 
@@ -352,7 +332,7 @@ mod tests {
         assert_eq!(tree.len(), 100);
         // One deep chain ending in a fat leaf.
         let leaf = tree.nodes().iter().find(|n| n.is_leaf()).unwrap();
-        assert_eq!(leaf.count(), 100);
+        assert_eq!(leaf.end - leaf.start, 100);
     }
 
     #[test]
@@ -390,11 +370,12 @@ mod tests {
         let cfg = OctreeConfig { max_leaf_size: 16 };
         let tc = Octree::build(&clustered, &Aabb::unit(), cfg);
         let tu = Octree::build(&uniform, &Aabb::unit(), cfg);
+        let max_depth = |t: &Octree| t.nodes().iter().map(|n| n.depth).max().unwrap_or(0);
         assert!(
-            tc.max_depth() > tu.max_depth(),
+            max_depth(&tc) > max_depth(&tu),
             "clustered depth {} vs uniform {}",
-            tc.max_depth(),
-            tu.max_depth()
+            max_depth(&tc),
+            max_depth(&tu)
         );
     }
 }

@@ -6,11 +6,24 @@
 
 use proptest::prelude::*;
 use sph_math::{Aabb, Periodicity, SplitMix64, Vec3};
-use sph_tree::gravity::direct_field;
 use sph_tree::{
     build_csr_lists, CellGrid, GravityConfig, GravitySolver, MultipoleOrder, NeighborLists, Octree,
     OctreeConfig, TraversalStats,
 };
+
+/// O(N²) softened acceleration on particle `i` (G = 1), the reference of
+/// the Barnes–Hut walk.
+fn direct_accel(pts: &[Vec3], masses: &[f64], i: usize, softening: f64) -> Vec3 {
+    let mut accel = Vec3::ZERO;
+    for (j, (&pj, &mj)) in pts.iter().zip(masses).enumerate() {
+        if j != i {
+            let d = pts[i] - pj;
+            let r2 = d.norm_sq() + softening * softening;
+            accel -= d * (mj / (r2 * r2.sqrt()));
+        }
+    }
+    accel
+}
 
 fn points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec3>> {
     prop::collection::vec(
@@ -31,7 +44,9 @@ fn brute_force(pts: &[Vec3], per: &Periodicity, center: Vec3, r: f64) -> Vec<u32
         }
     }
     let r2 = clamped * clamped;
-    (0..pts.len() as u32).filter(|&i| per.distance_sq(pts[i as usize], center) <= r2).collect()
+    (0..pts.len() as u32)
+        .filter(|&i| per.displacement(pts[i as usize], center).norm_sq() <= r2)
+        .collect()
 }
 
 /// Row counts on both sides of the 256-row segment length.
@@ -199,8 +214,8 @@ proptest! {
         let mut stats = TraversalStats::default();
         for i in (0..pts.len()).step_by(17) {
             let bh = solver.field_at(pts[i], Some(i as u32), &mut stats);
-            let exact = direct_field(&pts, &masses, pts[i], Some(i), 1.0, 1e-2);
-            let rel = (bh.accel - exact.accel).norm() / exact.accel.norm().max(1e-9);
+            let exact = direct_accel(&pts, &masses, i, 1e-2);
+            let rel = (bh.accel - exact).norm() / exact.norm().max(1e-9);
             prop_assert!(rel < 0.05, "rel accel error {rel} at particle {i}");
         }
     }
@@ -230,9 +245,6 @@ proptest! {
         // r stays under the half span, so no clamp event
         // (`half_span_clamp_edge_is_exact` covers the other side).
         prop_assert_eq!(gs.radius_clamps, 0);
-        // Counting must agree with listing.
-        let mut cs = TraversalStats::default();
-        prop_assert_eq!(grid.count_within(center, r, &mut cs), brute.len());
     }
 
     #[test]
