@@ -126,9 +126,6 @@ impl Error for ExchangeError {}
 /// Implementations must uphold the module-level contract: exact
 /// reductions, bit-preserving deliveries, retry-safe transients.
 pub trait Exchange {
-    /// Carrier name (for logs and benchmark reports).
-    fn name(&self) -> &'static str;
-
     /// Called once at the top of every macro-step with the step index
     /// about to be computed. Fault-injecting or epoch-tagged transports
     /// key their behaviour off this; the in-process carrier ignores it.
@@ -178,10 +175,6 @@ impl InProcessExchange {
 }
 
 impl Exchange for InProcessExchange {
-    fn name(&self) -> &'static str {
-        "in-process"
-    }
-
     fn reduce_max(&mut self, _path: ExchangePath, per_rank: &[f64]) -> Result<f64, ExchangeError> {
         Ok(per_rank.iter().copied().fold(f64::NEG_INFINITY, f64::max))
     }

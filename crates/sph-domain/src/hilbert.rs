@@ -48,32 +48,6 @@ fn axes_to_transpose(x: &mut [u64; 3], bits: u32) {
     }
 }
 
-/// Inverse of [`axes_to_transpose`] (Skilling `TransposetoAxes`).
-fn transpose_to_axes(x: &mut [u64; 3], bits: u32) {
-    let m = 1u64 << (bits - 1);
-    // Gray decode.
-    let mut t = x[2] >> 1;
-    for i in (1..3).rev() {
-        x[i] ^= x[i - 1];
-    }
-    x[0] ^= t;
-    // Undo excess work.
-    let mut q = 2u64;
-    while q != m << 1 {
-        let p = q - 1;
-        for i in (0..3).rev() {
-            if x[i] & q != 0 {
-                x[0] ^= p;
-            } else {
-                t = (x[0] ^ x[i]) & p;
-                x[0] ^= t;
-                x[i] ^= t;
-            }
-        }
-        q <<= 1;
-    }
-}
-
 /// Pack a transpose form into a single key: bit `b` of axis `a` lands at
 /// key bit `3(bits−1−b) + (2−a)` — i.e. the axes interleave most
 /// significant first.
@@ -87,17 +61,6 @@ fn transpose_to_key(x: &[u64; 3], bits: u32) -> u64 {
     key
 }
 
-fn key_to_transpose(key: u64, bits: u32) -> [u64; 3] {
-    let mut x = [0u64; 3];
-    for b in 0..(3 * bits) {
-        let bit = (key >> (3 * bits - 1 - b)) & 1;
-        let axis = (b % 3) as usize;
-        let pos = bits - 1 - b / 3;
-        x[axis] |= bit << pos;
-    }
-    x
-}
-
 /// Hilbert key of integer cell coordinates (each < 2^bits).
 pub fn encode_cell(ix: u64, iy: u64, iz: u64, bits: u32) -> u64 {
     debug_assert!(bits <= BITS_PER_AXIS);
@@ -105,13 +68,6 @@ pub fn encode_cell(ix: u64, iy: u64, iz: u64, bits: u32) -> u64 {
     let mut x = [ix, iy, iz];
     axes_to_transpose(&mut x, bits);
     transpose_to_key(&x, bits)
-}
-
-/// Inverse of [`encode_cell`].
-pub fn decode_cell(key: u64, bits: u32) -> (u64, u64, u64) {
-    let mut x = key_to_transpose(key, bits);
-    transpose_to_axes(&mut x, bits);
-    (x[0], x[1], x[2])
 }
 
 /// Hilbert key of a point in `bounds` at full 21-bit resolution.
@@ -123,7 +79,63 @@ pub(crate) fn encode_point(p: Vec3, bounds: &Aabb) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sph_math::SplitMix64;
+
+    /// Inverse of [`axes_to_transpose`] (Skilling `TransposetoAxes`).
+    fn transpose_to_axes(x: &mut [u64; 3], bits: u32) {
+        let m = 1u64 << (bits - 1);
+        // Gray decode.
+        let mut t = x[2] >> 1;
+        for i in (1..3).rev() {
+            x[i] ^= x[i - 1];
+        }
+        x[0] ^= t;
+        // Undo excess work.
+        let mut q = 2u64;
+        while q != m << 1 {
+            let p = q - 1;
+            for i in (0..3).rev() {
+                if x[i] & q != 0 {
+                    x[0] ^= p;
+                } else {
+                    t = (x[0] ^ x[i]) & p;
+                    x[0] ^= t;
+                    x[i] ^= t;
+                }
+            }
+            q <<= 1;
+        }
+    }
+
+    fn key_to_transpose(key: u64, bits: u32) -> [u64; 3] {
+        let mut x = [0u64; 3];
+        for b in 0..(3 * bits) {
+            let bit = (key >> (3 * bits - 1 - b)) & 1;
+            let axis = (b % 3) as usize;
+            let pos = bits - 1 - b / 3;
+            x[axis] |= bit << pos;
+        }
+        x
+    }
+
+    /// Inverse of [`encode_cell`].
+    fn decode_cell(key: u64, bits: u32) -> (u64, u64, u64) {
+        let mut x = key_to_transpose(key, bits);
+        transpose_to_axes(&mut x, bits);
+        (x[0], x[1], x[2])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn hilbert_roundtrip(ix in 0u64..2048, iy in 0u64..2048, iz in 0u64..2048) {
+            let bits = 11;
+            let key = encode_cell(ix, iy, iz, bits);
+            prop_assert_eq!(decode_cell(key, bits), (ix, iy, iz));
+        }
+    }
 
     #[test]
     fn roundtrip_small_grid() {

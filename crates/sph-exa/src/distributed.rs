@@ -1446,9 +1446,6 @@ mod tests {
     }
 
     impl Exchange for RecordingExchange {
-        fn name(&self) -> &'static str {
-            "recording"
-        }
         fn reduce_max(&mut self, path: ExchangePath, v: &[f64]) -> Result<f64, ExchangeError> {
             InProcessExchange.reduce_max(path, v)
         }

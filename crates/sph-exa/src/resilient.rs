@@ -248,10 +248,6 @@ struct Generation {
 pub struct ResilientSimulation {
     sim: DistributedSimulation,
     store: Box<dyn CheckpointStore>,
-    // Construction parameters, kept for `DistributedSimulation::restore`.
-    config: SphConfig,
-    gravity: Option<GravityConfig>,
-    dist: DistributedConfig,
     rcfg: ResilientConfig,
     cadence: Cadence,
     driver_events: Vec<ArmedDriverEvent>,
@@ -277,9 +273,6 @@ impl ResilientSimulation {
         rcfg: ResilientConfig,
     ) -> Result<Self, RecoveryError> {
         assert!(rcfg.retention >= 1, "retention must keep at least one generation");
-        let config = sim.config;
-        let gravity = sim.gravity;
-        let dist = sim.distributed_config();
         let gen0_label = Self::label_of(0);
         let bytes = sim
             .checkpoint(store.as_mut(), &gen0_label)
@@ -297,9 +290,6 @@ impl ResilientSimulation {
         Ok(ResilientSimulation {
             sim,
             store,
-            config,
-            gravity,
-            dist,
             rcfg,
             cadence: Cadence::new(rcfg.scheduler),
             driver_events,
@@ -523,9 +513,9 @@ impl ResilientSimulation {
             match DistributedSimulation::restore(
                 self.store.as_ref(),
                 &gen.label,
-                self.config,
-                self.gravity,
-                self.dist,
+                self.sim.config,
+                self.sim.gravity,
+                self.sim.distributed_config(),
             ) {
                 Ok(mut restored) => {
                     let carrier = self.sim.replace_exchange(Box::new(InProcessExchange::new()));

@@ -192,10 +192,6 @@ impl FaultyExchange {
 }
 
 impl Exchange for FaultyExchange {
-    fn name(&self) -> &'static str {
-        "fault-injecting"
-    }
-
     fn begin_step(&mut self, step: u64) {
         self.step = step;
         for armed in &mut self.events {

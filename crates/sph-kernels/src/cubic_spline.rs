@@ -61,12 +61,6 @@ impl Kernel for CubicSpline {
     fn sigma(&self) -> f64 {
         std::f64::consts::FRAC_1_PI
     }
-
-    fn typical_neighbor_count(&self) -> usize {
-        // The cubic spline becomes pairing-unstable with very large
-        // neighbour counts; ~64 is the conventional 3-D choice.
-        64
-    }
 }
 
 #[cfg(test)]

@@ -153,13 +153,6 @@ pub trait Kernel: Send + Sync {
         }
         rij * (self.dw_dr(r, h) / r)
     }
-
-    /// The "standard" number of neighbours this kernel is typically run with
-    /// in 3-D; used as the default target for the smoothing-length
-    /// iteration (the paper quotes ~10² neighbours per particle).
-    fn typical_neighbor_count(&self) -> usize {
-        100
-    }
 }
 
 /// Enumeration of all kernels the mini-app offers (Table 2, "Kernel"

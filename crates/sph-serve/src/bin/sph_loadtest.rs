@@ -17,8 +17,10 @@
 //!    identical to the uninterrupted reference run;
 //! 3. **closed-loop throughput** — `--clients` threads issue at least
 //!    `--requests` requests over ≥3 scenarios, byte-verifying every
-//!    cache hit against the first fresh result of its tuple, gating on
-//!    zero 5xx, and writing p50/p99/throughput to `--json` when given.
+//!    cache hit against the first fresh result of its tuple, requiring
+//!    every resubmission of a tuple already read `done` to answer 200
+//!    `cached`, gating on zero 5xx, and writing p50/p99/throughput to
+//!    `--json` when given.
 //!
 //! In `--addr` mode only phase 3 runs, against an externally managed
 //! server (the restart drill needs process control).
@@ -30,6 +32,7 @@
 
 use sph_json::Value;
 use sph_serve::http_call;
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -152,6 +155,7 @@ fn main() {
         let have = counters.reference.lock().unwrap().iter().any(|(k, _)| *k == key);
         if !have {
             let bytes = run_to_done(&target_addr, t, &counters);
+            counters.done_seen.lock().unwrap().insert(key.clone());
             counters.reference.lock().unwrap().push((key, bytes));
         }
     }
@@ -165,18 +169,27 @@ fn main() {
             while counters.requests.load(Ordering::SeqCst) < made_before + min_requests {
                 let t = &tuples[i % tuples.len()];
                 i += 1;
-                // Resubmit (a cache hit) then fetch and byte-verify.
-                let (status, body) = timed_call(&addr, "POST", "/jobs", &t.body(), &counters);
+                // Resubmit (a cache hit) then fetch and byte-verify. A
+                // tuple this server already reported done must answer
+                // 200 cached, however many jobs finished since.
+                let key = t.body();
+                let finished = counters.done_seen.lock().unwrap().contains(&key);
+                let (status, body) = timed_call(&addr, "POST", "/jobs", &key, &counters);
                 assert!(status < 500, "5xx on POST: {body}");
                 let doc = sph_json::parse(&body).expect("submit reply");
+                if finished {
+                    let cached = doc.get("cached").and_then(Value::as_bool) == Some(true);
+                    assert!(status == 200 && cached, "finished {key} not answered cached: {body}");
+                    counters.cached_resubmits.fetch_add(1, Ordering::SeqCst);
+                }
                 let id = doc.get("id").and_then(Value::as_str).expect("id").to_string();
                 let (status, body) =
                     timed_call(&addr, "GET", &format!("/jobs/{id}"), "", &counters);
                 assert!(status < 500, "5xx on GET: {body}");
                 let doc = sph_json::parse(&body).expect("status reply");
                 if doc.get("status").and_then(Value::as_str) == Some("done") {
+                    counters.done_seen.lock().unwrap().insert(key.clone());
                     let bytes = doc.get("result").expect("result").render();
-                    let key = t.body();
                     let reference = counters.reference.lock().unwrap();
                     let expected =
                         reference.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone());
@@ -196,6 +209,7 @@ fn main() {
     }
     let elapsed = t0.elapsed().as_secs_f64();
     let phase3_requests = counters.requests.load(Ordering::SeqCst) - made_before;
+    let cached_resubmits = counters.cached_resubmits.load(Ordering::SeqCst);
 
     // Final metrics snapshot: the zero-5xx gate and the dedup proof.
     let (status, metrics_text) = http_call(&target_addr, "GET", "/metrics", "").expect("metrics");
@@ -238,6 +252,7 @@ fn main() {
             Value::obj(vec![("p50", Value::Num(pct(0.50))), ("p99", Value::Num(pct(0.99)))]),
         ),
         ("cache", cache),
+        ("cached_resubmits", Value::Num(cached_resubmits as f64)),
         ("executions", Value::Num(executions)),
         ("zero_5xx", Value::Bool(true)),
         ("scenarios", Value::Arr(scenario_names)),
@@ -262,7 +277,7 @@ fn main() {
     ]);
     println!(
         "phase 3 ok: {phase3_requests} requests, {throughput:.0} req/s, \
-         p50 {:.1} ms, p99 {:.1} ms",
+         p50 {:.1} ms, p99 {:.1} ms, {cached_resubmits} finished resubmits cached",
         pct(0.50) * 1e3,
         pct(0.99) * 1e3
     );
@@ -325,6 +340,9 @@ struct Counters {
     client_5xx: Arc<AtomicU64>,
     latencies: Arc<Mutex<Vec<f64>>>,
     reference: Arc<Mutex<Vec<(String, String)>>>,
+    /// Tuples whose `GET` read `done` on the server under test.
+    done_seen: Arc<Mutex<BTreeSet<String>>>,
+    cached_resubmits: Arc<AtomicU64>,
     children: Arc<Mutex<Vec<Spawned>>>,
 }
 

@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! sph_serve [--addr HOST:PORT] [--state-dir PATH] [--workers N]
-//!           [--acceptors N] [--cache-capacity N] [--checkpoint-every N]
-//!           [--budget-seconds F] [--max-job-seconds F]
-//!           [--max-queue-depth N]
+//!           [--acceptors N] [--checkpoint-every N] [--budget-seconds F]
+//!           [--max-job-seconds F] [--max-queue-depth N]
 //! ```
 //!
 //! * `--addr`             bind address (default `127.0.0.1:0`; port 0 =
@@ -14,7 +13,6 @@
 //!   from them (default: in-memory only)
 //! * `--workers`          job-executing threads (default 2)
 //! * `--acceptors`        connection-accepting threads (default 2)
-//! * `--cache-capacity`   LRU result-cache entries (default 256)
 //! * `--checkpoint-every` job checkpoint/sample cadence in macro-steps
 //!   (default 4)
 //! * `--budget-seconds`   concurrent predicted-seconds budget (default 600)
@@ -39,9 +37,6 @@ fn main() {
             "--state-dir" => cfg.state_dir = Some(value("--state-dir").into()),
             "--workers" => cfg.workers = parse(&value("--workers"), "--workers"),
             "--acceptors" => cfg.acceptors = parse(&value("--acceptors"), "--acceptors"),
-            "--cache-capacity" => {
-                cfg.cache_capacity = parse(&value("--cache-capacity"), "--cache-capacity")
-            }
             "--checkpoint-every" => {
                 cfg.checkpoint_every = parse(&value("--checkpoint-every"), "--checkpoint-every")
             }

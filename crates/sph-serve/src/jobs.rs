@@ -32,14 +32,15 @@ use sph_json::Value;
 use sph_math::Vec3;
 use sph_scenarios::{MetricSample, Resolution, Scenario, ScenarioRegistry, ScenarioRun};
 use std::path::PathBuf;
-use std::sync::Arc;
 
-/// How a job's life is reported over the API.
+/// How a job's life is reported over the API. A `Done` job holds its
+/// deterministic result document, rendered: byte-compared by clients,
+/// and the answer to every identical resubmission.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum JobStatus {
     Queued,
     Running { completed_steps: u64 },
-    Done,
+    Done { result: String },
     Failed { error: String },
 }
 
@@ -48,7 +49,7 @@ impl JobStatus {
         match self {
             JobStatus::Queued => "queued",
             JobStatus::Running { .. } => "running",
-            JobStatus::Done => "done",
+            JobStatus::Done { .. } => "done",
             JobStatus::Failed { .. } => "failed",
         }
     }
@@ -60,8 +61,6 @@ pub(crate) struct JobRecord {
     pub spec: JobSpec,
     pub status: JobStatus,
     pub price_seconds: f64,
-    /// The deterministic result document (byte-compared by clients).
-    pub result: Option<Arc<String>>,
     /// Volatile per-execution telemetry (timings, recovery counters) —
     /// deliberately *outside* the result document so caching stays sound.
     pub telemetry: Option<Value>,

@@ -9,8 +9,9 @@
 //! wrapper:
 //!
 //! * **bit-determinism** — equal specs produce byte-identical results,
-//!   so the LRU result cache and in-flight dedup are provably sound
-//!   ([`cache`]);
+//!   so answering a resubmission from its finished job record, and
+//!   collapsing in-flight duplicates onto one job, are provably sound
+//!   ([`server`]);
 //! * **measured prices** — jobs are priced in predicted seconds from the
 //!   seconds per particle-step that completed jobs of the same scenario
 //!   measured on this host, and admitted against a budget ([`admission`]);
@@ -23,7 +24,6 @@
 
 pub mod admission;
 pub mod api;
-pub mod cache;
 pub mod error;
 pub mod http;
 pub mod jobs;

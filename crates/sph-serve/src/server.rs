@@ -10,13 +10,14 @@
 //! Durability: with a `state_dir` configured, accepted specs are written
 //! to `jobs/<id>.json` and finished result documents to
 //! `results/<id>.json` (write-then-rename, so a crash never leaves a
-//! torn result). On startup the scan reloads finished jobs into the
-//! table and cache, and re-queues accepted-but-unfinished ones — those
-//! resume from their own checkpoints inside [`run_job`].
+//! torn result). The job table is also the result cache: a finished
+//! record answers every identical resubmission. On startup the scan
+//! reloads finished jobs into the table, and re-queues
+//! accepted-but-unfinished ones (and any whose stored result no longer
+//! parses) — those resume from their own checkpoints inside [`run_job`].
 
 use crate::admission::{Admission, AdmissionConfig, CalibrationSample};
 use crate::api::JobSpec;
-use crate::cache::ResultCache;
 use crate::error::ServeError;
 use crate::http::{read_request, Request, Response};
 use crate::jobs::{run_job, JobRecord, JobStatus, RunnerConfig};
@@ -43,7 +44,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Connection-accepting threads.
     pub acceptors: usize,
-    pub cache_capacity: usize,
     pub admission: AdmissionConfig,
     /// Checkpoint/sample cadence of every job, in macro-steps.
     pub checkpoint_every: u64,
@@ -56,7 +56,6 @@ impl Default for ServerConfig {
             state_dir: None,
             workers: 2,
             acceptors: 2,
-            cache_capacity: 256,
             admission: AdmissionConfig::default(),
             checkpoint_every: 4,
         }
@@ -66,7 +65,10 @@ impl Default for ServerConfig {
 struct State {
     jobs: BTreeMap<String, JobRecord>,
     queue: VecDeque<String>,
-    cache: ResultCache,
+    /// Submissions answered from a finished record, and all the others
+    /// that reached the job table.
+    cache_hits: u64,
+    cache_misses: u64,
     admission: Admission,
     /// Aggregated per-phase busy seconds of all completed jobs.
     phase_seconds: BTreeMap<String, f64>,
@@ -82,7 +84,8 @@ struct Inner {
     requests: AtomicU64,
     responses_5xx: AtomicU64,
     /// Jobs actually executed (dispatched to a worker) — stays below the
-    /// request count whenever dedup or the cache absorbed a submission.
+    /// request count whenever dedup or a finished record absorbed a
+    /// submission.
     executions: AtomicU64,
     // Uptime telemetry only; never enters a trajectory (the
     // `Instant::now` call site carries the clippy allow).
@@ -127,7 +130,8 @@ impl Server {
         let mut state = State {
             jobs: BTreeMap::new(),
             queue: VecDeque::with_capacity(64),
-            cache: ResultCache::new(cfg.cache_capacity),
+            cache_hits: 0,
+            cache_misses: 0,
             admission: Admission::new(cfg.admission),
             phase_seconds: BTreeMap::new(),
         };
@@ -210,8 +214,10 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
 }
 
 /// Reload accepted specs and finished results left by a previous
-/// process: finished jobs come back `Done` (and warm the cache),
-/// unfinished ones re-queue and resume from their checkpoints.
+/// process: finished jobs come back `Done`, unfinished ones re-queue and
+/// resume from their checkpoints. A stored result that does not parse
+/// re-queues too: its spec is valid, and by the determinism contract the
+/// rerun writes the same bytes.
 fn scan_durable_state(dir: &Path, state: &mut State) {
     let Ok(entries) = std::fs::read_dir(dir.join("jobs")) else { return };
     let mut ids: Vec<String> = entries
@@ -230,37 +236,18 @@ fn scan_durable_state(dir: &Path, state: &mut State) {
         if spec.job_id() != id {
             continue; // foreign or tampered file; ignore it
         }
-        let price = state.admission.price(&spec);
-        let result_path = dir.join("results").join(format!("{id}.json"));
-        match std::fs::read_to_string(&result_path) {
-            Ok(doc) => {
-                let doc = Arc::new(doc);
-                state.cache.insert(&id, Arc::clone(&doc));
-                state.jobs.insert(
-                    id,
-                    JobRecord {
-                        spec,
-                        status: JobStatus::Done,
-                        price_seconds: price,
-                        result: Some(doc),
-                        telemetry: None,
-                    },
-                );
+        let price_seconds = state.admission.price(&spec);
+        let stored = std::fs::read_to_string(dir.join("results").join(format!("{id}.json")))
+            .ok()
+            .filter(|doc| sph_json::parse(doc).is_ok());
+        let status = match stored {
+            Some(result) => JobStatus::Done { result },
+            None => {
+                state.queue.push_back(id.clone());
+                JobStatus::Queued
             }
-            Err(_) => {
-                state.jobs.insert(
-                    id.clone(),
-                    JobRecord {
-                        spec,
-                        status: JobStatus::Queued,
-                        price_seconds: price,
-                        result: None,
-                        telemetry: None,
-                    },
-                );
-                state.queue.push_back(id);
-            }
-        }
+        };
+        state.jobs.insert(id, JobRecord { spec, status, price_seconds, telemetry: None });
     }
 }
 
@@ -332,15 +319,12 @@ fn worker_loop(inner: &Inner) {
                         }
                     }
                 }
-                let doc = Arc::new(done.result_doc);
-                st.cache.insert(&id, Arc::clone(&doc));
                 if let Some(dir) = &inner.cfg.state_dir {
                     let path = dir.join("results").join(format!("{id}.json"));
-                    let _ = write_atomic(&path, doc.as_bytes());
+                    let _ = write_atomic(&path, done.result_doc.as_bytes());
                 }
                 if let Some(rec) = st.jobs.get_mut(&id) {
-                    rec.status = JobStatus::Done;
-                    rec.result = Some(doc);
+                    rec.status = JobStatus::Done { result: done.result_doc };
                     rec.telemetry = Some(done.telemetry);
                 }
             }
@@ -438,53 +422,43 @@ fn submit_job(inner: &Inner, body: &str) -> Result<Response, ServeError> {
         return Err(ServeError::UnknownScenario(spec.scenario.clone()));
     }
     let id = spec.job_id();
-    let mut st = lock_state(inner);
+    let mut guard = lock_state(inner);
+    let st = &mut *guard;
 
-    // Result cache: a finished identical spec answers immediately (and
-    // the determinism contract makes that answer exact, not stale).
-    if st.cache.get(&id).is_some() {
-        let price = st.jobs.get(&id).map_or(0.0, |r| r.price_seconds);
-        return Ok(Response::json(
-            200,
-            submit_body(&id, "done", price, &[("cached", Value::Bool(true))]),
-        ));
+    // One lookup answers a resubmission. A finished identical spec answers
+    // from its record (the determinism contract makes that answer exact,
+    // not stale); one queued or running is *not* re-executed, the client
+    // polls the same job id; a failed one is admitted again.
+    let known = st.jobs.get(&id).and_then(|rec| match rec.status {
+        JobStatus::Done { .. } => Some((200, "cached", rec)),
+        JobStatus::Queued | JobStatus::Running { .. } => Some((202, "deduped", rec)),
+        JobStatus::Failed { .. } => None,
+    });
+    if matches!(known, Some((200, ..))) {
+        st.cache_hits += 1;
+    } else {
+        st.cache_misses += 1;
     }
-    // In-flight dedup: an identical spec already queued or running is
-    // *not* re-executed; the client polls the same job id.
-    if let Some(rec) = st.jobs.get(&id) {
-        if !matches!(rec.status, JobStatus::Failed { .. }) {
-            return Ok(Response::json(
-                202,
-                submit_body(
-                    &id,
-                    rec.status.label(),
-                    rec.price_seconds,
-                    &[("deduped", Value::Bool(true))],
-                ),
-            ));
-        }
+    if let Some((code, flag, rec)) = known {
+        let body =
+            submit_body(&id, rec.status.label(), rec.price_seconds, &[(flag, Value::Bool(true))]);
+        return Ok(Response::json(code, body));
     }
 
     let depth = st.queue.len();
-    let price = st.admission.try_admit(&spec, depth)?;
+    let price_seconds = st.admission.try_admit(&spec, depth)?;
     if let Some(dir) = &inner.cfg.state_dir {
         let path = dir.join("jobs").join(format!("{id}.json"));
         write_atomic(&path, spec.canonical().as_bytes())?;
     }
     st.jobs.insert(
         id.clone(),
-        JobRecord {
-            spec,
-            status: JobStatus::Queued,
-            price_seconds: price,
-            result: None,
-            telemetry: None,
-        },
+        JobRecord { spec, status: JobStatus::Queued, price_seconds, telemetry: None },
     );
     st.queue.push_back(id.clone());
-    drop(st);
+    drop(guard);
     inner.work_ready.notify_all();
-    Ok(Response::json(202, submit_body(&id, "queued", price, &[])))
+    Ok(Response::json(202, submit_body(&id, "queued", price_seconds, &[])))
 }
 
 fn submit_body(id: &str, status: &str, price: f64, extra: &[(&str, Value)]) -> String {
@@ -515,15 +489,13 @@ fn job_status(inner: &Inner, id: &str) -> Result<Response, ServeError> {
         JobStatus::Failed { error } => {
             fields.push(("error", Value::Str(error.clone())));
         }
-        JobStatus::Done => {
-            if let Some(doc) = &rec.result {
-                // Our own renderer's output: parse → embed → re-render is
-                // byte-identical (insertion-order keys, shortest-roundtrip
-                // numbers), so clients may byte-compare the result field.
-                let parsed = sph_json::parse(doc)
-                    .map_err(|e| ServeError::Io(format!("stored result corrupt: {e}")))?;
-                fields.push(("result", parsed));
-            }
+        JobStatus::Done { result } => {
+            // Our own renderer's output: parse → embed → re-render is
+            // byte-identical (insertion-order keys, shortest-roundtrip
+            // numbers), so clients may byte-compare the result field.
+            let parsed = sph_json::parse(result)
+                .map_err(|e| ServeError::Io(format!("stored result corrupt: {e}")))?;
+            fields.push(("result", parsed));
             if let Some(t) = &rec.telemetry {
                 fields.push(("telemetry", t.clone()));
             }
@@ -535,11 +507,11 @@ fn job_status(inner: &Inner, id: &str) -> Result<Response, ServeError> {
 
 fn metrics_body(inner: &Inner) -> String {
     let st = lock_state(inner);
-    let cache = st.cache.stats();
-    let lookups = cache.hits + cache.misses;
-    let hit_rate = if lookups == 0 { 0.0 } else { cache.hits as f64 / lookups as f64 };
+    let lookups = st.cache_hits + st.cache_misses;
+    let hit_rate = if lookups == 0 { 0.0 } else { st.cache_hits as f64 / lookups as f64 };
     let running =
         st.jobs.values().filter(|r| matches!(r.status, JobStatus::Running { .. })).count();
+    let finished = st.jobs.values().filter(|r| matches!(r.status, JobStatus::Done { .. })).count();
     let phases =
         st.phase_seconds.iter().map(|(k, v)| (k.clone(), Value::Num(*v))).collect::<Vec<_>>();
     Value::obj(vec![
@@ -553,10 +525,11 @@ fn metrics_body(inner: &Inner) -> String {
         (
             "cache",
             Value::obj(vec![
-                ("hits", Value::Num(cache.hits as f64)),
-                ("misses", Value::Num(cache.misses as f64)),
-                ("evictions", Value::Num(cache.evictions as f64)),
-                ("entries", Value::Num(cache.entries as f64)),
+                ("hits", Value::Num(st.cache_hits as f64)),
+                ("misses", Value::Num(st.cache_misses as f64)),
+                // Finished records are never dropped, so nothing is evicted.
+                ("evictions", Value::Num(0.0)),
+                ("entries", Value::Num(finished as f64)),
                 ("hit_rate", Value::Num(hit_rate)),
             ]),
         ),

@@ -127,10 +127,19 @@ fn cache_hit_is_byte_identical_and_skips_execution() {
     assert_ne!(id2, id);
     wait_done(&addr, &id2);
     assert_eq!(executions(&addr), executed + 1.0);
+
+    // The first job still answers from its record after another finished.
+    let (status, hit) = submit(&addr, &body("sod", 2, 1));
+    assert_eq!(status, 200, "{hit:?}");
+    assert_eq!(hit.get("cached").and_then(Value::as_bool), Some(true));
+    let again = wait_done(&addr, &id);
+    assert_eq!(again.get("result").expect("result").render(), fresh_bytes);
+    assert_eq!(executions(&addr), executed + 1.0, "cache hit must not re-execute");
     let (_, metrics) = call(&addr, "GET", "/metrics", "");
     let cache = metrics.get("cache").expect("cache stats");
-    assert!(cache.get("hits").and_then(Value::as_f64).unwrap() >= 1.0);
+    assert!(cache.get("hits").and_then(Value::as_f64).unwrap() >= 2.0);
     assert!(cache.get("misses").and_then(Value::as_f64).unwrap() >= 2.0);
+    assert_eq!(cache.get("entries").and_then(Value::as_f64), Some(2.0));
     // The completed jobs priced their scenario from what they measured.
     let rate = metrics
         .get("admission")
@@ -266,6 +275,35 @@ fn durable_results_survive_a_server_restart() {
     let (status, hit) = submit(&addr, &body("square-patch", 2, 3));
     assert_eq!(status, 200);
     assert_eq!(hit.get("cached").and_then(Value::as_bool), Some(true));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_damaged_stored_result_re_runs_on_restart() {
+    let dir = std::env::temp_dir().join(format!("sph-serve-damaged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || ServerConfig { state_dir: Some(dir.clone()), ..test_config() };
+
+    let server = Server::start(cfg()).expect("start");
+    let addr = server.addr().to_string();
+    let (status, doc) = submit(&addr, &body("square-patch", 2, 3));
+    assert_eq!(status, 202, "{doc:?}");
+    let id = doc.get("id").and_then(Value::as_str).expect("id").to_string();
+    let bytes = wait_done(&addr, &id).get("result").expect("result").render();
+    server.shutdown();
+
+    // Truncate the stored result to half: the restarted server cannot
+    // parse it, so it re-runs the job instead of serving the damage.
+    let path = dir.join("results").join(format!("{id}.json"));
+    let stored = std::fs::read(&path).expect("stored result");
+    std::fs::write(&path, &stored[..stored.len() / 2]).expect("truncate");
+    let server = Server::start(cfg()).expect("restart");
+    let addr = server.addr().to_string();
+    let rerun = wait_done(&addr, &id);
+    assert_eq!(rerun.get("result").expect("result").render(), bytes);
+    assert_eq!(executions(&addr), 1.0, "a damaged result must re-run once");
+    assert_eq!(std::fs::read(&path).expect("rewritten result"), stored);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
