@@ -545,10 +545,12 @@ fn forces(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepSt
 }
 
 /// Field of the replicated tree at every active particle. Chunked map
-/// over fixed `REDUCE_CHUNK` boundaries + ordered scatter; `field_at` is a
-/// pure per-particle function, so parallelism cannot change a bit. The
-/// per-particle interaction count is kept with each sample because it is
-/// the load measure the cluster model consumes.
+/// over fixed `REDUCE_CHUNK` boundaries + ordered scatter; inside a chunk
+/// `fields_at` walks groups of consecutive active particles, and each
+/// particle's sample and counters are those of its own walk, so neither
+/// the grouping nor the parallelism can change a bit. The per-particle
+/// interaction count is kept with each sample because it is the load
+/// measure the cluster model consumes.
 fn gravity(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
     let Some(solver) = env.gravity else { return StepStats::default() };
     /// Local index, field sample, interaction count.
@@ -558,15 +560,15 @@ fn gravity(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepS
         .par_chunks(REDUCE_CHUNK)
         .map(|chunk| {
             let mut chunk_stats = TraversalStats::default();
-            let rows = chunk
-                .iter()
-                .map(|&k| {
-                    let mut ts = TraversalStats::default();
-                    let sample = solver.field_at(sys.x[k as usize], Some(ws.global_id(k)), &mut ts);
-                    chunk_stats.merge(&ts);
-                    (k, sample, ts.total_interactions())
-                })
-                .collect();
+            let mut rows = Vec::with_capacity(chunk.len());
+            solver.fields_at(
+                chunk.len(),
+                |i| (sys.x[chunk[i] as usize], Some(ws.global_id(chunk[i]))),
+                |i, sample, ts| {
+                    chunk_stats.merge(ts);
+                    rows.push((chunk[i], sample, ts.total_interactions()));
+                },
+            );
             (rows, chunk_stats)
         })
         .collect();
@@ -588,6 +590,7 @@ mod tests {
     use crate::distributed::bucket_owned;
     use sph_domain::{halo_sets, Partitioner, SfcKind};
     use sph_math::{Aabb, Mat3, Periodicity, SplitMix64};
+    use sph_tree::{GravityConfig, Octree, OctreeConfig};
 
     const PARTITIONERS: [Partitioner; 3] =
         [Partitioner::Orb, Partitioner::Sfc(SfcKind::Hilbert), Partitioner::Slab { axis: 0 }];
@@ -615,6 +618,55 @@ mod tests {
         let centers: Vec<Vec3> = ids.iter().map(|&k| sys.x[k as usize]).collect();
         let radii: Vec<f64> = ids.iter().map(|&k| SUPPORT_RADIUS * sys.h[k as usize]).collect();
         build_csr_lists(grid, &centers, &radii).0
+    }
+
+    #[test]
+    fn gravity_pass_over_an_active_subset_equals_one_walk_per_particle() {
+        // Block time-stepping on two ranks: each rank computes an irregular
+        // subset of its owned particles, so one group of the walk holds
+        // targets whose ids are far from consecutive. Each must get the
+        // sample and the interaction count of a walk of its own.
+        let n = 700;
+        let periodicity = Periodicity::open(Aabb::unit());
+        let sys = variable_h_cloud(n, 0x6A7, periodicity);
+        let tree = Octree::build(&sys.x, &sys.bounds(), OctreeConfig::default());
+        let solver = GravitySolver::new(&tree, &sys.m, GravityConfig::default());
+        let config = SphConfig::default();
+        let kernel = config.kernel.build();
+        let eos = IdealGas::new(config.gamma);
+        let env = PassEnv {
+            kernel: kernel.as_ref(),
+            config: &config,
+            eos: &eos,
+            gravity: Some(&solver),
+            subset: true,
+        };
+        let computed: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1 && i % 11 != 4).collect();
+        let decomp = Partitioner::Orb.partition(&sys.x, 2, &vec![1.0; n]);
+        let halos = halo_sets(&sys.x, &decomp, SUPPORT_RADIUS * sys.max_h(), &periodicity);
+        let mut seen = 0;
+        for (r, (owned, imports)) in bucket_owned(&decomp).iter().zip(&halos.imports).enumerate() {
+            let view = RankView::of_subdomain(r, &sys, owned, imports, Some(&computed));
+            let (Some(mut local), mut ws) = (view.copy, view.ws) else {
+                panic!("rank {r}: a subdomain view computes on a copy")
+            };
+            local.a.fill(Vec3::ZERO);
+            let stats = gravity(&env, &mut local, &mut ws);
+            let mut want_stats = TraversalStats::default();
+            for (q, &k) in ws.active.iter().enumerate() {
+                let g = ws.global_id(k);
+                let mut ts = TraversalStats::default();
+                let want = solver.field_at(sys.x[g as usize], Some(g), &mut ts);
+                want_stats.merge(&ts);
+                let bits = |v: Vec3| v.to_array().map(f64::to_bits);
+                assert_eq!(bits(local.a[k as usize]), bits(want.accel), "rank {r}: a of {g}");
+                assert_eq!(ws.potentials[q].to_bits(), want.potential.to_bits(), "φ of {g}");
+                assert_eq!(ws.gravity_work[q], ts.total_interactions(), "work of {g}");
+            }
+            assert_eq!(stats.gravity, want_stats, "rank {r}: traversal counters");
+            seen += ws.active.len();
+        }
+        assert_eq!(seen, computed.len());
     }
 
     #[test]

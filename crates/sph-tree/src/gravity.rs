@@ -31,19 +31,24 @@
 //! * *SoA sources* — `x`, `y`, `z` and `G·m` of the Morton-sorted
 //!   particles, so a leaf is four contiguous slices;
 //! * *slot map* — original particle index → Morton slot, so the slot of
-//!   the particle to skip is known before the walk starts and the fold
-//!   compares a loop index, not an id per pair.
+//!   the particle to skip is known before the walk starts and the pair
+//!   loop compares a slot, not an id per pair.
 //!
-//! `field_at` evaluates a leaf in two phases. The *lane phase* runs over
-//! the leaf's slots in blocks of `LANES` and writes each pair's three
-//! acceleration terms and its potential term into stack buffers; no
-//! iteration depends on another, so the compiler turns it into packed
-//! square roots and divisions at whatever vector width the target has. The
-//! *ordered fold* then subtracts the buffered terms from the running sums
-//! one slot at a time, in slot order, leaving out the target itself. Every
-//! pair goes through the same IEEE operations in the same per-target order
-//! as a one-pair-at-a-time loop, so the result does not depend on the lane
-//! width (CI runs the goldens with AVX2 enabled to hold that).
+//! **Group walk.** [`GravitySolver::fields_at`] walks up to `GROUP`
+//! consecutive targets in one depth-first traversal. A stack entry is a
+//! node and the mask of targets that reach it; at an internal node every
+//! target makes its own MAC decision, and those that open the node carry on
+//! into its children together. A leaf is evaluated for the targets that
+//! opened it at once: they are packed into lanes, the leaf's slots run
+//! outermost, and each lane subtracts its pair terms from its own sums one
+//! slot at a time in slot order, its own slot's terms masked to `+0.0`.
+//! The lane loop has no iteration that depends on another, so the compiler
+//! runs it at whatever vector width the target has. Each target thus
+//! receives exactly the terms of a walk of its own, in that walk's order,
+//! and the same `TraversalStats`: neither the grouping, the thread count
+//! nor the lane width changes a bit (CI runs the goldens with AVX2 enabled
+//! to hold that). The one-target walk it replaced is kept under
+//! `#[cfg(test)]` as its oracle.
 
 use crate::morton::BITS_PER_AXIS;
 use crate::octree::Octree;
@@ -132,23 +137,84 @@ struct Moments {
     t: Vec3,
 }
 
-/// Slots per block of the leaf lane phase: the default `max_leaf_size`, so
-/// a leaf is one block unless the Morton depth limit left it overfull.
-const LANES: usize = 32;
+/// Targets that share one traversal of the group walk: the walk stack
+/// marks the targets still walking a subtree with one bit each of a `u32`.
+const GROUP: usize = 32;
 
 /// Capacity of the walk stack. The stack holds at most the unvisited
 /// siblings (≤ 7) of each internal node on the path from the root, plus
 /// the 8 children of the node opened last; internal nodes sit at depths
-/// `0..BITS_PER_AXIS`.
+/// `0..BITS_PER_AXIS`. A group walk pushes a node once for all the targets
+/// that opened its parent, so one target's bound is the group's.
 const STACK_CAPACITY: usize = 7 * BITS_PER_AXIS as usize + 8;
 
-/// One block's buffered pair terms: what the ordered fold subtracts from
-/// the acceleration components and the potential.
-struct LaneTerms {
-    ax: [f64; LANES],
-    ay: [f64; LANES],
-    az: [f64; LANES],
-    pot: [f64; LANES],
+/// The targets of one group walk, structure of arrays: where each sits,
+/// the Morton slot it leaves out (`usize::MAX` for none), and what the
+/// walk has summed for it so far.
+struct Group {
+    len: usize,
+    x: [f64; GROUP],
+    y: [f64; GROUP],
+    z: [f64; GROUP],
+    skip: [usize; GROUP],
+    ax: [f64; GROUP],
+    ay: [f64; GROUP],
+    az: [f64; GROUP],
+    pot: [f64; GROUP],
+    stats: [TraversalStats; GROUP],
+}
+
+/// The targets that opened one leaf, packed into lanes `0..n`: the group
+/// index, the position, the offset of the skipped slot inside the leaf (a
+/// float, so the pair loop compares lanes at the width of the sums; out of
+/// range when the slot lies elsewhere) and the running sums.
+struct Lanes {
+    target: [usize; GROUP],
+    x: [f64; GROUP],
+    y: [f64; GROUP],
+    z: [f64; GROUP],
+    own: [f64; GROUP],
+    ax: [f64; GROUP],
+    ay: [f64; GROUP],
+    az: [f64; GROUP],
+    pot: [f64; GROUP],
+}
+
+impl Lanes {
+    /// Subtract the terms of the source `[x, y, z, g·m]` in slot `slot`
+    /// from the sums of lanes `0..n`, except where it is the lane's own.
+    /// A method of its own so the compiler sees the lanes' arrays apart
+    /// and runs the loop in vector registers.
+    #[inline(always)]
+    fn subtract_pair_terms(&mut self, n: usize, source: [f64; 4], slot: f64, eps2: f64) {
+        let [sx, sy, sz, gm] = source;
+        let (x, y, z, own) = (&self.x[..n], &self.y[..n], &self.z[..n], &self.own[..n]);
+        let (ax, ay, az, pot) =
+            (&mut self.ax[..n], &mut self.ay[..n], &mut self.az[..n], &mut self.pot[..n]);
+        for j in 0..n {
+            let (dx, dy, dz) = (x[j] - sx, y[j] - sy, z[j] - sz);
+            let r2 = (dx * dx + dy * dy + dz * dz) + eps2;
+            let r = r2.sqrt();
+            let f = gm / (r2 * r);
+            // All ones, or all zeros on the lane's own slot: its terms
+            // become +0.0 without a branch in the lane loop.
+            let keep = u64::from(own[j] != slot).wrapping_neg();
+            let term = |t: f64| f64::from_bits(t.to_bits() & keep);
+            ax[j] -= term(dx * f);
+            ay[j] -= term(dy * f);
+            az[j] -= term(dz * f);
+            pot[j] -= term(gm / r);
+        }
+    }
+}
+
+/// The set bits of `mask`, lowest first: the targets it holds.
+fn targets(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let t = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (t < GROUP).then_some(t)
+    })
 }
 
 /// Gravity solver bound to a built octree.
@@ -321,152 +387,219 @@ impl<'a> GravitySolver<'a> {
 
     /// Evaluate acceleration and potential at `point`, optionally skipping
     /// the particle with original index `skip` (self-interaction; an index
-    /// no particle has skips nothing). Allocation-free: one call per
-    /// particle per step.
+    /// no particle has skips nothing): a group walk of one target.
     pub fn field_at(
         &self,
         point: Vec3,
         skip: Option<u32>,
         stats: &mut TraversalStats,
     ) -> GravitySample {
-        let g = self.config.g;
-        let eps2 = self.config.softening * self.config.softening;
-        let theta2 = self.config.theta * self.config.theta;
-        let degree = self.config.order.degree();
-        let skip_slot =
-            skip.and_then(|i| self.slot_of.get(i as usize)).map_or(usize::MAX, |&k| k as usize);
+        let mut sample = GravitySample { accel: Vec3::ZERO, potential: 0.0 };
+        self.fields_at(
+            1,
+            |_| (point, skip),
+            |_, s, st| {
+                sample = s;
+                stats.merge(st);
+            },
+        );
+        sample
+    }
 
-        let mut accel = Vec3::ZERO;
-        let mut potential = 0.0;
-        let (mut visited, mut p2p, mut p2m) = (0u64, 0u64, 0u64);
-        // Declared once per target: zeroing them per leaf costs what the
-        // lane phase saves on an 8-particle leaf.
-        let mut terms =
-            LaneTerms { ax: [0.0; LANES], ay: [0.0; LANES], az: [0.0; LANES], pot: [0.0; LANES] };
-        let mut stack = [0u32; STACK_CAPACITY];
-        let mut top = 1; // the root is on the stack
+    /// The field at `n` targets, `GROUP` consecutive targets per traversal:
+    /// target `i` sits at `target(i).0` and leaves out the particle with
+    /// original index `target(i).1`, and `emit(i, sample, stats)` receives
+    /// its sample and its own counters, in target order. Each target gets
+    /// exactly the terms, the order and the counters of a walk of its own,
+    /// so how targets are grouped cannot change a bit. Allocation-free.
+    pub fn fields_at(
+        &self,
+        n: usize,
+        target: impl Fn(usize) -> (Vec3, Option<u32>),
+        mut emit: impl FnMut(usize, GravitySample, &TraversalStats),
+    ) {
+        for first in (0..n).step_by(GROUP) {
+            let mut group = Group {
+                len: GROUP.min(n - first),
+                x: [0.0; GROUP],
+                y: [0.0; GROUP],
+                z: [0.0; GROUP],
+                skip: [usize::MAX; GROUP],
+                ax: [0.0; GROUP],
+                ay: [0.0; GROUP],
+                az: [0.0; GROUP],
+                pot: [0.0; GROUP],
+                stats: [TraversalStats::default(); GROUP],
+            };
+            for t in 0..group.len {
+                let (point, skip) = target(first + t);
+                (group.x[t], group.y[t], group.z[t]) = (point.x, point.y, point.z);
+                group.skip[t] = skip
+                    .and_then(|i| self.slot_of.get(i as usize))
+                    .map_or(usize::MAX, |&k| k as usize);
+            }
+            self.walk_group(&mut group);
+            for t in 0..group.len {
+                let accel = Vec3::new(group.ax[t], group.ay[t], group.az[t]);
+                emit(first + t, GravitySample { accel, potential: group.pot[t] }, &group.stats[t]);
+            }
+        }
+    }
+
+    /// One depth-first traversal for every target of `group`. A stack entry
+    /// is a node and the mask of targets that reach it; at an internal node
+    /// each of them makes its own MAC decision, and those that open it
+    /// carry on into its children together.
+    fn walk_group(&self, group: &mut Group) {
+        let theta2 = self.config.theta * self.config.theta;
+        let mut lanes = Lanes {
+            target: [0; GROUP],
+            x: [0.0; GROUP],
+            y: [0.0; GROUP],
+            z: [0.0; GROUP],
+            own: [0.0; GROUP],
+            ax: [0.0; GROUP],
+            ay: [0.0; GROUP],
+            az: [0.0; GROUP],
+            pot: [0.0; GROUP],
+        };
+        for stats in &mut group.stats[..group.len] {
+            stats.nodes_visited = 1; // the root
+        }
+        let mut stack = [(0u32, 0u32); STACK_CAPACITY];
+        stack[0] = (0, u32::MAX >> (GROUP - group.len)); // the root, every target
+        let mut top = 1;
         while top > 0 {
             top -= 1;
-            let ni = stack[top] as usize;
-            let node = &self.walk[ni];
-            visited += 1;
+            let (ni, mask) = stack[top];
+            let node = &self.walk[ni as usize];
             if node.mass <= 0.0 {
                 continue;
             }
-            let d = point - node.com;
-            let dist2 = d.norm_sq();
-            // MAC: accept when (L/d)² < θ² and the point is safely outside
-            // the cell (dist² > 0 guards the degenerate self-cell case).
-            let accept = !node.is_leaf()
-                && dist2 > 0.0
-                && node.size_sq < theta2 * dist2
-                && node.tight.dist_sq_to_point(point) > 0.0;
-            if accept {
-                p2m += 1;
-                let r2 = dist2 + eps2;
-                let r = r2.sqrt();
-                let inv_r3 = 1.0 / (r2 * r);
-                // Monopole.
-                accel -= d * (g * node.mass * inv_r3);
-                potential -= g * node.mass / r;
-                if degree >= 2 {
-                    let mom = &self.moments[ni];
-                    // Traceless quadrupole from the raw second moment:
-                    // Q = 3·M2 − tr(M2)·I ⇒ Q·d = 3 M2·d − tr(M2) d.
-                    let tr_m2 = mom.m2.trace();
-                    let qd = mom.m2.mul_vec(d) * 3.0 - d * tr_m2;
-                    let dqd = d.dot(qd);
-                    let inv_r5 = inv_r3 / r2;
-                    let inv_r7 = inv_r5 / r2;
-                    // φ₂ = −G (d·Q·d) / (2 r⁵)
-                    // a₂ = G Q d / r⁵ − (5G/2)(d·Q·d) d / r⁷
-                    potential -= 0.5 * g * dqd * inv_r5;
-                    // FROZEN: the multipole traversal accumulates in
-                    // stack order; part of the gravity bit-identity
-                    // contract.
-                    accel += qd * (g * inv_r5) - d * (2.5 * g * dqd * inv_r7);
-                    if degree >= 3 {
-                        // Octupole (Cartesian Taylor term):
-                        // φ₃ = −G [5 S:ddd − 3 (t·d) r²] / (2 r⁷)
-                        // a₃ = G/2 [ (15 S:dd − 3 t r² − 6 (t·d) d)/r⁷
-                        //            − 7 (5 S:ddd − 3 (t·d) r²) d / r⁹ ]
-                        let s_dd = mom.s3.contract_twice(d);
-                        let s_ddd = s_dd.dot(d);
-                        let td = mom.t.dot(d);
-                        let inv_r9 = inv_r7 / r2;
-                        let poly = 5.0 * s_ddd - 3.0 * td * r2;
-                        potential -= 0.5 * g * poly * inv_r7;
-                        // FROZEN: same traversal-order contract as the
-                        // quadrupole term.
-                        accel += (s_dd * 15.0 - mom.t * (3.0 * r2) - d * (6.0 * td))
-                            * (0.5 * g * inv_r7)
-                            - d * (3.5 * g * poly * inv_r9);
-                    }
+            if node.is_leaf() {
+                self.open_leaf(node, mask, group, &mut lanes);
+                continue;
+            }
+            let children = &self.children[node.first_child as usize..node.last_child as usize];
+            let mut open = 0;
+            for t in targets(mask) {
+                let point = Vec3::new(group.x[t], group.y[t], group.z[t]);
+                let d = point - node.com;
+                let dist2 = d.norm_sq();
+                // MAC: accept when (L/d)² < θ² and the point is safely
+                // outside the cell (dist² > 0 guards the degenerate
+                // self-cell case).
+                if dist2 > 0.0
+                    && node.size_sq < theta2 * dist2
+                    && node.tight.dist_sq_to_point(point) > 0.0
+                {
+                    group.stats[t].p2m_interactions += 1;
+                    let mut accel = Vec3::new(group.ax[t], group.ay[t], group.az[t]);
+                    self.add_cell(ni as usize, d, dist2, &mut accel, &mut group.pot[t]);
+                    (group.ax[t], group.ay[t], group.az[t]) = (accel.x, accel.y, accel.z);
+                } else {
+                    open |= 1 << t;
+                    // Every child pushed is visited: count it here.
+                    group.stats[t].nodes_visited += children.len() as u64;
                 }
-            } else if node.is_leaf() {
-                let mut block = node.start as usize;
-                let end = node.end as usize;
-                while block < end {
-                    let slots = block..end.min(block + LANES);
-                    block = slots.end;
-                    let n = slots.len();
-                    // Lane phase: every pair of the block, the target's own
-                    // slot included (its terms are never folded).
-                    let sources = self.src_x[slots.clone()]
-                        .iter()
-                        .zip(&self.src_y[slots.clone()])
-                        .zip(&self.src_z[slots.clone()])
-                        .zip(&self.src_gm[slots.clone()]);
-                    let out = terms.ax[..n]
-                        .iter_mut()
-                        .zip(&mut terms.ay[..n])
-                        .zip(&mut terms.az[..n])
-                        .zip(&mut terms.pot[..n]);
-                    for ((((ax, ay), az), pot), (((&x, &y), &z), &gm)) in out.zip(sources) {
-                        let (dx, dy, dz) = (point.x - x, point.y - y, point.z - z);
-                        let r2 = (dx * dx + dy * dy + dz * dz) + eps2;
-                        let r = r2.sqrt();
-                        let f = gm / (r2 * r);
-                        *ax = dx * f;
-                        *ay = dy * f;
-                        *az = dz * f;
-                        *pot = gm / r;
-                    }
-                    // Ordered fold — FROZEN: the block's pair terms leave
-                    // the sums one pair at a time in Morton-slot order, the
-                    // target's own slot left out; part of the gravity
-                    // bit-identity contract.
-                    let own = skip_slot.wrapping_sub(slots.start);
-                    let folded = if own < n { n - 1 } else { n };
-                    p2p += folded as u64;
-                    for k in 0..n {
-                        if k == own {
-                            continue;
-                        }
-                        accel.x -= terms.ax[k];
-                        accel.y -= terms.ay[k];
-                        accel.z -= terms.az[k];
-                        potential -= terms.pot[k];
-                    }
-                }
-            } else {
-                let kids = &self.children[node.first_child as usize..node.last_child as usize];
-                for &c in kids {
-                    stack[top] = c;
+            }
+            if open != 0 {
+                for &c in children {
+                    stack[top] = (c, open);
                     top += 1;
                 }
             }
         }
-        stats.nodes_visited += visited;
-        stats.p2p_interactions += p2p;
-        stats.p2m_interactions += p2m;
-        GravitySample { accel, potential }
     }
 
-    /// The one-pair-at-a-time walk over `tree.nodes()` that `field_at`
-    /// replaced, kept as its oracle: heap stack, `Node::children` with the
-    /// sentinel, `Vec3` arithmetic per pair. (`g·m` is the product stored
-    /// at construction.)
+    /// The multipole terms of accepted cell `ni` at offset `d` (`dist2 =
+    /// |d|²`) from its centre of mass.
+    fn add_cell(&self, ni: usize, d: Vec3, dist2: f64, accel: &mut Vec3, potential: &mut f64) {
+        let g = self.config.g;
+        let degree = self.config.order.degree();
+        let node = &self.walk[ni];
+        let r2 = dist2 + self.config.softening * self.config.softening;
+        let r = r2.sqrt();
+        let inv_r3 = 1.0 / (r2 * r);
+        // Monopole.
+        *accel -= d * (g * node.mass * inv_r3);
+        *potential -= g * node.mass / r;
+        if degree >= 2 {
+            let mom = &self.moments[ni];
+            // Traceless quadrupole from the raw second moment:
+            // Q = 3·M2 − tr(M2)·I ⇒ Q·d = 3 M2·d − tr(M2) d.
+            let tr_m2 = mom.m2.trace();
+            let qd = mom.m2.mul_vec(d) * 3.0 - d * tr_m2;
+            let dqd = d.dot(qd);
+            let inv_r5 = inv_r3 / r2;
+            let inv_r7 = inv_r5 / r2;
+            // φ₂ = −G (d·Q·d) / (2 r⁵)
+            // a₂ = G Q d / r⁵ − (5G/2)(d·Q·d) d / r⁷
+            *potential -= 0.5 * g * dqd * inv_r5;
+            // FROZEN: the multipole traversal accumulates in stack order;
+            // part of the gravity bit-identity contract.
+            *accel += qd * (g * inv_r5) - d * (2.5 * g * dqd * inv_r7);
+            if degree >= 3 {
+                // Octupole (Cartesian Taylor term):
+                // φ₃ = −G [5 S:ddd − 3 (t·d) r²] / (2 r⁷)
+                // a₃ = G/2 [ (15 S:dd − 3 t r² − 6 (t·d) d)/r⁷
+                //            − 7 (5 S:ddd − 3 (t·d) r²) d / r⁹ ]
+                let s_dd = mom.s3.contract_twice(d);
+                let s_ddd = s_dd.dot(d);
+                let td = mom.t.dot(d);
+                let inv_r9 = inv_r7 / r2;
+                let poly = 5.0 * s_ddd - 3.0 * td * r2;
+                *potential -= 0.5 * g * poly * inv_r7;
+                // FROZEN: same traversal-order contract as the quadrupole
+                // term.
+                *accel += (s_dd * 15.0 - mom.t * (3.0 * r2) - d * (6.0 * td)) * (0.5 * g * inv_r7)
+                    - d * (3.5 * g * poly * inv_r9);
+            }
+        }
+    }
+
+    /// Every pair of `leaf` for the targets in `mask`. The targets are packed
+    /// into lanes and the slots run outermost, so each target's sums take
+    /// the leaf's terms one slot at a time in slot order, exactly as a walk
+    /// of its own would; its own slot contributes `+0.0`, which leaves a sum
+    /// unchanged because a sum that starts at `+0.0` is never `−0.0`.
+    fn open_leaf(&self, leaf: &WalkNode, mask: u32, group: &mut Group, lanes: &mut Lanes) {
+        let eps2 = self.config.softening * self.config.softening;
+        let slots = leaf.start as usize..leaf.end as usize;
+        let len = slots.len();
+        let mut n = 0;
+        for t in targets(mask) {
+            let own = group.skip[t].wrapping_sub(slots.start);
+            group.stats[t].p2p_interactions += (len - usize::from(own < len)) as u64;
+            lanes.target[n] = t;
+            (lanes.x[n], lanes.y[n], lanes.z[n]) = (group.x[t], group.y[t], group.z[t]);
+            lanes.own[n] = if own < len { own as f64 } else { -1.0 };
+            (lanes.ax[n], lanes.ay[n], lanes.az[n]) = (group.ax[t], group.ay[t], group.az[t]);
+            lanes.pot[n] = group.pot[t];
+            n += 1;
+        }
+        let sources = self.src_x[slots.clone()]
+            .iter()
+            .zip(&self.src_y[slots.clone()])
+            .zip(&self.src_z[slots.clone()])
+            .zip(&self.src_gm[slots]);
+        // FROZEN: each target's sums take the leaf's pair terms one slot
+        // at a time in Morton-slot order, its own slot left out; part of
+        // the gravity bit-identity contract.
+        for (k, (((&sx, &sy), &sz), &gm)) in sources.enumerate() {
+            lanes.subtract_pair_terms(n, [sx, sy, sz, gm], k as f64, eps2);
+        }
+        for j in 0..n {
+            let t = lanes.target[j];
+            (group.ax[t], group.ay[t], group.az[t]) = (lanes.ax[j], lanes.ay[j], lanes.az[j]);
+            group.pot[t] = lanes.pot[j];
+        }
+    }
+
+    /// The per-target walk the group walk replaced, one pair at a time over
+    /// `tree.nodes()`, kept as its oracle: one target, heap stack,
+    /// `Node::children` with the sentinel, `Vec3` arithmetic per pair.
+    /// (`g·m` is the product stored at construction.)
     #[cfg(test)]
     fn field_at_reference(
         &self,
@@ -555,19 +688,23 @@ impl<'a> GravitySolver<'a> {
     /// particle order, skipping self-interaction. Parallel over targets.
     pub fn accelerations(&self, positions: &[Vec3]) -> (Vec<GravitySample>, TraversalStats) {
         assert_eq!(positions.len(), self.tree.len());
-        // Chunked map (fixed REDUCE_CHUNK boundaries) + ordered reduce of
-        // the per-chunk traversal counters.
+        // Chunked map (fixed REDUCE_CHUNK boundaries, groups inside them) +
+        // ordered reduce of the per-chunk traversal counters.
         let chunks: Vec<(Vec<GravitySample>, TraversalStats)> = positions
             .par_chunks(REDUCE_CHUNK)
             .enumerate()
             .map(|(c, chunk)| {
                 let base = c * REDUCE_CHUNK;
                 let mut stats = TraversalStats::default();
-                let samples = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(off, &p)| self.field_at(p, Some((base + off) as u32), &mut stats))
-                    .collect();
+                let mut samples = Vec::with_capacity(chunk.len());
+                self.fields_at(
+                    chunk.len(),
+                    |off| (chunk[off], Some((base + off) as u32)),
+                    |_, sample, st| {
+                        stats.merge(st);
+                        samples.push(sample);
+                    },
+                );
                 (samples, stats)
             })
             .collect();
@@ -822,8 +959,8 @@ mod tests {
         (pos, masses)
     }
 
-    /// `field_at` against the one-pair-at-a-time oracle: every bit of the
-    /// sample and every counter.
+    /// `field_at` (a group walk of one) against the per-target oracle: every
+    /// bit of the sample and every counter.
     fn assert_matches_reference(
         solver: &GravitySolver,
         point: Vec3,
@@ -878,6 +1015,89 @@ mod tests {
         }
     }
 
+    /// `fields_at` over `targets` against the per-target oracle: every bit
+    /// of every sample and every counter.
+    fn assert_group_matches_reference(
+        solver: &GravitySolver,
+        targets: &[(Vec3, Option<u32>)],
+        what: &str,
+    ) {
+        let mut emitted = 0;
+        solver.fields_at(
+            targets.len(),
+            |i| targets[i],
+            |i, got, stats| {
+                assert_eq!(i, emitted, "{what}: targets emitted out of order");
+                emitted += 1;
+                let (point, skip) = targets[i];
+                let mut stats_ref = TraversalStats::default();
+                let want = solver.field_at_reference(point, skip, &mut stats_ref);
+                for (name, a, b) in [
+                    ("accel.x", got.accel.x, want.accel.x),
+                    ("accel.y", got.accel.y, want.accel.y),
+                    ("accel.z", got.accel.z, want.accel.z),
+                    ("potential", got.potential, want.potential),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}, target {i}: {name}");
+                }
+                assert_eq!(*stats, stats_ref, "{what}, target {i}: traversal counters");
+            },
+        );
+        assert_eq!(emitted, targets.len(), "{what}: targets emitted");
+    }
+
+    #[test]
+    fn group_walk_is_bit_identical_to_the_per_target_walk() {
+        let n = 600;
+        let clouds = [("uniform", random_system(n, 81)), ("condensed", condensed_system(n, 82))];
+        for (cloud, (pos, masses)) in &clouds {
+            for max_leaf_size in [1, 8, 24, 32] {
+                let tree = Octree::build(pos, &Aabb::unit(), OctreeConfig { max_leaf_size });
+                for order in
+                    [MultipoleOrder::Monopole, MultipoleOrder::Quadrupole, MultipoleOrder::Octupole]
+                {
+                    let solver = build_solver(&tree, masses, 0.5, order);
+                    for size in 1..=GROUP {
+                        // Consecutive particles; each skips itself (a slot
+                        // inside the group), a particle far from the
+                        // group (a slot outside it), or nothing.
+                        let first = (size * 17) % (n - GROUP);
+                        let targets: Vec<(Vec3, Option<u32>)> = (first..first + size)
+                            .map(|i| {
+                                let skip = match i % 3 {
+                                    0 => Some(i as u32),
+                                    1 => Some(((i + n / 2) % n) as u32),
+                                    _ => None,
+                                };
+                                (pos[i], skip)
+                            })
+                            .collect();
+                        let what = format!("{cloud} leaf {max_leaf_size} {order:?} size {size}");
+                        assert_group_matches_reference(&solver, &targets, &what);
+                    }
+                    // Several groups, the last one partial, and every
+                    // particle through `accelerations`.
+                    let all: Vec<(Vec3, Option<u32>)> =
+                        pos.iter().enumerate().map(|(i, &p)| (p, Some(i as u32))).collect();
+                    let what = format!("{cloud} leaf {max_leaf_size} {order:?} all");
+                    assert_group_matches_reference(&solver, &all, &what);
+                    let (samples, stats) = solver.accelerations(pos);
+                    let mut stats_ref = TraversalStats::default();
+                    for (i, s) in samples.iter().enumerate() {
+                        let want =
+                            solver.field_at_reference(pos[i], Some(i as u32), &mut stats_ref);
+                        assert_eq!(
+                            (s.accel.to_array().map(f64::to_bits), s.potential.to_bits()),
+                            (want.accel.to_array().map(f64::to_bits), want.potential.to_bits()),
+                            "{what}: accelerations() at {i}"
+                        );
+                    }
+                    assert_eq!(stats, stats_ref, "{what}: accelerations() counters");
+                }
+            }
+        }
+    }
+
     #[test]
     fn single_particle_tree_matches_the_reference() {
         let pos = vec![Vec3::splat(0.5)];
@@ -893,16 +1113,16 @@ mod tests {
     }
 
     #[test]
-    fn fat_leaf_spans_several_lane_blocks() {
-        // 100 coincident points end in one leaf at the Morton depth limit:
-        // four lane blocks, the last one partial, under the deepest stack.
+    fn fat_leaf_at_the_depth_limit() {
+        // 100 coincident points end in one leaf at the Morton depth limit,
+        // under the deepest stack, with more slots than a group has lanes.
         let (mut pos, _) = random_system(40, 5);
         pos.extend(std::iter::repeat_n(Vec3::splat(0.25), 100));
         let masses = vec![1.0 / 140.0; 140];
         let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size: 4 });
         let fat =
             tree.nodes().iter().find(|n| n.is_leaf() && n.end - n.start == 100).expect("fat leaf");
-        assert!((fat.end - fat.start) as usize > 3 * LANES);
+        assert!((fat.end - fat.start) as usize > 3 * GROUP);
         assert_eq!(u32::from(fat.depth), BITS_PER_AXIS);
         let solver = build_solver(&tree, &masses, 0.5, MultipoleOrder::Quadrupole);
         for i in [0, 39, 40, 41, 72, 73, 104, 139] {
