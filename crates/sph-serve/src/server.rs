@@ -237,9 +237,12 @@ fn scan_durable_state(dir: &Path, state: &mut State) {
             continue; // foreign or tampered file; ignore it
         }
         let price_seconds = state.admission.price(&spec);
+        // Re-rendered, so a finished record always holds our renderer's
+        // bytes, which `job_status` splices in unparsed.
         let stored = std::fs::read_to_string(dir.join("results").join(format!("{id}.json")))
             .ok()
-            .filter(|doc| sph_json::parse(doc).is_ok());
+            .and_then(|doc| sph_json::parse(&doc).ok())
+            .map(|doc| doc.render());
         let status = match stored {
             Some(result) => JobStatus::Done { result },
             None => {
@@ -490,15 +493,21 @@ fn job_status(inner: &Inner, id: &str) -> Result<Response, ServeError> {
             fields.push(("error", Value::Str(error.clone())));
         }
         JobStatus::Done { result } => {
-            // Our own renderer's output: parse → embed → re-render is
-            // byte-identical (insertion-order keys, shortest-roundtrip
-            // numbers), so clients may byte-compare the result field.
-            let parsed = sph_json::parse(result)
-                .map_err(|e| ServeError::Io(format!("stored result corrupt: {e}")))?;
-            fields.push(("result", parsed));
+            // The stored document is our own renderer's output (the worker
+            // rendered it, or the load re-rendered it), so it is spliced in
+            // as it is: the same bytes parse → embed → re-render would give
+            // (insertion-order keys, shortest-roundtrip numbers), and
+            // clients may byte-compare the result field.
+            let mut body = Value::obj(fields).render();
+            body.pop(); // the closing brace
+            body.push_str(",\"result\":");
+            body.push_str(result);
             if let Some(t) = &rec.telemetry {
-                fields.push(("telemetry", t.clone()));
+                body.push_str(",\"telemetry\":");
+                body.push_str(&t.render());
             }
+            body.push('}');
+            return Ok(Response::json(200, body));
         }
         JobStatus::Queued => {}
     }

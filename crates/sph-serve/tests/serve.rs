@@ -152,6 +152,34 @@ fn cache_hit_is_byte_identical_and_skips_execution() {
 }
 
 #[test]
+fn a_finished_job_answers_the_bytes_parse_and_render_would() {
+    // `GET /jobs/<id>` splices the stored result document into the reply
+    // unparsed; the reply must be exactly what parsing it and rendering it
+    // again gives. The benchmark's three served tuples (two steps each)
+    // and a self-gravity job.
+    let server = Server::start(test_config()).expect("start");
+    let addr = server.addr().to_string();
+    for (scenario, resolution) in
+        [("sedov", 0.5), ("sod", 1.0), ("square-patch", 1.0), ("evrard", 0.2)]
+    {
+        let payload = format!(
+            r#"{{"scenario":"{scenario}","resolution":{resolution},"steps":2,"seed":1}}"#
+        );
+        let (status, doc) = submit(&addr, &payload);
+        assert_eq!(status, 202, "{scenario}: {doc:?}");
+        let id = doc.get("id").and_then(Value::as_str).expect("id").to_string();
+        wait_done(&addr, &id);
+        let (status, text) = http_call(&addr, "GET", &format!("/jobs/{id}"), "").expect("get");
+        assert_eq!(status, 200, "{scenario}: {text}");
+        let parsed = sph_json::parse(&text).expect("a JSON body");
+        assert_eq!(text, parsed.render(), "{scenario}: the reply is not parse-and-render");
+        assert!(parsed.get("result").and_then(Value::as_obj).is_some(), "{scenario}: {text}");
+        assert!(parsed.get("telemetry").is_some(), "{scenario}: {text}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn concurrent_duplicate_submissions_execute_once() {
     let server = Server::start(test_config()).expect("start");
     let addr = server.addr().to_string();
