@@ -162,9 +162,8 @@ fn a_finished_job_answers_the_bytes_parse_and_render_would() {
     for (scenario, resolution) in
         [("sedov", 0.5), ("sod", 1.0), ("square-patch", 1.0), ("evrard", 0.2)]
     {
-        let payload = format!(
-            r#"{{"scenario":"{scenario}","resolution":{resolution},"steps":2,"seed":1}}"#
-        );
+        let payload =
+            format!(r#"{{"scenario":"{scenario}","resolution":{resolution},"steps":2,"seed":1}}"#);
         let (status, doc) = submit(&addr, &payload);
         assert_eq!(status, 202, "{scenario}: {doc:?}");
         let id = doc.get("id").and_then(Value::as_str).expect("id").to_string();

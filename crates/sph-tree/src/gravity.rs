@@ -164,16 +164,21 @@ struct Group {
     stats: [TraversalStats; GROUP],
 }
 
-/// The targets that opened one leaf, packed into lanes `0..n`: the group
-/// index, the position, the offset of the skipped slot inside the leaf (a
-/// float, so the pair loop compares lanes at the width of the sums; out of
-/// range when the slot lies elsewhere) and the running sums.
+/// Targets packed into lanes `0..n` for one node, so that a loop over
+/// the lanes has no iteration that depends on another: each lane's group
+/// index, a point and a key, and its running sums. At a leaf the point is
+/// the target's position and the key the offset of its skipped slot inside
+/// the leaf (a float, so the pair loop compares at the width of the sums;
+/// −1 when the slot lies elsewhere). At an accepted cell the point is the
+/// target's offset from the cell's centre of mass and the key its squared
+/// length.
 struct Lanes {
+    n: usize,
     target: [usize; GROUP],
     x: [f64; GROUP],
     y: [f64; GROUP],
     z: [f64; GROUP],
-    own: [f64; GROUP],
+    key: [f64; GROUP],
     ax: [f64; GROUP],
     ay: [f64; GROUP],
     az: [f64; GROUP],
@@ -181,14 +186,50 @@ struct Lanes {
 }
 
 impl Lanes {
+    fn new() -> Lanes {
+        Lanes {
+            n: 0,
+            target: [0; GROUP],
+            x: [0.0; GROUP],
+            y: [0.0; GROUP],
+            z: [0.0; GROUP],
+            key: [0.0; GROUP],
+            ax: [0.0; GROUP],
+            ay: [0.0; GROUP],
+            az: [0.0; GROUP],
+            pot: [0.0; GROUP],
+        }
+    }
+
+    /// Pack target `t` of `group` into the next lane.
+    fn push(&mut self, group: &Group, t: usize, point: Vec3, key: f64) {
+        let j = self.n;
+        self.target[j] = t;
+        (self.x[j], self.y[j], self.z[j], self.key[j]) = (point.x, point.y, point.z, key);
+        (self.ax[j], self.ay[j], self.az[j]) = (group.ax[t], group.ay[t], group.az[t]);
+        self.pot[j] = group.pot[t];
+        self.n += 1;
+    }
+
+    /// Write the lanes' sums back to their targets and empty the lanes.
+    fn unpack(&mut self, group: &mut Group) {
+        for j in 0..self.n {
+            let t = self.target[j];
+            (group.ax[t], group.ay[t], group.az[t]) = (self.ax[j], self.ay[j], self.az[j]);
+            group.pot[t] = self.pot[j];
+        }
+        self.n = 0;
+    }
+
     /// Subtract the terms of the source `[x, y, z, g·m]` in slot `slot`
-    /// from the sums of lanes `0..n`, except where it is the lane's own.
-    /// A method of its own so the compiler sees the lanes' arrays apart
-    /// and runs the loop in vector registers.
+    /// from every lane's sums, except where it is the lane's own. A method
+    /// of its own so the compiler sees the lanes' arrays apart and runs the
+    /// loop in vector registers.
     #[inline(always)]
-    fn subtract_pair_terms(&mut self, n: usize, source: [f64; 4], slot: f64, eps2: f64) {
+    fn subtract_pair_terms(&mut self, source: [f64; 4], slot: f64, eps2: f64) {
         let [sx, sy, sz, gm] = source;
-        let (x, y, z, own) = (&self.x[..n], &self.y[..n], &self.z[..n], &self.own[..n]);
+        let n = self.n;
+        let (x, y, z, own) = (&self.x[..n], &self.y[..n], &self.z[..n], &self.key[..n]);
         let (ax, ay, az, pot) =
             (&mut self.ax[..n], &mut self.ay[..n], &mut self.az[..n], &mut self.pot[..n]);
         for j in 0..n {
@@ -452,17 +493,7 @@ impl<'a> GravitySolver<'a> {
     /// carry on into its children together.
     fn walk_group(&self, group: &mut Group) {
         let theta2 = self.config.theta * self.config.theta;
-        let mut lanes = Lanes {
-            target: [0; GROUP],
-            x: [0.0; GROUP],
-            y: [0.0; GROUP],
-            z: [0.0; GROUP],
-            own: [0.0; GROUP],
-            ax: [0.0; GROUP],
-            ay: [0.0; GROUP],
-            az: [0.0; GROUP],
-            pot: [0.0; GROUP],
-        };
+        let mut lanes = Lanes::new();
         for stats in &mut group.stats[..group.len] {
             stats.nodes_visited = 1; // the root
         }
@@ -494,14 +525,20 @@ impl<'a> GravitySolver<'a> {
                     && node.tight.dist_sq_to_point(point) > 0.0
                 {
                     group.stats[t].p2m_interactions += 1;
-                    let mut accel = Vec3::new(group.ax[t], group.ay[t], group.az[t]);
-                    self.add_cell(ni as usize, d, dist2, &mut accel, &mut group.pot[t]);
-                    (group.ax[t], group.ay[t], group.az[t]) = (accel.x, accel.y, accel.z);
+                    lanes.push(group, t, d, dist2);
                 } else {
                     open |= 1 << t;
                     // Every child pushed is visited: count it here.
                     group.stats[t].nodes_visited += children.len() as u64;
                 }
+            }
+            if lanes.n > 0 {
+                match self.config.order {
+                    MultipoleOrder::Monopole => self.add_cell::<1>(ni as usize, &mut lanes),
+                    MultipoleOrder::Quadrupole => self.add_cell::<2>(ni as usize, &mut lanes),
+                    MultipoleOrder::Octupole => self.add_cell::<3>(ni as usize, &mut lanes),
+                }
+                lanes.unpack(group);
             }
             if open != 0 {
                 for &c in children {
@@ -512,49 +549,59 @@ impl<'a> GravitySolver<'a> {
         }
     }
 
-    /// The multipole terms of accepted cell `ni` at offset `d` (`dist2 =
-    /// |d|²`) from its centre of mass.
-    fn add_cell(&self, ni: usize, d: Vec3, dist2: f64, accel: &mut Vec3, potential: &mut f64) {
+    /// The multipole terms, up to `DEGREE`, of accepted cell `ni` for every
+    /// lane (offset `d` from its centre of mass, key `|d|²`).
+    fn add_cell<const DEGREE: u8>(&self, ni: usize, lanes: &mut Lanes) {
         let g = self.config.g;
-        let degree = self.config.order.degree();
-        let node = &self.walk[ni];
-        let r2 = dist2 + self.config.softening * self.config.softening;
-        let r = r2.sqrt();
-        let inv_r3 = 1.0 / (r2 * r);
-        // Monopole.
-        *accel -= d * (g * node.mass * inv_r3);
-        *potential -= g * node.mass / r;
-        if degree >= 2 {
-            let mom = &self.moments[ni];
-            // Traceless quadrupole from the raw second moment:
-            // Q = 3·M2 − tr(M2)·I ⇒ Q·d = 3 M2·d − tr(M2) d.
-            let tr_m2 = mom.m2.trace();
-            let qd = mom.m2.mul_vec(d) * 3.0 - d * tr_m2;
-            let dqd = d.dot(qd);
-            let inv_r5 = inv_r3 / r2;
-            let inv_r7 = inv_r5 / r2;
-            // φ₂ = −G (d·Q·d) / (2 r⁵)
-            // a₂ = G Q d / r⁵ − (5G/2)(d·Q·d) d / r⁷
-            *potential -= 0.5 * g * dqd * inv_r5;
-            // FROZEN: the multipole traversal accumulates in stack order;
-            // part of the gravity bit-identity contract.
-            *accel += qd * (g * inv_r5) - d * (2.5 * g * dqd * inv_r7);
-            if degree >= 3 {
-                // Octupole (Cartesian Taylor term):
-                // φ₃ = −G [5 S:ddd − 3 (t·d) r²] / (2 r⁷)
-                // a₃ = G/2 [ (15 S:dd − 3 t r² − 6 (t·d) d)/r⁷
-                //            − 7 (5 S:ddd − 3 (t·d) r²) d / r⁹ ]
-                let s_dd = mom.s3.contract_twice(d);
-                let s_ddd = s_dd.dot(d);
-                let td = mom.t.dot(d);
-                let inv_r9 = inv_r7 / r2;
-                let poly = 5.0 * s_ddd - 3.0 * td * r2;
-                *potential -= 0.5 * g * poly * inv_r7;
-                // FROZEN: same traversal-order contract as the quadrupole
-                // term.
-                *accel += (s_dd * 15.0 - mom.t * (3.0 * r2) - d * (6.0 * td)) * (0.5 * g * inv_r7)
-                    - d * (3.5 * g * poly * inv_r9);
+        let eps2 = self.config.softening * self.config.softening;
+        let (mass, mom) = (self.walk[ni].mass, &self.moments[ni]);
+        let n = lanes.n;
+        let (x, y, z, dist2) = (&lanes.x[..n], &lanes.y[..n], &lanes.z[..n], &lanes.key[..n]);
+        let (ax, ay, az, pot) =
+            (&mut lanes.ax[..n], &mut lanes.ay[..n], &mut lanes.az[..n], &mut lanes.pot[..n]);
+        for j in 0..n {
+            let d = Vec3::new(x[j], y[j], z[j]);
+            let mut accel = Vec3::new(ax[j], ay[j], az[j]);
+            let mut potential = pot[j];
+            let r2 = dist2[j] + eps2;
+            let r = r2.sqrt();
+            let inv_r3 = 1.0 / (r2 * r);
+            // Monopole.
+            accel -= d * (g * mass * inv_r3);
+            potential -= g * mass / r;
+            if DEGREE >= 2 {
+                // Traceless quadrupole from the raw second moment:
+                // Q = 3·M2 − tr(M2)·I ⇒ Q·d = 3 M2·d − tr(M2) d.
+                let tr_m2 = mom.m2.trace();
+                let qd = mom.m2.mul_vec(d) * 3.0 - d * tr_m2;
+                let dqd = d.dot(qd);
+                let inv_r5 = inv_r3 / r2;
+                let inv_r7 = inv_r5 / r2;
+                // φ₂ = −G (d·Q·d) / (2 r⁵)
+                // a₂ = G Q d / r⁵ − (5G/2)(d·Q·d) d / r⁷
+                potential -= 0.5 * g * dqd * inv_r5;
+                // FROZEN: the multipole traversal accumulates in stack
+                // order; part of the gravity bit-identity contract.
+                accel += qd * (g * inv_r5) - d * (2.5 * g * dqd * inv_r7);
+                if DEGREE >= 3 {
+                    // Octupole (Cartesian Taylor term):
+                    // φ₃ = −G [5 S:ddd − 3 (t·d) r²] / (2 r⁷)
+                    // a₃ = G/2 [ (15 S:dd − 3 t r² − 6 (t·d) d)/r⁷
+                    //            − 7 (5 S:ddd − 3 (t·d) r²) d / r⁹ ]
+                    let s_dd = mom.s3.contract_twice(d);
+                    let s_ddd = s_dd.dot(d);
+                    let td = mom.t.dot(d);
+                    let inv_r9 = inv_r7 / r2;
+                    let poly = 5.0 * s_ddd - 3.0 * td * r2;
+                    potential -= 0.5 * g * poly * inv_r7;
+                    // FROZEN: same traversal-order contract as the
+                    // quadrupole term.
+                    accel += (s_dd * 15.0 - mom.t * (3.0 * r2) - d * (6.0 * td))
+                        * (0.5 * g * inv_r7)
+                        - d * (3.5 * g * poly * inv_r9);
+                }
             }
+            (ax[j], ay[j], az[j], pot[j]) = (accel.x, accel.y, accel.z, potential);
         }
     }
 
@@ -567,16 +614,11 @@ impl<'a> GravitySolver<'a> {
         let eps2 = self.config.softening * self.config.softening;
         let slots = leaf.start as usize..leaf.end as usize;
         let len = slots.len();
-        let mut n = 0;
         for t in targets(mask) {
             let own = group.skip[t].wrapping_sub(slots.start);
             group.stats[t].p2p_interactions += (len - usize::from(own < len)) as u64;
-            lanes.target[n] = t;
-            (lanes.x[n], lanes.y[n], lanes.z[n]) = (group.x[t], group.y[t], group.z[t]);
-            lanes.own[n] = if own < len { own as f64 } else { -1.0 };
-            (lanes.ax[n], lanes.ay[n], lanes.az[n]) = (group.ax[t], group.ay[t], group.az[t]);
-            lanes.pot[n] = group.pot[t];
-            n += 1;
+            let point = Vec3::new(group.x[t], group.y[t], group.z[t]);
+            lanes.push(group, t, point, if own < len { own as f64 } else { -1.0 });
         }
         let sources = self.src_x[slots.clone()]
             .iter()
@@ -587,13 +629,9 @@ impl<'a> GravitySolver<'a> {
         // at a time in Morton-slot order, its own slot left out; part of
         // the gravity bit-identity contract.
         for (k, (((&sx, &sy), &sz), &gm)) in sources.enumerate() {
-            lanes.subtract_pair_terms(n, [sx, sy, sz, gm], k as f64, eps2);
+            lanes.subtract_pair_terms([sx, sy, sz, gm], k as f64, eps2);
         }
-        for j in 0..n {
-            let t = lanes.target[j];
-            (group.ax[t], group.ay[t], group.az[t]) = (lanes.ax[j], lanes.ay[j], lanes.az[j]);
-            group.pot[t] = lanes.pot[j];
-        }
+        lanes.unpack(group);
     }
 
     /// The per-target walk the group walk replaced, one pair at a time over
