@@ -81,7 +81,7 @@ fn weak_scaling_runs_and_rejects_a_bad_count() {
 fn pop_metrics_runs_and_rejects_an_unknown_test() {
     let out = assert_pinned(
         "pop_metrics --code sphynx --test evrard --particles 1500 --steps 1",
-        0x2711_664c_9f58_b35c,
+        0x8378_ac67_4aed_1b1c,
     );
     assert!(out.contains("SPHYNX / Evrard") && !out.contains("/ Square"), "{out}");
     assert_rejected("pop_metrics --test evrad", "--test");
@@ -89,7 +89,7 @@ fn pop_metrics_runs_and_rejects_an_unknown_test() {
 
 #[test]
 fn trace_runs_and_rejects_a_bad_rank_count() {
-    let out = assert_pinned("trace --particles 1500 --steps 1", 0x76b3_8ce2_24e8_6a2a);
+    let out = assert_pinned("trace --particles 1500 --steps 1", 0x6528_423e_bbea_a472);
     assert!(out.contains("Fig. 4 analogue") && out.contains("POP:"), "{out}");
     assert_rejected("trace --ranks x", "--ranks");
 }
@@ -97,7 +97,7 @@ fn trace_runs_and_rejects_a_bad_rank_count() {
 #[test]
 fn ablations_run_and_reject_an_unknown_flag() {
     // Ablation 4's wall-clock seconds go to stderr, so stdout is pinnable.
-    let out = assert_pinned("ablations --particles 1500", 0xd709_834e_3d3a_6404);
+    let out = assert_pinned("ablations --particles 1500", 0x112e_6480_6a2d_8bbb);
     assert!(out.contains("ablation 4"), "{out}");
     assert_rejected("ablations --fixed", "--fixed");
 }

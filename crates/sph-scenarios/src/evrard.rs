@@ -144,12 +144,11 @@ impl Scenario for EvrardScenario {
             viscosity: ViscosityConfig { alpha: 1.0, beta: 2.0, eta2: 0.01, balsara: true },
             ..Default::default()
         };
-        let gravity = GravityConfig {
-            g: 1.0,
-            theta: 0.5,
-            softening: 1e-2,
-            order: MultipoleOrder::Quadrupole,
-        };
+        // The cheapest point of the error–cost table in
+        // `sph-tree/tests/force_error.rs` at the force error of the
+        // quadrupole θ 0.5 it replaced (with leaves of 24).
+        let gravity =
+            GravityConfig { g: 1.0, theta: 0.55, softening: 1e-2, order: MultipoleOrder::Octupole };
         ScenarioSetup { sys: evrard_collapse(&cfg), config, gravity: Some(gravity) }
     }
 

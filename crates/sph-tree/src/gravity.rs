@@ -18,8 +18,20 @@
 //! `L/d < θ` and the target lies strictly outside that box. A leaf is
 //! never accepted: it is always opened and its particles are summed one by
 //! one, so the near field is exact particle–particle gravity whatever θ
-//! is. (At θ = 0.5 on the 15.5k-particle Evrard cloud that is 2 870 of a
-//! target's 3 000 interactions; leaves hold ≈ 8 particles.)
+//! is. (On the benchmark's 15.5k-particle Evrard state, with the Evrard
+//! scenario's octupole at θ = 0.55 and leaves of at most 24, that is 1 464
+//! of a target's 1 613 interactions; leaves hold ≈ 6 particles.)
+//!
+//! **Arithmetic.** One division per pair and per accepted cell: `1/r =
+//! 1/√(r²+ε²)` once, the potential term `G·m·(1/r)` and every higher power
+//! of `1/r` from products of it.
+//!
+//! **The production point** is the cheapest cell of the error–cost table
+//! that `tests/force_error.rs` prints (leaf size × order × θ, each against
+//! direct summation) whose median, p99 and max force error are within 5 %
+//! of the point it replaced and that passes the tier-1 force-error gate
+//! there: `OctreeConfig::default()` leaves of 24, and the Evrard
+//! scenario's octupole at θ 0.55.
 //!
 //! **Walk layout.** [`GravitySolver::new`] lays the tree out for the walk:
 //! * *hot walk nodes* — what every visit reads: centre of mass, mass, the
@@ -235,8 +247,10 @@ impl Lanes {
         for j in 0..n {
             let (dx, dy, dz) = (x[j] - sx, y[j] - sy, z[j] - sz);
             let r2 = (dx * dx + dy * dy + dz * dz) + eps2;
-            let r = r2.sqrt();
-            let f = gm / (r2 * r);
+            // One division per pair: φ = g·m/r, force factor φ/r².
+            let inv_r = 1.0 / r2.sqrt();
+            let phi = gm * inv_r;
+            let f = phi * (inv_r * inv_r);
             // All ones, or all zeros on the lane's own slot: its terms
             // become +0.0 without a branch in the lane loop.
             let keep = u64::from(own[j] != slot).wrapping_neg();
@@ -244,7 +258,7 @@ impl Lanes {
             ax[j] -= term(dx * f);
             ay[j] -= term(dy * f);
             az[j] -= term(dz * f);
-            pot[j] -= term(gm / r);
+            pot[j] -= term(phi);
         }
     }
 }
@@ -564,19 +578,22 @@ impl<'a> GravitySolver<'a> {
             let mut accel = Vec3::new(ax[j], ay[j], az[j]);
             let mut potential = pot[j];
             let r2 = dist2[j] + eps2;
-            let r = r2.sqrt();
-            let inv_r3 = 1.0 / (r2 * r);
+            // One division per cell: every power of 1/r from the same
+            // reciprocal.
+            let inv_r = 1.0 / r2.sqrt();
+            let inv_r2 = inv_r * inv_r;
+            let inv_r3 = inv_r * inv_r2;
             // Monopole.
             accel -= d * (g * mass * inv_r3);
-            potential -= g * mass / r;
+            potential -= g * mass * inv_r;
             if DEGREE >= 2 {
                 // Traceless quadrupole from the raw second moment:
                 // Q = 3·M2 − tr(M2)·I ⇒ Q·d = 3 M2·d − tr(M2) d.
                 let tr_m2 = mom.m2.trace();
                 let qd = mom.m2.mul_vec(d) * 3.0 - d * tr_m2;
                 let dqd = d.dot(qd);
-                let inv_r5 = inv_r3 / r2;
-                let inv_r7 = inv_r5 / r2;
+                let inv_r5 = inv_r3 * inv_r2;
+                let inv_r7 = inv_r5 * inv_r2;
                 // φ₂ = −G (d·Q·d) / (2 r⁵)
                 // a₂ = G Q d / r⁵ − (5G/2)(d·Q·d) d / r⁷
                 potential -= 0.5 * g * dqd * inv_r5;
@@ -591,7 +608,7 @@ impl<'a> GravitySolver<'a> {
                     let s_dd = mom.s3.contract_twice(d);
                     let s_ddd = s_dd.dot(d);
                     let td = mom.t.dot(d);
-                    let inv_r9 = inv_r7 / r2;
+                    let inv_r9 = inv_r7 * inv_r2;
                     let poly = 5.0 * s_ddd - 3.0 * td * r2;
                     potential -= 0.5 * g * poly * inv_r7;
                     // FROZEN: same traversal-order contract as the
@@ -673,23 +690,24 @@ impl<'a> GravitySolver<'a> {
             if accept {
                 stats.p2m_interactions += 1;
                 let r2 = dist2 + eps2;
-                let r = r2.sqrt();
-                let inv_r3 = 1.0 / (r2 * r);
+                let inv_r = 1.0 / r2.sqrt();
+                let inv_r2 = inv_r * inv_r;
+                let inv_r3 = inv_r * inv_r2;
                 accel -= d * (g * mass * inv_r3);
-                potential -= g * mass / r;
+                potential -= g * mass * inv_r;
                 if self.config.order.degree() >= 2 {
                     let tr_m2 = mom.m2.trace();
                     let qd = mom.m2.mul_vec(d) * 3.0 - d * tr_m2;
                     let dqd = d.dot(qd);
-                    let inv_r5 = inv_r3 / r2;
-                    let inv_r7 = inv_r5 / r2;
+                    let inv_r5 = inv_r3 * inv_r2;
+                    let inv_r7 = inv_r5 * inv_r2;
                     potential -= 0.5 * g * dqd * inv_r5;
                     accel += qd * (g * inv_r5) - d * (2.5 * g * dqd * inv_r7);
                     if self.config.order.degree() >= 3 {
                         let s_dd = mom.s3.contract_twice(d);
                         let s_ddd = s_dd.dot(d);
                         let td = mom.t.dot(d);
-                        let inv_r9 = inv_r7 / r2;
+                        let inv_r9 = inv_r7 * inv_r2;
                         let poly = 5.0 * s_ddd - 3.0 * td * r2;
                         potential -= 0.5 * g * poly * inv_r7;
                         accel += (s_dd * 15.0 - mom.t * (3.0 * r2) - d * (6.0 * td))
@@ -706,10 +724,10 @@ impl<'a> GravitySolver<'a> {
                     stats.p2p_interactions += 1;
                     let dj = point - pos[k as usize];
                     let r2 = dj.norm_sq() + eps2;
-                    let r = r2.sqrt();
-                    let gm = self.src_gm[k as usize];
-                    accel -= dj * (gm / (r2 * r));
-                    potential -= gm / r;
+                    let inv_r = 1.0 / r2.sqrt();
+                    let phi = self.src_gm[k as usize] * inv_r;
+                    accel -= dj * (phi * (inv_r * inv_r));
+                    potential -= phi;
                 }
             } else {
                 for &c in &node.children {

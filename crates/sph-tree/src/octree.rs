@@ -26,8 +26,13 @@ pub struct OctreeConfig {
 }
 
 impl Default for OctreeConfig {
+    /// Leaves of at most 24 particles: with the Evrard scenario's octupole
+    /// at θ 0.55, the cheapest point of the error–cost table in
+    /// `tests/force_error.rs` at the force error of the leaves of 32 and
+    /// quadrupole at θ 0.5 it replaced (≈ 6 particles per leaf on the
+    /// benchmark's Evrard state).
     fn default() -> Self {
-        OctreeConfig { max_leaf_size: 32 }
+        OctreeConfig { max_leaf_size: 24 }
     }
 }
 

@@ -40,6 +40,10 @@ impl ErrorStats {
     fn scaled(&self, factor: f64) -> ErrorStats {
         ErrorStats { median: self.median * factor, p99: self.p99 * factor, max: self.max * factor }
     }
+
+    fn row(&self) -> String {
+        format!("{:.2e} | {:.2e} | {:.2e}", self.median, self.p99, self.max)
+    }
 }
 
 /// Softened accelerations by direct summation over every other particle.
@@ -75,31 +79,38 @@ fn walk_errors(
     (ErrorStats::of(errors), stats.p2p_interactions as f64 / sys.len() as f64)
 }
 
-/// The Evrard scenario's registered gravity.
-fn evrard_gravity() -> GravityConfig {
-    EvrardScenario.init(Resolution::default()).gravity.expect("Evrard runs self-gravity")
+/// The gate's bounds: the force error on the gate cloud of the point this
+/// repository shipped before the error–cost table (leaf 32, quadrupole,
+/// θ 0.5, two divisions per pair; median 3.9706e-4, p99 1.5600e-3, max
+/// 2.1220e-3), rounded up in the fourth digit, each × 1.05.
+const GATE: ErrorStats =
+    ErrorStats { median: 3.971e-4 * 1.05, p99: 1.560e-3 * 1.05, max: 2.122e-3 * 1.05 };
+
+/// The gate cloud, the direct-summation accelerations on it, and the
+/// Evrard scenario's registered gravity.
+fn gate_cloud() -> (ParticleSystem, Vec<Vec3>, GravityConfig) {
+    let sys = evrard_collapse(&EvrardConfig { n_target: 4000, ..Default::default() });
+    let gcfg =
+        EvrardScenario.init(Resolution::default()).gravity.expect("Evrard runs self-gravity");
+    let exact = direct_accelerations(&sys.x, &sys.m, &gcfg);
+    (sys, exact, gcfg)
 }
 
-/// The force error of the production point on a 4 000-particle Evrard
-/// cloud may not grow. The bounds are the error of the point this
-/// repository shipped before the group walk (leaf 32, quadrupole, θ 0.5,
-/// two divisions per pair), each × 1.05: a change to the walk, the leaf
-/// size, the expansion order, θ or the pair arithmetic that spends
-/// accuracy fails here and has to move these bounds in a reviewed diff.
-/// θ 0.7 must fail them, so the gate can see a change of that size.
+/// The force error of the production point (`OctreeConfig::default()`
+/// and the Evrard scenario's `GravityConfig`) on a 4 000-particle Evrard
+/// cloud may not grow past [`GATE`]: a change to the walk, the leaf size,
+/// the expansion order, θ or the pair arithmetic that spends accuracy
+/// fails here and has to move the bounds in a reviewed diff. The point
+/// was chosen from the error–cost table below and passes them; θ 0.7 must
+/// fail them, so the gate sees a change of that size.
 #[test]
 fn evrard_force_error_stays_within_the_committed_bound() {
-    const PARENT: ErrorStats = ErrorStats { median: 3.971e-4, p99: 1.560e-3, max: 2.122e-3 };
-    let bound = PARENT.scaled(1.05);
-    let sys = evrard_collapse(&EvrardConfig { n_target: 4000, ..Default::default() });
-    let gcfg = evrard_gravity();
-    let exact = direct_accelerations(&sys.x, &sys.m, &gcfg);
+    let (sys, exact, gcfg) = gate_cloud();
     let (errors, _) = walk_errors(&sys, &exact, OctreeConfig::default(), gcfg);
-    println!("production point: {errors:?}");
-    assert!(errors.within(&bound), "force error {errors:?} exceeds the bound {bound:?}");
+    assert!(errors.within(&GATE), "force error {errors:?} exceeds the bound {GATE:?}");
     let loose = GravityConfig { theta: 0.7, ..gcfg };
     let (loose_errors, _) = walk_errors(&sys, &exact, OctreeConfig::default(), loose);
-    assert!(!loose_errors.within(&bound), "θ 0.7 ({loose_errors:?}) passes the bound {bound:?}");
+    assert!(!loose_errors.within(&GATE), "θ 0.7 ({loose_errors:?}) passes the bound {GATE:?}");
 }
 
 /// The Evrard state the benchmark's `evrard_gravity` workload times: its
@@ -116,20 +127,24 @@ fn evrard_state(n_target: usize, seed: u64) -> (ParticleSystem, GravityConfig) {
 
 /// Prints the error–cost table over leaf size × expansion order × θ: each
 /// cell's median, p99 and max relative force error against direct
-/// summation, its walk time (`GravitySolver::new` + `accelerations`, the
-/// benchmark's `sph-tree.gravity_walk_s`; median of `rounds`, cells
-/// interleaved) relative to the first row, and its P2P interactions per
-/// target. The first row is the point the repository shipped before the
-/// table (leaf 32, quadrupole, θ 0.5); the last line names the cheapest
-/// cell whose three errors are each within 5 % of that row's.
+/// summation on the benchmark's Evrard state, its walk time
+/// (`GravitySolver::new` + `accelerations`, the benchmark's
+/// `sph-tree.gravity_walk_s`; median of `rounds`, cells interleaved)
+/// relative to the first row, its P2P interactions per target, and
+/// whether it passes the tier-1 gate. The first row is the point the
+/// repository shipped before the table (leaf 32, quadrupole, θ 0.5); the
+/// last line names the cheapest cell whose three errors are each within
+/// 5 % of that row's and that passes the gate.
 fn error_cost_table(n_target: usize, rounds: usize) {
     let (sys, gcfg) = evrard_state(n_target, 20180911);
     let exact = direct_accelerations(&sys.x, &sys.m, &gcfg);
-    let mut cells = vec![(32, MultipoleOrder::Quadrupole, 0.5)];
+    let (gate_sys, gate_exact, _) = gate_cloud();
+    let first = (32, MultipoleOrder::Quadrupole, 0.5);
+    let mut cells = vec![first];
     for leaf in [16, 24, 32] {
         for order in [MultipoleOrder::Quadrupole, MultipoleOrder::Octupole] {
             for theta in [0.45, 0.5, 0.55, 0.6, 0.65] {
-                if (leaf, order, theta) != cells[0] {
+                if (leaf, order, theta) != first {
                     cells.push((leaf, order, theta));
                 }
             }
@@ -154,9 +169,12 @@ fn error_cost_table(n_target: usize, rounds: usize) {
         t[t.len() / 2]
     };
     let base_time = median(&mut times[0]);
-    println!("Evrard cloud, {} particles after 2 steps, ε {}", sys.len(), gcfg.softening);
-    println!("| leaf size | order | θ | walk time | median error | p99 error | max error | P2P per target |");
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("Evrard state: {} particles after 2 steps, ε {}", sys.len(), gcfg.softening);
+    println!(
+        "| leaf size | order | θ | walk time | median error | p99 error | max error | P2P per \
+         target | within 5 % | gate |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|---|");
     let mut bound = None;
     let mut cheapest: Option<(f64, String)> = None;
     for (cell, t) in cells.iter().zip(&mut times) {
@@ -164,18 +182,29 @@ fn error_cost_table(n_target: usize, rounds: usize) {
         let (errors, p2p) = walk_errors(&sys, &exact, leaf, g);
         assert!(errors.max.is_finite(), "{cell:?}: {errors:?}");
         let bound = *bound.get_or_insert(errors.scaled(1.05));
+        let within = errors.within(&bound);
+        let gate = walk_errors(&gate_sys, &gate_exact, leaf, g).0.within(&GATE);
         let ratio = median(t) / base_time;
-        let row = format!("{}, {:?}, {}", cell.0, cell.1, cell.2);
+        let (yes, no) = ("yes", "no");
         println!(
-            "| {} | {:?} | {} | ×{ratio:.2} | {:.2e} | {:.2e} | {:.2e} | {p2p:.0} |",
-            cell.0, cell.1, cell.2, errors.median, errors.p99, errors.max
+            "| {} | {:?} | {} | ×{ratio:.2} | {} | {p2p:.0} | {} | {} |",
+            cell.0,
+            cell.1,
+            cell.2,
+            errors.row(),
+            if within { yes } else { no },
+            if gate { yes } else { no }
         );
-        if errors.within(&bound) && cheapest.as_ref().is_none_or(|(best, _)| ratio < *best) {
-            cheapest = Some((ratio, row));
+        if within && gate && cheapest.as_ref().is_none_or(|(best, _)| ratio < *best) {
+            cheapest = Some((ratio, format!("leaf {}, {:?}, θ {}", cell.0, cell.1, cell.2)));
         }
     }
-    let (ratio, row) = cheapest.expect("the first row is within its own bound");
-    println!("cheapest within 5 % of the first row: {row} (×{ratio:.2})");
+    match cheapest {
+        Some((ratio, cell)) => {
+            println!("cheapest within 5 % and through the gate: {cell} (×{ratio:.2})")
+        }
+        None => println!("no cell is within 5 % and through the gate"),
+    }
 }
 
 #[test]

@@ -73,9 +73,9 @@ const GOLDENS: [(Workload, Policy, u64); 9] = [
     (Patch, Global, 0x049a1935acda0ea2),
     (Patch, Adaptive, 0x049a1935acda0ea2),
     (Patch, Individual, 0xa7cd9bdf3bbae3e8),
-    (Evrard, Global, 0xbee6f571610f95d6),
-    (Evrard, Adaptive, 0xbee6f571610f95d6),
-    (Evrard, Individual, 0x299bca636ba0b71b),
+    (Evrard, Global, 0x83c56fd90912cf62),
+    (Evrard, Adaptive, 0x83c56fd90912cf62),
+    (Evrard, Individual, 0xafd9ec47398c6567),
     (Sedov, Global, 0x7a2d6c92747cd42c),
     (Sedov, Adaptive, 0x7a2d6c92747cd42c),
     (Sedov, Individual, 0x1125689a62d882b2),
