@@ -81,7 +81,7 @@ fn weak_scaling_runs_and_rejects_a_bad_count() {
 fn pop_metrics_runs_and_rejects_an_unknown_test() {
     let out = assert_pinned(
         "pop_metrics --code sphynx --test evrard --particles 1500 --steps 1",
-        0x8378_ac67_4aed_1b1c,
+        0xbb52_8a90_09d6_c2ac,
     );
     assert!(out.contains("SPHYNX / Evrard") && !out.contains("/ Square"), "{out}");
     assert_rejected("pop_metrics --test evrad", "--test");
@@ -89,7 +89,7 @@ fn pop_metrics_runs_and_rejects_an_unknown_test() {
 
 #[test]
 fn trace_runs_and_rejects_a_bad_rank_count() {
-    let out = assert_pinned("trace --particles 1500 --steps 1", 0x6528_423e_bbea_a472);
+    let out = assert_pinned("trace --particles 1500 --steps 1", 0x4729_9af6_f3da_29d0);
     assert!(out.contains("Fig. 4 analogue") && out.contains("POP:"), "{out}");
     assert_rejected("trace --ranks x", "--ranks");
 }
@@ -97,7 +97,7 @@ fn trace_runs_and_rejects_a_bad_rank_count() {
 #[test]
 fn ablations_run_and_reject_an_unknown_flag() {
     // Ablation 4's wall-clock seconds go to stderr, so stdout is pinnable.
-    let out = assert_pinned("ablations --particles 1500", 0x112e_6480_6a2d_8bbb);
+    let out = assert_pinned("ablations --particles 1500", 0x592a_9868_9120_8fc8);
     assert!(out.contains("ablation 4"), "{out}");
     assert_rejected("ablations --fixed", "--fixed");
 }

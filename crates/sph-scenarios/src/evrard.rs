@@ -144,8 +144,8 @@ impl Scenario for EvrardScenario {
             viscosity: ViscosityConfig { alpha: 1.0, beta: 2.0, eta2: 0.01, balsara: true },
             ..Default::default()
         };
-        // The cheapest point of the error–cost table in
-        // `sph-tree/tests/force_error.rs` at the force error of the
+        // The cheapest point of the error–cost table in the workspace
+        // root's `tests/force_error.rs` at the force error of the
         // quadrupole θ 0.5 it replaced (with leaves of 24).
         let gravity =
             GravityConfig { g: 1.0, theta: 0.55, softening: 1e-2, order: MultipoleOrder::Octupole };

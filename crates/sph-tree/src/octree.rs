@@ -27,10 +27,12 @@ pub struct OctreeConfig {
 
 impl Default for OctreeConfig {
     /// Leaves of at most 24 particles: with the Evrard scenario's octupole
-    /// at θ 0.55, the cheapest point of the error–cost table in
-    /// `tests/force_error.rs` at the force error of the leaves of 32 and
-    /// quadrupole at θ 0.5 it replaced (≈ 6 particles per leaf on the
-    /// benchmark's Evrard state).
+    /// at θ 0.55, the cheapest point of the error–cost table in the
+    /// workspace root's `tests/force_error.rs` at the force error of the
+    /// leaves of 32 and quadrupole at θ 0.5 it replaced (≈ 6 particles per
+    /// leaf on the benchmark's Evrard state). Every gravity configuration
+    /// runs on this tree, so each chose its θ at this leaf size against its
+    /// own force error at leaves of 32 (see `GravityConfig::default`).
     fn default() -> Self {
         OctreeConfig { max_leaf_size: 24 }
     }
