@@ -14,7 +14,6 @@
 //! copied in or published back, and no ghost exists to refresh.
 
 use crate::distributed::{with_retry, ExchangeLog};
-use rayon::prelude::*;
 use sph_core::config::{GradientScheme, SphConfig};
 use sph_core::density::{compute_density, NeighborLists};
 use sph_core::eos::IdealGas;
@@ -25,10 +24,9 @@ use sph_core::volume::compute_volume_elements;
 use sph_core::StepStats;
 use sph_domain::exchange::{Exchange, ExchangeError, ExchangePath};
 use sph_kernels::{Kernel, SUPPORT_RADIUS};
-use sph_math::{Vec3, REDUCE_CHUNK};
+use sph_math::Vec3;
 use sph_profiler::Phase;
-use sph_tree::gravity::GravitySample;
-use sph_tree::{build_csr_lists, CellGrid, GravitySolver, TraversalStats};
+use sph_tree::{build_csr_lists, CellGrid, GravitySolver};
 use ExchangePoint::{Refresh, VerifyHaloThenRefresh};
 
 /// Per-particle fields that cross a rank boundary together: written from
@@ -489,98 +487,39 @@ fn closure_over_ghosts(
     gather.into_symmetrized_over_ghosts(&ws.active, ws.ids.len(), &ghost_ids, &ghost_rows)
 }
 
-/// The closure [`closure_over_ghosts`] replaced, kept as its oracle: a
-/// `Vec` per local particle, one ball query per ghost on the owned ∪
-/// ghost grid, then sort + dedup of every owned row.
-#[cfg(test)]
-fn closure_over_ghosts_reference(
-    sys: &ParticleSystem,
-    ws: &Workspace,
-    gather: &NeighborLists,
-    grid: &CellGrid,
-) -> NeighborLists {
-    let n_local = ws.ids.len();
-    // Only the active (owned) rows are ever consumed, so ghost rows are
-    // given no reverse edges.
-    let mut is_active = vec![false; n_local];
-    let mut sym: Vec<Vec<u32>> = vec![Vec::new(); n_local];
-    for (q, &k) in ws.active.iter().enumerate() {
-        is_active[k as usize] = true;
-        sym[k as usize] = gather.neighbors(q).to_vec();
-    }
-    let mut reverse = |k: u32, gather: &[u32]| {
-        for &j in gather {
-            if j != k && is_active[j as usize] {
-                sym[j as usize].push(k);
-            }
-        }
-    };
-    for (q, &k) in ws.active.iter().enumerate() {
-        reverse(k, gather.neighbors(q));
-    }
-    let mut ball = Vec::new();
-    let mut ts = TraversalStats::default();
-    for &(k, _) in &ws.ghosts {
-        let radius = SUPPORT_RADIUS * sys.h[k as usize];
-        ball.clear();
-        grid.neighbors_within(sys.x[k as usize], radius, &mut ball, &mut ts);
-        reverse(k, &ball);
-    }
-    let rows = ws
-        .active
-        .iter()
-        .map(|&k| {
-            let mut row = std::mem::take(&mut sym[k as usize]);
-            row.sort_unstable();
-            row.dedup();
-            row
-        })
-        .collect();
-    NeighborLists::from_lists(rows)
-}
-
 fn forces(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
     let pairs = compute_forces(sys, &ws.force_lists, env.kernel, env.config, &ws.active);
     StepStats { sph_interactions: pairs, ..StepStats::default() }
 }
 
-/// Field of the replicated tree at every active particle. Chunked map
-/// over fixed `REDUCE_CHUNK` boundaries + ordered scatter; inside a chunk
-/// `fields_at` walks groups of consecutive active particles, and each
-/// particle's sample and counters are those of its own walk, so neither
-/// the grouping nor the parallelism can change a bit. The per-particle
-/// interaction count is kept with each sample because it is the load
-/// measure the cluster model consumes.
+/// Field of the replicated tree at every active particle:
+/// `GravitySolver::fields_at` walks them in the solver's order and hands
+/// each particle's sample and counters back by its place in `active`. Each
+/// is that of a walk of its own, so neither the order, the grouping nor
+/// the parallelism can change a bit. The per-particle interaction count is
+/// kept with each sample because it is the load measure the cluster model
+/// consumes.
 fn gravity(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
     let Some(solver) = env.gravity else { return StepStats::default() };
-    /// Local index, field sample, interaction count.
-    type Row = (u32, GravitySample, u64);
-    let chunks: Vec<(Vec<Row>, TraversalStats)> = ws
-        .active
-        .par_chunks(REDUCE_CHUNK)
-        .map(|chunk| {
-            let mut chunk_stats = TraversalStats::default();
-            let mut rows = Vec::with_capacity(chunk.len());
-            solver.fields_at(
-                chunk.len(),
-                |i| (sys.x[chunk[i] as usize], Some(ws.global_id(chunk[i]))),
-                |i, sample, ts| {
-                    chunk_stats.merge(ts);
-                    rows.push((chunk[i], sample, ts.total_interactions()));
-                },
-            );
-            (rows, chunk_stats)
-        })
-        .collect();
+    let (active, ids) = (&ws.active, &ws.ids);
+    let mut potentials = vec![0.0; active.len()];
+    let mut work = vec![0; active.len()];
     let mut stats = StepStats::default();
-    for (rows, chunk_stats) in chunks {
-        stats.gravity.merge(&chunk_stats);
-        for (k, sample, work) in rows {
-            sys.a[k as usize] += sample.accel;
-            ws.potentials.push(sample.potential);
-            ws.gravity_work.push(work);
-        }
-    }
+    let (x, a) = (&sys.x, &mut sys.a);
+    solver.fields_at(
+        active.len(),
+        |q| {
+            let k = active[q];
+            (x[k as usize], ids.get(k as usize).copied().unwrap_or(k))
+        },
+        |q, sample, ts| {
+            stats.gravity.merge(ts);
+            a[active[q] as usize] += sample.accel;
+            potentials[q] = sample.potential;
+            work[q] = ts.total_interactions();
+        },
+    );
+    (ws.potentials, ws.gravity_work) = (potentials, work);
     stats
 }
 
@@ -590,7 +529,7 @@ mod tests {
     use crate::distributed::bucket_owned;
     use sph_domain::{halo_sets, Partitioner, SfcKind};
     use sph_math::{Aabb, Mat3, Periodicity, SplitMix64};
-    use sph_tree::{GravityConfig, Octree, OctreeConfig};
+    use sph_tree::{GravityConfig, Octree, OctreeConfig, TraversalStats};
 
     const PARTITIONERS: [Partitioner; 3] =
         [Partitioner::Orb, Partitioner::Sfc(SfcKind::Hilbert), Partitioner::Slab { axis: 0 }];
@@ -618,6 +557,55 @@ mod tests {
         let centers: Vec<Vec3> = ids.iter().map(|&k| sys.x[k as usize]).collect();
         let radii: Vec<f64> = ids.iter().map(|&k| SUPPORT_RADIUS * sys.h[k as usize]).collect();
         build_csr_lists(grid, &centers, &radii).0
+    }
+
+    /// The closure [`closure_over_ghosts`] replaced, kept as its oracle: a
+    /// `Vec` per local particle, one ball query per ghost on the owned ∪
+    /// ghost grid, then sort + dedup of every owned row.
+    fn closure_over_ghosts_reference(
+        sys: &ParticleSystem,
+        ws: &Workspace,
+        gather: &NeighborLists,
+        grid: &CellGrid,
+    ) -> NeighborLists {
+        let n_local = ws.ids.len();
+        // Only the active (owned) rows are ever consumed, so ghost rows are
+        // given no reverse edges.
+        let mut is_active = vec![false; n_local];
+        let mut sym: Vec<Vec<u32>> = vec![Vec::new(); n_local];
+        for (q, &k) in ws.active.iter().enumerate() {
+            is_active[k as usize] = true;
+            sym[k as usize] = gather.neighbors(q).to_vec();
+        }
+        let mut reverse = |k: u32, gather: &[u32]| {
+            for &j in gather {
+                if j != k && is_active[j as usize] {
+                    sym[j as usize].push(k);
+                }
+            }
+        };
+        for (q, &k) in ws.active.iter().enumerate() {
+            reverse(k, gather.neighbors(q));
+        }
+        let mut ball = Vec::new();
+        let mut ts = TraversalStats::default();
+        for &(k, _) in &ws.ghosts {
+            let radius = SUPPORT_RADIUS * sys.h[k as usize];
+            ball.clear();
+            grid.neighbors_within(sys.x[k as usize], radius, &mut ball, &mut ts);
+            reverse(k, &ball);
+        }
+        let rows = ws
+            .active
+            .iter()
+            .map(|&k| {
+                let mut row = std::mem::take(&mut sym[k as usize]);
+                row.sort_unstable();
+                row.dedup();
+                row
+            })
+            .collect();
+        NeighborLists::from_lists(rows)
     }
 
     #[test]

@@ -302,100 +302,6 @@ fn segment_rows(s: usize, n: usize) -> std::ops::Range<usize> {
     s * REDUCE_CHUNK..((s + 1) * REDUCE_CHUNK).min(n)
 }
 
-/// Every reverse edge `(target row, source id)` of the forward rows and
-/// the ghosts' gather sets, sources in ascending id — so the edges of one
-/// target arrive ascending. `id_of(q)` is the particle of row `q`,
-/// `row_of(id)` the row of a particle (`None`: it has none).
-#[cfg(test)]
-fn for_each_reverse_edge(
-    forward: &NeighborLists,
-    id_of: &impl Fn(usize) -> u32,
-    row_of: &impl Fn(u32) -> Option<usize>,
-    ghost_ids: &[u32],
-    ghost_rows: &NeighborLists,
-    mut emit: impl FnMut(usize, u32),
-) {
-    let n = forward.query_count();
-    let (mut q, mut g) = (0, 0);
-    while q < n || g < ghost_ids.len() {
-        if g == ghost_ids.len() || (q < n && id_of(q) < ghost_ids[g]) {
-            let k = id_of(q);
-            for &j in forward.neighbors(q) {
-                if j != k {
-                    if let Some(target) = row_of(j) {
-                        emit(target, k);
-                    }
-                }
-            }
-            q += 1;
-        } else {
-            for &target in ghost_rows.neighbors(g) {
-                emit(target as usize, ghost_ids[g]);
-            }
-            g += 1;
-        }
-    }
-}
-
-/// The closure `close_in_place` replaced, kept as its oracle: count →
-/// prefix-sum → scatter the reverse edges into a CSR whose rows are born
-/// ascending, then merge-union each forward row with its reverse row.
-#[cfg(test)]
-fn symmetric_closure(
-    forward: &NeighborLists,
-    id_of: impl Fn(usize) -> u32,
-    row_of: impl Fn(u32) -> Option<usize>,
-    ghost_ids: &[u32],
-    ghost_rows: &NeighborLists,
-) -> NeighborLists {
-    let n = forward.query_count();
-    // Reverse-edge degrees: how many k ≠ j list j as a neighbour.
-    let mut rev_off = vec![0u32; n + 1];
-    for_each_reverse_edge(forward, &id_of, &row_of, ghost_ids, ghost_rows, |target, _| {
-        rev_off[target + 1] += 1;
-    });
-    for j in 0..n {
-        rev_off[j + 1] += rev_off[j];
-    }
-    let mut rev_idx = vec![0u32; rev_off[n] as usize];
-    let mut cursor = rev_off[..n].to_vec();
-    for_each_reverse_edge(forward, &id_of, &row_of, ghost_ids, ghost_rows, |target, k| {
-        let c = &mut cursor[target];
-        rev_idx[*c as usize] = k;
-        *c += 1;
-    });
-    // Merge-union each forward row with its (sorted) reverse row.
-    let rows = (0..n)
-        .map(|k| {
-            let a = forward.neighbors(k);
-            let b = &rev_idx[rev_off[k] as usize..rev_off[k + 1] as usize];
-            let mut row = Vec::with_capacity(a.len() + b.len());
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => {
-                        row.push(a[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        row.push(b[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        row.push(a[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            row.extend_from_slice(&a[i..]);
-            row.extend_from_slice(&b[j..]);
-            row
-        })
-        .collect();
-    NeighborLists { closure: true, ..NeighborLists::from_lists(rows) }
-}
-
 /// Soft cap on the total cell count, as a multiple of the particle count:
 /// finer grids than ~one particle per cell only add empty-cell scan
 /// overhead and bloat the `cell_offsets` array.
@@ -770,6 +676,98 @@ pub fn build_csr_lists(
 mod tests {
     use super::*;
     use sph_math::{Aabb, SplitMix64};
+
+    /// Every reverse edge `(target row, source id)` of the forward rows and
+    /// the ghosts' gather sets, sources in ascending id — so the edges of one
+    /// target arrive ascending. `id_of(q)` is the particle of row `q`,
+    /// `row_of(id)` the row of a particle (`None`: it has none).
+    fn for_each_reverse_edge(
+        forward: &NeighborLists,
+        id_of: &impl Fn(usize) -> u32,
+        row_of: &impl Fn(u32) -> Option<usize>,
+        ghost_ids: &[u32],
+        ghost_rows: &NeighborLists,
+        mut emit: impl FnMut(usize, u32),
+    ) {
+        let n = forward.query_count();
+        let (mut q, mut g) = (0, 0);
+        while q < n || g < ghost_ids.len() {
+            if g == ghost_ids.len() || (q < n && id_of(q) < ghost_ids[g]) {
+                let k = id_of(q);
+                for &j in forward.neighbors(q) {
+                    if j != k {
+                        if let Some(target) = row_of(j) {
+                            emit(target, k);
+                        }
+                    }
+                }
+                q += 1;
+            } else {
+                for &target in ghost_rows.neighbors(g) {
+                    emit(target as usize, ghost_ids[g]);
+                }
+                g += 1;
+            }
+        }
+    }
+
+    /// The closure `close_in_place` replaced, kept as its oracle: count →
+    /// prefix-sum → scatter the reverse edges into a CSR whose rows are born
+    /// ascending, then merge-union each forward row with its reverse row.
+    fn symmetric_closure(
+        forward: &NeighborLists,
+        id_of: impl Fn(usize) -> u32,
+        row_of: impl Fn(u32) -> Option<usize>,
+        ghost_ids: &[u32],
+        ghost_rows: &NeighborLists,
+    ) -> NeighborLists {
+        let n = forward.query_count();
+        // Reverse-edge degrees: how many k ≠ j list j as a neighbour.
+        let mut rev_off = vec![0u32; n + 1];
+        for_each_reverse_edge(forward, &id_of, &row_of, ghost_ids, ghost_rows, |target, _| {
+            rev_off[target + 1] += 1;
+        });
+        for j in 0..n {
+            rev_off[j + 1] += rev_off[j];
+        }
+        let mut rev_idx = vec![0u32; rev_off[n] as usize];
+        let mut cursor = rev_off[..n].to_vec();
+        for_each_reverse_edge(forward, &id_of, &row_of, ghost_ids, ghost_rows, |target, k| {
+            let c = &mut cursor[target];
+            rev_idx[*c as usize] = k;
+            *c += 1;
+        });
+        // Merge-union each forward row with its (sorted) reverse row.
+        let rows = (0..n)
+            .map(|k| {
+                let a = forward.neighbors(k);
+                let b = &rev_idx[rev_off[k] as usize..rev_off[k + 1] as usize];
+                let mut row = Vec::with_capacity(a.len() + b.len());
+                let (mut i, mut j) = (0, 0);
+                while i < a.len() && j < b.len() {
+                    match a[i].cmp(&b[j]) {
+                        std::cmp::Ordering::Less => {
+                            row.push(a[i]);
+                            i += 1;
+                        }
+                        std::cmp::Ordering::Greater => {
+                            row.push(b[j]);
+                            j += 1;
+                        }
+                        std::cmp::Ordering::Equal => {
+                            row.push(a[i]);
+                            i += 1;
+                            j += 1;
+                        }
+                    }
+                }
+                row.extend_from_slice(&a[i..]);
+                row.extend_from_slice(&b[j..]);
+                row
+            })
+            .collect();
+        NeighborLists { closure: true, ..NeighborLists::from_lists(rows) }
+    }
 
     fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
         let mut rng = SplitMix64::new(seed);

@@ -183,14 +183,44 @@ struct Group {
     stats: [TraversalStats; GROUP],
 }
 
-/// Targets packed into lanes `0..n` for one node, so that a loop over
-/// the lanes has no iteration that depends on another: each lane's group
-/// index, a point and a key, and its running sums. At a leaf the point is
-/// the target's position and the key the offset of its skipped slot inside
-/// the leaf (a float, so the pair loop compares at the width of the sums;
-/// −1 when the slot lies elsewhere). At an accepted cell the point is the
-/// target's offset from the cell's centre of mass and the key its squared
-/// length.
+impl Group {
+    fn new() -> Group {
+        Group {
+            len: 0,
+            x: [0.0; GROUP],
+            y: [0.0; GROUP],
+            z: [0.0; GROUP],
+            skip: [usize::MAX; GROUP],
+            ax: [0.0; GROUP],
+            ay: [0.0; GROUP],
+            az: [0.0; GROUP],
+            pot: [0.0; GROUP],
+            stats: [TraversalStats::default(); GROUP],
+        }
+    }
+
+    /// Add a target at `point` that leaves out Morton slot `skip`.
+    fn push(&mut self, point: Vec3, skip: usize) {
+        let t = self.len;
+        (self.x[t], self.y[t], self.z[t], self.skip[t]) = (point.x, point.y, point.z, skip);
+        self.len += 1;
+    }
+
+    fn sample(&self, t: usize) -> GravitySample {
+        GravitySample {
+            accel: Vec3::new(self.ax[t], self.ay[t], self.az[t]),
+            potential: self.pot[t],
+        }
+    }
+}
+
+/// Targets packed into lanes `0..n` for one node or run of leaves, so that
+/// a loop over the lanes has no iteration that depends on another: each
+/// lane's group index, a point and a key, and its running sums. At leaves
+/// the point is the target's position and the key the Morton slot it
+/// leaves out (a float, so the pair loop compares at the width of the
+/// sums; −1 for none). At an accepted cell the point is the target's
+/// offset from the cell's centre of mass and the key its squared length.
 struct Lanes {
     n: usize,
     target: [usize; GROUP],
@@ -230,6 +260,20 @@ impl Lanes {
         self.n += 1;
     }
 
+    /// The lane count rounded up to even: an odd count gets one more lane,
+    /// a copy of lane 0 that leaves out nothing, whose sums are never
+    /// unpacked. A pair loop over an even count has no odd lane left over
+    /// for a scalar tail. (`GROUP` is even, so there is always room.)
+    fn padded(&mut self) -> usize {
+        let n = self.n;
+        if n % 2 == 1 {
+            (self.x[n], self.y[n], self.z[n], self.key[n]) =
+                (self.x[0], self.y[0], self.z[0], -1.0);
+            (self.ax[n], self.ay[n], self.az[n], self.pot[n]) = (0.0, 0.0, 0.0, 0.0);
+        }
+        n + n % 2
+    }
+
     /// Write the lanes' sums back to their targets and empty the lanes.
     fn unpack(&mut self, group: &mut Group) {
         for j in 0..self.n {
@@ -241,13 +285,20 @@ impl Lanes {
     }
 
     /// Subtract the terms of the source `[x, y, z, g·m]` in slot `slot`
-    /// from every lane's sums, except where it is the lane's own. A method
-    /// of its own so the compiler sees the lanes' arrays apart and runs the
-    /// loop in vector registers.
+    /// from the sums of lanes `0..n`. With `OWN` a lane whose key is `slot`
+    /// (the source is the particle it leaves out) takes `+0.0` instead;
+    /// without, no lane's key is looked at. A method of its own so the
+    /// compiler sees the lanes' arrays apart and runs the loop in vector
+    /// registers.
     #[inline(always)]
-    fn subtract_pair_terms(&mut self, source: [f64; 4], slot: f64, eps2: f64) {
+    fn subtract_pair_terms<const OWN: bool>(
+        &mut self,
+        n: usize,
+        source: [f64; 4],
+        slot: f64,
+        eps2: f64,
+    ) {
         let [sx, sy, sz, gm] = source;
-        let n = self.n;
         let (x, y, z, own) = (&self.x[..n], &self.y[..n], &self.z[..n], &self.key[..n]);
         let (ax, ay, az, pot) =
             (&mut self.ax[..n], &mut self.ay[..n], &mut self.az[..n], &mut self.pot[..n]);
@@ -258,14 +309,21 @@ impl Lanes {
             let inv_r = 1.0 / r2.sqrt();
             let phi = gm * inv_r;
             let f = phi * (inv_r * inv_r);
-            // All ones, or all zeros on the lane's own slot: its terms
-            // become +0.0 without a branch in the lane loop.
-            let keep = u64::from(own[j] != slot).wrapping_neg();
-            let term = |t: f64| f64::from_bits(t.to_bits() & keep);
-            ax[j] -= term(dx * f);
-            ay[j] -= term(dy * f);
-            az[j] -= term(dz * f);
-            pot[j] -= term(phi);
+            if OWN {
+                // All ones, or all zeros on the lane's own slot: its terms
+                // become +0.0 without a branch in the lane loop.
+                let keep = u64::from(own[j] != slot).wrapping_neg();
+                let term = |t: f64| f64::from_bits(t.to_bits() & keep);
+                ax[j] -= term(dx * f);
+                ay[j] -= term(dy * f);
+                az[j] -= term(dz * f);
+                pot[j] -= term(phi);
+            } else {
+                ax[j] -= dx * f;
+                ay[j] -= dy * f;
+                az[j] -= dz * f;
+                pot[j] -= phi;
+            }
         }
     }
 }
@@ -456,54 +514,60 @@ impl<'a> GravitySolver<'a> {
         skip: Option<u32>,
         stats: &mut TraversalStats,
     ) -> GravitySample {
-        let mut sample = GravitySample { accel: Vec3::ZERO, potential: 0.0 };
-        self.fields_at(
-            1,
-            |_| (point, skip),
-            |_, s, st| {
-                sample = s;
-                stats.merge(st);
-            },
-        );
-        sample
+        let mut group = Group::new();
+        group.push(point, skip.map_or(usize::MAX, |i| self.slot(i)));
+        self.walk_group(&mut group);
+        stats.merge(&group.stats[0]);
+        group.sample(0)
     }
 
-    /// The field at `n` targets, `GROUP` consecutive targets per traversal:
-    /// target `i` sits at `target(i).0` and leaves out the particle with
-    /// original index `target(i).1`, and `emit(i, sample, stats)` receives
-    /// its sample and its own counters, in target order. Each target gets
-    /// exactly the terms, the order and the counters of a walk of its own,
-    /// so how targets are grouped cannot change a bit. Allocation-free.
+    /// Morton slot of the particle with original index `i` (`usize::MAX`
+    /// for an index no particle has).
+    fn slot(&self, i: u32) -> usize {
+        self.slot_of.get(i as usize).map_or(usize::MAX, |&k| k as usize)
+    }
+
+    /// The field at `n` targets: target `i` sits at `target(i).0` and is the
+    /// particle with original index `target(i).1`, which it leaves out (an
+    /// index no particle has leaves out nothing). `emit(i, sample, stats)`
+    /// receives its sample and its own counters, once per target.
+    ///
+    /// The walk order is the solver's: targets are sorted by the Morton
+    /// slot of their own particle, the sorted order is cut into fixed
+    /// `REDUCE_CHUNK` chunks that run in parallel, and each chunk walks
+    /// `GROUP` consecutive targets per traversal, so a group holds targets
+    /// that sit close together and walk much of the tree alike. Each target
+    /// gets exactly the terms, the order and the counters of a walk of its
+    /// own, so neither the order, the grouping nor the thread count can
+    /// change a bit. Allocates the sorted order and the chunks' samples.
     pub fn fields_at(
         &self,
         n: usize,
-        target: impl Fn(usize) -> (Vec3, Option<u32>),
+        target: impl Fn(usize) -> (Vec3, u32) + Sync,
         mut emit: impl FnMut(usize, GravitySample, &TraversalStats),
     ) {
-        for first in (0..n).step_by(GROUP) {
-            let mut group = Group {
-                len: GROUP.min(n - first),
-                x: [0.0; GROUP],
-                y: [0.0; GROUP],
-                z: [0.0; GROUP],
-                skip: [usize::MAX; GROUP],
-                ax: [0.0; GROUP],
-                ay: [0.0; GROUP],
-                az: [0.0; GROUP],
-                pot: [0.0; GROUP],
-                stats: [TraversalStats::default(); GROUP],
-            };
-            for t in 0..group.len {
-                let (point, skip) = target(first + t);
-                (group.x[t], group.y[t], group.z[t]) = (point.x, point.y, point.z);
-                group.skip[t] = skip
-                    .and_then(|i| self.slot_of.get(i as usize))
-                    .map_or(usize::MAX, |&k| k as usize);
-            }
-            self.walk_group(&mut group);
-            for t in 0..group.len {
-                let accel = Vec3::new(group.ax[t], group.ay[t], group.az[t]);
-                emit(first + t, GravitySample { accel, potential: group.pot[t] }, &group.stats[t]);
+        assert!(u32::try_from(n).is_ok(), "{n} targets overflow u32 indices");
+        let slot = |i: u32| self.slot(target(i as usize).1);
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by_key(|&i| (slot(i), i));
+        let chunks: Vec<Vec<(GravitySample, TraversalStats)>> = order
+            .par_chunks(REDUCE_CHUNK)
+            .map(|chunk| {
+                let mut out = Vec::with_capacity(chunk.len());
+                for members in chunk.chunks(GROUP) {
+                    let mut group = Group::new();
+                    for &i in members {
+                        group.push(target(i as usize).0, slot(i));
+                    }
+                    self.walk_group(&mut group);
+                    out.extend((0..group.len).map(|t| (group.sample(t), group.stats[t])));
+                }
+                out
+            })
+            .collect();
+        for (chunk, samples) in order.chunks(REDUCE_CHUNK).zip(&chunks) {
+            for (&i, (sample, stats)) in chunk.iter().zip(samples) {
+                emit(i as usize, *sample, stats);
             }
         }
     }
@@ -525,11 +589,20 @@ impl<'a> GravitySolver<'a> {
             top -= 1;
             let (ni, mask) = stack[top];
             let node = &self.walk[ni as usize];
-            if node.mass <= 0.0 {
+            if node.is_leaf() {
+                // The leaves popped right after this one for the same
+                // targets join it: one run, one lane pack.
+                let last = top;
+                while top > 0
+                    && stack[top - 1].1 == mask
+                    && self.walk[stack[top - 1].0 as usize].is_leaf()
+                {
+                    top -= 1;
+                }
+                self.open_leaves(&stack[top..=last], mask, group, &mut lanes);
                 continue;
             }
-            if node.is_leaf() {
-                self.open_leaf(node, mask, group, &mut lanes);
+            if node.mass <= 0.0 {
                 continue;
             }
             let children = &self.children[node.first_child as usize..node.last_child as usize];
@@ -629,31 +702,59 @@ impl<'a> GravitySolver<'a> {
         }
     }
 
-    /// Every pair of `leaf` for the targets in `mask`. The targets are packed
-    /// into lanes and the slots run outermost, so each target's sums take
-    /// the leaf's terms one slot at a time in slot order, exactly as a walk
-    /// of its own would; its own slot contributes `+0.0`, which leaves a sum
-    /// unchanged because a sum that starts at `+0.0` is never `−0.0`.
-    fn open_leaf(&self, leaf: &WalkNode, mask: u32, group: &mut Group, lanes: &mut Lanes) {
-        let eps2 = self.config.softening * self.config.softening;
-        let slots = leaf.start as usize..leaf.end as usize;
-        let len = slots.len();
-        for t in targets(mask) {
-            let own = group.skip[t].wrapping_sub(slots.start);
-            group.stats[t].p2p_interactions += (len - usize::from(own < len)) as u64;
-            let point = Vec3::new(group.x[t], group.y[t], group.z[t]);
-            lanes.push(group, t, point, if own < len { own as f64 } else { -1.0 });
+    /// Every pair of a run of leaves for the targets in `mask`. `run` holds
+    /// stack entries, so the leaves are taken from its end, in pop order;
+    /// massless leaves are passed over, as a walk of its own passes over
+    /// them. The targets are packed into lanes once and the slots run
+    /// outermost, so each target's sums take the run's terms one leaf at a
+    /// time, each leaf's slots ascending, exactly as a walk of its own
+    /// would. A leaf that holds a lane's own slot runs the masked loop, in
+    /// which that slot contributes `+0.0` to that lane (leaving its sums
+    /// unchanged, because a sum that starts at `+0.0` is never `−0.0`);
+    /// every other leaf runs the loop without the mask.
+    fn open_leaves(&self, run: &[(u32, u32)], mask: u32, group: &mut Group, lanes: &mut Lanes) {
+        let leaves = || {
+            run.iter().rev().map(|&(ni, _)| &self.walk[ni as usize]).filter(|leaf| leaf.mass > 0.0)
+        };
+        if leaves().next().is_none() {
+            return;
         }
-        let sources = self.src_x[slots.clone()]
-            .iter()
-            .zip(&self.src_y[slots.clone()])
-            .zip(&self.src_z[slots.clone()])
-            .zip(&self.src_gm[slots]);
-        // FROZEN: each target's sums take the leaf's pair terms one slot
-        // at a time in Morton-slot order, its own slot left out; part of
-        // the gravity bit-identity contract.
-        for (k, (((&sx, &sy), &sz), &gm)) in sources.enumerate() {
-            lanes.subtract_pair_terms([sx, sy, sz, gm], k as f64, eps2);
+        let eps2 = self.config.softening * self.config.softening;
+        // The lanes' own slots lie in `own_lo..=own_hi` (empty if none).
+        let (mut own_lo, mut own_hi) = (usize::MAX, 0);
+        for t in targets(mask) {
+            let own = group.skip[t];
+            let mut pairs = 0;
+            for leaf in leaves() {
+                let slots = leaf.start as usize..leaf.end as usize;
+                pairs += slots.len() - usize::from(slots.contains(&own));
+            }
+            group.stats[t].p2p_interactions += pairs as u64;
+            let key = if own == usize::MAX {
+                -1.0
+            } else {
+                (own_lo, own_hi) = (own_lo.min(own), own_hi.max(own));
+                own as f64
+            };
+            lanes.push(group, t, Vec3::new(group.x[t], group.y[t], group.z[t]), key);
+        }
+        let n = lanes.padded();
+        for leaf in leaves() {
+            let slots = leaf.start as usize..leaf.end as usize;
+            let source = |k: usize| [self.src_x[k], self.src_y[k], self.src_z[k], self.src_gm[k]];
+            // FROZEN: each target's sums take the run's pair terms one
+            // leaf at a time in pop order, each leaf's slots ascending,
+            // its own slot left out; part of the gravity bit-identity
+            // contract.
+            if own_lo < slots.end && slots.start <= own_hi {
+                for k in slots {
+                    lanes.subtract_pair_terms::<true>(n, source(k), k as f64, eps2);
+                }
+            } else {
+                for k in slots {
+                    lanes.subtract_pair_terms::<false>(n, source(k), 0.0, eps2);
+                }
+            }
         }
         lanes.unpack(group);
     }
@@ -748,35 +849,20 @@ impl<'a> GravitySolver<'a> {
     }
 
     /// Accelerations and potentials at every particle position, in original
-    /// particle order, skipping self-interaction. Parallel over targets.
+    /// particle order, skipping self-interaction: [`GravitySolver::fields_at`]
+    /// with particle `i` as target `i`.
     pub fn accelerations(&self, positions: &[Vec3]) -> (Vec<GravitySample>, TraversalStats) {
         assert_eq!(positions.len(), self.tree.len());
-        // Chunked map (fixed REDUCE_CHUNK boundaries, groups inside them) +
-        // ordered reduce of the per-chunk traversal counters.
-        let chunks: Vec<(Vec<GravitySample>, TraversalStats)> = positions
-            .par_chunks(REDUCE_CHUNK)
-            .enumerate()
-            .map(|(c, chunk)| {
-                let base = c * REDUCE_CHUNK;
-                let mut stats = TraversalStats::default();
-                let mut samples = Vec::with_capacity(chunk.len());
-                self.fields_at(
-                    chunk.len(),
-                    |off| (chunk[off], Some((base + off) as u32)),
-                    |_, sample, st| {
-                        stats.merge(st);
-                        samples.push(sample);
-                    },
-                );
-                (samples, stats)
-            })
-            .collect();
+        let mut out = vec![GravitySample { accel: Vec3::ZERO, potential: 0.0 }; positions.len()];
         let mut merged = TraversalStats::default();
-        let mut out = Vec::with_capacity(positions.len());
-        for (samples, stats) in chunks {
-            merged.merge(&stats);
-            out.extend(samples);
-        }
+        self.fields_at(
+            positions.len(),
+            |i| (positions[i], i as u32),
+            |i, sample, stats| {
+                out[i] = sample;
+                merged.merge(stats);
+            },
+        );
         (out, merged)
     }
 }
@@ -1078,23 +1164,19 @@ mod tests {
         }
     }
 
-    /// `fields_at` over `targets` against the per-target oracle: every bit
-    /// of every sample and every counter.
-    fn assert_group_matches_reference(
-        solver: &GravitySolver,
-        targets: &[(Vec3, Option<u32>)],
-        what: &str,
-    ) {
-        let mut emitted = 0;
+    /// `fields_at` over `targets` (position, own particle) against the
+    /// per-target oracle: every bit of every sample and every counter, and
+    /// each target emitted once.
+    fn assert_group_matches_reference(solver: &GravitySolver, targets: &[(Vec3, u32)], what: &str) {
+        let mut emitted = vec![false; targets.len()];
         solver.fields_at(
             targets.len(),
             |i| targets[i],
             |i, got, stats| {
-                assert_eq!(i, emitted, "{what}: targets emitted out of order");
-                emitted += 1;
-                let (point, skip) = targets[i];
+                assert!(!std::mem::replace(&mut emitted[i], true), "{what}: target {i} twice");
+                let (point, own) = targets[i];
                 let mut stats_ref = TraversalStats::default();
-                let want = solver.field_at_reference(point, skip, &mut stats_ref);
+                let want = solver.field_at_reference(point, Some(own), &mut stats_ref);
                 for (name, a, b) in [
                     ("accel.x", got.accel.x, want.accel.x),
                     ("accel.y", got.accel.y, want.accel.y),
@@ -1106,7 +1188,7 @@ mod tests {
                 assert_eq!(*stats, stats_ref, "{what}, target {i}: traversal counters");
             },
         );
-        assert_eq!(emitted, targets.len(), "{what}: targets emitted");
+        assert!(emitted.iter().all(|&e| e), "{what}: a target was not emitted");
     }
 
     #[test]
@@ -1121,29 +1203,37 @@ mod tests {
                 {
                     let solver = build_solver(&tree, masses, 0.5, order);
                     for size in 1..=GROUP {
-                        // Consecutive particles; each skips itself (a slot
-                        // inside the group), a particle far from the
-                        // group (a slot outside it), or nothing.
+                        // Consecutive particles; each is itself (a slot
+                        // inside the group), a particle far from the group
+                        // (a slot outside it), or an index no particle has.
                         let first = (size * 17) % (n - GROUP);
-                        let targets: Vec<(Vec3, Option<u32>)> = (first..first + size)
+                        let targets: Vec<(Vec3, u32)> = (first..first + size)
                             .map(|i| {
-                                let skip = match i % 3 {
-                                    0 => Some(i as u32),
-                                    1 => Some(((i + n / 2) % n) as u32),
-                                    _ => None,
+                                let own = match i % 3 {
+                                    0 => i,
+                                    1 => (i + n / 2) % n,
+                                    _ => n + i,
                                 };
-                                (pos[i], skip)
+                                (pos[i], own as u32)
                             })
                             .collect();
                         let what = format!("{cloud} leaf {max_leaf_size} {order:?} size {size}");
                         assert_group_matches_reference(&solver, &targets, &what);
                     }
-                    // Several groups, the last one partial, and every
-                    // particle through `accelerations`.
-                    let all: Vec<(Vec3, Option<u32>)> =
-                        pos.iter().enumerate().map(|(i, &p)| (p, Some(i as u32))).collect();
+                    // Every particle, in id order and in a scrambled order
+                    // (several chunks of Morton-sorted groups, the last one
+                    // partial), and through `accelerations`.
+                    let all: Vec<(Vec3, u32)> =
+                        pos.iter().enumerate().map(|(i, &p)| (p, i as u32)).collect();
                     let what = format!("{cloud} leaf {max_leaf_size} {order:?} all");
                     assert_group_matches_reference(&solver, &all, &what);
+                    let scrambled: Vec<(Vec3, u32)> =
+                        (0..n).map(|i| all[(i * 7 + 3) % n]).chain(all[..5].to_vec()).collect();
+                    assert_group_matches_reference(
+                        &solver,
+                        &scrambled,
+                        &format!("{what} scrambled"),
+                    );
                     let (samples, stats) = solver.accelerations(pos);
                     let mut stats_ref = TraversalStats::default();
                     for (i, s) in samples.iter().enumerate() {
@@ -1156,6 +1246,91 @@ mod tests {
                         );
                     }
                     assert_eq!(stats, stats_ref, "{what}: accelerations() counters");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fields_at_walks_targets_in_morton_groups() {
+        // Targets given in reverse Morton order: the walk must regroup them
+        // (the solver's order), and still hand each one back by its index.
+        let (pos, masses) = condensed_system(3 * REDUCE_CHUNK + 40, 91);
+        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig::default());
+        let solver = build_solver(&tree, &masses, 0.55, MultipoleOrder::Octupole);
+        let reversed: Vec<(Vec3, u32)> =
+            tree.order().iter().rev().map(|&i| (pos[i as usize], i)).collect();
+        assert_group_matches_reference(&solver, &reversed, "reverse Morton order");
+    }
+
+    /// Leaves that are consecutive children of one internal node, in the
+    /// compact child list: the runs a group walk batches. Returns
+    /// `(first leaf, second leaf)` node indices of every such pair.
+    fn sibling_leaf_pairs(solver: &GravitySolver) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for node in solver.walk.iter().filter(|n| !n.is_leaf()) {
+            let kids = &solver.children[node.first_child as usize..node.last_child as usize];
+            for w in kids.windows(2) {
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                if solver.walk[a].is_leaf() && solver.walk[b].is_leaf() {
+                    pairs.push((a, b));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn leaf_runs_with_massless_leaves_and_own_slots_match_the_reference() {
+        // Massless particles in a ball inside the cloud make whole leaves
+        // massless; a run of sibling leaves that holds one of them must
+        // pass over it as the per-target walk does. Targets sit in batched
+        // leaves (their own slot in the run) and in groups of every lane
+        // count, odd and even.
+        let (pos, mut masses) = random_system(2000, 93);
+        for (p, m) in pos.iter().zip(&mut masses) {
+            if p.dist_sq(Vec3::splat(0.3)) < 0.25 * 0.25 {
+                *m = 0.0;
+            }
+        }
+        for max_leaf_size in [1, 8, 24] {
+            let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig { max_leaf_size });
+            for order in
+                [MultipoleOrder::Monopole, MultipoleOrder::Quadrupole, MultipoleOrder::Octupole]
+            {
+                let solver = build_solver(&tree, &masses, 0.5, order);
+                let what = format!("leaf {max_leaf_size} {order:?}");
+                let pairs = sibling_leaf_pairs(&solver);
+                let massless = |ni: usize| solver.walk[ni].mass <= 0.0;
+                let (a, b) = *pairs
+                    .iter()
+                    .find(|&&(a, b)| massless(a) != massless(b))
+                    .unwrap_or_else(|| panic!("{what}: no run mixes massless and massive leaves"));
+                // Targets whose own slots sit in the two batched leaves, and
+                // every particle of the cloud in lane counts 1..=GROUP.
+                let order_ids = tree.order();
+                let in_leaf = |ni: usize| {
+                    let leaf = solver.walk[ni];
+                    order_ids[leaf.start as usize..leaf.end as usize].to_vec()
+                };
+                let batched: Vec<(Vec3, u32)> = [in_leaf(a), in_leaf(b)]
+                    .concat()
+                    .iter()
+                    .map(|&i| (pos[i as usize], i))
+                    .collect();
+                assert_group_matches_reference(&solver, &batched, &format!("{what} batched"));
+                for &(a, b) in pairs.iter().take(40) {
+                    let own: Vec<(Vec3, u32)> = [in_leaf(a), in_leaf(b)]
+                        .concat()
+                        .iter()
+                        .map(|&i| (pos[i as usize], i))
+                        .collect();
+                    assert_group_matches_reference(&solver, &own, &format!("{what} run {a} {b}"));
+                }
+                for lanes in 1..=GROUP {
+                    let targets: Vec<(Vec3, u32)> =
+                        order_ids[..lanes].iter().map(|&i| (pos[i as usize], i)).collect();
+                    assert_group_matches_reference(&solver, &targets, &format!("{what} {lanes}"));
                 }
             }
         }
