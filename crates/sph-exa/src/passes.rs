@@ -611,14 +611,19 @@ mod tests {
     #[test]
     fn gravity_pass_over_an_active_subset_equals_one_walk_per_particle() {
         // Block time-stepping on two ranks: each rank computes an irregular
-        // subset of its owned particles, so one group of the walk holds
-        // targets whose ids are far from consecutive. Each must get the
-        // sample and the interaction count of a walk of its own.
+        // subset of its owned particles, which the solver walks in Morton
+        // order, not in the rank's order. Each must get back, at its own
+        // place, the sample and the interaction count of a walk of its own,
+        // added onto the acceleration it had.
         let n = 700;
         let periodicity = Periodicity::open(Aabb::unit());
         let sys = variable_h_cloud(n, 0x6A7, periodicity);
         let tree = Octree::build(&sys.x, &sys.bounds(), OctreeConfig::default());
         let solver = GravitySolver::new(&tree, &sys.m, GravityConfig::default());
+        let mut slot_of = vec![0; n];
+        for (slot, &i) in tree.order().iter().enumerate() {
+            slot_of[i as usize] = slot;
+        }
         let config = SphConfig::default();
         let kernel = config.kernel.build();
         let eos = IdealGas::new(config.gamma);
@@ -629,32 +634,46 @@ mod tests {
             gravity: Some(&solver),
             subset: true,
         };
-        let computed: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1 && i % 11 != 4).collect();
-        let decomp = Partitioner::Orb.partition(&sys.x, 2, &vec![1.0; n]);
-        let halos = halo_sets(&sys.x, &decomp, SUPPORT_RADIUS * sys.max_h(), &periodicity);
-        let mut seen = 0;
-        for (r, (owned, imports)) in bucket_owned(&decomp).iter().zip(&halos.imports).enumerate() {
-            let view = RankView::of_subdomain(r, &sys, owned, imports, Some(&computed));
-            let (Some(mut local), mut ws) = (view.copy, view.ws) else {
-                panic!("rank {r}: a subdomain view computes on a copy")
-            };
-            local.a.fill(Vec3::ZERO);
-            let stats = gravity(&env, &mut local, &mut ws);
-            let mut want_stats = TraversalStats::default();
-            for (q, &k) in ws.active.iter().enumerate() {
-                let g = ws.global_id(k);
-                let mut ts = TraversalStats::default();
-                let want = solver.field_at(sys.x[g as usize], Some(g), &mut ts);
-                want_stats.merge(&ts);
-                let bits = |v: Vec3| v.to_array().map(f64::to_bits);
-                assert_eq!(bits(local.a[k as usize]), bits(want.accel), "rank {r}: a of {g}");
-                assert_eq!(ws.potentials[q].to_bits(), want.potential.to_bits(), "φ of {g}");
-                assert_eq!(ws.gravity_work[q], ts.total_interactions(), "work of {g}");
+        let cases: [(Partitioner, fn(&u32) -> bool); 2] = [
+            (Partitioner::Orb, |i| i % 3 != 1 && i % 11 != 4),
+            (Partitioner::Slab { axis: 2 }, |i| i % 5 < 2),
+        ];
+        for (partitioner, computes) in cases {
+            let computed: Vec<u32> = (0..n as u32).filter(computes).collect();
+            let decomp = partitioner.partition(&sys.x, 2, &vec![1.0; n]);
+            let halos = halo_sets(&sys.x, &decomp, SUPPORT_RADIUS * sys.max_h(), &periodicity);
+            let mut seen = 0;
+            let owned = bucket_owned(&decomp);
+            for (r, (owned, imports)) in owned.iter().zip(&halos.imports).enumerate() {
+                let case = format!("{partitioner:?} rank {r}");
+                let view = RankView::of_subdomain(r, &sys, owned, imports, Some(&computed));
+                let (Some(mut local), mut ws) = (view.copy, view.ws) else {
+                    panic!("{case}: a subdomain view computes on a copy")
+                };
+                let slots: Vec<usize> =
+                    ws.active.iter().map(|&k| slot_of[ws.global_id(k) as usize]).collect();
+                assert!(slots.windows(2).any(|w| w[0] > w[1]), "{case}: already in Morton order");
+                let hydro: Vec<Vec3> =
+                    (0..local.len()).map(|k| Vec3::new(k as f64, 0.5, -0.25)).collect();
+                local.a.clone_from(&hydro);
+                let stats = gravity(&env, &mut local, &mut ws);
+                let mut want_stats = TraversalStats::default();
+                for (q, &k) in ws.active.iter().enumerate() {
+                    let g = ws.global_id(k);
+                    let mut ts = TraversalStats::default();
+                    let want = solver.field_at(sys.x[g as usize], Some(g), &mut ts);
+                    want_stats.merge(&ts);
+                    let bits = |v: Vec3| v.to_array().map(f64::to_bits);
+                    let a = hydro[k as usize] + want.accel;
+                    assert_eq!(bits(local.a[k as usize]), bits(a), "{case}: a of {g}");
+                    assert_eq!(ws.potentials[q].to_bits(), want.potential.to_bits(), "φ of {g}");
+                    assert_eq!(ws.gravity_work[q], ts.total_interactions(), "work of {g}");
+                }
+                assert_eq!(stats.gravity, want_stats, "{case}: traversal counters");
+                seen += ws.active.len();
             }
-            assert_eq!(stats.gravity, want_stats, "rank {r}: traversal counters");
-            seen += ws.active.len();
+            assert_eq!(seen, computed.len(), "{partitioner:?}");
         }
-        assert_eq!(seen, computed.len());
     }
 
     #[test]
