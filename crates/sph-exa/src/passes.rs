@@ -634,12 +634,11 @@ mod tests {
             gravity: Some(&solver),
             subset: true,
         };
-        let cases: [(Partitioner, fn(&u32) -> bool); 2] = [
-            (Partitioner::Orb, |i| i % 3 != 1 && i % 11 != 4),
-            (Partitioner::Slab { axis: 2 }, |i| i % 5 < 2),
+        let cases: [(Partitioner, Vec<u32>); 2] = [
+            (Partitioner::Orb, (0..n as u32).filter(|i| i % 3 != 1 && i % 11 != 4).collect()),
+            (Partitioner::Slab { axis: 2 }, (0..n as u32).filter(|i| i % 5 < 2).collect()),
         ];
-        for (partitioner, computes) in cases {
-            let computed: Vec<u32> = (0..n as u32).filter(computes).collect();
+        for (partitioner, computed) in cases {
             let decomp = partitioner.partition(&sys.x, 2, &vec![1.0; n]);
             let halos = halo_sets(&sys.x, &decomp, SUPPORT_RADIUS * sys.max_h(), &periodicity);
             let mut seen = 0;
