@@ -49,21 +49,39 @@
 //!   the particle to skip is known before the walk starts and the pair
 //!   loop compares a slot, not an id per pair.
 //!
-//! **Group walk.** [`GravitySolver::fields_at`] walks up to `GROUP`
-//! consecutive targets in one depth-first traversal. A stack entry is a
-//! node and the mask of targets that reach it; at an internal node every
-//! target makes its own MAC decision, and those that open the node carry on
-//! into its children together. A leaf is evaluated for the targets that
-//! opened it at once: they are packed into lanes, the leaf's slots run
-//! outermost, and each lane subtracts its pair terms from its own sums one
-//! slot at a time in slot order, its own slot's terms masked to `+0.0`.
+//! **Group walk.** [`GravitySolver::fields_at`], the one entry point (the
+//! driver's gravity pass and [`GravitySolver::accelerations`] both call
+//! it), decides the order in which targets are walked:
+//! * *Morton groups* — targets are sorted by the Morton slot of their own
+//!   particle and walked `GROUP` (64) at a time in one depth-first
+//!   traversal, in fixed `REDUCE_CHUNK` chunks of that order; samples and
+//!   counters go back to each target's own place. Targets that sit close
+//!   together open much the same nodes, so a group's traversal visits few
+//!   nodes that only one of its targets needs.
+//! * *Traversal* — a stack entry is a node and the mask of targets that
+//!   reach it; at an internal node every target makes its own MAC
+//!   decision, and those that open the node carry on into its children
+//!   together.
+//! * *Leaf runs* — leaves popped one after another for the same mask
+//!   (mostly sibling leaves) form one run: its targets are packed into
+//!   lanes once, the leaves are evaluated in pop order, each leaf's slots
+//!   ascending and outermost, and each lane subtracts its pair terms from
+//!   its own sums one slot at a time.
+//! * *Mask-free pair loop* — a leaf that holds none of the lanes' own
+//!   slots (every leaf but the group's own ones) runs a pair loop that
+//!   looks at no mask; in the other, a lane's own slot's terms are masked
+//!   to `+0.0`.
+//! * *Padding* — an odd lane count gets one more lane, a copy of lane 0
+//!   whose sums are discarded, so the lane loop has no odd lane left over.
+//!
 //! The lane loop has no iteration that depends on another, so the compiler
 //! runs it at whatever vector width the target has. Each target thus
 //! receives exactly the terms of a walk of its own, in that walk's order,
-//! and the same `TraversalStats`: neither the grouping, the thread count
-//! nor the lane width changes a bit (CI runs the goldens with AVX2 enabled
-//! to hold that). The one-target walk it replaced is kept under
-//! `#[cfg(test)]` as its oracle.
+//! and the same `TraversalStats`: neither the order, the grouping, the
+//! thread count nor the lane width changes a bit (CI runs the goldens and
+//! the force-error gate with AVX2 enabled to hold that). The one-target walk
+//! the group walk replaced is kept under `#[cfg(test)]` as its oracle,
+//! `field_at_reference`.
 
 use crate::morton::BITS_PER_AXIS;
 use crate::octree::Octree;
