@@ -1247,13 +1247,17 @@ mod tests {
                         let what = format!("{cloud} leaf {max_leaf_size} {order:?} size {size}");
                         assert_group_matches_reference(&solver, &targets, &what);
                     }
-                    // Every particle, in id order and in a scrambled order
-                    // (several chunks of Morton-sorted groups, the last one
-                    // partial), and through `accelerations`.
+                    // Every particle, in id order, in reverse Morton order and
+                    // scrambled with repeats (several chunks of Morton-sorted
+                    // groups, the last one partial), and through
+                    // `accelerations`.
                     let all: Vec<(Vec3, u32)> =
                         pos.iter().enumerate().map(|(i, &p)| (p, i as u32)).collect();
                     let what = format!("{cloud} leaf {max_leaf_size} {order:?} all");
                     assert_group_matches_reference(&solver, &all, &what);
+                    let reversed: Vec<(Vec3, u32)> =
+                        tree.order().iter().rev().map(|&i| all[i as usize]).collect();
+                    assert_group_matches_reference(&solver, &reversed, &format!("{what} reversed"));
                     let scrambled: Vec<(Vec3, u32)> =
                         (0..n).map(|i| all[(i * 7 + 3) % n]).chain(all[..5].to_vec()).collect();
                     assert_group_matches_reference(
@@ -1276,18 +1280,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fields_at_walks_targets_in_morton_groups() {
-        // Targets given in reverse Morton order: the walk must regroup them
-        // (the solver's order), and still hand each one back by its index.
-        let (pos, masses) = condensed_system(3 * REDUCE_CHUNK + 40, 91);
-        let tree = Octree::build(&pos, &Aabb::unit(), OctreeConfig::default());
-        let solver = build_solver(&tree, &masses, 0.55, MultipoleOrder::Octupole);
-        let reversed: Vec<(Vec3, u32)> =
-            tree.order().iter().rev().map(|&i| (pos[i as usize], i)).collect();
-        assert_group_matches_reference(&solver, &reversed, "reverse Morton order");
     }
 
     /// Leaves that are consecutive children of one internal node, in the
