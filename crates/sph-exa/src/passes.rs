@@ -501,17 +501,14 @@ fn forces(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepSt
 /// consumes.
 fn gravity(env: &PassEnv, sys: &mut ParticleSystem, ws: &mut Workspace) -> StepStats {
     let Some(solver) = env.gravity else { return StepStats::default() };
-    let (active, ids) = (&ws.active, &ws.ids);
+    let active = &ws.active;
     let mut potentials = vec![0.0; active.len()];
     let mut work = vec![0; active.len()];
     let mut stats = StepStats::default();
     let (x, a) = (&sys.x, &mut sys.a);
     solver.fields_at(
         active.len(),
-        |q| {
-            let k = active[q];
-            (x[k as usize], ids.get(k as usize).copied().unwrap_or(k))
-        },
+        |q| (x[active[q] as usize], ws.global_id(active[q])),
         |q, sample, ts| {
             stats.gravity.merge(ts);
             a[active[q] as usize] += sample.accel;
